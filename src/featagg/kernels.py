@@ -387,31 +387,40 @@ def _score_rows_loop(indptr, indices, values, weights, bias):
 # ---------------------------------------------------------------------------
 
 
+# Expanded (feature, label) pairs per block of features in the numpy flavour;
+# bounds its scratch memory independently of the input size.
+_MI_BLOCK_PAIRS = 1 << 14
+
+
 def _mi_accumulate_numpy(
     zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
 ):
+    # Per block of features: expand each Z^T nonzero over its point's labels,
+    # coalesce equal (feature, label) keys into joint entries, sum the terms.
     n_features = zt_indptr.shape[0] - 1
     n_labels = col_sums.shape[0]
+    y_lens = np.diff(y_indptr)
+    # expanded pairs before each feature's first nonzero
+    before = np.concatenate(([0], np.cumsum(y_lens[zt_indices])))[zt_indptr]
     mi = 0.0
-    scratch = np.zeros(n_labels, dtype=np.float64)
-    for j in range(n_features):
-        s, e = zt_indptr[j], zt_indptr[j + 1]
-        if e == s or row_sums[j] == 0.0:
-            continue
-        pts = zt_indices[s:e]
-        flat = concat_ranges(y_indptr[pts], y_indptr[pts + 1])
-        if flat.shape[0] == 0:
-            continue
-        wrep = np.repeat(zt_values[s:e], y_indptr[pts + 1] - y_indptr[pts])
-        labels = y_indices[flat]
-        np.add.at(scratch, labels, wrep)
-        hit = np.unique(labels)
-        p = scratch[hit]
+    lo = 0
+    while lo < n_features:
+        # widest feature range [lo, hi) within the pair budget, at least one
+        hi = np.searchsorted(before, before[lo] + _MI_BLOCK_PAIRS, side="right") - 1
+        hi = max(int(hi), lo + 1)
+        s, e = zt_indptr[lo], zt_indptr[hi]
+        feat = np.repeat(np.arange(lo, hi), np.diff(zt_indptr[lo : hi + 1]))
+        keep = row_sums[feat] != 0.0
+        feat, pts, zv = feat[keep], zt_indices[s:e][keep], zt_values[s:e][keep]
+        reps = y_lens[pts]
+        labels = y_indices[concat_ranges(y_indptr[pts], y_indptr[pts + 1])]
+        key = np.repeat(feat - lo, reps) * n_labels + labels
+        uniq, inverse = np.unique(key, return_inverse=True)
+        p = np.bincount(inverse, weights=np.repeat(zv, reps))
         nz = p > 0.0
-        p = p[nz]
-        cl = col_sums[hit][nz]
-        mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * cl))))
-        scratch[hit] = 0.0
+        p, j, l = p[nz], uniq[nz] // n_labels + lo, uniq[nz] % n_labels
+        mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))))
+        lo = hi
     return mi / total
 
 

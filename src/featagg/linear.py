@@ -152,14 +152,26 @@ def save_model(model: OvaModel, path: str) -> None:
 
 
 def load_model(path: str) -> OvaModel:
+    """Read a model saved by save_model; a malformed payload is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    config = OvaConfig(**payload["config"])
+    if not isinstance(payload, dict):
+        raise ValueError("model file must hold a JSON object")
+    try:
+        config = OvaConfig(**payload["config"])
+    except TypeError as exc:
+        raise ValueError(f"model config: {exc}") from None
+    dim = int(payload["dim"])
     weights = np.asarray(payload["weights"], dtype=np.float64)
-    if weights.size == 0:
-        weights = weights.reshape(0, int(payload["dim"]))
-    return OvaModel(
-        weights=weights,
-        bias=np.asarray(payload["bias"], dtype=np.float64),
-        config=config,
-    )
+    if weights.shape == (0,):
+        weights = weights.reshape(0, dim)
+    bias = np.asarray(payload["bias"], dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != dim:
+        raise ValueError(
+            f"model weights have shape {weights.shape}, expected (labels, {dim})"
+        )
+    if bias.shape != (weights.shape[0],):
+        raise ValueError(
+            f"model bias has shape {bias.shape}, expected ({weights.shape[0]},)"
+        )
+    return OvaModel(weights=weights, bias=bias, config=config)

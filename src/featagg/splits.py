@@ -188,17 +188,36 @@ def kmeans_split(
 
 
 def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
-    """1 / best-achievable gain per row; 0 for all-zero rows."""
+    """1 / best-achievable gain per row; 0 for all-zero rows.
+
+    Rows are grouped by nonzero count, and each group is sorted, discounted
+    and summed as one 2-D block. np.sum along a row of a block sums exactly
+    as np.sum on that row alone, so each value matches a per-row computation
+    bit for bit.
+    """
     out = np.zeros(sub.rows, dtype=np.float64)
+    lens = np.diff(sub.indptr)
+    if sub.rows == 0 or lens.max() == 0:
+        return out
     logb = math.log(base) if base is not None else 1.0
-    for i in range(sub.rows):
-        s, e = sub.indptr[i], sub.indptr[i + 1]
-        if e == s:
-            continue
-        vals = np.sort(sub.values[s:e])[::-1]
-        ideal = float(np.sum(vals / (np.log(np.arange(2.0, vals.shape[0] + 2.0)) / logb)))
-        out[i] = 1.0 / ideal
+    discounts = np.log(np.arange(2.0, lens.max() + 2.0)) / logb
+    by_len = np.argsort(lens, kind="stable")
+    lens_sorted = lens[by_len]
+    firsts = np.flatnonzero(np.diff(lens_sorted, prepend=0)).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [sub.rows]):
+        n = int(lens_sorted[lo])
+        rows = by_len[lo:hi]
+        vals = sub.values[sub.indptr[rows][:, None] + np.arange(n)]
+        vals = np.sort(vals, axis=1)[:, ::-1]
+        out[rows] = 1.0 / np.sum(vals / discounts[:n], axis=1)
     return out
+
+
+def _gains(v: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+    """Discount of each coordinate's position in Ranking.rank_of(v)."""
+    g = np.empty(ladder.shape[0], dtype=np.float64)
+    g[np.argsort(-v, kind="stable")] = ladder
+    return g
 
 
 def ndcg_split(
@@ -229,31 +248,31 @@ def ndcg_split(
     picked = _pick_two_distinct(sub, rng)
     if picked is None:
         return _index_order_split(members)
-    r_plus = Ranking.rank_of(_dense_row(sub, picked[0]))
-    r_minus = Ranking.rank_of(_dense_row(sub, picked[1]))
-
     logb = math.log(base) if base is not None else 1.0
-
-    def gains(r: Ranking) -> np.ndarray:
-        return logb / np.log(1.0 + r.positions())
+    # gain of rank position j (1-based) is logb / log(1 + j)
+    ladder = logb / np.log(1.0 + np.arange(1, p + 1))
+    g_plus = _gains(_dense_row(sub, picked[0]), ladder)
+    g_minus = _gains(_dense_row(sub, picked[1]), ladder)
 
     prev = None
     plus = minus = None
     iterations = max_iters
     converged = False
     for it in range(1, max_iters + 1):
-        gdiff = gains(r_plus) - gains(r_minus)
+        gdiff = g_plus - g_minus
         scores = inv_ideal * kernels.row_dots(sub.indptr, sub.indices, sub.values, gdiff)
         plus, minus = _select_balanced(scores, members)
-        r_plus = Ranking.rank_of(
+        g_plus = _gains(
             kernels.weighted_sum_rows(
                 sub.indptr, sub.indices, sub.values, plus, inv_ideal[plus], p
-            )
+            ),
+            ladder,
         )
-        r_minus = Ranking.rank_of(
+        g_minus = _gains(
             kernels.weighted_sum_rows(
                 sub.indptr, sub.indices, sub.values, minus, inv_ideal[minus], p
-            )
+            ),
+            ladder,
         )
         assign = np.zeros(m, dtype=bool)
         assign[plus] = True

@@ -66,11 +66,18 @@ def _check_k(preds: PredictionList, k: int) -> None:
             )
 
 
+def _check_rows(preds: PredictionList, truth: SparseMatrix) -> None:
+    if len(preds) != truth.rows:
+        raise ValueError(
+            f"one prediction per test point required: {len(preds)} predictions, "
+            f"{truth.rows} points"
+        )
+
+
 def precision_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
     """Mean fraction of the top k that is correct."""
     _check_k(preds, k)
-    if len(preds) != truth.rows:
-        raise ValueError("one prediction per test point required")
+    _check_rows(preds, truth)
     rows = truth_rows(truth)
     total = 0.0
     for pr, t in zip(preds, rows):
@@ -81,8 +88,7 @@ def precision_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
 def ndcg_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
     """Binary-relevance gain at k against the best achievable placement."""
     _check_k(preds, k)
-    if len(preds) != truth.rows:
-        raise ValueError("one prediction per test point required")
+    _check_rows(preds, truth)
     rows = truth_rows(truth)
     discounts = 1.0 / np.log(np.arange(2.0, k + 2.0))
     total = 0.0
@@ -121,6 +127,7 @@ def psp_at_k(
     floor of 1, so unit propensities reduce the metric exactly to p@k.
     """
     _check_k(preds, k)
+    _check_rows(preds, truth)
     rows = truth_rows(truth)
     inv = prop.inverse()
     total = 0.0
@@ -139,6 +146,7 @@ def psndcg_at_k(
 ) -> float:
     """Propensity-scored gain@k, normalized by the per-point weighted ideal."""
     _check_k(preds, k)
+    _check_rows(preds, truth)
     rows = truth_rows(truth)
     inv = prop.inverse()
     discounts = 1.0 / np.log(np.arange(2.0, k + 2.0))
@@ -159,6 +167,7 @@ def coverage_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
     """Fraction of ground-truth labels correctly placed in some top-k list."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_rows(preds, truth)
     rows = truth_rows(truth)
     present: set[int] = set()
     covered: set[int] = set()
@@ -185,7 +194,14 @@ def percentile_macro_precision(
     partition [0, 100]; an empty bucket yields NaN.
     """
     _check_k(preds, k)
+    _check_rows(preds, truth)
     n_labels = y_train.cols
+    for t, pr in enumerate(preds):
+        top = pr.labels[:k]
+        if top.min() < 0 or top.max() >= n_labels:
+            raise ValueError(
+                f"prediction {t} has a label outside [0, {n_labels})"
+            )
     counts = np.bincount(y_train.indices, minlength=n_labels)
     order = np.lexsort((np.arange(n_labels), -counts))
     pct = np.empty(n_labels, dtype=np.float64)

@@ -125,6 +125,19 @@ def test_predict_ensemble_consensus(workdir, capsys):
     assert dup == single
 
 
+def test_predict_rejects_inconsistent_model(workdir, capsys, tmp_path):
+    run(capsys, "train", workdir / "train_agg.txt", "-o", tmp_path / "model.json",
+        "--epochs", "1", "--seed", "0")
+    payload = json.loads((tmp_path / "model.json").read_text())
+    payload["bias"] = payload["bias"][:1]
+    (tmp_path / "bad_model.json").write_text(json.dumps(payload))
+    code = main(["predict", str(workdir / "test_agg.txt"),
+                 "--model", str(tmp_path / "bad_model.json"), "--k", "3",
+                 "-o", str(tmp_path / "preds.txt")])
+    assert code == 2
+    assert "model bias" in capsys.readouterr().err
+
+
 def test_cooc_impute_erase(workdir, capsys):
     code, out = run(capsys, "cooc", workdir / "train.txt",
                     "--partition", workdir / "part.json",

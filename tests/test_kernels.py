@@ -1,14 +1,13 @@
-"""Both kernel flavours must agree on random CSR inputs."""
+"""Both kernel flavours must agree on random CSR inputs.
+
+The loop flavour is the numba-compiled kernel when numba is importable and
+the same loop run as plain Python otherwise.
+"""
 
 import numpy as np
 import pytest
 
 from featagg import kernels
-
-
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba unavailable; single backend only"
-)
 
 
 def random_csr(rng, nrows, ncols, density=0.4):
@@ -31,7 +30,8 @@ def csr(rng):
 
 
 def impls(name):
-    return kernels.IMPLS["numpy"][name], kernels.IMPLS["numba"][name]
+    loops = kernels.IMPLS["numba"] if kernels.HAVE_NUMBA else kernels._LOOP_IMPLS
+    return kernels.IMPLS["numpy"][name], loops[name]
 
 
 def test_row_dots(csr, rng):
@@ -111,25 +111,39 @@ def test_score_rows(csr, rng):
     )
 
 
-def test_mi_accumulate(rng):
-    z_indptr, z_indices, z_values = random_csr(rng, 15, 8)
+def mi_inputs(rng, n_points, n_features, n_labels, density=0.4):
+    z_indptr, z_indices, z_values = random_csr(rng, n_points, n_features, density)
     z_values = np.abs(z_values) + 0.01
-    y_indptr, y_indices, _ = random_csr(rng, 15, 5, density=0.5)
-    zt = kernels.IMPLS["numpy"]["transpose_csr"](z_indptr, z_indices, z_values, 15, 8)
+    y_indptr, y_indices, _ = random_csr(rng, n_points, n_labels, density=0.5)
+    zt = kernels.IMPLS["numpy"]["transpose_csr"](
+        z_indptr, z_indices, z_values, n_points, n_features
+    )
     ylen = np.diff(y_indptr).astype(np.float64)
     row_sums = kernels.IMPLS["numpy"]["row_dots"](*zt, ylen)
     zsum = np.bincount(
-        np.repeat(np.arange(15), np.diff(z_indptr)), weights=z_values, minlength=15
+        np.repeat(np.arange(n_points), np.diff(z_indptr)), weights=z_values,
+        minlength=n_points,
     )
     col_sums = np.bincount(
-        y_indices, weights=zsum[np.repeat(np.arange(15), np.diff(y_indptr))],
-        minlength=5,
+        y_indices, weights=zsum[np.repeat(np.arange(n_points), np.diff(y_indptr))],
+        minlength=n_labels,
     )
-    total = row_sums.sum()
-    np_fn, nb_fn = impls("mi_accumulate")
-    a = np_fn(*zt, y_indptr, y_indices, row_sums, col_sums, total)
-    b = nb_fn(*zt, y_indptr, y_indices, row_sums, col_sums, total)
-    assert a == pytest.approx(b, rel=1e-12)
+    return (*zt, y_indptr, y_indices, row_sums, col_sums, row_sums.sum())
+
+
+def test_mi_accumulate(rng):
+    args = mi_inputs(rng, 15, 8, 5)
+    np_fn, loop_fn = impls("mi_accumulate")
+    assert np_fn(*args) == pytest.approx(loop_fn(*args), rel=1e-12)
+
+
+def test_mi_accumulate_spans_feature_blocks(rng):
+    args = mi_inputs(rng, 400, 300, 40, density=0.3)
+    _, zt_indices, _, y_indptr = args[:4]
+    pairs = np.diff(y_indptr)[zt_indices].sum()
+    assert pairs > 3 * kernels._MI_BLOCK_PAIRS
+    np_fn, loop_fn = impls("mi_accumulate")
+    assert np_fn(*args) == pytest.approx(loop_fn(*args), rel=1e-12)
 
 
 def test_backend_name_matches_flag():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,42 @@ def test_model_round_trip(tmp_path, separable):
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.bias, model.bias)
     assert again.config == model.config
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bias", [0.5]),  # one bias for two labels would broadcast
+        ("bias", [[0.1, 0.2]]),
+        ("weights", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),  # 3 columns, dim 2
+        ("weights", [1.0, 2.0]),  # not 2-D
+        ("dim", 3),
+        ("config", {"epochs": 1, "momentum": 0.9}),
+        ("config", [1]),
+    ],
+)
+def test_load_model_rejects_inconsistent_shapes(tmp_path, separable, field, value):
+    model = train_ova(separable, OvaConfig(epochs=1))
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="model (weights|bias|config)"):
+        load_model(str(path))
+
+
+def test_load_model_rejects_non_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_model(str(path))
+
+
+def test_load_model_accepts_empty_label_set(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(
+        {"config": {}, "dim": 4, "bias": [], "weights": []}
+    ))
+    model = load_model(str(path))
+    assert model.weights.shape == (0, 4) and model.bias.shape == (0,)

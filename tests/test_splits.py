@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from featagg import kernels, splits, tree
 from featagg.reprs import ReprSet
 from featagg.splits import (
     Ranking,
@@ -236,3 +237,98 @@ class TestNdcgSplit:
         rows = rng.random((7, 5)) * (rng.random((7, 5)) > 0.3)
         res = ndcg_split(np.arange(7), repr_set(rows), rng)
         assert (len(res.s_plus), len(res.s_minus)) == (4, 3)
+
+
+# Per-row reference for the ndcg split: the ideal gain of each row from its
+# own sorted slice, and the centroid rankings as explicit Ranking objects.
+def reference_ideal_inverses(sub, base):
+    out = np.zeros(sub.rows, dtype=np.float64)
+    logb = math.log(base) if base is not None else 1.0
+    for i in range(sub.rows):
+        s, e = sub.indptr[i], sub.indptr[i + 1]
+        if e == s:
+            continue
+        vals = np.sort(sub.values[s:e])[::-1]
+        ideal = float(np.sum(vals / (np.log(np.arange(2.0, vals.shape[0] + 2.0)) / logb)))
+        out[i] = 1.0 / ideal
+    return out
+
+
+def reference_ndcg_split(members, rs, rng, max_iters=splits.MAX_ITERS, base=None):
+    members = np.asarray(members, dtype=np.int64)
+    m = members.shape[0]
+    sub = rs.matrix.take_rows(members)
+    p = sub.cols
+    inv_ideal = reference_ideal_inverses(sub, base)
+    picked = splits._pick_two_distinct(sub, rng)
+    if picked is None:
+        return splits._index_order_split(members)
+    r_plus = Ranking.rank_of(splits._dense_row(sub, picked[0]))
+    r_minus = Ranking.rank_of(splits._dense_row(sub, picked[1]))
+    logb = math.log(base) if base is not None else 1.0
+
+    def gains(r):
+        return logb / np.log(1.0 + r.positions())
+
+    prev = None
+    iterations = max_iters
+    converged = False
+    for it in range(1, max_iters + 1):
+        gdiff = gains(r_plus) - gains(r_minus)
+        scores = inv_ideal * kernels.row_dots(sub.indptr, sub.indices, sub.values, gdiff)
+        plus, minus = splits._select_balanced(scores, members)
+        r_plus = Ranking.rank_of(kernels.weighted_sum_rows(
+            sub.indptr, sub.indices, sub.values, plus, inv_ideal[plus], p))
+        r_minus = Ranking.rank_of(kernels.weighted_sum_rows(
+            sub.indptr, sub.indices, sub.values, minus, inv_ideal[minus], p))
+        assign = np.zeros(m, dtype=bool)
+        assign[plus] = True
+        if prev is not None and np.array_equal(assign, prev):
+            iterations = it
+            converged = True
+            break
+        prev = assign
+    return splits.SplitResult(members[plus], members[minus], iterations, converged)
+
+
+def varied_reprs(rng, n, p):
+    """Nonnegative rows from empty to dense (up to p nonzeros), some with ties."""
+    density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.5, 0.9], size=(n, 1))
+    rows = rng.random((n, p)) * (rng.random((n, p)) < density)
+    tied = rng.random(n) < 0.3
+    rows[tied] = np.ceil(rows[tied] * 3.0)
+    return repr_set(rows)
+
+
+class TestNdcgSplitMatchesReference:
+    """The vectorized ndcg split reproduces the per-row reference bit for bit."""
+
+    def test_ideal_inverses_bit_identical(self, rng):
+        rs = varied_reprs(rng, 80, 300)
+        lens = rs.matrix.row_nnz()
+        assert lens.max() > 128 and np.any((lens > 8) & (lens < 128))
+        for base in (None, 2.0, 10.0):
+            got = splits._ideal_inverses(rs.matrix, base)
+            assert np.array_equal(got, reference_ideal_inverses(rs.matrix, base))
+
+    @pytest.mark.parametrize("base", [None, 2.0, 10.0])
+    def test_split_results_equal(self, rng, base):
+        for trial in range(12):
+            n = int(rng.integers(2, 60))
+            rs = varied_reprs(rng, n, int(rng.choice([5, 40, 300])))
+            members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                         replace=False))
+            got = ndcg_split(members, rs, np.random.default_rng(trial), base=base)
+            want = reference_ndcg_split(members, rs, np.random.default_rng(trial),
+                                        base=base)
+            assert np.array_equal(got.s_plus, want.s_plus)
+            assert np.array_equal(got.s_minus, want.s_minus)
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+
+    def test_tree_partitions_equal(self, rng, monkeypatch):
+        rs = varied_reprs(rng, 150, 200)
+        got = tree.leaves(tree.make_tree(rs, d0=8, split_kind="ndcg", seed=4))
+        monkeypatch.setattr(tree, "ndcg_split", reference_ndcg_split)
+        want = tree.leaves(tree.make_tree(rs, d0=8, split_kind="ndcg", seed=4))
+        assert np.array_equal(got.cluster_of, want.cluster_of)

@@ -216,6 +216,42 @@ class TestPercentileMacroPrecision:
         assert out[1] == pytest.approx(0.5)
 
 
+class TestInputChecks:
+    """Mismatched inputs fail loudly instead of truncating or wrapping."""
+
+    def test_every_metric_rejects_length_mismatch(self):
+        # one prediction for three points: zip would silently score only it
+        preds = [ranked([0])]
+        truth = label_matrix([{0}, {1}, {2}], 3)
+        y_train = label_matrix([{0}, {1}], 3)
+        model = propensities(y_train)
+        calls = [
+            lambda: precision_at_k(preds, truth, 1),
+            lambda: ndcg_at_k(preds, truth, 1),
+            lambda: psp_at_k(preds, truth, model, 1),
+            lambda: psndcg_at_k(preds, truth, model, 1),
+            lambda: coverage_at_k(preds, truth, 1),
+            lambda: percentile_macro_precision(preds, truth, y_train, 1, [(0, 100)]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="one prediction per test point"):
+                call()
+
+    def test_too_many_predictions_rejected(self):
+        preds = [ranked([0]), ranked([1])]
+        truth = label_matrix([{0}], 2)
+        with pytest.raises(ValueError):
+            coverage_at_k(preds, truth, 1)
+
+    @pytest.mark.parametrize("label", [2, 7, -1])
+    def test_percentile_rejects_out_of_range_label(self, label):
+        preds = [ranked([0]), ranked([label])]
+        truth = label_matrix([{0}, {1}], 2)
+        y_train = label_matrix([{0}, {1}], 2)
+        with pytest.raises(ValueError, match="outside"):
+            percentile_macro_precision(preds, truth, y_train, 1, [(0, 100)])
+
+
 class TestPredictionIO:
     def test_round_trip(self):
         preds = [
