@@ -67,8 +67,13 @@ def build_cases(rng, n, d, nnz):
     block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1].astype(np.int64)
     flat_len = int((sizes * sizes).sum())
 
-    sign = rng.choice([-1.0, 1.0], size=n)
-    order = np.concatenate([rng.permutation(n) for _ in range(2)]).astype(np.int64)
+    # ova_sgd trains a block of labels per call: sign is (labels, n), order
+    # holds every label's epochs of sample order, flattened label-major
+    sgd_labels, sgd_epochs = 8, 2
+    sign = rng.choice([-1.0, 1.0], size=(sgd_labels, n))
+    order = np.concatenate(
+        [rng.permutation(n) for _ in range(sgd_labels * sgd_epochs)]
+    ).astype(np.int64)
     weight_matrix = rng.normal(size=(16, d))
     bias = rng.normal(size=16)
 

@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="per-label training workers (results identical)")
+                   help="workers over label blocks (results identical)")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(fn=_cmd_train)
 

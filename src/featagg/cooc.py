@@ -63,13 +63,38 @@ class PseudoCooc:
 
     @classmethod
     def from_json(cls, text: str) -> "PseudoCooc":
+        """Parse to_json output; a malformed payload is a ValueError."""
         payload = json.loads(text)
-        part = FeaturePartition.from_clusters(
-            int(payload["d"]),
-            [np.asarray(c, dtype=np.int64) for c in payload["clusters"]],
-        )
-        blocks = [np.asarray(b, dtype=np.float64) for b in payload["blocks"]]
+        if not isinstance(payload, dict):
+            raise ValueError("co-occurrence file must hold a JSON object")
+        missing = [k for k in ("d", "clusters", "blocks") if k not in payload]
+        if missing:
+            raise ValueError(f"co-occurrence file lacks {', '.join(missing)}")
+        d = payload["d"]
+        if not isinstance(d, int) or d < 0:
+            raise ValueError(f"co-occurrence d must be a non-negative integer, got {d!r}")
+        clusters = _array_list(payload["clusters"], np.int64, 1, "cluster")
+        blocks = _array_list(payload["blocks"], np.float64, 2, "block")
+        part = FeaturePartition.from_clusters(d, clusters)
         return cls(part, blocks, row_normalized=bool(payload.get("row_normalized", False)))
+
+
+def _array_list(items, dtype, ndim: int, what: str) -> list[np.ndarray]:
+    """A JSON list of ndim-dimensional numeric arrays, or a ValueError."""
+    if not isinstance(items, list):
+        raise ValueError(f"co-occurrence {what}s must be a list")
+    out = []
+    for k, item in enumerate(items):
+        try:
+            arr = np.asarray(item, dtype=dtype)
+        except (TypeError, ValueError):
+            raise ValueError(f"co-occurrence {what} {k} is not numeric or ragged") from None
+        if arr.ndim != ndim:
+            raise ValueError(
+                f"co-occurrence {what} {k} must be {ndim}-D, got shape {arr.shape}"
+            )
+        out.append(arr)
+    return out
 
 
 def save_cooc(c: PseudoCooc, path: str) -> None:

@@ -295,61 +295,93 @@ def _cooc_accumulate_loop(
 
 
 # ---------------------------------------------------------------------------
-# ova_sgd: per-sample logistic SGD for one binary label, L2 via scale trick.
-# The learning rate decays per epoch: lr_e = lr / (1 + decay * e), with
-# epoch_len samples per epoch (order holds epochs * epoch_len indices).
+# ova_sgd: per-sample logistic SGD for a block of B binary labels, L2 via the
+# scale trick. sign is (B, n): +1/-1 per label and sample. order holds each
+# label's sample order, flattened label-major (label l's steps are
+# order[l*T:(l+1)*T] with T = len(order) // B), so len(order) stays the number
+# of SGD steps. The learning rate decays per epoch, lr_e = lr / (1 + decay * e),
+# with epoch_len samples per epoch. Returns (weights (B, dim), bias (B,)).
+# Every label follows the loop flavour's arithmetic exactly, so the numpy
+# flavour's results are bit-identical to it.
 # ---------------------------------------------------------------------------
 
 
 def _ova_sgd_numpy(indptr, indices, values, sign, order, dim, lr, l2, decay,
                    epoch_len):
-    w = np.zeros(dim, dtype=np.float64)
-    bias = 0.0
+    # One iteration per step p, updating all B labels at once: lr, l2 and
+    # decay do not depend on the label, so the L2 scale is one shared scalar.
+    n_labels = sign.shape[0]
+    w = np.zeros((n_labels, dim), dtype=np.float64)
+    bias = np.zeros(n_labels, dtype=np.float64)
+    wflat = w.reshape(-1)
+    rows_at = order.reshape(n_labels, -1)
+    labels = np.arange(n_labels)
     scale = 1.0
-    for p, i in enumerate(order):
+    for p in range(rows_at.shape[1]):
         step_lr = lr / (1.0 + decay * (p // epoch_len))
-        s, e = indptr[i], indptr[i + 1]
-        idx = indices[s:e]
-        val = values[s:e]
-        margin = sign[i] * (scale * float(np.dot(w[idx], val)) + bias)
-        g = 0.0 if margin > 35.0 else -sign[i] / (1.0 + np.exp(margin))
+        rows = rows_at[:, p]
+        starts, ends = indptr[rows], indptr[rows + 1]
+        flat = concat_ranges(starts, ends)
+        lab = np.repeat(labels, ends - starts)
+        key = lab * dim + indices[flat]
+        val = values[flat]
+        # bincount adds each row's products in stored order, as the loop does
+        dots = np.bincount(lab, weights=wflat[key] * val, minlength=n_labels)
+        sgn = sign[labels, rows]
+        margin = sgn * (scale * dots + bias)
+        # clipping only changes margins above 35, whose gradient is taken as 0
+        g = np.where(margin > 35.0, 0.0,
+                     -sgn / (1.0 + np.exp(np.minimum(margin, 35.0))))
         scale *= 1.0 - step_lr * l2
         if scale < 1e-9:
             w *= scale
             scale = 1.0
-        if g != 0.0:
-            w[idx] -= (step_lr * g / scale) * val
-            bias -= step_lr * g
+        # a label whose gradient is 0 makes no update, as in the loop
+        hit = g != 0.0
+        if not hit.all():
+            keep = hit[lab]
+            key, val, lab = key[keep], val[keep], lab[keep]
+        # (label, feature) keys within one step are unique (CSR rows hold
+        # each column once), so a fancy-indexed subtract applies every update
+        wflat[key] -= (step_lr * g / scale)[lab] * val
+        bias[hit] -= step_lr * g[hit]
     return w * scale, bias
 
 
 def _ova_sgd_loop(indptr, indices, values, sign, order, dim, lr, l2, decay,
                   epoch_len):
-    w = np.zeros(dim, dtype=np.float64)
-    bias = 0.0
-    scale = 1.0
-    for p in range(order.shape[0]):
-        i = order[p]
-        step_lr = lr / (1.0 + decay * (p // epoch_len))
-        dot = 0.0
-        for t in range(indptr[i], indptr[i + 1]):
-            dot += w[indices[t]] * values[t]
-        margin = sign[i] * (scale * dot + bias)
-        if margin > 35.0:
-            g = 0.0
-        else:
-            g = -sign[i] / (1.0 + np.exp(margin))
-        scale *= 1.0 - step_lr * l2
-        if scale < 1e-9:
-            for j in range(dim):
-                w[j] *= scale
-            scale = 1.0
-        if g != 0.0:
-            step = step_lr * g / scale
+    n_labels = sign.shape[0]
+    w = np.zeros((n_labels, dim), dtype=np.float64)
+    bias = np.zeros(n_labels, dtype=np.float64)
+    steps = order.shape[0] // n_labels
+    for l in range(n_labels):
+        b = 0.0
+        scale = 1.0
+        for p in range(steps):
+            i = order[l * steps + p]
+            step_lr = lr / (1.0 + decay * (p // epoch_len))
+            dot = 0.0
             for t in range(indptr[i], indptr[i + 1]):
-                w[indices[t]] -= step * values[t]
-            bias -= step_lr * g
-    return w * scale, bias
+                dot += w[l, indices[t]] * values[t]
+            margin = sign[l, i] * (scale * dot + b)
+            if margin > 35.0:
+                g = 0.0
+            else:
+                g = -sign[l, i] / (1.0 + np.exp(margin))
+            scale *= 1.0 - step_lr * l2
+            if scale < 1e-9:
+                for j in range(dim):
+                    w[l, j] *= scale
+                scale = 1.0
+            if g != 0.0:
+                step = step_lr * g / scale
+                for t in range(indptr[i], indptr[i + 1]):
+                    w[l, indices[t]] -= step * values[t]
+                b -= step_lr * g
+        for j in range(dim):
+            w[l, j] *= scale
+        bias[l] = b
+    return w, bias
 
 
 # ---------------------------------------------------------------------------

@@ -47,16 +47,42 @@ class OvaModel:
         return int(self.weights.shape[0])
 
 
+# Sample-order entries (labels x epochs x samples) per block of labels that
+# one ova_sgd call trains, at least one label per block: the order and sign
+# scratch stays bounded however many labels there are.
+_SGD_BLOCK_STEPS = 1 << 20
+
+
+def _check_config(config: OvaConfig) -> None:
+    if config.loss != "logistic":
+        raise ValueError(f"unsupported loss {config.loss!r}")
+    if config.epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {config.epochs}")
+    if not config.lr > 0.0:
+        raise ValueError(f"lr must be positive, got {config.lr}")
+    if not config.l2 >= 0.0:
+        raise ValueError(f"l2 must be non-negative, got {config.l2}")
+    if not config.lr_decay >= 0.0:
+        raise ValueError(f"lr_decay must be non-negative, got {config.lr_decay}")
+    # the per-step L2 factor 1 - lr_e * l2 must stay positive (lr_e <= lr)
+    if not config.lr * config.l2 < 1.0:
+        raise ValueError(
+            f"lr * l2 must be below 1, got {config.lr} * {config.l2}"
+        )
+
+
 def train_ova(
     ds: Dataset, config: OvaConfig = OvaConfig(), threads: int = 1
 ) -> OvaModel:
     """Train one binary model per label; bit-identical given the seed.
 
-    Labels are independent jobs: each derives its own RNG from (seed, label),
-    so the result does not depend on the worker count.
+    Every label draws its sample orders from its own (seed, label) RNG. Labels
+    are trained in blocks, one batched ova_sgd call per block, and each label
+    follows the same arithmetic whatever block it lands in, so the result
+    depends on neither the worker count nor the block size. Blocks are
+    independent jobs; threads > 1 spreads them over a thread pool.
     """
-    if config.loss != "logistic":
-        raise ValueError(f"unsupported loss {config.loss!r}")
+    _check_config(config)
     n_labels = ds.n_labels
     if n_labels > LABEL_GUARD and not config.allow_large:
         raise ValueError(
@@ -69,31 +95,35 @@ def train_ova(
     weights = np.zeros((n_labels, dim), dtype=np.float64)
     bias = np.zeros(n_labels, dtype=np.float64)
     seed = config.seed % 2**63
+    block = max(1, _SGD_BLOCK_STEPS // max(1, n * config.epochs))
 
-    def fit_label(l: int) -> tuple[int, np.ndarray, float]:
-        sign = np.full(n, -1.0, dtype=np.float64)
-        s, e = yt.indptr[l], yt.indptr[l + 1]
-        sign[yt.indices[s:e]] = 1.0
-        rng = np.random.default_rng(np.random.SeedSequence([seed, l]))
-        order = np.concatenate(
-            [rng.permutation(n) for _ in range(config.epochs)]
-        ).astype(np.int64)
+    def fit_block(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
+        hi = min(lo + block, n_labels)
+        sign = np.full((hi - lo, n), -1.0, dtype=np.float64)
+        orders = []
+        for l in range(lo, hi):
+            s, e = yt.indptr[l], yt.indptr[l + 1]
+            sign[l - lo, yt.indices[s:e]] = 1.0
+            rng = np.random.default_rng(np.random.SeedSequence([seed, l]))
+            orders.extend(rng.permutation(n) for _ in range(config.epochs))
+        order = np.concatenate(orders).astype(np.int64)
         w, b = kernels.ova_sgd(
             feats.indptr, feats.indices, feats.values,
             sign, order, dim, config.lr, config.l2, config.lr_decay, n,
         )
-        return l, w, b
+        return lo, w, b
 
-    if threads > 1 and n_labels > 1:
+    starts = range(0, n_labels, block)
+    if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(fit_label, range(n_labels))
+            results = pool.map(fit_block, starts)
     else:
-        results = map(fit_label, range(n_labels))
-    for l, w, b in results:
-        weights[l] = w
-        bias[l] = b
+        results = map(fit_block, starts)
+    for lo, w, b in results:
+        weights[lo:lo + w.shape[0]] = w
+        bias[lo:lo + w.shape[0]] = b
     return OvaModel(weights=weights, bias=bias, config=config)
 
 

@@ -158,6 +158,15 @@ def test_cooc_impute_erase(workdir, capsys):
     assert imputed.d == original.d
 
 
+def test_impute_rejects_malformed_cooc(workdir, capsys, tmp_path):
+    bad = tmp_path / "cooc.json"
+    bad.write_text("[1]")
+    code = main(["impute", str(workdir / "test.txt"), "--cooc", str(bad),
+                 "-o", str(tmp_path / "imputed.txt")])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_rerank_cli(workdir, capsys):
     code, _ = run(
         capsys, "rerank", workdir / "preds.txt", "--test", workdir / "test.txt",

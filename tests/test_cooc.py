@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,27 @@ class TestPersistence:
             assert np.array_equal(a, b)
         x = vec(3, {1: 1.0})
         assert impute(again, x) == impute(c, x)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: [1], "JSON object"),
+            (lambda p: {k: v for k, v in p.items() if k != "blocks"}, "lacks blocks"),
+            (lambda p: {k: v for k, v in p.items() if k != "d"}, "lacks d"),
+            (lambda p: {**p, "d": [3]}, "non-negative integer"),
+            (lambda p: {**p, "clusters": 5}, "clusters must be a list"),
+            (lambda p: {**p, "clusters": [[[0, 1]], [2]]}, "cluster 0 must be 1-D"),
+            (lambda p: {**p, "clusters": [["a"], [2]]}, "cluster 0 is not numeric"),
+            (lambda p: {**p, "blocks": [[1.0, 2.0], [[9.0]]]}, "block 0 must be 2-D"),
+            (lambda p: {**p, "blocks": [[[1.0, 2.0], [2.0]], [[9.0]]]},
+             "block 0 is not numeric or ragged"),
+            (lambda p: {**p, "blocks": [[[1.0]], [[9.0]]]}, "block 0 must be 2x2"),
+            (lambda p: {**p, "blocks": [[[1.0, 2.0], [2.0, 5.0]]]}, "one block per"),
+        ],
+    )
+    def test_malformed_file_is_value_error(self, toy_blocks, tmp_path, edit, message):
+        _, _, c = toy_blocks
+        path = tmp_path / "cooc.json"
+        path.write_text(json.dumps(edit(json.loads(c.to_json()))))
+        with pytest.raises(ValueError, match=message):
+            load_cooc(str(path))

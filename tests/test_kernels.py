@@ -93,13 +93,39 @@ def test_cooc_accumulate(csr, rng):
 
 
 def test_ova_sgd(csr, rng):
-    sign = rng.choice([-1.0, 1.0], size=20)
-    order = np.concatenate([rng.permutation(20) for _ in range(3)]).astype(np.int64)
-    np_fn, nb_fn = impls("ova_sgd")
-    wa, ba = np_fn(*csr, sign, order, 12, 0.3, 1e-3, 1.0, 20)
-    wb, bb = nb_fn(*csr, sign, order, 12, 0.3, 1e-3, 1.0, 20)
-    assert np.allclose(wa, wb, atol=1e-10)
-    assert ba == pytest.approx(bb, abs=1e-10)
+    indptr, indices, values = csr
+    # empty row 3: drop its entries
+    s, e = indptr[3], indptr[4]
+    indices = np.delete(indices, np.s_[s:e])
+    values = np.delete(values, np.s_[s:e])
+    indptr = np.concatenate((indptr[:4], indptr[4:] - (e - s)))
+    n_labels, epochs = 4, 3
+    np_fn, loop_fn = impls("ova_sgd")
+    for lr, l2, decay in [
+        (0.3, 1e-3, 1.0),
+        (20.0, 0.0, 0.0),  # large steps: many margins end above 35
+        (5.0, 0.15, 1.0),  # lr*l2 = 0.75: the scale drops below 1e-9
+    ]:
+        sign = rng.choice([-1.0, 1.0], size=(n_labels, 20))
+        order = np.concatenate(
+            [rng.permutation(20) for _ in range(n_labels * epochs)]
+        ).astype(np.int64)
+        args = (indptr, indices, values, sign, order, 12, lr, l2, decay, 20)
+        wa, ba = np_fn(*args)
+        wb, bb = loop_fn(*args)
+        assert wa.shape == (n_labels, 12) and ba.shape == (n_labels,)
+        assert np.allclose(wa, wb, rtol=1e-12, atol=1e-12)
+        assert np.allclose(ba, bb, rtol=1e-12, atol=1e-12)
+        # run as plain Python, the loop does the same float operations in the
+        # same order as the numpy flavour, so the two agree bit for bit
+        wc, bc = kernels._LOOP_IMPLS["ova_sgd"](*args)
+        assert wa.tobytes() == wc.tobytes() and ba.tobytes() == bc.tobytes()
+        if l2 == 0.0:
+            row_dots = kernels.IMPLS["numpy"]["row_dots"]
+            margins = sign * (np.array([
+                row_dots(indptr, indices, values, w) for w in wa
+            ]) + ba[:, None])
+            assert np.any(margins > 35.0)
 
 
 def test_score_rows(csr, rng):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from featagg import kernels, linear
 from featagg.agglomerate import agglomerate_dataset
 from featagg.linear import (
     OvaConfig,
@@ -71,6 +73,84 @@ class TestTrain:
     def test_unsupported_loss(self, separable):
         with pytest.raises(ValueError):
             train_ova(separable, OvaConfig(loss="hinge"))
+
+
+def seeded_dataset():
+    """40 points, 12 features, 7 labels; row 0 is empty, label 6 never occurs."""
+    rng = np.random.default_rng(2024)
+    feats = rng.uniform(0.1, 2.0, size=(40, 12)) * (rng.random((40, 12)) < 0.35)
+    feats[0] = 0.0
+    labels = [set(rng.choice(6, size=rng.integers(1, 3), replace=False).tolist())
+              for _ in range(40)]
+    return dataset_from_dense(feats, labels, 7)
+
+
+SEEDED_CONFIG = OvaConfig(epochs=3, lr=0.4, l2=1e-2, seed=5)
+# sha256 of weights.tobytes() + bias.tobytes() for seeded_dataset() under
+# SEEDED_CONFIG, computed with per-label calls of the loop reference kernel
+SEEDED_SHA256 = "eda0ba6998771b580d3b399c281938e9ceea1cb44508a5c509b36bb91a2140a1"
+
+
+def digest(model) -> str:
+    return hashlib.sha256(model.weights.tobytes() + model.bias.tobytes()).hexdigest()
+
+
+class TestLabelBlocks:
+    def test_pinned_digest(self):
+        assert digest(train_ova(seeded_dataset(), SEEDED_CONFIG)) == SEEDED_SHA256
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_block_size_does_not_change_result(self, monkeypatch, threads):
+        ds = seeded_dataset()
+        whole = train_ova(ds, SEEDED_CONFIG)
+        calls = []
+        sgd = kernels.ova_sgd
+
+        def counted(*args):
+            calls.append(args[3].shape[0])
+            return sgd(*args)
+
+        # two labels per block: 7 labels train in 4 blocks
+        block_steps = 2 * ds.n * SEEDED_CONFIG.epochs
+        monkeypatch.setattr(linear, "_SGD_BLOCK_STEPS", block_steps)
+        monkeypatch.setattr(kernels, "ova_sgd", counted)
+        blocked = train_ova(ds, SEEDED_CONFIG, threads=threads)
+        assert sorted(calls) == [1, 2, 2, 2]
+        assert blocked.weights.tobytes() == whole.weights.tobytes()
+        assert blocked.bias.tobytes() == whole.bias.tobytes()
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one(self, separable, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            train_ova(separable, OvaConfig(epochs=epochs))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("l2", -1e-4),
+         ("lr_decay", -0.5)],
+    )
+    def test_out_of_range_rates(self, separable, field, value):
+        with pytest.raises(ValueError, match=field):
+            train_ova(separable, OvaConfig(**{field: value}))
+
+    @pytest.mark.parametrize("lr, l2", [(2.0, 0.5), (4.0, 0.5)])
+    def test_l2_factor_not_positive(self, separable, lr, l2):
+        with pytest.raises(ValueError, match="lr \\* l2"):
+            train_ova(separable, OvaConfig(lr=lr, l2=l2))
+
+    def test_train_cli_exits_2(self, separable, tmp_path, capsys):
+        from featagg.cli import main
+        from featagg.dataio import save_xc
+
+        data = tmp_path / "train.txt"
+        save_xc(separable, str(data))
+        out = str(tmp_path / "model.json")
+        assert main(["train", str(data), "-o", out, "--epochs", "0"]) == 2
+        assert main(["train", str(data), "-o", out, "--lr", "-1"]) == 2
+        assert main(["train", str(data), "-o", out, "--lr", "2", "--l2", "0.5"]) == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestPredict:
