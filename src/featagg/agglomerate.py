@@ -32,13 +32,14 @@ def agglomerate_vec(x: SparseVec, part: FeaturePartition, mode: str = SUM) -> Sp
     if x.dim != part.d:
         raise ValueError(f"vector dim {x.dim} != partition dim {part.d}")
     divisors = _divisors(part, mode)
-    k = part.n_clusters
-    if x.nnz == 0:
-        return SparseVec(k, validate=False)
-    sums = np.bincount(part.cluster_of[x.indices], weights=x.values, minlength=k)
+    # work over the touched clusters only; bincount adds each cluster's values
+    # in stored order, as agglomerate_csr does for a matrix row
+    touched, inverse = np.unique(part.cluster_of[x.indices], return_inverse=True)
+    sums = np.bincount(inverse, weights=x.values)
     if divisors.shape[0]:
-        sums = sums / divisors
-    return SparseVec.from_dense(sums)
+        sums = sums / divisors[touched]
+    keep = sums != 0.0
+    return SparseVec(part.n_clusters, touched[keep], sums[keep], validate=False)
 
 
 def agglomerate_matrix(

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .dataio import Dataset
 from .sparse import SparseMatrix, SparseVec, norm
-from .tree import FeaturePartition
+from .tree import FeaturePartition, check_partition_payload
 
 
 class PseudoCooc:
@@ -65,33 +65,27 @@ class PseudoCooc:
     def from_json(cls, text: str) -> "PseudoCooc":
         """Parse to_json output; a malformed payload is a ValueError."""
         payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("co-occurrence file must hold a JSON object")
-        missing = [k for k in ("d", "clusters", "blocks") if k not in payload]
-        if missing:
-            raise ValueError(f"co-occurrence file lacks {', '.join(missing)}")
-        d = payload["d"]
-        if not isinstance(d, int) or d < 0:
-            raise ValueError(f"co-occurrence d must be a non-negative integer, got {d!r}")
-        clusters = _array_list(payload["clusters"], np.int64, 1, "cluster")
-        blocks = _array_list(payload["blocks"], np.float64, 2, "block")
+        d, clusters = check_partition_payload(payload, "co-occurrence")
+        if "blocks" not in payload:
+            raise ValueError("co-occurrence file lacks blocks")
+        blocks = _block_list(payload["blocks"])
         part = FeaturePartition.from_clusters(d, clusters)
         return cls(part, blocks, row_normalized=bool(payload.get("row_normalized", False)))
 
 
-def _array_list(items, dtype, ndim: int, what: str) -> list[np.ndarray]:
-    """A JSON list of ndim-dimensional numeric arrays, or a ValueError."""
+def _block_list(items) -> list[np.ndarray]:
+    """A JSON list of 2-D numeric arrays, or a ValueError."""
     if not isinstance(items, list):
-        raise ValueError(f"co-occurrence {what}s must be a list")
+        raise ValueError("co-occurrence blocks must be a list")
     out = []
     for k, item in enumerate(items):
         try:
-            arr = np.asarray(item, dtype=dtype)
+            arr = np.asarray(item, dtype=np.float64)
         except (TypeError, ValueError):
-            raise ValueError(f"co-occurrence {what} {k} is not numeric or ragged") from None
-        if arr.ndim != ndim:
+            raise ValueError(f"co-occurrence block {k} is not numeric or ragged") from None
+        if arr.ndim != 2:
             raise ValueError(
-                f"co-occurrence {what} {k} must be {ndim}-D, got shape {arr.shape}"
+                f"co-occurrence block {k} must be 2-D, got shape {arr.shape}"
             )
         out.append(arr)
     return out
@@ -178,9 +172,14 @@ def impute_blend(c: PseudoCooc, x: SparseVec, lam: float = 0.0) -> SparseVec:
     imputed = impute(c, x)
     ni, nx = norm(imputed, 2), norm(x, 2)
     scale = nx / ni if ni > 0 and nx > 0 else 1.0
-    dense = imputed.to_dense() * ((1.0 - lam) * scale)
-    dense[x.indices] += lam * x.values
-    return SparseVec.from_dense(dense)
+    # merge over the union of both supports; each entry gets the arithmetic
+    # of the dense formula (imputed * c) + lam * x, with 0 for a missing side
+    idx = np.union1d(imputed.indices, x.indices)
+    val = np.zeros(idx.shape[0], dtype=np.float64)
+    val[np.searchsorted(idx, imputed.indices)] = imputed.values * ((1.0 - lam) * scale)
+    val[np.searchsorted(idx, x.indices)] += lam * x.values
+    keep = val != 0.0
+    return SparseVec(c.d, idx[keep], val[keep], validate=False)
 
 
 def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMatrix:

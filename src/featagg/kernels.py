@@ -1,10 +1,9 @@
 """Hot numeric kernels over raw CSR arrays.
 
-Every kernel ships in two flavours: a numba ``@njit`` loop (fast path) and a
-vectorized pure-numpy fallback. ``FEATAGG_BACKEND`` picks one at import time:
-``numba``, ``numpy`` or ``auto`` (default; numba when importable). Both
-flavours stay importable through the ``IMPLS`` registry so the benchmark can
-time them side by side.
+Each kernel has one numpy implementation; only ``ova_sgd`` (over its
+sequential steps) and ``score_rows`` (one BLAS product per row) loop in
+Python. ``tests/kernel_reference.py`` holds a plain-Python loop per kernel
+that spells out the same arithmetic, and the tests compare the two.
 
 All kernels take (indptr, indices, values) CSR triples with int64 indices and
 float64 values; callers are responsible for dtype discipline.
@@ -12,31 +11,12 @@ float64 values; callers are responsible for dtype discipline.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_REQUESTED = os.environ.get("FEATAGG_BACKEND", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"FEATAGG_BACKEND must be 'auto', 'numba' or 'numpy', got {_REQUESTED!r}"
-    )
-if _REQUESTED == "numba" and not HAVE_NUMBA:
-    raise ImportError("FEATAGG_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = HAVE_NUMBA if _REQUESTED == "auto" else _REQUESTED == "numba"
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -68,7 +48,7 @@ def take_rows(
 # ---------------------------------------------------------------------------
 
 
-def _row_dots_numpy(indptr, indices, values, dense):
+def row_dots(indptr, indices, values, dense):
     nrows = indptr.shape[0] - 1
     out = np.zeros(nrows, dtype=np.float64)
     if indices.shape[0] == 0:
@@ -80,39 +60,19 @@ def _row_dots_numpy(indptr, indices, values, dense):
     return out
 
 
-def _row_dots_loop(indptr, indices, values, dense):
-    nrows = indptr.shape[0] - 1
-    out = np.zeros(nrows, dtype=np.float64)
-    for r in range(nrows):
-        acc = 0.0
-        for t in range(indptr[r], indptr[r + 1]):
-            acc += values[t] * dense[indices[t]]
-        out[r] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sum_rows / weighted_sum_rows: dense accumulation of selected rows
 # ---------------------------------------------------------------------------
 
 
-def _sum_rows_numpy(indptr, indices, values, rows, dim):
+def sum_rows(indptr, indices, values, rows, dim):
     flat = concat_ranges(indptr[rows], indptr[rows + 1])
     if flat.shape[0] == 0:
         return np.zeros(dim, dtype=np.float64)
     return np.bincount(indices[flat], weights=values[flat], minlength=dim)
 
 
-def _sum_rows_loop(indptr, indices, values, rows, dim):
-    out = np.zeros(dim, dtype=np.float64)
-    for k in range(rows.shape[0]):
-        r = rows[k]
-        for t in range(indptr[r], indptr[r + 1]):
-            out[indices[t]] += values[t]
-    return out
-
-
-def _weighted_sum_rows_numpy(indptr, indices, values, rows, weights, dim):
+def weighted_sum_rows(indptr, indices, values, rows, weights, dim):
     starts = indptr[rows]
     ends = indptr[rows + 1]
     flat = concat_ranges(starts, ends)
@@ -122,46 +82,17 @@ def _weighted_sum_rows_numpy(indptr, indices, values, rows, weights, dim):
     return np.bincount(indices[flat], weights=values[flat] * wrep, minlength=dim)
 
 
-def _weighted_sum_rows_loop(indptr, indices, values, rows, weights, dim):
-    out = np.zeros(dim, dtype=np.float64)
-    for k in range(rows.shape[0]):
-        r = rows[k]
-        w = weights[k]
-        for t in range(indptr[r], indptr[r + 1]):
-            out[indices[t]] += w * values[t]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transpose_csr: CSR -> CSR of the transpose (counting sort on columns)
 # ---------------------------------------------------------------------------
 
 
-def _transpose_csr_numpy(indptr, indices, values, nrows, ncols):
+def transpose_csr(indptr, indices, values, nrows, ncols):
     order = np.argsort(indices, kind="stable")
     row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
     counts = np.bincount(indices, minlength=ncols)
     t_indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     return t_indptr, row_of[order], values[order]
-
-
-def _transpose_csr_loop(indptr, indices, values, nrows, ncols):
-    nnz = indices.shape[0]
-    counts = np.zeros(ncols + 1, dtype=np.int64)
-    for t in range(nnz):
-        counts[indices[t] + 1] += 1
-    t_indptr = np.cumsum(counts)
-    fill = t_indptr[:-1].copy()
-    t_indices = np.empty(nnz, dtype=np.int64)
-    t_values = np.empty(nnz, dtype=np.float64)
-    for r in range(nrows):
-        for t in range(indptr[r], indptr[r + 1]):
-            c = indices[t]
-            pos = fill[c]
-            t_indices[pos] = r
-            t_values[pos] = values[t]
-            fill[c] = pos + 1
-    return t_indptr, t_indices, t_values
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +101,7 @@ def _transpose_csr_loop(indptr, indices, values, nrows, ncols):
 # divisors: per-cluster denominators for AVERAGE mode; length-0 array means SUM.
 
 
-def _agglomerate_csr_numpy(indptr, indices, values, cluster_of, n_clusters, divisors):
+def agglomerate_csr(indptr, indices, values, cluster_of, n_clusters, divisors):
     nrows = indptr.shape[0] - 1
     nnz = indices.shape[0]
     if nnz == 0:
@@ -196,102 +127,47 @@ def _agglomerate_csr_numpy(indptr, indices, values, cluster_of, n_clusters, divi
     return out_indptr, seg_c[keep], sums[keep]
 
 
-def _agglomerate_csr_loop(indptr, indices, values, cluster_of, n_clusters, divisors):
-    nrows = indptr.shape[0] - 1
-    nnz = indices.shape[0]
-    average = divisors.shape[0] != 0
-    scratch = np.zeros(n_clusters, dtype=np.float64)
-    mark = np.full(n_clusters, -1, dtype=np.int64)
-    touched = np.empty(n_clusters, dtype=np.int64)
-    out_indptr = np.zeros(nrows + 1, dtype=np.int64)
-    out_indices = np.empty(nnz, dtype=np.int64)
-    out_values = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for row in range(nrows):
-        ntouch = 0
-        for t in range(indptr[row], indptr[row + 1]):
-            k = cluster_of[indices[t]]
-            if mark[k] != row:
-                mark[k] = row
-                scratch[k] = 0.0
-                touched[ntouch] = k
-                ntouch += 1
-            scratch[k] += values[t]
-        hit = np.sort(touched[:ntouch])
-        for i in range(ntouch):
-            k = hit[i]
-            s = scratch[k]
-            if average:
-                s = s / divisors[k]
-            if s != 0.0:
-                out_indices[pos] = k
-                out_values[pos] = s
-                pos += 1
-        out_indptr[row + 1] = pos
-    return out_indptr, out_indices[:pos], out_values[:pos]
-
-
 # ---------------------------------------------------------------------------
 # cooc_accumulate: per-cluster dense blocks of sum-of-outer-products
 # ---------------------------------------------------------------------------
 
 
-def _cooc_accumulate_numpy(
+# Nonzeros per chunk of rows (a chunk always holds at least one row); bounds
+# the scratch to this many entries times the largest cluster size, whatever
+# the number of rows or features.
+_COOC_CHUNK_NNZ = 1 << 11
+
+
+def cooc_accumulate(
     indptr, indices, values, cluster_of, offset_of, block_start, sizes, flat
 ):
+    # Per chunk of rows: sort the nonzeros by (row, cluster), expand every
+    # within-group pair (a, b) and add v_a * v_b at its block entry in flat.
+    # A row holds each feature once, so each entry gets at most one update per
+    # row; np.add.at applies them in order, i.e. row by row as the
+    # reference loop does.
     nrows = indptr.shape[0] - 1
-    for row in range(nrows):
-        s, e = indptr[row], indptr[row + 1]
-        if e == s:
-            continue
+    lo = 0
+    while lo < nrows:
+        hi = np.searchsorted(indptr, indptr[lo] + _COOC_CHUNK_NNZ, side="right") - 1
+        hi = max(int(hi), lo + 1)
+        s, e = indptr[lo], indptr[hi]
+        row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
         cl = cluster_of[indices[s:e]]
-        order = np.argsort(cl, kind="stable")
-        cl = cl[order]
+        order = np.lexsort((cl, row))  # stable: stored order within a group
+        row, cl = row[order], cl[order]
         off = offset_of[indices[s:e]][order]
         val = values[s:e][order]
-        cuts = np.flatnonzero(cl[1:] != cl[:-1]) + 1
-        for lo, hi in zip(
-            np.concatenate(([0], cuts)), np.concatenate((cuts, [cl.shape[0]]))
-        ):
-            k = cl[lo]
-            dk = sizes[k]
-            block = flat[block_start[k] : block_start[k] + dk * dk].reshape(dk, dk)
-            sub_off = off[lo:hi]
-            block[np.ix_(sub_off, sub_off)] += np.outer(val[lo:hi], val[lo:hi])
-
-
-def _cooc_accumulate_loop(
-    indptr, indices, values, cluster_of, offset_of, block_start, sizes, flat
-):
-    nrows = indptr.shape[0] - 1
-    for row in range(nrows):
-        s, e = indptr[row], indptr[row + 1]
-        m = e - s
-        if m == 0:
-            continue
-        cl = np.empty(m, dtype=np.int64)
-        off = np.empty(m, dtype=np.int64)
-        val = np.empty(m, dtype=np.float64)
-        for t in range(m):
-            j = indices[s + t]
-            cl[t] = cluster_of[j]
-            off[t] = offset_of[j]
-            val[t] = values[s + t]
-        order = np.argsort(cl, kind="mergesort")
-        lo = 0
-        while lo < m:
-            hi = lo
-            k = cl[order[lo]]
-            while hi < m and cl[order[hi]] == k:
-                hi += 1
-            base = block_start[k]
-            dk = sizes[k]
-            for a in range(lo, hi):
-                oa = off[order[a]]
-                va = val[order[a]]
-                for b in range(lo, hi):
-                    flat[base + oa * dk + off[order[b]]] += va * val[order[b]]
-            lo = hi
+        new = np.ones(row.shape[0], dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (cl[1:] != cl[:-1])
+        first = np.flatnonzero(new)
+        seg = np.cumsum(new) - 1
+        starts, ends = first[seg], np.append(first[1:], row.shape[0])[seg]
+        b = concat_ranges(starts, ends)
+        reps = ends - starts
+        base = block_start[cl] + off * sizes[cl]
+        np.add.at(flat, np.repeat(base, reps) + off[b], np.repeat(val, reps) * val[b])
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +177,13 @@ def _cooc_accumulate_loop(
 # order[l*T:(l+1)*T] with T = len(order) // B), so len(order) stays the number
 # of SGD steps. The learning rate decays per epoch, lr_e = lr / (1 + decay * e),
 # with epoch_len samples per epoch. Returns (weights (B, dim), bias (B,)).
-# Every label follows the loop flavour's arithmetic exactly, so the numpy
-# flavour's results are bit-identical to it.
+# Every label follows the reference loop's arithmetic exactly, so results are
+# bit-identical to it.
 # ---------------------------------------------------------------------------
 
 
-def _ova_sgd_numpy(indptr, indices, values, sign, order, dim, lr, l2, decay,
-                   epoch_len):
+def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
+            epoch_len):
     # One iteration per step p, updating all B labels at once: lr, l2 and
     # decay do not depend on the label, so the L2 scale is one shared scalar.
     n_labels = sign.shape[0]
@@ -325,7 +201,8 @@ def _ova_sgd_numpy(indptr, indices, values, sign, order, dim, lr, l2, decay,
         lab = np.repeat(labels, ends - starts)
         key = lab * dim + indices[flat]
         val = values[flat]
-        # bincount adds each row's products in stored order, as the loop does
+        # bincount adds each row's products in stored order, as the reference
+        # loop does
         dots = np.bincount(lab, weights=wflat[key] * val, minlength=n_labels)
         sgn = sign[labels, rows]
         margin = sgn * (scale * dots + bias)
@@ -336,7 +213,7 @@ def _ova_sgd_numpy(indptr, indices, values, sign, order, dim, lr, l2, decay,
         if scale < 1e-9:
             w *= scale
             scale = 1.0
-        # a label whose gradient is 0 makes no update, as in the loop
+        # a label whose gradient is 0 makes no update, as in the reference loop
         hit = g != 0.0
         if not hit.all():
             keep = hit[lab]
@@ -348,48 +225,12 @@ def _ova_sgd_numpy(indptr, indices, values, sign, order, dim, lr, l2, decay,
     return w * scale, bias
 
 
-def _ova_sgd_loop(indptr, indices, values, sign, order, dim, lr, l2, decay,
-                  epoch_len):
-    n_labels = sign.shape[0]
-    w = np.zeros((n_labels, dim), dtype=np.float64)
-    bias = np.zeros(n_labels, dtype=np.float64)
-    steps = order.shape[0] // n_labels
-    for l in range(n_labels):
-        b = 0.0
-        scale = 1.0
-        for p in range(steps):
-            i = order[l * steps + p]
-            step_lr = lr / (1.0 + decay * (p // epoch_len))
-            dot = 0.0
-            for t in range(indptr[i], indptr[i + 1]):
-                dot += w[l, indices[t]] * values[t]
-            margin = sign[l, i] * (scale * dot + b)
-            if margin > 35.0:
-                g = 0.0
-            else:
-                g = -sign[l, i] / (1.0 + np.exp(margin))
-            scale *= 1.0 - step_lr * l2
-            if scale < 1e-9:
-                for j in range(dim):
-                    w[l, j] *= scale
-                scale = 1.0
-            if g != 0.0:
-                step = step_lr * g / scale
-                for t in range(indptr[i], indptr[i + 1]):
-                    w[l, indices[t]] -= step * values[t]
-                b -= step_lr * g
-        for j in range(dim):
-            w[l, j] *= scale
-        bias[l] = b
-    return w, bias
-
-
 # ---------------------------------------------------------------------------
 # score_rows: dense (n_labels x dim) weight matrix applied to every CSR row
 # ---------------------------------------------------------------------------
 
 
-def _score_rows_numpy(indptr, indices, values, weights, bias):
+def score_rows(indptr, indices, values, weights, bias):
     nrows = indptr.shape[0] - 1
     out = np.empty((nrows, weights.shape[0]), dtype=np.float64)
     for r in range(nrows):
@@ -401,30 +242,17 @@ def _score_rows_numpy(indptr, indices, values, weights, bias):
     return out
 
 
-def _score_rows_loop(indptr, indices, values, weights, bias):
-    nrows = indptr.shape[0] - 1
-    n_labels = weights.shape[0]
-    out = np.empty((nrows, n_labels), dtype=np.float64)
-    for r in range(nrows):
-        for l in range(n_labels):
-            acc = bias[l]
-            for t in range(indptr[r], indptr[r + 1]):
-                acc += weights[l, indices[t]] * values[t]
-            out[r, l] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mi_accumulate: mutual-information sum over the nonzeros of the joint matrix
 # ---------------------------------------------------------------------------
 
 
-# Expanded (feature, label) pairs per block of features in the numpy flavour;
-# bounds its scratch memory independently of the input size.
+# Expanded (feature, label) pairs per block of features; bounds the scratch
+# memory independently of the input size.
 _MI_BLOCK_PAIRS = 1 << 14
 
 
-def _mi_accumulate_numpy(
+def mi_accumulate(
     zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
 ):
     # Per block of features: expand each Z^T nonzero over its point's labels,
@@ -454,84 +282,3 @@ def _mi_accumulate_numpy(
         mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))))
         lo = hi
     return mi / total
-
-
-def _mi_accumulate_loop(
-    zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
-):
-    n_features = zt_indptr.shape[0] - 1
-    n_labels = col_sums.shape[0]
-    mi = 0.0
-    scratch = np.zeros(n_labels, dtype=np.float64)
-    mark = np.full(n_labels, -1, dtype=np.int64)
-    touched = np.empty(n_labels, dtype=np.int64)
-    for j in range(n_features):
-        if row_sums[j] == 0.0:
-            continue
-        ntouch = 0
-        for t in range(zt_indptr[j], zt_indptr[j + 1]):
-            i = zt_indices[t]
-            zv = zt_values[t]
-            for u in range(y_indptr[i], y_indptr[i + 1]):
-                l = y_indices[u]
-                if mark[l] != j:
-                    mark[l] = j
-                    scratch[l] = 0.0
-                    touched[ntouch] = l
-                    ntouch += 1
-                scratch[l] += zv
-        for q in range(ntouch):
-            l = touched[q]
-            p = scratch[l]
-            if p > 0.0:
-                mi += p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))
-    return mi / total
-
-
-# ---------------------------------------------------------------------------
-# backend registry / dispatch
-# ---------------------------------------------------------------------------
-
-_LOOP_IMPLS = {
-    "row_dots": _row_dots_loop,
-    "sum_rows": _sum_rows_loop,
-    "weighted_sum_rows": _weighted_sum_rows_loop,
-    "transpose_csr": _transpose_csr_loop,
-    "agglomerate_csr": _agglomerate_csr_loop,
-    "cooc_accumulate": _cooc_accumulate_loop,
-    "ova_sgd": _ova_sgd_loop,
-    "score_rows": _score_rows_loop,
-    "mi_accumulate": _mi_accumulate_loop,
-}
-
-IMPLS: dict[str, dict] = {
-    "numpy": {
-        "row_dots": _row_dots_numpy,
-        "sum_rows": _sum_rows_numpy,
-        "weighted_sum_rows": _weighted_sum_rows_numpy,
-        "transpose_csr": _transpose_csr_numpy,
-        "agglomerate_csr": _agglomerate_csr_numpy,
-        "cooc_accumulate": _cooc_accumulate_numpy,
-        "ova_sgd": _ova_sgd_numpy,
-        "score_rows": _score_rows_numpy,
-        "mi_accumulate": _mi_accumulate_numpy,
-    }
-}
-
-if HAVE_NUMBA:
-    # nogil lets callers fan independent kernel calls out over a thread pool
-    IMPLS["numba"] = {
-        name: njit(cache=True, nogil=True)(fn) for name, fn in _LOOP_IMPLS.items()
-    }
-
-_ACTIVE = IMPLS["numba"] if USE_NUMBA else IMPLS["numpy"]
-
-row_dots = _ACTIVE["row_dots"]
-sum_rows = _ACTIVE["sum_rows"]
-weighted_sum_rows = _ACTIVE["weighted_sum_rows"]
-transpose_csr = _ACTIVE["transpose_csr"]
-agglomerate_csr = _ACTIVE["agglomerate_csr"]
-cooc_accumulate = _ACTIVE["cooc_accumulate"]
-ova_sgd = _ACTIVE["ova_sgd"]
-score_rows = _ACTIVE["score_rows"]
-mi_accumulate = _ACTIVE["mi_accumulate"]

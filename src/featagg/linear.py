@@ -80,7 +80,8 @@ def train_ova(
     are trained in blocks, one batched ova_sgd call per block, and each label
     follows the same arithmetic whatever block it lands in, so the result
     depends on neither the worker count nor the block size. Blocks are
-    independent jobs; threads > 1 spreads them over a thread pool.
+    independent jobs; threads > 1 spreads them over a thread pool, where they
+    overlap only inside numpy calls that release the interpreter lock.
     """
     _check_config(config)
     n_labels = ds.n_labels

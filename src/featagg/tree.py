@@ -93,16 +93,12 @@ class FeaturePartition:
 
     @classmethod
     def from_json(cls, text: str) -> "FeaturePartition":
+        """Parse to_json output; a malformed payload is a ValueError."""
         payload = json.loads(text)
-        part = cls.from_clusters(
-            int(payload["d"]),
-            [np.asarray(c, dtype=np.int64) for c in payload["clusters"]],
-            d0=payload.get("d0"),
-            seed=payload.get("seed"),
+        d, clusters = check_partition_payload(payload, "partition")
+        return cls.from_clusters(
+            d, clusters, d0=payload.get("d0"), seed=payload.get("seed")
         )
-        if int(payload["K"]) != part.n_clusters:
-            raise InvariantError("declared K does not match cluster count")
-        return part
 
     def to_flat_text(self) -> str:
         lines = [f"{j} {k}" for j, k in enumerate(self.cluster_of)]
@@ -123,6 +119,45 @@ class FeaturePartition:
             raise InvariantError("cluster ids must be contiguous from 0")
         clusters = [np.flatnonzero(cluster_of == k) for k in ids]
         return cls.from_clusters(d, clusters)
+
+
+def check_partition_payload(payload, what: str) -> tuple[int, list[np.ndarray]]:
+    """d and the clusters of a parsed partition payload, or a ValueError.
+
+    payload is the JSON object written by to_json; what names the file kind
+    in messages. A declared K that differs from the cluster count is an
+    InvariantError.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} file must hold a JSON object")
+    missing = [k for k in ("d", "K", "clusters") if k not in payload]
+    if missing:
+        raise ValueError(f"{what} file lacks {', '.join(missing)}")
+    for key in ("d", "K"):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(
+                f"{what} {key} must be a non-negative integer, got {value!r}"
+            )
+    items = payload["clusters"]
+    if not isinstance(items, list):
+        raise ValueError(f"{what} clusters must be a list")
+    clusters = []
+    for k, item in enumerate(items):
+        if not isinstance(item, list) or any(isinstance(v, list) for v in item):
+            raise ValueError(f"{what} cluster {k} must be 1-D: a list of feature ids")
+        for v in item:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{what} cluster {k} is not numeric: {v!r}")
+            if not isinstance(v, int):
+                raise ValueError(f"{what} cluster {k} holds non-integer feature ids: {v!r}")
+        try:
+            clusters.append(np.array(item, dtype=np.int64))
+        except OverflowError:
+            raise ValueError(f"{what} cluster {k} holds a feature id out of range") from None
+    if payload["K"] != len(clusters):
+        raise InvariantError("declared K does not match cluster count")
+    return payload["d"], clusters
 
 
 def save_partition(part: FeaturePartition, path: str, fmt: str = "json") -> None:

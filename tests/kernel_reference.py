@@ -1,0 +1,207 @@
+"""Plain-Python reference loops for the kernels in ``featagg.kernels``.
+
+Each function has the name and argument order of the kernel it checks and
+spells out its arithmetic one nonzero at a time. ``tests/test_kernels.py``
+compares every numpy kernel with its loop here.
+"""
+
+import numpy as np
+
+
+def row_dots(indptr, indices, values, dense):
+    nrows = indptr.shape[0] - 1
+    out = np.zeros(nrows, dtype=np.float64)
+    for r in range(nrows):
+        acc = 0.0
+        for t in range(indptr[r], indptr[r + 1]):
+            acc += values[t] * dense[indices[t]]
+        out[r] = acc
+    return out
+
+
+def sum_rows(indptr, indices, values, rows, dim):
+    out = np.zeros(dim, dtype=np.float64)
+    for k in range(rows.shape[0]):
+        r = rows[k]
+        for t in range(indptr[r], indptr[r + 1]):
+            out[indices[t]] += values[t]
+    return out
+
+
+def weighted_sum_rows(indptr, indices, values, rows, weights, dim):
+    out = np.zeros(dim, dtype=np.float64)
+    for k in range(rows.shape[0]):
+        r = rows[k]
+        w = weights[k]
+        for t in range(indptr[r], indptr[r + 1]):
+            out[indices[t]] += w * values[t]
+    return out
+
+
+def transpose_csr(indptr, indices, values, nrows, ncols):
+    nnz = indices.shape[0]
+    counts = np.zeros(ncols + 1, dtype=np.int64)
+    for t in range(nnz):
+        counts[indices[t] + 1] += 1
+    t_indptr = np.cumsum(counts)
+    fill = t_indptr[:-1].copy()
+    t_indices = np.empty(nnz, dtype=np.int64)
+    t_values = np.empty(nnz, dtype=np.float64)
+    for r in range(nrows):
+        for t in range(indptr[r], indptr[r + 1]):
+            c = indices[t]
+            pos = fill[c]
+            t_indices[pos] = r
+            t_values[pos] = values[t]
+            fill[c] = pos + 1
+    return t_indptr, t_indices, t_values
+
+
+def agglomerate_csr(indptr, indices, values, cluster_of, n_clusters, divisors):
+    nrows = indptr.shape[0] - 1
+    nnz = indices.shape[0]
+    average = divisors.shape[0] != 0
+    scratch = np.zeros(n_clusters, dtype=np.float64)
+    mark = np.full(n_clusters, -1, dtype=np.int64)
+    touched = np.empty(n_clusters, dtype=np.int64)
+    out_indptr = np.zeros(nrows + 1, dtype=np.int64)
+    out_indices = np.empty(nnz, dtype=np.int64)
+    out_values = np.empty(nnz, dtype=np.float64)
+    pos = 0
+    for row in range(nrows):
+        ntouch = 0
+        for t in range(indptr[row], indptr[row + 1]):
+            k = cluster_of[indices[t]]
+            if mark[k] != row:
+                mark[k] = row
+                scratch[k] = 0.0
+                touched[ntouch] = k
+                ntouch += 1
+            scratch[k] += values[t]
+        hit = np.sort(touched[:ntouch])
+        for i in range(ntouch):
+            k = hit[i]
+            s = scratch[k]
+            if average:
+                s = s / divisors[k]
+            if s != 0.0:
+                out_indices[pos] = k
+                out_values[pos] = s
+                pos += 1
+        out_indptr[row + 1] = pos
+    return out_indptr, out_indices[:pos], out_values[:pos]
+
+
+def cooc_accumulate(
+    indptr, indices, values, cluster_of, offset_of, block_start, sizes, flat
+):
+    nrows = indptr.shape[0] - 1
+    for row in range(nrows):
+        s, e = indptr[row], indptr[row + 1]
+        m = e - s
+        if m == 0:
+            continue
+        cl = np.empty(m, dtype=np.int64)
+        off = np.empty(m, dtype=np.int64)
+        val = np.empty(m, dtype=np.float64)
+        for t in range(m):
+            j = indices[s + t]
+            cl[t] = cluster_of[j]
+            off[t] = offset_of[j]
+            val[t] = values[s + t]
+        order = np.argsort(cl, kind="mergesort")
+        lo = 0
+        while lo < m:
+            hi = lo
+            k = cl[order[lo]]
+            while hi < m and cl[order[hi]] == k:
+                hi += 1
+            base = block_start[k]
+            dk = sizes[k]
+            for a in range(lo, hi):
+                oa = off[order[a]]
+                va = val[order[a]]
+                for b in range(lo, hi):
+                    flat[base + oa * dk + off[order[b]]] += va * val[order[b]]
+            lo = hi
+
+
+def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
+            epoch_len):
+    n_labels = sign.shape[0]
+    w = np.zeros((n_labels, dim), dtype=np.float64)
+    bias = np.zeros(n_labels, dtype=np.float64)
+    steps = order.shape[0] // n_labels
+    for l in range(n_labels):
+        b = 0.0
+        scale = 1.0
+        for p in range(steps):
+            i = order[l * steps + p]
+            step_lr = lr / (1.0 + decay * (p // epoch_len))
+            dot = 0.0
+            for t in range(indptr[i], indptr[i + 1]):
+                dot += w[l, indices[t]] * values[t]
+            margin = sign[l, i] * (scale * dot + b)
+            if margin > 35.0:
+                g = 0.0
+            else:
+                g = -sign[l, i] / (1.0 + np.exp(margin))
+            scale *= 1.0 - step_lr * l2
+            if scale < 1e-9:
+                for j in range(dim):
+                    w[l, j] *= scale
+                scale = 1.0
+            if g != 0.0:
+                step = step_lr * g / scale
+                for t in range(indptr[i], indptr[i + 1]):
+                    w[l, indices[t]] -= step * values[t]
+                b -= step_lr * g
+        for j in range(dim):
+            w[l, j] *= scale
+        bias[l] = b
+    return w, bias
+
+
+def score_rows(indptr, indices, values, weights, bias):
+    nrows = indptr.shape[0] - 1
+    n_labels = weights.shape[0]
+    out = np.empty((nrows, n_labels), dtype=np.float64)
+    for r in range(nrows):
+        for l in range(n_labels):
+            acc = bias[l]
+            for t in range(indptr[r], indptr[r + 1]):
+                acc += weights[l, indices[t]] * values[t]
+            out[r, l] = acc
+    return out
+
+
+def mi_accumulate(
+    zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
+):
+    n_features = zt_indptr.shape[0] - 1
+    n_labels = col_sums.shape[0]
+    mi = 0.0
+    scratch = np.zeros(n_labels, dtype=np.float64)
+    mark = np.full(n_labels, -1, dtype=np.int64)
+    touched = np.empty(n_labels, dtype=np.int64)
+    for j in range(n_features):
+        if row_sums[j] == 0.0:
+            continue
+        ntouch = 0
+        for t in range(zt_indptr[j], zt_indptr[j + 1]):
+            i = zt_indices[t]
+            zv = zt_values[t]
+            for u in range(y_indptr[i], y_indptr[i + 1]):
+                l = y_indices[u]
+                if mark[l] != j:
+                    mark[l] = j
+                    scratch[l] = 0.0
+                    touched[ntouch] = l
+                    ntouch += 1
+                scratch[l] += zv
+        for q in range(ntouch):
+            l = touched[q]
+            p = scratch[l]
+            if p > 0.0:
+                mi += p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))
+    return mi / total

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from featagg.agglomerate import AVERAGE, SUM, agglomerate_dataset, agglomerate_vec
+from featagg.agglomerate import (
+    AVERAGE,
+    SUM,
+    agglomerate_dataset,
+    agglomerate_matrix,
+    agglomerate_vec,
+)
 from featagg.sparse import SparseVec
 from featagg.tree import FeaturePartition
 
-from helpers import dataset_from_dense, vec
+from helpers import dataset_from_dense, matrix_from_dense, vec
 
 
 @pytest.fixture
@@ -36,6 +42,30 @@ class TestAgglomerateVec:
     def test_exact_cancellation_stripped(self, two_cluster_part):
         x = SparseVec(4, [0, 1], [2.0, -2.0])
         assert agglomerate_vec(x, two_cluster_part, SUM).nnz == 0
+
+    @pytest.mark.parametrize("mode", [SUM, AVERAGE])
+    def test_bitwise_equal_to_matrix_rows(self, rng, mode):
+        feats = rng.normal(size=(40, 12)) * (rng.random((40, 12)) > 0.4)
+        # rows whose cluster sums cancel exactly (2 - 2) and inexactly
+        # (0.1 + 0.2 - 0.3 is 5.6e-17); row 2 stays empty
+        feats[0, :] = 0.0
+        feats[0, [0, 4]] = [2.0, -2.0]
+        feats[1, :] = 0.0
+        feats[1, [0, 4, 8]] = [0.1, 0.2, -0.3]
+        feats[2, :] = 0.0
+        sm = matrix_from_dense(feats)
+        part = FeaturePartition.from_clusters(
+            12, [np.array([0, 4, 8]), np.array([1, 2]), np.array([3, 5, 6, 7, 9]),
+                 np.array([10]), np.array([11])]
+        )
+        rows = agglomerate_matrix(sm, part, mode)
+        assert rows.row(0).nnz == 0 and rows.row(1).nnz == 1
+        for i in range(sm.rows):
+            out = agglomerate_vec(sm.row(i), part, mode)
+            want = rows.row(i)
+            assert out.dim == want.dim == part.n_clusters
+            assert out.indices.tobytes() == want.indices.tobytes()
+            assert out.values.tobytes() == want.values.tobytes()
 
     def test_bad_mode(self, two_cluster_part):
         with pytest.raises(ValueError):

@@ -167,6 +167,23 @@ def test_impute_rejects_malformed_cooc(workdir, capsys, tmp_path):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"d": 3, "K": 1, "clusters": 5},
+    {"d": 3, "K": None, "clusters": [[0, 1, 2]]},
+    {"d": 3, "K": 1, "clusters": [[0, 1, 2.7]]},
+])
+def test_agglomerate_rejects_malformed_partition(payload, capsys, tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("1 3 1\n0 0:1 2:2\n")
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(payload))
+    code = main(["agglomerate", str(data), "--partition", str(part),
+                 "-o", str(tmp_path / "agg.txt")])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "agg.txt").exists()
+
+
 def test_rerank_cli(workdir, capsys):
     code, _ = run(
         capsys, "rerank", workdir / "preds.txt", "--test", workdir / "test.txt",

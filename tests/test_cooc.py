@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from featagg.cooc import (
+    PseudoCooc,
     build_cooc,
     erase,
     impute,
@@ -11,7 +12,7 @@ from featagg.cooc import (
     load_cooc,
     save_cooc,
 )
-from featagg.sparse import SparseVec
+from featagg.sparse import SparseVec, norm
 from featagg.tree import FeaturePartition
 
 from helpers import dataset_from_dense, dense_cooc_oracle, vec
@@ -139,6 +140,46 @@ class TestImpute:
         assert impute_blend(c, x, lam=1.0) == x
 
 
+def dense_blend(c, x, lam):
+    """impute_blend through a dense length-d vector."""
+    imputed = impute(c, x)
+    ni, nx = norm(imputed, 2), norm(x, 2)
+    scale = nx / ni if ni > 0 and nx > 0 else 1.0
+    dense = imputed.to_dense() * ((1.0 - lam) * scale)
+    dense[x.indices] += lam * x.values
+    return SparseVec.from_dense(dense)
+
+
+class TestImputeBlend:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+    def test_bitwise_equal_to_dense_formula(self, rng, lam):
+        feats = rng.random((10, 8)) * (rng.random((10, 8)) > 0.4)
+        ds = dataset_from_dense(feats, [set()] * 10, 1)
+        part = FeaturePartition.from_clusters(
+            8, [np.array([0, 2, 4]), np.array([1, 7]), np.array([3, 5, 6])]
+        )
+        c = build_cooc(ds, part)
+        # the empty vector, then random ones
+        xs = [SparseVec(8)] + [
+            SparseVec.from_dense(rng.normal(size=8) * (rng.random(8) > 0.5))
+            for _ in range(10)
+        ]
+        for x in xs:
+            got, want = impute_blend(c, x, lam), dense_blend(c, x, lam)
+            assert got.dim == want.dim == 8
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_cancelling_entries_dropped(self):
+        # the imputation of x is (-1, 1) with x's norm, so at lam = 0.5
+        # entry 0 is -0.5 + 0.5 = 0 exactly
+        part = FeaturePartition.from_clusters(3, [np.array([0]), np.array([1, 2])])
+        c = PseudoCooc(part, [np.array([[-1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])])
+        x = vec(3, {0: 1.0, 1: 1.0})
+        got = impute_blend(c, x, 0.5)
+        assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
+
+
 class TestErase:
     def test_zero_fraction_unchanged(self, rng):
         x = vec(6, {0: 1.0, 3: 2.0})
@@ -192,6 +233,8 @@ class TestPersistence:
              "block 0 is not numeric or ragged"),
             (lambda p: {**p, "blocks": [[[1.0]], [[9.0]]]}, "block 0 must be 2x2"),
             (lambda p: {**p, "blocks": [[[1.0, 2.0], [2.0, 5.0]]]}, "one block per"),
+            (lambda p: {**p, "K": None}, "K must be a non-negative integer"),
+            (lambda p: {**p, "clusters": [[0, 1.5], [2]]}, "cluster 0 holds non-integer"),
         ],
     )
     def test_malformed_file_is_value_error(self, toy_blocks, tmp_path, edit, message):

@@ -1,13 +1,17 @@
-"""Both kernel flavours must agree on random CSR inputs.
+"""Every kernel must agree with its reference loop on random CSR inputs."""
 
-The loop flavour is the numba-compiled kernel when numba is importable and
-the same loop run as plain Python otherwise.
-"""
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import featagg
 from featagg import kernels
+
+import kernel_reference
 
 
 def random_csr(rng, nrows, ncols, density=0.4):
@@ -30,8 +34,7 @@ def csr(rng):
 
 
 def impls(name):
-    loops = kernels.IMPLS["numba"] if kernels.HAVE_NUMBA else kernels._LOOP_IMPLS
-    return kernels.IMPLS["numpy"][name], loops[name]
+    return getattr(kernels, name), getattr(kernel_reference, name)
 
 
 def test_row_dots(csr, rng):
@@ -73,23 +76,52 @@ def test_agglomerate_csr(csr, rng):
             assert np.allclose(x, y, atol=1e-12)
 
 
-def test_cooc_accumulate(csr, rng):
-    perm = rng.permutation(12)
-    sizes = np.array([4, 5, 3], dtype=np.int64)
-    clusters = np.split(perm, np.cumsum(sizes)[:-1])
-    cluster_of = np.empty(12, dtype=np.int64)
-    offset_of = np.empty(12, dtype=np.int64)
+def cooc_args(cluster_sizes, rng):
+    d = int(sum(cluster_sizes))
+    sizes = np.array(cluster_sizes, dtype=np.int64)
+    clusters = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+    cluster_of = np.empty(d, dtype=np.int64)
+    offset_of = np.empty(d, dtype=np.int64)
     for k, cl in enumerate(clusters):
         cluster_of[cl] = k
         offset_of[cl] = np.arange(len(cl))
     block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1].astype(np.int64)
-    total = int((sizes * sizes).sum())
-    np_fn, nb_fn = impls("cooc_accumulate")
+    return cluster_of, offset_of, block_start, sizes, int((sizes * sizes).sum())
+
+
+def assert_cooc_bitwise(csr, cluster_args):
+    *args, total = cluster_args
+    np_fn, loop_fn = impls("cooc_accumulate")
+    # accumulate twice so the second pass adds onto existing block values
     flat_a = np.zeros(total)
     flat_b = np.zeros(total)
-    np_fn(*csr, cluster_of, offset_of, block_start, sizes, flat_a)
-    nb_fn(*csr, cluster_of, offset_of, block_start, sizes, flat_b)
-    assert np.allclose(flat_a, flat_b, atol=1e-12)
+    for _ in range(2):
+        np_fn(*csr, *args, flat_a)
+        loop_fn(*csr, *args, flat_b)
+    assert np.any(flat_a != 0.0)
+    assert flat_a.tobytes() == flat_b.tobytes()
+
+
+def test_cooc_accumulate(csr, rng):
+    assert_cooc_bitwise(csr, cooc_args([4, 5, 3], rng))
+
+
+def test_cooc_accumulate_spans_row_chunks(rng, monkeypatch):
+    indptr, indices, values = random_csr(rng, 40, 12, density=0.5)
+    # row 5 empty, row 6 dense: 12 nonzeros, more than one chunk holds
+    indices = np.concatenate((indices[: indptr[5]], np.arange(12), indices[indptr[7]:]))
+    values = np.concatenate((values[: indptr[5]], rng.uniform(-2, 2, 12),
+                             values[indptr[7]:]))
+    lens = np.diff(indptr)
+    lens[5], lens[6] = 0, 12
+    indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    # a singleton cluster and clusters large enough for >= 3 nonzeros per row
+    cluster_args = cooc_args([1, 5, 6], rng)
+    monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", 7)
+    assert len(values) > 20 * kernels._COOC_CHUNK_NNZ
+    cluster_of = cluster_args[0]
+    assert np.bincount(cluster_of[indices[indptr[6]:indptr[7]]]).max() >= 3
+    assert_cooc_bitwise((indptr, indices, values), cluster_args)
 
 
 def test_ova_sgd(csr, rng):
@@ -114,16 +146,12 @@ def test_ova_sgd(csr, rng):
         wa, ba = np_fn(*args)
         wb, bb = loop_fn(*args)
         assert wa.shape == (n_labels, 12) and ba.shape == (n_labels,)
-        assert np.allclose(wa, wb, rtol=1e-12, atol=1e-12)
-        assert np.allclose(ba, bb, rtol=1e-12, atol=1e-12)
-        # run as plain Python, the loop does the same float operations in the
-        # same order as the numpy flavour, so the two agree bit for bit
-        wc, bc = kernels._LOOP_IMPLS["ova_sgd"](*args)
-        assert wa.tobytes() == wc.tobytes() and ba.tobytes() == bc.tobytes()
+        # the loop does the same float operations in the same order as the
+        # kernel, so the two agree bit for bit
+        assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
         if l2 == 0.0:
-            row_dots = kernels.IMPLS["numpy"]["row_dots"]
             margins = sign * (np.array([
-                row_dots(indptr, indices, values, w) for w in wa
+                kernels.row_dots(indptr, indices, values, w) for w in wa
             ]) + ba[:, None])
             assert np.any(margins > 35.0)
 
@@ -141,11 +169,11 @@ def mi_inputs(rng, n_points, n_features, n_labels, density=0.4):
     z_indptr, z_indices, z_values = random_csr(rng, n_points, n_features, density)
     z_values = np.abs(z_values) + 0.01
     y_indptr, y_indices, _ = random_csr(rng, n_points, n_labels, density=0.5)
-    zt = kernels.IMPLS["numpy"]["transpose_csr"](
+    zt = kernels.transpose_csr(
         z_indptr, z_indices, z_values, n_points, n_features
     )
     ylen = np.diff(y_indptr).astype(np.float64)
-    row_sums = kernels.IMPLS["numpy"]["row_dots"](*zt, ylen)
+    row_sums = kernels.row_dots(*zt, ylen)
     zsum = np.bincount(
         np.repeat(np.arange(n_points), np.diff(z_indptr)), weights=z_values,
         minlength=n_points,
@@ -172,6 +200,21 @@ def test_mi_accumulate_spans_feature_blocks(rng):
     assert np_fn(*args) == pytest.approx(loop_fn(*args), rel=1e-12)
 
 
-def test_backend_name_matches_flag():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert kernels.backend_name() == ("numba" if kernels.USE_NUMBA else "numpy")
+def test_backend_switch_is_gone():
+    # no environment variable selects kernels, and importing the package
+    # pulls in no third-party module but numpy
+    src = str(Path(featagg.__file__).resolve().parents[1])
+    env = dict(os.environ, FEATAGG_BACKEND="bogus",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import featagg\n"
+        "assert featagg.backend_name() == 'numpy'\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "extra = new - set(sys.stdlib_module_names) - {'featagg', 'numpy'}\n"
+        "assert not extra, extra\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

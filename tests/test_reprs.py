@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from featagg import kernels
 from featagg.dataio import parse_xc
 from featagg.reprs import (
     build_repr_x,
@@ -10,7 +11,28 @@ from featagg.reprs import (
     normalize,
     selected_points,
 )
+from featagg.sparse import SparseMatrix, SparseVec
 from helpers import dataset_from_dense, vec
+
+
+def per_feature_repr_xy(ds, doc_fraction, label_fraction):
+    """build_repr_xy as one weighted sum of label rows per feature."""
+    sel = selected_points(ds.features, doc_fraction)
+    L = ds.n_labels
+    keep = math.ceil(label_fraction * L - 1e-9)
+    counts = np.bincount(ds.labels.indices, minlength=L)
+    sel_labels = np.sort(np.lexsort((np.arange(L), -counts))[:keep])
+    y = ds.labels.take_rows(sel).to_dense()[:, sel_labels]
+    y = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in y], keep)
+    xt = ds.features.take_rows(sel).transpose()
+    rows = []
+    for j in range(ds.d):
+        s, e = xt.indptr[j], xt.indptr[j + 1]
+        dense = kernels.weighted_sum_rows(
+            y.indptr, y.indices, y.values, xt.indices[s:e], xt.values[s:e], keep
+        )
+        rows.append(SparseVec.from_dense(dense))
+    return SparseMatrix.from_rows(rows, keep)
 
 
 class TestBuildReprX:
@@ -115,6 +137,23 @@ class TestBuildReprXY:
         assert rs.ambient_dim == 2
         # retained labels {2, 0} -> coordinates in ascending id order (0, 2)
         assert rs.repr_vec(0) == vec(2, {0: 1.0, 1: 2.0})
+
+
+    @pytest.mark.parametrize("doc_fraction, label_fraction",
+                             [(1.0, 1.0), (0.5, 1.0), (1.0, 0.6), (0.4, 0.3)])
+    def test_bitwise_equal_to_per_feature_sums(self, rng, doc_fraction,
+                                               label_fraction):
+        n, d, L = 40, 9, 6
+        feats = rng.random((n, d)) * (rng.random((n, d)) > 0.4)
+        feats[:, 4] = 0.0  # a feature no point has
+        labels = [set(np.flatnonzero(rng.random(L) > 0.4).tolist()) for _ in range(n)]
+        ds = dataset_from_dense(feats, labels, L)
+        got = build_repr_xy(ds, doc_fraction, label_fraction).matrix
+        want = per_feature_repr_xy(ds, doc_fraction, label_fraction)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.values, want.values)]:
+            assert a.tobytes() == b.tobytes()
 
 
 class TestNormalize:

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -160,3 +161,34 @@ class TestFeaturePartition:
         save_partition(part, str(path), fmt="text")
         again = load_partition(str(path))
         assert np.array_equal(again.cluster_of, part.cluster_of)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1], "JSON object"),
+            ({"d": 3, "clusters": [[0, 1, 2]]}, "lacks K"),
+            ({"d": "3", "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
+            ({"d": 3.0, "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
+            ({"d": -1, "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
+            ({"d": 3, "K": None, "clusters": [[0, 1, 2]]}, "K must be a non-negative"),
+            ({"d": 3, "K": True, "clusters": [[0, 1, 2]]}, "K must be a non-negative"),
+            ({"d": 3, "K": 1, "clusters": 5}, "clusters must be a list"),
+            ({"d": 3, "K": 1, "clusters": [[[0, 1, 2]]]}, "cluster 0 must be 1-D"),
+            ({"d": 3, "K": 1, "clusters": [[[0], [1, 2]]]}, "cluster 0 must be 1-D"),
+            ({"d": 3, "K": 2, "clusters": [[0, 1], 2]}, "cluster 1 must be 1-D"),
+            ({"d": 3, "K": 1, "clusters": [["0", 1, 2]]}, "cluster 0 is not numeric"),
+            ({"d": 3, "K": 1, "clusters": [[0, 1, True]]}, "cluster 0 is not numeric"),
+            ({"d": 3, "K": 1, "clusters": [[0, 1, 2.7]]}, "cluster 0 holds non-integer"),
+            ({"d": 3, "K": 1, "clusters": [[0, 1, 2.0]]}, "cluster 0 holds non-integer"),
+            ({"d": 3, "K": 1, "clusters": [[0, 1, 2**70]]}, "cluster 0 holds a feature id out"),
+        ],
+    )
+    def test_malformed_json_is_value_error(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            FeaturePartition.from_json(json.dumps(payload))
+
+    def test_declared_k_must_match(self):
+        with pytest.raises(InvariantError, match="declared K"):
+            FeaturePartition.from_json(
+                json.dumps({"d": 3, "K": 2, "clusters": [[0, 1, 2]]})
+            )
