@@ -1,9 +1,9 @@
 """Command-line entry point wiring the full pipeline.
 
 Subcommands: stats, cluster, agglomerate, cluster-metrics, train, predict,
-eval, cooc, impute, erase, rerank, verify, bench. Reports go to stdout as
+eval, cooc, impute, erase, rerank, verify. Reports go to stdout as
 JSON; datasets use the sparse text format. Exit codes: 0 ok, 1 usage,
-2 data error, 3 invariant violation (including a failed verify/bench check).
+2 data error, 3 invariant violation (including a failed verify check).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .errors import InvariantError, ParseError
 from .linear import OvaConfig, load_model, predict, probability_scores, save_model, train_ova
 from .reranking import build_prototypes, rerank_predictions
 from .splits import MAX_ITERS
-from .synth import random_dataset
-from .tree import SPLIT_KINDS, ensemble, leaves, load_partition, make_tree, save_partition
+from .tree import SPLIT_KINDS, ensemble, load_partition, save_partition
 from .xcmetrics import (
     Prediction,
     coverage_at_k,
@@ -251,37 +250,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["all_hold"] else EXIT_INVARIANT
 
 
-def _time_clustering(n: int, d: int, nnz: int, seed: int, args) -> float:
-    rng = np.random.default_rng(seed)
-    ds = random_dataset(rng, n, d, n_labels=4, nnz_per_row=nnz)
-    t0 = time.perf_counter()
-    rs = reprs.build(ds, mode=args.mode, doc_fraction=args.doc_fraction,
-                     label_fraction=args.label_fraction)
-    leaves(make_tree(rs, d0=args.leaf_size, split_kind=args.split, seed=seed))
-    return time.perf_counter() - t0
-
-
-def _cmd_bench(args) -> int:
-    # warmup pass absorbs any jit compilation before timing
-    _time_clustering(max(args.n // 8, 64), args.d, args.nnz, args.seed + 1, args)
-    t_small = _time_clustering(args.n, args.d, args.nnz, args.seed, args)
-    t_large = _time_clustering(2 * args.n, args.d, args.nnz, args.seed, args)
-    ratio = t_large / t_small if t_small > 0 else float("inf")
-    ok = ratio <= args.threshold
-    _emit({
-        "backend": kernels.backend_name(),
-        "n": args.n,
-        "d": args.d,
-        "nnz_per_row": args.nnz,
-        "seconds_n": t_small,
-        "seconds_2n": t_large,
-        "ratio": ratio,
-        "threshold": args.threshold,
-        "pass": ok,
-    })
-    return EXIT_OK if ok else EXIT_INVARIANT
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="featagg",
                      description="Balanced feature agglomeration toolkit")
@@ -399,19 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("bench", help="clustering wall-time scaling check")
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--d", type=int, default=4096)
-    p.add_argument("--nnz", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=2.5)
-    p.add_argument("--mode", choices=("x", "xy"), default="x")
-    p.add_argument("--split", choices=SPLIT_KINDS, default="kmeans")
-    p.add_argument("--leaf-size", type=int, default=8)
-    p.add_argument("--doc-fraction", type=float, default=0.25)
-    p.add_argument("--label-fraction", type=float, default=0.05)
-    p.set_defaults(fn=_cmd_bench)
 
     return parser
 

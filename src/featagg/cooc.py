@@ -9,14 +9,12 @@ Also houses the feature-erasure simulator for robustness experiments.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import kernels
-from .dataio import Dataset
+from .dataio import Dataset, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec, norm
-from .tree import FeaturePartition, check_partition_payload
+from .tree import FeaturePartition, split_sizes
 
 
 class PseudoCooc:
@@ -36,12 +34,9 @@ class PseudoCooc:
             dk = cluster.shape[0]
             if block.shape != (dk, dk):
                 raise ValueError(f"block {k} must be {dk}x{dk}, got {block.shape}")
-        offset_of = np.empty(partition.d, dtype=np.int64)
-        for cluster in partition.clusters:
-            offset_of[cluster] = np.arange(cluster.shape[0])
         self.partition = partition
         self.blocks = blocks
-        self.offset_of = offset_of
+        self.offset_of = _offsets(partition)
         self.row_normalized = row_normalized
 
     @property
@@ -51,55 +46,67 @@ class PseudoCooc:
     def stored_entries(self) -> int:
         return int(sum(b.size for b in self.blocks))
 
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "K": self.partition.n_clusters,
-            "clusters": [c.tolist() for c in self.partition.clusters],
-            "blocks": [b.tolist() for b in self.blocks],
-            "row_normalized": self.row_normalized,
-        }
-        return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PseudoCooc":
-        """Parse to_json output; a malformed payload is a ValueError."""
-        payload = json.loads(text)
-        d, clusters = check_partition_payload(payload, "co-occurrence")
-        if "blocks" not in payload:
-            raise ValueError("co-occurrence file lacks blocks")
-        blocks = _block_list(payload["blocks"])
-        part = FeaturePartition.from_clusters(d, clusters)
-        return cls(part, blocks, row_normalized=bool(payload.get("row_normalized", False)))
+def _offsets(part: FeaturePartition) -> np.ndarray:
+    """Each feature's position within its cluster."""
+    sizes = part.sizes()
+    offset_of = np.empty(part.d, dtype=np.int64)
+    if part.clusters:
+        offset_of[np.concatenate(part.clusters)] = (
+            np.arange(part.d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        )
+    return offset_of
 
 
-def _block_list(items) -> list[np.ndarray]:
-    """A JSON list of 2-D numeric arrays, or a ValueError."""
-    if not isinstance(items, list):
-        raise ValueError("co-occurrence blocks must be a list")
-    out = []
-    for k, item in enumerate(items):
-        try:
-            arr = np.asarray(item, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"co-occurrence block {k} is not numeric or ragged") from None
-        if arr.ndim != 2:
-            raise ValueError(
-                f"co-occurrence block {k} must be 2-D, got shape {arr.shape}"
-            )
-        out.append(arr)
-    return out
+_COOC_ARRAYS = {"d": ("iu", 0), "sizes": ("iu", 1), "features": ("iu", 1),
+                "blocks": ("f", 1), "row_normalized": ("b", 0)}
 
 
 def save_cooc(c: PseudoCooc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(c.to_json())
-        fh.write("\n")
+    """Write c as an .npz archive at path, whatever its extension.
+
+    The clusters are stored as their sizes and their concatenated feature
+    ids, the blocks as one flat array in cluster order.
+    """
+    clusters = c.partition.clusters
+    save_arrays(path, {
+        "d": np.array(c.d, dtype=np.int64),
+        "sizes": c.partition.sizes(),
+        "features": (np.concatenate(clusters) if clusters
+                     else np.empty(0, dtype=np.int64)),
+        "blocks": (np.concatenate([b.ravel() for b in c.blocks]) if c.blocks
+                   else np.empty(0, dtype=np.float64)),
+        "row_normalized": np.array(c.row_normalized),
+    })
 
 
 def load_cooc(path: str) -> PseudoCooc:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PseudoCooc.from_json(fh.read())
+    """Read blocks saved by save_cooc; a malformed file is a ValueError.
+
+    Clusters that overlap, leave a feature uncovered or are empty are an
+    InvariantError, as for any partition.
+    """
+    arrays = load_arrays(path, "co-occurrence", _COOC_ARRAYS)
+    d = int(arrays["d"])
+    sizes = arrays["sizes"].astype(np.int64)
+    features, flat = arrays["features"], arrays["blocks"]
+    if d < 0:
+        raise ValueError(f"co-occurrence d must be a non-negative integer, got {d}")
+    if np.any(sizes < 0):
+        raise ValueError("co-occurrence cluster sizes must be non-negative")
+    if features.shape[0] != d or int(sizes.sum()) != d:
+        raise ValueError(
+            f"co-occurrence clusters hold {features.shape[0]} features in "
+            f"sizes summing to {int(sizes.sum())}, expected d = {d}"
+        )
+    if flat.shape[0] != int((sizes * sizes).sum()):
+        raise ValueError(
+            f"co-occurrence blocks hold {flat.shape[0]} values, one block per "
+            f"cluster needs {int((sizes * sizes).sum())}"
+        )
+    part = FeaturePartition.from_clusters(d, split_sizes(features, sizes))
+    blocks = [b.reshape(k, k) for b, k in zip(split_sizes(flat, sizes * sizes), sizes)]
+    return PseudoCooc(part, blocks, row_normalized=bool(arrays["row_normalized"]))
 
 
 def build_cooc(
@@ -116,12 +123,9 @@ def build_cooc(
     sizes = part.sizes()
     block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
     flat = np.zeros(int(block_start[-1]), dtype=np.float64)
-    offset_of = np.empty(part.d, dtype=np.int64)
-    for cluster in part.clusters:
-        offset_of[cluster] = np.arange(cluster.shape[0])
     kernels.cooc_accumulate(
         feats.indptr, feats.indices, feats.values,
-        part.cluster_of, offset_of, block_start[:-1], sizes, flat,
+        part.cluster_of, _offsets(part), block_start[:-1], sizes, flat,
     )
     blocks = []
     for k in range(part.n_clusters):

@@ -1,9 +1,10 @@
 """Minimal one-vs-rest logistic baseline for end-to-end experiments.
 
 One binary logistic model per label, trained by seeded per-sample SGD with L2
-regularization. Deliberately desk-scale: a guard refuses huge label spaces
-unless overridden. Scores are linear in the input, so models trained on
-agglomerated features are directly comparable to models on the original ones.
+regularization. Deliberately desk-scale: guards refuse huge label spaces and
+weight matrices unless overridden. Scores are linear in the input, so models
+trained on agglomerated features are directly comparable to models on the
+original ones.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import kernels
-from .dataio import Dataset
+from .dataio import Dataset, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec
 from .xcmetrics import Prediction, PredictionList
 
 LABEL_GUARD = 10_000
+# Weight entries (labels x features) the model may hold without allow_large:
+# 2**27 float64 weights are 1 GiB.
+WEIGHT_GUARD = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,19 @@ def train_ova(
     """
     _check_config(config)
     n_labels = ds.n_labels
+    feats = ds.features
+    n, dim = feats.rows, feats.cols
     if n_labels > LABEL_GUARD and not config.allow_large:
         raise ValueError(
             f"{n_labels} labels exceeds the desk-scale guard of {LABEL_GUARD}; "
             "set allow_large to override"
         )
-    feats = ds.features
-    n, dim = feats.rows, feats.cols
+    if n_labels * dim > WEIGHT_GUARD and not config.allow_large:
+        raise ValueError(
+            f"{n_labels} labels x {dim} features is {n_labels * dim} weights, "
+            f"over the desk-scale guard of {WEIGHT_GUARD}; set allow_large to "
+            "override"
+        )
     yt = ds.labels.transpose()
     weights = np.zeros((n_labels, dim), dtype=np.float64)
     bias = np.zeros(n_labels, dtype=np.float64)
@@ -170,34 +180,30 @@ def predict(
     return out
 
 
+_MODEL_ARRAYS = {"config": ("U", 0), "dim": ("iu", 0), "weights": ("f", 2),
+                 "bias": ("f", 1)}
+
+
 def save_model(model: OvaModel, path: str) -> None:
-    payload = {
-        "config": asdict(model.config),
-        "dim": model.dim,
-        "bias": model.bias.tolist(),
-        "weights": [w.tolist() for w in model.weights],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    """Write the model as an .npz archive at path, whatever its extension."""
+    save_arrays(path, {
+        "config": np.array(json.dumps(asdict(model.config))),
+        "dim": np.array(model.dim, dtype=np.int64),
+        "weights": model.weights,
+        "bias": model.bias,
+    })
 
 
 def load_model(path: str) -> OvaModel:
-    """Read a model saved by save_model; a malformed payload is a ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("model file must hold a JSON object")
+    """Read a model saved by save_model; a malformed file is a ValueError."""
+    arrays = load_arrays(path, "model", _MODEL_ARRAYS)
     try:
-        config = OvaConfig(**payload["config"])
-    except TypeError as exc:
+        config = OvaConfig(**json.loads(str(arrays["config"])))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model config: {exc}") from None
-    dim = int(payload["dim"])
-    weights = np.asarray(payload["weights"], dtype=np.float64)
-    if weights.shape == (0,):
-        weights = weights.reshape(0, dim)
-    bias = np.asarray(payload["bias"], dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[1] != dim:
+    dim = int(arrays["dim"])
+    weights, bias = arrays["weights"], arrays["bias"]
+    if weights.shape[1] != dim:
         raise ValueError(
             f"model weights have shape {weights.shape}, expected (labels, {dim})"
         )

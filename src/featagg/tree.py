@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, ParseError
 from .reprs import ReprSet
 from .splits import MAX_ITERS, SplitResult, kmeans_split, ndcg_split
 
@@ -65,20 +65,32 @@ class FeaturePartition:
         d0: int | None = None,
         seed: int | None = None,
     ) -> "FeaturePartition":
-        clusters = [np.sort(np.asarray(c, dtype=np.int64)) for c in clusters]
-        cluster_of = np.full(d, -1, dtype=np.int64)
-        total = 0
-        for k, c in enumerate(clusters):
-            if c.shape[0] == 0:
-                raise InvariantError(f"cluster {k} is empty")
-            if c.min() < 0 or c.max() >= d:
-                raise InvariantError(f"cluster {k} has out-of-range features")
-            if np.any(cluster_of[c] != -1):
-                raise InvariantError("clusters overlap")
-            cluster_of[c] = k
-            total += c.shape[0]
-        if total != d:
-            raise InvariantError(f"clusters cover {total} of {d} features")
+        clusters = [np.asarray(c, dtype=np.int64) for c in clusters]
+        sizes = np.array([c.shape[0] for c in clusters], dtype=np.int64)
+        flat = np.concatenate(clusters) if clusters else np.empty(0, dtype=np.int64)
+        owner = np.repeat(np.arange(len(clusters)), sizes)
+        # the first faulty cluster raises, and for one cluster an empty one
+        # comes before out-of-range features, which come before a feature
+        # that an earlier cluster (or an earlier entry of its own) holds
+        by_feature = np.argsort(flat, kind="stable")
+        again = by_feature[1:][flat[by_feature[1:]] == flat[by_feature[:-1]]]
+        faults = [
+            (int(ks.min()), rank) for rank, ks in enumerate((
+                np.flatnonzero(sizes == 0),
+                owner[(flat < 0) | (flat >= d)],
+                owner[again],
+            )) if ks.size
+        ]
+        if faults:
+            k, rank = min(faults)
+            raise InvariantError((f"cluster {k} is empty",
+                                  f"cluster {k} has out-of-range features",
+                                  "clusters overlap")[rank])
+        if flat.shape[0] != d:
+            raise InvariantError(f"clusters cover {flat.shape[0]} of {d} features")
+        cluster_of = np.empty(d, dtype=np.int64)
+        cluster_of[flat] = owner
+        clusters = split_sizes(flat[np.lexsort((flat, owner))], sizes)
         return cls(len(clusters), cluster_of, clusters, d0=d0, seed=seed)
 
     def to_json(self) -> str:
@@ -95,7 +107,7 @@ class FeaturePartition:
     def from_json(cls, text: str) -> "FeaturePartition":
         """Parse to_json output; a malformed payload is a ValueError."""
         payload = json.loads(text)
-        d, clusters = check_partition_payload(payload, "partition")
+        d, clusters = check_partition_payload(payload)
         return cls.from_clusters(
             d, clusters, d0=payload.get("d0"), seed=payload.get("seed")
         )
@@ -106,55 +118,90 @@ class FeaturePartition:
 
     @classmethod
     def from_flat_text(cls, text: str) -> "FeaturePartition":
-        pairs = [line.split() for line in text.splitlines() if line.strip()]
-        d = len(pairs)
-        cluster_of = np.full(d, -1, dtype=np.int64)
-        for f, k in pairs:
-            j = int(f)
+        """Parse to_flat_text output, one "feature_id cluster_id" per line.
+
+        Blank lines are skipped, and d is the number of other lines. A line
+        without exactly two integers, a feature id outside [0, d) or a
+        repeated one is a ParseError naming its 1-based line; cluster ids
+        that are not contiguous from 0 are an InvariantError.
+        """
+        entries = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                raise ParseError(
+                    f"expected 'feature_id cluster_id', got {line.strip()!r}",
+                    line=lineno,
+                )
+            try:
+                entries.append((lineno, int(tokens[0]), int(tokens[1])))
+            except ValueError:
+                raise ParseError(f"non-integer id in {line.strip()!r}",
+                                 line=lineno) from None
+        d = len(entries)
+        cluster_of = np.empty(d, dtype=np.int64)
+        first_line = {}
+        for lineno, j, k in entries:
             if not 0 <= j < d:
-                raise InvariantError(f"feature id {j} out of range")
-            cluster_of[j] = int(k)
-        ids = np.unique(cluster_of)
-        if ids.size and (ids.min() < 0 or ids.max() != ids.size - 1):
+                raise ParseError(f"feature id {j} out of range [0, {d})", line=lineno)
+            if j in first_line:
+                raise ParseError(
+                    f"feature id {j} repeated (first on line {first_line[j]})",
+                    line=lineno,
+                )
+            if not 0 <= k < d:
+                raise InvariantError("cluster ids must be contiguous from 0")
+            first_line[j] = lineno
+            cluster_of[j] = k
+        sizes = np.bincount(cluster_of)
+        if np.any(sizes == 0):
             raise InvariantError("cluster ids must be contiguous from 0")
-        clusters = [np.flatnonzero(cluster_of == k) for k in ids]
-        return cls.from_clusters(d, clusters)
+        return cls.from_clusters(
+            d, split_sizes(np.argsort(cluster_of, kind="stable"), sizes)
+        )
 
 
-def check_partition_payload(payload, what: str) -> tuple[int, list[np.ndarray]]:
+def split_sizes(a: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """a cut into consecutive pieces of the given sizes, which sum to len(a)."""
+    ends = np.cumsum(sizes).tolist()
+    return [a[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def check_partition_payload(payload) -> tuple[int, list[np.ndarray]]:
     """d and the clusters of a parsed partition payload, or a ValueError.
 
-    payload is the JSON object written by to_json; what names the file kind
-    in messages. A declared K that differs from the cluster count is an
-    InvariantError.
+    payload is the JSON object written by to_json. A declared K that differs
+    from the cluster count is an InvariantError.
     """
     if not isinstance(payload, dict):
-        raise ValueError(f"{what} file must hold a JSON object")
+        raise ValueError("partition file must hold a JSON object")
     missing = [k for k in ("d", "K", "clusters") if k not in payload]
     if missing:
-        raise ValueError(f"{what} file lacks {', '.join(missing)}")
+        raise ValueError(f"partition file lacks {', '.join(missing)}")
     for key in ("d", "K"):
         value = payload[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError(
-                f"{what} {key} must be a non-negative integer, got {value!r}"
+                f"partition {key} must be a non-negative integer, got {value!r}"
             )
     items = payload["clusters"]
     if not isinstance(items, list):
-        raise ValueError(f"{what} clusters must be a list")
+        raise ValueError("partition clusters must be a list")
     clusters = []
     for k, item in enumerate(items):
         if not isinstance(item, list) or any(isinstance(v, list) for v in item):
-            raise ValueError(f"{what} cluster {k} must be 1-D: a list of feature ids")
+            raise ValueError(f"partition cluster {k} must be 1-D: a list of feature ids")
         for v in item:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{what} cluster {k} is not numeric: {v!r}")
+                raise ValueError(f"partition cluster {k} is not numeric: {v!r}")
             if not isinstance(v, int):
-                raise ValueError(f"{what} cluster {k} holds non-integer feature ids: {v!r}")
+                raise ValueError(f"partition cluster {k} holds non-integer feature ids: {v!r}")
         try:
             clusters.append(np.array(item, dtype=np.int64))
         except OverflowError:
-            raise ValueError(f"{what} cluster {k} holds a feature id out of range") from None
+            raise ValueError(f"partition cluster {k} holds a feature id out of range") from None
     if payload["K"] != len(clusters):
         raise InvariantError("declared K does not match cluster count")
     return payload["d"], clusters

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -85,3 +86,35 @@ def dataset_from_dense(features, label_sets, n_labels: int) -> Dataset:
         labels = sorted(labels)
         rows.append(SparseVec(n_labels, labels, np.ones(len(labels))))
     return Dataset(feats, SparseMatrix.from_rows(rows, n_labels))
+
+
+def npz_arrays(path) -> dict[str, np.ndarray]:
+    """Every array of an .npz archive, by name."""
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def write_npz(path, arrays: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+SPOILED_KINDS = ("truncated", "pickled", "empty")
+
+
+def spoil_npz(path, kind: str) -> None:
+    """Replace the .npz archive at path with a file no loader may accept.
+
+    kind is one of SPOILED_KINDS: the first half of the archive; the archive
+    with every array replaced by a pickled object array; an empty file.
+    """
+    arrays = npz_arrays(path)
+    if kind == "truncated":
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:len(data) // 2])
+    elif kind == "pickled":
+        write_npz(path, {k: np.array([1, "x"], dtype=object) for k in arrays})
+    elif kind == "empty":
+        Path(path).write_bytes(b"")
+    else:
+        raise ValueError(kind)

@@ -8,6 +8,8 @@ from featagg.dataio import load_xc, save_xc
 from featagg.synth import duplicated_group_dataset, split_points
 from featagg.tree import load_partition
 
+from helpers import SPOILED_KINDS, npz_arrays, spoil_npz, write_npz
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -126,13 +128,13 @@ def test_predict_ensemble_consensus(workdir, capsys):
 
 
 def test_predict_rejects_inconsistent_model(workdir, capsys, tmp_path):
-    run(capsys, "train", workdir / "train_agg.txt", "-o", tmp_path / "model.json",
+    run(capsys, "train", workdir / "train_agg.txt", "-o", tmp_path / "model.npz",
         "--epochs", "1", "--seed", "0")
-    payload = json.loads((tmp_path / "model.json").read_text())
-    payload["bias"] = payload["bias"][:1]
-    (tmp_path / "bad_model.json").write_text(json.dumps(payload))
+    arrays = npz_arrays(tmp_path / "model.npz")
+    arrays["bias"] = arrays["bias"][:1]
+    write_npz(tmp_path / "bad_model.npz", arrays)
     code = main(["predict", str(workdir / "test_agg.txt"),
-                 "--model", str(tmp_path / "bad_model.json"), "--k", "3",
+                 "--model", str(tmp_path / "bad_model.npz"), "--k", "3",
                  "-o", str(tmp_path / "preds.txt")])
     assert code == 2
     assert "model bias" in capsys.readouterr().err
@@ -164,7 +166,31 @@ def test_impute_rejects_malformed_cooc(workdir, capsys, tmp_path):
     code = main(["impute", str(workdir / "test.txt"), "--cooc", str(bad),
                  "-o", str(tmp_path / "imputed.txt")])
     assert code == 2
-    assert "JSON object" in capsys.readouterr().err
+    assert "not an .npz archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ("earlier-json",) + SPOILED_KINDS)
+@pytest.mark.parametrize("command", ["predict", "impute"])
+def test_unreadable_model_or_cooc_exits_2(workdir, capsys, tmp_path, command, kind):
+    if command == "predict":
+        train = ["train", workdir / "train_agg.txt", "--epochs", "1"]
+        use = ["predict", workdir / "test_agg.txt", "--model"]
+        legacy = {"config": {}, "dim": 8, "bias": [0.0], "weights": [[0.0] * 8]}
+    else:
+        train = ["cooc", workdir / "train.txt", "--partition", workdir / "part.json"]
+        use = ["impute", workdir / "test.txt", "--cooc"]
+        legacy = {"d": 1, "K": 1, "clusters": [[0]], "blocks": [[[1.0]]]}
+    path = tmp_path / "artifact.json"
+    assert run(capsys, *train, "-o", path)[0] == 0
+    if kind == "earlier-json":
+        path.write_text(json.dumps(legacy))
+    else:
+        spoil_npz(path, kind)
+    code = main([str(a) for a in use] + [str(path), "-o", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("featagg: data error: ") and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("payload", [
@@ -181,6 +207,28 @@ def test_agglomerate_rejects_malformed_partition(payload, capsys, tmp_path):
                  "-o", str(tmp_path / "agg.txt")])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "agg.txt").exists()
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("0 0\n0 1\n", 2, "line 2: feature id 0 repeated (first on line 1)"),
+    ("0 0\n\n1\n2 0\n", 2, "line 3: expected 'feature_id cluster_id', got '1'"),
+    ("0 0\n1 0 0\n2 0\n", 2, "line 2: expected 'feature_id cluster_id'"),
+    ("0 0\n1 x\n2 0\n", 2, "line 2: non-integer id in '1 x'"),
+    ("0 0\n5 0\n1 0\n", 2, "line 2: feature id 5 out of range [0, 3)"),
+    ("[1]", 2, "line 1: expected 'feature_id cluster_id', got '[1]'"),
+    ("0 0\n1 2\n2 0\n", 3, "cluster ids must be contiguous from 0"),
+    ("0 0\n1 1\n2 -1\n", 3, "cluster ids must be contiguous from 0"),
+])
+def test_agglomerate_rejects_malformed_flat_partition(text, code, message, capsys,
+                                                      tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("1 3 1\n0 0:1 2:2\n")
+    part = tmp_path / "part.txt"
+    part.write_text(text)
+    assert main(["agglomerate", str(data), "--partition", str(part),
+                 "-o", str(tmp_path / "agg.txt")]) == code
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "agg.txt").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,19 @@ from featagg.cooc import (
     load_cooc,
     save_cooc,
 )
+from featagg.errors import InvariantError
 from featagg.sparse import SparseVec, norm
 from featagg.tree import FeaturePartition
 
-from helpers import dataset_from_dense, dense_cooc_oracle, vec
+from helpers import (
+    SPOILED_KINDS,
+    dataset_from_dense,
+    dense_cooc_oracle,
+    npz_arrays,
+    spoil_npz,
+    vec,
+    write_npz,
+)
 
 
 @pytest.fixture
@@ -211,35 +221,84 @@ class TestPersistence:
         _, _, c = toy_blocks
         path = tmp_path / "cooc.json"
         save_cooc(c, str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cooc.json"]
         again = load_cooc(str(path))
-        assert again.d == c.d
+        assert again.d == c.d and again.row_normalized == c.row_normalized
+        assert np.array_equal(again.partition.cluster_of, c.partition.cluster_of)
         for a, b in zip(again.blocks, c.blocks):
             assert np.array_equal(a, b)
         x = vec(3, {1: 1.0})
         assert impute(again, x) == impute(c, x)
 
+    def test_row_normalized_round_trip(self, rng, tmp_path):
+        feats = rng.random((12, 9)) * (rng.random((12, 9)) > 0.5)
+        ds = dataset_from_dense(feats, [set()] * 12, 1)
+        part = FeaturePartition.from_clusters(
+            9, [np.array([0, 3, 5]), np.array([1, 2]), np.array([4, 6, 7, 8])]
+        )
+        c = build_cooc(ds, part, row_normalize=True)
+        save_cooc(c, str(tmp_path / "cooc.npz"))
+        again = load_cooc(str(tmp_path / "cooc.npz"))
+        assert again.row_normalized
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again.blocks, c.blocks))
+
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: [1], "JSON object"),
-            (lambda p: {k: v for k, v in p.items() if k != "blocks"}, "lacks blocks"),
-            (lambda p: {k: v for k, v in p.items() if k != "d"}, "lacks d"),
-            (lambda p: {**p, "d": [3]}, "non-negative integer"),
-            (lambda p: {**p, "clusters": 5}, "clusters must be a list"),
-            (lambda p: {**p, "clusters": [[[0, 1]], [2]]}, "cluster 0 must be 1-D"),
-            (lambda p: {**p, "clusters": [["a"], [2]]}, "cluster 0 is not numeric"),
-            (lambda p: {**p, "blocks": [[1.0, 2.0], [[9.0]]]}, "block 0 must be 2-D"),
-            (lambda p: {**p, "blocks": [[[1.0, 2.0], [2.0]], [[9.0]]]},
-             "block 0 is not numeric or ragged"),
-            (lambda p: {**p, "blocks": [[[1.0]], [[9.0]]]}, "block 0 must be 2x2"),
-            (lambda p: {**p, "blocks": [[[1.0, 2.0], [2.0, 5.0]]]}, "one block per"),
-            (lambda p: {**p, "K": None}, "K must be a non-negative integer"),
-            (lambda p: {**p, "clusters": [[0, 1.5], [2]]}, "cluster 0 holds non-integer"),
+            (lambda a: {k: v for k, v in a.items() if k != "blocks"}, "lacks blocks"),
+            (lambda a: {k: v for k, v in a.items() if k != "d"}, "lacks d"),
+            (lambda a: {**a, "d": np.array([3])}, "d must be a 0-D int"),
+            (lambda a: {**a, "d": np.array(4)}, "expected d = 4"),
+            (lambda a: {**a, "d": np.array(-1)}, "non-negative integer"),
+            (lambda a: {**a, "sizes": np.array([[2, 1]])}, "sizes must be a 1-D"),
+            (lambda a: {**a, "sizes": np.array([4, -1])}, "must be non-negative"),
+            (lambda a: {**a, "features": np.array([[0, 1, 2]])}, "with shape (1, 3)"),
+            (lambda a: {**a, "features": np.array(["0", "1", "2"])},
+             "integer array, got <U1"),
+            (lambda a: {**a, "features": np.array([0.0, 1.0, 2.0])},
+             "array, got float64"),
+            (lambda a: {**a, "blocks": np.ones((5, 1))}, "blocks must be a 1-D"),
+            (lambda a: {**a, "blocks": np.array(["1"] * 5)}, "float array, got <U1"),
+            (lambda a: {**a, "blocks": np.ones(4)}, "blocks hold 4 values"),
+            (lambda a: {**a, "blocks": np.ones(6)}, "blocks hold 6 values"),
+            (lambda a: {**a, "blocks": a["blocks"][4:]}, "one block per"),
+            (lambda a: {**a, "row_normalized": np.array(1)}, "row_normalized must be"),
         ],
     )
     def test_malformed_file_is_value_error(self, toy_blocks, tmp_path, edit, message):
         _, _, c = toy_blocks
+        path = tmp_path / "cooc.npz"
+        save_cooc(c, str(path))
+        write_npz(path, edit(npz_arrays(path)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_cooc(str(path))
+
+    @pytest.mark.parametrize("kind", SPOILED_KINDS)
+    def test_unreadable_file_is_value_error(self, toy_blocks, tmp_path, kind):
+        _, _, c = toy_blocks
+        path = tmp_path / "cooc.npz"
+        save_cooc(c, str(path))
+        spoil_npz(path, kind)
+        with pytest.raises(ValueError, match="^co-occurrence file is not"):
+            load_cooc(str(path))
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"d": 3, "K": 2, "clusters": [[0, 1], [2]],
+         "blocks": [[[1.0, 2.0], [2.0, 5.0]], [[9.0]]], "row_normalized": False},
+    ], ids=["json-list", "earlier-version"])
+    def test_json_file_is_value_error(self, tmp_path, payload):
         path = tmp_path / "cooc.json"
-        path.write_text(json.dumps(edit(json.loads(c.to_json()))))
-        with pytest.raises(ValueError, match=message):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="JSON co-occurrence files of earlier"):
+            load_cooc(str(path))
+
+    def test_overlapping_clusters_are_invariant_error(self, toy_blocks, tmp_path):
+        _, _, c = toy_blocks
+        path = tmp_path / "cooc.npz"
+        save_cooc(c, str(path))
+        arrays = npz_arrays(path)
+        arrays["features"] = np.array([0, 1, 1])
+        write_npz(path, arrays)
+        with pytest.raises(InvariantError, match="overlap"):
             load_cooc(str(path))

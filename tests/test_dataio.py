@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from featagg import dataio
 from featagg.dataio import Dataset, parse_xc, stats, write_xc
 from featagg.errors import ParseError
 from featagg.sparse import SparseMatrix, SparseVec
+
+import dataio_reference
 
 class TestParse:
     def test_toy(self, toy_dataset):
@@ -130,3 +135,128 @@ class TestStats:
     def test_empty_dataset(self):
         s = stats(parse_xc("0 3 2\n"))
         assert (s.avg_nnz_features, s.avg_labels) == (0.0, 0.0)
+
+
+# --- chunked parser and writer against the per-line reference -------------
+
+VALUE_TEXTS = st.one_of(
+    st.floats(0, 1e6, allow_nan=False).map(repr),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["0", "0.0", "-0.0", "1e-3", "2.5E2", "7."]),
+)
+
+FAULTS = {
+    "bad label field": lambda lab, toks, d, L: ("1,x", toks),
+    "empty label token": lambda lab, toks, d, L: ("0,,1", toks),
+    "label out of range": lambda lab, toks, d, L: (str(L + 1), toks),
+    "negative label": lambda lab, toks, d, L: ("-1", toks),
+    "duplicate label": lambda lab, toks, d, L: ("0,0", toks),
+    "no colon": lambda lab, toks, d, L: (lab, toks + ["3"]),
+    "two colons": lambda lab, toks, d, L: (lab, toks + ["1:2:3"]),
+    "two colons, then none": lambda lab, toks, d, L: (lab, ["1:2:3", "4"] + toks),
+    "empty index": lambda lab, toks, d, L: (lab, toks + [":1"]),
+    "non-numeric value": lambda lab, toks, d, L: (lab, toks + ["0:x"]),
+    "index out of range": lambda lab, toks, d, L: (lab, toks + [f"{d + 1}:1"]),
+    "huge index": lambda lab, toks, d, L: (lab, toks + ["99999999999999999999:1"]),
+    "negative index": lambda lab, toks, d, L: (lab, toks + ["-4:1"]),
+    "negative value": lambda lab, toks, d, L: (lab, toks + ["0:-2"]),
+    "infinite value": lambda lab, toks, d, L: (lab, ["0:inf"] + toks),
+    "nan value": lambda lab, toks, d, L: (lab, toks + ["0:nan"]),
+    "duplicate index": lambda lab, toks, d, L: (lab, toks + toks[:1] if toks
+                                                else ["1:1", "1:0"]),
+}
+
+
+@st.composite
+def xc_texts(draw, fault=False):
+    """(text, one_based): a file in the text format, optionally with a fault.
+
+    Rows hold CRLF endings, empty label fields, empty feature tokens (double
+    and trailing spaces), explicit zeros and unsorted indices. With fault, one
+    to three faults from FAULTS land in random rows (the first one in the file
+    is the one to report), or the file loses or gains a line.
+    """
+    one_based = draw(st.booleans())
+    n = draw(st.integers(1, 14))
+    d = draw(st.integers(1, 12))
+    L = draw(st.integers(1, 6))
+    shift = 1 if one_based else 0
+    rows = []
+    for _ in range(n):
+        labels = draw(st.lists(st.integers(0, L - 1), unique=True, max_size=L))
+        lab = ",".join(str(l + shift) for l in labels)
+        idx = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        toks = [f"{j + shift}:{draw(VALUE_TEXTS)}" for j in idx]
+        rows.append((lab, toks))
+    kind = draw(st.sampled_from(["rows", "missing line", "trailing line"])
+                if fault else st.none())
+    if kind == "rows":
+        for name in draw(st.lists(st.sampled_from(sorted(FAULTS)), min_size=1,
+                                  max_size=3)):
+            r = draw(st.integers(0, n - 1))
+            rows[r] = FAULTS[name](*rows[r], d, L)
+    lines = []
+    for lab, toks in rows:
+        seps = draw(st.lists(st.sampled_from([" ", " ", "  "]),
+                             min_size=len(toks), max_size=len(toks)))
+        line = lab + "".join(s + t for s, t in zip(seps, toks))
+        line += draw(st.sampled_from(["", "", " "]))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    if kind == "missing line":
+        lines.pop(draw(st.integers(0, n - 1)))
+    elif kind == "trailing line":
+        lines.append("0 0:1\n")
+    return f"{n} {d} {L}\n" + "".join(lines), one_based
+
+
+def parse_both(text, one_based, chunk_chars):
+    outcomes = []
+    for parse in (dataio_reference.parse_xc, parse_xc):
+        with mock.patch.object(dataio, "_PARSE_CHUNK_CHARS", chunk_chars):
+            try:
+                outcomes.append(parse(text, one_based=one_based))
+            except ParseError as exc:
+                outcomes.append((str(exc), exc.line))
+    return outcomes
+
+
+def assert_same_dataset(a, b):
+    for x, y in ((a.features, b.features), (a.labels, b.labels)):
+        assert (x.rows, x.cols) == (y.rows, y.cols)
+        for name in ("indptr", "indices", "values"):
+            u, v = getattr(x, name), getattr(y, name)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(xc_texts(), st.sampled_from([1, 16, 60, 1 << 16]))
+def test_parse_and_write_match_reference(case, chunk_chars):
+    text, one_based = case
+    expected, got = parse_both(text, one_based, chunk_chars)
+    assert_same_dataset(got, expected)
+    with mock.patch.object(dataio, "_WRITE_CHUNK_NNZ", chunk_chars):
+        assert write_xc(got) == dataio_reference.write_xc(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xc_texts(fault=True), st.sampled_from([1, 16, 60, 1 << 16]))
+def test_faults_match_reference(case, chunk_chars):
+    text, one_based = case
+    expected, got = parse_both(text, one_based, chunk_chars)
+    assert isinstance(expected, tuple)  # every planted fault is one
+    assert got == expected
+
+
+def test_one_index_value_pair_per_token():
+    with pytest.raises(ParseError, match=r"line 2: non-numeric token '1:2:3'"):
+        parse_xc("1 5 1\n0 1:2:3 4\n")
+    with pytest.raises(ParseError, match=r"line 2: non-numeric token '1:2:3'"):
+        parse_xc("1 5 1\n0 0:1 1:2:3\n")
+    with pytest.raises(ParseError, match=r"line 3: expected 'index:value', got '4'"):
+        parse_xc("2 5 1\n0 1:2\n0 2:3 4\n")
+
+
+def test_huge_label_is_out_of_range():
+    # the per-line parser let numpy's OverflowError escape here
+    with pytest.raises(ParseError, match=r"line 2: label index out of range"):
+        parse_xc("1 2 1\n99999999999999999999 0:1\n")

@@ -8,6 +8,7 @@ from featagg import kernels, linear
 from featagg.agglomerate import agglomerate_dataset
 from featagg.linear import (
     OvaConfig,
+    OvaModel,
     decision_scores,
     load_model,
     predict,
@@ -18,7 +19,7 @@ from featagg.sparse import SparseVec
 from featagg.tree import FeaturePartition
 from featagg.xcmetrics import precision_at_k
 
-from helpers import dataset_from_dense
+from helpers import SPOILED_KINDS, dataset_from_dense, npz_arrays, spoil_npz, write_npz
 
 
 @pytest.fixture
@@ -69,6 +70,15 @@ class TestTrain:
         ds = Dataset(feats, labels)
         with pytest.raises(ValueError, match="guard"):
             train_ova(ds)
+
+    def test_weight_guard(self, separable, monkeypatch):
+        # 2 labels x 2 features = 4 weights; few labels, but too many weights
+        monkeypatch.setattr(linear, "WEIGHT_GUARD", 3)
+        with pytest.raises(ValueError, match="4 weights, over the desk-scale guard"):
+            train_ova(separable)
+        assert train_ova(separable, OvaConfig(allow_large=True)).weights.shape == (2, 2)
+        monkeypatch.setattr(linear, "WEIGHT_GUARD", 4)
+        assert train_ova(separable).weights.shape == (2, 2)
 
     def test_unsupported_loss(self, separable):
         with pytest.raises(ValueError):
@@ -180,6 +190,9 @@ def test_model_round_trip(tmp_path, separable):
     model = train_ova(separable, OvaConfig(epochs=3, seed=4))
     path = tmp_path / "model.json"
     save_model(model, str(path))
+    # an .npz archive at exactly the given path, whatever its extension
+    assert path.read_bytes()[:4] == b"PK\x03\x04"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
     again = load_model(str(path))
     assert np.array_equal(again.weights, model.weights)
     assert np.array_equal(again.bias, model.bias)
@@ -200,11 +213,11 @@ def test_model_round_trip(tmp_path, separable):
 )
 def test_load_model_rejects_inconsistent_shapes(tmp_path, separable, field, value):
     model = train_ova(separable, OvaConfig(epochs=1))
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     save_model(model, str(path))
-    payload = json.loads(path.read_text())
-    payload[field] = value
-    path.write_text(json.dumps(payload))
+    arrays = npz_arrays(path)
+    arrays[field] = np.array(json.dumps(value) if field == "config" else value)
+    write_npz(path, arrays)
     with pytest.raises(ValueError, match="model (weights|bias|config)"):
         load_model(str(path))
 
@@ -212,14 +225,54 @@ def test_load_model_rejects_inconsistent_shapes(tmp_path, separable, field, valu
 def test_load_model_rejects_non_object(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("[1]")
-    with pytest.raises(ValueError, match="JSON object"):
+    with pytest.raises(ValueError, match="not an .npz archive"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", SPOILED_KINDS)
+def test_load_model_rejects_unreadable_file(tmp_path, separable, kind):
+    path = tmp_path / "model.npz"
+    save_model(train_ova(separable, OvaConfig(epochs=1)), str(path))
+    spoil_npz(path, kind)
+    with pytest.raises(ValueError, match="^model file is not"):
+        load_model(str(path))
+
+
+def test_load_model_rejects_a_model_file_of_earlier_versions(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"config": {}, "dim": 2, "bias": [0.0], "weights": [[1.0, 2.0]]}
+    ))
+    with pytest.raises(ValueError, match="JSON model files of earlier versions"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("weights", None, "model file lacks weights"),
+        ("dim", None, "model file lacks dim"),
+        ("weights", np.ones((2, 2), dtype=np.int64), "model weights must be a 2-D fl"),
+        ("dim", np.array(2.0), "model dim must be a 0-D integer"),
+        ("config", np.array(1.0), "model config must be a 0-D text"),
+        ("config", np.array("{"), "model config: "),
+    ],
+)
+def test_load_model_rejects_bad_arrays(tmp_path, separable, field, value, message):
+    path = tmp_path / "model.npz"
+    save_model(train_ova(separable, OvaConfig(epochs=1)), str(path))
+    arrays = npz_arrays(path)
+    if value is None:
+        del arrays[field]
+    else:
+        arrays[field] = value
+    write_npz(path, arrays)
+    with pytest.raises(ValueError, match=message):
         load_model(str(path))
 
 
 def test_load_model_accepts_empty_label_set(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps(
-        {"config": {}, "dim": 4, "bias": [], "weights": []}
-    ))
+    path = tmp_path / "empty.npz"
+    save_model(OvaModel(np.zeros((0, 4)), np.zeros(0), OvaConfig()), str(path))
     model = load_model(str(path))
     assert model.weights.shape == (0, 4) and model.bias.shape == (0,)

@@ -147,6 +147,24 @@ class TestFeaturePartition:
         with pytest.raises(InvariantError):
             FeaturePartition.from_clusters(2, [np.array([0, 1]), np.array([])])
 
+    @pytest.mark.parametrize("d, clusters, message", [
+        (3, [[0, 1], [], [5]], "cluster 1 is empty"),
+        (3, [[2, 0], [1, 9], []], "cluster 1 has out-of-range features"),
+        (3, [[0, 1], [1, 9]], "cluster 1 has out-of-range features"),
+        (4, [[0, 1], [3], [1, 2]], "clusters overlap"),
+        (3, [[0, 0], [1]], "clusters overlap"),  # would leave feature 2 uncovered
+        (3, [[2, 0], [1]], None),
+    ])
+    def test_first_faulty_cluster_is_reported(self, d, clusters, message):
+        if message is None:
+            part = FeaturePartition.from_clusters(d, [np.array(c) for c in clusters])
+            assert [c.tolist() for c in part.clusters] == [[0, 2], [1]]
+            assert part.cluster_of.tolist() == [0, 1, 0]
+            return
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            FeaturePartition.from_clusters(d, [np.array(c, dtype=np.int64)
+                                               for c in clusters])
+
     def test_json_round_trip(self, tmp_path, rng):
         part = leaves(make_tree(random_reprs(rng, 17), d0=4, seed=9))
         path = tmp_path / "part.json"
