@@ -21,19 +21,22 @@ from .dataio import Dataset, DatasetStats, load_xc, parse_xc, save_xc, stats, wr
 from .errors import InvariantError, ParseError
 from .kernels import backend_name
 from .linear import OvaConfig, OvaModel, predict, train_ova
-from .reranking import PrototypeSet, affinity, build_prototypes, rerank
+from .reranking import PrototypeSet, affinity, build_prototypes, rerank, rerank_predictions
 from .reprs import ReprSet, build_repr_x, build_repr_xy, normalize
 from .sparse import SparseMatrix, SparseVec, axpy, dot, norm
 from .splits import Ranking, SplitResult, balanced_halves, dcg, kmeans_split, ndcg, ndcg_split
 from .tree import ClusterTree, FeaturePartition, ensemble, leaves, make_tree
 from .xcmetrics import (
     Prediction,
+    Predictions,
     PropensityModel,
     coverage_at_k,
+    load_predictions,
     ndcg_at_k,
     percentile_macro_precision,
     precision_at_k,
     propensities,
     psndcg_at_k,
     psp_at_k,
+    save_predictions,
 )

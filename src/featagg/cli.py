@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,12 +21,11 @@ from .cooc import build_cooc, erase_matrix, impute_matrix, load_cooc, save_cooc
 from .cluster_quality import quality_report
 from .dataio import Dataset, load_xc, save_xc, stats
 from .errors import InvariantError, ParseError
-from .linear import OvaConfig, load_model, predict, probability_scores, save_model, train_ova
+from .linear import OvaConfig, load_model, probability_scores, save_model, train_ova
 from .reranking import build_prototypes, rerank_predictions
 from .splits import MAX_ITERS
 from .tree import SPLIT_KINDS, ensemble, load_partition, save_partition
 from .xcmetrics import (
-    Prediction,
     coverage_at_k,
     load_predictions,
     ndcg_at_k,
@@ -36,6 +34,7 @@ from .xcmetrics import (
     psndcg_at_k,
     psp_at_k,
     save_predictions,
+    top_k,
 )
 
 EXIT_OK = 0
@@ -151,21 +150,26 @@ def _cmd_predict(args) -> int:
     partitions = [load_partition(p) for p in args.partition or []]
     if partitions and len(partitions) != len(models):
         raise InvariantError("give one --partition per --model, or none")
+    n_labels = models[0].n_labels
+    if any(model.n_labels != n_labels for model in models):
+        raise ValueError("every --model must rank the same number of labels")
     t0 = time.perf_counter()
-    score_sum = None
-    for i, model in enumerate(models):
-        feats = ds.features
-        if partitions:
-            feats = agglomerate_matrix(feats, partitions[i], SUM)
-        scores = probability_scores(model, feats)
-        score_sum = scores if score_sum is None else score_sum + scores
-    scores = score_sum / len(models)  # consensus: mean score before ranking
-    preds = []
-    n_labels = scores.shape[1]
+    feats = [agglomerate_matrix(ds.features, part, SUM) for part in partitions]
+    feats = feats or [ds.features] * len(models)
+    for model, f in zip(models, feats):
+        if f.cols != model.dim:
+            raise ValueError(f"matrix cols {f.cols} != model dim {model.dim}")
+
+    def consensus(lo: int, hi: int) -> np.ndarray:
+        # mean score over the models before ranking
+        total = None
+        for model, f in zip(models, feats):
+            scores = probability_scores(model, f.slice_rows(lo, hi))
+            total = scores if total is None else total + scores
+        return total / len(models)
+
     k = min(args.k, n_labels)
-    for row in scores:
-        order = np.lexsort((np.arange(n_labels), -row))[:k]
-        preds.append(Prediction(order, row[order]))
+    preds = top_k(consensus, ds.n, n_labels, k)
     elapsed = time.perf_counter() - t0
     with open(args.output, "w", encoding="utf-8") as fh:
         save_predictions(preds, fh)
@@ -298,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay", type=float, default=1.0)
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="workers over label blocks (results identical)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="workers over label blocks (results identical; more "
+                        "than 1 measured slower on 2 cores)")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(fn=_cmd_train)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .dataio import Dataset, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec
-from .xcmetrics import Prediction, PredictionList
+from .xcmetrics import Predictions, top_k
 
 LABEL_GUARD = 10_000
 # Weight entries (labels x features) the model may hold without allow_large:
@@ -155,29 +155,21 @@ def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarr
     return 1.0 / (1.0 + np.exp(-margins))
 
 
-def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))[:k]
-    return order, scores[order]
-
-
 def predict(
     model: OvaModel, x: SparseMatrix | SparseVec, k: int, probabilities: bool = True
-) -> PredictionList:
-    """Top-k labels per point by score, ties by ascending label id."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > model.n_labels:
-        raise ValueError(f"k={k} exceeds the {model.n_labels}-label universe")
-    scores = (
-        probability_scores(model, x) if probabilities else decision_scores(model, x)
-    )
-    if scores.ndim == 1:
-        scores = scores[None, :]
-    out: PredictionList = []
-    for row in scores:
-        labels, vals = _top_k(row, k)
-        out.append(Prediction(labels, vals))
-    return out
+) -> Predictions:
+    """Top-k labels per point by score, ties by ascending label id.
+
+    Scores are computed and ranked a chunk of rows at a time, so the dense
+    points x labels score matrix is never held whole.
+    """
+    if isinstance(x, SparseVec):
+        x = SparseMatrix(1, x.dim, [0, x.nnz], x.indices, x.values, validate=False)
+    if x.cols != model.dim:
+        raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
+    scores = probability_scores if probabilities else decision_scores
+    return top_k(lambda lo, hi: scores(model, x.slice_rows(lo, hi)),
+                 x.rows, model.n_labels, k)
 
 
 _MODEL_ARRAYS = {"config": ("U", 0), "dim": ("iu", 0), "weights": ("f", 2),

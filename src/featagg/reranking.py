@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,9 +19,16 @@ from . import kernels
 from .cooc import PseudoCooc
 from .dataio import Dataset
 from .sparse import SparseMatrix, SparseVec, dot, norm
-from .xcmetrics import Prediction, PredictionList
+from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
+# Scratch bounds, whatever the number of labels or test points: build_prototypes
+# holds a dense labels x d block of at most this many entries (at least one
+# label) ...
+_PROTO_BLOCK_ENTRIES = 1 << 16
+# ... and rerank_predictions expands at most this many (label, query entry)
+# pairs at a time (at least one row's).
+_AFFINITY_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -53,34 +61,61 @@ def build_prototypes(
     c: PseudoCooc, ds: Dataset, normalize: bool = True, gamma: float = 1.0
 ) -> PrototypeSet:
     """Prototype of label l = co-occurrence matrix times the sum of its
-    positive points; optional per-prototype unit L2 normalization."""
+    positive points; optional per-prototype unit L2 normalization.
+
+    Labels are taken a block at a time: the block's rows of Y^T X are summed
+    into one dense labels x d array, and each cluster's block of the
+    co-occurrence matrix multiplies its columns once, in one batched product
+    per cluster size.
+    """
     feats = ds.features
-    if feats.cols != c.d:
-        raise ValueError(f"dataset dim {feats.cols} != co-occurrence dim {c.d}")
+    d = c.d
+    if feats.cols != d:
+        raise ValueError(f"dataset dim {feats.cols} != co-occurrence dim {d}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     yt = ds.labels.transpose()
+    # clusters of one size stacked: their features and transposed blocks
     part = c.partition
-    rows: list[SparseVec] = []
-    for l in range(ds.n_labels):
-        s, e = yt.indptr[l], yt.indptr[l + 1]
-        if e == s:
-            rows.append(SparseVec(c.d, validate=False))
-            continue
-        accum = kernels.sum_rows(
-            feats.indptr, feats.indices, feats.values, yt.indices[s:e], c.d
-        )
-        proto = np.zeros(c.d, dtype=np.float64)
-        for k, cluster in enumerate(part.clusters):
-            proto[cluster] = c.blocks[k] @ accum[cluster]
+    sizes = part.sizes()
+    groups = []
+    for size in np.unique(sizes):
+        ks = np.flatnonzero(sizes == size).tolist()
+        groups.append((np.stack([part.clusters[k] for k in ks]),
+                       np.stack([c.blocks[k].T for k in ks])))
+    step = max(1, _PROTO_BLOCK_ENTRIES // max(d, 1))
+    counts, indices, values = [], [], []
+    for lo in range(0, ds.n_labels, step):
+        hi = min(lo + step, ds.n_labels)
+        # rows lo..hi-1 of Y^T X: each label sums its positive points in order
+        pts = yt.indices[yt.indptr[lo]:yt.indptr[hi]]
+        lens = feats.indptr[pts + 1] - feats.indptr[pts]
+        flat = kernels.concat_ranges(feats.indptr[pts], feats.indptr[pts + 1])
+        label = np.repeat(np.arange(hi - lo), np.diff(yt.indptr[lo:hi + 1]))
+        accum = np.bincount(
+            np.repeat(label, lens) * d + feats.indices[flat],
+            weights=feats.values[flat], minlength=(hi - lo) * d,
+        ).reshape(hi - lo, d)
+        proto = np.zeros((hi - lo, d))
+        for features, blocks_t in groups:
+            # (clusters, labels, size) @ (clusters, size, size), one cluster's
+            # block per matrix product
+            prod = np.matmul(accum[:, features].transpose(1, 0, 2), blocks_t)
+            proto[:, features] = prod.transpose(1, 0, 2)
         if normalize:
-            nrm = math.sqrt(float(np.dot(proto, proto)))
-            if nrm > 0:
-                proto /= nrm
-        rows.append(SparseVec.from_dense(proto))
-    return PrototypeSet(
-        matrix=SparseMatrix.from_rows(rows, c.d), gamma=gamma, normalized=normalize
-    )
+            nrm = np.sqrt(np.einsum("ij,ij->i", proto, proto))
+            proto /= np.where(nrm > 0, nrm, 1.0)[:, None]
+        row, col = np.nonzero(proto)
+        counts.append(np.bincount(row, minlength=hi - lo))
+        indices.append(col)
+        values.append(proto[row, col])
+    if counts:
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        indices, values = np.concatenate(indices), np.concatenate(values)
+    else:
+        indptr, indices, values = np.zeros(1), np.empty(0), np.empty(0)
+    matrix = SparseMatrix(ds.n_labels, d, indptr, indices, values, validate=False)
+    return PrototypeSet(matrix=matrix, gamma=gamma, normalized=normalize)
 
 
 def affinity(x: SparseVec, ps: PrototypeSet, l: int) -> float:
@@ -90,22 +125,56 @@ def affinity(x: SparseVec, ps: PrototypeSet, l: int) -> float:
     return math.exp(-0.5 * ps.gamma * max(sq, 0.0))
 
 
-def affinity_scores(
-    x: SparseVec, ps: PrototypeSet, labels: np.ndarray,
-    proto_sq_norms: np.ndarray | None = None,
-) -> np.ndarray:
+def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
     """Affinities of x to a shortlist of labels in one pass."""
     labels = np.asarray(labels, dtype=np.int64)
-    sub = ps.matrix.take_rows(labels)
-    dense = x.to_dense()
-    dots = kernels.row_dots(sub.indptr, sub.indices, sub.values, dense)
-    if proto_sq_norms is None:
-        row_of = np.repeat(np.arange(sub.rows), sub.row_nnz())
-        sq_p = np.bincount(row_of, weights=sub.values**2, minlength=sub.rows)
-    else:
-        sq_p = proto_sq_norms[labels]
-    sq = norm(x, 2) ** 2 + sq_p - 2.0 * dots
+    x_sq = np.array([norm(x, 2) ** 2])
+    return _affinities(ps, np.array([0, x.nnz]), x.indices, x.values, x_sq,
+                       np.zeros(labels.shape[0], dtype=np.int64), labels)
+
+
+def _affinities(
+    ps: PrototypeSet, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    x_sq: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+) -> np.ndarray:
+    """Affinity of query row rows[i] (CSR arrays, squared norms x_sq) to the
+    prototype of labels[i], for every i.
+
+    Each dot product adds the products of the query's stored entries with the
+    prototype's entries at the same feature, in the prototype's stored
+    order; no query is expanded to a dense vector.
+    """
+    protos = ps.matrix
+    keys = np.repeat(np.arange(protos.rows), protos.row_nnz()) * protos.cols
+    keys += protos.indices
+    dots = np.zeros(rows.shape[0], dtype=np.float64)
+    if keys.shape[0]:
+        # pairs taken in label order look up nearly rising keys, which keeps
+        # the binary searches in cache
+        by_label = np.argsort(labels, kind="stable")
+        r = rows[by_label]
+        flat = kernels.concat_ranges(indptr[r], indptr[r + 1])
+        pair = np.repeat(by_label, indptr[r + 1] - indptr[r])
+        key = labels[pair] * protos.cols + indices[flat]
+        at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
+        hit = keys[at] == key
+        dots = np.bincount(pair[hit], weights=protos.values[at[hit]] * values[flat[hit]],
+                           minlength=rows.shape[0])
+    sq = x_sq[rows] + ps.sq_norms()[labels] - 2.0 * dots
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
+
+
+def _combine(
+    base_scores: np.ndarray, affinities: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries have a positive base score, and their combined scores."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    keep = base_scores > 0.0
+    combined = alpha * np.log(base_scores[keep]) + (1.0 - alpha) * np.log(
+        np.maximum(affinities[keep], _LOG_FLOOR)
+    )
+    return keep, combined
 
 
 def rerank(
@@ -121,48 +190,69 @@ def rerank(
     positive factor shifts all combined scores equally, leaving the ranking
     unchanged.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     base_labels = np.asarray(base_labels, dtype=np.int64)
-    base_scores = np.asarray(base_scores, dtype=np.float64)
-    affinities = np.asarray(affinities, dtype=np.float64)
-    keep = base_scores > 0.0
+    keep, combined = _combine(np.asarray(base_scores, dtype=np.float64),
+                              np.asarray(affinities, dtype=np.float64), alpha)
     labels = base_labels[keep]
-    combined = alpha * np.log(base_scores[keep]) + (1.0 - alpha) * np.log(
-        np.maximum(affinities[keep], _LOG_FLOOR)
-    )
     order = np.lexsort((labels, -combined))
     return labels[order], combined[order]
 
 
 def rerank_predictions(
-    preds: PredictionList,
+    preds: Predictions | Sequence[Prediction],
     ps: PrototypeSet,
     x_test: SparseMatrix,
     alpha: float = 0.8,
     shortlist: int = 100,
     normalize_queries: bool | None = None,
-) -> PredictionList:
-    """Rerank each point's top shortlist by combined score.
+) -> Predictions:
+    """Rerank each point's top shortlist by combined score, as rerank does
+    for one point, all points at once.
 
     Test vectors are unit-normalized by default when the prototypes are, so
     distances stay in [0, 2] and the kernel width has a stable meaning.
     """
+    preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
+    if x_test.cols != ps.dim:
+        raise ValueError(f"test dim {x_test.cols} != prototype dim {ps.dim}")
     if normalize_queries is None:
         normalize_queries = ps.normalized
-    sq_norms = ps.sq_norms()
-    out: PredictionList = []
-    for i, pr in enumerate(preds):
-        labels = pr.labels[:shortlist]
-        scores = pr.scores[:shortlist]
-        x = x_test.row(i)
-        if normalize_queries:
-            nrm = norm(x, 2)
-            if nrm > 0:
-                x = SparseVec(x.dim, x.indices, x.values / nrm, validate=False)
-        aff = affinity_scores(x, ps, labels, proto_sq_norms=sq_norms)
-        new_labels, combined = rerank(labels, scores, aff, alpha)
-        out.append(Prediction(new_labels, combined))
-    return out
+    short = preds.head(shortlist)
+    short.check_labels(ps.n_labels)
+    x_row = np.repeat(np.arange(x_test.rows), x_test.row_nnz())
+    values = x_test.values
+    x_norm = np.sqrt(np.bincount(x_row, weights=values * values, minlength=x_test.rows))
+    if normalize_queries:
+        values = values / np.where(x_norm > 0, x_norm, 1.0)[x_row]
+        x_norm = np.sqrt(np.bincount(x_row, weights=values * values,
+                                     minlength=x_test.rows))
+    x_sq = x_norm ** 2
+
+    # rows lo..hi-1 expand to at most _AFFINITY_CHUNK (label, query entry)
+    # pairs, or are one row
+    ends = np.cumsum(short.lengths() * x_test.row_nnz())
+    out_labels, out_scores, counts = [], [], []
+    lo = 0
+    while lo < len(short):
+        start = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, start + _AFFINITY_CHUNK, "right")), lo + 1)
+        s, e = short.indptr[lo], short.indptr[hi]
+        rows = np.repeat(np.arange(lo, hi), short.lengths()[lo:hi])
+        labels, scores = short.labels[s:e], short.scores[s:e]
+        keep = scores > 0.0
+        rows, labels, scores = rows[keep], labels[keep], scores[keep]
+        aff = _affinities(ps, x_test.indptr, x_test.indices, values, x_sq,
+                          rows, labels)
+        _, combined = _combine(scores, aff, alpha)
+        order = np.lexsort((labels, -combined, rows))
+        out_labels.append(labels[order])
+        out_scores.append(combined[order])
+        counts.append(np.bincount(rows - lo, minlength=hi - lo))
+        lo = hi
+    if not counts:
+        return Predictions(np.zeros(1), np.empty(0), np.empty(0), validate=False)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return Predictions(indptr, np.concatenate(out_labels),
+                       np.concatenate(out_scores), validate=False)

@@ -207,6 +207,14 @@ class SparseMatrix:
             self.cols, self.rows, t_indptr, t_indices, t_values, validate=False
         )
 
+    def slice_rows(self, lo: int, hi: int) -> "SparseMatrix":
+        """Rows lo..hi-1, sharing this matrix's index and value arrays."""
+        s, e = self.indptr[lo], self.indptr[hi]
+        return SparseMatrix(
+            hi - lo, self.cols, self.indptr[lo:hi + 1] - s, self.indices[s:e],
+            self.values[s:e], validate=False,
+        )
+
     def take_rows(self, rows: np.ndarray) -> "SparseMatrix":
         rows = np.asarray(rows, dtype=np.int64)
         sub_indptr, sub_indices, sub_values = kernels.take_rows(

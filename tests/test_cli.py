@@ -267,3 +267,69 @@ def test_one_based_flag(tmp_path, capsys):
     p.write_text("1 2 2\n1,2 1:3 2:4\n")
     code, out = run(capsys, "stats", p, "--one-based")
     assert code == 0 and out["avg_labels"] == 2.0
+
+
+@pytest.mark.parametrize("k", ["-2", "0"])
+def test_predict_rejects_k_below_one(workdir, capsys, tmp_path, k):
+    code = main(["predict", str(workdir / "test_agg.txt"),
+                 "--model", str(workdir / "model.json"), "--k", k,
+                 "-o", str(tmp_path / "preds.txt")])
+    assert code == 2
+    assert f"k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "preds.txt").exists()
+
+
+def test_predict_clamps_k_to_the_labels(workdir, capsys, tmp_path):
+    code, out = run(capsys, "predict", workdir / "test_agg.txt",
+                    "--model", workdir / "model.json", "--k", "50",
+                    "-o", tmp_path / "preds.txt")
+    assert code == 0 and out["k"] == 6
+    lines = (tmp_path / "preds.txt").read_text().splitlines()
+    assert len(lines) == 40 and all(len(line.split()) == 6 for line in lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0:nan 1:0.5\n1:0.5\n", "line 1: non-finite score in '0:nan'"),
+    ("0:0.5\nfoo\n", "line 2: expected 'label:score', got 'foo'"),
+    ("0:0.5\n2:0.5:3\n", "line 2: expected 'label:score', got '2:0.5:3'"),
+    ("0:0.5\n9:0.5\n", "prediction 1 has a label outside [0, 4)"),
+    ("0:0.5\n-1:0.5\n", "prediction 1 has a label outside [0, 4)"),
+])
+@pytest.mark.parametrize("command", ["eval", "rerank"])
+def test_malformed_predictions_exit_2(tmp_path, capsys, text, message, command):
+    data = tmp_path / "data.txt"
+    data.write_text("2 3 4\n0 0:1\n1,3 1:1 2:2\n")
+    part = tmp_path / "part.txt"
+    part.write_text("0 0\n1 0\n2 1\n")
+    preds = tmp_path / "preds.txt"
+    preds.write_text(text)
+    argv = ["eval", str(preds), str(data), "--k", "1"]
+    if command == "rerank":
+        argv = ["rerank", str(preds), "--test", str(data), "--train", str(data),
+                "--partition", str(part), "-o", str(tmp_path / "out.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("featagg: data error: ") and message in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_predict_rejects_mismatched_models(workdir, capsys, tmp_path):
+    # the models disagree on the label count, or the data on the model's dim
+    # (checked even when there are no points to score)
+    one_label = tmp_path / "one.txt"
+    one_label.write_text("2 8 1\n0 0:1\n0 1:1\n")
+    assert run(capsys, "train", one_label, "-o", tmp_path / "m1.npz",
+               "--epochs", "1")[0] == 0
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 3 6\n")
+    for data, models, message in [
+        (workdir / "test_agg.txt", [workdir / "model.json", tmp_path / "m1.npz"],
+         "same number of labels"),
+        (empty, [workdir / "model.json"], "matrix cols 3 != model dim"),
+    ]:
+        argv = ["predict", str(data), "-o", str(tmp_path / "preds.txt")]
+        for model in models:
+            argv += ["--model", str(model)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "preds.txt").exists()
