@@ -4,7 +4,12 @@ The co-occurrence of features is approximated within clusters only: one dense
 symmetric block per cluster holding the sum of outer products of the cluster-
 restricted data rows. Storage is at most d*d0 entries instead of d^2, and
 applying the matrix to a vector never leaves the clusters the vector touches.
-Also houses the feature-erasure simulator for robustness experiments.
+The blocks are kept in cluster order as one flat array, each block row-major:
+``kernels.cooc_accumulate`` fills it, ``kernels.block_apply`` multiplies by it
+and a saved file stores it as is. The layout (block starts, offsets within
+clusters, concatenated cluster features) is computed once per ``PseudoCooc``,
+so one product costs O(nnz * d0) whatever d. Also houses the feature-erasure
+simulator for robustness experiments.
 """
 
 from __future__ import annotations
@@ -13,49 +18,68 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset, load_arrays, save_arrays
-from .sparse import SparseMatrix, SparseVec, norm
+from .sparse import SparseMatrix, SparseVec
 from .tree import FeaturePartition, split_sizes
 
 
 class PseudoCooc:
-    """Per-cluster dense blocks plus the feature -> (cluster, offset) map."""
+    """The per-cluster blocks as one flat array, plus the block layout."""
 
-    __slots__ = ("partition", "blocks", "offset_of", "row_normalized")
+    __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of",
+                 "members", "member_start")
 
     def __init__(
         self,
         partition: FeaturePartition,
-        blocks: list[np.ndarray],
+        flat: np.ndarray,
         row_normalized: bool = False,
     ):
-        if len(blocks) != partition.n_clusters:
-            raise ValueError("one block per cluster required")
-        for k, (block, cluster) in enumerate(zip(blocks, partition.clusters)):
-            dk = cluster.shape[0]
-            if block.shape != (dk, dk):
-                raise ValueError(f"block {k} must be {dk}x{dk}, got {block.shape}")
+        """flat holds the blocks in cluster order, each block row-major."""
+        sizes = partition.sizes()
+        flat = np.asarray(flat, dtype=np.float64)
+        need = int((sizes * sizes).sum())
+        if flat.shape != (need,):
+            raise ValueError(
+                f"co-occurrence blocks hold {flat.size} values, one block per "
+                f"cluster needs {need} in one flat array"
+            )
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("co-occurrence blocks must be finite")
         self.partition = partition
-        self.blocks = blocks
-        self.offset_of = _offsets(partition)
+        self.flat = flat
         self.row_normalized = row_normalized
+        self.block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
+        self.member_start = np.concatenate(([0], np.cumsum(sizes)))
+        self.members = (np.concatenate(partition.clusters) if partition.clusters
+                        else np.empty(0, dtype=np.int64))
+        self.offset_of = np.empty(partition.d, dtype=np.int64)
+        self.offset_of[self.members] = (
+            np.arange(partition.d) - np.repeat(self.member_start[:-1], sizes)
+        )
 
     @property
     def d(self) -> int:
         return self.partition.d
 
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """One square view into flat per cluster."""
+        return [self.flat[s:s + k * k].reshape(k, k) for s, k in
+                zip(self.block_start.tolist(), self.partition.sizes().tolist())]
+
     def stored_entries(self) -> int:
-        return int(sum(b.size for b in self.blocks))
+        return int(self.flat.shape[0])
 
-
-def _offsets(part: FeaturePartition) -> np.ndarray:
-    """Each feature's position within its cluster."""
-    sizes = part.sizes()
-    offset_of = np.empty(part.d, dtype=np.int64)
-    if part.clusters:
-        offset_of[np.concatenate(part.clusters)] = (
-            np.arange(part.d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    def apply(self, sm: SparseMatrix) -> SparseMatrix:
+        """Rows of C sm^T: the matrix applied to each row of sm."""
+        if sm.cols != self.d:
+            raise ValueError(f"data dim {sm.cols} != co-occurrence dim {self.d}")
+        indptr, indices, values = kernels.block_apply(
+            sm.indptr, sm.indices, sm.values, self.partition.cluster_of,
+            self.offset_of, self.members, self.member_start, self.block_start,
+            self.flat,
         )
-    return offset_of
+        return SparseMatrix(sm.rows, self.d, indptr, indices, values, validate=False)
 
 
 _COOC_ARRAYS = {"d": ("iu", 0), "sizes": ("iu", 1), "features": ("iu", 1),
@@ -66,16 +90,13 @@ def save_cooc(c: PseudoCooc, path: str) -> None:
     """Write c as an .npz archive at path, whatever its extension.
 
     The clusters are stored as their sizes and their concatenated feature
-    ids, the blocks as one flat array in cluster order.
+    ids, the blocks as the flat array.
     """
-    clusters = c.partition.clusters
     save_arrays(path, {
         "d": np.array(c.d, dtype=np.int64),
         "sizes": c.partition.sizes(),
-        "features": (np.concatenate(clusters) if clusters
-                     else np.empty(0, dtype=np.int64)),
-        "blocks": (np.concatenate([b.ravel() for b in c.blocks]) if c.blocks
-                   else np.empty(0, dtype=np.float64)),
+        "features": c.members,
+        "blocks": c.flat,
         "row_normalized": np.array(c.row_normalized),
     })
 
@@ -89,7 +110,7 @@ def load_cooc(path: str) -> PseudoCooc:
     arrays = load_arrays(path, "co-occurrence", _COOC_ARRAYS)
     d = int(arrays["d"])
     sizes = arrays["sizes"].astype(np.int64)
-    features, flat = arrays["features"], arrays["blocks"]
+    features = arrays["features"]
     if d < 0:
         raise ValueError(f"co-occurrence d must be a non-negative integer, got {d}")
     if np.any(sizes < 0):
@@ -99,14 +120,12 @@ def load_cooc(path: str) -> PseudoCooc:
             f"co-occurrence clusters hold {features.shape[0]} features in "
             f"sizes summing to {int(sizes.sum())}, expected d = {d}"
         )
-    if flat.shape[0] != int((sizes * sizes).sum()):
-        raise ValueError(
-            f"co-occurrence blocks hold {flat.shape[0]} values, one block per "
-            f"cluster needs {int((sizes * sizes).sum())}"
-        )
-    part = FeaturePartition.from_clusters(d, split_sizes(features, sizes))
-    blocks = [b.reshape(k, k) for b, k in zip(split_sizes(flat, sizes * sizes), sizes)]
-    return PseudoCooc(part, blocks, row_normalized=bool(arrays["row_normalized"]))
+    c = PseudoCooc(FeaturePartition.from_clusters(d, split_sizes(features, sizes)),
+                   arrays["blocks"], row_normalized=bool(arrays["row_normalized"]))
+    # a partition sorts each cluster, which would permute its block's rows
+    if not np.array_equal(c.members, features):
+        raise ValueError("co-occurrence features must increase within each cluster")
+    return c
 
 
 def build_cooc(
@@ -121,48 +140,26 @@ def build_cooc(
     if feats.cols != part.d:
         raise ValueError(f"dataset dim {feats.cols} != partition dim {part.d}")
     sizes = part.sizes()
-    block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
-    flat = np.zeros(int(block_start[-1]), dtype=np.float64)
+    c = PseudoCooc(part, np.zeros(int((sizes * sizes).sum())), row_normalize)
     kernels.cooc_accumulate(
-        feats.indptr, feats.indices, feats.values,
-        part.cluster_of, _offsets(part), block_start[:-1], sizes, flat,
+        feats.indptr, feats.indices, feats.values, part.cluster_of, c.offset_of,
+        c.block_start[:-1], sizes, c.flat,
     )
-    blocks = []
-    for k in range(part.n_clusters):
-        dk = int(sizes[k])
-        block = flat[block_start[k]:block_start[k + 1]].reshape(dk, dk).copy()
-        if row_normalize:
-            rs = block.sum(axis=1)
-            nz = rs != 0.0
-            block[nz] = block[nz] / rs[nz, None]
-        blocks.append(block)
-    return PseudoCooc(part, blocks, row_normalized=row_normalize)
+    if row_normalize and c.flat.shape[0]:
+        row_len = np.repeat(sizes, sizes)
+        rs = np.add.reduceat(c.flat, np.cumsum(row_len) - row_len)
+        c.flat /= np.repeat(np.where(rs != 0.0, rs, 1.0), row_len)
+    return c
+
+
+def _in_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def impute(c: PseudoCooc, x: SparseVec) -> SparseVec:
     """Block-wise matrix-vector product; only touched clusters produce output."""
-    if x.dim != c.d:
-        raise ValueError(f"vector dim {x.dim} != co-occurrence dim {c.d}")
-    if x.nnz == 0:
-        return SparseVec(c.d, validate=False)
-    part = c.partition
-    touched = np.unique(part.cluster_of[x.indices])
-    out_idx: list[np.ndarray] = []
-    out_val: list[np.ndarray] = []
-    for k in touched:
-        cluster = part.clusters[k]
-        xk = np.zeros(cluster.shape[0], dtype=np.float64)
-        inside = part.cluster_of[x.indices] == k
-        xk[c.offset_of[x.indices[inside]]] = x.values[inside]
-        yk = c.blocks[k] @ xk
-        out_idx.append(cluster)
-        out_val.append(yk)
-    idx = np.concatenate(out_idx)
-    val = np.concatenate(out_val)
-    order = np.argsort(idx)
-    idx, val = idx[order], val[order]
-    keep = val != 0.0
-    return SparseVec(c.d, idx[keep], val[keep], validate=False)
+    return c.apply(SparseMatrix.from_rows([x])).row(0)
 
 
 def impute_blend(c: PseudoCooc, x: SparseVec, lam: float = 0.0) -> SparseVec:
@@ -171,30 +168,39 @@ def impute_blend(c: PseudoCooc, x: SparseVec, lam: float = 0.0) -> SparseVec:
     The imputed vector is rescaled to x's L2 norm so the blend mixes vectors
     of comparable magnitude; with lam = 0 this is pure (rescaled) imputation.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    imputed = impute(c, x)
-    ni, nx = norm(imputed, 2), norm(x, 2)
-    scale = nx / ni if ni > 0 and nx > 0 else 1.0
-    # merge over the union of both supports; each entry gets the arithmetic
-    # of the dense formula (imputed * c) + lam * x, with 0 for a missing side
-    idx = np.union1d(imputed.indices, x.indices)
-    val = np.zeros(idx.shape[0], dtype=np.float64)
-    val[np.searchsorted(idx, imputed.indices)] = imputed.values * ((1.0 - lam) * scale)
-    val[np.searchsorted(idx, x.indices)] += lam * x.values
-    keep = val != 0.0
-    return SparseVec(c.d, idx[keep], val[keep], validate=False)
+    return impute_matrix(c, SparseMatrix.from_rows([x]), lam).row(0)
+
+
+def _row_norms(sm: SparseMatrix) -> np.ndarray:
+    # np.dot per row, as sparse.norm takes it: a segment sum differs from
+    # BLAS's dot in the last bit for many rows
+    v, bounds = sm.values, sm.indptr.tolist()
+    return np.sqrt([np.dot(v[s:e], v[s:e]) for s, e in zip(bounds, bounds[1:])])
 
 
 def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMatrix:
-    rows = [impute_blend(c, sm.row(i), lam) for i in range(sm.rows)]
-    return SparseMatrix.from_rows(rows, sm.cols)
+    """impute_blend of every row of sm."""
+    _in_unit("lam", lam)
+    imputed = c.apply(sm)
+    ni, nx = _row_norms(imputed), _row_norms(sm)
+    scale = np.where((ni > 0) & (nx > 0), nx / np.where(ni > 0, ni, 1.0), 1.0)
+    # sum over the union of both supports; each entry gets the arithmetic of
+    # the dense formula (imputed * c) + lam * x, with 0 for a missing side
+    # (zero terms of lam * x, all of them at lam = 0, change no sum)
+    row_i = np.repeat(np.arange(sm.rows), imputed.row_nnz())
+    row_x = np.repeat(np.arange(sm.rows), sm.row_nnz())
+    xs = lam * sm.values
+    nz = xs != 0.0
+    return SparseMatrix(sm.rows, c.d, *kernels.coalesce(
+        np.concatenate((row_i * c.d + imputed.indices, (row_x * c.d + sm.indices)[nz])),
+        np.concatenate((imputed.values * ((1.0 - lam) * scale)[row_i], xs[nz])),
+        sm.rows, c.d,
+    ), validate=False)
 
 
 def erase(x: SparseVec, fraction: float, rng: np.random.Generator) -> SparseVec:
     """Uniformly remove round(fraction * nnz) stored entries."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    _in_unit("fraction", fraction)
     remove = int(np.floor(fraction * x.nnz + 0.5))
     if remove <= 0:
         return x
@@ -210,5 +216,6 @@ def erase_matrix(
     sm: SparseMatrix, fraction: float, rng: np.random.Generator
 ) -> SparseMatrix:
     """Row-wise erasure with one shared RNG stream (order-deterministic)."""
+    _in_unit("fraction", fraction)
     rows = [erase(sm.row(i), fraction, rng) for i in range(sm.rows)]
     return SparseMatrix.from_rows(rows, sm.cols)

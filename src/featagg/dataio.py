@@ -26,6 +26,7 @@ from typing import IO, NoReturn
 import numpy as np
 
 from .errors import ParseError
+from .kernels import chunk_ranges
 from .sparse import SparseMatrix
 
 
@@ -253,13 +254,8 @@ def write_xc(ds: Dataset, stream: IO[str] | None = None) -> str | None:
     out.write(f"{ds.n} {ds.d} {ds.n_labels}\n")
     feats, labels = ds.features, ds.labels
     # rows lo..hi-1 hold at most _WRITE_CHUNK_NNZ entries, or are one row
-    stored = feats.indptr + labels.indptr
-    lo = 0
-    while lo < ds.n:
-        hi = int(np.searchsorted(stored, stored[lo] + _WRITE_CHUNK_NNZ, "right")) - 1
-        hi = max(hi, lo + 1)
+    for lo, hi in chunk_ranges(feats.indptr + labels.indptr, _WRITE_CHUNK_NNZ):
         out.write(_format_rows(feats, labels, lo, hi))
-        lo = hi
     if stream is None:
         return out.getvalue()
     return None

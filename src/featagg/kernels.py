@@ -30,6 +30,17 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return seq - shift + np.repeat(starts, lens)
 
 
+def chunk_ranges(ends, budget):
+    """Consecutive ranges [lo, hi) of rows, each the widest whose cost
+    ends[hi] - ends[lo] is at most budget, or one row; ends holds the
+    cumulative cost before each row and after the last, like an indptr."""
+    lo = 0
+    while lo < ends.shape[0] - 1:
+        hi = max(int(np.searchsorted(ends, ends[lo] + budget, "right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def take_rows(
     indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,6 +107,22 @@ def transpose_csr(indptr, indices, values, nrows, ncols):
 
 
 # ---------------------------------------------------------------------------
+# coalesce: CSR from (row, column) keys, equal keys summed
+# ---------------------------------------------------------------------------
+
+
+def coalesce(keys, values, nrows, ncols):
+    """CSR triple of the entries at keys = row * ncols + column: the values at
+    one key are summed in input order, exact zeros dropped."""
+    keys, slot = np.unique(keys, return_inverse=True)
+    sums = np.bincount(slot, weights=values, minlength=keys.shape[0])
+    keep = sums != 0.0
+    keys = keys[keep]
+    counts = np.bincount(keys // ncols, minlength=nrows)
+    return np.concatenate(([0], np.cumsum(counts))), keys % ncols, sums[keep]
+
+
+# ---------------------------------------------------------------------------
 # agglomerate_csr: merge columns by cluster id, summing (or averaging) values
 # ---------------------------------------------------------------------------
 # divisors: per-cluster denominators for AVERAGE mode; length-0 array means SUM.
@@ -103,32 +130,20 @@ def transpose_csr(indptr, indices, values, nrows, ncols):
 
 def agglomerate_csr(indptr, indices, values, cluster_of, n_clusters, divisors):
     nrows = indptr.shape[0] - 1
-    nnz = indices.shape[0]
-    if nnz == 0:
-        return np.zeros(nrows + 1, dtype=np.int64), indices.copy(), values.copy()
     row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
-    newcol = cluster_of[indices]
-    order = np.lexsort((newcol, row_of))
-    r = row_of[order]
-    c = newcol[order]
-    v = values[order]
-    first = np.concatenate(([True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])))
-    seg = np.cumsum(first) - 1
-    sums = np.bincount(seg, weights=v)
-    seg_r = r[first]
-    seg_c = c[first]
+    out = coalesce(row_of * n_clusters + cluster_of[indices], values, nrows, n_clusters)
     if divisors.shape[0]:
-        sums = sums / divisors[seg_c]
-    keep = sums != 0.0
-    seg_r = seg_r[keep]
-    out_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(seg_r, minlength=nrows), dtype=np.int64))
-    )
-    return out_indptr, seg_c[keep], sums[keep]
+        # a quotient can underflow to 0: coalesce once more to drop it
+        out_indptr, cols, sums = out
+        row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(out_indptr))
+        out = coalesce(row_of * n_clusters + cols, sums / divisors[cols], nrows,
+                       n_clusters)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# cooc_accumulate: per-cluster dense blocks of sum-of-outer-products
+# cooc_accumulate / block_apply: the co-occurrence blocks in one flat array;
+# cluster k's starts at block_start[k], feature j is row/column offset_of[j]
 # ---------------------------------------------------------------------------
 
 
@@ -146,11 +161,7 @@ def cooc_accumulate(
     # A row holds each feature once, so each entry gets at most one update per
     # row; np.add.at applies them in order, i.e. row by row as the
     # reference loop does.
-    nrows = indptr.shape[0] - 1
-    lo = 0
-    while lo < nrows:
-        hi = np.searchsorted(indptr, indptr[lo] + _COOC_CHUNK_NNZ, side="right") - 1
-        hi = max(int(hi), lo + 1)
+    for lo, hi in chunk_ranges(indptr, _COOC_CHUNK_NNZ):
         s, e = indptr[lo], indptr[hi]
         row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
         cl = cluster_of[indices[s:e]]
@@ -167,7 +178,36 @@ def cooc_accumulate(
         reps = ends - starts
         base = block_start[cl] + off * sizes[cl]
         np.add.at(flat, np.repeat(base, reps) + off[b], np.repeat(val, reps) * val[b])
-        lo = hi
+
+
+def block_apply(
+    indptr, indices, values, cluster_of, offset_of, members, member_start,
+    block_start, flat
+):
+    """Rows of C x^T for the CSR rows x, as a CSR triple (see coalesce).
+
+    Cluster k holds the features members[member_start[k]:member_start[k + 1]].
+    Each stored entry (b, v_b) adds C[a, b] * v_b at every member a of its
+    cluster, so a row costs O(nnz * d0) whatever the number of features.
+    """
+    d = cluster_of.shape[0]
+    counts, cols, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for lo, hi in chunk_ranges(indptr, _COOC_CHUNK_NNZ):
+        s, e = indptr[lo], indptr[hi]
+        cl = cluster_of[indices[s:e]]
+        size = member_start[cl + 1] - member_start[cl]
+        a = concat_ranges(np.zeros_like(size), size)  # each term's member offset
+        # C[a, b] sits at block_start + a * size + b in the row-major block
+        at = (np.repeat(block_start[cl] + offset_of[indices[s:e]], size)
+              + a * np.repeat(size, size))
+        row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
+        key = np.repeat(row, size) * d + members[np.repeat(member_start[cl], size) + a]
+        chunk = coalesce(key, flat[at] * np.repeat(values[s:e], size), hi - lo, d)
+        counts.append(np.diff(chunk[0]))
+        cols.append(chunk[1])
+        sums.append(chunk[2])
+    return (np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+            np.concatenate(cols), np.concatenate(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +303,7 @@ def mi_accumulate(
     # expanded pairs before each feature's first nonzero
     before = np.concatenate(([0], np.cumsum(y_lens[zt_indices])))[zt_indptr]
     mi = 0.0
-    lo = 0
-    while lo < n_features:
-        # widest feature range [lo, hi) within the pair budget, at least one
-        hi = np.searchsorted(before, before[lo] + _MI_BLOCK_PAIRS, side="right") - 1
-        hi = max(int(hi), lo + 1)
+    for lo, hi in chunk_ranges(before, _MI_BLOCK_PAIRS):
         s, e = zt_indptr[lo], zt_indptr[hi]
         feat = np.repeat(np.arange(lo, hi), np.diff(zt_indptr[lo : hi + 1]))
         keep = row_sums[feat] != 0.0
@@ -280,5 +316,4 @@ def mi_accumulate(
         nz = p > 0.0
         p, j, l = p[nz], uniq[nz] // n_labels + lo, uniq[nz] % n_labels
         mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))))
-        lo = hi
     return mi / total

@@ -9,7 +9,6 @@ combines log base-classifier scores with log affinities over a shortlist.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,16 +17,13 @@ import numpy as np
 from . import kernels
 from .cooc import PseudoCooc
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec, dot, norm
+from .sparse import SparseMatrix, SparseVec, norm
 from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
-# Scratch bounds, whatever the number of labels or test points: build_prototypes
-# holds a dense labels x d block of at most this many entries (at least one
-# label) ...
-_PROTO_BLOCK_ENTRIES = 1 << 16
-# ... and rerank_predictions expands at most this many (label, query entry)
-# pairs at a time (at least one row's).
+# Scratch bound, whatever the number of labels or test points:
+# rerank_predictions expands at most this many (label, query entry) pairs at
+# a time (at least one row's).
 _AFFINITY_CHUNK = 1 << 15
 
 
@@ -63,66 +59,32 @@ def build_prototypes(
     """Prototype of label l = co-occurrence matrix times the sum of its
     positive points; optional per-prototype unit L2 normalization.
 
-    Labels are taken a block at a time: the block's rows of Y^T X are summed
-    into one dense labels x d array, and each cluster's block of the
-    co-occurrence matrix multiplies its columns once, in one batched product
-    per cluster size.
+    The rows of Y^T X (each label's points summed in order) come from one
+    column merge under the identity map; the co-occurrence matrix is then
+    applied to all of them at once.
     """
     feats = ds.features
-    d = c.d
-    if feats.cols != d:
-        raise ValueError(f"dataset dim {feats.cols} != co-occurrence dim {d}")
+    if feats.cols != c.d:
+        raise ValueError(f"dataset dim {feats.cols} != co-occurrence dim {c.d}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     yt = ds.labels.transpose()
-    # clusters of one size stacked: their features and transposed blocks
-    part = c.partition
-    sizes = part.sizes()
-    groups = []
-    for size in np.unique(sizes):
-        ks = np.flatnonzero(sizes == size).tolist()
-        groups.append((np.stack([part.clusters[k] for k in ks]),
-                       np.stack([c.blocks[k].T for k in ks])))
-    step = max(1, _PROTO_BLOCK_ENTRIES // max(d, 1))
-    counts, indices, values = [], [], []
-    for lo in range(0, ds.n_labels, step):
-        hi = min(lo + step, ds.n_labels)
-        # rows lo..hi-1 of Y^T X: each label sums its positive points in order
-        pts = yt.indices[yt.indptr[lo]:yt.indptr[hi]]
-        lens = feats.indptr[pts + 1] - feats.indptr[pts]
-        flat = kernels.concat_ranges(feats.indptr[pts], feats.indptr[pts + 1])
-        label = np.repeat(np.arange(hi - lo), np.diff(yt.indptr[lo:hi + 1]))
-        accum = np.bincount(
-            np.repeat(label, lens) * d + feats.indices[flat],
-            weights=feats.values[flat], minlength=(hi - lo) * d,
-        ).reshape(hi - lo, d)
-        proto = np.zeros((hi - lo, d))
-        for features, blocks_t in groups:
-            # (clusters, labels, size) @ (clusters, size, size), one cluster's
-            # block per matrix product
-            prod = np.matmul(accum[:, features].transpose(1, 0, 2), blocks_t)
-            proto[:, features] = prod.transpose(1, 0, 2)
-        if normalize:
-            nrm = np.sqrt(np.einsum("ij,ij->i", proto, proto))
-            proto /= np.where(nrm > 0, nrm, 1.0)[:, None]
-        row, col = np.nonzero(proto)
-        counts.append(np.bincount(row, minlength=hi - lo))
-        indices.append(col)
-        values.append(proto[row, col])
-    if counts:
-        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        indices, values = np.concatenate(indices), np.concatenate(values)
-    else:
-        indptr, indices, values = np.zeros(1), np.empty(0), np.empty(0)
-    matrix = SparseMatrix(ds.n_labels, d, indptr, indices, values, validate=False)
-    return PrototypeSet(matrix=matrix, gamma=gamma, normalized=normalize)
+    points = feats.take_rows(yt.indices)
+    # one row per label holding its points' entries, then equal features summed
+    indptr = points.indptr[yt.indptr]
+    sums = SparseMatrix(ds.n_labels, c.d, *kernels.agglomerate_csr(
+        indptr, points.indices, points.values, np.arange(c.d), c.d, np.empty(0),
+    ), validate=False)
+    ps = PrototypeSet(matrix=c.apply(sums), gamma=gamma, normalized=normalize)
+    if normalize:
+        nrm = np.sqrt(ps.sq_norms())
+        ps.matrix.values /= np.repeat(np.where(nrm > 0, nrm, 1.0), ps.matrix.row_nnz())
+    return ps
 
 
 def affinity(x: SparseVec, ps: PrototypeSet, l: int) -> float:
     """exp(-gamma/2 * ||x - prototype_l||^2), in (0, 1]."""
-    xi = ps.prototype(l)
-    sq = norm(x, 2) ** 2 + norm(xi, 2) ** 2 - 2.0 * dot(x, xi)
-    return math.exp(-0.5 * ps.gamma * max(sq, 0.0))
+    return float(affinity_scores(x, ps, np.array([l]))[0])
 
 
 def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
@@ -232,12 +194,9 @@ def rerank_predictions(
 
     # rows lo..hi-1 expand to at most _AFFINITY_CHUNK (label, query entry)
     # pairs, or are one row
-    ends = np.cumsum(short.lengths() * x_test.row_nnz())
+    ends = np.concatenate(([0], np.cumsum(short.lengths() * x_test.row_nnz())))
     out_labels, out_scores, counts = [], [], []
-    lo = 0
-    while lo < len(short):
-        start = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, start + _AFFINITY_CHUNK, "right")), lo + 1)
+    for lo, hi in kernels.chunk_ranges(ends, _AFFINITY_CHUNK):
         s, e = short.indptr[lo], short.indptr[hi]
         rows = np.repeat(np.arange(lo, hi), short.lengths()[lo:hi])
         labels, scores = short.labels[s:e], short.scores[s:e]
@@ -250,7 +209,6 @@ def rerank_predictions(
         out_labels.append(labels[order])
         out_scores.append(combined[order])
         counts.append(np.bincount(rows - lo, minlength=hi - lo))
-        lo = hi
     if not counts:
         return Predictions(np.zeros(1), np.empty(0), np.empty(0), validate=False)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))

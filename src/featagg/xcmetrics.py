@@ -23,6 +23,7 @@ from typing import IO, Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ParseError
+from .kernels import chunk_ranges
 from .sparse import SparseMatrix
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
@@ -421,13 +422,8 @@ def save_predictions(preds: Predictions | Sequence, stream: IO[str]) -> None:
     back by load_predictions gives the same arrays bit for bit.
     """
     preds = Predictions.from_rows(preds)
-    lo, n = 0, len(preds)
-    while lo < n:
-        hi = int(np.searchsorted(preds.indptr, preds.indptr[lo] + _WRITE_CHUNK_ENTRIES,
-                                 "right")) - 1
-        hi = max(hi, lo + 1)
+    for lo, hi in chunk_ranges(preds.indptr, _WRITE_CHUNK_ENTRIES):
         stream.write(_format_rows(preds, lo, hi))
-        lo = hi
 
 
 def _format_rows(preds: Predictions, lo: int, hi: int) -> str:

@@ -205,3 +205,50 @@ def mi_accumulate(
             if p > 0.0:
                 mi += p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))
     return mi / total
+
+
+def block_apply(
+    indptr, indices, values, cluster_of, offset_of, members, member_start,
+    block_start, flat
+):
+    nrows = indptr.shape[0] - 1
+    out_indptr = np.zeros(nrows + 1, dtype=np.int64)
+    out_indices, out_values = [], []
+    for row in range(nrows):
+        s, e = indptr[row], indptr[row + 1]
+        idx, val = [], []
+        # one dense block mat-vec per cluster the row touches
+        for k in np.unique(cluster_of[indices[s:e]]):
+            lo, hi = member_start[k], member_start[k + 1]
+            dk = hi - lo
+            xk = np.zeros(dk, dtype=np.float64)
+            for t in range(s, e):
+                if cluster_of[indices[t]] == k:
+                    xk[offset_of[indices[t]]] = values[t]
+            block = flat[block_start[k]:block_start[k] + dk * dk].reshape(dk, dk)
+            yk = block @ xk
+            for a in range(dk):
+                if yk[a] != 0.0:
+                    idx.append(members[lo + a])
+                    val.append(yk[a])
+        for i in np.argsort(np.array(idx, dtype=np.int64)):
+            out_indices.append(idx[i])
+            out_values.append(val[i])
+        out_indptr[row + 1] = len(out_indices)
+    return (out_indptr, np.array(out_indices, dtype=np.int64),
+            np.array(out_values, dtype=np.float64))
+
+
+def coalesce(keys, values, nrows, ncols):
+    sums = {}
+    for t in range(keys.shape[0]):
+        sums[int(keys[t])] = sums.get(int(keys[t]), 0.0) + values[t]
+    out_indptr = np.zeros(nrows + 1, dtype=np.int64)
+    out_indices, out_values = [], []
+    for key in sorted(sums):
+        if sums[key] != 0.0:
+            out_indptr[key // ncols + 1] += 1
+            out_indices.append(key % ncols)
+            out_values.append(sums[key])
+    return (np.cumsum(out_indptr), np.array(out_indices, dtype=np.int64),
+            np.array(out_values, dtype=np.float64))

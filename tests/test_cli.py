@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from featagg.cli import main
+from featagg.cooc import PseudoCooc, save_cooc
 from featagg.dataio import load_xc, save_xc
 from featagg.synth import duplicated_group_dataset, split_points
-from featagg.tree import load_partition
+from featagg.tree import FeaturePartition, load_partition
 
 from helpers import SPOILED_KINDS, npz_arrays, spoil_npz, write_npz
 
@@ -167,6 +168,46 @@ def test_impute_rejects_malformed_cooc(workdir, capsys, tmp_path):
                  "-o", str(tmp_path / "imputed.txt")])
     assert code == 2
     assert "not an .npz archive" in capsys.readouterr().err
+
+
+@pytest.fixture
+def empty_data_and_cooc(tmp_path):
+    """A dataset of 0 points and 5 features, and d = 3 co-occurrence blocks."""
+    data = tmp_path / "empty.txt"
+    data.write_text("0 5 1\n")
+    part = FeaturePartition.from_clusters(3, [np.array([0, 1]), np.array([2])])
+    save_cooc(PseudoCooc(part, np.ones(5)), str(tmp_path / "cooc.npz"))
+    return data, tmp_path / "cooc.npz"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["impute", "--cooc", "COOC"], "data dim 5 != co-occurrence dim 3"),
+    (["impute", "--cooc", "COOC", "--blend", "2"], "lam must lie in [0, 1]"),
+    (["erase", "--fraction", "3"], "fraction must lie in [0, 1]"),
+])
+def test_arguments_checked_without_rows(empty_data_and_cooc, capsys, tmp_path,
+                                        command, message):
+    data, cooc = empty_data_and_cooc
+    argv = [command[0], str(data)] + [str(cooc) if a == "COOC" else a
+                                      for a in command[1:]]
+    code = main(argv + ["-o", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_impute_rejects_non_finite_blocks(workdir, capsys, tmp_path):
+    path = tmp_path / "cooc.npz"
+    assert run(capsys, "cooc", workdir / "train.txt", "--partition",
+               workdir / "part.json", "-o", path)[0] == 0
+    arrays = npz_arrays(path)
+    arrays["blocks"][[0, 3]] = [np.nan, np.inf]
+    write_npz(path, arrays)
+    code = main(["impute", str(workdir / "test.txt"), "--cooc", str(path),
+                 "-o", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert "co-occurrence blocks must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("kind", ("earlier-json",) + SPOILED_KINDS)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from featagg.cooc import (
     erase,
     impute,
     impute_blend,
+    impute_matrix,
     load_cooc,
     save_cooc,
 )
 from featagg.errors import InvariantError
-from featagg.sparse import SparseVec, norm
+from featagg.sparse import SparseMatrix, SparseVec, norm
 from featagg.tree import FeaturePartition
 
 from helpers import (
@@ -100,6 +102,17 @@ class TestBuildCooc:
             sums = block.sum(axis=1)
             assert np.allclose(sums[sums != 0], 1.0)
 
+    @pytest.mark.parametrize("flat, message", [
+        (np.ones(4), "blocks hold 4 values, one block per cluster needs 5"),
+        (np.ones((5, 1)), "needs 5 in one flat array"),
+        (np.array([1.0, np.nan, 0.0, 0.0, 1.0]), "must be finite"),
+        (np.array([1.0, 0.0, 0.0, 0.0, -np.inf]), "must be finite"),
+    ])
+    def test_constructor_rejects_malformed_blocks(self, toy_blocks, flat, message):
+        _, part, _ = toy_blocks
+        with pytest.raises(ValueError, match=message):
+            PseudoCooc(part, flat)
+
 
 class TestImpute:
     def test_hand_computed(self, toy_blocks):
@@ -116,14 +129,19 @@ class TestImpute:
         out = impute(c, vec(3, {2: 2.0}))
         assert set(out.indices.tolist()) <= {2}
 
-    def test_matches_dense_oracle(self, rng):
+    @pytest.mark.parametrize("row_normalize", [False, True])
+    def test_matches_dense_oracle(self, rng, row_normalize):
         feats = rng.random((10, 8)) * (rng.random((10, 8)) > 0.4)
         ds = dataset_from_dense(feats, [set()] * 10, 1)
         part = FeaturePartition.from_clusters(
             8, [np.array([0, 2, 4]), np.array([1, 7]), np.array([3, 5, 6])]
         )
-        c = build_cooc(ds, part)
+        c = build_cooc(ds, part, row_normalize=row_normalize)
         C = dense_cooc_oracle(feats, part.clusters)
+        if row_normalize:  # rows summing to 1 make C unsymmetric
+            rs = C.sum(axis=1)
+            C[rs != 0] /= rs[rs != 0, None]
+            assert not np.allclose(C, C.T)
         for _ in range(5):
             x = rng.random(8) * (rng.random(8) > 0.5)
             got = impute(c, SparseVec.from_dense(x)).to_dense()
@@ -143,6 +161,23 @@ class TestImpute:
         _, _, c = toy_blocks
         with pytest.raises(ValueError):
             impute(c, SparseVec(5))
+
+    def test_one_vector_costs_no_o_d_work(self):
+        # 4096 clusters of 8: the blocks take 2 MiB, the product of 3 entries
+        # touches 3 clusters
+        d, d0 = 1 << 15, 8
+        part = FeaturePartition.from_clusters(d, np.split(np.arange(d), d // d0))
+        c = PseudoCooc(part, np.ones(d * d0))
+        x = vec(d, {3: 1.0, 100: 2.0, 20000: -1.0})
+        impute(c, x)
+        tracemalloc.start()
+        try:
+            out = impute(c, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nnz == 3 * d0
+        assert peak < d * d0 * 8 / 50
 
     def test_blend_recovers_input_at_lambda_one(self, toy_blocks):
         _, _, c = toy_blocks
@@ -180,11 +215,29 @@ class TestImputeBlend:
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_matrix_rows_equal_blend_bitwise(self, rng, lam):
+        feats = rng.random((10, 8)) * (rng.random((10, 8)) > 0.4)
+        ds = dataset_from_dense(feats, [set()] * 10, 1)
+        part = FeaturePartition.from_clusters(
+            8, [np.array([0, 2, 4]), np.array([1, 7]), np.array([3, 5, 6])]
+        )
+        c = build_cooc(ds, part, row_normalize=lam == 0.3)
+        dense = rng.normal(size=(30, 8)) * (rng.random((30, 8)) > 0.6)
+        dense[::7] = 0.0  # empty rows
+        sm = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 8)
+        got = impute_matrix(c, sm, lam)
+        assert got.rows == 30 and got.cols == 8
+        for i in range(30):
+            want = impute_blend(c, sm.row(i), lam)
+            assert got.row(i).indices.tobytes() == want.indices.tobytes()
+            assert got.row(i).values.tobytes() == want.values.tobytes()
+
     def test_cancelling_entries_dropped(self):
         # the imputation of x is (-1, 1) with x's norm, so at lam = 0.5
         # entry 0 is -0.5 + 0.5 = 0 exactly
         part = FeaturePartition.from_clusters(3, [np.array([0]), np.array([1, 2])])
-        c = PseudoCooc(part, [np.array([[-1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])])
+        c = PseudoCooc(part, np.array([-1.0, 1.0, 0.0, 0.0, 1.0]))
         x = vec(3, {0: 1.0, 1: 1.0})
         got = impute_blend(c, x, 0.5)
         assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
@@ -263,6 +316,12 @@ class TestPersistence:
             (lambda a: {**a, "blocks": np.ones(6)}, "blocks hold 6 values"),
             (lambda a: {**a, "blocks": a["blocks"][4:]}, "one block per"),
             (lambda a: {**a, "row_normalized": np.array(1)}, "row_normalized must be"),
+            (lambda a: {**a, "features": np.array([1, 0, 2])},
+             "features must increase within each cluster"),
+            (lambda a: {**a, "blocks": np.array([1.0, np.nan, 2.0, 5.0, 9.0])},
+             "blocks must be finite"),
+            (lambda a: {**a, "blocks": np.array([1.0, 2.0, 2.0, 5.0, np.inf])},
+             "blocks must be finite"),
         ],
     )
     def test_malformed_file_is_value_error(self, toy_blocks, tmp_path, edit, message):

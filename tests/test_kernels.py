@@ -76,6 +76,38 @@ def test_agglomerate_csr(csr, rng):
             assert np.allclose(x, y, atol=1e-12)
 
 
+
+def test_coalesce(rng):
+    # 6 rows x 5 columns, rows 0 and 4 empty; repeated keys, and one key
+    # whose values cancel exactly
+    rows = rng.choice([1, 2, 3, 5], size=40)
+    keys = rows * 5 + rng.integers(0, 5, size=40)
+    values = rng.uniform(-2, 2, size=40)
+    other = keys != 3 * 5 + 4
+    keys = np.append(keys[other], [3 * 5 + 4, 3 * 5 + 4])
+    values = np.append(values[other], [0.75, -0.75])
+    np_fn, loop_fn = impls("coalesce")
+    got, want = np_fn(keys, values, 6, 5), loop_fn(keys, values, 6, 5)
+    # both add the values of a key in input order
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+    assert 4 not in got[1][got[0][3]:got[0][4]]
+    assert got[0][1] == 0 and got[0][5] == got[0][4]
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 100])
+def test_chunk_ranges(rng, budget):
+    ends = np.concatenate(([0], np.cumsum(rng.integers(0, 6, size=30))))
+    ranges = list(kernels.chunk_ranges(ends, budget))
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == 30
+    for lo, hi in ranges:
+        # the widest range within the budget, or one row
+        assert hi == lo + 1 or ends[hi] - ends[lo] <= budget
+        assert hi == 30 or ends[hi + 1] - ends[lo] > budget
+    assert list(kernels.chunk_ranges(np.zeros(1, np.int64), budget)) == []
+
+
 def cooc_args(cluster_sizes, rng):
     d = int(sum(cluster_sizes))
     sizes = np.array(cluster_sizes, dtype=np.int64)
@@ -122,6 +154,42 @@ def test_cooc_accumulate_spans_row_chunks(rng, monkeypatch):
     cluster_of = cluster_args[0]
     assert np.bincount(cluster_of[indices[indptr[6]:indptr[7]]]).max() >= 3
     assert_cooc_bitwise((indptr, indices, values), cluster_args)
+
+
+
+@pytest.mark.parametrize("chunk_nnz", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_block_apply(rng, monkeypatch, chunk_nnz, row_normalize):
+    if chunk_nnz is not None:
+        monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", chunk_nnz)
+    # size-1 and ragged clusters; rows 2 and 7 empty, row 9 holds every feature
+    cluster_of, offset_of, block_start, sizes, total = cooc_args([1, 4, 1, 7, 2, 1], rng)
+    dense = rng.uniform(-2, 2, (12, 16)) * (rng.random((12, 16)) < 0.3)
+    dense[[2, 7]] = 0.0
+    dense[9] = rng.uniform(0.5, 2, 16)
+    row, indices = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=12))))
+    values = dense[row, indices]
+    flat = np.zeros(total)
+    kernels.cooc_accumulate(indptr, indices, values, cluster_of, offset_of,
+                            block_start, sizes, flat)
+    flat[block_start[3] + 2 * 7:block_start[3] + 3 * 7] = 0.0  # an all-zero row
+    if row_normalize:  # C is then not symmetric
+        for k, dk in enumerate(sizes):
+            block = flat[block_start[k]:block_start[k] + dk * dk].reshape(dk, dk)
+            rs = block.sum(axis=1)
+            block[rs != 0] /= rs[rs != 0, None]
+    member_start = np.concatenate(([0], np.cumsum(sizes)))
+    members = np.empty(16, dtype=np.int64)
+    members[member_start[cluster_of] + offset_of] = np.arange(16)
+    args = (indptr, indices, values, cluster_of, offset_of, members, member_start,
+            np.append(block_start, total), flat)
+    np_fn, loop_fn = impls("block_apply")
+    got, want = np_fn(*args), loop_fn(*args)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.allclose(got[2], want[2], rtol=0.0, atol=1e-12)
+    assert got[0][3] == got[0][2] and got[0][8] == got[0][7]
+    assert got[1].shape[0] and members[member_start[3] + 2] not in got[1]
 
 
 def test_ova_sgd(csr, rng):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import xcmetrics_reference as ref
-from featagg import reranking, xcmetrics
+from featagg import kernels, reranking, xcmetrics
 from featagg.cli import main
 from featagg.cooc import build_cooc
 from featagg.dataio import Dataset, save_xc
@@ -89,7 +89,7 @@ def chunks(request, monkeypatch):
         monkeypatch.setattr(xcmetrics, "_TOPK_CHUNK_SCORES", 7)
         monkeypatch.setattr(xcmetrics, "_WRITE_CHUNK_ENTRIES", 3)
         monkeypatch.setattr(xcmetrics, "_PARSE_CHUNK_CHARS", 16)
-        monkeypatch.setattr(reranking, "_PROTO_BLOCK_ENTRIES", 5)
+        monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", 5)
         monkeypatch.setattr(reranking, "_AFFINITY_CHUNK", 4)
     return request.param
 
