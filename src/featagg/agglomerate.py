@@ -28,18 +28,8 @@ def _divisors(part: FeaturePartition, mode: str) -> np.ndarray:
 
 
 def agglomerate_vec(x: SparseVec, part: FeaturePartition, mode: str = SUM) -> SparseVec:
-    """Collapse x onto the partition's clusters."""
-    if x.dim != part.d:
-        raise ValueError(f"vector dim {x.dim} != partition dim {part.d}")
-    divisors = _divisors(part, mode)
-    # work over the touched clusters only; bincount adds each cluster's values
-    # in stored order, as agglomerate_csr does for a matrix row
-    touched, inverse = np.unique(part.cluster_of[x.indices], return_inverse=True)
-    sums = np.bincount(inverse, weights=x.values)
-    if divisors.shape[0]:
-        sums = sums / divisors[touched]
-    keep = sums != 0.0
-    return SparseVec(part.n_clusters, touched[keep], sums[keep], validate=False)
+    """Collapse x onto the partition's clusters, as one row of agglomerate_matrix."""
+    return agglomerate_matrix(SparseMatrix.from_rows([x]), part, mode).row(0)
 
 
 def agglomerate_matrix(

@@ -100,23 +100,20 @@ def build_repr_xy(
     y_values = ysub.values[hit]
 
     # Expand every nonzero x_ij of X^T over point i's retained labels l and
-    # coalesce equal (j, l) keys. bincount adds each key's terms in expansion
+    # coalesce equal (j, l) keys. coalesce adds each key's terms in expansion
     # order (points ascending, then stored label order), as a per-feature
-    # weighted sum of label rows would.
+    # weighted sum of label rows would. With no label retained (keep = 0)
+    # there are no keys to divide by it.
     xt = ds.features.take_rows(sel).transpose()
     starts, ends = y_indptr[xt.indices], y_indptr[xt.indices + 1]
     flat = kernels.concat_ranges(starts, ends)
     reps = ends - starts
     feat = np.repeat(np.repeat(np.arange(ds.d, dtype=np.int64), xt.row_nnz()), reps)
-    uniq, inverse = np.unique(feat * keep + y_indices[flat], return_inverse=True)
-    sums = np.bincount(inverse, weights=y_values[flat] * np.repeat(xt.values, reps))
-    nz = sums != 0.0
-    uniq, sums = uniq[nz], sums[nz]
-    feat = uniq // keep  # empty when no label is retained (keep = 0)
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(feat, minlength=ds.d), dtype=np.int64))
+    indptr, indices, sums = kernels.coalesce(
+        feat * keep + y_indices[flat], y_values[flat] * np.repeat(xt.values, reps),
+        ds.d, keep,
     )
-    matrix = SparseMatrix(ds.d, keep, indptr, uniq - feat * keep, sums, validate=False)
+    matrix = SparseMatrix(ds.d, keep, indptr, indices, sums, validate=False)
     return ReprSet(matrix=matrix, kind="xy", normalized=False)
 
 

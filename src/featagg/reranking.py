@@ -174,6 +174,10 @@ def rerank_predictions(
     Test vectors are unit-normalized by default when the prototypes are, so
     distances stay in [0, 2] and the kernel width has a stable meaning.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if shortlist < 1:
+        raise ValueError(f"shortlist must be at least 1, got {shortlist}")
     preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")

@@ -1,7 +1,8 @@
 """Balanced node-splitting routines used to grow the feature hierarchy.
 
-Two strategies: spherical 2-means with a forced even split, and a
-discounted-cumulative-gain variant for nonnegative sparse representatives.
+One balanced 2-means loop with two scorings: spherical 2-means (unit row
+weights, mean centres) and a discounted-cumulative-gain variant for nonnegative
+sparse representatives (inverse-ideal-gain row weights, rank-discount centres).
 Both are pure given (members, representatives, rng) and always return exactly
 balanced halves of sizes ceil(m/2) / floor(m/2), regardless of convergence.
 """
@@ -49,6 +50,10 @@ class Ranking:
 
 @dataclass(frozen=True)
 class SplitResult:
+    """The two halves of one split. objective_trace holds, per iteration,
+    n_plus * |c_plus|^2 + n_minus * |c_minus|^2 for either kind's centres
+    (means or rank discounts); equality ignores it."""
+
     s_plus: np.ndarray
     s_minus: np.ndarray
     iterations: int
@@ -56,11 +61,18 @@ class SplitResult:
     objective_trace: tuple[float, ...] = field(default=(), compare=False)
 
 
+def _log_base(base: float | None) -> float:
+    """ln(base), or 1.0 for the natural log (base None)."""
+    if base is None:
+        return 1.0
+    if not (math.isfinite(base) and base > 0.0 and base != 1.0):
+        raise ValueError(f"log base must be finite, positive and not 1, got {base}")
+    return math.log(base)
+
+
 def _discounts(p: int, base: float | None) -> np.ndarray:
-    d = np.log(np.arange(2.0, p + 2.0))
-    if base is not None:
-        d = d / math.log(base)
-    return d
+    """log_base(1 + j) for rank positions j = 1 .. p."""
+    return np.log(np.arange(2.0, p + 2.0)) / _log_base(base)
 
 
 def dcg(r: Ranking, v: np.ndarray, base: float | None = None) -> float:
@@ -100,12 +112,6 @@ def balanced_halves(scores: np.ndarray, members: np.ndarray) -> SplitResult:
     return SplitResult(members[plus], members[minus], iterations=0, converged=True)
 
 
-def _index_order_split(members: np.ndarray) -> SplitResult:
-    ordered = np.sort(members)
-    n_plus = (members.shape[0] + 1) // 2
-    return SplitResult(ordered[:n_plus], ordered[n_plus:], iterations=0, converged=True)
-
-
 def _rows_equal(m: SparseMatrix, a: int, b: int) -> bool:
     sa, ea = m.indptr[a], m.indptr[a + 1]
     sb, eb = m.indptr[b], m.indptr[b + 1]
@@ -132,6 +138,55 @@ def _dense_row(sub: SparseMatrix, i: int) -> np.ndarray:
     return out
 
 
+def _split_rows(members, rs: ReprSet, max_iters: int):
+    """members as int64 and their representatives, checked for a split."""
+    members = np.asarray(members, dtype=np.int64)
+    if members.shape[0] < 2:
+        raise ValueError("need at least two features to split")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    return members, rs.matrix.take_rows(members)
+
+
+def _two_means(members: np.ndarray, sub: SparseMatrix, rng: np.random.Generator,
+               max_iters: int, weights: np.ndarray, centre) -> SplitResult:
+    """The balanced 2-means loop of both split kinds.
+
+    Row i of sub (members[i]'s representative) scores
+    weights[i] * <row_i, c_plus - c_minus>; a side's centre is
+    centre(sum of weights[i] * row_i over its rows, side size). The centres
+    start at centre(row, 1) of two distinct random rows, else the members
+    split in index order. Converged means the partition repeated between
+    consecutive iterations.
+    """
+    m = members.shape[0]
+    picked = _pick_two_distinct(sub, rng)
+    if picked is None:
+        return balanced_halves(np.zeros(m), members)
+    c_plus = centre(_dense_row(sub, picked[0]), 1)
+    c_minus = centre(_dense_row(sub, picked[1]), 1)
+
+    prev, trace = None, []
+    for it in range(1, max_iters + 1):
+        diff = c_plus - c_minus
+        scores = weights * kernels.row_dots(sub.indptr, sub.indices, sub.values, diff)
+        plus, minus = _select_balanced(scores, members)
+        c_plus, c_minus = (
+            centre(kernels.weighted_sum_rows(sub.indptr, sub.indices, sub.values,
+                                             side, weights[side], sub.cols), len(side))
+            for side in (plus, minus)
+        )
+        trace.append(len(plus) * float(np.dot(c_plus, c_plus))
+                     + len(minus) * float(np.dot(c_minus, c_minus)))
+        assign = np.zeros(m, dtype=bool)
+        assign[plus] = True
+        converged = prev is not None and np.array_equal(assign, prev)
+        if converged:
+            break
+        prev = assign
+    return SplitResult(members[plus], members[minus], it, converged, tuple(trace))
+
+
 def kmeans_split(
     members: np.ndarray,
     rs: ReprSet,
@@ -141,50 +196,11 @@ def kmeans_split(
     """Balanced spherical 2-means on the members' representative vectors.
 
     Centroids start at two randomly drawn representatives and are recomputed
-    as plain means (no re-normalization). Converged means the balanced
-    partition repeated between consecutive iterations.
+    as plain means (no re-normalization).
     """
-    members = np.asarray(members, dtype=np.int64)
-    m = members.shape[0]
-    if m < 2:
-        raise ValueError("need at least two features to split")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    sub = rs.matrix.take_rows(members)
-    picked = _pick_two_distinct(sub, rng)
-    if picked is None:
-        return _index_order_split(members)
-    c_plus = _dense_row(sub, picked[0])
-    c_minus = _dense_row(sub, picked[1])
-
-    n_plus = (m + 1) // 2
-    n_minus = m - n_plus
-    prev = None
-    trace: list[float] = []
-    plus = minus = None
-    iterations = max_iters
-    converged = False
-    for it in range(1, max_iters + 1):
-        scores = kernels.row_dots(sub.indptr, sub.indices, sub.values, c_plus - c_minus)
-        plus, minus = _select_balanced(scores, members)
-        c_plus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, plus, sub.cols)
-        c_plus /= n_plus
-        c_minus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, minus, sub.cols)
-        c_minus /= n_minus
-        trace.append(
-            n_plus * float(np.dot(c_plus, c_plus))
-            + n_minus * float(np.dot(c_minus, c_minus))
-        )
-        assign = np.zeros(m, dtype=bool)
-        assign[plus] = True
-        if prev is not None and np.array_equal(assign, prev):
-            iterations = it
-            converged = True
-            break
-        prev = assign
-    return SplitResult(
-        members[plus], members[minus], iterations, converged, tuple(trace)
-    )
+    members, sub = _split_rows(members, rs, max_iters)
+    return _two_means(members, sub, rng, max_iters, np.ones(sub.rows),
+                      lambda v, n: v / n)
 
 
 def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
@@ -199,8 +215,7 @@ def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
     lens = np.diff(sub.indptr)
     if sub.rows == 0 or lens.max() == 0:
         return out
-    logb = math.log(base) if base is not None else 1.0
-    discounts = np.log(np.arange(2.0, lens.max() + 2.0)) / logb
+    discounts = _discounts(int(lens.max()), base)
     by_len = np.argsort(lens, kind="stable")
     lens_sorted = lens[by_len]
     firsts = np.flatnonzero(np.diff(lens_sorted, prepend=0)).tolist()
@@ -233,52 +248,11 @@ def ndcg_split(
     each side's representatives; the log base cancels out of every gain ratio,
     so it cannot change the resulting partition.
     """
-    members = np.asarray(members, dtype=np.int64)
-    m = members.shape[0]
-    if m < 2:
-        raise ValueError("need at least two features to split")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    sub = rs.matrix.take_rows(members)
+    members, sub = _split_rows(members, rs, max_iters)
+    logb = _log_base(base)
     if sub.values.size and np.any(sub.values < 0):
         raise ValueError("representatives must be nonnegative")
-    p = sub.cols
-    inv_ideal = _ideal_inverses(sub, base)
-
-    picked = _pick_two_distinct(sub, rng)
-    if picked is None:
-        return _index_order_split(members)
-    logb = math.log(base) if base is not None else 1.0
     # gain of rank position j (1-based) is logb / log(1 + j)
-    ladder = logb / np.log(1.0 + np.arange(1, p + 1))
-    g_plus = _gains(_dense_row(sub, picked[0]), ladder)
-    g_minus = _gains(_dense_row(sub, picked[1]), ladder)
-
-    prev = None
-    plus = minus = None
-    iterations = max_iters
-    converged = False
-    for it in range(1, max_iters + 1):
-        gdiff = g_plus - g_minus
-        scores = inv_ideal * kernels.row_dots(sub.indptr, sub.indices, sub.values, gdiff)
-        plus, minus = _select_balanced(scores, members)
-        g_plus = _gains(
-            kernels.weighted_sum_rows(
-                sub.indptr, sub.indices, sub.values, plus, inv_ideal[plus], p
-            ),
-            ladder,
-        )
-        g_minus = _gains(
-            kernels.weighted_sum_rows(
-                sub.indptr, sub.indices, sub.values, minus, inv_ideal[minus], p
-            ),
-            ladder,
-        )
-        assign = np.zeros(m, dtype=bool)
-        assign[plus] = True
-        if prev is not None and np.array_equal(assign, prev):
-            iterations = it
-            converged = True
-            break
-        prev = assign
-    return SplitResult(members[plus], members[minus], iterations, converged)
+    ladder = logb / np.log(1.0 + np.arange(1, sub.cols + 1))
+    return _two_means(members, sub, rng, max_iters, _ideal_inverses(sub, base),
+                      lambda v, n: _gains(v, ladder))

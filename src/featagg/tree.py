@@ -241,6 +241,8 @@ def make_tree(
         raise ValueError("leaf size must be at least 1")
     if split_kind not in SPLIT_KINDS:
         raise ValueError(f"split_kind must be one of {SPLIT_KINDS}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     split = kmeans_split if split_kind == "kmeans" else ndcg_split
 
     def build(members: np.ndarray, node_key: int) -> TreeNode:

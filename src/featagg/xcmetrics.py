@@ -307,19 +307,26 @@ def ndcg_at_k(preds: Predictions, truth: SparseMatrix, k: int) -> float:
 
 
 def propensities(
-    y_train: SparseMatrix | np.ndarray, A: float = 0.55, B: float = 1.5
+    y_train: SparseMatrix, A: float = 0.55, B: float = 1.5
 ) -> PropensityModel:
-    """Propensity model from train-label frequencies (clamped into (0, 1])."""
-    if isinstance(y_train, SparseMatrix):
-        n = y_train.rows
-        counts = np.bincount(y_train.indices, minlength=y_train.cols).astype(np.float64)
-    else:
-        raise ValueError("y_train must be the training label matrix")
+    """Propensity model from train-label frequencies (clamped to at most 1).
+
+    A must be finite and nonnegative, B finite and positive, and every
+    resulting propensity must lie in (0, 1]; otherwise this is a ValueError.
+    """
+    if not (math.isfinite(A) and A >= 0.0):
+        raise ValueError(f"propensity A must be finite and nonnegative, got {A}")
+    if not (math.isfinite(B) and B > 0.0):
+        raise ValueError(f"propensity B must be finite and positive, got {B}")
+    n = y_train.rows
     if n < 2:
         raise ValueError("need at least two training points")
+    counts = np.bincount(y_train.indices, minlength=y_train.cols).astype(np.float64)
     c = (np.log(n) - 1.0) * (B + 1.0) ** A
-    p = 1.0 / (1.0 + c * (counts + B) ** (-A))
-    return PropensityModel(p=np.minimum(p, 1.0), A=A, B=B)
+    p = np.minimum(1.0 / (1.0 + c * (counts + B) ** (-A)), 1.0)
+    if not np.all(p > 0.0):
+        raise ValueError(f"propensities with A={A}, B={B} fall outside (0, 1]")
+    return PropensityModel(p=p, A=A, B=B)
 
 
 def _inverse_propensities(prop: PropensityModel, truth: SparseMatrix) -> np.ndarray:

@@ -285,6 +285,65 @@ def test_rerank_cli(workdir, capsys):
     assert code == 0 and 0.0 <= out["P@1"] <= 1.0
 
 
+@pytest.fixture
+def tiny_files(tmp_path):
+    """A 3-point train file, a 0-point test file and predictions for it, and a
+    two-cluster partition of the 4 features."""
+    (tmp_path / "train.txt").write_text("3 4 2\n0 0:1 2:0.5\n1 1:2 3:1\n0,1 0:1 3:2\n")
+    (tmp_path / "test.txt").write_text("0 4 2\n")
+    (tmp_path / "preds.txt").write_text("")
+    part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
+    (tmp_path / "part.json").write_text(part.to_json())
+    return tmp_path
+
+
+@pytest.mark.parametrize("split", ["kmeans", "ndcg"])
+@pytest.mark.parametrize("leaf_size", ["2", "8"])
+def test_cluster_rejects_max_iters_below_one(tiny_files, capsys, split, leaf_size):
+    out = tiny_files / "part_out.json"
+    code = main(["cluster", str(tiny_files / "train.txt"), "-o", str(out),
+                 "--split", split, "--leaf-size", leaf_size, "--max-iters", "0",
+                 "--doc-fraction", "1.0"])
+    assert code == 2
+    assert "max_iters must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ("0.55", "-1.5", "propensity B must be finite and positive, got -1.5"),
+    ("0.55", "-1", "propensity B must be finite and positive, got -1.0"),
+    ("-0.5", "1.5", "propensity A must be finite and nonnegative, got -0.5"),
+    ("nan", "1.5", "propensity A must be finite and nonnegative, got nan"),
+    ("0.55", "inf", "propensity B must be finite and positive, got inf"),
+])
+def test_eval_rejects_propensity_parameters(tiny_files, capsys, a, b, message):
+    code = main(["eval", str(tiny_files / "preds.txt"), str(tiny_files / "test.txt"),
+                 "--propensity", "--train", str(tiny_files / "train.txt"),
+                 "--A", a, "--B", b])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--alpha", "3"], "alpha must lie in [0, 1]"),
+    (["--alpha", "-0.5"], "alpha must lie in [0, 1]"),
+    (["--shortlist", "0"], "shortlist must be at least 1, got 0"),
+    (["--shortlist", "-1"], "shortlist must be at least 1, got -1"),
+])
+def test_rerank_checks_settings_without_rows(tiny_files, capsys, option, message):
+    out = tiny_files / "reranked.txt"
+    code = main(["rerank", str(tiny_files / "preds.txt"),
+                 "--test", str(tiny_files / "test.txt"),
+                 "--train", str(tiny_files / "train.txt"),
+                 "--partition", str(tiny_files / "part.json"), "-o", str(out)]
+                + option)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subcommand(workdir, capsys):
     code, out = run(capsys, "verify", "--theorem", "lemma1", "--trials", "25",
                     "--seed", "0")

@@ -239,8 +239,57 @@ class TestNdcgSplit:
         assert (len(res.s_plus), len(res.s_minus)) == (4, 3)
 
 
-# Per-row reference for the ndcg split: the ideal gain of each row from its
-# own sorted slice, and the centroid rankings as explicit Ranking objects.
+# Reference splits written out per kind: the index-order fallback, the kmeans
+# loop on plain row sums, and a per-row ndcg loop with the ideal gain of each
+# row from its own sorted slice and the centroid rankings as explicit Ranking
+# objects.
+def reference_index_order_split(members):
+    ordered = np.sort(members)
+    n_plus = (members.shape[0] + 1) // 2
+    return splits.SplitResult(ordered[:n_plus], ordered[n_plus:], iterations=0,
+                              converged=True)
+
+
+def reference_kmeans_split(members, rs, rng, max_iters=splits.MAX_ITERS):
+    members = np.asarray(members, dtype=np.int64)
+    m = members.shape[0]
+    sub = rs.matrix.take_rows(members)
+    picked = splits._pick_two_distinct(sub, rng)
+    if picked is None:
+        return reference_index_order_split(members)
+    c_plus = splits._dense_row(sub, picked[0])
+    c_minus = splits._dense_row(sub, picked[1])
+
+    n_plus = (m + 1) // 2
+    n_minus = m - n_plus
+    prev = None
+    trace: list[float] = []
+    plus = minus = None
+    iterations = max_iters
+    converged = False
+    for it in range(1, max_iters + 1):
+        scores = kernels.row_dots(sub.indptr, sub.indices, sub.values, c_plus - c_minus)
+        plus, minus = splits._select_balanced(scores, members)
+        c_plus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, plus, sub.cols)
+        c_plus /= n_plus
+        c_minus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, minus, sub.cols)
+        c_minus /= n_minus
+        trace.append(
+            n_plus * float(np.dot(c_plus, c_plus))
+            + n_minus * float(np.dot(c_minus, c_minus))
+        )
+        assign = np.zeros(m, dtype=bool)
+        assign[plus] = True
+        if prev is not None and np.array_equal(assign, prev):
+            iterations = it
+            converged = True
+            break
+        prev = assign
+    return splits.SplitResult(
+        members[plus], members[minus], iterations, converged, tuple(trace)
+    )
+
+
 def reference_ideal_inverses(sub, base):
     out = np.zeros(sub.rows, dtype=np.float64)
     logb = math.log(base) if base is not None else 1.0
@@ -262,7 +311,7 @@ def reference_ndcg_split(members, rs, rng, max_iters=splits.MAX_ITERS, base=None
     inv_ideal = reference_ideal_inverses(sub, base)
     picked = splits._pick_two_distinct(sub, rng)
     if picked is None:
-        return splits._index_order_split(members)
+        return reference_index_order_split(members)
     r_plus = Ranking.rank_of(splits._dense_row(sub, picked[0]))
     r_minus = Ranking.rank_of(splits._dense_row(sub, picked[1]))
     logb = math.log(base) if base is not None else 1.0
@@ -332,3 +381,114 @@ class TestNdcgSplitMatchesReference:
         monkeypatch.setattr(tree, "ndcg_split", reference_ndcg_split)
         want = tree.leaves(tree.make_tree(rs, d0=8, split_kind="ndcg", seed=4))
         assert np.array_equal(got.cluster_of, want.cluster_of)
+
+
+def signed_reprs(rng, n, p):
+    """Rows of mixed sign from empty to dense, some repeated exactly."""
+    density = rng.choice([0.0, 0.1, 0.5, 0.9], size=(n, 1))
+    rows = rng.normal(size=(n, p)) * (rng.random((n, p)) < density)
+    copies = rng.random(n) < 0.3
+    rows[copies] = rows[0]
+    return repr_set(rows)
+
+
+def assert_same_split(got, want):
+    assert got.s_plus.tobytes() == want.s_plus.tobytes()
+    assert got.s_minus.tobytes() == want.s_minus.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert (np.array(got.objective_trace).tobytes()
+            == np.array(want.objective_trace).tobytes())
+
+
+class TestKmeansSplitMatchesReference:
+    """The shared 2-means loop reproduces the kmeans reference bit for bit."""
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, splits.MAX_ITERS])
+    def test_split_results_equal(self, rng, max_iters):
+        parities, unconverged = set(), 0
+        for trial in range(30):
+            n = int(rng.integers(2, 50))
+            rs = signed_reprs(rng, n, int(rng.choice([3, 20, 120])))
+            m = 2 if trial % 5 == 0 else int(rng.integers(2, n + 1))
+            members = np.sort(rng.choice(n, size=m, replace=False))
+            got = kmeans_split(members, rs, np.random.default_rng(trial), max_iters)
+            want = reference_kmeans_split(members, rs, np.random.default_rng(trial),
+                                          max_iters)
+            assert_same_split(got, want)
+            parities.add(m % 2)
+            unconverged += not got.converged
+        assert parities == {0, 1}
+        if max_iters == 1:
+            assert unconverged > 0
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_identical_rows_fall_back_alike(self, m):
+        rs = repr_set([[0.5, -1.0, 0.0]] * 8)
+        members = np.arange(8)[::-1][:m]
+        for seed in range(3):
+            got = kmeans_split(members, rs, np.random.default_rng(seed))
+            want = reference_kmeans_split(members, rs, np.random.default_rng(seed))
+            assert got.iterations == 0 and got.objective_trace == ()
+            assert_same_split(got, want)
+
+    def test_tree_partitions_equal(self, rng, monkeypatch):
+        rs = signed_reprs(rng, 150, 40)
+        got = tree.leaves(tree.make_tree(rs, d0=8, split_kind="kmeans", seed=4))
+        monkeypatch.setattr(tree, "kmeans_split", reference_kmeans_split)
+        want = tree.leaves(tree.make_tree(rs, d0=8, split_kind="kmeans", seed=4))
+        assert np.array_equal(got.cluster_of, want.cluster_of)
+
+
+class TestNdcgSplitShortRuns:
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_unconverged_results_equal(self, rng, max_iters):
+        for trial in range(12):
+            n = int(rng.integers(2, 40))
+            rs = varied_reprs(rng, n, 40)
+            members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)),
+                                         replace=False))
+            got = ndcg_split(members, rs, np.random.default_rng(trial), max_iters)
+            want = reference_ndcg_split(members, rs, np.random.default_rng(trial),
+                                        max_iters)
+            assert np.array_equal(got.s_plus, want.s_plus)
+            assert np.array_equal(got.s_minus, want.s_minus)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_identical_rows_fall_back_to_index_order(self):
+        rs = repr_set([[1.0, 2.0, 0.0]] * 5)
+        members = np.array([4, 0, 3, 1, 2])
+        got = ndcg_split(members, rs, np.random.default_rng(0))
+        assert_same_split(got, reference_index_order_split(members))
+        assert list(got.s_plus) == [0, 1, 2]
+
+    def test_trace_records_every_iteration(self, rng):
+        rows = rng.random((11, 6)) * (rng.random((11, 6)) > 0.3)
+        res = ndcg_split(np.arange(11), repr_set(rows), np.random.default_rng(2))
+        assert len(res.objective_trace) == res.iterations >= 1
+
+
+BAD_BASES = [0.0, -2.0, 1.0, float("nan"), float("inf")]
+
+
+class TestLogBase:
+    @pytest.mark.parametrize("base", BAD_BASES)
+    def test_dcg_and_ndcg_reject(self, base):
+        v = np.array([3.0, 1.0, 2.0])
+        for fn in (dcg, ndcg):
+            with pytest.raises(ValueError, match="log base must be"):
+                fn(Ranking.rank_of(v), v, base)
+
+    @pytest.mark.parametrize("base", BAD_BASES)
+    def test_ndcg_split_rejects(self, base, rng):
+        rs = repr_set([[1.0, 0.0], [0.0, 1.0]] * 2)
+        with pytest.raises(ValueError, match="log base must be"):
+            ndcg_split(np.arange(4), rs, rng, base=base)
+        # even when every representative is empty and no gain is taken
+        with pytest.raises(ValueError, match="log base must be"):
+            ndcg_split(np.arange(4), repr_set([[0.0, 0.0]] * 4), rng, base=base)
+
+    @pytest.mark.parametrize("base", [0.5, 2.0, math.e, 10.0])
+    def test_valid_bases_accepted(self, base):
+        v = np.array([3.0, 1.0, 2.0])
+        assert ndcg(Ranking.rank_of(v), v, base) == pytest.approx(1.0)

@@ -55,6 +55,15 @@ class TestMakeTree:
         with pytest.raises(ValueError):
             make_tree(random_reprs(rng, 4), d0=2, split_kind="other")
 
+    @pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
+    @pytest.mark.parametrize("d0", [2, 8])
+    def test_max_iters_below_one_rejected_before_any_split(self, rng, split_kind, d0):
+        # d0 = 8 holds all 4 features in one leaf, so no split would run
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                make_tree(random_reprs(rng, 4), d0=d0, split_kind=split_kind,
+                          max_iters=max_iters)
+
     def test_deterministic_given_seed(self, rng):
         rs = random_reprs(rng, 40)
         p1 = leaves(make_tree(rs, d0=4, seed=7))

@@ -117,6 +117,30 @@ class TestPropensities:
         model = propensities(label_matrix(sets, 2))
         assert np.all(model.p > 0) and np.all(model.p <= 1)
 
+    @pytest.mark.parametrize("A, B, message", [
+        (0.55, -1.5, "B must be finite and positive, got -1.5"),
+        (0.55, -1.0, "B must be finite and positive, got -1.0"),
+        (0.55, 0.0, "B must be finite and positive, got 0.0"),
+        (0.55, math.inf, "B must be finite and positive, got inf"),
+        (0.55, math.nan, "B must be finite and positive, got nan"),
+        (-0.1, 1.5, "A must be finite and nonnegative, got -0.1"),
+        (math.inf, 1.5, "A must be finite and nonnegative, got inf"),
+        (math.nan, 1.5, "A must be finite and nonnegative, got nan"),
+    ])
+    def test_rejects_parameters_outside_domain(self, A, B, message):
+        with pytest.raises(ValueError, match=message):
+            propensities(label_matrix([{0}, {1}, {0}], 2), A=A, B=B)
+
+    def test_rejects_propensities_outside_unit_interval(self):
+        # two points make log(n) - 1 negative: an unseen label's formula value
+        # is -0.42 at A = 1, B = 0.1
+        with pytest.raises(ValueError, match=r"fall outside \(0, 1\]"):
+            propensities(label_matrix([{0}, {0}], 2), A=1.0, B=0.1)
+
+    def test_zero_exponent_is_flat(self):
+        model = propensities(label_matrix([{0}] * 5 + [set()] * 5, 2), A=0.0)
+        assert model.p == pytest.approx(np.full(2, 1.0 / math.log(10)), rel=1e-15)
+
 
 class TestPropensityScored:
     def test_reduces_to_plain_metrics_at_unit_propensity(self, rng):
