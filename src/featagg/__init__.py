@@ -25,7 +25,15 @@ from .reranking import PrototypeSet, affinity, build_prototypes, rerank, rerank_
 from .reprs import ReprSet, build_repr_x, build_repr_xy, normalize
 from .sparse import SparseMatrix, SparseVec, axpy, dot, norm
 from .splits import Ranking, SplitResult, balanced_halves, dcg, kmeans_split, ndcg, ndcg_split
-from .tree import ClusterTree, FeaturePartition, ensemble, leaves, make_tree
+from .tree import (
+    ClusterTree,
+    FeaturePartition,
+    SplitCounts,
+    ensemble,
+    ensemble_trees,
+    leaves,
+    make_tree,
+)
 from .xcmetrics import (
     Prediction,
     Predictions,

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,9 +23,16 @@ from .cluster_quality import quality_report
 from .dataio import Dataset, load_xc, save_xc, stats
 from .errors import InvariantError, ParseError
 from .linear import OvaConfig, load_model, probability_scores, save_model, train_ova
-from .reranking import build_prototypes, rerank_predictions
+from .reranking import build_prototypes, check_rerank_settings, rerank_predictions
 from .splits import MAX_ITERS
-from .tree import SPLIT_KINDS, ensemble, load_partition, save_partition
+from .tree import (
+    SPLIT_KINDS,
+    SplitCounts,
+    ensemble_trees,
+    leaves,
+    load_partition,
+    save_partition,
+)
 from .xcmetrics import (
     coverage_at_k,
     load_predictions,
@@ -94,8 +102,9 @@ def _cmd_cluster(args) -> int:
     ds = _load(args)
     t0 = time.perf_counter()
     rs = _build_reprs(ds, args)
-    parts = ensemble(rs, args.ensemble, base_seed=args.seed, d0=args.leaf_size,
-                     split_kind=args.split, max_iters=args.max_iters)
+    trees = ensemble_trees(rs, args.ensemble, base_seed=args.seed, d0=args.leaf_size,
+                           split_kind=args.split, max_iters=args.max_iters)
+    parts = [leaves(tree) for tree in trees]
     elapsed = time.perf_counter() - t0
     files = []
     for t, part in enumerate(parts):
@@ -109,6 +118,8 @@ def _cmd_cluster(args) -> int:
         "files": files,
         "backend": kernels.backend_name(),
         "clustering_seconds": elapsed,
+        # summed over the ensemble's trees
+        "splits": asdict(sum((tree.split_counts() for tree in trees), SplitCounts())),
     })
     return EXIT_OK
 
@@ -228,6 +239,7 @@ def _cmd_erase(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    check_rerank_settings(args.alpha, args.shortlist)
     with open(args.predictions, "r", encoding="utf-8") as fh:
         preds = load_predictions(fh)
     test_ds = load_xc(args.test, one_based=args.one_based)

@@ -25,9 +25,9 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     total = int(lens.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    seq = np.arange(total, dtype=np.int64)
-    shift = np.repeat(np.cumsum(lens) - lens, lens)
-    return seq - shift + np.repeat(starts, lens)
+    # entry t of the output, in range i, is t + starts[i] - (entries before range i)
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.arange(total, dtype=np.int64) + np.repeat(shift, lens)
 
 
 def chunk_ranges(ends, budget):

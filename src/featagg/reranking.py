@@ -160,6 +160,14 @@ def rerank(
     return labels[order], combined[order]
 
 
+def check_rerank_settings(alpha: float, shortlist: int) -> None:
+    """ValueError unless alpha lies in [0, 1] and shortlist is at least 1."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if shortlist < 1:
+        raise ValueError(f"shortlist must be at least 1, got {shortlist}")
+
+
 def rerank_predictions(
     preds: Predictions | Sequence[Prediction],
     ps: PrototypeSet,
@@ -174,10 +182,7 @@ def rerank_predictions(
     Test vectors are unit-normalized by default when the prototypes are, so
     distances stay in [0, 2] and the kernel width has a stable meaning.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if shortlist < 1:
-        raise ValueError(f"shortlist must be at least 1, got {shortlist}")
+    check_rerank_settings(alpha, shortlist)
     preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")

@@ -3,7 +3,9 @@
 One balanced 2-means loop with two scorings: spherical 2-means (unit row
 weights, mean centres) and a discounted-cumulative-gain variant for nonnegative
 sparse representatives (inverse-ideal-gain row weights, rank-discount centres).
-Both are pure given (members, representatives, rng) and always return exactly
+The loop, split_level, splits every node of one tree level in a single
+vectorized pass; kmeans_split and ndcg_split are one-node calls of it. Splits
+are pure given (members, representatives, rng) and always return exactly
 balanced halves of sizes ceil(m/2) / floor(m/2), regardless of convergence.
 """
 
@@ -93,23 +95,18 @@ def ndcg(r: Ranking, v: np.ndarray, base: float | None = None) -> float:
     return dcg(r, v, base) / ideal
 
 
-def _select_balanced(scores: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the top ceil(m/2) by score (ties by ascending member id)."""
-    order = np.lexsort((members, -scores))
-    n_plus = (members.shape[0] + 1) // 2
-    return order[:n_plus], order[n_plus:]
-
-
 def balanced_halves(scores: np.ndarray, members: np.ndarray) -> SplitResult:
-    """One-shot even split of members by precomputed scores."""
+    """One-shot even split of members by precomputed scores: the top
+    ceil(m/2) by score (ties by ascending member id) against the rest."""
     members = np.asarray(members, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     if members.shape[0] == 0:
         raise ValueError("cannot split an empty feature set")
     if scores.shape[0] != members.shape[0]:
         raise ValueError("one score per member required")
-    plus, minus = _select_balanced(scores, members)
-    return SplitResult(members[plus], members[minus], iterations=0, converged=True)
+    order = members[np.lexsort((members, -scores))]
+    n_plus = (members.shape[0] + 1) // 2
+    return SplitResult(order[:n_plus], order[n_plus:], iterations=0, converged=True)
 
 
 def _rows_equal(m: SparseMatrix, a: int, b: int) -> bool:
@@ -122,69 +119,226 @@ def _rows_equal(m: SparseMatrix, a: int, b: int) -> bool:
     )
 
 
-def _pick_two_distinct(sub: SparseMatrix, rng: np.random.Generator) -> tuple[int, int] | None:
-    """Two distinct-index rows with distinct contents, or None after redraws."""
+def _pick_two_distinct(matrix: SparseMatrix, rows: np.ndarray,
+                       rng: np.random.Generator) -> tuple[int, int] | None:
+    """Positions in rows of two matrix rows with distinct contents, or None
+    after redraws."""
     for _ in range(_INIT_ATTEMPTS):
-        a, b = rng.choice(sub.rows, size=2, replace=False)
-        if not _rows_equal(sub, int(a), int(b)):
+        a, b = rng.choice(rows.shape[0], size=2, replace=False)
+        if not _rows_equal(matrix, rows[a], rows[b]):
             return int(a), int(b)
     return None
 
 
-def _dense_row(sub: SparseMatrix, i: int) -> np.ndarray:
-    out = np.zeros(sub.cols, dtype=np.float64)
-    s, e = sub.indptr[i], sub.indptr[i + 1]
-    out[sub.indices[s:e]] = sub.values[s:e]
-    return out
+@dataclass(frozen=True)
+class Slots:
+    """The centre coordinates of a set of nodes: one slot per distinct
+    (node, coordinate) of the nodes' rows, sorted by node then coordinate.
+    Node k's slots are start[k]:start[k + 1]."""
+
+    node: np.ndarray
+    coord: np.ndarray
+    start: np.ndarray
 
 
-def _split_rows(members, rs: ReprSet, max_iters: int):
-    """members as int64 and their representatives, checked for a split."""
+def _mean(sums: np.ndarray, n, slots: Slots) -> np.ndarray:
+    return sums / n
+
+
+class _Working:
+    """The nodes of a level still splitting, with their rows and centre slots.
+
+    Rows are node-contiguous, in ascending member order within a node; the
+    i-th row of a node sits at the node's i-th level position. keep()
+    compacts every array when nodes leave, so an iteration costs O(nnz of
+    the working rows).
+    """
+
+    def __init__(self, nodes, places, rows, node, lens, values, slot, slots, weights):
+        self.nodes = nodes      # level node ids
+        self.places = places    # level positions of the nodes, ascending
+        self.rows = rows        # level position of each row's member
+        self.node = node        # working node of each row
+        self.lens = lens        # stored entries per row
+        self.ptr = np.concatenate(([0], np.cumsum(lens)))
+        self.values = values    # the rows' stored values, row after row
+        self.slot = slot        # centre slot of each stored value
+        self.slots = slots
+        self.weights = weights  # per row, or None for unit weights
+        self.sizes = np.bincount(node, minlength=nodes.shape[0])
+        self.first = np.concatenate(([0], np.cumsum(self.sizes)))[:-1]
+        self.nonempty = np.flatnonzero(lens)
+
+    def keep(self, keep_node: np.ndarray) -> "_Working":
+        keep_row = keep_node[self.node]
+        keep_entry = np.repeat(keep_row, self.lens)
+        keep_slot = keep_node[self.slots.node]
+        renumber = np.cumsum(keep_node) - 1
+        slots = Slots(renumber[self.slots.node[keep_slot]], self.slots.coord[keep_slot],
+                      np.concatenate(([0], np.cumsum(np.diff(self.slots.start)[keep_node]))))
+        return _Working(
+            self.nodes[keep_node], self.places[keep_row], self.rows[keep_row],
+            renumber[self.node[keep_row]], self.lens[keep_row], self.values[keep_entry],
+            (np.cumsum(keep_slot) - 1)[self.slot[keep_entry]], slots,
+            None if self.weights is None else self.weights[keep_row],
+        )
+
+    def row_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per slot, the value of the one given row of its node (0 elsewhere)."""
+        sums = np.zeros(self.slots.node.shape[0])
+        ent = kernels.concat_ranges(self.ptr[rows], self.ptr[rows + 1])
+        sums[self.slot[ent]] = self.values[ent]
+        return sums
+
+    def scores(self, c_plus: np.ndarray, c_minus: np.ndarray) -> np.ndarray:
+        """weights[i] * <row_i, c_plus - c_minus> per row; each row's products
+        are summed in stored order."""
+        prods = self.values * (c_plus - c_minus)[self.slot]
+        out = np.zeros(self.rows.shape[0])
+        if self.nonempty.shape[0]:
+            out[self.nonempty] = np.add.reduceat(prods, self.ptr[self.nonempty])
+        return out if self.weights is None else self.weights * out
+
+    def centres(self, ranked: np.ndarray, plus: np.ndarray, centre):
+        """Both sides' centres: rows summed in ranked order, one bincount
+        keyed by (slot, side)."""
+        lens = self.lens[ranked]
+        ent = kernels.concat_ranges(self.ptr[ranked], self.ptr[ranked + 1])
+        add = self.values[ent]
+        if self.weights is not None:
+            add = add * np.repeat(self.weights[ranked], lens)
+        n_slots = self.slots.node.shape[0]
+        sums = np.bincount(self.slot[ent] * 2 + np.repeat(~plus, lens), weights=add,
+                           minlength=2 * n_slots)
+        n_plus = (self.sizes[self.slots.node] + 1) // 2
+        return (centre(sums[0::2], n_plus, self.slots),
+                centre(sums[1::2], self.sizes[self.slots.node] - n_plus, self.slots))
+
+
+def _ranking(node: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Positions by ascending node, then decreasing value, ties in position
+    order: one stable sort of complex keys, which order by real part, then
+    imaginary part."""
+    key = np.empty(node.shape[0], dtype=np.complex128)
+    key.real = node
+    key.imag = -values
+    return np.argsort(key, kind="stable")
+
+
+def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
+                rngs, max_iters: int, weights: np.ndarray | None, centre,
+                trace: list | None = None):
+    """The balanced 2-means loop of both split kinds, over every node of a level.
+
+    Node k holds the rows members[node_ptr[k]:node_ptr[k + 1]] of matrix
+    (at least two). Its row i scores weights[i] * <row_i, c_plus - c_minus>
+    (unit weights when weights is None); a side's centre is
+    centre(sum of weights[i] * row_i over its rows, side size, slots). The
+    centres start at centre(row, 1, slots) of two distinct rows drawn with
+    rngs[k]; a node whose draws all repeat one row splits in index order.
+    Each iteration puts the top ceil(m/2) rows by score in the plus half,
+    ties by ascending member id; a node converges when its halves repeat,
+    and then leaves the working set. Centres live on the node's slots only,
+    so a level takes O(nnz of its rows) memory, never nodes x p.
+
+    Returns (order, iterations, converged): members[order] holds each node's
+    plus half then its minus half in place, and iterations[k] is 0 for an
+    index-order split. A one-node call given a trace list appends
+    n_plus * |c_plus|^2 + n_minus * |c_minus|^2 of each iteration's halves.
+    """
+    p = matrix.cols
+    sizes = np.diff(node_ptr)
+    n_nodes = sizes.shape[0]
+    node_of = np.repeat(np.arange(n_nodes), sizes)
+    # working rows in ascending member order within each node, so a stable
+    # ranking breaks score ties by member id
+    rows = np.lexsort((members, node_of))
+    starts, ends = matrix.indptr[members[rows]], matrix.indptr[members[rows] + 1]
+    entries = kernels.concat_ranges(starts, ends)
+    keys, slot = np.unique(np.repeat(node_of, ends - starts) * p
+                           + matrix.indices[entries], return_inverse=True)
+    slots = Slots(keys // p, keys % p,
+                  np.searchsorted(keys, np.arange(n_nodes + 1) * p))
+    work = _Working(np.arange(n_nodes), np.arange(members.shape[0]), rows, node_of,
+                    ends - starts, matrix.values[entries], slot, slots,
+                    None if weights is None else weights[rows])
+
+    order = np.arange(members.shape[0])
+    iterations = np.zeros(n_nodes, dtype=np.int64)
+    converged = np.ones(n_nodes, dtype=bool)
+    picks = [_pick_two_distinct(matrix, members[lo:hi], rng)
+             for lo, hi, rng in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist(), rngs)]
+    drawn = np.array([pick is not None for pick in picks], dtype=bool)
+    if not drawn.all():
+        fallback = ~drawn[node_of]
+        order[fallback] = rows[fallback]
+        work = work.keep(drawn)
+    if not drawn.any():
+        return order, iterations, converged
+
+    # initial centres: each side's sums hold one drawn row
+    row_of = np.empty(members.shape[0], dtype=np.int64)
+    row_of[work.rows] = np.arange(work.rows.shape[0])
+    c_plus, c_minus = (
+        centre(work.row_sums(row_of[node_ptr[:-1][drawn]
+                                    + [pick[side] for pick in picks if pick is not None]]),
+               1, work.slots)
+        for side in (0, 1)
+    )
+
+    prev = None
+    for it in range(1, max_iters + 1):
+        ranked = _ranking(work.node, work.scores(c_plus, c_minus))
+        plus = np.arange(ranked.shape[0]) - work.first[work.node] \
+            < ((work.sizes + 1) // 2)[work.node]
+        if trace is not None:
+            n_plus = (work.rows.shape[0] + 1) // 2
+            dense = np.zeros((2, p))
+            dense[:, work.slots.coord] = work.centres(ranked, plus, centre)
+            trace.append(n_plus * float(np.dot(dense[0], dense[0]))
+                         + (work.rows.shape[0] - n_plus) * float(np.dot(dense[1], dense[1])))
+        assign = np.empty(ranked.shape[0], dtype=bool)
+        assign[ranked] = plus
+        done = np.zeros(work.nodes.shape[0], dtype=bool)
+        if prev is not None:
+            done = np.bincount(work.node[assign != prev], minlength=done.shape[0]) == 0
+        if it == max_iters:
+            converged[work.nodes[~done]] = False
+            done[:] = True
+        finished = done[work.node]
+        order[work.places[finished]] = work.rows[ranked[finished]]
+        iterations[work.nodes[done]] = it
+        if done.all():
+            break
+        if done.any():
+            keep = ~finished
+            ranked = (np.cumsum(keep) - 1)[ranked[keep]]
+            plus, assign = plus[keep], assign[keep]
+            work = work.keep(~done)
+        prev = assign
+        c_plus, c_minus = work.centres(ranked, plus, centre)
+    return order, iterations, converged
+
+
+def _one_node(members, rs: ReprSet, rng, max_iters, weights, centre) -> SplitResult:
+    trace: list[float] = []
+    order, iterations, converged = split_level(
+        rs.matrix, members, np.array([0, members.shape[0]]), [rng], max_iters,
+        weights, centre, trace)
+    halves = members[order]
+    n_plus = (members.shape[0] + 1) // 2
+    return SplitResult(halves[:n_plus], halves[n_plus:], int(iterations[0]),
+                       bool(converged[0]), tuple(trace))
+
+
+def _split_members(members, max_iters: int) -> np.ndarray:
+    """members as int64, checked for a split."""
     members = np.asarray(members, dtype=np.int64)
     if members.shape[0] < 2:
         raise ValueError("need at least two features to split")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    return members, rs.matrix.take_rows(members)
-
-
-def _two_means(members: np.ndarray, sub: SparseMatrix, rng: np.random.Generator,
-               max_iters: int, weights: np.ndarray, centre) -> SplitResult:
-    """The balanced 2-means loop of both split kinds.
-
-    Row i of sub (members[i]'s representative) scores
-    weights[i] * <row_i, c_plus - c_minus>; a side's centre is
-    centre(sum of weights[i] * row_i over its rows, side size). The centres
-    start at centre(row, 1) of two distinct random rows, else the members
-    split in index order. Converged means the partition repeated between
-    consecutive iterations.
-    """
-    m = members.shape[0]
-    picked = _pick_two_distinct(sub, rng)
-    if picked is None:
-        return balanced_halves(np.zeros(m), members)
-    c_plus = centre(_dense_row(sub, picked[0]), 1)
-    c_minus = centre(_dense_row(sub, picked[1]), 1)
-
-    prev, trace = None, []
-    for it in range(1, max_iters + 1):
-        diff = c_plus - c_minus
-        scores = weights * kernels.row_dots(sub.indptr, sub.indices, sub.values, diff)
-        plus, minus = _select_balanced(scores, members)
-        c_plus, c_minus = (
-            centre(kernels.weighted_sum_rows(sub.indptr, sub.indices, sub.values,
-                                             side, weights[side], sub.cols), len(side))
-            for side in (plus, minus)
-        )
-        trace.append(len(plus) * float(np.dot(c_plus, c_plus))
-                     + len(minus) * float(np.dot(c_minus, c_minus)))
-        assign = np.zeros(m, dtype=bool)
-        assign[plus] = True
-        converged = prev is not None and np.array_equal(assign, prev)
-        if converged:
-            break
-        prev = assign
-    return SplitResult(members[plus], members[minus], it, converged, tuple(trace))
+    return members
 
 
 def kmeans_split(
@@ -198,9 +352,8 @@ def kmeans_split(
     Centroids start at two randomly drawn representatives and are recomputed
     as plain means (no re-normalization).
     """
-    members, sub = _split_rows(members, rs, max_iters)
-    return _two_means(members, sub, rng, max_iters, np.ones(sub.rows),
-                      lambda v, n: v / n)
+    members = _split_members(members, max_iters)
+    return _one_node(members, rs, rng, max_iters, None, _mean)
 
 
 def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
@@ -228,11 +381,39 @@ def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
     return out
 
 
-def _gains(v: np.ndarray, ladder: np.ndarray) -> np.ndarray:
-    """Discount of each coordinate's position in Ranking.rank_of(v)."""
-    g = np.empty(ladder.shape[0], dtype=np.float64)
-    g[np.argsort(-v, kind="stable")] = ladder
-    return g
+def _rank_gains(ladder: np.ndarray):
+    """The ndcg centre: ladder[j] at the coordinate ranked j-th (0-based) by
+    decreasing sum, ties by ascending coordinate, on every slot.
+
+    Only the positive slots are sorted. Zero coordinates follow them in
+    index order, so a zero slot's rank is its node's positive count plus
+    its coordinate minus the positive coordinates below it.
+    """
+
+    def centre(sums: np.ndarray, n, slots: Slots) -> np.ndarray:
+        positive = sums > 0.0
+        n_nodes = slots.start.shape[0] - 1
+        n_pos = np.bincount(slots.node[positive], minlength=n_nodes)
+        below = np.cumsum(positive) - positive
+        below -= below[slots.start[:-1]][slots.node]
+        rank = n_pos[slots.node] + slots.coord - below
+        at = np.flatnonzero(positive)
+        at = at[_ranking(slots.node[at], sums[at])]
+        first_pos = np.cumsum(n_pos) - n_pos
+        rank[at] = np.arange(at.shape[0]) - first_pos[slots.node[at]]
+        return ladder[rank]
+
+    return centre
+
+
+def _ndcg_scoring(matrix: SparseMatrix, base: float | None):
+    """Row weights and centre of the ndcg split over matrix's rows."""
+    logb = _log_base(base)
+    if matrix.values.size and np.any(matrix.values < 0):
+        raise ValueError("representatives must be nonnegative")
+    # gain of rank position j (1-based) is logb / log(1 + j)
+    ladder = logb / np.log(1.0 + np.arange(1, matrix.cols + 1))
+    return _ideal_inverses(matrix, base), _rank_gains(ladder)
 
 
 def ndcg_split(
@@ -248,11 +429,14 @@ def ndcg_split(
     each side's representatives; the log base cancels out of every gain ratio,
     so it cannot change the resulting partition.
     """
-    members, sub = _split_rows(members, rs, max_iters)
-    logb = _log_base(base)
-    if sub.values.size and np.any(sub.values < 0):
-        raise ValueError("representatives must be nonnegative")
-    # gain of rank position j (1-based) is logb / log(1 + j)
-    ladder = logb / np.log(1.0 + np.arange(1, sub.cols + 1))
-    return _two_means(members, sub, rng, max_iters, _ideal_inverses(sub, base),
-                      lambda v, n: _gains(v, ladder))
+    members = _split_members(members, max_iters)
+    weights, centre = _ndcg_scoring(rs.matrix.take_rows(members), base)
+    return _one_node(members, rs, rng, max_iters, weights, centre)
+
+
+def scoring(split_kind: str, matrix: SparseMatrix):
+    """(row weights or None, centre) of a split kind over all of matrix's
+    rows, for split_level: the ideal inverses are computed once per tree."""
+    if split_kind == "kmeans":
+        return None, _mean
+    return _ndcg_scoring(matrix, None)

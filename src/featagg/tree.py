@@ -1,21 +1,25 @@
-"""Recursive balanced hierarchy over features and partition extraction.
+"""Balanced hierarchy over features and partition extraction.
 
-Nodes with more than d0 features are split evenly and recursed; smaller nodes
-become leaves. Each node draws its RNG from (seed, root-to-node bit path), so
-the resulting tree is independent of build order and safe to parallelize.
-When d > d0 every leaf ends up with between floor((d0+1)/2) and d0 features.
+The tree grows one depth at a time: every node of a depth with more than d0
+features is split evenly in one vectorized pass (splits.split_level), and
+smaller nodes become leaves. Each node draws its RNG from (seed, root-to-node
+bit path), so the tree does not depend on build order. When d > d0 every
+leaf ends up with between floor((d0+1)/2) and d0 features.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError, ParseError
+from .kernels import concat_ranges
 from .reprs import ReprSet
-from .splits import MAX_ITERS, SplitResult, kmeans_split, ndcg_split
+# kmeans_split and ndcg_split stay importable from here, where
+# perfbench/tracing.py looks them up; make_tree runs split_level instead
+from .splits import MAX_ITERS, kmeans_split, ndcg_split, scoring, split_level  # noqa: F401
 
 SPLIT_KINDS = ("kmeans", "ndcg")
 
@@ -32,12 +36,36 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
+class SplitCounts:
+    """Split work over some nodes: nodes split, 2-means iterations, splits
+    that reached max_iters without converging, and index-order fallbacks
+    (no two distinct representatives drawn; 0 iterations)."""
+
+    nodes: int = 0
+    iterations: int = 0
+    non_converged: int = 0
+    fallbacks: int = 0
+
+    def __add__(self, other: "SplitCounts") -> "SplitCounts":
+        return SplitCounts(self.nodes + other.nodes, self.iterations + other.iterations,
+                           self.non_converged + other.non_converged,
+                           self.fallbacks + other.fallbacks)
+
+
+@dataclass(frozen=True)
 class ClusterTree:
+    """A grown tree; levels holds the split counts of each depth that split
+    (equality ignores them)."""
+
     root: TreeNode
     d: int
     d0: int
     split_kind: str
     seed: int
+    levels: tuple[SplitCounts, ...] = field(default=(), compare=False)
+
+    def split_counts(self) -> SplitCounts:
+        return sum(self.levels, SplitCounts())
 
 
 @dataclass(frozen=True)
@@ -233,7 +261,9 @@ def make_tree(
     seed: int = 0,
     max_iters: int = MAX_ITERS,
 ) -> ClusterTree:
-    """Grow the balanced hierarchy over all of rs's features."""
+    """Grow the balanced hierarchy over all of rs's features, one depth at a
+    time: every node of a depth with more than d0 features is split by one
+    splits.split_level call, and the others become leaves."""
     d = rs.n_features
     if d < 1:
         raise ValueError("need at least one feature")
@@ -243,20 +273,40 @@ def make_tree(
         raise ValueError(f"split_kind must be one of {SPLIT_KINDS}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    split = kmeans_split if split_kind == "kmeans" else ndcg_split
-
-    def build(members: np.ndarray, node_key: int) -> TreeNode:
-        if members.shape[0] <= d0:
-            return TreeNode(features=np.sort(members))
-        result: SplitResult = split(members, rs, _node_rng(seed, node_key), max_iters)
-        # bit path: left child appends 0, right child appends 1
-        return TreeNode(
-            left=build(result.s_plus, node_key * 2),
-            right=build(result.s_minus, node_key * 2 + 1),
-        )
-
-    root = build(np.arange(d, dtype=np.int64), 1)
-    return ClusterTree(root=root, d=d, d0=d0, split_kind=split_kind, seed=seed)
+    root = TreeNode()
+    # the depth's nodes, their bit paths (left child appends 0, right child
+    # appends 1) and their members, node k's at members[ptr[k]:ptr[k + 1]]
+    nodes, keys = [root], [1]
+    members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
+    weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
+    levels = []
+    while True:
+        sizes = np.diff(ptr)
+        for k in np.flatnonzero(sizes <= d0).tolist():
+            nodes[k].features = np.sort(members[ptr[k]:ptr[k + 1]])
+        at = np.flatnonzero(sizes > d0)
+        if not at.shape[0]:
+            break
+        members = members[concat_ranges(ptr[at], ptr[at + 1])]
+        sizes = sizes[at]
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        split = at.tolist()
+        order, iterations, converged = split_level(
+            rs.matrix, members, ptr, [_node_rng(seed, keys[k]) for k in split],
+            max_iters, None if weights is None else weights[members], centre)
+        levels.append(SplitCounts(len(split), int(iterations.sum()),
+                                  int((~converged).sum()), int((iterations == 0).sum())))
+        # each node's plus half becomes its left child, its minus half its right
+        members = members[order]
+        ptr = np.append(np.column_stack((ptr[:-1], ptr[:-1] + (sizes + 1) // 2)).ravel(),
+                        ptr[-1])
+        keys = [2 * keys[k] + bit for k in split for bit in (0, 1)]
+        parents, nodes = [nodes[k] for k in split], []
+        for node in parents:
+            node.left, node.right = TreeNode(), TreeNode()
+            nodes += [node.left, node.right]
+    return ClusterTree(root=root, d=d, d0=d0, split_kind=split_kind, seed=seed,
+                       levels=tuple(levels))
 
 
 def leaves(tree: ClusterTree) -> FeaturePartition:
@@ -275,6 +325,21 @@ def leaves(tree: ClusterTree) -> FeaturePartition:
     )
 
 
+def ensemble_trees(
+    rs: ReprSet,
+    m: int,
+    base_seed: int = 0,
+    d0: int = 8,
+    split_kind: str = "kmeans",
+    max_iters: int = MAX_ITERS,
+) -> list[ClusterTree]:
+    """m independent trees from seeds base_seed .. base_seed + m - 1."""
+    if m < 1:
+        raise ValueError("ensemble size must be at least 1")
+    return [make_tree(rs, d0=d0, split_kind=split_kind, seed=base_seed + t,
+                      max_iters=max_iters) for t in range(m)]
+
+
 def ensemble(
     rs: ReprSet,
     m: int,
@@ -283,11 +348,6 @@ def ensemble(
     split_kind: str = "kmeans",
     max_iters: int = MAX_ITERS,
 ) -> list[FeaturePartition]:
-    """m independent partitions from seeds base_seed .. base_seed + m - 1."""
-    if m < 1:
-        raise ValueError("ensemble size must be at least 1")
-    return [
-        leaves(make_tree(rs, d0=d0, split_kind=split_kind, seed=base_seed + t,
-                         max_iters=max_iters))
-        for t in range(m)
-    ]
+    """The partitions of ensemble_trees(rs, m, ...)."""
+    return [leaves(tree) for tree in ensemble_trees(rs, m, base_seed, d0, split_kind,
+                                                     max_iters)]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from featagg.cli import main
 from featagg.cooc import PseudoCooc, save_cooc
 from featagg.dataio import load_xc, save_xc
 from featagg.synth import duplicated_group_dataset, split_points
-from featagg.tree import FeaturePartition, load_partition
+from featagg.reprs import build as build_reprs
+from featagg.tree import FeaturePartition, SplitCounts, load_partition, make_tree
 
 from helpers import SPOILED_KINDS, npz_arrays, spoil_npz, write_npz
 
@@ -63,6 +65,21 @@ def test_cluster_ensemble_files(workdir, capsys):
     assert out["files"] == [str(workdir / f"ens.r{t}.json") for t in range(3)]
     for f in out["files"]:
         load_partition(f)
+
+
+@pytest.mark.parametrize("split", ["kmeans", "ndcg"])
+def test_cluster_reports_split_counts(workdir, capsys, split):
+    code, out = run(
+        capsys, "cluster", workdir / "train.txt", "-o", workdir / f"counts_{split}.json",
+        "--split", split, "--leaf-size", "4", "--ensemble", "2", "--doc-fraction", "1.0",
+    )
+    assert code == 0
+    rs = build_reprs(load_xc(str(workdir / "train.txt")), mode="x", doc_fraction=1.0)
+    want = sum((make_tree(rs, d0=4, split_kind=split, seed=t).split_counts()
+                for t in range(2)), SplitCounts())
+    assert out["splits"] == asdict(want)
+    # 32 features in leaves of at most 4: 7 splits per tree
+    assert want.nodes == 14 and want.iterations >= want.nodes - want.fallbacks
 
 
 def test_agglomerate_header_reflects_k(workdir, capsys):
@@ -342,6 +359,19 @@ def test_rerank_checks_settings_without_rows(tiny_files, capsys, option, message
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--alpha", "1.5"], "alpha must lie in [0, 1]"),
+    (["--shortlist", "0"], "shortlist must be at least 1, got 0"),
+])
+def test_rerank_checks_settings_before_reading_files(tmp_path, capsys, option, message):
+    missing = tmp_path / "missing.txt"
+    code = main(["rerank", str(missing), "--test", str(missing), "--train", str(missing),
+                 "--partition", str(missing), "-o", str(tmp_path / "out.txt")] + option)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
 
 
 def test_verify_subcommand(workdir, capsys):

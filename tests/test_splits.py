@@ -15,6 +15,7 @@ from featagg.splits import (
     ndcg_split,
 )
 from helpers import balanced_partitions, matrix_from_dense
+import tree_reference
 
 
 def repr_set(dense_rows, normalized=False) -> ReprSet:
@@ -254,11 +255,11 @@ def reference_kmeans_split(members, rs, rng, max_iters=splits.MAX_ITERS):
     members = np.asarray(members, dtype=np.int64)
     m = members.shape[0]
     sub = rs.matrix.take_rows(members)
-    picked = splits._pick_two_distinct(sub, rng)
+    picked = tree_reference.pick_two_distinct(sub, rng)
     if picked is None:
         return reference_index_order_split(members)
-    c_plus = splits._dense_row(sub, picked[0])
-    c_minus = splits._dense_row(sub, picked[1])
+    c_plus = tree_reference.dense_row(sub, picked[0])
+    c_minus = tree_reference.dense_row(sub, picked[1])
 
     n_plus = (m + 1) // 2
     n_minus = m - n_plus
@@ -269,7 +270,7 @@ def reference_kmeans_split(members, rs, rng, max_iters=splits.MAX_ITERS):
     converged = False
     for it in range(1, max_iters + 1):
         scores = kernels.row_dots(sub.indptr, sub.indices, sub.values, c_plus - c_minus)
-        plus, minus = splits._select_balanced(scores, members)
+        plus, minus = tree_reference.select_balanced(scores, members)
         c_plus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, plus, sub.cols)
         c_plus /= n_plus
         c_minus = kernels.sum_rows(sub.indptr, sub.indices, sub.values, minus, sub.cols)
@@ -309,11 +310,11 @@ def reference_ndcg_split(members, rs, rng, max_iters=splits.MAX_ITERS, base=None
     sub = rs.matrix.take_rows(members)
     p = sub.cols
     inv_ideal = reference_ideal_inverses(sub, base)
-    picked = splits._pick_two_distinct(sub, rng)
+    picked = tree_reference.pick_two_distinct(sub, rng)
     if picked is None:
         return reference_index_order_split(members)
-    r_plus = Ranking.rank_of(splits._dense_row(sub, picked[0]))
-    r_minus = Ranking.rank_of(splits._dense_row(sub, picked[1]))
+    r_plus = Ranking.rank_of(tree_reference.dense_row(sub, picked[0]))
+    r_minus = Ranking.rank_of(tree_reference.dense_row(sub, picked[1]))
     logb = math.log(base) if base is not None else 1.0
 
     def gains(r):
@@ -325,7 +326,7 @@ def reference_ndcg_split(members, rs, rng, max_iters=splits.MAX_ITERS, base=None
     for it in range(1, max_iters + 1):
         gdiff = gains(r_plus) - gains(r_minus)
         scores = inv_ideal * kernels.row_dots(sub.indptr, sub.indices, sub.values, gdiff)
-        plus, minus = splits._select_balanced(scores, members)
+        plus, minus = tree_reference.select_balanced(scores, members)
         r_plus = Ranking.rank_of(kernels.weighted_sum_rows(
             sub.indptr, sub.indices, sub.values, plus, inv_ideal[plus], p))
         r_minus = Ranking.rank_of(kernels.weighted_sum_rows(
