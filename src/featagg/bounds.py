@@ -206,9 +206,16 @@ def _random_sparse_dataset(
     )
 
 
+def _check_trials(trials: int) -> None:
+    # with no trials nothing is checked, and the worst excess stays -inf
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def lemma1_trials(
     trials: int, seed: int = 0, d_max: int = 128, p_max: int = 64
 ) -> dict:
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     failures = 0
@@ -231,6 +238,7 @@ def thm1_trials(
     trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64,
     loss: str = "logistic",
 ) -> dict:
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     failures = 0
@@ -250,6 +258,7 @@ def thm1_trials(
 def thm2_trials(
     trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64
 ) -> dict:
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     failures = 0

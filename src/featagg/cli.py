@@ -109,7 +109,7 @@ def _cmd_cluster(args) -> int:
     files = []
     for t, part in enumerate(parts):
         path = _ensemble_path(args.output, t, args.ensemble)
-        save_partition(part, path, fmt=args.format)
+        save_partition(part, path)
         files.append(path)
     _emit({
         "d": ds.d,
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip unit-normalizing representative vectors")
     p.add_argument("--ensemble", type=int, default=1, metavar="M")
     p.add_argument("--max-iters", type=int, default=MAX_ITERS)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser("agglomerate", help="apply a partition to a dataset")

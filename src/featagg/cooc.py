@@ -6,9 +6,10 @@ restricted data rows. Storage is at most d*d0 entries instead of d^2, and
 applying the matrix to a vector never leaves the clusters the vector touches.
 The blocks are kept in cluster order as one flat array, each block row-major:
 ``kernels.cooc_accumulate`` fills it, ``kernels.block_apply`` multiplies by it
-and a saved file stores it as is. The layout (block starts, offsets within
-clusters, concatenated cluster features) is computed once per ``PseudoCooc``,
-so one product costs O(nnz * d0) whatever d. Also houses the feature-erasure
+and a saved file stores it as is. The block starts and each feature's offset
+within its cluster are computed once per ``PseudoCooc``, and the concatenated
+cluster features come from its partition, so one product costs O(nnz * d0)
+whatever d. Also houses the feature-erasure
 simulator for robustness experiments.
 """
 
@@ -19,14 +20,13 @@ import numpy as np
 from . import kernels
 from .dataio import Dataset, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec
-from .tree import FeaturePartition, split_sizes
+from .tree import PARTITION_ARRAYS, FeaturePartition, decode_partition, partition_arrays
 
 
 class PseudoCooc:
     """The per-cluster blocks as one flat array, plus the block layout."""
 
-    __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of",
-                 "members", "member_start")
+    __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of")
 
     def __init__(
         self,
@@ -49,12 +49,9 @@ class PseudoCooc:
         self.flat = flat
         self.row_normalized = row_normalized
         self.block_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
-        self.member_start = np.concatenate(([0], np.cumsum(sizes)))
-        self.members = (np.concatenate(partition.clusters) if partition.clusters
-                        else np.empty(0, dtype=np.int64))
         self.offset_of = np.empty(partition.d, dtype=np.int64)
-        self.offset_of[self.members] = (
-            np.arange(partition.d) - np.repeat(self.member_start[:-1], sizes)
+        self.offset_of[partition.members] = (
+            np.arange(partition.d) - np.repeat(partition.ptr[:-1], sizes)
         )
 
     @property
@@ -74,28 +71,25 @@ class PseudoCooc:
         """Rows of C sm^T: the matrix applied to each row of sm."""
         if sm.cols != self.d:
             raise ValueError(f"data dim {sm.cols} != co-occurrence dim {self.d}")
+        part = self.partition
         indptr, indices, values = kernels.block_apply(
-            sm.indptr, sm.indices, sm.values, self.partition.cluster_of,
-            self.offset_of, self.members, self.member_start, self.block_start,
-            self.flat,
+            sm.indptr, sm.indices, sm.values, part.cluster_of, self.offset_of,
+            part.members, part.ptr, self.block_start, self.flat,
         )
         return SparseMatrix(sm.rows, self.d, indptr, indices, values, validate=False)
 
 
-_COOC_ARRAYS = {"d": ("iu", 0), "sizes": ("iu", 1), "features": ("iu", 1),
-                "blocks": ("f", 1), "row_normalized": ("b", 0)}
+_COOC_ARRAYS = {**PARTITION_ARRAYS, "blocks": ("f", 1), "row_normalized": ("b", 0)}
 
 
 def save_cooc(c: PseudoCooc, path: str) -> None:
     """Write c as an .npz archive at path, whatever its extension.
 
-    The clusters are stored as their sizes and their concatenated feature
-    ids, the blocks as the flat array.
+    The partition is stored as a partition file stores it, without d0 and
+    seed; the blocks as the flat array.
     """
     save_arrays(path, {
-        "d": np.array(c.d, dtype=np.int64),
-        "sizes": c.partition.sizes(),
-        "features": c.members,
+        **partition_arrays(c.partition),
         "blocks": c.flat,
         "row_normalized": np.array(c.row_normalized),
     })
@@ -108,24 +102,8 @@ def load_cooc(path: str) -> PseudoCooc:
     InvariantError, as for any partition.
     """
     arrays = load_arrays(path, "co-occurrence", _COOC_ARRAYS)
-    d = int(arrays["d"])
-    sizes = arrays["sizes"].astype(np.int64)
-    features = arrays["features"]
-    if d < 0:
-        raise ValueError(f"co-occurrence d must be a non-negative integer, got {d}")
-    if np.any(sizes < 0):
-        raise ValueError("co-occurrence cluster sizes must be non-negative")
-    if features.shape[0] != d or int(sizes.sum()) != d:
-        raise ValueError(
-            f"co-occurrence clusters hold {features.shape[0]} features in "
-            f"sizes summing to {int(sizes.sum())}, expected d = {d}"
-        )
-    c = PseudoCooc(FeaturePartition.from_clusters(d, split_sizes(features, sizes)),
-                   arrays["blocks"], row_normalized=bool(arrays["row_normalized"]))
-    # a partition sorts each cluster, which would permute its block's rows
-    if not np.array_equal(c.members, features):
-        raise ValueError("co-occurrence features must increase within each cluster")
-    return c
+    return PseudoCooc(decode_partition(arrays, "co-occurrence"), arrays["blocks"],
+                      row_normalized=bool(arrays["row_normalized"]))
 
 
 def build_cooc(

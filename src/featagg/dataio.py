@@ -1,5 +1,5 @@
 """Read and write the sparse multi-label text format, dataset statistics,
-and the .npz archives that hold models and co-occurrence blocks.
+and the .npz archives that hold partitions, models and co-occurrence blocks.
 
 Format: a header line ``n d L``, then one line per point of the form
 ``l1,l2,... f1:v1 f2:v2 ...`` with zero-based indices. The label field may be
@@ -16,6 +16,7 @@ of rows at a time and prints the same bytes as formatting value by value.
 from __future__ import annotations
 
 import io
+import json
 import math
 import zipfile
 import zlib
@@ -313,21 +314,21 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(
-    path: str, what: str, spec: dict[str, tuple[str, int]]
+    path: str, what: str, spec: dict[str, tuple[str, int]], earlier: str = "JSON"
 ) -> dict[str, np.ndarray]:
     """The arrays named in spec from an .npz archive written by save_arrays.
 
     spec maps each name to its dtype kinds (numpy kind letters, e.g. "iu")
     and its number of dimensions. The format is told from the content, not
-    the file name. A file that is not a readable archive (such as a JSON file
-    of an earlier version, a truncated file or pickled objects), a missing
-    array, or an array of another kind or dimension is a ValueError whose
-    message begins with what.
+    the file name. A file that is not a readable archive (such as a file in
+    the earlier format that earlier names, a truncated file or pickled
+    objects), a missing array, or an array of another kind or dimension is a
+    ValueError whose message begins with what.
     """
     with open(path, "rb") as fh:
         if fh.read(4) not in _ZIP_MAGIC:
             raise ValueError(
-                f"{what} file is not an .npz archive (JSON {what} files of "
+                f"{what} file is not an .npz archive ({earlier} {what} files of "
                 "earlier versions are no longer read)"
             )
         fh.seek(0)
@@ -349,3 +350,20 @@ def load_arrays(
                 f"got {a.dtype} with shape {a.shape}"
             )
     return arrays
+
+
+def json_text(obj) -> np.ndarray:
+    """obj as JSON text in a 0-D array, the way an archive stores settings."""
+    return np.array(json.dumps(obj))
+
+
+def json_object(text: np.ndarray, what: str) -> dict:
+    """The JSON object held by a 0-D text array from json_text; other text is
+    a ValueError whose message begins with what."""
+    try:
+        obj = json.loads(str(text))
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj

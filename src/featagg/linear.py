@@ -9,13 +9,12 @@ original ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import kernels
-from .dataio import Dataset, load_arrays, save_arrays
+from .dataio import Dataset, json_object, json_text, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec
 from .xcmetrics import Predictions, top_k
 
@@ -179,7 +178,7 @@ _MODEL_ARRAYS = {"config": ("U", 0), "dim": ("iu", 0), "weights": ("f", 2),
 def save_model(model: OvaModel, path: str) -> None:
     """Write the model as an .npz archive at path, whatever its extension."""
     save_arrays(path, {
-        "config": np.array(json.dumps(asdict(model.config))),
+        "config": json_text(asdict(model.config)),
         "dim": np.array(model.dim, dtype=np.int64),
         "weights": model.weights,
         "bias": model.bias,
@@ -190,8 +189,8 @@ def load_model(path: str) -> OvaModel:
     """Read a model saved by save_model; a malformed file is a ValueError."""
     arrays = load_arrays(path, "model", _MODEL_ARRAYS)
     try:
-        config = OvaConfig(**json.loads(str(arrays["config"])))
-    except (TypeError, ValueError) as exc:
+        config = OvaConfig(**json_object(arrays["config"], "model config"))
+    except TypeError as exc:
         raise ValueError(f"model config: {exc}") from None
     dim = int(arrays["dim"])
     weights, bias = arrays["weights"], arrays["bias"]

@@ -1,4 +1,4 @@
-"""Balanced hierarchy over features and partition extraction.
+"""Balanced hierarchy over features, partition extraction and partition files.
 
 The tree grows one depth at a time: every node of a depth with more than d0
 features is split evenly in one vectorized pass (splits.split_level), and
@@ -9,12 +9,13 @@ leaf ends up with between floor((d0+1)/2) and d0 features.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, ParseError
+from .dataio import json_object, json_text, load_arrays, save_arrays
+from .errors import InvariantError
 from .kernels import concat_ranges
 from .reprs import ReprSet
 # kmeans_split and ndcg_split stay importable from here, where
@@ -70,11 +71,15 @@ class ClusterTree:
 
 @dataclass(frozen=True)
 class FeaturePartition:
-    """K disjoint nonempty clusters covering [0, d), ids in leaf order."""
+    """K disjoint nonempty clusters covering [0, d), ids in leaf order.
 
-    n_clusters: int
+    Cluster k holds the features members[ptr[k]:ptr[k + 1]], ascending;
+    clusters holds the same K pieces as views into members.
+    """
+
     cluster_of: np.ndarray
-    clusters: list[np.ndarray]
+    members: np.ndarray
+    ptr: np.ndarray
     d0: int | None = None
     seed: int | None = None
 
@@ -82,21 +87,33 @@ class FeaturePartition:
     def d(self) -> int:
         return int(self.cluster_of.shape[0])
 
+    @property
+    def n_clusters(self) -> int:
+        return self.ptr.shape[0] - 1
+
     def sizes(self) -> np.ndarray:
-        return np.array([c.shape[0] for c in self.clusters], dtype=np.int64)
+        return np.diff(self.ptr)
+
+    @cached_property
+    def clusters(self) -> list[np.ndarray]:
+        ends = self.ptr.tolist()
+        return [self.members[s:e] for s, e in zip(ends[:-1], ends[1:])]
 
     @classmethod
-    def from_clusters(
-        cls,
-        d: int,
-        clusters: list[np.ndarray],
-        d0: int | None = None,
-        seed: int | None = None,
-    ) -> "FeaturePartition":
+    def from_clusters(cls, d: int, clusters: list[np.ndarray], d0: int | None = None,
+                      seed: int | None = None) -> "FeaturePartition":
         clusters = [np.asarray(c, dtype=np.int64) for c in clusters]
         sizes = np.array([c.shape[0] for c in clusters], dtype=np.int64)
         flat = np.concatenate(clusters) if clusters else np.empty(0, dtype=np.int64)
-        owner = np.repeat(np.arange(len(clusters)), sizes)
+        return cls.from_sizes(d, flat, sizes, d0=d0, seed=seed)
+
+    @classmethod
+    def from_sizes(cls, d: int, features: np.ndarray, sizes: np.ndarray,
+                   d0: int | None = None, seed: int | None = None) -> "FeaturePartition":
+        """Cluster k holds the next sizes[k] entries of features, in any
+        order; the sizes are non-negative and sum to len(features)."""
+        flat = np.asarray(features, dtype=np.int64)
+        owner = np.repeat(np.arange(sizes.shape[0]), sizes)
         # the first faulty cluster raises, and for one cluster an empty one
         # comes before out-of-range features, which come before a feature
         # that an earlier cluster (or an earlier entry of its own) holds
@@ -118,136 +135,67 @@ class FeaturePartition:
             raise InvariantError(f"clusters cover {flat.shape[0]} of {d} features")
         cluster_of = np.empty(d, dtype=np.int64)
         cluster_of[flat] = owner
-        clusters = split_sizes(flat[np.lexsort((flat, owner))], sizes)
-        return cls(len(clusters), cluster_of, clusters, d0=d0, seed=seed)
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "K": self.n_clusters,
-            "d0": self.d0,
-            "seed": self.seed,
-            "clusters": [c.tolist() for c in self.clusters],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FeaturePartition":
-        """Parse to_json output; a malformed payload is a ValueError."""
-        payload = json.loads(text)
-        d, clusters = check_partition_payload(payload)
-        return cls.from_clusters(
-            d, clusters, d0=payload.get("d0"), seed=payload.get("seed")
-        )
-
-    def to_flat_text(self) -> str:
-        lines = [f"{j} {k}" for j, k in enumerate(self.cluster_of)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_flat_text(cls, text: str) -> "FeaturePartition":
-        """Parse to_flat_text output, one "feature_id cluster_id" per line.
-
-        Blank lines are skipped, and d is the number of other lines. A line
-        without exactly two integers, a feature id outside [0, d) or a
-        repeated one is a ParseError naming its 1-based line; cluster ids
-        that are not contiguous from 0 are an InvariantError.
-        """
-        entries = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise ParseError(
-                    f"expected 'feature_id cluster_id', got {line.strip()!r}",
-                    line=lineno,
-                )
-            try:
-                entries.append((lineno, int(tokens[0]), int(tokens[1])))
-            except ValueError:
-                raise ParseError(f"non-integer id in {line.strip()!r}",
-                                 line=lineno) from None
-        d = len(entries)
-        cluster_of = np.empty(d, dtype=np.int64)
-        first_line = {}
-        for lineno, j, k in entries:
-            if not 0 <= j < d:
-                raise ParseError(f"feature id {j} out of range [0, {d})", line=lineno)
-            if j in first_line:
-                raise ParseError(
-                    f"feature id {j} repeated (first on line {first_line[j]})",
-                    line=lineno,
-                )
-            if not 0 <= k < d:
-                raise InvariantError("cluster ids must be contiguous from 0")
-            first_line[j] = lineno
-            cluster_of[j] = k
-        sizes = np.bincount(cluster_of)
-        if np.any(sizes == 0):
-            raise InvariantError("cluster ids must be contiguous from 0")
-        return cls.from_clusters(
-            d, split_sizes(np.argsort(cluster_of, kind="stable"), sizes)
-        )
+        return cls(cluster_of, flat[np.lexsort((flat, owner))],
+                   np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+                   d0=d0, seed=seed)
 
 
-def split_sizes(a: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
-    """a cut into consecutive pieces of the given sizes, which sum to len(a)."""
-    ends = np.cumsum(sizes).tolist()
-    return [a[start:end] for start, end in zip([0] + ends[:-1], ends)]
+# the arrays that store a partition, in a partition file and in a
+# co-occurrence file: d, the cluster sizes and FeaturePartition.members
+PARTITION_ARRAYS = {"d": ("iu", 0), "sizes": ("iu", 1), "features": ("iu", 1)}
+_PARTITION_FILE = {**PARTITION_ARRAYS, "config": ("U", 0)}
 
 
-def check_partition_payload(payload) -> tuple[int, list[np.ndarray]]:
-    """d and the clusters of a parsed partition payload, or a ValueError.
+def partition_arrays(part: FeaturePartition) -> dict[str, np.ndarray]:
+    return {"d": np.array(part.d, dtype=np.int64), "sizes": part.sizes(),
+            "features": part.members}
 
-    payload is the JSON object written by to_json. A declared K that differs
-    from the cluster count is an InvariantError.
+
+def decode_partition(arrays: dict[str, np.ndarray], what: str, d0: int | None = None,
+                     seed: int | None = None) -> FeaturePartition:
+    """The partition that partition_arrays stored, from the PARTITION_ARRAYS
+    that dataio.load_arrays read.
+
+    A malformed one is a ValueError whose message begins with what; clusters
+    that overlap, leave a feature uncovered or are empty are an
+    InvariantError, as for any partition.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("partition file must hold a JSON object")
-    missing = [k for k in ("d", "K", "clusters") if k not in payload]
-    if missing:
-        raise ValueError(f"partition file lacks {', '.join(missing)}")
-    for key in ("d", "K"):
-        value = payload[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(
-                f"partition {key} must be a non-negative integer, got {value!r}"
-            )
-    items = payload["clusters"]
-    if not isinstance(items, list):
-        raise ValueError("partition clusters must be a list")
-    clusters = []
-    for k, item in enumerate(items):
-        if not isinstance(item, list) or any(isinstance(v, list) for v in item):
-            raise ValueError(f"partition cluster {k} must be 1-D: a list of feature ids")
-        for v in item:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"partition cluster {k} is not numeric: {v!r}")
-            if not isinstance(v, int):
-                raise ValueError(f"partition cluster {k} holds non-integer feature ids: {v!r}")
-        try:
-            clusters.append(np.array(item, dtype=np.int64))
-        except OverflowError:
-            raise ValueError(f"partition cluster {k} holds a feature id out of range") from None
-    if payload["K"] != len(clusters):
-        raise InvariantError("declared K does not match cluster count")
-    return payload["d"], clusters
+    d = int(arrays["d"])
+    sizes = arrays["sizes"].astype(np.int64)
+    features = arrays["features"]
+    if d < 0:
+        raise ValueError(f"{what} d must be a non-negative integer, got {d}")
+    if np.any((sizes < 0) | (sizes > d)):
+        raise ValueError(f"{what} cluster sizes must be non-negative and at most d")
+    if features.shape[0] != d or int(sizes.sum()) != d:
+        raise ValueError(
+            f"{what} clusters hold {features.shape[0]} features in sizes "
+            f"summing to {int(sizes.sum())}, expected d = {d}"
+        )
+    part = FeaturePartition.from_sizes(d, features, sizes, d0=d0, seed=seed)
+    # a partition sorts each cluster, which would permute a stored block's rows
+    if not np.array_equal(part.members, features):
+        raise ValueError(f"{what} features must increase within each cluster")
+    return part
 
 
-def save_partition(part: FeaturePartition, path: str, fmt: str = "json") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(part.to_json() if fmt == "json" else part.to_flat_text())
-        if fmt == "json":
-            fh.write("\n")
+def save_partition(part: FeaturePartition, path: str) -> None:
+    """Write part as an .npz archive at path, whatever its extension; d0 and
+    seed go to one JSON text field, config."""
+    save_arrays(path, {**partition_arrays(part),
+                       "config": json_text({"d0": part.d0, "seed": part.seed})})
 
 
 def load_partition(path: str) -> FeaturePartition:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return FeaturePartition.from_json(text)
-    return FeaturePartition.from_flat_text(text)
+    """Read a partition saved by save_partition; a malformed file is a
+    ValueError."""
+    arrays = load_arrays(path, "partition", _PARTITION_FILE, earlier="JSON or text")
+    config = json_object(arrays["config"], "partition config")
+    if set(config) != {"d0", "seed"} or not all(
+            v is None or type(v) is int for v in config.values()):
+        raise ValueError("partition config must hold d0 and seed, each an "
+                         f"integer or null, got {str(arrays['config'])}")
+    return decode_partition(arrays, "partition", **config)
 
 
 def _node_rng(seed: int, node_key: int) -> np.random.Generator:

@@ -9,7 +9,13 @@ from featagg.cooc import PseudoCooc, save_cooc
 from featagg.dataio import load_xc, save_xc
 from featagg.synth import duplicated_group_dataset, split_points
 from featagg.reprs import build as build_reprs
-from featagg.tree import FeaturePartition, SplitCounts, load_partition, make_tree
+from featagg.tree import (
+    FeaturePartition,
+    SplitCounts,
+    load_partition,
+    make_tree,
+    save_partition,
+)
 
 from helpers import SPOILED_KINDS, npz_arrays, spoil_npz, write_npz
 
@@ -40,29 +46,29 @@ def test_stats(workdir, capsys):
 
 def test_cluster_produces_valid_partition(workdir, capsys):
     code, out = run(
-        capsys, "cluster", workdir / "train.txt", "-o", workdir / "part.json",
+        capsys, "cluster", workdir / "train.txt", "-o", workdir / "part.npz",
         "--mode", "x", "--leaf-size", "4", "--seed", "1", "--doc-fraction", "1.0",
     )
     assert code == 0
-    part = load_partition(str(workdir / "part.json"))
+    part = load_partition(str(workdir / "part.npz"))
     assert np.array_equal(np.sort(np.concatenate(part.clusters)), np.arange(32))
     assert out["K"] == part.n_clusters
 
 
 def test_cluster_reproducible_byte_identical(workdir, capsys):
-    for name in ("a.json", "b.json"):
+    for name in ("a.npz", "b.npz"):
         run(capsys, "cluster", workdir / "train.txt", "-o", workdir / name,
             "--seed", "7", "--doc-fraction", "1.0")
-    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+    assert (workdir / "a.npz").read_bytes() == (workdir / "b.npz").read_bytes()
 
 
 def test_cluster_ensemble_files(workdir, capsys):
     code, out = run(
-        capsys, "cluster", workdir / "train.txt", "-o", workdir / "ens.json",
+        capsys, "cluster", workdir / "train.txt", "-o", workdir / "ens.npz",
         "--ensemble", "3", "--doc-fraction", "1.0",
     )
     assert code == 0
-    assert out["files"] == [str(workdir / f"ens.r{t}.json") for t in range(3)]
+    assert out["files"] == [str(workdir / f"ens.r{t}.npz") for t in range(3)]
     for f in out["files"]:
         load_partition(f)
 
@@ -70,7 +76,7 @@ def test_cluster_ensemble_files(workdir, capsys):
 @pytest.mark.parametrize("split", ["kmeans", "ndcg"])
 def test_cluster_reports_split_counts(workdir, capsys, split):
     code, out = run(
-        capsys, "cluster", workdir / "train.txt", "-o", workdir / f"counts_{split}.json",
+        capsys, "cluster", workdir / "train.txt", "-o", workdir / f"counts_{split}.npz",
         "--split", split, "--leaf-size", "4", "--ensemble", "2", "--doc-fraction", "1.0",
     )
     assert code == 0
@@ -85,19 +91,19 @@ def test_cluster_reports_split_counts(workdir, capsys, split):
 def test_agglomerate_header_reflects_k(workdir, capsys):
     code, _ = run(
         capsys, "agglomerate", workdir / "train.txt",
-        "--partition", workdir / "part.json", "--mode", "sum",
+        "--partition", workdir / "part.npz", "--mode", "sum",
         "-o", workdir / "train_agg.txt",
     )
     assert code == 0
     agg = load_xc(str(workdir / "train_agg.txt"))
-    part = load_partition(str(workdir / "part.json"))
+    part = load_partition(str(workdir / "part.npz"))
     assert agg.d == part.n_clusters
 
 
 def test_cluster_metrics_report(workdir, capsys):
     code, out = run(
         capsys, "cluster-metrics", workdir / "train.txt",
-        "--partition", workdir / "part.json",
+        "--partition", workdir / "part.npz",
     )
     assert code == 0
     assert set(out) == {"lmi", "balance", "normalized_entropy",
@@ -107,7 +113,7 @@ def test_cluster_metrics_report(workdir, capsys):
 
 def test_full_pipeline_train_predict_eval(workdir, capsys):
     run(capsys, "agglomerate", workdir / "test.txt",
-        "--partition", workdir / "part.json", "-o", workdir / "test_agg.txt")
+        "--partition", workdir / "part.npz", "-o", workdir / "test_agg.txt")
     code, _ = run(capsys, "train", workdir / "train_agg.txt",
                   "-o", workdir / "model.json", "--epochs", "10", "--seed", "0")
     assert code == 0
@@ -160,7 +166,7 @@ def test_predict_rejects_inconsistent_model(workdir, capsys, tmp_path):
 
 def test_cooc_impute_erase(workdir, capsys):
     code, out = run(capsys, "cooc", workdir / "train.txt",
-                    "--partition", workdir / "part.json",
+                    "--partition", workdir / "part.npz",
                     "-o", workdir / "cooc.json")
     assert code == 0
     assert out["stored_entries"] <= 32 * 4
@@ -216,7 +222,7 @@ def test_arguments_checked_without_rows(empty_data_and_cooc, capsys, tmp_path,
 def test_impute_rejects_non_finite_blocks(workdir, capsys, tmp_path):
     path = tmp_path / "cooc.npz"
     assert run(capsys, "cooc", workdir / "train.txt", "--partition",
-               workdir / "part.json", "-o", path)[0] == 0
+               workdir / "part.npz", "-o", path)[0] == 0
     arrays = npz_arrays(path)
     arrays["blocks"][[0, 3]] = [np.nan, np.inf]
     write_npz(path, arrays)
@@ -227,27 +233,38 @@ def test_impute_rejects_non_finite_blocks(workdir, capsys, tmp_path):
     assert not (tmp_path / "out.txt").exists()
 
 
-@pytest.mark.parametrize("kind", ("earlier-json",) + SPOILED_KINDS)
-@pytest.mark.parametrize("command", ["predict", "impute"])
+@pytest.mark.parametrize("command, kind", [
+    (command, kind) for kind in ("earlier-json",) + SPOILED_KINDS
+    for command in ("predict", "impute", "agglomerate")
+] + [("agglomerate", "earlier-text")])
 def test_unreadable_model_or_cooc_exits_2(workdir, capsys, tmp_path, command, kind):
     if command == "predict":
         train = ["train", workdir / "train_agg.txt", "--epochs", "1"]
         use = ["predict", workdir / "test_agg.txt", "--model"]
         legacy = {"config": {}, "dim": 8, "bias": [0.0], "weights": [[0.0] * 8]}
-    else:
-        train = ["cooc", workdir / "train.txt", "--partition", workdir / "part.json"]
+    elif command == "impute":
+        train = ["cooc", workdir / "train.txt", "--partition", workdir / "part.npz"]
         use = ["impute", workdir / "test.txt", "--cooc"]
         legacy = {"d": 1, "K": 1, "clusters": [[0]], "blocks": [[[1.0]]]}
+    else:
+        train = ["cluster", workdir / "train.txt", "--leaf-size", "8"]
+        use = ["agglomerate", workdir / "test.txt", "--partition"]
+        legacy = {"d": 32, "K": 1, "d0": 32, "seed": 0, "clusters": [list(range(32))]}
     path = tmp_path / "artifact.json"
     assert run(capsys, *train, "-o", path)[0] == 0
     if kind == "earlier-json":
         path.write_text(json.dumps(legacy))
+    elif kind == "earlier-text":  # the feature_id cluster_id table
+        path.write_text("".join(f"{j} {j // 8}\n" for j in range(32)))
     else:
         spoil_npz(path, kind)
     code = main([str(a) for a in use] + [str(path), "-o", str(tmp_path / "out.txt")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("featagg: data error: ") and "Traceback" not in err
+    if kind.startswith("earlier-"):  # the message names the earlier format
+        assert kind.removeprefix("earlier-") in err.lower()
+        assert "of earlier versions are no longer read" in err
     assert not (tmp_path / "out.txt").exists()
 
 
@@ -268,32 +285,10 @@ def test_agglomerate_rejects_malformed_partition(payload, capsys, tmp_path):
     assert not (tmp_path / "agg.txt").exists()
 
 
-@pytest.mark.parametrize("text, code, message", [
-    ("0 0\n0 1\n", 2, "line 2: feature id 0 repeated (first on line 1)"),
-    ("0 0\n\n1\n2 0\n", 2, "line 3: expected 'feature_id cluster_id', got '1'"),
-    ("0 0\n1 0 0\n2 0\n", 2, "line 2: expected 'feature_id cluster_id'"),
-    ("0 0\n1 x\n2 0\n", 2, "line 2: non-integer id in '1 x'"),
-    ("0 0\n5 0\n1 0\n", 2, "line 2: feature id 5 out of range [0, 3)"),
-    ("[1]", 2, "line 1: expected 'feature_id cluster_id', got '[1]'"),
-    ("0 0\n1 2\n2 0\n", 3, "cluster ids must be contiguous from 0"),
-    ("0 0\n1 1\n2 -1\n", 3, "cluster ids must be contiguous from 0"),
-])
-def test_agglomerate_rejects_malformed_flat_partition(text, code, message, capsys,
-                                                      tmp_path):
-    data = tmp_path / "data.txt"
-    data.write_text("1 3 1\n0 0:1 2:2\n")
-    part = tmp_path / "part.txt"
-    part.write_text(text)
-    assert main(["agglomerate", str(data), "--partition", str(part),
-                 "-o", str(tmp_path / "agg.txt")]) == code
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "agg.txt").exists()
-
-
 def test_rerank_cli(workdir, capsys):
     code, _ = run(
         capsys, "rerank", workdir / "preds.txt", "--test", workdir / "test.txt",
-        "--train", workdir / "train.txt", "--partition", workdir / "part.json",
+        "--train", workdir / "train.txt", "--partition", workdir / "part.npz",
         "--alpha", "0.8", "-o", workdir / "reranked.txt",
     )
     assert code == 0
@@ -310,14 +305,14 @@ def tiny_files(tmp_path):
     (tmp_path / "test.txt").write_text("0 4 2\n")
     (tmp_path / "preds.txt").write_text("")
     part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
-    (tmp_path / "part.json").write_text(part.to_json())
+    save_partition(part, str(tmp_path / "part.npz"))
     return tmp_path
 
 
 @pytest.mark.parametrize("split", ["kmeans", "ndcg"])
 @pytest.mark.parametrize("leaf_size", ["2", "8"])
 def test_cluster_rejects_max_iters_below_one(tiny_files, capsys, split, leaf_size):
-    out = tiny_files / "part_out.json"
+    out = tiny_files / "part_out.npz"
     code = main(["cluster", str(tiny_files / "train.txt"), "-o", str(out),
                  "--split", split, "--leaf-size", leaf_size, "--max-iters", "0",
                  "--doc-fraction", "1.0"])
@@ -354,7 +349,7 @@ def test_rerank_checks_settings_without_rows(tiny_files, capsys, option, message
     code = main(["rerank", str(tiny_files / "preds.txt"),
                  "--test", str(tiny_files / "test.txt"),
                  "--train", str(tiny_files / "train.txt"),
-                 "--partition", str(tiny_files / "part.json"), "-o", str(out)]
+                 "--partition", str(tiny_files / "part.npz"), "-o", str(out)]
                 + option)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -379,6 +374,16 @@ def test_verify_subcommand(workdir, capsys):
                     "--seed", "0")
     assert code == 0
     assert out["all_hold"] is True
+
+
+@pytest.mark.parametrize("theorem", ["lemma1", "thm1", "thm2"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(capsys, theorem, trials):
+    # no trial would check anything, yet report that every bound holds
+    assert main(["verify", "--theorem", theorem, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"trials must be at least 1, got {trials}" in captured.err
 
 
 def test_exit_codes(workdir, capsys, tmp_path):
@@ -429,8 +434,9 @@ def test_predict_clamps_k_to_the_labels(workdir, capsys, tmp_path):
 def test_malformed_predictions_exit_2(tmp_path, capsys, text, message, command):
     data = tmp_path / "data.txt"
     data.write_text("2 3 4\n0 0:1\n1,3 1:1 2:2\n")
-    part = tmp_path / "part.txt"
-    part.write_text("0 0\n1 0\n2 1\n")
+    part = tmp_path / "part.npz"
+    save_partition(FeaturePartition.from_clusters(3, [np.array([0, 1]), np.array([2])]),
+                   str(part))
     preds = tmp_path / "preds.txt"
     preds.write_text(text)
     argv = ["eval", str(preds), str(data), "--k", "1"]

@@ -17,7 +17,7 @@ from featagg.cooc import (
 )
 from featagg.errors import InvariantError
 from featagg.sparse import SparseMatrix, SparseVec, norm
-from featagg.tree import FeaturePartition
+from featagg.tree import PARTITION_ARRAYS, FeaturePartition, load_partition, save_partition
 
 from helpers import (
     SPOILED_KINDS,
@@ -325,12 +325,24 @@ class TestPersistence:
         ],
     )
     def test_malformed_file_is_value_error(self, toy_blocks, tmp_path, edit, message):
-        _, _, c = toy_blocks
+        _, part, c = toy_blocks
         path = tmp_path / "cooc.npz"
         save_cooc(c, str(path))
-        write_npz(path, edit(npz_arrays(path)))
-        with pytest.raises(ValueError, match=re.escape(message)):
+        arrays = npz_arrays(path)
+        spoiled = edit(arrays)
+        write_npz(path, spoiled)
+        with pytest.raises(ValueError, match="^co-occurrence .*" + re.escape(message)):
             load_cooc(str(path))
+        # a partition file stores d, sizes and features alike, and one decoder
+        # reads them from both files
+        if all(spoiled.get(name) is arrays[name] for name in PARTITION_ARRAYS):
+            return
+        path = tmp_path / "part.npz"
+        save_partition(part, str(path))
+        write_npz(path, {name: spoiled[name] for name in spoiled if name in PARTITION_ARRAYS}
+                  | {"config": npz_arrays(path)["config"]})
+        with pytest.raises(ValueError, match="^partition .*" + re.escape(message)):
+            load_partition(str(path))
 
     @pytest.mark.parametrize("kind", SPOILED_KINDS)
     def test_unreadable_file_is_value_error(self, toy_blocks, tmp_path, kind):

@@ -376,11 +376,10 @@ class TestNdcgSplitMatchesReference:
             assert got.iterations == want.iterations
             assert got.converged == want.converged
 
-    def test_tree_partitions_equal(self, rng, monkeypatch):
+    def test_tree_partitions_equal(self, rng):
         rs = varied_reprs(rng, 150, 200)
         got = tree.leaves(tree.make_tree(rs, d0=8, split_kind="ndcg", seed=4))
-        monkeypatch.setattr(tree, "ndcg_split", reference_ndcg_split)
-        want = tree.leaves(tree.make_tree(rs, d0=8, split_kind="ndcg", seed=4))
+        want, _ = tree_reference.make_tree(rs, d0=8, split_kind="ndcg", seed=4)
         assert np.array_equal(got.cluster_of, want.cluster_of)
 
 
@@ -433,11 +432,10 @@ class TestKmeansSplitMatchesReference:
             assert got.iterations == 0 and got.objective_trace == ()
             assert_same_split(got, want)
 
-    def test_tree_partitions_equal(self, rng, monkeypatch):
+    def test_tree_partitions_equal(self, rng):
         rs = signed_reprs(rng, 150, 40)
         got = tree.leaves(tree.make_tree(rs, d0=8, split_kind="kmeans", seed=4))
-        monkeypatch.setattr(tree, "kmeans_split", reference_kmeans_split)
-        want = tree.leaves(tree.make_tree(rs, d0=8, split_kind="kmeans", seed=4))
+        want, _ = tree_reference.make_tree(rs, d0=8, split_kind="kmeans", seed=4)
         assert np.array_equal(got.cluster_of, want.cluster_of)
 
 

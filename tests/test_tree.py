@@ -1,5 +1,5 @@
-import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from featagg.tree import (
     save_partition,
 )
 
-from helpers import matrix_from_dense
+from helpers import matrix_from_dense, npz_arrays, write_npz
 
 
 def random_reprs(rng, d, p=6, density=0.5) -> ReprSet:
@@ -175,47 +175,26 @@ class TestFeaturePartition:
                                                for c in clusters])
 
     def test_json_round_trip(self, tmp_path, rng):
+        # the archive is written at exactly the path given, .json or not
         part = leaves(make_tree(random_reprs(rng, 17), d0=4, seed=9))
-        path = tmp_path / "part.json"
-        save_partition(part, str(path))
-        again = load_partition(str(path))
-        assert np.array_equal(again.cluster_of, part.cluster_of)
-        assert again.d0 == part.d0 and again.seed == part.seed
+        cases = [part, replace(part, d0=None, seed=None), replace(part, seed=2**64 + 3)]
+        for k, part in enumerate(cases):
+            path = tmp_path / f"part{k}.json"
+            save_partition(part, str(path))
+            again = load_partition(str(path))
+            for name in ("cluster_of", "members", "ptr"):
+                assert getattr(again, name).tobytes() == getattr(part, name).tobytes()
+            assert (again.d0, again.seed) == (part.d0, part.seed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"part{k}.json" for k in range(3)]
 
-    def test_flat_text_round_trip(self, tmp_path, rng):
-        part = leaves(make_tree(random_reprs(rng, 11), d0=4, seed=2))
-        path = tmp_path / "part.txt"
-        save_partition(part, str(path), fmt="text")
-        again = load_partition(str(path))
-        assert np.array_equal(again.cluster_of, part.cluster_of)
-
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ([1], "JSON object"),
-            ({"d": 3, "clusters": [[0, 1, 2]]}, "lacks K"),
-            ({"d": "3", "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
-            ({"d": 3.0, "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
-            ({"d": -1, "K": 1, "clusters": [[0, 1, 2]]}, "d must be a non-negative"),
-            ({"d": 3, "K": None, "clusters": [[0, 1, 2]]}, "K must be a non-negative"),
-            ({"d": 3, "K": True, "clusters": [[0, 1, 2]]}, "K must be a non-negative"),
-            ({"d": 3, "K": 1, "clusters": 5}, "clusters must be a list"),
-            ({"d": 3, "K": 1, "clusters": [[[0, 1, 2]]]}, "cluster 0 must be 1-D"),
-            ({"d": 3, "K": 1, "clusters": [[[0], [1, 2]]]}, "cluster 0 must be 1-D"),
-            ({"d": 3, "K": 2, "clusters": [[0, 1], 2]}, "cluster 1 must be 1-D"),
-            ({"d": 3, "K": 1, "clusters": [["0", 1, 2]]}, "cluster 0 is not numeric"),
-            ({"d": 3, "K": 1, "clusters": [[0, 1, True]]}, "cluster 0 is not numeric"),
-            ({"d": 3, "K": 1, "clusters": [[0, 1, 2.7]]}, "cluster 0 holds non-integer"),
-            ({"d": 3, "K": 1, "clusters": [[0, 1, 2.0]]}, "cluster 0 holds non-integer"),
-            ({"d": 3, "K": 1, "clusters": [[0, 1, 2**70]]}, "cluster 0 holds a feature id out"),
-        ],
-    )
-    def test_malformed_json_is_value_error(self, payload, message):
-        with pytest.raises(ValueError, match=message):
-            FeaturePartition.from_json(json.dumps(payload))
-
-    def test_declared_k_must_match(self):
-        with pytest.raises(InvariantError, match="declared K"):
-            FeaturePartition.from_json(
-                json.dumps({"d": 3, "K": 2, "clusters": [[0, 1, 2]]})
-            )
+    @pytest.mark.parametrize("config", [
+        "[8, 0]", "{", '{"d0": 8}', '{"d0": 8, "seed": 0, "K": 2}', '{"d0": "8", "seed": 0}',
+        '{"d0": 8, "seed": true}', '{"d0": 8.0, "seed": 0}',
+    ])
+    def test_malformed_config_is_value_error(self, tmp_path, config):
+        path = tmp_path / "part.npz"
+        save_partition(FeaturePartition.from_clusters(2, [np.array([0, 1])]), str(path))
+        write_npz(path, {**npz_arrays(path), "config": np.array(config)})
+        with pytest.raises(ValueError, match="^partition config"):
+            load_partition(str(path))
