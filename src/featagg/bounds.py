@@ -15,7 +15,7 @@ import numpy as np
 
 from .agglomerate import SUM, agglomerate_matrix
 from .dataio import Dataset
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, SparseVec, _value_eq
 from .tree import FeaturePartition
 
 REL_SLACK = 1e-9
@@ -39,6 +39,7 @@ class BoundReport:
     holds: bool
     witnesses: np.ndarray
     per_cluster: list[dict] = field(default_factory=list, compare=False)
+    __eq__ = _value_eq
 
     @property
     def rel_excess(self) -> float:
@@ -109,9 +110,18 @@ def _dense_features(ds: Dataset) -> np.ndarray:
     return ds.features.to_dense()
 
 
-def _cluster_error(V: np.ndarray) -> float:
-    """Frobenius distance of the rows to their mean."""
-    return float(np.linalg.norm(V - V.mean(axis=0)))
+def _witnesses_and_rhs(profiles: np.ndarray, u: np.ndarray,
+                       part: FeaturePartition) -> tuple[np.ndarray, float]:
+    """Each cluster's witness constant for the rows of profiles and the
+    coefficients u, and the bound: the sum over clusters of the Frobenius
+    distance of the rows to their mean times |perp(u)|."""
+    witnesses = np.empty(part.n_clusters, dtype=np.float64)
+    rhs = 0.0
+    for k, cluster in enumerate(part.clusters):
+        V, uk = profiles[cluster], u[cluster]
+        witnesses[k] = _witness(V, uk)
+        rhs += float(np.linalg.norm(V - V.mean(axis=0))) * float(np.linalg.norm(_perp(uk)))
+    return witnesses, rhs
 
 
 def thm1_check(
@@ -125,13 +135,7 @@ def thm1_check(
     X = _dense_features(ds)  # n x d
     P = X.T  # value profiles with every point retained
     fn = _loss_fn(loss)
-    witnesses = np.empty(part.n_clusters, dtype=np.float64)
-    rhs = 0.0
-    for k, cluster in enumerate(part.clusters):
-        V = P[cluster]
-        u = w[cluster]
-        witnesses[k] = _witness(V, u)
-        rhs += _cluster_error(V) * float(np.linalg.norm(_perp(u)))
+    witnesses, rhs = _witnesses_and_rhs(P, w, part)
     x_agg = agglomerate_matrix(ds.features, part, SUM).to_dense()
     diffs = fn(X @ w) - fn(x_agg @ witnesses)
     lhs = float(np.sqrt(np.sum(diffs * diffs)))
@@ -154,13 +158,7 @@ def thm2_check(
     Y = ds.labels.to_dense()  # n x L
     Q = X.T @ Y  # label aggregates per feature, every point and label retained
     delta = c_plus - c_minus
-    witnesses = np.empty(part.n_clusters, dtype=np.float64)
-    rhs = 0.0
-    for k, cluster in enumerate(part.clusters):
-        V = Q[cluster]
-        u = delta[cluster]
-        witnesses[k] = _witness(V, u)
-        rhs += _cluster_error(V) * float(np.linalg.norm(_perp(u)))
+    witnesses, rhs = _witnesses_and_rhs(Q, delta, part)
     Z = Y.T @ X  # one row per label
     z_agg = np.empty((Z.shape[0], part.n_clusters), dtype=np.float64)
     for k, cluster in enumerate(part.clusters):
@@ -188,8 +186,6 @@ def random_partition(rng: np.random.Generator, d: int) -> FeaturePartition:
 def _random_sparse_dataset(
     rng: np.random.Generator, n: int, d: int, n_labels: int, density: float
 ) -> Dataset:
-    from .sparse import SparseVec
-
     feat_rows = []
     label_rows = []
     for _ in range(n):
@@ -206,71 +202,62 @@ def _random_sparse_dataset(
     )
 
 
-def _check_trials(trials: int) -> None:
+def _run_trials(theorem: str, trials: int, seed: int, draw) -> dict:
+    """Summary of trials checks from one seeded rng: draw(rng) makes one
+    trial's draws in order and returns its (lhs, rhs, holds) checks."""
     # with no trials nothing is checked, and the worst excess stays -inf
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    failures = 0
+    for _ in range(trials):
+        for lhs, rhs, holds in draw(rng):
+            worst = max(worst, (lhs - rhs) / max(rhs, 1.0))
+            failures += not holds
+    return {"theorem": theorem, "trials": trials, "failures": int(failures),
+            "all_hold": failures == 0, "worst_rel_excess": float(worst)}
 
 
 def lemma1_trials(
     trials: int, seed: int = 0, d_max: int = 128, p_max: int = 64
 ) -> dict:
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    failures = 0
-    for _ in range(trials):
+    def draw(rng):
         d = int(rng.integers(2, d_max + 1))
         p = int(rng.integers(1, p_max + 1))
         Z = rng.normal(size=(d, p))
         w = rng.normal(size=d)
-        part = random_partition(rng, d)
-        report = lemma1_check(Z, part, w)
-        for pc in report.per_cluster:
-            excess = (pc["lhs"] - pc["rhs"]) / max(pc["rhs"], 1.0)
-            worst = max(worst, excess)
-            failures += not pc["holds"]
-    return {"theorem": "lemma1", "trials": trials, "failures": int(failures),
-            "all_hold": failures == 0, "worst_rel_excess": float(worst)}
+        report = lemma1_check(Z, random_partition(rng, d), w)
+        return [(pc["lhs"], pc["rhs"], pc["holds"]) for pc in report.per_cluster]
+
+    return _run_trials("lemma1", trials, seed, draw)
 
 
 def thm1_trials(
     trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64,
     loss: str = "logistic",
 ) -> dict:
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    failures = 0
-    for _ in range(trials):
+    def draw(rng):
         n = int(rng.integers(4, n_max + 1))
         d = int(rng.integers(4, d_max + 1))
         ds = _random_sparse_dataset(rng, n, d, n_labels=4, density=0.3)
         part = random_partition(rng, d)
-        w = rng.normal(size=d)
-        report = thm1_check(ds, part, w, loss=loss)
-        worst = max(worst, report.rel_excess)
-        failures += not report.holds
-    return {"theorem": "thm1", "trials": trials, "failures": int(failures),
-            "all_hold": failures == 0, "worst_rel_excess": float(worst)}
+        report = thm1_check(ds, part, rng.normal(size=d), loss=loss)
+        return [(report.lhs, report.rhs, report.holds)]
+
+    return _run_trials("thm1", trials, seed, draw)
 
 
 def thm2_trials(
     trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64
 ) -> dict:
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    failures = 0
-    for _ in range(trials):
+    def draw(rng):
         n = int(rng.integers(4, n_max + 1))
         d = int(rng.integers(4, d_max + 1))
         ds = _random_sparse_dataset(rng, n, d, n_labels=6, density=0.3)
         part = random_partition(rng, d)
         c_plus = rng.normal(size=d)
-        c_minus = rng.normal(size=d)
-        report = thm2_check(ds, part, c_plus, c_minus)
-        worst = max(worst, report.rel_excess)
-        failures += not report.holds
-    return {"theorem": "thm2", "trials": trials, "failures": int(failures),
-            "all_hold": failures == 0, "worst_rel_excess": float(worst)}
+        report = thm2_check(ds, part, c_plus, rng.normal(size=d))
+        return [(report.lhs, report.rhs, report.holds)]
+
+    return _run_trials("thm2", trials, seed, draw)

@@ -42,14 +42,10 @@ def mutual_information(Z: SparseMatrix, Y: SparseMatrix) -> float:
     zt = Z.transpose()
     ylen = Y.row_nnz().astype(np.float64)
     row_sums = kernels.row_dots(zt.indptr, zt.indices, zt.values, ylen)
-    zsum = np.zeros(Z.rows, dtype=np.float64)
-    if Z.values.size:
-        row_of = np.repeat(np.arange(Z.rows), Z.row_nnz())
-        zsum = np.bincount(row_of, weights=Z.values, minlength=Z.rows)
-    col_sums = np.zeros(Y.cols, dtype=np.float64)
-    if Y.indices.size:
-        y_row_of = np.repeat(np.arange(Y.rows), Y.row_nnz())
-        col_sums = np.bincount(Y.indices, weights=zsum[y_row_of], minlength=Y.cols)
+    zsum = np.bincount(np.repeat(np.arange(Z.rows), Z.row_nnz()), weights=Z.values,
+                       minlength=Z.rows)
+    y_row = np.repeat(np.arange(Y.rows), Y.row_nnz())
+    col_sums = np.bincount(Y.indices, weights=zsum[y_row], minlength=Y.cols)
     total = float(row_sums.sum())
     if total == 0.0:
         raise ValueError("all-zero feature-label joint")

@@ -2,8 +2,10 @@
 
 Each kernel has one numpy implementation; only ``ova_sgd`` (over its
 sequential steps) and ``score_rows`` (one BLAS product per row) loop in
-Python. ``tests/kernel_reference.py`` holds a plain-Python loop per kernel
-that spells out the same arithmetic, and the tests compare the two.
+Python. ``sparse_product`` is the one product A B behind representatives,
+prototypes, label mutual information and rerank affinities.
+``tests/kernel_reference.py`` holds a plain-Python loop per kernel that
+spells out the same arithmetic, and the tests compare the two.
 
 All kernels take (indptr, indices, values) CSR triples with int64 indices and
 float64 values; callers are responsible for dtype discipline.
@@ -120,6 +122,25 @@ def coalesce(keys, values, nrows, ncols):
     keys = keys[keep]
     counts = np.bincount(keys // ncols, minlength=nrows)
     return np.concatenate(([0], np.cumsum(counts))), keys % ncols, sums[keep]
+
+
+# ---------------------------------------------------------------------------
+# sparse_product: CSR of A B from the CSR triples of A and B
+# ---------------------------------------------------------------------------
+
+
+def sparse_product(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
+                   ncols):
+    """CSR triple of A B, B with ncols columns: entry (r, c) sums
+    a[r, i] * b[i, c] over row r's stored entries in stored order (see
+    coalesce, which also drops exact zeros)."""
+    nrows = a_indptr.shape[0] - 1
+    starts, ends = b_indptr[a_indices], b_indptr[a_indices + 1]
+    reps = ends - starts
+    flat = concat_ranges(starts, ends)
+    row = np.repeat(np.repeat(np.arange(nrows, dtype=np.int64), np.diff(a_indptr)), reps)
+    return coalesce(row * ncols + b_indices[flat],
+                    np.repeat(a_values, reps) * b_values[flat], nrows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +316,20 @@ _MI_BLOCK_PAIRS = 1 << 14
 def mi_accumulate(
     zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
 ):
-    # Per block of features: expand each Z^T nonzero over its point's labels,
-    # coalesce equal (feature, label) keys into joint entries, sum the terms.
-    n_features = zt_indptr.shape[0] - 1
+    # Per block of features: the block's rows of the joint Z^T Y (Y as its 0/1
+    # pattern), then the terms of its positive entries whose feature has mass.
     n_labels = col_sums.shape[0]
-    y_lens = np.diff(y_indptr)
+    ones = np.ones(y_indices.shape[0])
     # expanded pairs before each feature's first nonzero
-    before = np.concatenate(([0], np.cumsum(y_lens[zt_indices])))[zt_indptr]
+    before = np.concatenate(([0], np.cumsum(np.diff(y_indptr)[zt_indices])))[zt_indptr]
     mi = 0.0
     for lo, hi in chunk_ranges(before, _MI_BLOCK_PAIRS):
         s, e = zt_indptr[lo], zt_indptr[hi]
-        feat = np.repeat(np.arange(lo, hi), np.diff(zt_indptr[lo : hi + 1]))
-        keep = row_sums[feat] != 0.0
-        feat, pts, zv = feat[keep], zt_indices[s:e][keep], zt_values[s:e][keep]
-        reps = y_lens[pts]
-        labels = y_indices[concat_ranges(y_indptr[pts], y_indptr[pts + 1])]
-        key = np.repeat(feat - lo, reps) * n_labels + labels
-        uniq, inverse = np.unique(key, return_inverse=True)
-        p = np.bincount(inverse, weights=np.repeat(zv, reps))
-        nz = p > 0.0
-        p, j, l = p[nz], uniq[nz] // n_labels + lo, uniq[nz] % n_labels
+        indptr, l, p = sparse_product(zt_indptr[lo : hi + 1] - s, zt_indices[s:e],
+                                      zt_values[s:e], y_indptr, y_indices, ones,
+                                      n_labels)
+        j = np.repeat(np.arange(lo, hi), np.diff(indptr))
+        nz = (p > 0.0) & (row_sums[j] != 0.0)
+        p, j, l = p[nz], j[nz], l[nz]
         mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))))
     return mi / total

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset, json_object, json_text, load_arrays, save_arrays
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix, SparseVec, _value_eq
 from .xcmetrics import Predictions, top_k
 
 LABEL_GUARD = 10_000
@@ -40,6 +40,7 @@ class OvaModel:
     weights: np.ndarray  # (n_labels, dim)
     bias: np.ndarray  # (n_labels,)
     config: OvaConfig
+    __eq__ = _value_eq
 
     @property
     def dim(self) -> int:
@@ -139,13 +140,11 @@ def train_ova(
 
 def decision_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
     """Raw margins w.x + b, shape (n, n_labels) or (n_labels,) for one vector."""
-    if isinstance(x, SparseVec):
-        if x.dim != model.dim:
-            raise ValueError(f"vector dim {x.dim} != model dim {model.dim}")
-        return model.weights[:, x.indices] @ x.values + model.bias
-    if x.cols != model.dim:
-        raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
-    return kernels.score_rows(x.indptr, x.indices, x.values, model.weights, model.bias)
+    m = SparseMatrix.from_rows([x]) if isinstance(x, SparseVec) else x
+    if m.cols != model.dim:
+        raise ValueError(f"matrix cols {m.cols} != model dim {model.dim}")
+    scores = kernels.score_rows(m.indptr, m.indices, m.values, model.weights, model.bias)
+    return scores[0] if isinstance(x, SparseVec) else scores
 
 
 def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
@@ -163,7 +162,7 @@ def predict(
     points x labels score matrix is never held whole.
     """
     if isinstance(x, SparseVec):
-        x = SparseMatrix(1, x.dim, [0, x.nnz], x.indices, x.values, validate=False)
+        x = SparseMatrix.from_rows([x])
     if x.cols != model.dim:
         raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
     scores = probability_scores if probabilities else decision_scores

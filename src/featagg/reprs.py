@@ -4,7 +4,8 @@ Two flavours: value profiles across data points (co-occurrence view, one
 coordinate per retained point) and weighted label aggregates (co-prediction
 view, one coordinate per retained label). Retention follows the volume /
 popularity subsampling knobs; with both fractions at 1 the builders reproduce
-the exact feature-major transpose and the exact label aggregates.
+the exact feature-major transpose and the exact label aggregates X^T Y (one
+``kernels.sparse_product``).
 """
 
 from __future__ import annotations
@@ -86,32 +87,20 @@ def build_repr_xy(
     order = np.lexsort((np.arange(n_labels), -counts))
     sel_labels = np.sort(order[:keep])
 
-    label_map = np.full(n_labels, -1, dtype=np.int64)
-    label_map[sel_labels] = np.arange(keep, dtype=np.int64)
-
+    # Y restricted to the retained points and labels: Y_sel S, for the L x keep
+    # 0/1 matrix S that maps each retained label to its coordinate
     ysub = ds.labels.take_rows(sel)
-    mapped = label_map[ysub.indices] if ysub.indices.size else ysub.indices
-    hit = mapped >= 0
-    row_of = np.repeat(np.arange(sel.shape[0]), ysub.row_nnz())[hit]
-    y_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(row_of, minlength=sel.shape[0]), dtype=np.int64))
+    ysel = kernels.sparse_product(
+        ysub.indptr, ysub.indices, ysub.values,
+        np.searchsorted(sel_labels, np.arange(n_labels + 1)), np.arange(keep),
+        np.ones(keep), keep,
     )
-    y_indices = mapped[hit]
-    y_values = ysub.values[hit]
-
-    # Expand every nonzero x_ij of X^T over point i's retained labels l and
-    # coalesce equal (j, l) keys. coalesce adds each key's terms in expansion
-    # order (points ascending, then stored label order), as a per-feature
-    # weighted sum of label rows would. With no label retained (keep = 0)
-    # there are no keys to divide by it.
+    # X_sel^T (Y_sel S): each (j, l) entry adds its points' terms in retained
+    # order, as a per-feature weighted sum of label rows would. With no label
+    # retained (keep = 0) there are no keys to divide by it.
     xt = ds.features.take_rows(sel).transpose()
-    starts, ends = y_indptr[xt.indices], y_indptr[xt.indices + 1]
-    flat = kernels.concat_ranges(starts, ends)
-    reps = ends - starts
-    feat = np.repeat(np.repeat(np.arange(ds.d, dtype=np.int64), xt.row_nnz()), reps)
-    indptr, indices, sums = kernels.coalesce(
-        feat * keep + y_indices[flat], y_values[flat] * np.repeat(xt.values, reps),
-        ds.d, keep,
+    indptr, indices, sums = kernels.sparse_product(
+        xt.indptr, xt.indices, xt.values, *ysel, keep
     )
     matrix = SparseMatrix(ds.d, keep, indptr, indices, sums, validate=False)
     return ReprSet(matrix=matrix, kind="xy", normalized=False)

@@ -4,7 +4,9 @@ reranking.
 Each label gets a closed-form prototype: the co-occurrence matrix applied to
 the sum of that label's positive points. A test point's affinity to a label is
 a Gaussian kernel of its distance to the prototype, and the final ranking
-combines log base-classifier scores with log affinities over a shortlist.
+combines log base-classifier scores with log affinities over a shortlist. The
+label sums (rows of Y^T X) and the dot products of test points with
+prototypes (entries of X P^T) both come from ``kernels.sparse_product``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
 # Scratch bound, whatever the number of labels or test points:
-# rerank_predictions expands at most this many (label, query entry) pairs at
-# a time (at least one row's).
+# rerank_predictions takes at a time at most this many (query entry, P^T row
+# entry) pairs of x P^T plus shortlist entries (at least one row's).
 _AFFINITY_CHUNK = 1 << 15
 
 
@@ -59,9 +61,8 @@ def build_prototypes(
     """Prototype of label l = co-occurrence matrix times the sum of its
     positive points; optional per-prototype unit L2 normalization.
 
-    The rows of Y^T X (each label's points summed in order) come from one
-    column merge under the identity map; the co-occurrence matrix is then
-    applied to all of them at once.
+    The label sums are the rows of Y^T X (each label's points summed in
+    order); the co-occurrence matrix is then applied to all of them at once.
     """
     feats = ds.features
     if feats.cols != c.d:
@@ -69,11 +70,9 @@ def build_prototypes(
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     yt = ds.labels.transpose()
-    points = feats.take_rows(yt.indices)
-    # one row per label holding its points' entries, then equal features summed
-    indptr = points.indptr[yt.indptr]
-    sums = SparseMatrix(ds.n_labels, c.d, *kernels.agglomerate_csr(
-        indptr, points.indices, points.values, np.arange(c.d), c.d, np.empty(0),
+    sums = SparseMatrix(ds.n_labels, c.d, *kernels.sparse_product(
+        yt.indptr, yt.indices, yt.values, feats.indptr, feats.indices, feats.values,
+        c.d,
     ), validate=False)
     ps = PrototypeSet(matrix=c.apply(sums), gamma=gamma, normalized=normalize)
     if normalize:
@@ -91,38 +90,36 @@ def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.nd
     """Affinities of x to a shortlist of labels in one pass."""
     labels = np.asarray(labels, dtype=np.int64)
     x_sq = np.array([norm(x, 2) ** 2])
-    return _affinities(ps, np.array([0, x.nnz]), x.indices, x.values, x_sq,
-                       np.zeros(labels.shape[0], dtype=np.int64), labels)
+    return _affinities(ps, ps.matrix.transpose(), ps.sq_norms(), SparseMatrix.from_rows([x]),
+                       x_sq, np.zeros(labels.shape[0], dtype=np.int64), labels)
 
 
 def _affinities(
-    ps: PrototypeSet, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+    ps: PrototypeSet, pt: SparseMatrix, p_sq: np.ndarray, x: SparseMatrix,
     x_sq: np.ndarray, rows: np.ndarray, labels: np.ndarray,
 ) -> np.ndarray:
-    """Affinity of query row rows[i] (CSR arrays, squared norms x_sq) to the
-    prototype of labels[i], for every i.
+    """Affinity of query row rows[i] of x (squared norms x_sq) to the
+    prototype of labels[i], for every i; pt is the prototypes' transpose and
+    p_sq their squared norms.
 
-    Each dot product adds the products of the query's stored entries with the
-    prototype's entries at the same feature, in the prototype's stored
-    order; no query is expanded to a dense vector.
+    The dot products are the entries of x P^T, each adding the products of
+    the query's stored entries with the prototype's entries at the same
+    feature, in the query's stored order; no query is expanded to a dense
+    vector.
     """
-    protos = ps.matrix
-    keys = np.repeat(np.arange(protos.rows), protos.row_nnz()) * protos.cols
-    keys += protos.indices
+    n_labels = ps.n_labels
+    indptr, cols, prods = kernels.sparse_product(
+        x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, n_labels
+    )
     dots = np.zeros(rows.shape[0], dtype=np.float64)
-    if keys.shape[0]:
-        # pairs taken in label order look up nearly rising keys, which keeps
-        # the binary searches in cache
-        by_label = np.argsort(labels, kind="stable")
-        r = rows[by_label]
-        flat = kernels.concat_ranges(indptr[r], indptr[r + 1])
-        pair = np.repeat(by_label, indptr[r + 1] - indptr[r])
-        key = labels[pair] * protos.cols + indices[flat]
+    if prods.shape[0]:
+        # the product's (row, label) keys ascend; an absent key is a 0 dot
+        keys = np.repeat(np.arange(x.rows), np.diff(indptr)) * n_labels + cols
+        key = rows * n_labels + labels
         at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
         hit = keys[at] == key
-        dots = np.bincount(pair[hit], weights=protos.values[at[hit]] * values[flat[hit]],
-                           minlength=rows.shape[0])
-    sq = x_sq[rows] + ps.sq_norms()[labels] - 2.0 * dots
+        dots[hit] = prods[at[hit]]
+    sq = x_sq[rows] + p_sq[labels] - 2.0 * dots
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
 
 
@@ -197,29 +194,31 @@ def rerank_predictions(
     x_norm = np.sqrt(np.bincount(x_row, weights=values * values, minlength=x_test.rows))
     if normalize_queries:
         values = values / np.where(x_norm > 0, x_norm, 1.0)[x_row]
-        x_norm = np.sqrt(np.bincount(x_row, weights=values * values,
-                                     minlength=x_test.rows))
+        x_norm = np.sqrt(np.bincount(x_row, weights=values * values, minlength=x_test.rows))
+    x = SparseMatrix(x_test.rows, x_test.cols, x_test.indptr, x_test.indices, values,
+                     validate=False)
     x_sq = x_norm ** 2
+    pt, p_sq = ps.matrix.transpose(), ps.sq_norms()
 
-    # rows lo..hi-1 expand to at most _AFFINITY_CHUNK (label, query entry)
-    # pairs, or are one row
-    ends = np.concatenate(([0], np.cumsum(short.lengths() * x_test.row_nnz())))
-    out_labels, out_scores, counts = [], [], []
+    # rows lo..hi-1 cost at most _AFFINITY_CHUNK (query entry, P^T row entry)
+    # pairs plus shortlist entries, or are one row
+    ends = np.concatenate(([0], np.cumsum(np.diff(pt.indptr)[x.indices])))[x.indptr]
+    ends += short.indptr
+    out_labels, out_scores = [np.zeros(0, np.int64)], [np.zeros(0)]
+    counts = [np.zeros(0, np.int64)]
     for lo, hi in kernels.chunk_ranges(ends, _AFFINITY_CHUNK):
         s, e = short.indptr[lo], short.indptr[hi]
-        rows = np.repeat(np.arange(lo, hi), short.lengths()[lo:hi])
+        rows = np.repeat(np.arange(hi - lo), short.lengths()[lo:hi])
         labels, scores = short.labels[s:e], short.scores[s:e]
         keep = scores > 0.0
         rows, labels, scores = rows[keep], labels[keep], scores[keep]
-        aff = _affinities(ps, x_test.indptr, x_test.indices, values, x_sq,
-                          rows, labels)
+        aff = _affinities(ps, pt, p_sq, x.slice_rows(lo, hi), x_sq[lo:hi], rows,
+                          labels)
         _, combined = _combine(scores, aff, alpha)
         order = np.lexsort((labels, -combined, rows))
         out_labels.append(labels[order])
         out_scores.append(combined[order])
-        counts.append(np.bincount(rows - lo, minlength=hi - lo))
-    if not counts:
-        return Predictions(np.zeros(1), np.empty(0), np.empty(0), validate=False)
+        counts.append(np.bincount(rows, minlength=hi - lo))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return Predictions(indptr, np.concatenate(out_labels),
                        np.concatenate(out_scores), validate=False)

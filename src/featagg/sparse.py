@@ -8,11 +8,24 @@ are immutable by convention and safe to share across workers.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from . import kernels
+
+
+def _value_eq(self, other) -> bool:
+    """Equality by value for a dataclass (its fields, compare=False skipped) or
+    a __slots__ class: arrays compare with np.array_equal, the rest with ==."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    names = ([f.name for f in fields(self) if f.compare] if is_dataclass(self)
+             else self.__slots__)
+    pairs = ((getattr(self, name), getattr(other, name)) for name in names)
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+               else a == b for a, b in pairs)
 
 
 class SparseVec:
@@ -70,14 +83,7 @@ class SparseVec:
         out[self.indices] = self.values
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseVec):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _value_eq
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -224,16 +230,7 @@ class SparseMatrix:
             rows.shape[0], self.cols, sub_indptr, sub_indices, sub_values, validate=False
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _value_eq
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .reprs import ReprSet
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _value_eq
 
 MAX_ITERS = 20
 _INIT_ATTEMPTS = 6  # one initial draw plus up to five redraws
@@ -29,6 +29,7 @@ class Ranking:
     """Permutation of [0, p); position j holds the coordinate ranked j-th."""
 
     order: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         order = np.asarray(self.order, dtype=np.int64)
@@ -61,6 +62,7 @@ class SplitResult:
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...] = field(default=(), compare=False)
+    __eq__ = _value_eq
 
 
 def _log_base(base: float | None) -> float:

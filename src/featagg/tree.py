@@ -18,6 +18,7 @@ from .dataio import json_object, json_text, load_arrays, save_arrays
 from .errors import InvariantError
 from .kernels import concat_ranges
 from .reprs import ReprSet
+from .sparse import _value_eq
 # kmeans_split and ndcg_split stay importable from here, where
 # perfbench/tracing.py looks them up; make_tree runs split_level instead
 from .splits import MAX_ITERS, kmeans_split, ndcg_split, scoring, split_level  # noqa: F401
@@ -30,6 +31,7 @@ class TreeNode:
     features: np.ndarray | None = None  # leaf payload, sorted ascending
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
+    __eq__ = _value_eq
 
     @property
     def is_leaf(self) -> bool:
@@ -64,6 +66,7 @@ class ClusterTree:
     split_kind: str
     seed: int
     levels: tuple[SplitCounts, ...] = field(default=(), compare=False)
+    __eq__ = _value_eq
 
     def split_counts(self) -> SplitCounts:
         return sum(self.levels, SplitCounts())
@@ -82,6 +85,7 @@ class FeaturePartition:
     ptr: np.ndarray
     d0: int | None = None
     seed: int | None = None
+    __eq__ = _value_eq
 
     @property
     def d(self) -> int:

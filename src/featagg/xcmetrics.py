@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError
 from .kernels import chunk_ranges
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _value_eq
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
 # rows of at most this many scores at a time (at least one row) ...
@@ -74,6 +74,7 @@ class Prediction:
 
     labels: np.ndarray
     scores: np.ndarray
+    __eq__ = _value_eq
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -217,6 +218,7 @@ class PropensityModel:
     p: np.ndarray
     A: float
     B: float
+    __eq__ = _value_eq
 
     def inverse(self) -> np.ndarray:
         return 1.0 / self.p

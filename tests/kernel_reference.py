@@ -57,6 +57,27 @@ def transpose_csr(indptr, indices, values, nrows, ncols):
     return t_indptr, t_indices, t_values
 
 
+def sparse_product(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
+                   ncols):
+    nrows = a_indptr.shape[0] - 1
+    out_indptr = np.zeros(nrows + 1, dtype=np.int64)
+    out_indices, out_values = [], []
+    for r in range(nrows):
+        sums = {}
+        for t in range(a_indptr[r], a_indptr[r + 1]):
+            i = a_indices[t]
+            for u in range(b_indptr[i], b_indptr[i + 1]):
+                c = int(b_indices[u])
+                sums[c] = sums.get(c, 0.0) + a_values[t] * b_values[u]
+        for c in sorted(sums):
+            if sums[c] != 0.0:
+                out_indices.append(c)
+                out_values.append(sums[c])
+        out_indptr[r + 1] = len(out_indices)
+    return (out_indptr, np.array(out_indices, dtype=np.int64),
+            np.array(out_values, dtype=np.float64))
+
+
 def agglomerate_csr(indptr, indices, values, cluster_of, n_clusters, divisors):
     nrows = indptr.shape[0] - 1
     nnz = indices.shape[0]

@@ -10,6 +10,7 @@ import pytest
 
 import featagg
 from featagg import kernels
+from featagg.sparse import SparseMatrix
 
 import kernel_reference
 
@@ -64,6 +65,43 @@ def test_transpose_csr(csr):
     b = nb_fn(*csr, 20, 12)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def dense_csr(dense):
+    row, col = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dense.shape[0]))))
+    return indptr.astype(np.int64), col.astype(np.int64), dense[row, col]
+
+
+@pytest.mark.parametrize("shape", [(15, 10, 8), (1, 1, 1), (0, 4, 3), (5, 0, 2)])
+def test_sparse_product(rng, shape):
+    nrows, inner, ncols = shape
+    a = rng.uniform(-2, 2, (nrows, inner)) * (rng.random((nrows, inner)) < 0.4)
+    b = rng.uniform(-2, 2, (inner, ncols)) * (rng.random((inner, ncols)) < 0.4)
+    if nrows >= 15:
+        a[[2, 9]] = 0.0  # empty rows of A
+        b[[4, 7]] = 0.0  # empty rows of B, which row 5 of A still reaches
+        a[5, 4] = a[5, 7] = 1.5
+        # row 0 of A B: two equal rows of B with opposite weights cancel to
+        # exact 0.0s, which are dropped; row 1 cancels in all but column 0
+        b[1] = b[3] = rng.uniform(0.5, 2, ncols)
+        a[0] = 0.0
+        a[0, 1], a[0, 3] = 0.75, -0.75
+        b[6] = b[1]
+        b[6, 0] += 1.0
+        a[1] = 0.0
+        a[1, 1], a[1, 6] = 0.5, -0.5
+    args = (*dense_csr(a), *dense_csr(b), ncols)
+    np_fn, loop_fn = impls("sparse_product")
+    got, want = np_fn(*args), loop_fn(*args)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert np.allclose(SparseMatrix(nrows, ncols, *got).to_dense(), a @ b,
+                       rtol=0.0, atol=1e-12)
+    if nrows >= 15:
+        indptr = got[0]
+        assert indptr[1] == 0 and indptr[2] == 1  # row 0 empty, row 1 one entry
+        assert indptr[3] == indptr[2] and indptr[10] == indptr[9]
 
 
 def test_agglomerate_csr(csr, rng):

@@ -368,3 +368,24 @@ def test_top_k_scratch_is_chunk_bounded(rng, tmp_path):
     argv = ["predict", str(tmp_path / "data.txt"), "--model", str(tmp_path / "model.npz"),
             "--k", "3", "-o", str(tmp_path / "preds.txt")]
     assert peak_bytes(main, argv) < dense_bytes / 4
+
+
+def test_rerank_scratch_is_chunk_bounded(rng, monkeypatch):
+    """rerank_predictions takes x P^T a chunk of rows at a time, and computes
+    the prototypes' squared norms once per call however many chunks it takes."""
+    n, n_labels, dim, k = 4000, 100, 32, 5
+    ps = reranking.PrototypeSet(random_matrix(rng, n_labels, dim, 0.9, empty_rows=False),
+                                gamma=1.0, normalized=True)
+    x = random_matrix(rng, n, dim, 0.25)
+    # query entries times P^T row entries, plus shortlist entries
+    pairs = np.diff(ps.matrix.transpose().indptr)[x.indices].sum() + n * k
+    assert pairs >= 20 * reranking._AFFINITY_CHUNK
+    labels = (np.arange(n)[:, None] + np.arange(k)).ravel() % n_labels
+    preds = Predictions(np.arange(0, n * k + 1, k), labels,
+                        np.tile(np.linspace(0.9, 0.5, k), n))
+    sq_norms = reranking.PrototypeSet.sq_norms
+    calls = []
+    monkeypatch.setattr(reranking.PrototypeSet, "sq_norms",
+                        lambda self: calls.append(1) or sq_norms(self))
+    assert peak_bytes(rerank_predictions, preds, ps, x, shortlist=k) < pairs * 8 / 4
+    assert len(calls) == 1

@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from featagg import bounds, reprs, synth, tree
+from featagg.linear import OvaConfig, OvaModel
 from featagg.sparse import SparseMatrix, SparseVec, axpy, dot, norm
+from featagg.splits import Ranking, SplitResult
+from featagg.xcmetrics import Prediction, propensities
 
 from helpers import vec
 
@@ -135,3 +141,67 @@ class TestSparseMatrix:
         sub = m.take_rows(np.array([2, 0]))
         assert sub.row(0) == vec(2, {0: 3})
         assert sub.row(1) == vec(2, {0: 1})
+
+
+def grown_tree(seed=0):
+    ds = synth.random_dataset(np.random.default_rng(3), 40, 32, n_labels=4)
+    return tree.make_tree(reprs.build(ds), d0=4, seed=seed)
+
+
+def bound_report():
+    part = tree.FeaturePartition.from_clusters(4, [[0, 2], [1, 3]])
+    z = np.arange(12.0).reshape(4, 3)
+    return bounds.lemma1_check(z, part, np.array([1.0, -2.0, 0.5, 3.0]))
+
+
+# (build, change): build() makes a fresh object; change(obj) returns it with
+# one compared field changed
+VALUE_EQ_CASES = {
+    "FeaturePartition": (
+        lambda: tree.FeaturePartition.from_clusters(5, [[0, 2], [1, 3, 4]], seed=1),
+        lambda p: replace(p, members=p.members[::-1].copy()),
+    ),
+    "ClusterTree": (grown_tree, lambda t: replace(t, seed=1)),
+    "TreeNode": (lambda: grown_tree().root, lambda n: replace(n, left=n.right)),
+    "ClusterTree.root": (grown_tree, lambda t: replace(t, root=grown_tree(seed=5).root)),
+    "SplitResult": (
+        lambda: SplitResult(np.array([0, 3]), np.array([1, 2]), 2, True, (2.0, 1.0)),
+        lambda r: replace(r, s_minus=np.array([2, 1])),
+    ),
+    "Ranking": (lambda: Ranking(np.array([2, 0, 1])),
+                lambda r: Ranking(np.array([2, 1, 0]))),
+    "OvaModel": (
+        lambda: OvaModel(np.ones((2, 3)), np.zeros(2), OvaConfig()),
+        lambda m: replace(m, bias=np.array([0.0, 1.0])),
+    ),
+    "PropensityModel": (
+        lambda: propensities(SparseMatrix(2, 3, [0, 2, 3], [0, 2, 2], [1.0] * 3)),
+        lambda m: replace(m, p=m.p * 0.5),
+    ),
+    "Prediction": (lambda: Prediction([3, 1], [0.5, 0.25]),
+                   lambda p: Prediction([3, 1], [0.5, 0.125])),
+    "BoundReport": (bound_report, lambda r: replace(r, witnesses=r.witnesses + 1.0)),
+    "SparseMatrix": (lambda: SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, 4.0]),
+                     lambda m: SparseMatrix(2, 3, [0, 1, 2], [1, 0], [1.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_EQ_CASES))
+def test_value_equality(name):
+    """Array-holding types compare by value instead of raising, and ignore the
+    fields declared compare=False."""
+    build, change = VALUE_EQ_CASES[name]
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    changed = change(a)
+    assert changed != a and not changed == b
+    assert a != "something else"
+
+
+def test_value_equality_skips_uncompared_fields():
+    r = SplitResult(np.array([0, 3]), np.array([1, 2]), 2, True, (2.0, 1.0))
+    assert replace(r, objective_trace=()) == r
+    t = grown_tree()
+    assert t.levels and replace(t, levels=()) == t
+    rep = bound_report()
+    assert replace(rep, per_cluster=[]) == rep
