@@ -23,7 +23,8 @@ from .cluster_quality import quality_report
 from .dataio import Dataset, load_xc, save_xc, stats
 from .errors import InvariantError, ParseError
 from .linear import OvaConfig, load_model, probability_scores, save_model, train_ova
-from .reranking import build_prototypes, check_rerank_settings, rerank_predictions
+from .reranking import (_check_gamma, build_prototypes, check_rerank_settings,
+                        rerank_predictions)
 from .splits import MAX_ITERS
 from .tree import (
     SPLIT_KINDS,
@@ -156,11 +157,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.partition and len(args.partition) != len(args.model):
+        raise ValueError("give one --partition per --model, or none")
     ds = _load(args)
     models = [load_model(p) for p in args.model]
     partitions = [load_partition(p) for p in args.partition or []]
-    if partitions and len(partitions) != len(models):
-        raise InvariantError("give one --partition per --model, or none")
     n_labels = models[0].n_labels
     if any(model.n_labels != n_labels for model in models):
         raise ValueError("every --model must rank the same number of labels")
@@ -190,6 +191,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.propensity and not args.train:
+        raise ValueError("--propensity requires --train")
     with open(args.predictions, "r", encoding="utf-8") as fh:
         preds = load_predictions(fh)
     ds = load_xc(args.data, one_based=args.one_based)
@@ -199,8 +202,6 @@ def _cmd_eval(args) -> int:
         report[f"P@{k}"] = precision_at_k(preds, ds.labels, k)
         report[f"nDCG@{k}"] = ndcg_at_k(preds, ds.labels, k)
     if args.propensity:
-        if not args.train:
-            raise InvariantError("--propensity requires --train")
         train_ds = load_xc(args.train, one_based=args.one_based)
         prop = propensities(train_ds.labels, A=args.A, B=args.B)
         for k in ks:
@@ -240,6 +241,7 @@ def _cmd_erase(args) -> int:
 
 def _cmd_rerank(args) -> int:
     check_rerank_settings(args.alpha, args.shortlist)
+    _check_gamma(args.gamma)
     with open(args.predictions, "r", encoding="utf-8") as fh:
         preds = load_predictions(fh)
     test_ds = load_xc(args.test, one_based=args.one_based)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset, load_arrays, save_arrays
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix, SparseVec, _value_eq
 from .tree import PARTITION_ARRAYS, FeaturePartition, decode_partition, partition_arrays
 
 
@@ -27,6 +27,7 @@ class PseudoCooc:
     """The per-cluster blocks as one flat array, plus the block layout."""
 
     __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of")
+    __eq__ = _value_eq
 
     def __init__(
         self,
@@ -149,18 +150,11 @@ def impute_blend(c: PseudoCooc, x: SparseVec, lam: float = 0.0) -> SparseVec:
     return impute_matrix(c, SparseMatrix.from_rows([x]), lam).row(0)
 
 
-def _row_norms(sm: SparseMatrix) -> np.ndarray:
-    # np.dot per row, as sparse.norm takes it: a segment sum differs from
-    # BLAS's dot in the last bit for many rows
-    v, bounds = sm.values, sm.indptr.tolist()
-    return np.sqrt([np.dot(v[s:e], v[s:e]) for s, e in zip(bounds, bounds[1:])])
-
-
 def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMatrix:
     """impute_blend of every row of sm."""
     _in_unit("lam", lam)
     imputed = c.apply(sm)
-    ni, nx = _row_norms(imputed), _row_norms(sm)
+    ni, nx = np.sqrt(imputed.row_sq_norms()), np.sqrt(sm.row_sq_norms())
     scale = np.where((ni > 0) & (nx > 0), nx / np.where(ni > 0, ni, 1.0), 1.0)
     # sum over the union of both supports; each entry gets the arithmetic of
     # the dense formula (imputed * c) + lam * x, with 0 for a missing side
@@ -178,22 +172,20 @@ def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMa
 
 def erase(x: SparseVec, fraction: float, rng: np.random.Generator) -> SparseVec:
     """Uniformly remove round(fraction * nnz) stored entries."""
-    _in_unit("fraction", fraction)
-    remove = int(np.floor(fraction * x.nnz + 0.5))
-    if remove <= 0:
-        return x
-    if remove >= x.nnz:
-        return SparseVec(x.dim, validate=False)
-    drop = rng.choice(x.nnz, size=remove, replace=False)
-    keep = np.ones(x.nnz, dtype=bool)
-    keep[drop] = False
-    return SparseVec(x.dim, x.indices[keep], x.values[keep], validate=False)
+    return erase_matrix(SparseMatrix.from_rows([x]), fraction, rng).row(0)
 
 
-def erase_matrix(
-    sm: SparseMatrix, fraction: float, rng: np.random.Generator
-) -> SparseMatrix:
-    """Row-wise erasure with one shared RNG stream (order-deterministic)."""
+def erase_matrix(sm: SparseMatrix, fraction: float,
+                 rng: np.random.Generator) -> SparseMatrix:
+    """erase of every row from one shared RNG stream: in row order, each row
+    that keeps some entries and loses some draws which ones it loses."""
     _in_unit("fraction", fraction)
-    rows = [erase(sm.row(i), fraction, rng) for i in range(sm.rows)]
-    return SparseMatrix.from_rows(rows, sm.cols)
+    nnz = sm.row_nnz()
+    remove = np.floor(fraction * nnz + 0.5).astype(np.int64)
+    keep = np.repeat(remove < nnz, nnz)
+    for i in np.flatnonzero((remove > 0) & (remove < nnz)).tolist():
+        drop = rng.choice(int(nnz[i]), size=int(remove[i]), replace=False)
+        keep[sm.indptr[i] + drop] = False
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return SparseMatrix(sm.rows, sm.cols, kept[sm.indptr], sm.indices[keep],
+                        sm.values[keep], validate=False)

@@ -109,13 +109,9 @@ def build_repr_xy(
 def normalize(rs: ReprSet) -> ReprSet:
     """Scale every nonzero representative to unit L2 norm."""
     m = rs.matrix
-    row_of = np.repeat(np.arange(m.rows), m.row_nnz())
-    sq = np.bincount(row_of, weights=m.values * m.values, minlength=m.rows)
-    norms = np.sqrt(sq)
-    scale = np.ones(m.rows, dtype=np.float64)
-    nz = norms > 0
-    scale[nz] = 1.0 / norms[nz]
-    values = m.values * scale[row_of] if m.values.size else m.values
+    norms = np.sqrt(m.row_sq_norms())
+    scale = np.divide(1.0, norms, out=np.ones(m.rows), where=norms > 0)
+    values = m.values * np.repeat(scale, m.row_nnz())
     matrix = SparseMatrix(m.rows, m.cols, m.indptr, m.indices, values, validate=False)
     return ReprSet(matrix=matrix, kind=rs.kind, normalized=True)
 

@@ -7,6 +7,8 @@ a Gaussian kernel of its distance to the prototype, and the final ranking
 combines log base-classifier scores with log affinities over a shortlist. The
 label sums (rows of Y^T X) and the dot products of test points with
 prototypes (entries of X P^T) both come from ``kernels.sparse_product``.
+The per-point functions (affinity, affinity_scores, rerank) are one-row calls
+of rerank_predictions' arithmetic and checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import kernels
 from .cooc import PseudoCooc
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec, norm
+from .sparse import SparseMatrix, SparseVec
 from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
@@ -49,10 +51,13 @@ class PrototypeSet:
         return self.matrix.row(l)
 
     def sq_norms(self) -> np.ndarray:
-        row_of = np.repeat(np.arange(self.matrix.rows), self.matrix.row_nnz())
-        return np.bincount(
-            row_of, weights=self.matrix.values**2, minlength=self.matrix.rows
-        )
+        return self.matrix.row_sq_norms()
+
+
+def _check_gamma(gamma: float) -> None:
+    """ValueError unless the kernel width gamma is finite and positive."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 def build_prototypes(
@@ -67,8 +72,7 @@ def build_prototypes(
     feats = ds.features
     if feats.cols != c.d:
         raise ValueError(f"dataset dim {feats.cols} != co-occurrence dim {c.d}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     yt = ds.labels.transpose()
     sums = SparseMatrix(ds.n_labels, c.d, *kernels.sparse_product(
         yt.indptr, yt.indices, yt.values, feats.indptr, feats.indices, feats.values,
@@ -87,11 +91,27 @@ def affinity(x: SparseVec, ps: PrototypeSet, l: int) -> float:
 
 
 def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
-    """Affinities of x to a shortlist of labels in one pass."""
+    """Affinities of x to a shortlist of labels: those rerank_predictions
+    takes for x as its one unnormalized query row, after the same checks."""
     labels = np.asarray(labels, dtype=np.int64)
-    x_sq = np.array([norm(x, 2) ** 2])
-    return _affinities(ps, ps.matrix.transpose(), ps.sq_norms(), SparseMatrix.from_rows([x]),
-                       x_sq, np.zeros(labels.shape[0], dtype=np.int64), labels)
+    short = Predictions([0, labels.size], labels, np.zeros(labels.size), validate=False)
+    x, x_sq, pt, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
+    return _affinities(ps, pt, p_sq, x, x_sq, np.zeros(labels.size, np.int64), labels)
+
+
+def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: bool):
+    """Check the shortlist and queries against the prototypes; return the
+    queries (unit L2 if normalize), their squared norms, and the prototypes'
+    transpose and squared norms."""
+    if x.cols != ps.dim:
+        raise ValueError(f"test dim {x.cols} != prototype dim {ps.dim}")
+    short.check_labels(ps.n_labels)
+    x_norm = np.sqrt(x.row_sq_norms())
+    if normalize:
+        values = x.values / np.repeat(np.where(x_norm > 0, x_norm, 1.0), x.row_nnz())
+        x = SparseMatrix(x.rows, x.cols, x.indptr, x.indices, values, validate=False)
+        x_norm = np.sqrt(x.row_sq_norms())
+    return x, x_norm ** 2, ps.matrix.transpose(), ps.sq_norms()
 
 
 def _affinities(
@@ -123,17 +143,19 @@ def _affinities(
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
 
 
-def _combine(
-    base_scores: np.ndarray, affinities: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which entries have a positive base score, and their combined scores."""
+def _rank(rows: np.ndarray, labels: np.ndarray, base_scores: np.ndarray,
+          affinities: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
+    """Rows, labels and combined scores of the entries with a positive base
+    score, by row, then descending combined score, then ascending label."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     keep = base_scores > 0.0
+    rows, labels = rows[keep], labels[keep]
     combined = alpha * np.log(base_scores[keep]) + (1.0 - alpha) * np.log(
         np.maximum(affinities[keep], _LOG_FLOOR)
     )
-    return keep, combined
+    order = np.lexsort((labels, -combined, rows))
+    return rows[order], labels[order], combined[order]
 
 
 def rerank(
@@ -147,14 +169,15 @@ def rerank(
     Labels with nonpositive base score are excluded (their log is undefined).
     Ties break by ascending label id. Rescaling every base score by a common
     positive factor shifts all combined scores equally, leaving the ranking
-    unchanged.
+    unchanged. This is rerank_predictions' ranking of one row.
     """
     base_labels = np.asarray(base_labels, dtype=np.int64)
-    keep, combined = _combine(np.asarray(base_scores, dtype=np.float64),
-                              np.asarray(affinities, dtype=np.float64), alpha)
-    labels = base_labels[keep]
-    order = np.lexsort((labels, -combined))
-    return labels[order], combined[order]
+    base_scores = np.asarray(base_scores, dtype=np.float64)
+    affinities = np.asarray(affinities, dtype=np.float64)
+    if base_labels.ndim != 1 or not base_labels.shape == base_scores.shape == affinities.shape:
+        raise ValueError("base labels, base scores and affinities must have equal length")
+    return _rank(np.zeros(base_labels.size, np.int64), base_labels, base_scores,
+                 affinities, alpha)[1:]
 
 
 def check_rerank_settings(alpha: float, shortlist: int) -> None:
@@ -183,42 +206,22 @@ def rerank_predictions(
     preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
-    if x_test.cols != ps.dim:
-        raise ValueError(f"test dim {x_test.cols} != prototype dim {ps.dim}")
     if normalize_queries is None:
         normalize_queries = ps.normalized
     short = preds.head(shortlist)
-    short.check_labels(ps.n_labels)
-    x_row = np.repeat(np.arange(x_test.rows), x_test.row_nnz())
-    values = x_test.values
-    x_norm = np.sqrt(np.bincount(x_row, weights=values * values, minlength=x_test.rows))
-    if normalize_queries:
-        values = values / np.where(x_norm > 0, x_norm, 1.0)[x_row]
-        x_norm = np.sqrt(np.bincount(x_row, weights=values * values, minlength=x_test.rows))
-    x = SparseMatrix(x_test.rows, x_test.cols, x_test.indptr, x_test.indices, values,
-                     validate=False)
-    x_sq = x_norm ** 2
-    pt, p_sq = ps.matrix.transpose(), ps.sq_norms()
+    x, x_sq, pt, p_sq = _prepare(short, ps, x_test, normalize_queries)
 
     # rows lo..hi-1 cost at most _AFFINITY_CHUNK (query entry, P^T row entry)
     # pairs plus shortlist entries, or are one row
     ends = np.concatenate(([0], np.cumsum(np.diff(pt.indptr)[x.indices])))[x.indptr]
     ends += short.indptr
-    out_labels, out_scores = [np.zeros(0, np.int64)], [np.zeros(0)]
-    counts = [np.zeros(0, np.int64)]
+    ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for lo, hi in kernels.chunk_ranges(ends, _AFFINITY_CHUNK):
         s, e = short.indptr[lo], short.indptr[hi]
         rows = np.repeat(np.arange(hi - lo), short.lengths()[lo:hi])
-        labels, scores = short.labels[s:e], short.scores[s:e]
-        keep = scores > 0.0
-        rows, labels, scores = rows[keep], labels[keep], scores[keep]
         aff = _affinities(ps, pt, p_sq, x.slice_rows(lo, hi), x_sq[lo:hi], rows,
-                          labels)
-        _, combined = _combine(scores, aff, alpha)
-        order = np.lexsort((labels, -combined, rows))
-        out_labels.append(labels[order])
-        out_scores.append(combined[order])
-        counts.append(np.bincount(rows, minlength=hi - lo))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return Predictions(indptr, np.concatenate(out_labels),
-                       np.concatenate(out_scores), validate=False)
+                          short.labels[s:e])
+        ranked.append(_rank(rows + lo, short.labels[s:e], short.scores[s:e], aff, alpha))
+    rows, labels, scores = map(np.concatenate, zip(*ranked))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(short)))))
+    return Predictions(indptr, labels, scores, validate=False)

@@ -9,7 +9,7 @@ are immutable by convention and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,6 +26,21 @@ def _value_eq(self, other) -> bool:
     pairs = ((getattr(self, name), getattr(other, name)) for name in names)
     return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
                else a == b for a, b in pairs)
+
+
+def _check_entries(cols, indptr, indices, values) -> None:
+    """ValueError unless every row's column indices lie in [0, cols) and
+    strictly increase, and every value is finite."""
+    if np.any(indices < 0) or np.any(indices >= cols):
+        raise ValueError("column index out of range")
+    if indices.size > 1:
+        row_start = np.zeros(indices.shape[0], dtype=bool)
+        starts = indptr[:-1]
+        row_start[starts[starts < indices.shape[0]]] = True
+        if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
+            raise ValueError("row indices must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
 
 
 class SparseVec:
@@ -48,17 +63,11 @@ class SparseVec:
                 raise ValueError("dim must be nonnegative")
             if idx.shape != val.shape or idx.ndim != 1:
                 raise ValueError("indices and values must be matching 1-d sequences")
-            if idx.size:
-                if np.any(idx < 0) or np.any(idx >= dim):
-                    raise ValueError("index out of range")
-                if np.any(np.diff(idx) <= 0):
-                    raise ValueError("indices must be strictly increasing")
-                if not np.all(np.isfinite(val)):
-                    raise ValueError("values must be finite")
+            # the checks of a one-row SparseMatrix; stored zeros are dropped
+            _check_entries(dim, np.array([0, idx.shape[0]]), idx, val)
             keep = val != 0.0
             if not keep.all():
-                idx = idx[keep]
-                val = val[keep]
+                idx, val = idx[keep], val[keep]
         self.dim = int(dim)
         self.indices = idx
         self.values = val
@@ -147,18 +156,9 @@ class SparseMatrix:
                 raise ValueError("bad indptr")
             if indices.shape[0] != values.shape[0]:
                 raise ValueError("indices/values length mismatch")
-            if indices.size:
-                if np.any(indices < 0) or np.any(indices >= cols):
-                    raise ValueError("column index out of range")
-                if indices.size > 1:
-                    row_start = np.zeros(indices.shape[0], dtype=bool)
-                    starts = indptr[:-1]
-                    row_start[starts[starts < indices.shape[0]]] = True
-                    bad = (np.diff(indices) <= 0) & ~row_start[1:]
-                    if np.any(bad):
-                        raise ValueError("row indices must be strictly increasing")
-                if np.any(values == 0.0):
-                    raise ValueError("stored zeros are not allowed")
+            _check_entries(cols, indptr, indices, values)
+            if np.any(values == 0.0):
+                raise ValueError("stored zeros are not allowed")
         self.rows = int(rows)
         self.cols = int(cols)
         self.indptr = indptr
@@ -192,12 +192,14 @@ class SparseMatrix:
         s, e = self.indptr[i], self.indptr[i + 1]
         return SparseVec(self.cols, self.indices[s:e], self.values[s:e], validate=False)
 
-    def iter_rows(self) -> Iterator[SparseVec]:
-        for i in range(self.rows):
-            yield self.row(i)
-
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def row_sq_norms(self) -> np.ndarray:
+        """Squared L2 norm of every row: one segment sum, in stored order."""
+        row_of = np.repeat(np.arange(self.rows), self.row_nnz())
+        return np.bincount(row_of, weights=self.values * self.values,
+                           minlength=self.rows).astype(np.float64, copy=False)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.float64)

@@ -102,6 +102,7 @@ class Predictions:
     """
 
     __slots__ = ("indptr", "labels", "scores")
+    __eq__ = _value_eq
 
     def __init__(self, indptr, labels, scores, *, validate: bool = True):
         self.indptr = np.asarray(indptr, dtype=np.int64)

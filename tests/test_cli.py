@@ -343,6 +343,9 @@ def test_eval_rejects_propensity_parameters(tiny_files, capsys, a, b, message):
     (["--alpha", "-0.5"], "alpha must lie in [0, 1]"),
     (["--shortlist", "0"], "shortlist must be at least 1, got 0"),
     (["--shortlist", "-1"], "shortlist must be at least 1, got -1"),
+    (["--gamma", "nan"], "gamma must be finite and positive, got nan"),
+    (["--gamma", "inf"], "gamma must be finite and positive, got inf"),
+    (["--gamma", "0"], "gamma must be finite and positive, got 0.0"),
 ])
 def test_rerank_checks_settings_without_rows(tiny_files, capsys, option, message):
     out = tiny_files / "reranked.txt"
@@ -359,6 +362,8 @@ def test_rerank_checks_settings_without_rows(tiny_files, capsys, option, message
 @pytest.mark.parametrize("option, message", [
     (["--alpha", "1.5"], "alpha must lie in [0, 1]"),
     (["--shortlist", "0"], "shortlist must be at least 1, got 0"),
+    (["--gamma", "nan"], "gamma must be finite and positive, got nan"),
+    (["--gamma", "inf"], "gamma must be finite and positive, got inf"),
 ])
 def test_rerank_checks_settings_before_reading_files(tmp_path, capsys, option, message):
     missing = tmp_path / "missing.txt"
@@ -367,6 +372,23 @@ def test_rerank_checks_settings_before_reading_files(tmp_path, capsys, option, m
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "No such file" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "{missing}", "--model", "{missing}", "--model", "{missing}",
+      "--partition", "{missing}", "-o", "{out}"],
+     "give one --partition per --model, or none"),
+    (["eval", "{missing}", "{missing}", "--k", "1", "--propensity"],
+     "--propensity requires --train"),
+])
+def test_argument_mismatch_exits_2_before_reading_files(tmp_path, capsys, argv, message):
+    # mismatched arguments are bad input (exit 2), not a broken invariant (3)
+    paths = {"missing": tmp_path / "missing.txt", "out": tmp_path / "out.txt"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"featagg: data error: {message}\n"
+    assert captured.out == "" and not paths["out"].exists()
 
 
 def test_verify_subcommand(workdir, capsys):

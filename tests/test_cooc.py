@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ from featagg.cooc import (
     PseudoCooc,
     build_cooc,
     erase,
+    erase_matrix,
     impute,
     impute_blend,
     impute_matrix,
@@ -16,7 +18,7 @@ from featagg.cooc import (
     save_cooc,
 )
 from featagg.errors import InvariantError
-from featagg.sparse import SparseMatrix, SparseVec, norm
+from featagg.sparse import SparseMatrix, SparseVec
 from featagg.tree import PARTITION_ARRAYS, FeaturePartition, load_partition, save_partition
 
 from helpers import (
@@ -185,10 +187,18 @@ class TestImpute:
         assert impute_blend(c, x, lam=1.0) == x
 
 
+def sequential_norm(x: SparseVec) -> float:
+    """L2 norm with the squares added one at a time in stored order."""
+    total = 0.0
+    for square in x.values * x.values:
+        total += square
+    return math.sqrt(total)
+
+
 def dense_blend(c, x, lam):
     """impute_blend through a dense length-d vector."""
     imputed = impute(c, x)
-    ni, nx = norm(imputed, 2), norm(x, 2)
+    ni, nx = sequential_norm(imputed), sequential_norm(x)
     scale = nx / ni if ni > 0 and nx > 0 else 1.0
     dense = imputed.to_dense() * ((1.0 - lam) * scale)
     dense[x.indices] += lam * x.values
@@ -243,7 +253,59 @@ class TestImputeBlend:
         assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
 
 
+def reference_erase_matrix(sm, fraction, rng):
+    """erase_matrix as one SparseVec and at most one rng.choice call per row."""
+    rows = []
+    for i in range(sm.rows):
+        x = sm.row(i)
+        remove = int(np.floor(fraction * x.nnz + 0.5))
+        if remove >= x.nnz:
+            x = SparseVec(x.dim, validate=False)
+        elif remove > 0:
+            drop = rng.choice(x.nnz, size=remove, replace=False)
+            keep = np.ones(x.nnz, dtype=bool)
+            keep[drop] = False
+            x = SparseVec(x.dim, x.indices[keep], x.values[keep], validate=False)
+        rows.append(x)
+    return SparseMatrix.from_rows(rows, sm.cols)
+
+
+ERASE_FRACTIONS = [0.0, 0.01, 0.25, 0.3, 0.5, 0.75, 1.0]
+
+
+def assert_same_matrix(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for name in ("indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestErase:
+    @pytest.mark.parametrize("fraction", ERASE_FRACTIONS)
+    def test_matrix_equals_row_loop_bitwise(self, rng, fraction):
+        dense = rng.random((40, 30)) * (rng.random((40, 30)) > 0.6)
+        dense[rng.random(40) < 0.2] = 0.0  # empty rows
+        sm = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 30)
+        for seed in (0, 11):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_matrix(erase_matrix(sm, fraction, got_rng),
+                               reference_erase_matrix(sm, fraction, want_rng))
+            # the same draws were made, so the streams continue alike
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("fraction", ERASE_FRACTIONS)
+    def test_vector_is_one_row_matrix(self, rng, fraction):
+        for seed in range(10):
+            x = SparseVec.from_dense(rng.random(12) * (rng.random(12) > 0.3))
+            got = erase(x, fraction, np.random.default_rng(seed))
+            want = erase_matrix(SparseMatrix.from_rows([x]), fraction,
+                                np.random.default_rng(seed))
+            assert_same_matrix(SparseMatrix.from_rows([got]), want)
+
+    def test_matrix_bad_fraction(self, rng):
+        with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\]"):
+            erase_matrix(SparseMatrix(1, 3, [0, 0], [], []), -0.1, rng)
+
     def test_zero_fraction_unchanged(self, rng):
         x = vec(6, {0: 1.0, 3: 2.0})
         assert erase(x, 0.0, rng) == x

@@ -11,9 +11,9 @@ from featagg.reranking import (
     rerank,
     rerank_predictions,
 )
-from featagg.sparse import SparseVec, norm
+from featagg.sparse import SparseMatrix, SparseVec, norm
 from featagg.tree import FeaturePartition
-from featagg.xcmetrics import Prediction
+from featagg.xcmetrics import Prediction, Predictions
 
 from helpers import dataset_from_dense, dense_cooc_oracle, vec
 
@@ -64,6 +64,13 @@ class TestBuildPrototypes:
                 assert norm(p, 2) == pytest.approx(1.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_gamma(self, small_setup, gamma):
+        ds, _, c = small_setup
+        with pytest.raises(ValueError, match=f"gamma must be finite and positive, got {gamma}"):
+            build_prototypes(c, ds, gamma=gamma)
+
+
 class TestAffinity:
     def test_zero_distance_scores_one(self, small_setup):
         ds, part, c = small_setup
@@ -102,6 +109,25 @@ class TestAffinity:
             assert batch[l] == pytest.approx(affinity(x, ps, l), rel=1e-12)
 
 
+    def test_rejects_wrong_query_dimension(self, small_setup):
+        ds, _, c = small_setup
+        ps = build_prototypes(c, ds)
+        with pytest.raises(ValueError, match="test dim 5 != prototype dim 6"):
+            affinity_scores(vec(5, {0: 1.0}), ps, np.array([0]))
+        with pytest.raises(ValueError, match="test dim 7 != prototype dim 6"):
+            affinity(vec(7, {0: 1.0}), ps, 0)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_rejects_label_outside_range(self, small_setup, label):
+        ds, _, c = small_setup
+        ps = build_prototypes(c, ds)
+        x = vec(6, {0: 1.0})
+        with pytest.raises(ValueError, match=r"has a label outside \[0, 3\)"):
+            affinity_scores(x, ps, np.array([0, label]))
+        with pytest.raises(ValueError, match=r"has a label outside \[0, 3\)"):
+            affinity(x, ps, label)
+
+
 class TestRerank:
     def test_alpha_one_keeps_base_ranking(self):
         labels = np.array([4, 1, 7])
@@ -136,6 +162,15 @@ class TestRerank:
         l2, _ = rerank(labels, base * 37.5, aff)
         assert np.array_equal(l1, l2)
 
+    @pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])
+    def test_rejects_unequal_lengths(self, sizes):
+        with pytest.raises(ValueError, match="must have equal length"):
+            rerank(np.arange(sizes[0]), np.full(sizes[1], 0.5), np.full(sizes[2], 0.5))
+
+    def test_rejects_alpha_outside_unit(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            rerank(np.array([0]), np.array([0.5]), np.array([0.5]), alpha=1.5)
+
     def test_tie_break_by_label_id(self):
         out_labels, _ = rerank(
             np.array([5, 2]), np.array([0.5, 0.5]), np.array([0.5, 0.5])
@@ -155,3 +190,55 @@ def test_rerank_predictions_pipeline(small_setup):
     for pr in out:
         assert set(pr.labels.tolist()) <= {0, 1, 2}
         assert np.all(np.diff(pr.scores) <= 0)
+
+
+def shortlist_predictions(rng, n, n_labels):
+    """Random ranked rows over n_labels, some base scores nonpositive."""
+    rows = []
+    for _ in range(n):
+        labels = rng.permutation(n_labels)[:int(rng.integers(0, n_labels + 1))]
+        scores = np.sort(rng.uniform(-0.2, 1.0, size=labels.shape[0]))[::-1]
+        rows.append(Prediction(labels, scores))
+    return Predictions.from_rows(rows)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_per_point_rerank_is_a_matrix_row(small_setup, rng, normalize):
+    """rerank of one point's shortlist and its affinities gives, bit for bit,
+    that point's row of rerank_predictions."""
+    ds, _, c = small_setup
+    ps = build_prototypes(c, ds, normalize=normalize, gamma=2.5)
+    preds = shortlist_predictions(rng, ds.n, 3)
+    x_test = ds.features
+    for alpha in (0.0, 0.8, 1.0):
+        out = rerank_predictions(preds, ps, x_test, alpha=alpha, shortlist=3,
+                                 normalize_queries=False)
+        for i in range(ds.n):
+            pr = preds[i]
+            aff = affinity_scores(x_test.row(i), ps, pr.labels)
+            labels, scores = rerank(pr.labels, pr.scores, aff, alpha=alpha)
+            assert labels.tobytes() == out[i].labels.tobytes()
+            assert scores.tobytes() == out[i].scores.tobytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_affinity_scores_are_the_matrix_affinities(rng, normalize):
+    """With alpha = 0 and unnormalized queries, the reranked scores are the
+    logs of affinity_scores, bit for bit. Rows are long enough for their
+    squared norms to depend on the order of the sum, and unit prototypes keep
+    the query's squared norm from being absorbed by the prototype's."""
+    d, n_labels = 48, 4
+    feats = rng.random((30, d)) * (rng.random((30, d)) > 0.3)
+    ds = dataset_from_dense(feats, [{i % n_labels} for i in range(30)], n_labels)
+    part = FeaturePartition.from_clusters(d, np.split(rng.permutation(d), 6))
+    ps = build_prototypes(build_cooc(ds, part), ds, normalize=normalize, gamma=0.5)
+    x_test = SparseMatrix.from_rows(
+        [SparseVec.from_dense(rng.normal(size=d) * (rng.random(d) > 0.2))
+         for _ in range(20)], d)
+    preds = Predictions(np.arange(0, 61, 3), np.tile([2, 0, 1], 20),
+                        np.tile([0.9, 0.5, 0.2], 20))
+    out = rerank_predictions(preds, ps, x_test, alpha=0.0, shortlist=3,
+                             normalize_queries=False)
+    for i in range(x_test.rows):
+        aff = affinity_scores(x_test.row(i), ps, out[i].labels)
+        assert np.log(np.maximum(aff, 1e-300)).tobytes() == out[i].scores.tobytes()

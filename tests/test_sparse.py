@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from featagg import bounds, reprs, synth, tree
+from featagg.cooc import PseudoCooc, build_cooc
 from featagg.linear import OvaConfig, OvaModel
 from featagg.sparse import SparseMatrix, SparseVec, axpy, dot, norm
 from featagg.splits import Ranking, SplitResult
-from featagg.xcmetrics import Prediction, propensities
+from featagg.xcmetrics import Prediction, Predictions, propensities
 
 from helpers import vec
 
@@ -129,6 +130,36 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(1, 4, [0, 2], [2, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, bad])
+        with pytest.raises(ValueError, match="values must be finite"):
+            SparseVec(3, [0, 2], [bad, 1.0])
+        assert SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, bad], validate=False).nnz == 2
+
+    @pytest.mark.parametrize("indices, message", [
+        ([3], "column index out of range"),
+        ([-1], "column index out of range"),
+        ([2, 0], "row indices must be strictly increasing"),
+        ([1, 1], "row indices must be strictly increasing"),
+    ])
+    def test_vector_checks_are_one_row_matrix_checks(self, indices, message):
+        values = [1.0] * len(indices)
+        with pytest.raises(ValueError, match=message):
+            SparseVec(3, indices, values)
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix(1, 3, [0, len(indices)], indices, values)
+
+    def test_row_sq_norms(self, rng):
+        dense = rng.normal(size=(9, 6)) * (rng.random((9, 6)) > 0.5)
+        dense[[0, 4]] = 0.0
+        m = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 6)
+        sq = m.row_sq_norms()
+        assert sq.shape == (9,) and sq.dtype == np.float64 and sq[0] == sq[4] == 0.0
+        assert SparseMatrix(2, 3, [0, 0, 0], [], []).row_sq_norms().dtype == np.float64
+        assert np.allclose(sq, (dense * dense).sum(axis=1), rtol=1e-15, atol=0.0)
+
     def test_transpose_round_trip(self, rng):
         dense = rng.random((7, 5)) * (rng.random((7, 5)) > 0.5)
         m = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 5)
@@ -146,6 +177,11 @@ class TestSparseMatrix:
 def grown_tree(seed=0):
     ds = synth.random_dataset(np.random.default_rng(3), 40, 32, n_labels=4)
     return tree.make_tree(reprs.build(ds), d0=4, seed=seed)
+
+
+def built_cooc():
+    ds = synth.random_dataset(np.random.default_rng(3), 40, 32, n_labels=4)
+    return build_cooc(ds, tree.leaves(grown_tree()))
 
 
 def bound_report():
@@ -183,6 +219,10 @@ VALUE_EQ_CASES = {
     "BoundReport": (bound_report, lambda r: replace(r, witnesses=r.witnesses + 1.0)),
     "SparseMatrix": (lambda: SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, 4.0]),
                      lambda m: SparseMatrix(2, 3, [0, 1, 2], [1, 0], [1.0, 4.0])),
+    "Predictions": (lambda: Predictions([0, 1], [2], [0.5]),
+                    lambda p: Predictions([0, 1], [2], [0.25])),
+    "PseudoCooc": (built_cooc,
+                   lambda c: PseudoCooc(c.partition, c.flat, row_normalized=True)),
 }
 
 
