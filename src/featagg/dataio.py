@@ -27,7 +27,7 @@ from typing import IO, NoReturn
 import numpy as np
 
 from .errors import ParseError
-from .kernels import chunk_ranges
+from .kernels import chunk_ranges, group_order
 from .sparse import SparseMatrix
 
 
@@ -191,10 +191,10 @@ def _parse_chunk(
     bad = np.zeros(m, dtype=bool)
     bad[label_row[(labels < 0) | (labels >= n_labels)]] = True
     bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~np.isfinite(val)]] = True
-    order = np.lexsort((labels, label_row))
+    order = group_order(label_row, labels)
     labels, label_row = labels[order], label_row[order]
     bad[_repeats(label_row, labels)] = True
-    order = np.lexsort((idx, token_row))
+    order = group_order(token_row, idx)
     idx, val, token_row = idx[order], val[order], token_row[order]
     bad[_repeats(token_row, idx)] = True
     if bad.any():

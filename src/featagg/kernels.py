@@ -5,7 +5,9 @@ sequential steps) and ``score_rows`` (one BLAS product per row) loop in
 Python. ``sparse_product`` is the one product A B behind representatives,
 prototypes, label mutual information and rerank affinities.
 ``tests/kernel_reference.py`` holds a plain-Python loop per kernel that
-spells out the same arithmetic, and the tests compare the two.
+spells out the same arithmetic, and the tests compare the two; the ordering
+kernels (``rank_within``, ``group_order``, ``row_ids``) are compared with
+``np.lexsort`` and ``np.array_equal`` instead.
 
 All kernels take (indptr, indices, values) CSR triples with int64 indices and
 float64 values; callers are responsible for dtype discipline.
@@ -57,6 +59,112 @@ def take_rows(
 
 
 # ---------------------------------------------------------------------------
+# rank_within / group_order / row_ids: the ordering kernels, exact
+# replacements for np.lexsort on two keys and for pairwise row compares
+# ---------------------------------------------------------------------------
+
+
+def rank_within(group, values):
+    """Positions by ascending group, then decreasing value, ties in position
+    order, as np.lexsort((-values, group)) gives them: one stable argsort of
+    complex keys, which order by real part, then imaginary part.
+
+    group is an integer array below 2**53 in magnitude (exact as a float), or
+    a scalar for one group. A NaN value ranks last in its group.
+    """
+    key = np.empty(values.shape[0], dtype=np.complex128)
+    nan = np.isnan(values)
+    if nan.any():
+        # complex order puts a NaN imaginary part after every other key, so
+        # rank NaN values on the real part: after their group's numbers
+        key.real = 2 * np.asarray(group) + nan
+        key.imag = np.where(nan, 0.0, -values)
+    else:
+        key.real = group
+        key.imag = -values
+    return np.argsort(key, kind="stable")
+
+
+def group_order(group, key):
+    """Positions by ascending group, then ascending key, ties in position
+    order, as np.lexsort((key, group)) gives them, for int64 arrays (group
+    may be a scalar, for one group).
+
+    One stable argsort of (group - min) * span + (key - min), cast to the
+    narrowest unsigned type that holds it: composite keys below 2**16 take
+    numpy's radix sort. np.lexsort runs only when that key would overflow
+    int64.
+    """
+    key = np.asarray(key)
+    if key.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    group = np.asarray(group)
+    k_lo, k_hi = int(key.min()), int(key.max())
+    g_lo, g_hi = (int(group.min()), int(group.max())) if group.ndim else (0, 0)
+    span = k_hi - k_lo + 1
+    top = (g_hi - g_lo) * span + span - 1
+    if top > np.iinfo(np.int64).max:
+        return np.lexsort((key, np.broadcast_to(group, key.shape)))
+    composite = np.subtract(key, k_lo, dtype=np.int64)
+    if g_hi > g_lo:
+        composite += (group - g_lo) * span
+    return np.argsort(composite.astype(np.min_scalar_type(top)), kind="stable")
+
+
+def _mix(x):
+    """splitmix64's finalizer on uint64 arrays (wrapping arithmetic)."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def row_ids(indptr, indices, values):
+    """One id per CSR row: the first row whose indices and values equal its
+    own under np.array_equal, so -0.0 equals 0.0 and a row holding a NaN
+    equals no other row.
+
+    O(nnz): rows are hashed, each row is compared entry by entry with the
+    first row of its hash, and only rows that differ from it (a hash
+    collision) go round again.
+    """
+    nrows = indptr.shape[0] - 1
+    lens = np.diff(indptr)
+    # a row's hash: its length and the wrapping sum of its entries' hashes
+    bits = (values + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+    entry = _mix(bits ^ _mix(indices.astype(np.uint64)))
+    sums = np.concatenate((np.zeros(1, np.uint64), np.cumsum(entry, dtype=np.uint64)))
+    row_hash = _mix(sums[indptr[1:]] - sums[indptr[:-1]] + lens.astype(np.uint64))
+    ids = np.arange(nrows, dtype=np.int64)
+    pending = np.ones(nrows, dtype=bool)
+    pending[np.repeat(ids, lens)[np.isnan(values)]] = False
+    pending = np.flatnonzero(pending)
+    while pending.shape[0]:
+        at = pending[np.argsort(row_hash[pending], kind="stable")]
+        h = row_hash[at]
+        first = np.concatenate(([True], h[1:] != h[:-1]))
+        head = at[np.flatnonzero(first)[np.cumsum(first) - 1]][~first]
+        rest = at[~first]
+        # each row's entries against its hash's first row's; rows of unequal
+        # length differ
+        cand = np.flatnonzero(lens[rest] == lens[head])
+        r, hr = rest[cand], head[cand]
+        a = concat_ranges(indptr[r], indptr[r + 1])
+        b = concat_ranges(indptr[hr], indptr[hr + 1])
+        differ = (indices[a] != indices[b]) | (values[a] != values[b])
+        n_differ = np.bincount(np.repeat(np.arange(cand.shape[0]), lens[r]),
+                               weights=differ, minlength=cand.shape[0])
+        equal = np.zeros(rest.shape[0], dtype=bool)
+        equal[cand[n_differ == 0]] = True
+        ids[rest[equal]] = head[equal]
+        # the first row of a hash is the first of its own rows: what is left
+        # goes round again in row order
+        pending = np.sort(rest[~equal])
+    return ids
+
+
+# ---------------------------------------------------------------------------
 # row_dots: per-row dot product with a dense vector
 # ---------------------------------------------------------------------------
 
@@ -101,7 +209,9 @@ def weighted_sum_rows(indptr, indices, values, rows, weights, dim):
 
 
 def transpose_csr(indptr, indices, values, nrows, ncols):
-    order = np.argsort(indices, kind="stable")
+    # column ids narrowed as group_order narrows keys: radix sort below 2**16
+    cols = indices.astype(np.min_scalar_type(max(ncols - 1, 0)))
+    order = np.argsort(cols, kind="stable")
     row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
     counts = np.bincount(indices, minlength=ncols)
     t_indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
@@ -186,7 +296,7 @@ def cooc_accumulate(
         s, e = indptr[lo], indptr[hi]
         row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
         cl = cluster_of[indices[s:e]]
-        order = np.lexsort((cl, row))  # stable: stored order within a group
+        order = group_order(row, cl)  # stable: stored order within a group
         row, cl = row[order], cl[order]
         off = offset_of[indices[s:e]][order]
         val = values[s:e][order]

@@ -61,8 +61,7 @@ def selected_points(features: SparseMatrix, doc_fraction: float) -> np.ndarray:
         return np.arange(n, dtype=np.int64)
     row_of = np.repeat(np.arange(n, dtype=np.int64), features.row_nnz())
     volumes = np.bincount(row_of, weights=np.abs(features.values), minlength=n)
-    order = np.lexsort((np.arange(n), -volumes))
-    return order[:keep]
+    return kernels.rank_within(0, volumes)[:keep]
 
 
 def build_repr_x(ds: Dataset, doc_fraction: float = 0.25) -> ReprSet:
@@ -84,8 +83,7 @@ def build_repr_xy(
     n_labels = ds.n_labels
     keep = _ceil_fraction(label_fraction, n_labels) if n_labels else 0
     counts = np.bincount(ds.labels.indices, minlength=n_labels)
-    order = np.lexsort((np.arange(n_labels), -counts))
-    sel_labels = np.sort(order[:keep])
+    sel_labels = np.sort(kernels.rank_within(0, counts)[:keep])
 
     # Y restricted to the retained points and labels: Y_sel S, for the L x keep
     # 0/1 matrix S that maps each retained label to its coordinate

@@ -154,8 +154,16 @@ def _rank(rows: np.ndarray, labels: np.ndarray, base_scores: np.ndarray,
     combined = alpha * np.log(base_scores[keep]) + (1.0 - alpha) * np.log(
         np.maximum(affinities[keep], _LOG_FLOOR)
     )
-    order = np.lexsort((labels, -combined, rows))
-    return rows[order], labels[order], combined[order]
+    order = kernels.rank_within(rows, combined)
+    rows, labels, combined = rows[order], labels[order], combined[order]
+    # entries tied on (row, combined score) sit together in position order:
+    # order each run by label
+    tied = (rows[1:] == rows[:-1]) & ((combined[1:] == combined[:-1])
+                                      | (np.isnan(combined[1:]) & np.isnan(combined[:-1])))
+    if tied.any():
+        order = kernels.group_order(np.cumsum(np.concatenate(([True], ~tied))), labels)
+        rows, labels, combined = rows[order], labels[order], combined[order]
+    return rows, labels, combined
 
 
 def rerank(

@@ -115,11 +115,12 @@ def dot(a: SparseVec, b: SparseVec) -> float:
 
 
 def norm(v: SparseVec, p: int = 2) -> float:
-    """L1 or L2 norm over stored entries."""
+    """L1 or L2 norm over stored entries; the L2 norm is the square root of
+    the one-row SparseMatrix.row_sq_norms."""
     if p == 1:
         return float(np.sum(np.abs(v.values)))
     if p == 2:
-        return float(np.sqrt(np.dot(v.values, v.values)))
+        return float(np.sqrt(SparseMatrix.from_rows([v]).row_sq_norms()[0]))
     raise ValueError("p must be 1 or 2")
 
 

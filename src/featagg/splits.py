@@ -41,8 +41,7 @@ class Ranking:
     @classmethod
     def rank_of(cls, v: np.ndarray) -> "Ranking":
         """Coordinates in decreasing value order, ties by ascending index."""
-        v = np.asarray(v, dtype=np.float64)
-        return cls(np.lexsort((np.arange(v.shape[0]), -v)))
+        return cls(kernels.rank_within(0, np.asarray(v, dtype=np.float64)))
 
     def positions(self) -> np.ndarray:
         """1-based rank position of each coordinate."""
@@ -106,28 +105,17 @@ def balanced_halves(scores: np.ndarray, members: np.ndarray) -> SplitResult:
         raise ValueError("cannot split an empty feature set")
     if scores.shape[0] != members.shape[0]:
         raise ValueError("one score per member required")
-    order = members[np.lexsort((members, -scores))]
+    by_member = kernels.group_order(0, members)
+    order = members[by_member[kernels.rank_within(0, scores[by_member])]]
     n_plus = (members.shape[0] + 1) // 2
     return SplitResult(order[:n_plus], order[n_plus:], iterations=0, converged=True)
 
 
-def _rows_equal(m: SparseMatrix, a: int, b: int) -> bool:
-    sa, ea = m.indptr[a], m.indptr[a + 1]
-    sb, eb = m.indptr[b], m.indptr[b + 1]
-    return (
-        ea - sa == eb - sb
-        and np.array_equal(m.indices[sa:ea], m.indices[sb:eb])
-        and np.array_equal(m.values[sa:ea], m.values[sb:eb])
-    )
-
-
-def _pick_two_distinct(matrix: SparseMatrix, rows: np.ndarray,
-                       rng: np.random.Generator) -> tuple[int, int] | None:
-    """Positions in rows of two matrix rows with distinct contents, or None
-    after redraws."""
+def _pick_two_distinct(ids: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
+    """Positions of two rows with distinct ids, or None after redraws."""
     for _ in range(_INIT_ATTEMPTS):
-        a, b = rng.choice(rows.shape[0], size=2, replace=False)
-        if not _rows_equal(matrix, rows[a], rows[b]):
+        a, b = rng.choice(ids.shape[0], size=2, replace=False)
+        if ids[a] != ids[b]:
             return int(a), int(b)
     return None
 
@@ -217,27 +205,19 @@ class _Working:
                 centre(sums[1::2], self.sizes[self.slots.node] - n_plus, self.slots))
 
 
-def _ranking(node: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Positions by ascending node, then decreasing value, ties in position
-    order: one stable sort of complex keys, which order by real part, then
-    imaginary part."""
-    key = np.empty(node.shape[0], dtype=np.complex128)
-    key.real = node
-    key.imag = -values
-    return np.argsort(key, kind="stable")
-
-
 def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
                 rngs, max_iters: int, weights: np.ndarray | None, centre,
-                trace: list | None = None):
+                trace: list | None = None, ids: np.ndarray | None = None):
     """The balanced 2-means loop of both split kinds, over every node of a level.
 
     Node k holds the rows members[node_ptr[k]:node_ptr[k + 1]] of matrix
     (at least two). Its row i scores weights[i] * <row_i, c_plus - c_minus>
     (unit weights when weights is None); a side's centre is
     centre(sum of weights[i] * row_i over its rows, side size, slots). The
-    centres start at centre(row, 1, slots) of two distinct rows drawn with
-    rngs[k]; a node whose draws all repeat one row splits in index order.
+    centres start at centre(row, 1, slots) of two rows with distinct ids
+    drawn with rngs[k]; a node whose draws all repeat one id, or whose rngs[k]
+    is None, splits in index order. ids[i] is the kernels.row_ids id of the
+    row members[i] (computed from the members' rows when None).
     Each iteration puts the top ceil(m/2) rows by score in the plus half,
     ties by ascending member id; a node converges when its halves repeat,
     and then leaves the working set. Centres live on the node's slots only,
@@ -254,7 +234,7 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     node_of = np.repeat(np.arange(n_nodes), sizes)
     # working rows in ascending member order within each node, so a stable
     # ranking breaks score ties by member id
-    rows = np.lexsort((members, node_of))
+    rows = kernels.group_order(node_of, members)
     starts, ends = matrix.indptr[members[rows]], matrix.indptr[members[rows] + 1]
     entries = kernels.concat_ranges(starts, ends)
     keys, slot = np.unique(np.repeat(node_of, ends - starts) * p
@@ -268,7 +248,10 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     order = np.arange(members.shape[0])
     iterations = np.zeros(n_nodes, dtype=np.int64)
     converged = np.ones(n_nodes, dtype=bool)
-    picks = [_pick_two_distinct(matrix, members[lo:hi], rng)
+    if ids is None:
+        ids = kernels.row_ids(*kernels.take_rows(matrix.indptr, matrix.indices,
+                                                 matrix.values, members))
+    picks = [None if rng is None else _pick_two_distinct(ids[lo:hi], rng)
              for lo, hi, rng in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist(), rngs)]
     drawn = np.array([pick is not None for pick in picks], dtype=bool)
     if not drawn.all():
@@ -290,7 +273,7 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
 
     prev = None
     for it in range(1, max_iters + 1):
-        ranked = _ranking(work.node, work.scores(c_plus, c_minus))
+        ranked = kernels.rank_within(work.node, work.scores(c_plus, c_minus))
         plus = np.arange(ranked.shape[0]) - work.first[work.node] \
             < ((work.sizes + 1) // 2)[work.node]
         if trace is not None:
@@ -371,7 +354,7 @@ def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
     if sub.rows == 0 or lens.max() == 0:
         return out
     discounts = _discounts(int(lens.max()), base)
-    by_len = np.argsort(lens, kind="stable")
+    by_len = kernels.group_order(0, lens)
     lens_sorted = lens[by_len]
     firsts = np.flatnonzero(np.diff(lens_sorted, prepend=0)).tolist()
     for lo, hi in zip(firsts, firsts[1:] + [sub.rows]):
@@ -400,7 +383,7 @@ def _rank_gains(ladder: np.ndarray):
         below -= below[slots.start[:-1]][slots.node]
         rank = n_pos[slots.node] + slots.coord - below
         at = np.flatnonzero(positive)
-        at = at[_ranking(slots.node[at], sums[at])]
+        at = at[kernels.rank_within(slots.node[at], sums[at])]
         first_pos = np.cumsum(n_pos) - n_pos
         rank[at] = np.arange(at.shape[0]) - first_pos[slots.node[at]]
         return ladder[rank]

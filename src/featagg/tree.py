@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import json_object, json_text, load_arrays, save_arrays
 from .errors import InvariantError
-from .kernels import concat_ranges
+from .kernels import concat_ranges, group_order, row_ids
 from .reprs import ReprSet
 from .sparse import _value_eq
 # kmeans_split and ndcg_split stay importable from here, where
@@ -121,7 +121,7 @@ class FeaturePartition:
         # the first faulty cluster raises, and for one cluster an empty one
         # comes before out-of-range features, which come before a feature
         # that an earlier cluster (or an earlier entry of its own) holds
-        by_feature = np.argsort(flat, kind="stable")
+        by_feature = group_order(0, flat)
         again = by_feature[1:][flat[by_feature[1:]] == flat[by_feature[:-1]]]
         faults = [
             (int(ks.min()), rank) for rank, ks in enumerate((
@@ -139,7 +139,7 @@ class FeaturePartition:
             raise InvariantError(f"clusters cover {flat.shape[0]} of {d} features")
         cluster_of = np.empty(d, dtype=np.int64)
         cluster_of[flat] = owner
-        return cls(cluster_of, flat[np.lexsort((flat, owner))],
+        return cls(cluster_of, flat[group_order(owner, flat)],
                    np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
                    d0=d0, seed=seed)
 
@@ -231,6 +231,9 @@ def make_tree(
     nodes, keys = [root], [1]
     members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
+    # equal rows share an id; a node of one id splits in index order, with
+    # no generator and no draws
+    ids = row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
     levels = []
     while True:
         sizes = np.diff(ptr)
@@ -243,9 +246,14 @@ def make_tree(
         sizes = sizes[at]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         split = at.tolist()
+        node_ids = ids[members]
+        one_id = (np.minimum.reduceat(node_ids, ptr[:-1])
+                  == np.maximum.reduceat(node_ids, ptr[:-1])).tolist()
+        rngs = [None if same else _node_rng(seed, keys[k])
+                for k, same in zip(split, one_id)]
         order, iterations, converged = split_level(
-            rs.matrix, members, ptr, [_node_rng(seed, keys[k]) for k in split],
-            max_iters, None if weights is None else weights[members], centre)
+            rs.matrix, members, ptr, rngs, max_iters,
+            None if weights is None else weights[members], centre, ids=node_ids)
         levels.append(SplitCounts(len(split), int(iterations.sum()),
                                   int((~converged).sum()), int((iterations == 0).sum())))
         # each node's plus half becomes its left child, its minus half its right

@@ -23,7 +23,7 @@ from typing import IO, Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .kernels import chunk_ranges
+from .kernels import chunk_ranges, group_order, rank_within
 from .sparse import SparseMatrix, _value_eq
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
@@ -43,7 +43,7 @@ def _row_faults(
     """Rows breaking each rule of ranked rows, with the rule's message."""
     row = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
     same = row[1:] == row[:-1]
-    order = np.lexsort((labels, row))
+    order = group_order(row, labels)
     lab, r = labels[order], row[order]
     return [
         (row[~np.isfinite(scores)], "scores must be finite"),
@@ -178,9 +178,10 @@ def top_k(
     score_rows(lo, hi) returns rows lo..hi-1 as a dense array; it is called
     on consecutive ranges of at most _TOPK_CHUNK_SCORES scores (at least one
     row), so the whole matrix is never held. Ties break by ascending label
-    id: every label tied with the k-th best score is kept, and one lexsort on
-    (row, -score, label) ranks them, so each row equals a lexsort of the
-    whole row cut to k.
+    id: every label tied with the k-th best score is kept, and the kept
+    entries, in (row, label) order, are ranked by row, then decreasing score,
+    ties in that order (one kernels.rank_within), so each row equals a
+    stable sort of the whole row by decreasing score, cut to k.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -198,7 +199,8 @@ def top_k(
         else:
             row, label = np.divmod(np.arange(chunk.size), n_labels)
         val = chunk[row, label]
-        order = np.lexsort((label, -val, row))
+        # the entries are in (row, label) order, so ties keep ascending labels
+        order = rank_within(row, val)
         counts = np.bincount(row, minlength=chunk.shape[0])
         ranked = Predictions(np.concatenate(([0], np.cumsum(counts))), label[order],
                              val[order], validate=False).head(k)
@@ -267,8 +269,12 @@ def _top_entries(
     top = preds.head(k)
     top.check_labels(truth.cols)
     row = top.row_ids()
-    truth_keys = np.repeat(np.arange(truth.rows), truth.row_nnz()) * truth.cols
-    hit = np.isin(row * truth.cols + top.labels, truth_keys + truth.indices)
+    # the truth keys ascend, as CSR rows hold ascending column ids
+    keys = np.repeat(np.arange(truth.rows), truth.row_nnz()) * truth.cols + truth.indices
+    key = row * truth.cols + top.labels
+    hit = np.zeros(key.shape[0], dtype=bool)
+    if keys.shape[0]:
+        hit = keys[np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)] == key
     return _TopK(top=top, row=row, rank=top.ranks(), hit=hit)
 
 
@@ -280,7 +286,7 @@ def _truth_top(truth: SparseMatrix, weights: np.ndarray, k: int):
     """Row, rank and weight of the k largest label weights of every truth row."""
     row = np.repeat(np.arange(truth.rows), truth.row_nnz())
     w = weights[truth.indices]
-    order = np.lexsort((-w, row))
+    order = rank_within(row, w)
     rank = np.arange(w.shape[0]) - truth.indptr[row]
     keep = rank < k
     return row[keep], rank[keep], w[order][keep]
@@ -406,7 +412,7 @@ def percentile_macro_precision(
     n_labels = y_train.cols
     t.top.check_labels(n_labels)
     counts = np.bincount(y_train.indices, minlength=n_labels)
-    order = np.lexsort((np.arange(n_labels), -counts))
+    order = rank_within(0, counts)
     pct = np.empty(n_labels, dtype=np.float64)
     pct[order] = 100.0 * np.arange(n_labels) / n_labels
 

@@ -3,10 +3,12 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import featagg
 from featagg import kernels
@@ -64,6 +66,15 @@ def test_transpose_csr(csr):
     a = np_fn(*csr, 20, 12)
     b = nb_fn(*csr, 20, 12)
     for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("ncols", [1, 256, 257, 70_000])
+def test_transpose_csr_narrowed_column_ids(rng, ncols):
+    # column ids of 8, 16 and 32 bits each sort as the reference loop does
+    csr = random_csr(rng, 30, ncols, density=min(0.4, 20 / ncols))
+    np_fn, nb_fn = impls("transpose_csr")
+    for x, y in zip(np_fn(*csr, 30, ncols), nb_fn(*csr, 30, ncols)):
         assert np.array_equal(x, y)
 
 
@@ -324,3 +335,131 @@ def test_backend_switch_is_gone():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# ---------------------------------------------------------------------------
+# ordering kernels against np.lexsort and np.array_equal
+# ---------------------------------------------------------------------------
+
+# few distinct values, so ties are common; -0.0 ties with 0.0
+ORDER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 1e-300, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), ORDER_VALUES | st.just(np.nan)), max_size=60))
+def test_rank_within_equals_lexsort(pairs):
+    group = np.array([g for g, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    got = kernels.rank_within(group, values)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.lexsort((-values, group)))
+    # a scalar group is one group
+    assert np.array_equal(kernels.rank_within(0, values), np.lexsort((-values,)))
+
+
+def test_rank_within_wide_groups():
+    # group ids up to 2**40 stay exact as the keys' real parts
+    rng = np.random.default_rng(3)
+    group = rng.choice(rng.integers(0, 2**40, 20), 500)
+    values = rng.integers(0, 3, 500) * 0.5
+    assert np.array_equal(kernels.rank_within(group, values), np.lexsort((-values, group)))
+
+
+# keys within 16 bits, above 16 bits, and spread over int64 so that the
+# composite key overflows
+KEYS = (st.integers(0, 40) | st.integers(-2**20, 2**20)
+        | st.sampled_from([-2**63, 2**63 - 1, 2**53, 2**53 + 1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.sampled_from([2**40, -2**62]), KEYS),
+                max_size=60))
+def test_group_order_equals_lexsort(pairs):
+    group = np.array([g for g, _ in pairs], dtype=np.int64)
+    key = np.array([k for _, k in pairs], dtype=np.int64)
+    got = kernels.group_order(group, key)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.lexsort((key, group)))
+    assert np.array_equal(kernels.group_order(0, key), np.lexsort((key,)))
+
+
+@pytest.mark.parametrize("group, key, overflows", [
+    ([0, 1, 1, 0], [5, 3, 3, 2], False),                        # radix width
+    ([0, 0, 1], [2**40, 0, 7], False),                          # 41-bit keys
+    ([0, 2**40], [0, 2**22], False),                            # 63-bit composite
+    ([0, 2**41], [0, 2**22], True),                             # 64-bit composite
+    ([0, 1, 0], [-2**63, 2**63 - 1, 0], True),                  # key span alone
+    ([5, 5, 5], [2**62, 1 - 2**62, 0], False),                  # one group, 63-bit span
+    ([5, 5, 5], [2**62, -2**62, 0], True),                      # one group, 64-bit span
+])
+def test_group_order_takes_lexsort_only_on_overflow(monkeypatch, group, key, overflows):
+    group, key = np.array(group, dtype=np.int64), np.array(key, dtype=np.int64)
+    want = np.lexsort((key, group))
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    assert np.array_equal(kernels.group_order(group, key), want)
+    assert bool(calls) == overflows
+
+
+def test_ordering_kernels_on_empty_input():
+    empty_i, empty_f = np.empty(0, np.int64), np.empty(0, np.float64)
+    for order in (kernels.rank_within(empty_i, empty_f), kernels.group_order(empty_i, empty_i),
+                  kernels.row_ids(np.zeros(1, np.int64), empty_i, empty_f)):
+        assert order.dtype == np.int64 and order.shape == (0,)
+
+
+@st.composite
+def csr_with_repeats(draw):
+    """CSR rows drawn from a small pool, so many rows repeat; values include
+    -0.0 (equal to 0.0) and NaN (equal to nothing)."""
+    pool = draw(st.lists(st.lists(st.tuples(st.integers(0, 4), ORDER_VALUES | st.just(np.nan)),
+                                  max_size=4), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    rows = [pool[i] for i in picks]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    indices = np.array([j for r in rows for j, _ in r], dtype=np.int64)
+    values = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    # flip the sign of some zeros: the rows stay equal under np.array_equal
+    flip = np.array(draw(st.lists(st.booleans(), min_size=values.shape[0],
+                                  max_size=values.shape[0])), dtype=bool)
+    values[flip & (values == 0.0)] *= -1.0
+    return indptr, indices, values
+
+
+def assert_row_ids_exact(indptr, indices, values):
+    ids = kernels.row_ids(indptr, indices, values)
+    assert ids.dtype == np.int64 and ids.shape == (indptr.shape[0] - 1,)
+    rows = [(indices[s:e], values[s:e]) for s, e in zip(indptr[:-1], indptr[1:])]
+    for i, (ia, va) in enumerate(rows):
+        # another row shares the id exactly when it is equal; the id is the
+        # first such row, or i itself (a row holding NaN equals no row)
+        equal = [j != i and np.array_equal(ia, ib) and np.array_equal(va, vb)
+                 for j, (ib, vb) in enumerate(rows)]
+        assert ids[i] == min(equal.index(True) if True in equal else i, i)
+        assert all((ids[i] == ids[j]) == equal[j] for j in range(len(rows)) if j != i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_with_repeats())
+def test_row_ids_equal_pairwise_array_equal(csr):
+    assert_row_ids_exact(*csr)
+
+
+@contextmanager
+def row_hash(fn):
+    mix = kernels._mix
+    kernels._mix = fn
+    try:
+        yield
+    finally:
+        kernels._mix = mix
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_with_repeats(), st.sampled_from([0, 1, 3]))
+def test_row_ids_resolve_hash_collisions(csr, mask):
+    # a hash of 0 to 2 bits makes most rows collide: the entry compares
+    # alone must tell the rows apart
+    with row_hash(lambda x: x & np.uint64(mask)):
+        assert_row_ids_exact(*csr)

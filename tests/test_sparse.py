@@ -90,6 +90,20 @@ class TestNorm:
         with pytest.raises(ValueError):
             norm(SparseVec(5), 3)
 
+    @given(st.lists(sparse_vecs, min_size=1, max_size=5))
+    def test_l2_is_the_row_norm_bit_for_bit(self, vs):
+        # norm(v, 2) squares and sums in stored order, as the matrix row
+        # norms do, whatever rows sit beside v
+        vs = [SparseVec(vs[0].dim, v.indices[v.indices < vs[0].dim],
+                        v.values[v.indices < vs[0].dim]) for v in vs]
+        rows = np.sqrt(SparseMatrix.from_rows(vs).row_sq_norms())
+        assert np.array([norm(v, 2) for v in vs]).tobytes() == rows.tobytes()
+
+    def test_l2_long_vector_bit_for_bit(self, rng):
+        v = SparseVec(300, np.arange(300), rng.normal(size=300) * 1e3)
+        assert norm(v, 2) == float(np.sqrt(SparseMatrix.from_rows([v]).row_sq_norms()[0]))
+        assert norm(v, 2) == float(np.sqrt(np.cumsum(v.values * v.values)[-1]))
+
 
 class TestAxpy:
     def test_basic(self):

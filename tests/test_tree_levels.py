@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
 from featagg import splits, synth
+from featagg import tree as tree_module
 from featagg.reprs import ReprSet, build as build_reprs
 from featagg.sparse import SparseMatrix
 from featagg.tree import SplitCounts, ensemble_trees, leaves, make_tree
@@ -106,6 +107,39 @@ def test_identical_rows_fall_back_at_every_node(split_kind):
     tree = assert_matches_reference(rs, 2, split_kind, 3, splits.MAX_ITERS)
     counts = tree.split_counts()
     assert counts.fallbacks == counts.nodes > 0 and counts.iterations == 0
+
+
+def subtree_features(node):
+    if node.is_leaf:
+        return node.features
+    return np.concatenate((subtree_features(node.left), subtree_features(node.right)))
+
+
+@pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
+def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
+    # 400 representatives, 320 of them empty and the rest copies of 4 rows
+    rng = np.random.default_rng(5)
+    dense = np.zeros((400, 6))
+    dense[rng.choice(400, 80, replace=False)] = rng.random((4, 6))[rng.integers(0, 4, 80)]
+    rs = ReprSet(matrix=matrix_from_dense(dense), kind="x")
+    keys = []
+    node_rng = tree_module._node_rng
+    monkeypatch.setattr(tree_module, "_node_rng",
+                        lambda seed, key: keys.append(key) or node_rng(seed, key))
+    tree = assert_matches_reference(rs, 8, split_kind, 2, splits.MAX_ITERS)
+    # a split node (bit path key) gets a generator exactly when its rows are
+    # not all equal
+    one_row, several = [], []
+    stack = [(tree.root, 1)]
+    while stack:
+        node, key = stack.pop()
+        if not node.is_leaf:
+            rows = dense[subtree_features(node)]
+            (one_row if np.all(rows == rows[0]) else several).append(key)
+            stack += [(node.left, 2 * key), (node.right, 2 * key + 1)]
+    assert len(one_row) > 10 and several
+    assert sorted(keys) == sorted(several)
+    assert tree.split_counts().fallbacks >= len(one_row)
 
 
 # The benchmark's seed-0 shapes: generator arguments and the rows kept as
