@@ -23,13 +23,12 @@ from .kernels import backend_name
 from .linear import OvaConfig, OvaModel, predict, train_ova
 from .reranking import PrototypeSet, affinity, build_prototypes, rerank, rerank_predictions
 from .reprs import ReprSet, build_repr_x, build_repr_xy, normalize
-from .sparse import SparseMatrix, SparseVec, axpy, dot, norm
-from .splits import Ranking, SplitResult, balanced_halves, dcg, kmeans_split, ndcg, ndcg_split
+from .sparse import SparseMatrix, SparseVec, dot, norm
+from .splits import Ranking, SplitResult, dcg, kmeans_split, ndcg, ndcg_split
 from .tree import (
     ClusterTree,
     FeaturePartition,
     SplitCounts,
-    ensemble,
     ensemble_trees,
     leaves,
     make_tree,

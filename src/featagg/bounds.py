@@ -27,6 +27,13 @@ MAX_DENSE_POINTS = 16384
 
 LOSSES = ("logistic", "hinge", "abs")
 
+# largest shapes the trial suites draw: lemma1's d x p witness matrices, and
+# thm1's and thm2's n-point datasets of dimension d
+LEMMA1_MAX_D = 128
+LEMMA1_MAX_P = 64
+THM_MAX_N = 64
+THM_MAX_D = 64
+
 
 def _bound_holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + REL_SLACK) + ABS_SLACK
@@ -219,12 +226,10 @@ def _run_trials(theorem: str, trials: int, seed: int, draw) -> dict:
             "all_hold": failures == 0, "worst_rel_excess": float(worst)}
 
 
-def lemma1_trials(
-    trials: int, seed: int = 0, d_max: int = 128, p_max: int = 64
-) -> dict:
+def lemma1_trials(trials: int, seed: int = 0) -> dict:
     def draw(rng):
-        d = int(rng.integers(2, d_max + 1))
-        p = int(rng.integers(1, p_max + 1))
+        d = int(rng.integers(2, LEMMA1_MAX_D + 1))
+        p = int(rng.integers(1, LEMMA1_MAX_P + 1))
         Z = rng.normal(size=(d, p))
         w = rng.normal(size=d)
         report = lemma1_check(Z, random_partition(rng, d), w)
@@ -233,27 +238,22 @@ def lemma1_trials(
     return _run_trials("lemma1", trials, seed, draw)
 
 
-def thm1_trials(
-    trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64,
-    loss: str = "logistic",
-) -> dict:
+def thm1_trials(trials: int, seed: int = 0) -> dict:
     def draw(rng):
-        n = int(rng.integers(4, n_max + 1))
-        d = int(rng.integers(4, d_max + 1))
+        n = int(rng.integers(4, THM_MAX_N + 1))
+        d = int(rng.integers(4, THM_MAX_D + 1))
         ds = _random_sparse_dataset(rng, n, d, n_labels=4, density=0.3)
         part = random_partition(rng, d)
-        report = thm1_check(ds, part, rng.normal(size=d), loss=loss)
+        report = thm1_check(ds, part, rng.normal(size=d))
         return [(report.lhs, report.rhs, report.holds)]
 
     return _run_trials("thm1", trials, seed, draw)
 
 
-def thm2_trials(
-    trials: int, seed: int = 0, n_max: int = 64, d_max: int = 64
-) -> dict:
+def thm2_trials(trials: int, seed: int = 0) -> dict:
     def draw(rng):
-        n = int(rng.integers(4, n_max + 1))
-        d = int(rng.integers(4, d_max + 1))
+        n = int(rng.integers(4, THM_MAX_N + 1))
+        d = int(rng.integers(4, THM_MAX_D + 1))
         ds = _random_sparse_dataset(rng, n, d, n_labels=6, density=0.3)
         part = random_partition(rng, d)
         c_plus = rng.normal(size=d)

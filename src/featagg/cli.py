@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -84,12 +85,12 @@ def _build_reprs(ds: Dataset, args) -> reprs.ReprSet:
 
 
 def _ensemble_path(path: str, t: int, m: int) -> str:
+    """Tree t's file: path itself for one tree, else path with .r<t> before
+    the file name's extension."""
     if m == 1:
         return path
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}.r{t}.{ext}"
-    return f"{path}.r{t}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}.r{t}{ext}"
 
 
 def _cmd_stats(args) -> int:
@@ -136,8 +137,7 @@ def _cmd_agglomerate(args) -> int:
 def _cmd_cluster_metrics(args) -> int:
     ds = _load(args)
     part = load_partition(args.partition)
-    report = quality_report(ds, part, mode=args.mode,
-                            clustering_seconds=args.clustering_seconds)
+    report = quality_report(ds, part, mode=args.mode)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p)
     p.add_argument("--partition", required=True)
     p.add_argument("--mode", choices=MODES, default=SUM)
-    p.add_argument("--clustering-seconds", type=float, default=0.0)
     p.set_defaults(fn=_cmd_cluster_metrics)
 
     p = sub.add_parser("train", help="train the one-vs-rest baseline")

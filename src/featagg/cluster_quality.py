@@ -21,7 +21,6 @@ class ClusterQualityReport:
     lmi: float
     balance: float
     normalized_entropy: float
-    clustering_seconds: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -82,9 +81,7 @@ def balance_factor(part_or_sizes: FeaturePartition | Sequence[int]) -> float:
     return float(sizes.max()) / smallest
 
 
-def normalized_entropy(
-    part_or_sizes: FeaturePartition | Sequence[int], d: int | None = None
-) -> float:
+def normalized_entropy(part_or_sizes: FeaturePartition | Sequence[int]) -> float:
     """Entropy of the cluster-size distribution scaled to [0, 1].
 
     Normalized by ln K, the maximum achievable with K declared clusters, so a
@@ -94,8 +91,7 @@ def normalized_entropy(
     to reach.)
     """
     sizes = _sizes(part_or_sizes).astype(np.float64)
-    if d is None:
-        d = int(sizes.sum())
+    d = int(sizes.sum())
     if d < 2:
         raise ValueError("need at least two features")
     k = sizes.shape[0]
@@ -105,18 +101,13 @@ def normalized_entropy(
     return float(-np.sum(frac * np.log(frac)) / math.log(k))
 
 
-def quality_report(
-    ds: Dataset,
-    part: FeaturePartition,
-    mode: str = SUM,
-    clustering_seconds: float = 0.0,
-) -> ClusterQualityReport:
+def quality_report(ds: Dataset, part: FeaturePartition,
+                   mode: str = SUM) -> ClusterQualityReport:
     """Full report for a partition of ds's features (metrics use the full
     dataset, never the subsampled clustering input)."""
     agg = agglomerate_matrix(ds.features, part, mode)
     return ClusterQualityReport(
         lmi=lmi(ds.features, agg, ds.labels),
         balance=balance_factor(part),
-        normalized_entropy=normalized_entropy(part, ds.d),
-        clustering_seconds=clustering_seconds,
+        normalized_entropy=normalized_entropy(part),
     )

@@ -153,10 +153,8 @@ def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarr
     return 1.0 / (1.0 + np.exp(-margins))
 
 
-def predict(
-    model: OvaModel, x: SparseMatrix | SparseVec, k: int, probabilities: bool = True
-) -> Predictions:
-    """Top-k labels per point by score, ties by ascending label id.
+def predict(model: OvaModel, x: SparseMatrix | SparseVec, k: int) -> Predictions:
+    """Top-k labels per point by probability_scores, ties by ascending label id.
 
     Scores are computed and ranked a chunk of rows at a time, so the dense
     points x labels score matrix is never held whole.
@@ -165,8 +163,7 @@ def predict(
         x = SparseMatrix.from_rows([x])
     if x.cols != model.dim:
         raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
-    scores = probability_scores if probabilities else decision_scores
-    return top_k(lambda lo, hi: scores(model, x.slice_rows(lo, hi)),
+    return top_k(lambda lo, hi: probability_scores(model, x.slice_rows(lo, hi)),
                  x.rows, model.n_labels, k)
 
 

@@ -124,14 +124,6 @@ def norm(v: SparseVec, p: int = 2) -> float:
     raise ValueError("p must be 1 or 2")
 
 
-def axpy(acc: np.ndarray, s: float, v: SparseVec) -> np.ndarray:
-    """acc[j] += s * v_j for stored entries; mutates and returns acc."""
-    if acc.shape[0] != v.dim:
-        raise ValueError(f"dimension mismatch: {acc.shape[0]} != {v.dim}")
-    acc[v.indices] += s * v.values
-    return acc
-
-
 class SparseMatrix:
     """Row-oriented sparse matrix (CSR) of float64 values."""
 

@@ -96,21 +96,6 @@ def ndcg(r: Ranking, v: np.ndarray, base: float | None = None) -> float:
     return dcg(r, v, base) / ideal
 
 
-def balanced_halves(scores: np.ndarray, members: np.ndarray) -> SplitResult:
-    """One-shot even split of members by precomputed scores: the top
-    ceil(m/2) by score (ties by ascending member id) against the rest."""
-    members = np.asarray(members, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if members.shape[0] == 0:
-        raise ValueError("cannot split an empty feature set")
-    if scores.shape[0] != members.shape[0]:
-        raise ValueError("one score per member required")
-    by_member = kernels.group_order(0, members)
-    order = members[by_member[kernels.rank_within(0, scores[by_member])]]
-    n_plus = (members.shape[0] + 1) // 2
-    return SplitResult(order[:n_plus], order[n_plus:], iterations=0, converged=True)
-
-
 def _pick_two_distinct(ids: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
     """Positions of two rows with distinct ids, or None after redraws."""
     for _ in range(_INIT_ATTEMPTS):

@@ -298,16 +298,3 @@ def ensemble_trees(
         raise ValueError("ensemble size must be at least 1")
     return [make_tree(rs, d0=d0, split_kind=split_kind, seed=base_seed + t,
                       max_iters=max_iters) for t in range(m)]
-
-
-def ensemble(
-    rs: ReprSet,
-    m: int,
-    base_seed: int = 0,
-    d0: int = 8,
-    split_kind: str = "kmeans",
-    max_iters: int = MAX_ITERS,
-) -> list[FeaturePartition]:
-    """The partitions of ensemble_trees(rs, m, ...)."""
-    return [leaves(tree) for tree in ensemble_trees(rs, m, base_seed, d0, split_kind,
-                                                     max_iters)]

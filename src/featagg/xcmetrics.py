@@ -193,11 +193,8 @@ def top_k(
         chunk = score_rows(lo, min(lo + step, n_rows))
         if not np.all(np.isfinite(chunk)):
             raise ValueError("scores must be finite")
-        if k < n_labels:
-            kth = -np.partition(-chunk, k - 1, axis=1)[:, k - 1]
-            row, label = np.nonzero(chunk >= kth[:, None])
-        else:
-            row, label = np.divmod(np.arange(chunk.size), n_labels)
+        kth = -np.partition(-chunk, k - 1, axis=1)[:, k - 1]
+        row, label = np.nonzero(chunk >= kth[:, None])
         val = chunk[row, label]
         # the entries are in (row, label) order, so ties keep ascending labels
         order = rank_within(row, val)

@@ -84,7 +84,7 @@ def test_criterion_01_partition_structure():
 
 def test_criterion_02_lemma1_suite():
     t0 = time.perf_counter()
-    out = lemma1_trials(1000, seed=42, d_max=128, p_max=64)
+    out = lemma1_trials(1000, seed=42)
     elapsed = time.perf_counter() - t0
     assert out["all_hold"]
     assert out["worst_rel_excess"] <= 1e-9

@@ -159,11 +159,8 @@ def test_quality_report_fields(rng):
     labels = [{int(rng.integers(3))} for _ in range(10)]
     ds = dataset_from_dense(feats, labels, 3)
     part = FeaturePartition.from_clusters(8, [np.arange(0, 4), np.arange(4, 8)])
-    report = quality_report(ds, part, clustering_seconds=1.25)
+    report = quality_report(ds, part)
     assert 0.0 <= report.lmi <= 1.0
     assert report.balance == 1.0
     assert 0.0 <= report.normalized_entropy <= 1.0
-    assert report.clustering_seconds == 1.25
-    assert set(report.to_dict()) == {
-        "lmi", "balance", "normalized_entropy", "clustering_seconds"
-    }
+    assert set(report.to_dict()) == {"lmi", "balance", "normalized_entropy"}

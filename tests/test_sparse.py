@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from featagg import bounds, reprs, synth, tree
 from featagg.cooc import PseudoCooc, build_cooc
 from featagg.linear import OvaConfig, OvaModel
-from featagg.sparse import SparseMatrix, SparseVec, axpy, dot, norm
+from featagg.sparse import SparseMatrix, SparseVec, dot, norm
 from featagg.splits import Ranking, SplitResult
 from featagg.xcmetrics import Prediction, Predictions, propensities
 
@@ -103,27 +103,6 @@ class TestNorm:
         v = SparseVec(300, np.arange(300), rng.normal(size=300) * 1e3)
         assert norm(v, 2) == float(np.sqrt(SparseMatrix.from_rows([v]).row_sq_norms()[0]))
         assert norm(v, 2) == float(np.sqrt(np.cumsum(v.values * v.values)[-1]))
-
-
-class TestAxpy:
-    def test_basic(self):
-        acc = np.zeros(2)
-        axpy(acc, 2.0, vec(2, {1: 3}))
-        assert list(acc) == [0, 6]
-
-    def test_zero_scale(self):
-        acc = np.array([1.0, 1.0])
-        axpy(acc, 0.0, vec(2, {0: 5}))
-        assert list(acc) == [1, 1]
-
-    def test_accumulates(self):
-        acc = np.array([1.0, 0.0])
-        axpy(acc, 1.0, vec(2, {0: 1, 1: 1}))
-        assert list(acc) == [2, 1]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            axpy(np.zeros(3), 1.0, vec(2, {0: 1}))
 
 
 class TestSparseMatrix:

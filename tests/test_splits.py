@@ -8,7 +8,6 @@ from featagg import kernels, splits, tree
 from featagg.reprs import ReprSet
 from featagg.splits import (
     Ranking,
-    balanced_halves,
     dcg,
     kmeans_split,
     ndcg,
@@ -24,23 +23,39 @@ def repr_set(dense_rows, normalized=False) -> ReprSet:
 
 
 class TestBalancedHalves:
-    def test_scores_pick_top_half(self):
-        res = balanced_halves(np.array([5.0, 1.0, 3.0, 2.0]), np.array([0, 1, 2, 3]))
-        assert list(res.s_plus) == [0, 2]
-        assert list(res.s_minus) == [3, 1]
+    """The split loop's halving rule: the top ceil(m/2) members by score, ties
+    by ascending member id, against the rest, each half in ranked order."""
 
-    def test_odd_size_ceiling(self):
-        res = balanced_halves(np.arange(5.0), np.arange(5))
-        assert (len(res.s_plus), len(res.s_minus)) == (3, 2)
+    def test_scores_pick_top_half(self):
+        # on one coordinate the side with the larger centre takes the larger values
+        rs = repr_set([[5.0], [1.0], [3.0], [2.0]])
+        for seed in range(6):
+            res = kmeans_split(np.arange(4), rs, np.random.default_rng(seed))
+            assert (res.s_plus.tolist(), res.s_minus.tolist()) in (
+                ([0, 2], [3, 1]), ([1, 3], [2, 0]))
+
+    def test_odd_size_ceiling(self, rng):
+        distinct, identical = rng.random((5, 3)), np.ones((5, 3))
+        for split in (kmeans_split, ndcg_split):
+            for rows in (distinct, identical):
+                res = split(np.arange(5), repr_set(rows), rng)
+                assert (len(res.s_plus), len(res.s_minus)) == (3, 2)
 
     def test_tie_break_by_index(self):
-        res = balanced_halves(np.zeros(3), np.array([7, 3, 5]))
-        assert set(res.s_plus) == {3, 5}
-        assert set(res.s_minus) == {7}
+        # members 3 and 5 score alike; listed 5 first, 3 still ranks first
+        rows = np.zeros((8, 2))
+        rows[7], rows[[3, 5]] = [1.0, 0.0], [0.0, 1.0]
+        for split in (kmeans_split, ndcg_split):
+            for seed in range(6):
+                res = split(np.array([7, 5, 3]), repr_set(rows),
+                            np.random.default_rng(seed))
+                assert (res.s_plus.tolist(), res.s_minus.tolist()) in (
+                    ([7, 3], [5]), ([3, 5], [7]))
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            balanced_halves(np.array([]), np.array([], dtype=np.int64))
+    def test_empty_errors(self, rng):
+        for split in (kmeans_split, ndcg_split):
+            with pytest.raises(ValueError):
+                split(np.array([], dtype=np.int64), repr_set([[1.0]] * 4), rng)
 
 
 class TestKmeansSplit:

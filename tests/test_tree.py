@@ -9,7 +9,7 @@ from featagg.errors import InvariantError
 from featagg.reprs import ReprSet
 from featagg.tree import (
     FeaturePartition,
-    ensemble,
+    ensemble_trees,
     leaves,
     load_partition,
     make_tree,
@@ -116,13 +116,13 @@ class TestLeaves:
 class TestEnsemble:
     def test_size_one_equals_make_tree(self, rng):
         rs = random_reprs(rng, 30)
-        single = ensemble(rs, 1, base_seed=5, d0=4)
+        single = ensemble_trees(rs, 1, base_seed=5, d0=4)
         direct = leaves(make_tree(rs, d0=4, seed=5))
-        assert np.array_equal(single[0].cluster_of, direct.cluster_of)
+        assert np.array_equal(leaves(single[0]).cluster_of, direct.cluster_of)
 
     def test_three_realizations_hold_invariants(self, rng):
         rs = random_reprs(rng, 50)
-        parts = ensemble(rs, 3, base_seed=0, d0=8)
+        parts = [leaves(t) for t in ensemble_trees(rs, 3, base_seed=0, d0=8)]
         assert len(parts) == 3
         for part in parts:
             assert np.array_equal(
@@ -132,7 +132,7 @@ class TestEnsemble:
     def test_identical_reprs_degenerate(self):
         rows = np.ones((16, 4))
         rs = ReprSet(matrix=matrix_from_dense(rows), kind="x")
-        parts = ensemble(rs, 3, base_seed=0, d0=4)
+        parts = [leaves(t) for t in ensemble_trees(rs, 3, base_seed=0, d0=4)]
         for part in parts:
             assert np.array_equal(
                 np.sort(np.concatenate(part.clusters)), np.arange(16)
@@ -140,7 +140,7 @@ class TestEnsemble:
 
     def test_rejects_zero(self, rng):
         with pytest.raises(ValueError):
-            ensemble(random_reprs(rng, 8), 0)
+            ensemble_trees(random_reprs(rng, 8), 0)
 
 
 class TestFeaturePartition:

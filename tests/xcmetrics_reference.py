@@ -17,7 +17,7 @@ import numpy as np
 from featagg import kernels
 from featagg.cooc import PseudoCooc
 from featagg.dataio import Dataset
-from featagg.linear import OvaModel, decision_scores, probability_scores
+from featagg.linear import OvaModel, probability_scores
 from featagg.reranking import PrototypeSet
 from featagg.sparse import SparseMatrix, SparseVec, norm
 from featagg.xcmetrics import Prediction, PropensityModel
@@ -212,17 +212,13 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, scores[order]
 
 
-def predict(
-    model: OvaModel, x: SparseMatrix | SparseVec, k: int, probabilities: bool = True
-) -> PredictionList:
+def predict(model: OvaModel, x: SparseMatrix | SparseVec, k: int) -> PredictionList:
     """Top-k labels per point by score, ties by ascending label id."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > model.n_labels:
         raise ValueError(f"k={k} exceeds the {model.n_labels}-label universe")
-    scores = (
-        probability_scores(model, x) if probabilities else decision_scores(model, x)
-    )
+    scores = probability_scores(model, x)
     if scores.ndim == 1:
         scores = scores[None, :]
     out: PredictionList = []
