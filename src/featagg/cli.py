@@ -84,6 +84,14 @@ def _build_reprs(ds: Dataset, args) -> reprs.ReprSet:
     )
 
 
+def _check_output(path: str) -> None:
+    """A missing output directory is a data error found before any input is
+    read, not after the work whose result has nowhere to go."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"output directory {folder} does not exist")
+
+
 def _ensemble_path(path: str, t: int, m: int) -> str:
     """Tree t's file: path itself for one tree, else path with .r<t> before
     the file name's extension."""
@@ -101,6 +109,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    if args.ensemble < 1:
+        raise ValueError("ensemble size must be at least 1")
     ds = _load(args)
     t0 = time.perf_counter()
     rs = _build_reprs(ds, args)
@@ -392,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:  # every -o command
+            _check_output(args.output)
         return args.fn(args)
     except ParseError as exc:
         print(f"featagg: data error: {exc}", file=sys.stderr)

@@ -6,11 +6,17 @@ Format: a header line ``n d L``, then one line per point of the form
 empty (line starts with a space). Feature values must be nonnegative;
 duplicate indices within a line are rejected rather than summed.
 
-Text is parsed in chunks of lines: the tokens of a chunk are split once and
-converted by one numpy call per kind, and every check runs on arrays. A
-malformed file still fails with a ParseError naming the first faulty line and
-its fault, as a line-by-line parser would report it. Writing formats a chunk
-of rows at a time and prints the same bytes as formatting value by value.
+Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk: byte
+compares find the separators, commas, colons and dots, and every check runs
+on arrays. kernels.parse_ints converts the labels and indices of 1 to 18
+ASCII digits, and kernels.parse_floats the values of the form
+digits[.digits] with at most 19 digits, where x87 extended precision makes
+that exact (kernels.EXACT_FLOATS). Every other token is decoded and
+converted by one numpy call per kind, so each value is int() or float() of
+its text. A malformed file still fails with a ParseError naming the first
+faulty line and its fault, as a line-by-line parser would report it. Writing
+formats a chunk of rows at a time and prints the same bytes as formatting
+value by value.
 """
 
 from __future__ import annotations
@@ -21,13 +27,12 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, NoReturn
 
 import numpy as np
 
+from . import kernels
 from .errors import ParseError
-from .kernels import chunk_ranges, group_order
 from .sparse import SparseMatrix
 
 
@@ -134,9 +139,11 @@ def _parse_chunk(
 ) -> tuple[np.ndarray, ...]:
     """Features per row, indices, values, labels per row and labels of lines.
 
-    lineno is the line number of lines[0]. All tokens of the chunk are split
-    and converted at once, and array checks find the first faulty row; only
-    that row is read again token by token, to name its fault.
+    lineno is the line number of lines[0]. The chunk is read as UTF-8 bytes:
+    byte compares find the tokens, the kernels convert the numbers written in
+    ASCII digits, and numpy converts the rest, one call per kind. Array checks
+    find the first faulty row; only that row is read again token by token, to
+    name its fault.
     """
 
     def fail(row: int) -> NoReturn:
@@ -147,56 +154,95 @@ def _parse_chunk(
         raise ParseError(_line_fault(lines[row], d, n_labels, shift),
                          line=lineno + row)
 
-    def convert(tokens: list[str], dtype, token_row: np.ndarray) -> np.ndarray:
+    def convert(dtype, token_row, kernel, starts, ends, *more) -> np.ndarray:
+        values, done = kernel(buf, starts, ends, *more)
+        rest = np.flatnonzero(~done)
+        if not rest.shape[0]:
+            return values
+        tokens = [raw[s:e].decode("utf-8", "surrogatepass")
+                  for s, e in zip(starts[rest].tolist(), ends[rest].tolist())]
         try:
-            return np.array(tokens, dtype=dtype)
+            values[rest] = np.array(tokens, dtype=dtype)
         except (ValueError, OverflowError):
             for t, token in enumerate(tokens):
                 try:
                     np.array(token, dtype=dtype)
                 except (ValueError, OverflowError):
-                    fail(int(token_row[t]))
+                    fail(int(token_row[rest[t]]))
             raise
+        return values
 
     m = len(lines)
-    rows = np.arange(m)
-    fields = [line.rstrip("\n").rstrip("\r").partition(" ") for line in lines]
+    text = "".join(lines)
+    raw = text.encode("utf-8", "surrogatepass")
+    if not text.endswith("\n"):  # the last line of the file
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if b"\r" in raw:
+        # a line's trailing carriage returns (rstrip("\r")) end tokens as
+        # spaces do
+        buf = buf.copy()
+        back = np.flatnonzero(buf == 10) - 1
+        while (back := back[buf[back] == 13]).shape[0]:
+            buf[back] = 32
+            back -= 1
 
-    # labels: "l1,l2,..." per row, possibly empty
-    label_fields = [f[0] for f in fields]
-    label_counts = np.array(
-        [f.count(",") + 1 if f else 0 for f in label_fields], dtype=np.int64
-    )
-    label_row = np.repeat(rows, label_counts)
-    label_tokens = (",".join(filter(None, label_fields)).split(",")
-                    if label_row.size else [])
-    labels = convert(label_tokens, np.int64, label_row) - shift
+    # the bytes that split the text: newlines and spaces end pieces; within a
+    # piece, commas split labels, a colon splits index from value and a dot
+    # splits a value's digits
+    at = np.flatnonzero((buf == 10) | (buf == 32) | (buf == 44) | (buf == 46)
+                        | (buf == 58))
+    kind = buf[at]
+    after = np.concatenate(([0], at + 1))  # after[j]: the byte after split j - 1
+    cuts = np.flatnonzero((kind == 10) | (kind == 32))  # each piece's end
+    before = np.concatenate(([-1], cuts[:-1]))  # the split before each piece
+    opens = np.concatenate(([True], kind[before[1:]] == 10))  # starts a line
+    row = np.cumsum(opens) - 1
+    # the label field is a line's first piece; the other pieces, with empty
+    # ones skipped, are its feature tokens
+    filled = np.diff(at[cuts], prepend=-1) > 1
+    label = np.flatnonzero(opens & filled)
+    token = np.flatnonzero(~opens & filled)
 
-    # features: "index:value" tokens split on single spaces, empty ones skipped
-    feature_fields = [f[2] for f in fields]
-    pieces = " ".join(feature_fields).split(" ")
-    piece_row = np.repeat(rows, [f.count(" ") + 1 for f in feature_fields])
-    tokens = list(filter(None, pieces))
-    token_row = piece_row
-    if len(tokens) < len(pieces):
-        lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
-        token_row = piece_row[lengths > 0]
-    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
-    if np.any(colons != 1):
-        fail(int(token_row[np.argmax(colons != 1)]))
-    halves = ":".join(tokens).split(":") if tokens else []
-    idx = convert(halves[0::2], np.int64, token_row) - shift
-    val = convert(halves[1::2], np.float64, token_row)
+    # labels: "l1,l2,..." per row, possibly empty, split at every comma: a
+    # label ends at a comma or at the field's end
+    split = kernels.concat_ranges(before[label] + 1, cuts[label] + 1)
+    label_row = np.repeat(row[label], cuts[label] - before[label])
+    label_counts = np.bincount(label_row, minlength=m)
+    # features: "index:value" tokens, whose first split is the colon and
+    # whose second, if any, a dot in the value
+    first, last = before[token] + 1, cuts[token]
+    second = np.minimum(first + 1, last)
+    dotted = last - first == 2
+    token_row = row[token]
+    # any other split makes its line faulty: a colon or dot in a label field
+    # or an index, no colon or a second one, a comma or a second dot
+    inner = kind[split]
+    ill_labels = (inner == 58) | (inner == 46)
+    ill_tokens = ((kind[first] != 58) | (last - first > 2)
+                  | dotted & (kind[second] != 46))
+    if ill_labels.any() or ill_tokens.any():
+        fail(int(min(label_row[ill_labels].min(initial=m),
+                     token_row[ill_tokens].min(initial=m))))
+
+    heads = np.concatenate((split, first))  # where each label and index ends
+    ints = convert(np.int64, np.concatenate((label_row, token_row)),
+                   kernels.parse_ints, after[heads], at[heads])
+    if shift:
+        ints -= shift
+    # a copy: the chunk's labels must not hold on to its indices
+    labels, idx = ints[:split.shape[0]].copy(), ints[split.shape[0]:]
+    dots = np.where(dotted, at[second], -1)
+    val = convert(np.float64, token_row, kernels.parse_floats, after[first + 1],
+                  at[last], dots)
 
     bad = np.zeros(m, dtype=bool)
     bad[label_row[(labels < 0) | (labels >= n_labels)]] = True
     bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~np.isfinite(val)]] = True
-    order = group_order(label_row, labels)
-    labels, label_row = labels[order], label_row[order]
-    bad[_repeats(label_row, labels)] = True
-    order = group_order(token_row, idx)
-    idx, val, token_row = idx[order], val[order], token_row[order]
-    bad[_repeats(token_row, idx)] = True
+    label_row, labels, repeated = _by_row(label_row, labels)
+    bad[repeated] = True
+    token_row, idx, val, repeated = _by_row(token_row, idx, val)
+    bad[repeated] = True
     if bad.any():
         fail(int(np.argmax(bad)))
 
@@ -205,9 +251,18 @@ def _parse_chunk(
             label_counts, labels)
 
 
-def _repeats(row: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Rows holding a key twice, given (row, key) pairs sorted by row, key."""
-    return row[1:][(key[1:] == key[:-1]) & (row[1:] == row[:-1])]
+def _by_row(row: np.ndarray, key: np.ndarray, *more: np.ndarray) -> tuple:
+    """row, key and more ordered by row, then key, ties in position order,
+    and the rows that hold a key twice; row is nondecreasing.
+
+    Rows whose keys already rise need no sort and hold no key twice.
+    """
+    if np.all((key[1:] > key[:-1]) | (row[1:] != row[:-1])):
+        return row, key, *more, row[:0]
+    order = kernels.group_order(row, key)
+    row, key = row[order], key[order]
+    twice = row[1:][(key[1:] == key[:-1]) & (row[1:] == row[:-1])]
+    return (row, key, *(a[order] for a in more), twice)
 
 
 def _line_fault(line: str, d: int, n_labels: int, shift: int) -> str:
@@ -255,7 +310,7 @@ def write_xc(ds: Dataset, stream: IO[str] | None = None) -> str | None:
     out.write(f"{ds.n} {ds.d} {ds.n_labels}\n")
     feats, labels = ds.features, ds.labels
     # rows lo..hi-1 hold at most _WRITE_CHUNK_NNZ entries, or are one row
-    for lo, hi in chunk_ranges(feats.indptr + labels.indptr, _WRITE_CHUNK_NNZ):
+    for lo, hi in kernels.chunk_ranges(feats.indptr + labels.indptr, _WRITE_CHUNK_NNZ):
         out.write(_format_rows(feats, labels, lo, hi))
     if stream is None:
         return out.getvalue()

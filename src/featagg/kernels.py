@@ -4,13 +4,14 @@ Each kernel has one numpy implementation; only ``ova_sgd`` (over its
 sequential steps) and ``score_rows`` (one BLAS product per row) loop in
 Python. ``sparse_product`` is the one product A B behind representatives,
 prototypes, label mutual information and rerank affinities.
-``tests/kernel_reference.py`` holds a plain-Python loop per kernel that
-spells out the same arithmetic, and the tests compare the two; the ordering
-kernels (``rank_within``, ``group_order``, ``row_ids``) are compared with
-``np.lexsort`` and ``np.array_equal`` instead.
+``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
+parser's chunks. ``tests/kernel_reference.py`` holds a plain-Python loop per
+kernel that spells out the same arithmetic, and the tests compare the two;
+the ordering kernels (``rank_within``, ``group_order``, ``row_ids``) are
+compared with ``np.lexsort`` and ``np.array_equal`` instead.
 
-All kernels take (indptr, indices, values) CSR triples with int64 indices and
-float64 values; callers are responsible for dtype discipline.
+The sparse kernels take (indptr, indices, values) CSR triples with int64
+indices and float64 values; callers are responsible for dtype discipline.
 """
 
 from __future__ import annotations
@@ -162,6 +163,116 @@ def row_ids(indptr, indices, values):
         # goes round again in row order
         pending = np.sort(rest[~equal])
     return ids
+
+
+# ---------------------------------------------------------------------------
+# parse_ints / parse_floats: numbers written in ASCII digits, read straight
+# from the bytes of a text. Each returns (values, ok); ok marks the tokens it
+# converted, and every other token is the caller's to convert.
+# ---------------------------------------------------------------------------
+
+# Zero bytes put before a buffer, so that the up to 24 bytes read before a
+# token's end stay in range
+_PAD = 24
+# _FIRST[c + 24]: the low bytes of a little-endian word, which hold its first
+# clip(c, 0, 8) characters
+_FIRST = np.array([(1 << 8 * min(max(c, 0), 8)) - 1 for c in range(-24, 25)],
+                  dtype=np.uint64)
+_ZEROS = 0x3030303030303030  # eight ASCII '0'
+
+
+def _digits(buf, ends, n, dot_at=None):
+    """(value, ok) of the n characters (at most 19) before ends in a uint8
+    buffer, read as decimal digits into a uint64; ok is False where any of
+    them is not an ASCII digit. With dot_at (at most 24), the characters at
+    distance dot_at or more from the end are read one byte earlier, which
+    skips a dot.
+
+    The 8 * width bytes before each end are gathered at once, through an
+    unaligned, stride-1 view of the buffer, and read as width little-endian
+    words of eight characters, each folded by SWAR (SIMD within a register):
+    adjacent digits, then pairs, then fours combine by one multiply, shift
+    and mask.
+    """
+    # words of the characters up to 8 * width before the end, with one more
+    # for a dot: the first word's first character is never a digit
+    width = max(-(-(int(n.max(initial=0)) + (dot_at is not None)) // 8), 1)
+    o = 8 * np.arange(width, 0, -1)[:, None]  # distance from the end to each word
+    padded = np.zeros(buf.shape[0] + _PAD, dtype=np.uint8)
+    padded[_PAD:] = buf
+    spans = np.ndarray((padded.shape[0] + 1 - 8 * width,), f"V{8 * width}", padded,
+                       strides=(1,))
+    # width rows of words, so that each operation runs along the tokens
+    v = spans[ends + (_PAD - 8 * width)].view("<u8").reshape(-1, width).T.copy()
+    if dot_at is not None:
+        earlier = v << 8  # each word read one byte earlier
+        earlier[1:] |= v[:-1] >> 56
+        moved = _FIRST[(o + 24) - dot_at]
+        earlier &= moved
+        v &= ~moved
+        v |= earlier
+    junk = _FIRST[(o + 24) - n]  # characters before the digits read as '0'
+    v &= ~junk
+    v |= junk & _ZEROS
+    v -= _ZEROS
+    # every byte of v at most 9; a byte below '0' borrows, setting its top bit
+    ok = ~((v + 0x7676767676767676 | v) & 0x8080808080808080).any(axis=0)
+    v *= 2561  # 10 * digit + next digit
+    v >>= 8
+    v &= 0x00FF00FF00FF00FF
+    v *= 6553601  # 100 * pair + next pair
+    v >>= 16
+    v &= 0x0000FFFF0000FFFF
+    v *= 42949672960001  # 10000 * four + next four
+    v >>= 32
+    value = v[0]
+    for eight in v[1:]:
+        value = value * 100000000 + eight
+    return value, ok
+
+
+def parse_ints(buf, starts, ends):
+    """(values, ok) for the tokens buf[starts[i]:ends[i]] of a uint8 buffer:
+    ok marks tokens of 1 to 18 ASCII digits, and values holds int() of each
+    of them as int64 (0 elsewhere)."""
+    n = ends - starts
+    value, ok = _digits(buf, ends, np.minimum(n, 18))
+    ok &= (n >= 1) & (n <= 18)
+    return np.where(ok, value, 0).astype(np.int64), ok
+
+
+# x87 extended precision, which parse_floats needs: a 64-bit significand,
+# stored in 16 bytes, with arithmetic carried out at 64 bits
+EXACT_FLOATS = bool(np.finfo(np.longdouble).nmant == 63
+                    and np.dtype(np.longdouble).itemsize == 16
+                    and np.longdouble(2**63) + 1 != np.longdouble(2**63))
+_POW10 = np.array([10.0**k for k in range(20)], dtype=np.longdouble)
+
+
+def parse_floats(buf, starts, ends, dots):
+    """(values, ok) for the tokens buf[starts[i]:ends[i]] of a uint8 buffer:
+    ok marks tokens of 1 to 19 ASCII digits and at most one dot, and values
+    holds float() of each of them (0.0 elsewhere). dots[i] is the position
+    of a dot in token i, or -1 where it has none.
+
+    The digits make an exact uint64 w, with k of them after the dot. w and
+    10**k are exact in x87 extended precision, whose division rounds once to
+    64 bits; rounding that to a double is correctly rounded unless the
+    extended quotient is a midpoint of two doubles (its low 11 bits 0x400),
+    and those tokens are left out of ok. Without EXACT_FLOATS, ok is all
+    False.
+    """
+    if not EXACT_FLOATS:
+        return np.zeros(starts.shape[0]), np.zeros(starts.shape[0], dtype=bool)
+    has_dot = dots >= 0
+    frac = np.where(has_dot, ends - 1 - dots, 0)
+    n = ends - starts - has_dot
+    dot_at = np.where(has_dot, np.minimum(frac, 24), 24) if has_dot.any() else None
+    value, ok = _digits(buf, ends, np.minimum(n, 19), dot_at)
+    quotient = value.astype(np.longdouble) / _POW10[np.minimum(frac, 19)]
+    midpoint = quotient.view(np.uint64)[0::2] & 0x7FF == 0x400
+    ok &= (n >= 1) & (n <= 19) & ~midpoint
+    return np.where(ok, quotient.astype(np.float64), 0.0), ok
 
 
 # ---------------------------------------------------------------------------

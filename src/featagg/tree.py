@@ -14,9 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .dataio import json_object, json_text, load_arrays, save_arrays
 from .errors import InvariantError
-from .kernels import concat_ranges, group_order, row_ids
 from .reprs import ReprSet
 from .sparse import _value_eq
 # kmeans_split and ndcg_split stay importable from here, where
@@ -121,7 +121,7 @@ class FeaturePartition:
         # the first faulty cluster raises, and for one cluster an empty one
         # comes before out-of-range features, which come before a feature
         # that an earlier cluster (or an earlier entry of its own) holds
-        by_feature = group_order(0, flat)
+        by_feature = kernels.group_order(0, flat)
         again = by_feature[1:][flat[by_feature[1:]] == flat[by_feature[:-1]]]
         faults = [
             (int(ks.min()), rank) for rank, ks in enumerate((
@@ -139,7 +139,7 @@ class FeaturePartition:
             raise InvariantError(f"clusters cover {flat.shape[0]} of {d} features")
         cluster_of = np.empty(d, dtype=np.int64)
         cluster_of[flat] = owner
-        return cls(cluster_of, flat[group_order(owner, flat)],
+        return cls(cluster_of, flat[kernels.group_order(owner, flat)],
                    np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
                    d0=d0, seed=seed)
 
@@ -233,7 +233,7 @@ def make_tree(
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
     # equal rows share an id; a node of one id splits in index order, with
     # no generator and no draws
-    ids = row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
+    ids = kernels.row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
     levels = []
     while True:
         sizes = np.diff(ptr)
@@ -242,7 +242,7 @@ def make_tree(
         at = np.flatnonzero(sizes > d0)
         if not at.shape[0]:
             break
-        members = members[concat_ranges(ptr[at], ptr[at + 1])]
+        members = members[kernels.concat_ranges(ptr[at], ptr[at + 1])]
         sizes = sizes[at]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         split = at.tolist()

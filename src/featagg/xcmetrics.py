@@ -22,8 +22,8 @@ from typing import IO, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ParseError
-from .kernels import chunk_ranges, group_order, rank_within
 from .sparse import SparseMatrix, _value_eq
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
@@ -43,7 +43,7 @@ def _row_faults(
     """Rows breaking each rule of ranked rows, with the rule's message."""
     row = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
     same = row[1:] == row[:-1]
-    order = group_order(row, labels)
+    order = kernels.group_order(row, labels)
     lab, r = labels[order], row[order]
     return [
         (row[~np.isfinite(scores)], "scores must be finite"),
@@ -197,7 +197,7 @@ def top_k(
         row, label = np.nonzero(chunk >= kth[:, None])
         val = chunk[row, label]
         # the entries are in (row, label) order, so ties keep ascending labels
-        order = rank_within(row, val)
+        order = kernels.rank_within(row, val)
         counts = np.bincount(row, minlength=chunk.shape[0])
         ranked = Predictions(np.concatenate(([0], np.cumsum(counts))), label[order],
                              val[order], validate=False).head(k)
@@ -283,7 +283,7 @@ def _truth_top(truth: SparseMatrix, weights: np.ndarray, k: int):
     """Row, rank and weight of the k largest label weights of every truth row."""
     row = np.repeat(np.arange(truth.rows), truth.row_nnz())
     w = weights[truth.indices]
-    order = rank_within(row, w)
+    order = kernels.rank_within(row, w)
     rank = np.arange(w.shape[0]) - truth.indptr[row]
     keep = rank < k
     return row[keep], rank[keep], w[order][keep]
@@ -409,7 +409,7 @@ def percentile_macro_precision(
     n_labels = y_train.cols
     t.top.check_labels(n_labels)
     counts = np.bincount(y_train.indices, minlength=n_labels)
-    order = rank_within(0, counts)
+    order = kernels.rank_within(0, counts)
     pct = np.empty(n_labels, dtype=np.float64)
     pct[order] = 100.0 * np.arange(n_labels) / n_labels
 
@@ -435,7 +435,7 @@ def save_predictions(preds: Predictions | Sequence, stream: IO[str]) -> None:
     back by load_predictions gives the same arrays bit for bit.
     """
     preds = Predictions.from_rows(preds)
-    for lo, hi in chunk_ranges(preds.indptr, _WRITE_CHUNK_ENTRIES):
+    for lo, hi in kernels.chunk_ranges(preds.indptr, _WRITE_CHUNK_ENTRIES):
         stream.write(_format_rows(preds, lo, hi))
 
 

@@ -1,9 +1,12 @@
 """Plain-Python reference loops for the kernels in ``featagg.kernels``.
 
 Each function has the name and argument order of the kernel it checks and
-spells out its arithmetic one nonzero at a time. ``tests/test_kernels.py``
+spells out its arithmetic one nonzero (or, for the number kernels, one
+token) at a time. ``tests/test_kernels.py``
 compares every numpy kernel with its loop here.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -273,3 +276,45 @@ def coalesce(keys, values, nrows, ncols):
             out_values.append(sums[key])
     return (np.cumsum(out_indptr), np.array(out_indices, dtype=np.int64),
             np.array(out_values, dtype=np.float64))
+
+
+def parse_ints(buf, starts, ends):
+    values = np.zeros(starts.shape[0], dtype=np.int64)
+    ok = np.zeros(starts.shape[0], dtype=bool)
+    for i in range(starts.shape[0]):
+        token = bytes(buf[starts[i]:ends[i]])
+        if 1 <= len(token) <= 18 and all(48 <= b <= 57 for b in token):
+            values[i] = int(token)
+            ok[i] = True
+    return values, ok
+
+
+def _extended_midpoint(w, k):
+    """Whether w / 10**k, rounded to nearest (ties to even) with a 64-bit
+    significand as x87 extended precision divides, lies halfway between two
+    doubles: the low 11 of its 64 significand bits are 0x400."""
+    x = Fraction(w, 10**k)
+    if x == 0:
+        return False
+    s = 63 - (x.numerator.bit_length() - x.denominator.bit_length())
+    while x * Fraction(2) ** s >= 2**64:
+        s -= 1
+    while x * Fraction(2) ** s < 2**63:
+        s += 1
+    significand = round(x * Fraction(2) ** s)  # Fraction rounds ties to even
+    return significand & 0x7FF == 0x400  # a carry to 2**64 leaves 0 there
+
+
+def parse_floats(buf, starts, ends, dots):
+    # dots only spares the kernel a search; the loop finds the dot itself
+    values = np.zeros(starts.shape[0], dtype=np.float64)
+    ok = np.zeros(starts.shape[0], dtype=bool)
+    for i in range(starts.shape[0]):
+        token = bytes(buf[starts[i]:ends[i]])
+        whole, dot, frac = token.partition(b".")
+        digits = whole + frac
+        if (1 <= len(digits) <= 19 and all(48 <= b <= 57 for b in digits)
+                and not _extended_midpoint(int(digits), len(frac))):
+            values[i] = float(token)
+            ok[i] = True
+    return values, ok

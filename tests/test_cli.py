@@ -326,6 +326,54 @@ def test_cluster_rejects_max_iters_below_one(tiny_files, capsys, split, leaf_siz
     assert not out.exists()
 
 
+# every command that writes with -o; {out} is the output path
+WRITING_COMMANDS = {
+    "cluster": ["cluster", "{train}", "-o", "{out}", "--leaf-size", "2"],
+    "agglomerate": ["agglomerate", "{train}", "--partition", "{part}", "-o", "{out}"],
+    "train": ["train", "{train}", "-o", "{out}"],
+    "predict": ["predict", "{train}", "--model", "{part}", "-o", "{out}"],
+    "cooc": ["cooc", "{train}", "--partition", "{part}", "-o", "{out}"],
+    "impute": ["impute", "{train}", "--cooc", "{part}", "-o", "{out}"],
+    "erase": ["erase", "{train}", "--fraction", "0.5", "-o", "{out}"],
+    "rerank": ["rerank", "{preds}", "--test", "{test}", "--train", "{train}",
+               "--partition", "{part}", "-o", "{out}"],
+}
+
+
+def run_without_reading(tiny_files, monkeypatch, argv, out):
+    """Exit code of argv, failing the test if it reads a dataset."""
+    def load_xc(*args, **kwargs):
+        raise AssertionError("a dataset was read")
+    monkeypatch.setattr("featagg.cli.load_xc", load_xc)
+    paths = {name: tiny_files / f"{name}.txt" for name in ("train", "test", "preds")}
+    return main([a.format(part=tiny_files / "part.npz", out=out, **paths) for a in argv])
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_missing_output_directory_exits_2_before_reading(tiny_files, capsys,
+                                                         monkeypatch, command):
+    out = tiny_files / "nodir" / "out"
+    before = sorted(tiny_files.iterdir())
+    code = run_without_reading(tiny_files, monkeypatch, WRITING_COMMANDS[command], out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"featagg: data error: output directory "
+                            f"{tiny_files / 'nodir'} does not exist\n")
+    assert captured.out == "" and sorted(tiny_files.iterdir()) == before
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_cluster_rejects_empty_ensemble_before_reading(tiny_files, capsys,
+                                                      monkeypatch, m):
+    out = tiny_files / "part_out.npz"
+    code = run_without_reading(tiny_files, monkeypatch,
+                               WRITING_COMMANDS["cluster"] + ["--ensemble", m], out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "featagg: data error: ensemble size must be at least 1\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("a, b, message", [
     ("0.55", "-1.5", "propensity B must be finite and positive, got -1.5"),
     ("0.55", "-1", "propensity B must be finite and positive, got -1.0"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from featagg import dataio
+from featagg import dataio, kernels
 from featagg.dataio import Dataset, parse_xc, stats, write_xc
 from featagg.errors import ParseError
 from featagg.sparse import SparseMatrix, SparseVec
@@ -139,10 +139,26 @@ class TestStats:
 
 # --- chunked parser and writer against the per-line reference -------------
 
+def digit_texts(n):
+    """n ASCII digits, leading zeros included, with a dot among them in half."""
+    return st.text("0123456789", min_size=n, max_size=n).flatmap(
+        lambda s: st.one_of(st.just(s), st.integers(0, n).map(lambda at: s[:at] + "." + s[at:])))
+
+
 VALUE_TEXTS = st.one_of(
     st.floats(0, 1e6, allow_nan=False).map(repr),
     st.integers(0, 99).map(str),
-    st.sampled_from(["0", "0.0", "-0.0", "1e-3", "2.5E2", "7."]),
+    # around the number kernels' limits of 8 digits a word, 18 digits an
+    # integer and 19 a decimal
+    st.sampled_from([8, 9, 16, 17, 19, 20]).flatmap(digit_texts),
+    st.sampled_from([
+        "0", "0.0", "-0.0", "1e-3", "2.5E2", "7.", ".5", "5.", "007", "00.250",
+        "0." + "3" * 100,
+        # exact midpoints of two doubles, which round to the even one
+        "9007199254740993", "4503599627370496.5",
+        # what float() reads past the kernels: a full-width digit, blanks
+        "１", "\t1", "2\t",
+    ]),
 )
 
 FAULTS = {
@@ -162,6 +178,15 @@ FAULTS = {
     "negative value": lambda lab, toks, d, L: (lab, toks + ["0:-2"]),
     "infinite value": lambda lab, toks, d, L: (lab, ["0:inf"] + toks),
     "nan value": lambda lab, toks, d, L: (lab, toks + ["0:nan"]),
+    "tab inside value": lambda lab, toks, d, L: (lab, toks + ["0:1\t5"]),
+    "NUL in value": lambda lab, toks, d, L: (lab, toks + ["0:1\0"]),
+    "NUL in label": lambda lab, toks, d, L: ("0\0", toks),
+    "lone surrogate": lambda lab, toks, d, L: (lab, ["0:\ud800"] + toks),
+    "two dots": lambda lab, toks, d, L: (lab, toks + ["0:1.2.3"]),
+    "dot in index": lambda lab, toks, d, L: (lab, toks + ["1.0:1"]),
+    "comma in value": lambda lab, toks, d, L: (lab, toks + ["0:1,5"]),
+    "colon in label": lambda lab, toks, d, L: ("0:1", toks),
+    "dot in label": lambda lab, toks, d, L: ("0,1.0", toks),
     "duplicate index": lambda lab, toks, d, L: (lab, toks + toks[:1] if toks
                                                 else ["1:1", "1:0"]),
 }
@@ -172,7 +197,7 @@ def xc_texts(draw, fault=False):
     """(text, one_based): a file in the text format, optionally with a fault.
 
     Rows hold CRLF endings, empty label fields, empty feature tokens (double
-    and trailing spaces), explicit zeros and unsorted indices. With fault, one
+    and trailing spaces), explicit zeros, leading zeros and unsorted indices. With fault, one
     to three faults from FAULTS land in random rows (the first one in the file
     is the one to report), or the file loses or gains a line.
     """
@@ -182,11 +207,12 @@ def xc_texts(draw, fault=False):
     L = draw(st.integers(1, 6))
     shift = 1 if one_based else 0
     rows = []
+    zeros = st.sampled_from(["", "", "", "0", "00"])  # leading zeros
     for _ in range(n):
         labels = draw(st.lists(st.integers(0, L - 1), unique=True, max_size=L))
-        lab = ",".join(str(l + shift) for l in labels)
+        lab = ",".join(f"{draw(zeros)}{l + shift}" for l in labels)
         idx = draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
-        toks = [f"{j + shift}:{draw(VALUE_TEXTS)}" for j in idx]
+        toks = [f"{draw(zeros)}{j + shift}:{draw(VALUE_TEXTS)}" for j in idx]
         rows.append((lab, toks))
     kind = draw(st.sampled_from(["rows", "missing line", "trailing line"])
                 if fault else st.none())
@@ -245,6 +271,18 @@ def test_faults_match_reference(case, chunk_chars):
     expected, got = parse_both(text, one_based, chunk_chars)
     assert isinstance(expected, tuple)  # every planted fault is one
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(xc_texts())
+def test_parse_without_the_float_kernel(case):
+    # where x87 extended precision is missing, numpy converts every value
+    # from its text, and the dataset is the same
+    text, one_based = case
+    want = parse_xc(text, one_based=one_based)
+    with mock.patch.object(kernels, "EXACT_FLOATS", False):
+        got = parse_xc(text, one_based=one_based)
+    assert_same_dataset(got, want)
 
 
 def test_one_index_value_pair_per_token():

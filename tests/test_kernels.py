@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from decimal import Context, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,101 @@ def test_mi_accumulate_spans_feature_blocks(rng):
     assert pairs > 3 * kernels._MI_BLOCK_PAIRS
     np_fn, loop_fn = impls("mi_accumulate")
     assert np_fn(*args) == pytest.approx(loop_fn(*args), rel=1e-12)
+
+
+STRAYS = [b"e", b"-", b"+", b"\t", b"\0", b"_", b".", "１".encode(), b"x"]
+
+
+def number_tokens(rng, count):
+    """count tokens of text the number kernels read: 0 to 22 ASCII digits
+    (now and then up to 119), leading zeros included, about half with a dot;
+    decimals of 16 to 19 digits at or near the midpoint of two doubles; and a
+    tenth with a stray character (a second dot, a sign, an exponent, a tab, a
+    NUL, a full-width digit)."""
+    tokens = []
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.2:
+            # the 16 to 19 digits nearest halfway from a double to the next
+            x = float(rng.uniform(1.0, 10.0 ** rng.integers(1, 7)))
+            mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+            context = Context(prec=int(rng.integers(16, 20)))
+            near = context.divide(Decimal(mid.numerator), Decimal(mid.denominator))
+            tokens.append(format(near, "f").encode())
+            continue
+        if draw < 0.25:  # an odd integer above 2**53: exactly a midpoint
+            tokens.append(str(2**53 + 2 * int(rng.integers(0, 2**52)) + 1).encode())
+            continue
+        size = rng.integers(0, 23) if draw < 0.97 else rng.integers(23, 120)
+        token = bytes(rng.integers(48, 58, size=size).astype(np.uint8))
+        if rng.random() < 0.5:
+            at = int(rng.integers(0, len(token) + 1))
+            token = token[:at] + b"." + token[at:]
+        if rng.random() < 0.1:
+            at = int(rng.integers(0, len(token) + 1))
+            token = token[:at] + STRAYS[rng.integers(len(STRAYS))] + token[at:]
+        tokens.append(token)
+    return tokens
+
+
+def token_buffer(rng, tokens):
+    """(buf, starts, ends, dots) of tokens laid out with one random byte, a
+    digit at times, between neighbours; dots holds each token's first dot
+    or -1."""
+    gaps = [bytes([b]) for b in rng.choice(list(b" :.,9\n"), size=len(tokens))]
+    starts, ends, dots, at = [], [], [], 0
+    for gap, token in zip(gaps, tokens):
+        at += 1
+        starts.append(at)
+        dots.append(at + token.index(b".") if b"." in token else -1)
+        at += len(token)
+        ends.append(at)
+    buf = np.frombuffer(b"".join(g + t for g, t in zip(gaps, tokens)), dtype=np.uint8)
+    return buf, *(np.array(a, dtype=np.int64) for a in (starts, ends, dots))
+
+
+@pytest.mark.parametrize("name", ["parse_ints", "parse_floats"])
+def test_number_kernels(rng, name):
+    if name == "parse_floats" and not kernels.EXACT_FLOATS:
+        pytest.skip("no x87 extended precision: parse_floats converts nothing")
+    buf, starts, ends, dots = token_buffer(rng, number_tokens(rng, 5000))
+    args = (buf, starts, ends) + ((dots,) if name == "parse_floats" else ())
+    np_fn, loop_fn = impls(name)
+    (got, got_ok), (want, want_ok) = np_fn(*args), loop_fn(*args)
+    assert got.dtype == want.dtype and np.array_equal(got_ok, want_ok)
+    assert got.tobytes() == want.tobytes()
+    assert 0.3 < got_ok.mean() < 0.8
+
+
+def test_number_kernels_equal_int_and_float(rng):
+    # every converted token is int() or float() of its text, bit for bit,
+    # and the tokens left unconverted are the ones the rules leave out
+    tokens = number_tokens(rng, 100_000)
+    buf, starts, ends, dots = token_buffer(rng, tokens)
+    ints, int_ok = kernels.parse_ints(buf, starts, ends)
+    # bytes.isdigit() holds for ASCII digits only
+    assert np.array_equal(int_ok, [1 <= len(t) <= 18 and t.isdigit() for t in tokens])
+    assert ints[int_ok].tolist() == [int(t) for t, ok in zip(tokens, int_ok) if ok]
+    if not kernels.EXACT_FLOATS:
+        pytest.skip("no x87 extended precision: parse_floats converts nothing")
+    floats, float_ok = kernels.parse_floats(buf, starts, ends, dots)
+    want = np.array([float(t) for t, ok in zip(tokens, float_ok) if ok])
+    assert floats[float_ok].tobytes() == want.tobytes()
+    digits = [t.replace(b".", b"", 1) for t in tokens]
+    plain = np.array([0 < len(d) <= 19 and d.isdigit() for d in digits])
+    # only plain decimals convert; those left are extended-precision midpoints
+    assert not (float_ok & ~plain).any()
+    left = np.flatnonzero(plain & ~float_ok)
+    assert 0 < left.shape[0] < 0.1 * len(tokens)
+    _, ref_ok = kernel_reference.parse_floats(buf, starts[left], ends[left], dots[left])
+    assert not ref_ok.any()
+
+
+def test_parse_floats_needs_x87_extended_precision(rng, monkeypatch):
+    buf, starts, ends, dots = token_buffer(rng, [b"1.5", b"2", b"0.25"])
+    monkeypatch.setattr(kernels, "EXACT_FLOATS", False)
+    values, ok = kernels.parse_floats(buf, starts, ends, dots)
+    assert not ok.any() and not values.any()
 
 
 def test_backend_switch_is_gone():
