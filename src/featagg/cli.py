@@ -200,13 +200,24 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _cutoffs(text: str) -> list[int]:
+    """The --k list of eval: comma-separated integers, each at least 1."""
+    try:
+        ks = [int(t) for t in text.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise ValueError(f"--k must list integers of at least 1, got {text!r}")
+    return ks
+
+
 def _cmd_eval(args) -> int:
+    ks = _cutoffs(args.k)
     if args.propensity and not args.train:
         raise ValueError("--propensity requires --train")
     with open(args.predictions, "r", encoding="utf-8") as fh:
         preds = load_predictions(fh)
     ds = load_xc(args.data, one_based=args.one_based)
-    ks = [int(t) for t in args.k.split(",") if t]
     report: dict = {"points": ds.n}
     for k in ks:
         report[f"P@{k}"] = precision_at_k(preds, ds.labels, k)

@@ -6,17 +6,20 @@ Format: a header line ``n d L``, then one line per point of the form
 empty (line starts with a space). Feature values must be nonnegative;
 duplicate indices within a line are rejected rather than summed.
 
-Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk: byte
-compares find the separators, commas, colons and dots, and every check runs
-on arrays. kernels.parse_ints converts the labels and indices of 1 to 18
-ASCII digits, and kernels.parse_floats the values of the form
-digits[.digits] with at most 19 digits, where x87 extended precision makes
-that exact (kernels.EXACT_FLOATS). Every other token is decoded and
-converted by one numpy call per kind, so each value is int() or float() of
-its text. A malformed file still fails with a ParseError naming the first
-faulty line and its fault, as a line-by-line parser would report it. Writing
-formats a chunk of rows at a time and prints the same bytes as formatting
-value by value.
+Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk:
+scan_lines finds the separators, commas, colons and dots by byte compares,
+and every check runs on arrays. kernels.parse_ints converts the labels and
+indices of 1 to 18 ASCII digits, and kernels.parse_floats the values of the
+form [+|-]digits[.digits][e[+|-]digits] with at most 19 significant digits
+and a net power of ten within 27, where x87 extended precision makes that
+exact (kernels.EXACT_FLOATS). Every other token is decoded and converted by
+one numpy call per kind, so each value is int() or float() of its text. A
+malformed file still fails with a ParseError naming the first faulty line
+and its fault, as a line-by-line parser would report it. Writing formats a
+chunk of rows at a time as one byte matrix (token_rows, join_lines):
+integer digits by uint64 division, and floats by kernels.format_floats, or
+repr() where it cannot; the bytes are those of formatting value by value.
+xcmetrics reads and writes prediction files with the same helpers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass
-from typing import IO, NoReturn
+from typing import IO, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -76,12 +79,18 @@ class DatasetStats:
 
 
 # Text is parsed and written in chunks, so that per-token scratch stays
-# bounded whatever the number of rows: parse_xc reads whole lines up to this
-# many characters (at least one line) ...
+# bounded whatever the number of rows: parse_xc and
+# xcmetrics.load_predictions read whole lines up to this many characters (at
+# least one line) ...
 _PARSE_CHUNK_CHARS = 1 << 16
 # ... and write_xc formats rows up to this many stored features plus labels
 # (at least one row).
 _WRITE_CHUNK_NNZ = 1 << 14
+
+
+def next_lines(stream: IO[str]) -> list[str]:
+    """The next chunk of whole lines of a text stream, [] at its end."""
+    return stream.readlines(_PARSE_CHUNK_CHARS)
 
 
 def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
@@ -104,7 +113,7 @@ def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
     done = 0
     surplus: list[str] = []
     while done < n:
-        lines = stream.readlines(_PARSE_CHUNK_CHARS)
+        lines = next_lines(stream)
         if not lines:
             raise ParseError(f"expected {n} data lines, found {done}", line=done + 2)
         if len(lines) > n - done:
@@ -134,16 +143,102 @@ def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
     return Dataset(features, labels_m)
 
 
+class Scan(NamedTuple):
+    """A chunk of lines split at its separators, as scan_lines finds them."""
+
+    raw: bytes  # the chunk's UTF-8 bytes, ending in a newline
+    buf: np.ndarray  # raw as uint8, blanks turned into spaces
+    at: np.ndarray  # where each newline, space and mark is, ascending
+    kind: np.ndarray  # the byte at each of them
+    cuts: np.ndarray  # the index into at of each piece's end
+    before: np.ndarray  # the index into at of the split before each piece, or -1
+    row: np.ndarray  # the line of each piece
+    opens: np.ndarray  # whether each piece starts its line
+    filled: np.ndarray  # whether each piece holds a byte
+
+    def start(self, split: np.ndarray) -> np.ndarray:
+        """Where the text after each index into at begins: split -1 is the
+        chunk's start."""
+        return np.where(split >= 0, self.at[split] + 1, 0)
+
+
+def scan_lines(lines: list[str], marks: bytes, blanks: bytes = b"") -> Scan:
+    """Split a chunk of lines, read as UTF-8 bytes, at its separators.
+
+    Newlines end lines, and spaces, the bytes of blanks and a line's trailing
+    carriage returns end pieces; inside a piece, the bytes of marks are
+    splits too. One byte compare per separator finds them all.
+    """
+    raw = "".join(lines).encode("utf-8", "surrogatepass")
+    if not raw.endswith(b"\n"):  # the last line of the file
+        raw += b"\n"
+    if any(bytes((b,)) in raw for b in blanks):
+        raw = raw.translate(bytes.maketrans(blanks, b" " * len(blanks)))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if b"\r" in raw:
+        # a line's trailing carriage returns (rstrip("\r")) end tokens as
+        # spaces do
+        buf = buf.copy()
+        back = np.flatnonzero(buf == 10) - 1
+        while (back := back[buf[back] == 13]).shape[0]:
+            buf[back] = 32
+            back -= 1
+    split = (buf == 10) | (buf == 32)
+    for mark in marks:
+        split |= buf == mark
+    at = np.flatnonzero(split)
+    kind = buf[at]
+    cuts = np.flatnonzero((kind == 10) | (kind == 32))  # each piece's end
+    before = np.concatenate(([-1], cuts[:-1]))
+    opens = np.concatenate(([True], kind[before[1:]] == 10))
+    filled = np.diff(at[cuts], prepend=-1) > 1
+    row = np.cumsum(opens) - 1
+    if row[-1] + 1 < len(lines):
+        # a stream that splits lines at a lone carriage return: end each
+        # line with a newline
+        return scan_lines([line if line.endswith("\n") else line + "\n"
+                           for line in lines], marks, blanks)
+    return Scan(raw, buf, at, kind, cuts, before, row, opens, filled)
+
+
+def convert_tokens(
+    scan: Scan, dtype, kernel, starts: np.ndarray, ends: np.ndarray, *more
+) -> tuple[np.ndarray, int]:
+    """(values, first): the tokens raw[starts[i]:ends[i]] of a scan
+    converted to dtype, and the index of the first token that does not
+    convert, or -1.
+
+    The kernel converts what it can from the bytes; numpy converts the rest
+    from their text, as int() and float() would, in one call.
+    """
+    values, done = kernel(scan.buf, starts, ends, *more)
+    rest = np.flatnonzero(~done)
+    if not rest.shape[0]:
+        return values, -1
+    tokens = [scan.raw[s:e].decode("utf-8", "surrogatepass")
+              for s, e in zip(starts[rest].tolist(), ends[rest].tolist())]
+    try:
+        values[rest] = np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        for t, token in enumerate(tokens):
+            try:
+                np.array(token, dtype=dtype)
+            except (ValueError, OverflowError):
+                return values, int(rest[t])
+        raise
+    return values, -1
+
+
 def _parse_chunk(
     lines: list[str], lineno: int, d: int, n_labels: int, shift: int
 ) -> tuple[np.ndarray, ...]:
     """Features per row, indices, values, labels per row and labels of lines.
 
     lineno is the line number of lines[0]. The chunk is read as UTF-8 bytes:
-    byte compares find the tokens, the kernels convert the numbers written in
-    ASCII digits, and numpy converts the rest, one call per kind. Array checks
-    find the first faulty row; only that row is read again token by token, to
-    name its fault.
+    scan_lines finds the tokens, the kernels convert the numbers written in
+    ASCII digits, and numpy converts the rest, one call per kind. Array
+    checks find the first faulty row; only that row is read again token by
+    token, to name its fault.
     """
 
     def fail(row: int) -> NoReturn:
@@ -154,55 +249,15 @@ def _parse_chunk(
         raise ParseError(_line_fault(lines[row], d, n_labels, shift),
                          line=lineno + row)
 
-    def convert(dtype, token_row, kernel, starts, ends, *more) -> np.ndarray:
-        values, done = kernel(buf, starts, ends, *more)
-        rest = np.flatnonzero(~done)
-        if not rest.shape[0]:
-            return values
-        tokens = [raw[s:e].decode("utf-8", "surrogatepass")
-                  for s, e in zip(starts[rest].tolist(), ends[rest].tolist())]
-        try:
-            values[rest] = np.array(tokens, dtype=dtype)
-        except (ValueError, OverflowError):
-            for t, token in enumerate(tokens):
-                try:
-                    np.array(token, dtype=dtype)
-                except (ValueError, OverflowError):
-                    fail(int(token_row[rest[t]]))
-            raise
-        return values
-
     m = len(lines)
-    text = "".join(lines)
-    raw = text.encode("utf-8", "surrogatepass")
-    if not text.endswith("\n"):  # the last line of the file
-        raw += b"\n"
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    if b"\r" in raw:
-        # a line's trailing carriage returns (rstrip("\r")) end tokens as
-        # spaces do
-        buf = buf.copy()
-        back = np.flatnonzero(buf == 10) - 1
-        while (back := back[buf[back] == 13]).shape[0]:
-            buf[back] = 32
-            back -= 1
-
-    # the bytes that split the text: newlines and spaces end pieces; within a
-    # piece, commas split labels, a colon splits index from value and a dot
-    # splits a value's digits
-    at = np.flatnonzero((buf == 10) | (buf == 32) | (buf == 44) | (buf == 46)
-                        | (buf == 58))
-    kind = buf[at]
-    after = np.concatenate(([0], at + 1))  # after[j]: the byte after split j - 1
-    cuts = np.flatnonzero((kind == 10) | (kind == 32))  # each piece's end
-    before = np.concatenate(([-1], cuts[:-1]))  # the split before each piece
-    opens = np.concatenate(([True], kind[before[1:]] == 10))  # starts a line
-    row = np.cumsum(opens) - 1
+    # newlines and spaces end pieces; within a piece, commas split labels, a
+    # colon splits index from value and a dot splits a value's digits
+    scan = scan_lines(lines, b",.:")
+    at, kind, cuts, before, row = scan.at, scan.kind, scan.cuts, scan.before, scan.row
     # the label field is a line's first piece; the other pieces, with empty
     # ones skipped, are its feature tokens
-    filled = np.diff(at[cuts], prepend=-1) > 1
-    label = np.flatnonzero(opens & filled)
-    token = np.flatnonzero(~opens & filled)
+    label = np.flatnonzero(scan.opens & scan.filled)
+    token = np.flatnonzero(~scan.opens & scan.filled)
 
     # labels: "l1,l2,..." per row, possibly empty, split at every comma: a
     # label ends at a comma or at the field's end
@@ -226,15 +281,19 @@ def _parse_chunk(
                      token_row[ill_tokens].min(initial=m))))
 
     heads = np.concatenate((split, first))  # where each label and index ends
-    ints = convert(np.int64, np.concatenate((label_row, token_row)),
-                   kernels.parse_ints, after[heads], at[heads])
+    ints, bad = convert_tokens(scan, np.int64, kernels.parse_ints,
+                               scan.start(heads - 1), at[heads])
+    if bad >= 0:
+        fail(int(np.concatenate((label_row, token_row))[bad]))
     if shift:
         ints -= shift
     # a copy: the chunk's labels must not hold on to its indices
     labels, idx = ints[:split.shape[0]].copy(), ints[split.shape[0]:]
     dots = np.where(dotted, at[second], -1)
-    val = convert(np.float64, token_row, kernels.parse_floats, after[first + 1],
-                  at[last], dots)
+    val, bad = convert_tokens(scan, np.float64, kernels.parse_floats,
+                              at[first] + 1, at[last], dots)
+    if bad >= 0:
+        fail(int(token_row[bad]))
 
     bad = np.zeros(m, dtype=bool)
     bad[label_row[(labels < 0) | (labels >= n_labels)]] = True
@@ -318,26 +377,77 @@ def write_xc(ds: Dataset, stream: IO[str] | None = None) -> str | None:
 
 
 def _format_rows(feats: SparseMatrix, labels: SparseMatrix, lo: int, hi: int) -> str:
-    """Lines lo..hi-1 of the text format, each ending in a newline."""
-    fp = (feats.indptr[lo:hi + 1] - feats.indptr[lo]).tolist()
-    lp = (labels.indptr[lo:hi + 1] - labels.indptr[lo]).tolist()
-    # repr of a list prints each number as str() of an int and repr() of a
-    # float do, separated by ", "; no number prints a NUL
-    idx = repr(feats.indices[feats.indptr[lo]:feats.indptr[hi]].tolist())[1:-1]
-    val = repr(feats.values[feats.indptr[lo]:feats.indptr[hi]].tolist())[1:-1]
-    lab = repr(labels.indices[labels.indptr[lo]:labels.indptr[hi]].tolist())[1:-1]
-    # " j:" and "v" strings alternate: token t of the chunk is parts[2t:2t+2]
-    parts = [""] * (2 * fp[-1])
-    if fp[-1]:
-        parts[0::2] = (" " + idx.replace(", ", ":\0 ") + ":").split("\0")
-        parts[1::2] = val.split(", ")
-    lab = lab.split(", ") if lp[-1] else []
-    lines = [
-        ",".join(lab[lp[i]:lp[i + 1]]) + "".join(parts[2 * fp[i]:2 * fp[i + 1]])
-        for i in range(hi - lo)
-    ]
-    lines.append("")
-    return "\n".join(lines)
+    """Lines lo..hi-1 of the text format, each ending in a newline: the
+    labels joined by commas, then a space and index:value per feature."""
+    parts = []
+    for m, lead, with_values in ((labels, 44, False), (feats, 32, True)):
+        s, e = m.indptr[lo], m.indptr[hi]
+        counts = np.diff(m.indptr[lo:hi + 1])
+        if with_values:
+            rows = token_rows(lead, m.indices[s:e], m.values[s:e])
+        else:  # no comma before a line's first label
+            rows = token_rows(lead, m.indices[s:e])
+            rows[(np.cumsum(counts) - counts)[counts > 0], 0] = 0
+        parts.append((counts, rows))
+    return join_lines(parts)
+
+
+def token_rows(lead: int, ints: np.ndarray, floats: np.ndarray | None = None
+               ) -> np.ndarray:
+    """One NUL-padded uint8 row per token of a text: the byte lead, str() of
+    ints[i] and, where floats is given, ':' and repr() of floats[i].
+
+    Integer digits come from uint64 division by constants.
+    kernels.format_floats writes the floats it can, and repr() the rest.
+    """
+    k = ints.shape[0]
+    negative = ints < 0
+    size = ints.astype(np.uint64)
+    size[negative] = -size[negative]  # two's complement: |int64 min| too
+    n = len(str(int(size.max(initial=0))))
+    sign = int(negative.any())
+    cols = [np.full((k, 1), lead, dtype=np.uint8)]
+    if sign:
+        cols.append(np.where(negative, 45, 0).astype(np.uint8)[:, None])
+    digits = np.empty((k, n), dtype=np.uint8)
+    rest = size.copy()
+    for j in range(n - 1, -1, -1):
+        q = rest // 10
+        digits[:, j] = rest - q * 10
+        rest = q
+    digits += 48
+    # no leading zeros: column j holds a digit where size >= 10**(n - 1 - j)
+    digits[:, :-1][size[:, None] < kernels._U64_POW10[n - 1:0:-1]] = 0
+    cols.append(digits)
+    if floats is not None:
+        chars, ok = kernels.format_floats(floats)
+        rest = np.flatnonzero(~ok)
+        if rest.shape[0]:
+            text = [repr(v) for v in floats[rest].tolist()]
+            chars[rest] = np.array(text, dtype=f"S{chars.shape[1]}").view(np.uint8
+                                                                          ).reshape(-1, chars.shape[1])
+        cols.append(np.full((k, 1), 58, dtype=np.uint8))
+        cols.append(chars[:, :int(np.count_nonzero(chars.any(axis=0)))])
+    return np.concatenate(cols, axis=1)
+
+
+def join_lines(parts: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The text of lines of tokens. parts holds (counts, rows) pairs, with
+    rows of token_rows line after line, counts[i] of them on line i; line i
+    holds its rows of every part, part by part, then a newline. The rows go
+    into one NUL-padded byte matrix, and the NULs are dropped at once."""
+    per_line = sum(counts for counts, _ in parts) + 1
+    ends = np.cumsum(per_line)
+    text = np.zeros((int(ends[-1]) if ends.shape[0] else 0,
+                     max(rows.shape[1] for _, rows in parts)), dtype=np.uint8)
+    free = ends - per_line  # each line's next row
+    for counts, rows in parts:
+        at = np.repeat(free - (np.cumsum(counts) - counts), counts)
+        at += np.arange(rows.shape[0])
+        text[at, :rows.shape[1]] = rows
+        free += counts
+    text[free, 0] = 10
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_xc(ds: Dataset, path: str) -> None:

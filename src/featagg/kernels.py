@@ -16,6 +16,8 @@ indices and float64 values; callers are responsible for dtype discipline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -241,38 +243,311 @@ def parse_ints(buf, starts, ends):
     return np.where(ok, value, 0).astype(np.int64), ok
 
 
-# x87 extended precision, which parse_floats needs: a 64-bit significand,
-# stored in 16 bytes, with arithmetic carried out at 64 bits
+# x87 extended precision, which parse_floats and format_floats need: a 64-bit
+# significand, stored in 16 bytes, with arithmetic carried out at 64 bits
 EXACT_FLOATS = bool(np.finfo(np.longdouble).nmant == 63
                     and np.dtype(np.longdouble).itemsize == 16
                     and np.longdouble(2**63) + 1 != np.longdouble(2**63))
-_POW10 = np.array([10.0**k for k in range(20)], dtype=np.longdouble)
+# 10**k for 0 <= k <= _MAX_POW, each exact in extended precision, as
+# 5**27 < 2**63
+_MAX_POW = 27
+_POW10 = np.cumprod(np.full(_MAX_POW + 1, 10, dtype=np.longdouble))
+_POW10 = np.concatenate(([1], _POW10[:-1]))
+
+
+def _scale(x, k):
+    """x * 10**k in extended precision for integers -27 <= k <= 27, rounded
+    once: one of the two operations is by 1 where k mixes signs."""
+    if k.min(initial=0) >= 0:
+        return x * _POW10[k]
+    if k.max(initial=0) <= 0:
+        return x / _POW10[-k]
+    return x * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+
+
+def _midpoint(x):
+    """Where the extended values x lie halfway between two doubles: their
+    low 11 significand bits are 0x400. Rounding x to a double is then a
+    second rounding that may differ from rounding the exact value once."""
+    return x.view(np.uint64)[0::2] & 0x7FF == 0x400
 
 
 def parse_floats(buf, starts, ends, dots):
     """(values, ok) for the tokens buf[starts[i]:ends[i]] of a uint8 buffer:
-    ok marks tokens of 1 to 19 ASCII digits and at most one dot, and values
-    holds float() of each of them (0.0 elsewhere). dots[i] is the position
-    of a dot in token i, or -1 where it has none.
+    ok marks tokens of the form [+|-]digits[.digits][(e|E)[+|-]digits]
+    whose mantissa holds at least one digit and at most 19 after its leading
+    zeros, whose exponent has 1 to 3 digits, and whose net power of ten (the
+    exponent less the digits after the dot) lies in [-27, 27]; values holds
+    float() of each of them (0.0 elsewhere). dots[i] is the position of a
+    dot in token i, or -1 where it has none; the tokens are in ascending
+    order and do not overlap.
 
-    The digits make an exact uint64 w, with k of them after the dot. w and
-    10**k are exact in x87 extended precision, whose division rounds once to
-    64 bits; rounding that to a double is correctly rounded unless the
-    extended quotient is a midpoint of two doubles (its low 11 bits 0x400),
-    and those tokens are left out of ok. Without EXACT_FLOATS, ok is all
-    False.
+    The significant digits make an exact uint64 w. w and 10**|q| for a net
+    power q are exact in x87 extended precision, whose product or quotient
+    rounds once to 64 bits; rounding that to a double is correctly rounded
+    unless the extended result is a midpoint of two doubles, and those
+    tokens are left out of ok. Without EXACT_FLOATS, ok is all False.
     """
+    m = starts.shape[0]
     if not EXACT_FLOATS:
-        return np.zeros(starts.shape[0]), np.zeros(starts.shape[0], dtype=bool)
+        return np.zeros(m), np.zeros(m, dtype=bool)
+    # a sign opens the token (read past an empty one, it leaves n < 1)
+    sign = buf[np.minimum(starts, buf.shape[0] - 1)]
+    negative = sign == 45
+    starts = starts + (negative | (sign == 43))
+    # the exponent follows a token's last e or E, after at least one byte:
+    # those are rare bytes, found in the whole buffer, then in the tokens
+    at = np.flatnonzero((buf | 32) == 101)
+    token = np.searchsorted(starts, at, "right") - 1
+    inside = (token >= 0) & (at < ends[np.maximum(token, 0)])
+    at, token = at[inside], token[inside]
+    last = np.append(token[1:] != token[:-1], True) & (at > starts[token])
+    at, token = at[last], token[last]
+    mend = ends  # where the mantissa ends
     has_dot = dots >= 0
-    frac = np.where(has_dot, ends - 1 - dots, 0)
-    n = ends - starts - has_dot
+    if token.shape[0]:
+        mend = ends.copy()
+        mend[token] = at
+        has_dot &= dots < mend
+        sign = buf[at + 1]
+        signed = (sign == 43) | (sign == 45)
+        n = ends[token] - at - 1 - signed
+        power, exp_ok = _digits(buf, ends[token], np.clip(n, 0, 3))
+        exp_ok &= (n >= 1) & (n <= 3)
+        power = np.where(sign == 45, -power.astype(np.int64), power.astype(np.int64))
+    frac = np.where(has_dot, mend - 1 - dots, 0)
+    n = mend - starts - has_dot
+    # leading zeros do not count towards the 19 digits: a long mantissa's
+    # significant digits start at its first byte other than '0' or its dot,
+    # found eight bytes at a time through an unaligned view of the buffer
+    significant = n
+    long = np.flatnonzero(n > 19)
+    if long.shape[0]:
+        significant = n.copy()
+        padded = np.zeros(buf.shape[0] + 8, dtype=np.uint8)
+        padded[:-8] = buf
+        eights = np.ndarray((buf.shape[0] + 1,), "V8", padded, strides=(1,))
+        lead = starts[long]
+        live = np.arange(long.shape[0])
+        while live.shape[0]:
+            word = eights[lead[live]].view(np.uint8).reshape(-1, 8)
+            skip = (word == 48) | (np.arange(8) == (dots[long[live]] - lead[live])[:, None])
+            count = np.where(skip.all(axis=1), 8, np.argmin(skip, axis=1))
+            lead[live] += count
+            live = live[(count == 8) & (lead[live] < mend[long[live]])]
+        lead = np.minimum(lead, mend[long])
+        significant[long] = mend[long] - lead - (has_dot[long] & (dots[long] > lead))
     dot_at = np.where(has_dot, np.minimum(frac, 24), 24) if has_dot.any() else None
-    value, ok = _digits(buf, ends, np.minimum(n, 19), dot_at)
-    quotient = value.astype(np.longdouble) / _POW10[np.minimum(frac, 19)]
-    midpoint = quotient.view(np.uint64)[0::2] & 0x7FF == 0x400
-    ok &= (n >= 1) & (n <= 19) & ~midpoint
-    return np.where(ok, quotient.astype(np.float64), 0.0), ok
+    value, ok = _digits(buf, mend, np.minimum(significant, 19), dot_at)
+    ok &= (n >= 1) & (significant <= 19)
+    power_of_ten = -frac  # the net power of ten
+    if token.shape[0]:
+        power_of_ten[token] += power
+        ok[token] &= exp_ok
+    ok &= np.abs(power_of_ten) <= _MAX_POW
+    result = _scale(value.astype(np.longdouble),
+                    np.maximum(np.minimum(power_of_ten, _MAX_POW), -_MAX_POW))
+    ok &= ~_midpoint(result)
+    values = np.where(ok, result.astype(np.float64), 0.0)
+    if negative.any():
+        np.negative(values, out=values, where=ok & negative)
+    return values, ok
+
+
+# the longest repr of a double, -1.2345678901234567e-308
+_FLOAT_CHARS = 24
+# the decimal-point positions (the value is 0.d1d2... * 10**decpt) of the
+# values format_floats formats itself: 10**(16 - E) must be within 10**27
+_DECPT_MIN, _DECPT_MAX = -10, 45
+_U64_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# 10.0**k for -27 <= k <= 27, at index k + 27
+_F64_POW10 = np.array([10.0**k for k in range(-_MAX_POW, _MAX_POW + 1)])
+# how far apart the distances that _shortest compares must be for it to
+# decide, in units of the 17th digit: more than the 0.0055 by which its
+# extended product may miss
+_MARGIN = 2.0**-6
+# a formatted value's characters come from its 17 digits and these bytes
+_LITERALS = b"\0.-e+0123456789"
+# the layout gather indexes 8 bytes per character: it takes this many values
+# at a time, so that its scratch stays small beside the values'
+_GATHER_ROWS = 1 << 10
+
+
+def _eight_digits(v):
+    """Turn each uint64 of the contiguous array v below 10**8, in place, into
+    its eight ASCII digits, first digit in the lowest byte: SWAR splits it
+    in 32-bit lanes into two numbers below 10**4, those in 16-bit lanes into
+    numbers below 100, and those in bytes into digits, dividing by multiply
+    and shift (x // 100 == x * 5243 >> 19 for x < 10**4, and x // 10 ==
+    x * 103 >> 10 for x < 100)."""
+    high = v // 10000
+    v -= high * 10000
+    v <<= 32
+    v |= high
+    for times, shift, mask, base, lane in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                           (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.multiply(v, times, out=high)
+        high >>= shift
+        high &= mask
+        v -= high * base
+        v <<= lane
+        v |= high
+    v += 0x3030303030303030
+
+
+def _repr_columns(negative, p, decpt):
+    """The source column of each character of repr() for p significant
+    digits with decimal point position decpt, in format_floats' source rows:
+    digit j is column (j - 1) % 17, a byte of _LITERALS column 17 + its
+    index there.
+
+    repr() writes fixed notation for -4 < decpt <= 16, and d.ddde+XX
+    otherwise, as Python's float_repr_style 'short' does.
+    """
+    def text(chars):
+        return [17 + _LITERALS.index(c) for c in chars]
+
+    digits = [(j - 1) % 17 for j in range(p)]
+    if -4 < decpt <= 0:
+        columns = text(b"0." + b"0" * -decpt) + digits
+    elif 0 < decpt < p:
+        columns = digits[:decpt] + text(b".") + digits[decpt:]
+    elif p <= decpt <= 16:
+        columns = digits + text(b"0" * (decpt - p) + b".0")
+    else:
+        columns = digits[:1] + (text(b".") + digits[1:] if p > 1 else [])
+        columns += text(b"e%+03d" % (decpt - 1))
+    return text(b"-") * negative + columns
+
+
+@functools.cache
+def _layout():
+    """(columns, widths): _repr_columns for every (sign, p, decpt) in row
+    (sign * 17 + p - 1) * n_decpt + decpt - _DECPT_MIN, padded with the
+    column of a NUL, and the number of characters of each; built on first
+    use, as it takes milliseconds."""
+    rows = [_repr_columns(negative, p, decpt)
+            for negative in (0, 1) for p in range(1, 18)
+            for decpt in range(_DECPT_MIN, _DECPT_MAX + 1)]
+    columns = np.full((len(rows), _FLOAT_CHARS), 17, dtype=np.intp)
+    for r, row in enumerate(rows):
+        columns[r, :len(row)] = row
+    return columns, np.array([len(row) for row in rows])
+
+
+def _shortest(a):
+    """(i, w, p, e) for the positive doubles a whose significand is not a
+    power of two: a[i] reads back from the p-digit integer w times
+    10**(e - p + 1), with p as small as it can be and w the correctly
+    rounded digits; e is floor(log10(a[i])). The values left out are those
+    the arithmetic below cannot decide.
+
+    One extended-precision product gives the 17 digits W17 = rint(y) of
+    y = a * 10**(16 - e) and their error d = y - W17, exact but for the
+    rounding of y to 64 bits (at most 10**17 / 2**65 < 0.0055). Rounding
+    W17 to p < 17 digits, with d breaking a tie, gives the correctly rounded
+    p-digit decimal; it reads back when its distance t to y is below half
+    the gap to the next double, h, both in units of W17's last digit. A
+    tie that d cannot break, and t within _MARGIN of h, are left out.
+    """
+    e = np.floor(np.log10(a)).astype(np.int64)
+    i = np.flatnonzero(np.abs(16 - e) <= _MAX_POW)
+    e = e[i]
+    # e from log10 may be off by one: y must have 17 digits
+    y = _scale(a[i].astype(np.longdouble), 16 - e)
+    off = (y >= 1e17).astype(np.int64) - (y < 1e16)
+    if off.any():
+        e += off
+        inside = np.abs(16 - e) <= _MAX_POW
+        i, e, y, off = i[inside], e[inside], y[inside], off[inside]
+        redo = np.flatnonzero(off)
+        y[redo] = _scale(a[i[redo]].astype(np.longdouble), 16 - e[redo])
+    w = np.rint(y)
+    y -= w
+    d = y.astype(np.float64)
+    del y
+    # 17 correctly rounded digits always read back, unless rint had a tie
+    # to break
+    sure = np.abs(d) != 0.5
+    i, e, d, w17 = i[sure], e[sure], d[sure], w[sure].astype(np.uint64)
+    del w
+    h = np.spacing(a[i]) * 0.5 * _F64_POW10[16 - e + _MAX_POW]
+    w, p = w17.copy(), np.full(i.shape[0], 17, dtype=np.int64)
+    sure = np.ones(i.shape[0], dtype=bool)
+    live = np.arange(i.shape[0])
+    for k in range(1, 17):
+        unit = _U64_POW10[k]
+        whole = w17[live]
+        cut = whole // unit
+        rest = whole - cut * unit
+        dl, hl = d[live], h[live]
+        tie = rest == unit // 2
+        cut += (rest > unit // 2) | tie & (dl > 0)
+        t = np.abs((cut * unit).view(np.int64) - whole.view(np.int64) - dl)
+        passed = t < hl - _MARGIN
+        unsure = ~passed & (t <= hl + _MARGIN) | tie & (dl == 0)
+        sure[live[unsure]] = False
+        passed &= ~unsure
+        live = live[passed]
+        if not live.shape[0]:
+            break
+        w[live], p[live] = cut[passed], 17 - k
+    return i[sure], w[sure], p[sure], e[sure]
+
+
+def format_floats(values):
+    """(chars, ok): chars[i] holds repr(float(values[i])) as ASCII bytes,
+    NUL-padded to 24 columns, where ok[i]; the other rows are all NUL and
+    the caller's to format.
+
+    The shortest digits that read back come from _shortest; among the
+    strings of that length, repr() prints the correctly rounded one, which
+    _shortest gives. Left out of ok: what _shortest cannot decide (a tie in
+    the 17-digit rounding or in a shorter one, a distance too close to half
+    the gap between doubles), a significand that is a power of two (the
+    values that read back lie unevenly about it), a power of ten beyond
+    10**27, zero and non-finite values, and every value without
+    EXACT_FLOATS. The characters come from one layout table, indexed by
+    sign, digit count and decimal-point position, that gives each column its
+    source: one flat gather writes them all.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    ok = np.zeros(x.shape[0], dtype=bool)
+    if not EXACT_FLOATS:
+        return np.zeros((x.shape[0], _FLOAT_CHARS), dtype=np.uint8), ok
+    # finite values whose significand is not a power of two (nor zero)
+    at = np.flatnonzero(np.isfinite(x) & (x.view(np.uint64) << 12 != 0))
+    done, w, p, e = _shortest(np.abs(x[at]))
+    done = at[done]
+    chars = np.zeros((x.shape[0], _FLOAT_CHARS), dtype=np.uint8)
+    # a carry to 10**p reads back at p = 1 only: it is one digit '1'
+    carry = w >= _U64_POW10[p]
+    w[carry] //= 10
+    e[carry] += 1
+    # the source rows: digits 1 to 16, digit 0, then _LITERALS
+    k = done.shape[0]
+    source = np.empty((k, 32), dtype=np.uint8)
+    w *= _U64_POW10[17 - p]
+    lead = w // _U64_POW10[16]
+    w -= lead * _U64_POW10[16]
+    halves = np.empty((k, 2), dtype=np.uint64)
+    halves[:, 0] = w // _U64_POW10[8]
+    halves[:, 1] = w - halves[:, 0] * _U64_POW10[8]
+    _eight_digits(halves)
+    source[:, :16] = halves.view(np.uint8).reshape(k, 16)
+    source[:, 16] = lead + 48
+    source[:, 17:] = np.frombuffer(_LITERALS, dtype=np.uint8)
+    columns, widths = _layout()
+    key = ((np.signbit(x[done]) * 17 + p - 1) * (_DECPT_MAX - _DECPT_MIN + 1)
+           + e + 1 - _DECPT_MIN)
+    width = int(widths[key].max(initial=0))
+    for lo in range(0, k, _GATHER_ROWS):
+        block = slice(lo, lo + _GATHER_ROWS)
+        flat = np.take(columns[:, :width], key[block], axis=0)
+        flat += 32 * np.arange(lo, min(lo + _GATHER_ROWS, k))[:, None]
+        chars[done[block], :width] = source.ravel()[flat]
+    ok[done] = True
+    return chars, ok
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ percentile bucket. All metrics live in [0, 1] and average over test points
 Ranked predictions are one ``Predictions`` value: CSR-like rows of label ids
 and scores. Top-k, the metrics and the prediction file reader and writer work
 on its arrays segment by segment, with no Python loop over rows; a hit is a
-(row, label) key of the top k that is also a key of the truth matrix.
+(row, label) key of the top k that is also a key of the truth matrix. The
+file reader and writer work on bytes with dataio's helpers: the reader
+splits lines with dataio.scan_lines and converts numbers with
+kernels.parse_ints and kernels.parse_floats (which reads the exponent form
+that repr() writes), the writer formats scores with kernels.format_floats,
+and both fall back to numpy's conversion and repr() for the rest.
 """
 
 from __future__ import annotations
@@ -17,24 +22,21 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
 from typing import IO, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import dataio, kernels
 from .errors import ParseError
 from .sparse import SparseMatrix, _value_eq
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
 # rows of at most this many scores at a time (at least one row) ...
 _TOPK_CHUNK_SCORES = 1 << 15
-# ... save_predictions formats rows of at most this many entries at a time
-# (at least one row) ...
+# ... and save_predictions formats rows of at most this many entries at a
+# time (at least one row); load_predictions reads chunks of lines as
+# dataio.parse_xc does.
 _WRITE_CHUNK_ENTRIES = 1 << 12
-# ... and load_predictions parses whole lines of up to this many characters
-# at a time (at least one line).
-_PARSE_CHUNK_CHARS = 1 << 16
 
 
 def _row_faults(
@@ -442,23 +444,14 @@ def save_predictions(preds: Predictions | Sequence, stream: IO[str]) -> None:
 def _format_rows(preds: Predictions, lo: int, hi: int) -> str:
     """Lines lo..hi-1 of the prediction format, each ending in a newline."""
     s, e = preds.indptr[lo], preds.indptr[hi]
-    lengths = np.diff(preds.indptr[lo:hi + 1])
-    if s == e:
-        return "\n" * (hi - lo)
-    # repr of a list prints each number as str() of an int and repr() of a
-    # float do, separated by ", "
-    labels = repr(preds.labels[s:e].tolist())[1:-1].split(", ")
-    scores = repr(preds.scores[s:e].tolist())[1:-1].split(", ")
-    # the last pair of a row ends the row's line and the empty lines after it
-    filled = np.flatnonzero(lengths)
-    seps = np.full(e - s, " ", dtype=object)
-    gaps = np.diff(np.append(filled, hi - lo)).tolist()
-    seps[np.cumsum(lengths)[filled] - 1] = list(map("\n".__mul__, gaps))
-    parts = [""] * (3 * (e - s))
-    parts[0::3] = labels
-    parts[1::3] = map(":".__add__, scores)
-    parts[2::3] = seps.tolist()
-    return "\n" * int(filled[0]) + "".join(parts)
+    counts = np.diff(preds.indptr[lo:hi + 1])
+    rows = dataio.token_rows(32, preds.labels[s:e], preds.scores[s:e])
+    rows[(np.cumsum(counts) - counts)[counts > 0], 0] = 0  # no space first
+    return dataio.join_lines([(counts, rows)])
+
+
+# the bytes besides space and newline that str.split() splits ASCII text at
+_BLANKS = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
 def load_predictions(stream: IO[str]) -> Predictions:
@@ -471,10 +464,7 @@ def load_predictions(stream: IO[str]) -> Predictions:
     """
     chunks: list[tuple[np.ndarray, ...]] = []
     lineno = 1
-    while True:
-        lines = stream.readlines(_PARSE_CHUNK_CHARS)
-        if not lines:
-            break
+    while lines := dataio.next_lines(stream):
         chunks.append(_parse_chunk(lines, lineno))
         lineno += len(lines)
     if not chunks:
@@ -487,9 +477,11 @@ def load_predictions(stream: IO[str]) -> Predictions:
 def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
     """Entries per line, labels and scores of lines; lineno is that of lines[0].
 
-    All tokens are split and converted at once and the rules checked on
-    arrays; only the first faulty line is read again token by token, to name
-    its fault.
+    The chunk is read as UTF-8 bytes, split where str.split() splits it
+    (dataio.scan_lines); a chunk that holds other whitespace than ASCII is
+    split as text first. The kernels convert the numbers written in ASCII
+    digits, numpy the rest, and the rules are checked on arrays; only the
+    first faulty line is read again token by token, to name its fault.
     """
 
     def fail(row: int) -> NoReturn:
@@ -499,25 +491,41 @@ def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
             _parse_chunk(lines[:row], lineno)
         raise ParseError(_line_fault(lines[row]), line=lineno + row)
 
-    def convert(tokens: list[str], dtype) -> np.ndarray:
-        try:
-            return np.array(tokens, dtype=dtype)
-        except (ValueError, OverflowError):
-            for t, token in enumerate(tokens):
-                if _converts(token, dtype) is None:
-                    fail(int(token_row[t]))
-            raise
-
-    split = list(map(str.split, lines))
-    counts = np.fromiter(map(len, split), np.int64, len(lines))
-    tokens = list(chain.from_iterable(split))
-    token_row = np.repeat(np.arange(len(lines)), counts)
-    colons = np.fromiter(map(str.count, tokens, repeat(":")), np.int64, len(tokens))
-    if np.any(colons != 1):
-        fail(int(token_row[np.argmax(colons != 1)]))
-    halves = ":".join(tokens).split(":") if tokens else []
-    labels = convert(halves[0::2], np.int64)
-    scores = convert(halves[1::2], np.float64)
+    text = lines
+    if not all(map(str.isascii, lines)) and any(
+            c.isspace() for c in set("".join(lines)) if not c.isascii()):
+        text = [" ".join(line.split()) + "\n" for line in lines]
+    # a token is label:score, with a dot in the score if any
+    scan = dataio.scan_lines(text, b":.", _BLANKS)
+    token = np.flatnonzero(scan.filled)
+    token_row = scan.row[token]
+    counts = np.bincount(token_row, minlength=len(lines))
+    first, last = scan.before[token] + 1, scan.cuts[token]
+    start, end = scan.start(first - 1), scan.at[last]
+    kind, at = scan.kind, scan.at
+    colon = at[first]
+    dots = np.where(last - first == 2, at[np.minimum(first + 1, last)], -1)
+    # most tokens split at their colon and then, if at all, at a dot
+    plain = (kind[first] == 58) & ((last - first == 1) | (last - first == 2)
+                                   & (kind[np.minimum(first + 1, last)] == 46))
+    if not plain.all():
+        # any other token must hold exactly one colon
+        colons = np.concatenate(([0], np.cumsum(kind == 58)))
+        wrong = colons[last] - colons[first] != 1
+        if wrong.any():
+            fail(int(token_row[np.argmax(wrong)]))
+        odd = np.flatnonzero(~plain)
+        marks = at[kind == 58]
+        colon[odd] = marks[np.searchsorted(marks, start[odd])]
+        dots[odd] = -1
+    labels, bad = dataio.convert_tokens(scan, np.int64, kernels.parse_ints,
+                                        start, colon)
+    if bad >= 0:
+        fail(int(token_row[bad]))
+    scores, bad = dataio.convert_tokens(scan, np.float64, kernels.parse_floats,
+                                        colon + 1, end, dots)
+    if bad >= 0:
+        fail(int(token_row[bad]))
     indptr = np.concatenate(([0], np.cumsum(counts)))
     bad = np.zeros(len(lines), dtype=bool)
     for rows, _ in _row_faults(indptr, labels, scores):
@@ -525,14 +533,6 @@ def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
     if bad.any():
         fail(int(np.argmax(bad)))
     return counts, labels, scores
-
-
-def _converts(token: str, dtype):
-    """token converted as the array parse converts it, or None."""
-    try:
-        return np.array(token, dtype=dtype).item()
-    except (ValueError, OverflowError):
-        return None
 
 
 def _line_fault(line: str) -> str:
@@ -543,11 +543,13 @@ def _line_fault(line: str) -> str:
         head, sep, tail = tok.partition(":")
         if not sep or ":" in tail:
             return f"expected 'label:score', got {tok!r}"
-        label = _converts(head, np.int64)
-        if label is None:
+        try:
+            label = int(np.array(head, dtype=np.int64))
+        except (ValueError, OverflowError):
             return f"non-integer label in {tok!r}"
-        score = _converts(tail, np.float64)
-        if score is None:
+        try:
+            score = float(np.array(tail, dtype=np.float64))
+        except (ValueError, OverflowError):
             return f"non-numeric score in {tok!r}"
         if not math.isfinite(score):
             return f"non-finite score in {tok!r}"

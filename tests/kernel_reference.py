@@ -2,10 +2,12 @@
 
 Each function has the name and argument order of the kernel it checks and
 spells out its arithmetic one nonzero (or, for the number kernels, one
-token) at a time. ``tests/test_kernels.py``
+token or value) at a time. ``tests/test_kernels.py``
 compares every numpy kernel with its loop here.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -289,20 +291,30 @@ def parse_ints(buf, starts, ends):
     return values, ok
 
 
-def _extended_midpoint(w, k):
-    """Whether w / 10**k, rounded to nearest (ties to even) with a 64-bit
-    significand as x87 extended precision divides, lies halfway between two
-    doubles: the low 11 of its 64 significand bits are 0x400."""
-    x = Fraction(w, 10**k)
-    if x == 0:
-        return False
+def _extended(x):
+    """The positive Fraction x rounded to nearest (ties to even) with a
+    64-bit significand, as x87 extended precision rounds: (value,
+    significand)."""
     s = 63 - (x.numerator.bit_length() - x.denominator.bit_length())
     while x * Fraction(2) ** s >= 2**64:
         s -= 1
     while x * Fraction(2) ** s < 2**63:
         s += 1
     significand = round(x * Fraction(2) ** s)  # Fraction rounds ties to even
-    return significand & 0x7FF == 0x400  # a carry to 2**64 leaves 0 there
+    return Fraction(significand) / Fraction(2) ** s, significand
+
+
+def _extended_midpoint(x):
+    """Whether the Fraction x, rounded as _extended rounds it, lies halfway
+    between two doubles: the low 11 of its 64 significand bits are 0x400."""
+    if x == 0:
+        return False
+    return _extended(x)[1] & 0x7FF == 0x400  # a carry to 2**64 leaves 0 there
+
+
+# [+|-]digits[.digits][(e|E)[+|-]digits]: sign, whole digits, fraction
+# digits and an exponent of 1 to 3 digits (bytes patterns match ASCII \d only)
+_FLOAT_TOKEN = re.compile(rb"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d{1,3}))?")
 
 
 def parse_floats(buf, starts, ends, dots):
@@ -311,10 +323,56 @@ def parse_floats(buf, starts, ends, dots):
     ok = np.zeros(starts.shape[0], dtype=bool)
     for i in range(starts.shape[0]):
         token = bytes(buf[starts[i]:ends[i]])
-        whole, dot, frac = token.partition(b".")
+        match = _FLOAT_TOKEN.fullmatch(token)
+        if not match:
+            continue
+        _, whole, frac, exponent = match.groups(b"")
         digits = whole + frac
-        if (1 <= len(digits) <= 19 and all(48 <= b <= 57 for b in digits)
-                and not _extended_midpoint(int(digits), len(frac))):
+        power = int(exponent or b"0") - len(frac)
+        if (1 <= len(digits) and len(digits.lstrip(b"0")) <= 19 and abs(power) <= 27
+                and not _extended_midpoint(int(digits) * Fraction(10) ** power)):
             values[i] = float(token)
             ok[i] = True
     return values, ok
+
+
+def format_floats(values):
+    # the kernel's rules, with its one extended-precision product worked out
+    # exactly and rounded by _extended, then the shorter roundings of the
+    # 17 digits one by one, with the same float64 distances
+    chars = np.zeros((values.shape[0], 24), dtype=np.uint8)
+    ok = np.zeros(values.shape[0], dtype=bool)
+    for i, x in enumerate(values.tolist()):
+        a = abs(x)
+        if not math.isfinite(a) or a == 0 or math.frexp(a)[0] == 0.5:
+            continue  # zero, not finite, or a power-of-two significand
+        e = int(np.floor(np.log10(a)))
+        if abs(16 - e) > 27:
+            continue
+        y = _extended(Fraction(a) * Fraction(10) ** (16 - e))[0]
+        e += (y >= 10**17) - (y < 10**16)
+        if abs(16 - e) > 27:
+            continue
+        y = _extended(Fraction(a) * Fraction(10) ** (16 - e))[0]
+        w17 = round(y)
+        d = float(y - w17)
+        if abs(d) == 0.5:
+            continue  # rint had a tie to break
+        h = float(np.spacing(a)) * 0.5 * 10.0 ** (16 - e)
+        sure = True
+        for k in range(1, 17):
+            unit = 10**k
+            cut, rest = divmod(w17, unit)
+            tie = rest == unit // 2
+            cut += rest > unit // 2 or tie and d > 0
+            t = abs(float(cut * unit - w17) - d)
+            if tie and d == 0 or h - 2.0**-6 <= t <= h + 2.0**-6:
+                sure = False
+                break
+            if t > h:
+                break
+        if sure:
+            text = repr(x).encode()
+            chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+            ok[i] = True
+    return chars, ok

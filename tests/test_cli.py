@@ -391,6 +391,28 @@ def test_eval_rejects_propensity_parameters(tiny_files, capsys, a, b, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k", ["", "1,,3", "x", "1,x", "0", "1,-2", ",", "3,"])
+def test_eval_checks_k_before_reading(tiny_files, capsys, monkeypatch, k):
+    def load_predictions(*args, **kwargs):
+        raise AssertionError("predictions were read")
+    monkeypatch.setattr("featagg.cli.load_predictions", load_predictions)
+    code = run_without_reading(tiny_files, monkeypatch,
+                               ["eval", "{preds}", "{test}", "--k", k], None)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"featagg: data error: --k must list integers of at "
+                            f"least 1, got {k!r}\n")
+    assert captured.out == ""
+
+
+def test_eval_reports_every_k(tiny_files, capsys):
+    code = main(["eval", str(tiny_files / "preds.txt"), str(tiny_files / "test.txt"),
+                 "--k", "1,3, 5"])
+    assert code == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "points", "P@1", "nDCG@1", "P@3", "nDCG@3", "P@5", "nDCG@5"}
+
+
 @pytest.mark.parametrize("option, message", [
     (["--alpha", "3"], "alpha must lie in [0, 1]"),
     (["--alpha", "-0.5"], "alpha must lie in [0, 1]"),

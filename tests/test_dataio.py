@@ -285,6 +285,18 @@ def test_parse_without_the_float_kernel(case):
     assert_same_dataset(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(xc_texts())
+def test_write_without_the_float_kernel(case):
+    # where x87 extended precision is missing, repr() formats every value,
+    # and the text is the same
+    text, one_based = case
+    ds = parse_xc(text, one_based=one_based)
+    want = write_xc(ds)
+    with mock.patch.object(kernels, "EXACT_FLOATS", False):
+        assert write_xc(ds) == want
+
+
 def test_one_index_value_pair_per_token():
     with pytest.raises(ParseError, match=r"line 2: non-numeric token '1:2:3'"):
         parse_xc("1 5 1\n0 1:2:3 4\n")

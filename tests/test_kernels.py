@@ -325,13 +325,15 @@ STRAYS = [b"e", b"-", b"+", b"\t", b"\0", b"_", b".", "１".encode(), b"x"]
 def number_tokens(rng, count):
     """count tokens of text the number kernels read: 0 to 22 ASCII digits
     (now and then up to 119), leading zeros included, about half with a dot;
-    decimals of 16 to 19 digits at or near the midpoint of two doubles; and a
-    tenth with a stray character (a second dot, a sign, an exponent, a tab, a
-    NUL, a full-width digit)."""
+    decimals of 16 to 19 digits at or near the midpoint of two doubles;
+    repr() of doubles from 1e-30 to 1e30; some, most of them with a dot,
+    with a sign, a run of leading zeros or an exponent of 1 to 4 digits; and
+    a tenth with a stray character (a second dot, a sign, an exponent, a tab, a NUL, a
+    full-width digit)."""
     tokens = []
     for _ in range(count):
         draw = rng.random()
-        if draw < 0.2:
+        if draw < 0.15:
             # the 16 to 19 digits nearest halfway from a double to the next
             x = float(rng.uniform(1.0, 10.0 ** rng.integers(1, 7)))
             mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
@@ -339,14 +341,25 @@ def number_tokens(rng, count):
             near = context.divide(Decimal(mid.numerator), Decimal(mid.denominator))
             tokens.append(format(near, "f").encode())
             continue
-        if draw < 0.25:  # an odd integer above 2**53: exactly a midpoint
+        if draw < 0.2:  # an odd integer above 2**53: exactly a midpoint
             tokens.append(str(2**53 + 2 * int(rng.integers(0, 2**52)) + 1).encode())
+            continue
+        if draw < 0.23:
+            tokens.append(repr(float(rng.random() * 10.0 ** rng.integers(-30, 31))).encode())
             continue
         size = rng.integers(0, 23) if draw < 0.97 else rng.integers(23, 120)
         token = bytes(rng.integers(48, 58, size=size).astype(np.uint8))
         if rng.random() < 0.5:
             at = int(rng.integers(0, len(token) + 1))
             token = token[:at] + b"." + token[at:]
+        if b"." in token or rng.random() < 0.03:  # mostly tokens no int reads
+            if rng.random() < 0.1:
+                token = b"0" * int(rng.integers(1, 30)) + token
+            if rng.random() < 0.15:
+                token += (b"eE"[rng.integers(2):][:1] + b"-+"[rng.integers(3):][:1]
+                          + str(rng.integers(0, 10 ** rng.integers(1, 5))).encode())
+            if rng.random() < 0.1:
+                token = b"-+"[rng.integers(2):][:1] + token
         if rng.random() < 0.1:
             at = int(rng.integers(0, len(token) + 1))
             token = token[:at] + STRAYS[rng.integers(len(STRAYS))] + token[at:]
@@ -397,14 +410,56 @@ def test_number_kernels_equal_int_and_float(rng):
     floats, float_ok = kernels.parse_floats(buf, starts, ends, dots)
     want = np.array([float(t) for t, ok in zip(tokens, float_ok) if ok])
     assert floats[float_ok].tobytes() == want.tobytes()
-    digits = [t.replace(b".", b"", 1) for t in tokens]
-    plain = np.array([0 < len(d) <= 19 and d.isdigit() for d in digits])
-    # only plain decimals convert; those left are extended-precision midpoints
+    # only tokens of the kernel's form convert; those left are
+    # extended-precision midpoints
+    plain = np.array([float_form(t) for t in tokens])
     assert not (float_ok & ~plain).any()
     left = np.flatnonzero(plain & ~float_ok)
     assert 0 < left.shape[0] < 0.1 * len(tokens)
     _, ref_ok = kernel_reference.parse_floats(buf, starts[left], ends[left], dots[left])
     assert not ref_ok.any()
+    # exponents, signs, leading zeros and tokens of 20 or more characters
+    # all convert
+    for kind in (b"e", b"E", b"-", b"+"):
+        assert float_ok[[kind in t for t in tokens]].sum() > 100
+    assert float_ok[[len(t) >= 20 for t in tokens]].sum() > 100
+
+
+def float_form(token):
+    """Whether token has the form that parse_floats converts: [+|-]
+    mantissa [exponent], at most 19 significant digits, net power of ten
+    within 27."""
+    match = kernel_reference._FLOAT_TOKEN.fullmatch(token)
+    if not match:
+        return False
+    _, whole, frac, exponent = match.groups(b"")
+    digits = whole + frac
+    return (len(digits) >= 1 and len(digits.lstrip(b"0")) <= 19
+            and abs(int(exponent or b"0") - len(frac)) <= 27)
+
+
+@pytest.mark.parametrize("token, converts", [
+    (b"1e-05", True), (b"1.2345678901234567e-05", True), (b"1.5E+3", True),
+    (b"1e5", True), (b"-2.5e-3", True), (b"+7", True), (b"-0", True),
+    (b"0.000123456789012345678", True),  # 21 digits, 3 of them leading zeros
+    (b"0" * 30 + b"12.5", True), (b"0." + b"0" * 26 + b"1", True),
+    (b"0." + b"0" * 27 + b"1", False),  # 10**-28
+    (b"1e27", True), (b"1e28", False), (b"1.5e+300", False),
+    (b"12345678901234567890", False), (b"1e-0005", False), (b"1e", False),
+    (b"e5", False), (b"1.5e5.0", False), (b"--1", False), (b".", False),
+    (b"5.", True), (b".5", True), (b"inf", False),
+])
+def test_parse_floats_forms(token, converts):
+    if not kernels.EXACT_FLOATS:
+        pytest.skip("no x87 extended precision: parse_floats converts nothing")
+    buf = np.frombuffer(b" " + token + b" ", dtype=np.uint8)
+    dot = token.find(b".")
+    values, ok = kernels.parse_floats(buf, np.array([1]), np.array([1 + len(token)]),
+                                      np.array([1 + dot if dot >= 0 else -1]))
+    assert ok[0] == converts
+    if converts:
+        assert values[0] == float(token)
+        assert np.signbit(values[0]) == np.signbit(float(token))
 
 
 def test_parse_floats_needs_x87_extended_precision(rng, monkeypatch):
@@ -412,6 +467,86 @@ def test_parse_floats_needs_x87_extended_precision(rng, monkeypatch):
     monkeypatch.setattr(kernels, "EXACT_FLOATS", False)
     values, ok = kernels.parse_floats(buf, starts, ends, dots)
     assert not ok.any() and not values.any()
+
+
+def repr_values(rng, count):
+    """About count doubles whose repr() format_floats must match: every
+    binade with its end points, subnormals, 5e-324, the largest double, each
+    power of two, both zeros, the switch points of fixed notation (1e16,
+    1e-4) and their neighbours, decimals of 1 to 17 digits, runs of nines
+    that carry, uniform and sigmoid draws, log-uniform values of both signs
+    from 1e-12 to 1e28, and random bit patterns."""
+    twos = 2.0 ** np.arange(-1074, 1024)
+    switches = np.array([1e16, 1e-4, 1e-5, 9.999999999999999e15, 1e15, 1e17, 1e-3])
+    fixed = [np.array([0.0, -0.0, 5e-324, np.finfo(np.float64).max,
+                       np.finfo(np.float64).tiny, np.inf, -np.inf, np.nan]),
+             twos, -twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf),
+             switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf),
+             np.array([float("9" * p + f"e{k}") for p in range(1, 18)
+                       for k in range(-15, 30)])]
+    size = (count - sum(map(len, fixed))) // 8
+    binades = rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(-1074, 1024, size)
+    subnormal = rng.integers(1, 2**52, size // 8, dtype=np.uint64).view(np.float64)
+    digits = rng.integers(1, 18, size)
+    decimals = np.array([float(f"{d}e{k}") for d, k in zip(
+        (rng.random(size) * 10.0 ** digits).astype(np.int64) + 1,
+        rng.integers(-25, 25, size))])
+    log_uniform = (np.exp(rng.uniform(np.log(1e-12), np.log(1e28), 2 * size))
+                   * rng.choice([-1.0, 1.0], 2 * size))
+    bits = rng.integers(0, 2**64, 2 * size, dtype=np.uint64).view(np.float64)
+    sigmoid = 1.0 / (1.0 + np.exp(-4.0 * rng.normal(size=size)))
+    return np.concatenate(fixed + [binades, subnormal, decimals, log_uniform, bits,
+                                   rng.random(size), sigmoid])
+
+
+def repr_bytes(values):
+    """repr() of each value as a row of 24 NUL-padded bytes."""
+    text = np.array([repr(v) for v in values.tolist()], dtype="S24")
+    return text.view(np.uint8).reshape(-1, 24)
+
+
+def test_format_floats_matches_repr(rng):
+    values = repr_values(rng, 1_000_000)
+    assert values.shape[0] >= 1_000_000
+    chars, ok = kernels.format_floats(values)
+    assert chars.shape == (values.shape[0], 24) and chars.dtype == np.uint8
+    assert np.array_equal(chars[ok], repr_bytes(values[ok]))
+    assert not chars[~ok].any()
+    if not kernels.EXACT_FLOATS:
+        assert not ok.any()
+        return
+    # the values left to repr(): zeros, non-finite values, powers of two,
+    # powers of ten beyond 10**27, and a few halfway cases
+    a = np.abs(values)
+    regular = (np.isfinite(a) & (a >= 1e-11) & (a < 1e27)
+               & (values.view(np.uint64) << 12 != 0))
+    assert not ok[~regular & ~np.isfinite(a)].any()
+    assert not ok[(a == 0) | (values.view(np.uint64) << 12 == 0)].any()
+    assert ok[regular].mean() > 0.95
+    # every digit count, both notations and both signs
+    formatted = [repr(v) for v in values[ok][::50].tolist()]
+    counts = {len(t.lstrip("-").split("e")[0].replace(".", "").strip("0")) for t in formatted}
+    assert counts == set(range(1, 18))
+    assert any("e-" in t for t in formatted) and any("e+" in t for t in formatted)
+    assert any(t.startswith("-") for t in formatted)
+
+
+def test_format_floats_matches_reference(rng):
+    values = repr_values(rng, 40_000)[::10]
+    got_chars, got_ok = kernels.format_floats(values)
+    want_chars, want_ok = kernel_reference.format_floats(values)
+    if not kernels.EXACT_FLOATS:
+        assert not got_ok.any() and not got_chars.any()
+        return
+    assert np.array_equal(got_ok, want_ok)
+    assert np.array_equal(got_chars, want_chars)
+    assert 0.3 < got_ok.mean() < 0.95
+
+
+def test_format_floats_needs_x87_extended_precision(monkeypatch):
+    monkeypatch.setattr(kernels, "EXACT_FLOATS", False)
+    chars, ok = kernels.format_floats(np.array([0.1, 1 / 3, 123.0]))
+    assert not ok.any() and not chars.any()
 
 
 def test_backend_switch_is_gone():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import xcmetrics_reference as ref
-from featagg import kernels, reranking, xcmetrics
+from featagg import dataio, kernels, reranking, xcmetrics
 from featagg.cli import main
 from featagg.cooc import build_cooc
 from featagg.dataio import Dataset, save_xc
@@ -88,7 +88,7 @@ def chunks(request, monkeypatch):
     if request.param == "small":
         monkeypatch.setattr(xcmetrics, "_TOPK_CHUNK_SCORES", 7)
         monkeypatch.setattr(xcmetrics, "_WRITE_CHUNK_ENTRIES", 3)
-        monkeypatch.setattr(xcmetrics, "_PARSE_CHUNK_CHARS", 16)
+        monkeypatch.setattr(dataio, "_PARSE_CHUNK_CHARS", 16)
         monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", 5)
         monkeypatch.setattr(reranking, "_AFFINITY_CHUNK", 4)
     return request.param
@@ -265,6 +265,21 @@ class TestIOMatchesReference:
             assert_same_rows(back, ref.load_predictions(io.StringIO(old.getvalue())))
             assert np.array_equal(np.signbit(back.scores), np.signbit(as_arrays(rows)[1]))
 
+    def test_bytes_without_the_float_kernel(self, rng, chunks, monkeypatch):
+        # where x87 extended precision is missing, repr() formats every score
+        # and the parser's numpy fallback reads it: the same bytes and arrays
+        rows = random_rows(rng, 40, 9) + [Prediction(np.arange(6), np.array(
+            [1e300, 1e16, 0.5, 1e-05, -0.0, -1e-300]))]
+        preds = Predictions.from_rows(rows)
+        want = io.StringIO()
+        save_predictions(preds, want)
+        monkeypatch.setattr(kernels, "EXACT_FLOATS", False)
+        got = io.StringIO()
+        save_predictions(preds, got)
+        assert got.getvalue() == want.getvalue()
+        back = load_predictions(io.StringIO(got.getvalue()))
+        assert back.scores.tobytes() == preds.scores.tobytes()
+
     def test_loose_whitespace_reads_as_the_reference_reads_it(self, chunks):
         text = " 3:0.5  1:0.25 \n\n\t\n2:1e3\r\n"
         assert_same_rows(load_predictions(io.StringIO(text)),
@@ -387,3 +402,40 @@ def test_rerank_scratch_is_chunk_bounded(rng, monkeypatch):
                         lambda self: calls.append(1) or sq_norms(self))
     assert peak_bytes(rerank_predictions, preds, ps, x, shortlist=k) < pairs * 8 / 4
     assert len(calls) == 1
+
+
+class _Sink:
+    """A text stream that counts the characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_text_writers_scratch_is_chunk_bounded(rng):
+    """save_predictions and write_xc hold one chunk's bytes at a time: their
+    scratch does not grow with the number of rows, beyond write_xc's one
+    int64 per row that plans its chunks, and stays well below the text."""
+    def ranked(n, k=10):
+        scores = -np.sort(-rng.random((n, k)), axis=1).ravel()
+        return Predictions(np.arange(0, n * k + 1, k), np.tile(np.arange(k), n), scores)
+
+    def dataset(n, k=10):
+        feats = SparseMatrix(n, 1000, np.arange(0, n * k + 1, k),
+                             np.tile(np.arange(k) * 7, n), rng.random(n * k))
+        labels = SparseMatrix(n, 5, np.arange(0, 2 * n + 1, 2), np.tile([1, 3], n),
+                              np.ones(2 * n))
+        return Dataset(feats, labels)
+
+    small = 20 * xcmetrics._WRITE_CHUNK_ENTRIES // 10  # rows of 10 entries
+    for write, make, rows in ((save_predictions, ranked, small),
+                              (dataio.write_xc, dataset, 20 * dataio._WRITE_CHUNK_NNZ // 12)):
+        peaks = []
+        for n in (rows, 4 * rows):
+            sink = _Sink()
+            peaks.append(peak_bytes(write, make(n), sink))
+        planned = 8 * 3 * rows if write is dataio.write_xc else 0
+        assert peaks[1] < 1.2 * peaks[0] + planned
+        assert peaks[1] < sink.chars / 3
