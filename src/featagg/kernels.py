@@ -5,7 +5,8 @@ sequential steps) and ``score_rows`` (one BLAS product per row) loop in
 Python. ``sparse_product`` is the one product A B behind representatives,
 prototypes, label mutual information and rerank affinities.
 ``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
-parser's chunks. ``tests/kernel_reference.py`` holds a plain-Python loop per
+readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
+the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
 the ordering kernels (``rank_within``, ``group_order``, ``row_ids``) are
 compared with ``np.lexsort`` and ``np.array_equal`` instead.
@@ -251,8 +252,7 @@ EXACT_FLOATS = bool(np.finfo(np.longdouble).nmant == 63
 # 10**k for 0 <= k <= _MAX_POW, each exact in extended precision, as
 # 5**27 < 2**63
 _MAX_POW = 27
-_POW10 = np.cumprod(np.full(_MAX_POW + 1, 10, dtype=np.longdouble))
-_POW10 = np.concatenate(([1], _POW10[:-1]))
+_POW10 = np.cumprod(np.concatenate(([1], np.full(_MAX_POW, 10))).astype(np.longdouble))
 
 
 def _scale(x, k):
@@ -263,13 +263,6 @@ def _scale(x, k):
     if k.max(initial=0) <= 0:
         return x / _POW10[-k]
     return x * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
-
-
-def _midpoint(x):
-    """Where the extended values x lie halfway between two doubles: their
-    low 11 significand bits are 0x400. Rounding x to a double is then a
-    second rounding that may differ from rounding the exact value once."""
-    return x.view(np.uint64)[0::2] & 0x7FF == 0x400
 
 
 def parse_floats(buf, starts, ends, dots):
@@ -347,7 +340,10 @@ def parse_floats(buf, starts, ends, dots):
     ok &= np.abs(power_of_ten) <= _MAX_POW
     result = _scale(value.astype(np.longdouble),
                     np.maximum(np.minimum(power_of_ten, _MAX_POW), -_MAX_POW))
-    ok &= ~_midpoint(result)
+    # rounding to a double is a second rounding, which may differ from
+    # rounding the exact value once where the extended result lies halfway
+    # between two doubles: its low 11 significand bits are 0x400
+    ok &= result.view(np.uint64)[0::2] & 0x7FF != 0x400
     values = np.where(ok, result.astype(np.float64), 0.0)
     if negative.any():
         np.negative(values, out=values, where=ok & negative)
@@ -444,7 +440,8 @@ def _shortest(a):
 
     One extended-precision product gives the 17 digits W17 = rint(y) of
     y = a * 10**(16 - e) and their error d = y - W17, exact but for the
-    rounding of y to 64 bits (at most 10**17 / 2**65 < 0.0055). Rounding
+    rounding of y to 64 bits (half an ulp of y < 10**17: below
+    10**17 / 2**64 < 0.0055). Rounding
     W17 to p < 17 digits, with d breaking a tie, gives the correctly rounded
     p-digit decimal; it reads back when its distance t to y is below half
     the gap to the next double, h, both in units of W17's last digit. A
