@@ -379,17 +379,14 @@ def write_xc(ds: Dataset, stream: IO[str] | None = None) -> str | None:
 def _format_rows(feats: SparseMatrix, labels: SparseMatrix, lo: int, hi: int) -> str:
     """Lines lo..hi-1 of the text format, each ending in a newline: the
     labels joined by commas, then a space and index:value per feature."""
-    parts = []
-    for m, lead, with_values in ((labels, 44, False), (feats, 32, True)):
-        s, e = m.indptr[lo], m.indptr[hi]
-        counts = np.diff(m.indptr[lo:hi + 1])
-        if with_values:
-            rows = token_rows(lead, m.indices[s:e], m.values[s:e])
-        else:  # no comma before a line's first label
-            rows = token_rows(lead, m.indices[s:e])
-            rows[(np.cumsum(counts) - counts)[counts > 0], 0] = 0
-        parts.append((counts, rows))
-    return join_lines(parts)
+    ls, le, fs, fe = labels.indptr[[lo, hi]].tolist() + feats.indptr[[lo, hi]].tolist()
+    label_counts = np.diff(labels.indptr[lo:hi + 1])
+    label_rows = token_rows(44, labels.indices[ls:le])
+    # no comma before a line's first label
+    label_rows[(np.cumsum(label_counts) - label_counts)[label_counts > 0], 0] = 0
+    return join_lines([(label_counts, label_rows),
+                       (np.diff(feats.indptr[lo:hi + 1]),
+                        token_rows(32, feats.indices[fs:fe], feats.values[fs:fe]))])
 
 
 def token_rows(lead: int, ints: np.ndarray, floats: np.ndarray | None = None
@@ -405,9 +402,8 @@ def token_rows(lead: int, ints: np.ndarray, floats: np.ndarray | None = None
     size = ints.astype(np.uint64)
     size[negative] = -size[negative]  # two's complement: |int64 min| too
     n = len(str(int(size.max(initial=0))))
-    sign = int(negative.any())
     cols = [np.full((k, 1), lead, dtype=np.uint8)]
-    if sign:
+    if negative.any():
         cols.append(np.where(negative, 45, 0).astype(np.uint8)[:, None])
     digits = np.empty((k, n), dtype=np.uint8)
     rest = size.copy()
@@ -416,16 +412,17 @@ def token_rows(lead: int, ints: np.ndarray, floats: np.ndarray | None = None
         digits[:, j] = rest - q * 10
         rest = q
     digits += 48
-    # no leading zeros: column j holds a digit where size >= 10**(n - 1 - j)
-    digits[:, :-1][size[:, None] < kernels._U64_POW10[n - 1:0:-1]] = 0
+    # no leading zeros: column j < n - 1 holds a digit where
+    # size >= 10**(n - 1 - j)
+    digits[:, :-1][size[:, None] < 10 ** np.arange(n - 1, 0, -1, dtype=np.uint64)] = 0
     cols.append(digits)
     if floats is not None:
         chars, ok = kernels.format_floats(floats)
         rest = np.flatnonzero(~ok)
         if rest.shape[0]:
-            text = [repr(v) for v in floats[rest].tolist()]
-            chars[rest] = np.array(text, dtype=f"S{chars.shape[1]}").view(np.uint8
-                                                                          ).reshape(-1, chars.shape[1])
+            width = chars.shape[1]
+            text = np.array([repr(v) for v in floats[rest].tolist()], dtype=f"S{width}")
+            chars[rest] = text.view(np.uint8).reshape(-1, width)
         cols.append(np.full((k, 1), 58, dtype=np.uint8))
         cols.append(chars[:, :int(np.count_nonzero(chars.any(axis=0)))])
     return np.concatenate(cols, axis=1)

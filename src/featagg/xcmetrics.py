@@ -500,14 +500,15 @@ def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
     token = np.flatnonzero(scan.filled)
     token_row = scan.row[token]
     counts = np.bincount(token_row, minlength=len(lines))
-    first, last = scan.before[token] + 1, scan.cuts[token]
-    start, end = scan.start(first - 1), scan.at[last]
     kind, at = scan.kind, scan.at
-    colon = at[first]
-    dots = np.where(last - first == 2, at[np.minimum(first + 1, last)], -1)
+    first, last = scan.before[token] + 1, scan.cuts[token]
+    second = np.minimum(first + 1, last)
+    start, end = scan.start(first - 1), at[last]
     # most tokens split at their colon and then, if at all, at a dot
-    plain = (kind[first] == 58) & ((last - first == 1) | (last - first == 2)
-                                   & (kind[np.minimum(first + 1, last)] == 46))
+    colon = at[first]
+    dotted = last - first == 2
+    dots = np.where(dotted, at[second], -1)
+    plain = (kind[first] == 58) & ((last - first == 1) | dotted & (kind[second] == 46))
     if not plain.all():
         # any other token must hold exactly one colon
         colons = np.concatenate(([0], np.cumsum(kind == 58)))

@@ -285,6 +285,14 @@ class TestIOMatchesReference:
         assert_same_rows(load_predictions(io.StringIO(text)),
                          ref.load_predictions(io.StringIO(text)))
 
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1f", "\r",
+                                       "\x85", "\xa0", "\u2003", "\u3000"])
+    def test_every_whitespace_splits_as_str_split(self, space, chunks):
+        # the byte reader splits tokens where str.split() does, ASCII or not
+        text = f"3:0.5{space}1:0.25\n{space}2:1e3 0:-1.5e-07{space}\n\n"
+        assert_same_rows(load_predictions(io.StringIO(text)),
+                         ref.load_predictions(io.StringIO(text)))
+
     @pytest.mark.parametrize("text, line, message", [
         ("0:nan 1:0.5\n", 1, "non-finite score in '0:nan'"),
         ("1:0.5\n0:inf\n", 2, "non-finite score in '0:inf'"),
