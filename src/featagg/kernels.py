@@ -284,13 +284,18 @@ def parse_floats(buf, starts, ends, dots):
     m = starts.shape[0]
     if not EXACT_FLOATS:
         return np.zeros(m), np.zeros(m, dtype=bool)
-    # a sign opens the token (read past an empty one, it leaves n < 1)
-    sign = buf[np.minimum(starts, buf.shape[0] - 1)]
-    negative = sign == 45
-    starts = starts + (negative | (sign == 43))
-    # the exponent follows a token's last e or E, after at least one byte:
-    # those are rare bytes, found in the whole buffer, then in the tokens
-    at = np.flatnonzero((buf | 32) == 101)
+    # signs and exponents are rare: look for them only in a buffer that
+    # holds their bytes
+    text = buf.tobytes()
+    negative = None
+    if b"-" in text or b"+" in text:
+        # a sign opens the token (read past an empty one, it leaves n < 1)
+        sign = buf[np.minimum(starts, buf.shape[0] - 1)]
+        negative = sign == 45
+        starts = starts + (negative | (sign == 43))
+    # the exponent follows a token's last e or E, after at least one byte,
+    # found in the whole buffer, then in the tokens
+    at = np.flatnonzero((buf | 32) == 101) if b"e" in text or b"E" in text else starts[:0]
     token = np.searchsorted(starts, at, "right") - 1
     inside = (token >= 0) & (at < ends[np.maximum(token, 0)])
     at, token = at[inside], token[inside]
@@ -333,19 +338,22 @@ def parse_floats(buf, starts, ends, dots):
     dot_at = np.where(has_dot, np.minimum(frac, 24), 24) if has_dot.any() else None
     value, ok = _digits(buf, mend, np.minimum(significant, 19), dot_at)
     ok &= (n >= 1) & (significant <= 19)
-    power_of_ten = -frac  # the net power of ten
     if token.shape[0]:
-        power_of_ten[token] += power
+        net = -frac  # the net power of ten
+        net[token] += power
         ok[token] &= exp_ok
-    ok &= np.abs(power_of_ten) <= _MAX_POW
-    result = _scale(value.astype(np.longdouble),
-                    np.maximum(np.minimum(power_of_ten, _MAX_POW), -_MAX_POW))
+        ok &= np.abs(net) <= _MAX_POW
+        result = _scale(value.astype(np.longdouble),
+                        np.maximum(np.minimum(net, _MAX_POW), -_MAX_POW))
+    else:  # the net power of ten is -frac
+        ok &= frac <= _MAX_POW
+        result = value.astype(np.longdouble) / _POW10[np.minimum(frac, _MAX_POW)]
     # rounding to a double is a second rounding, which may differ from
     # rounding the exact value once where the extended result lies halfway
     # between two doubles: its low 11 significand bits are 0x400
     ok &= result.view(np.uint64)[0::2] & 0x7FF != 0x400
     values = np.where(ok, result.astype(np.float64), 0.0)
-    if negative.any():
+    if negative is not None:
         np.negative(values, out=values, where=ok & negative)
     return values, ok
 
