@@ -295,7 +295,9 @@ def parse_floats(buf, starts, ends, dots):
         starts = starts + (negative | (sign == 43))
     # the exponent follows a token's last e or E, after at least one byte,
     # found in the whole buffer, then in the tokens
-    at = np.flatnonzero((buf | 32) == 101) if b"e" in text or b"E" in text else starts[:0]
+    at = starts[:0]
+    if b"e" in text or b"E" in text:
+        at = np.flatnonzero((buf | 32) == 101)
     token = np.searchsorted(starts, at, "right") - 1
     inside = (token >= 0) & (at < ends[np.maximum(token, 0)])
     at, token = at[inside], token[inside]
@@ -329,7 +331,8 @@ def parse_floats(buf, starts, ends, dots):
         live = np.arange(long.shape[0])
         while live.shape[0]:
             word = eights[lead[live]].view(np.uint8).reshape(-1, 8)
-            skip = (word == 48) | (np.arange(8) == (dots[long[live]] - lead[live])[:, None])
+            dot = (dots[long[live]] - lead[live])[:, None]
+            skip = (word == 48) | (np.arange(8) == dot)
             count = np.where(skip.all(axis=1), 8, np.argmin(skip, axis=1))
             lead[live] += count
             live = live[(count == 8) & (lead[live] < mend[long[live]])]

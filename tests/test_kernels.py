@@ -345,7 +345,8 @@ def number_tokens(rng, count):
             tokens.append(str(2**53 + 2 * int(rng.integers(0, 2**52)) + 1).encode())
             continue
         if draw < 0.23:
-            tokens.append(repr(float(rng.random() * 10.0 ** rng.integers(-30, 31))).encode())
+            x = rng.random() * 10.0 ** rng.integers(-30, 31)
+            tokens.append(repr(float(x)).encode())
             continue
         size = rng.integers(0, 23) if draw < 0.97 else rng.integers(23, 120)
         token = bytes(rng.integers(48, 58, size=size).astype(np.uint8))
@@ -525,7 +526,8 @@ def test_format_floats_matches_repr(rng):
     assert ok[regular].mean() > 0.95
     # every digit count, both notations and both signs
     formatted = [repr(v) for v in values[ok][::50].tolist()]
-    counts = {len(t.lstrip("-").split("e")[0].replace(".", "").strip("0")) for t in formatted}
+    counts = {len(t.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+              for t in formatted}
     assert counts == set(range(1, 18))
     assert any("e-" in t for t in formatted) and any("e+" in t for t in formatted)
     assert any(t.startswith("-") for t in formatted)

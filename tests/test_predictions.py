@@ -437,9 +437,10 @@ def test_text_writers_scratch_is_chunk_bounded(rng):
                               np.ones(2 * n))
         return Dataset(feats, labels)
 
-    small = 20 * xcmetrics._WRITE_CHUNK_ENTRIES // 10  # rows of 10 entries
-    for write, make, rows in ((save_predictions, ranked, small),
-                              (dataio.write_xc, dataset, 20 * dataio._WRITE_CHUNK_NNZ // 12)):
+    # at least 20 chunks of rows of 10 entries (and 2 labels)
+    cases = [(save_predictions, ranked, 20 * xcmetrics._WRITE_CHUNK_ENTRIES // 10),
+             (dataio.write_xc, dataset, 20 * dataio._WRITE_CHUNK_NNZ // 12)]
+    for write, make, rows in cases:
         peaks = []
         for n in (rows, 4 * rows):
             sink = _Sink()
