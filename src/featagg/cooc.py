@@ -5,12 +5,12 @@ symmetric block per cluster holding the sum of outer products of the cluster-
 restricted data rows. Storage is at most d*d0 entries instead of d^2, and
 applying the matrix to a vector never leaves the clusters the vector touches.
 The blocks are kept in cluster order as one flat array, each block row-major:
-``kernels.cooc_accumulate`` fills it, ``kernels.block_apply`` multiplies by it
-and a saved file stores it as is. The block starts and each feature's offset
-within its cluster are computed once per ``PseudoCooc``, and the concatenated
-cluster features come from its partition, so one product costs O(nnz * d0)
-whatever d. Also houses the feature-erasure
-simulator for robustness experiments.
+``kernels.cooc_accumulate`` fills it and a saved file stores it as is. The
+block starts and each feature's offset within its cluster are computed once
+per ``PseudoCooc``, and the transpose of the blocks once, on its first
+product, so one product (``kernels.sparse_product``) costs O(nnz * d0)
+whatever d. Also houses the feature-erasure simulator for robustness
+experiments.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .tree import PARTITION_ARRAYS, FeaturePartition, decode_partition, partitio
 class PseudoCooc:
     """The per-cluster blocks as one flat array, plus the block layout."""
 
-    __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of")
+    __slots__ = ("partition", "flat", "row_normalized", "block_start", "offset_of",
+                 "_transpose")
     __eq__ = _value_eq
 
     def __init__(
@@ -54,6 +55,7 @@ class PseudoCooc:
         self.offset_of[partition.members] = (
             np.arange(partition.d) - np.repeat(partition.ptr[:-1], sizes)
         )
+        self._transpose = None
 
     @property
     def d(self) -> int:
@@ -69,13 +71,24 @@ class PseudoCooc:
         return int(self.flat.shape[0])
 
     def apply(self, sm: SparseMatrix) -> SparseMatrix:
-        """Rows of C sm^T: the matrix applied to each row of sm."""
+        """Rows of C sm^T: the matrix applied to each row of sm, as sm C^T.
+        Row b of C^T holds C[a, b] at each member a of b's cluster; it is
+        built on the first call, so flat must be final by then."""
         if sm.cols != self.d:
             raise ValueError(f"data dim {sm.cols} != co-occurrence dim {self.d}")
-        part = self.partition
-        indptr, indices, values = kernels.block_apply(
-            sm.indptr, sm.indices, sm.values, part.cluster_of, self.offset_of,
-            part.members, part.ptr, self.block_start, self.flat,
+        if self._transpose is None:
+            part = self.partition
+            k = part.cluster_of
+            size = part.sizes()[k]
+            a = kernels.concat_ranges(np.zeros_like(size), size)  # member offsets
+            # C[a, b] sits at block_start + a * size + b in the row-major block
+            at = (np.repeat(self.block_start[k] + self.offset_of, size)
+                  + a * np.repeat(size, size))
+            self._transpose = (np.concatenate(([0], np.cumsum(size))),
+                               part.members[np.repeat(part.ptr[k], size) + a],
+                               self.flat[at])
+        indptr, indices, values = kernels.sparse_product(
+            sm.indptr, sm.indices, sm.values, *self._transpose, self.d
         )
         return SparseMatrix(sm.rows, self.d, indptr, indices, values, validate=False)
 

@@ -2,8 +2,9 @@
 
 Each kernel has one numpy implementation; only ``ova_sgd`` (over its
 sequential steps) and ``score_rows`` (one BLAS product per row) loop in
-Python. ``sparse_product`` is the one product A B behind representatives,
-prototypes, label mutual information and rerank affinities.
+Python. ``sparse_product`` is the one product A B, and ``product_chunks``
+yields it a chunk of rows at a time: they carry representatives, label sums,
+the co-occurrence product, label mutual information and rerank affinities.
 ``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
 readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
 the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
@@ -629,22 +630,46 @@ def coalesce(keys, values, nrows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# sparse_product: CSR of A B from the CSR triples of A and B
+# product_chunks / sparse_product: CSR of A B from the CSR triples of A and B
 # ---------------------------------------------------------------------------
+
+
+# (A entry, B row entry) pairs a chunk of rows of A B expands (a chunk always
+# holds at least one row); bounds the product's scratch whatever the sizes
+# of A and B.
+_PRODUCT_CHUNK_PAIRS = 1 << 14
+
+
+def product_chunks(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
+                   ncols):
+    """(lo, hi, indptr, indices, values) for consecutive ranges [lo, hi) of
+    the rows of A: the CSR triple of those rows of A B, B with ncols columns.
+    Entry (r, c) sums a[r, i] * b[i, c] over row r's stored entries in
+    stored order (see coalesce, which also drops exact zeros)."""
+    # expanded pairs before each row of A
+    ends = np.concatenate(
+        ([0], np.cumsum(b_indptr[a_indices + 1] - b_indptr[a_indices])))[a_indptr]
+    for lo, hi in chunk_ranges(ends, _PRODUCT_CHUNK_PAIRS):
+        s, e = a_indptr[lo], a_indptr[hi]
+        starts, stops = b_indptr[a_indices[s:e]], b_indptr[a_indices[s:e] + 1]
+        r = stops - starts
+        flat = concat_ranges(starts, stops)
+        row = np.repeat(np.arange(hi - lo), np.diff(ends[lo : hi + 1]))
+        yield lo, hi, *coalesce(row * ncols + b_indices[flat],
+                                np.repeat(a_values[s:e], r) * b_values[flat], hi - lo, ncols)
 
 
 def sparse_product(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
                    ncols):
-    """CSR triple of A B, B with ncols columns: entry (r, c) sums
-    a[r, i] * b[i, c] over row r's stored entries in stored order (see
-    coalesce, which also drops exact zeros)."""
-    nrows = a_indptr.shape[0] - 1
-    starts, ends = b_indptr[a_indices], b_indptr[a_indices + 1]
-    reps = ends - starts
-    flat = concat_ranges(starts, ends)
-    row = np.repeat(np.repeat(np.arange(nrows, dtype=np.int64), np.diff(a_indptr)), reps)
-    return coalesce(row * ncols + b_indices[flat],
-                    np.repeat(a_values, reps) * b_values[flat], nrows, ncols)
+    """CSR triple of A B, as product_chunks gives it a chunk at a time."""
+    counts, cols, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for _, _, indptr, indices, values in product_chunks(
+            a_indptr, a_indices, a_values, b_indptr, b_indices, b_values, ncols):
+        counts.append(np.diff(indptr))
+        cols.append(indices)
+        sums.append(values)
+    return (np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+            np.concatenate(cols), np.concatenate(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -658,16 +683,17 @@ def agglomerate_csr(indptr, indices, values, cluster_of, n_clusters, divisors):
     row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
     out = coalesce(row_of * n_clusters + cluster_of[indices], values, nrows, n_clusters)
     if divisors.shape[0]:
-        # a quotient can underflow to 0: coalesce once more to drop it
+        # a quotient can underflow to 0: drop it
         out_indptr, cols, sums = out
-        row_of = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(out_indptr))
-        out = coalesce(row_of * n_clusters + cols, sums / divisors[cols], nrows,
-                       n_clusters)
+        sums = sums / divisors[cols]
+        keep = sums != 0.0
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        out = kept[out_indptr], cols[keep], sums[keep]
     return out
 
 
 # ---------------------------------------------------------------------------
-# cooc_accumulate / block_apply: the co-occurrence blocks in one flat array;
+# cooc_accumulate: the co-occurrence blocks in one flat array;
 # cluster k's starts at block_start[k], feature j is row/column offset_of[j]
 # ---------------------------------------------------------------------------
 
@@ -703,36 +729,6 @@ def cooc_accumulate(
         reps = ends - starts
         base = block_start[cl] + off * sizes[cl]
         np.add.at(flat, np.repeat(base, reps) + off[b], np.repeat(val, reps) * val[b])
-
-
-def block_apply(
-    indptr, indices, values, cluster_of, offset_of, members, member_start,
-    block_start, flat
-):
-    """Rows of C x^T for the CSR rows x, as a CSR triple (see coalesce).
-
-    Cluster k holds the features members[member_start[k]:member_start[k + 1]].
-    Each stored entry (b, v_b) adds C[a, b] * v_b at every member a of its
-    cluster, so a row costs O(nnz * d0) whatever the number of features.
-    """
-    d = cluster_of.shape[0]
-    counts, cols, sums = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for lo, hi in chunk_ranges(indptr, _COOC_CHUNK_NNZ):
-        s, e = indptr[lo], indptr[hi]
-        cl = cluster_of[indices[s:e]]
-        size = member_start[cl + 1] - member_start[cl]
-        a = concat_ranges(np.zeros_like(size), size)  # each term's member offset
-        # C[a, b] sits at block_start + a * size + b in the row-major block
-        at = (np.repeat(block_start[cl] + offset_of[indices[s:e]], size)
-              + a * np.repeat(size, size))
-        row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
-        key = np.repeat(row, size) * d + members[np.repeat(member_start[cl], size) + a]
-        chunk = coalesce(key, flat[at] * np.repeat(values[s:e], size), hi - lo, d)
-        counts.append(np.diff(chunk[0]))
-        cols.append(chunk[1])
-        sums.append(chunk[2])
-    return (np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
-            np.concatenate(cols), np.concatenate(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -812,26 +808,16 @@ def score_rows(indptr, indices, values, weights, bias):
 # ---------------------------------------------------------------------------
 
 
-# Expanded (feature, label) pairs per block of features; bounds the scratch
-# memory independently of the input size.
-_MI_BLOCK_PAIRS = 1 << 14
-
-
 def mi_accumulate(
     zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
 ):
-    # Per block of features: the block's rows of the joint Z^T Y (Y as its 0/1
+    # Per chunk of features: its rows of the joint Z^T Y (Y as its 0/1
     # pattern), then the terms of its positive entries whose feature has mass.
     n_labels = col_sums.shape[0]
-    ones = np.ones(y_indices.shape[0])
-    # expanded pairs before each feature's first nonzero
-    before = np.concatenate(([0], np.cumsum(np.diff(y_indptr)[zt_indices])))[zt_indptr]
     mi = 0.0
-    for lo, hi in chunk_ranges(before, _MI_BLOCK_PAIRS):
-        s, e = zt_indptr[lo], zt_indptr[hi]
-        indptr, l, p = sparse_product(zt_indptr[lo : hi + 1] - s, zt_indices[s:e],
-                                      zt_values[s:e], y_indptr, y_indices, ones,
-                                      n_labels)
+    for lo, hi, indptr, l, p in product_chunks(
+            zt_indptr, zt_indices, zt_values, y_indptr, y_indices,
+            np.ones(y_indices.shape[0]), n_labels):
         j = np.repeat(np.arange(lo, hi), np.diff(indptr))
         nz = (p > 0.0) & (row_sums[j] != 0.0)
         p, j, l = p[nz], j[nz], l[nz]

@@ -5,10 +5,11 @@ Each label gets a closed-form prototype: the co-occurrence matrix applied to
 the sum of that label's positive points. A test point's affinity to a label is
 a Gaussian kernel of its distance to the prototype, and the final ranking
 combines log base-classifier scores with log affinities over a shortlist. The
-label sums (rows of Y^T X) and the dot products of test points with
-prototypes (entries of X P^T) both come from ``kernels.sparse_product``.
-The per-point functions (affinity, affinity_scores, rerank) are one-row calls
-of rerank_predictions' arithmetic and checks.
+label sums (rows of Y^T X) come from ``kernels.sparse_product``, and the dot
+products of test points with prototypes (entries of X P^T) from
+``kernels.product_chunks``, whose chunks of test points rerank_predictions
+ranks one at a time. The per-point functions (affinity, affinity_scores,
+rerank) are one-row calls of rerank_predictions' arithmetic and checks.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .sparse import SparseMatrix, SparseVec
 from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
-# Scratch bound, whatever the number of labels or test points:
-# rerank_predictions takes at a time at most this many (query entry, P^T row
-# entry) pairs of x P^T plus shortlist entries (at least one row's).
-_AFFINITY_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,9 @@ def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.nd
     labels = np.asarray(labels, dtype=np.int64)
     short = Predictions([0, labels.size], labels, np.zeros(labels.size), validate=False)
     x, x_sq, pt, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
-    return _affinities(ps, pt, p_sq, x, x_sq, np.zeros(labels.size, np.int64), labels)
+    product = kernels.sparse_product(x.indptr, x.indices, x.values,
+                                     pt.indptr, pt.indices, pt.values, ps.n_labels)
+    return _affinities(ps, p_sq, product, x_sq, np.zeros(labels.size, np.int64), labels)
 
 
 def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: bool):
@@ -115,26 +114,23 @@ def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: b
 
 
 def _affinities(
-    ps: PrototypeSet, pt: SparseMatrix, p_sq: np.ndarray, x: SparseMatrix,
+    ps: PrototypeSet, p_sq: np.ndarray, product: tuple[np.ndarray, ...],
     x_sq: np.ndarray, rows: np.ndarray, labels: np.ndarray,
 ) -> np.ndarray:
-    """Affinity of query row rows[i] of x (squared norms x_sq) to the
-    prototype of labels[i], for every i; pt is the prototypes' transpose and
-    p_sq their squared norms.
+    """Affinity of query row rows[i] (squared norms x_sq) to the prototype of
+    labels[i], for every i; product is the queries' CSR triple of x P^T and
+    p_sq the prototypes' squared norms.
 
-    The dot products are the entries of x P^T, each adding the products of
-    the query's stored entries with the prototype's entries at the same
-    feature, in the query's stored order; no query is expanded to a dense
-    vector.
+    Each dot product in x P^T adds the products of the query's stored
+    entries with the prototype's entries at the same feature, in the query's
+    stored order; no query is expanded to a dense vector.
     """
     n_labels = ps.n_labels
-    indptr, cols, prods = kernels.sparse_product(
-        x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, n_labels
-    )
+    indptr, cols, prods = product
     dots = np.zeros(rows.shape[0], dtype=np.float64)
     if prods.shape[0]:
         # the product's (row, label) keys ascend; an absent key is a 0 dot
-        keys = np.repeat(np.arange(x.rows), np.diff(indptr)) * n_labels + cols
+        keys = np.repeat(np.arange(x_sq.shape[0]), np.diff(indptr)) * n_labels + cols
         key = rows * n_labels + labels
         at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
         hit = keys[at] == key
@@ -219,16 +215,12 @@ def rerank_predictions(
     short = preds.head(shortlist)
     x, x_sq, pt, p_sq = _prepare(short, ps, x_test, normalize_queries)
 
-    # rows lo..hi-1 cost at most _AFFINITY_CHUNK (query entry, P^T row entry)
-    # pairs plus shortlist entries, or are one row
-    ends = np.concatenate(([0], np.cumsum(np.diff(pt.indptr)[x.indices])))[x.indptr]
-    ends += short.indptr
     ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    for lo, hi in kernels.chunk_ranges(ends, _AFFINITY_CHUNK):
+    for lo, hi, *product in kernels.product_chunks(
+            x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, ps.n_labels):
         s, e = short.indptr[lo], short.indptr[hi]
         rows = np.repeat(np.arange(hi - lo), short.lengths()[lo:hi])
-        aff = _affinities(ps, pt, p_sq, x.slice_rows(lo, hi), x_sq[lo:hi], rows,
-                          short.labels[s:e])
+        aff = _affinities(ps, p_sq, product, x_sq[lo:hi], rows, short.labels[s:e])
         ranked.append(_rank(rows + lo, short.labels[s:e], short.scores[s:e], aff, alpha))
     rows, labels, scores = map(np.concatenate, zip(*ranked))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(short)))))

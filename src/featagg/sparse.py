@@ -18,11 +18,12 @@ from . import kernels
 
 def _value_eq(self, other) -> bool:
     """Equality by value for a dataclass (its fields, compare=False skipped) or
-    a __slots__ class: arrays compare with np.array_equal, the rest with ==."""
+    a __slots__ class (slots named with a leading underscore, which hold
+    caches, skipped): arrays compare with np.array_equal, the rest with ==."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     names = ([f.name for f in fields(self) if f.compare] if is_dataclass(self)
-             else self.__slots__)
+             else [name for name in self.__slots__ if not name.startswith("_")])
     pairs = ((getattr(self, name), getattr(other, name)) for name in names)
     return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
                else a == b for a, b in pairs)

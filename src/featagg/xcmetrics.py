@@ -503,28 +503,21 @@ def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
     kind, at = scan.kind, scan.at
     first, last = scan.before[token] + 1, scan.cuts[token]
     second = np.minimum(first + 1, last)
-    start, end = scan.start(first - 1), at[last]
-    # most tokens split at their colon and then, if at all, at a dot
-    colon = at[first]
+    # a token splits at its colon and then, if at all, at a dot: a label
+    # holds no dot and a score no colon or second dot, so any other split
+    # makes its line faulty
     dotted = last - first == 2
-    dots = np.where(dotted, at[second], -1)
-    plain = (kind[first] == 58) & ((last - first == 1) | dotted & (kind[second] == 46))
-    if not plain.all():
-        # any other token must hold exactly one colon
-        colons = np.concatenate(([0], np.cumsum(kind == 58)))
-        wrong = colons[last] - colons[first] != 1
-        if wrong.any():
-            fail(int(token_row[np.argmax(wrong)]))
-        odd = np.flatnonzero(~plain)
-        marks = at[kind == 58]
-        colon[odd] = marks[np.searchsorted(marks, start[odd])]
-        dots[odd] = -1
+    ill = (kind[first] != 58) | (last - first > 2) | dotted & (kind[second] != 46)
+    if ill.any():
+        fail(int(token_row[np.argmax(ill)]))
+    colon = at[first]
     labels, bad = dataio.convert_tokens(scan, np.int64, kernels.parse_ints,
-                                        start, colon)
+                                        scan.start(first - 1), colon)
     if bad >= 0:
         fail(int(token_row[bad]))
     scores, bad = dataio.convert_tokens(scan, np.float64, kernels.parse_floats,
-                                        colon + 1, end, dots)
+                                        colon + 1, at[last],
+                                        np.where(dotted, at[second], -1))
     if bad >= 0:
         fail(int(token_row[bad]))
     indptr = np.concatenate(([0], np.cumsum(counts)))

@@ -306,7 +306,7 @@ def _cluster_seconds(n: int, seed: int) -> float:
 
 def test_criterion_10_scaling():
     t0 = time.perf_counter()
-    _cluster_seconds(2000, seed=1)  # warmup absorbs jit compilation
+    _cluster_seconds(2000, seed=1)  # warm-up: first-call costs stay out of the ratio
     t_small = _cluster_seconds(20000, seed=0)
     t_large = _cluster_seconds(40000, seed=0)
     ratio = t_large / t_small

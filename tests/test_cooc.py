@@ -181,6 +181,17 @@ class TestImpute:
         assert out.nnz == 3 * d0
         assert peak < d * d0 * 8 / 50
 
+    def test_equal_after_apply(self, toy_blocks):
+        # the transpose cached by the first product takes no part in equality
+        ds, part, c = toy_blocks
+        again = build_cooc(ds, part)
+        x = vec(3, {0: 1.0, 2: 2.0})
+        impute(c, x)  # c alone holds its transpose
+        assert c == again and again == c
+        assert impute(again, x) == impute(c, x)  # now both do
+        assert c == again
+        assert c != build_cooc(ds, part, row_normalize=True)
+
     def test_blend_recovers_input_at_lambda_one(self, toy_blocks):
         _, _, c = toy_blocks
         x = vec(3, {0: 1.0, 2: 2.0})

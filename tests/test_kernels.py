@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import featagg
 from featagg import kernels
+from featagg.cooc import PseudoCooc
 from featagg.sparse import SparseMatrix
+from featagg.tree import FeaturePartition
 
 import kernel_reference
 
@@ -87,7 +89,7 @@ def dense_csr(dense):
 
 
 @pytest.mark.parametrize("shape", [(15, 10, 8), (1, 1, 1), (0, 4, 3), (5, 0, 2)])
-def test_sparse_product(rng, shape):
+def test_sparse_product(rng, monkeypatch, shape):
     nrows, inner, ncols = shape
     a = rng.uniform(-2, 2, (nrows, inner)) * (rng.random((nrows, inner)) < 0.4)
     b = rng.uniform(-2, 2, (inner, ncols)) * (rng.random((inner, ncols)) < 0.4)
@@ -106,15 +108,19 @@ def test_sparse_product(rng, shape):
         a[1, 1], a[1, 6] = 0.5, -0.5
     args = (*dense_csr(a), *dense_csr(b), ncols)
     np_fn, loop_fn = impls("sparse_product")
-    got, want = np_fn(*args), loop_fn(*args)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-    assert np.allclose(SparseMatrix(nrows, ncols, *got).to_dense(), a @ b,
-                       rtol=0.0, atol=1e-12)
-    if nrows >= 15:
-        indptr = got[0]
-        assert indptr[1] == 0 and indptr[2] == 1  # row 0 empty, row 1 one entry
-        assert indptr[3] == indptr[2] and indptr[10] == indptr[9]
+    want = loop_fn(*args)
+    # as shipped, then in chunks of rows that expand 1 to 7 pairs
+    for chunk_pairs in (kernels._PRODUCT_CHUNK_PAIRS, 1, 2, 3, 4, 5, 6, 7):
+        monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", chunk_pairs)
+        got = np_fn(*args)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert np.allclose(SparseMatrix(nrows, ncols, *got).to_dense(), a @ b,
+                           rtol=0.0, atol=1e-12)
+        if nrows >= 15:
+            indptr = got[0]
+            assert indptr[1] == 0 and indptr[2] == 1  # row 0 empty, row 1 one entry
+            assert indptr[3] == indptr[2] and indptr[10] == indptr[9]
 
 
 def test_agglomerate_csr(csr, rng):
@@ -208,39 +214,40 @@ def test_cooc_accumulate_spans_row_chunks(rng, monkeypatch):
 
 
 
-@pytest.mark.parametrize("chunk_nnz", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("chunk_pairs", [None, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("row_normalize", [False, True])
-def test_block_apply(rng, monkeypatch, chunk_nnz, row_normalize):
-    if chunk_nnz is not None:
-        monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", chunk_nnz)
+def test_block_apply(rng, monkeypatch, chunk_pairs, row_normalize):
+    if chunk_pairs is not None:
+        monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", chunk_pairs)
     # size-1 and ragged clusters; rows 2 and 7 empty, row 9 holds every feature
-    cluster_of, offset_of, block_start, sizes, total = cooc_args([1, 4, 1, 7, 2, 1], rng)
+    sizes = np.array([1, 4, 1, 7, 2, 1])
+    part = FeaturePartition.from_clusters(
+        16, np.split(rng.permutation(16), np.cumsum(sizes)[:-1]))
+    c = PseudoCooc(part, np.zeros(int((sizes * sizes).sum())))
     dense = rng.uniform(-2, 2, (12, 16)) * (rng.random((12, 16)) < 0.3)
     dense[[2, 7]] = 0.0
     dense[9] = rng.uniform(0.5, 2, 16)
     row, indices = np.nonzero(dense)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=12))))
     values = dense[row, indices]
-    flat = np.zeros(total)
-    kernels.cooc_accumulate(indptr, indices, values, cluster_of, offset_of,
-                            block_start, sizes, flat)
-    flat[block_start[3] + 2 * 7:block_start[3] + 3 * 7] = 0.0  # an all-zero row
+    block_start = c.block_start
+    kernels.cooc_accumulate(indptr, indices, values, part.cluster_of, c.offset_of,
+                            block_start[:-1], sizes, c.flat)
+    c.flat[block_start[3] + 2 * 7:block_start[3] + 3 * 7] = 0.0  # an all-zero row
     if row_normalize:  # C is then not symmetric
         for k, dk in enumerate(sizes):
-            block = flat[block_start[k]:block_start[k] + dk * dk].reshape(dk, dk)
+            block = c.flat[block_start[k]:block_start[k] + dk * dk].reshape(dk, dk)
             rs = block.sum(axis=1)
             block[rs != 0] /= rs[rs != 0, None]
-    member_start = np.concatenate(([0], np.cumsum(sizes)))
-    members = np.empty(16, dtype=np.int64)
-    members[member_start[cluster_of] + offset_of] = np.arange(16)
-    args = (indptr, indices, values, cluster_of, offset_of, members, member_start,
-            np.append(block_start, total), flat)
-    np_fn, loop_fn = impls("block_apply")
-    got, want = np_fn(*args), loop_fn(*args)
+    got = c.apply(SparseMatrix(12, 16, indptr, indices, values))
+    got = got.indptr, got.indices, got.values
+    want = kernel_reference.block_apply(
+        indptr, indices, values, part.cluster_of, c.offset_of, part.members, part.ptr,
+        block_start, c.flat)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.allclose(got[2], want[2], rtol=0.0, atol=1e-12)
     assert got[0][3] == got[0][2] and got[0][8] == got[0][7]
-    assert got[1].shape[0] and members[member_start[3] + 2] not in got[1]
+    assert got[1].shape[0] and part.members[part.ptr[3] + 2] not in got[1]
 
 
 def test_ova_sgd(csr, rng):
@@ -314,7 +321,7 @@ def test_mi_accumulate_spans_feature_blocks(rng):
     args = mi_inputs(rng, 400, 300, 40, density=0.3)
     _, zt_indices, _, y_indptr = args[:4]
     pairs = np.diff(y_indptr)[zt_indices].sum()
-    assert pairs > 3 * kernels._MI_BLOCK_PAIRS
+    assert pairs > 3 * kernels._PRODUCT_CHUNK_PAIRS
     np_fn, loop_fn = impls("mi_accumulate")
     assert np_fn(*args) == pytest.approx(loop_fn(*args), rel=1e-12)
 

@@ -90,7 +90,7 @@ def chunks(request, monkeypatch):
         monkeypatch.setattr(xcmetrics, "_WRITE_CHUNK_ENTRIES", 3)
         monkeypatch.setattr(dataio, "_PARSE_CHUNK_CHARS", 16)
         monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", 5)
-        monkeypatch.setattr(reranking, "_AFFINITY_CHUNK", 4)
+        monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", 4)
     return request.param
 
 
@@ -400,7 +400,7 @@ def test_rerank_scratch_is_chunk_bounded(rng, monkeypatch):
     x = random_matrix(rng, n, dim, 0.25)
     # query entries times P^T row entries, plus shortlist entries
     pairs = np.diff(ps.matrix.transpose().indptr)[x.indices].sum() + n * k
-    assert pairs >= 20 * reranking._AFFINITY_CHUNK
+    assert pairs >= 20 * kernels._PRODUCT_CHUNK_PAIRS
     labels = (np.arange(n)[:, None] + np.arange(k)).ravel() % n_labels
     preds = Predictions(np.arange(0, n * k + 1, k), labels,
                         np.tile(np.linspace(0.9, 0.5, k), n))
