@@ -82,7 +82,7 @@ class DatasetStats:
 # bounded whatever the number of rows: parse_xc and
 # xcmetrics.load_predictions read whole lines up to this many characters (at
 # least one line) ...
-_PARSE_CHUNK_CHARS = 1 << 16
+_PARSE_CHUNK_CHARS = 1 << 17
 # ... and write_xc formats rows up to this many stored features plus labels
 # (at least one row).
 _WRITE_CHUNK_NNZ = 1 << 14
@@ -202,20 +202,21 @@ def scan_lines(lines: list[str], marks: bytes, blanks: bytes = b"") -> Scan:
 
 
 def convert_tokens(
-    scan: Scan, dtype, kernel, starts: np.ndarray, ends: np.ndarray, *more
+    raw: bytes, buf: np.ndarray, dtype, kernel, starts: np.ndarray, ends: np.ndarray,
+    *more
 ) -> tuple[np.ndarray, int]:
-    """(values, first): the tokens raw[starts[i]:ends[i]] of a scan
-    converted to dtype, and the index of the first token that does not
-    convert, or -1.
+    """(values, first): the tokens raw[starts[i]:ends[i]] of a Scan's raw
+    and buf converted to dtype, and the index of the first token that does
+    not convert, or -1.
 
     The kernel converts what it can from the bytes; numpy converts the rest
     from their text, as int() and float() would, in one call.
     """
-    values, done = kernel(scan.buf, starts, ends, *more)
+    values, done = kernel(buf, starts, ends, *more)
     rest = np.flatnonzero(~done)
     if not rest.shape[0]:
         return values, -1
-    tokens = [scan.raw[s:e].decode("utf-8", "surrogatepass")
+    tokens = [raw[s:e].decode("utf-8", "surrogatepass")
               for s, e in zip(starts[rest].tolist(), ends[rest].tolist())]
     try:
         values[rest] = np.array(tokens, dtype=dtype)
@@ -253,23 +254,27 @@ def _parse_chunk(
     # newlines and spaces end pieces; within a piece, commas split labels, a
     # colon splits index from value and a dot splits a value's digits
     scan = scan_lines(lines, b",.:")
-    at, kind, cuts, before, row = scan.at, scan.kind, scan.cuts, scan.before, scan.row
+    raw, buf, at, kind = scan.raw, scan.buf, scan.at, scan.kind
     # the label field is a line's first piece; the other pieces, with empty
     # ones skipped, are its feature tokens
     label = np.flatnonzero(scan.opens & scan.filled)
     token = np.flatnonzero(~scan.opens & scan.filled)
-
     # labels: "l1,l2,..." per row, possibly empty, split at every comma: a
     # label ends at a comma or at the field's end
-    split = kernels.concat_ranges(before[label] + 1, cuts[label] + 1)
-    label_row = np.repeat(row[label], cuts[label] - before[label])
-    label_counts = np.bincount(label_row, minlength=m)
+    split = kernels.concat_ranges(scan.before[label] + 1, scan.cuts[label] + 1)
+    label_row = np.repeat(scan.row[label], scan.cuts[label] - scan.before[label])
     # features: "index:value" tokens, whose first split is the colon and
     # whose second, if any, a dot in the value
-    first, last = before[token] + 1, cuts[token]
+    first, last = scan.before[token] + 1, scan.cuts[token]
+    token_row = scan.row[token]
+    heads = np.concatenate((split, first))  # where each label and index ends
+    head_starts = scan.start(heads - 1)
+    # the pieces are done with: scratch is freed as soon as it is used, so
+    # that little of it is held while the numbers convert
+    del scan, label, token
+    label_counts = np.bincount(label_row, minlength=m)
     second = np.minimum(first + 1, last)
     dotted = last - first == 2
-    token_row = row[token]
     # any other split makes its line faulty: a colon or dot in a label field
     # or an index, no colon or a second one, a comma or a second dot
     inner = kind[split]
@@ -279,19 +284,23 @@ def _parse_chunk(
     if ill_labels.any() or ill_tokens.any():
         fail(int(min(label_row[ill_labels].min(initial=m),
                      token_row[ill_tokens].min(initial=m))))
+    del kind, inner, ill_labels, ill_tokens
 
-    heads = np.concatenate((split, first))  # where each label and index ends
-    ints, bad = convert_tokens(scan, np.int64, kernels.parse_ints,
-                               scan.start(heads - 1), at[heads])
+    heads = at[heads]
+    dots = np.where(dotted, at[second], -1)
+    del second, dotted
+    first, last = at[first] + 1, at[last]
+    del at
+    ints, bad = convert_tokens(raw, buf, np.int64, kernels.parse_ints, head_starts, heads)
+    del head_starts, heads
     if bad >= 0:
         fail(int(np.concatenate((label_row, token_row))[bad]))
     if shift:
         ints -= shift
     # a copy: the chunk's labels must not hold on to its indices
     labels, idx = ints[:split.shape[0]].copy(), ints[split.shape[0]:]
-    dots = np.where(dotted, at[second], -1)
-    val, bad = convert_tokens(scan, np.float64, kernels.parse_floats,
-                              at[first] + 1, at[last], dots)
+    val, bad = convert_tokens(raw, buf, np.float64, kernels.parse_floats, first, last, dots)
+    del first, last, dots
     if bad >= 0:
         fail(int(token_row[bad]))
 

@@ -1,10 +1,12 @@
 """Hot numeric kernels over raw CSR arrays.
 
 Each kernel has one numpy implementation; only ``ova_sgd`` (over its
-sequential steps) and ``score_rows`` (one BLAS product per row) loop in
-Python. ``sparse_product`` is the one product A B, and ``product_chunks``
-yields it a chunk of rows at a time: they carry representatives, label sums,
-the co-occurrence product, label mutual information and rerank affinities.
+sequential steps, whose entries it gathers a chunk of steps at a time) and
+``score_rows`` (one BLAS product per row) loop in Python.
+``sparse_product`` is the one product A B, and ``product_chunks`` yields it
+a chunk of rows at a time: they carry representatives, label sums, the
+co-occurrence product, label mutual information and rerank affinities.
+``_PRODUCT_CHUNK_PAIRS`` bounds the scratch of both chunk loops.
 ``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
 readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
 the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
@@ -196,7 +198,8 @@ def _digits(buf, ends, n, dot_at=None):
     unaligned, stride-1 view of the buffer, and read as width little-endian
     words of eight characters, each folded by SWAR (SIMD within a register):
     adjacent digits, then pairs, then fours combine by one multiply, shift
-    and mask.
+    and mask. The steps run in place, so scratch stays at a few words per
+    token.
     """
     # words of the characters up to 8 * width before the end, with one more
     # for a dot: the first word's first character is never a digit
@@ -208,19 +211,32 @@ def _digits(buf, ends, n, dot_at=None):
                        strides=(1,))
     # width rows of words, so that each operation runs along the tokens
     v = spans[ends + (_PAD - 8 * width)].view("<u8").reshape(-1, width).T.copy()
+    del padded, spans
     if dot_at is not None:
+        moved = _FIRST[(o + 24) - dot_at]
         earlier = v << 8  # each word read one byte earlier
         earlier[1:] |= v[:-1] >> 56
-        moved = _FIRST[(o + 24) - dot_at]
         earlier &= moved
-        v &= ~moved
+        np.invert(moved, out=moved)
+        v &= moved
+        del moved
         v |= earlier
-    junk = _FIRST[(o + 24) - n]  # characters before the digits read as '0'
-    v &= ~junk
-    v |= junk & _ZEROS
+        del earlier
+    # characters before the digits read as '0': set to all ones, then
+    # cleared to '0'
+    junk = _FIRST[(o + 24) - n]
+    v |= junk
+    junk &= ~np.uint64(_ZEROS)
+    np.invert(junk, out=junk)
+    v &= junk
+    del junk
     v -= _ZEROS
     # every byte of v at most 9; a byte below '0' borrows, setting its top bit
-    ok = ~((v + 0x7676767676767676 | v) & 0x8080808080808080).any(axis=0)
+    bad = v + 0x7676767676767676
+    bad |= v
+    bad &= 0x8080808080808080
+    ok = ~bad.any(axis=0)
+    del bad
     v *= 2561  # 10 * digit + next digit
     v >>= 8
     v &= 0x00FF00FF00FF00FF
@@ -287,7 +303,9 @@ def parse_floats(buf, starts, ends, dots):
         return np.zeros(m), np.zeros(m, dtype=bool)
     # signs and exponents are rare: look for them only in a buffer that
     # holds their bytes
-    text = buf.tobytes()
+    # (the bytes object a buffer views, as the text readers' buffers do,
+    # saves copying it)
+    text = buf.base if isinstance(buf.base, bytes) else buf.tobytes()
     negative = None
     if b"-" in text or b"+" in text:
         # a sign opens the token (read past an empty one, it leaves n < 1)
@@ -337,11 +355,17 @@ def parse_floats(buf, starts, ends, dots):
             count = np.where(skip.all(axis=1), 8, np.argmin(skip, axis=1))
             lead[live] += count
             live = live[(count == 8) & (lead[live] < mend[long[live]])]
+        del padded, eights
         lead = np.minimum(lead, mend[long])
         significant[long] = mend[long] - lead - (has_dot[long] & (dots[long] > lead))
     dot_at = np.where(has_dot, np.minimum(frac, 24), 24) if has_dot.any() else None
-    value, ok = _digits(buf, mend, np.minimum(significant, 19), dot_at)
-    ok &= (n >= 1) & (significant <= 19)
+    # token-sized scratch is freed as soon as it is used
+    fine = (n >= 1) & (significant <= 19)
+    del has_dot, n, long
+    value, ok = _digits(buf, mend, np.minimum(significant, 19, out=significant), dot_at)
+    del significant, dot_at
+    ok &= fine
+    del fine
     if token.shape[0]:
         net = -frac  # the net power of ten
         net[token] += power
@@ -351,7 +375,9 @@ def parse_floats(buf, starts, ends, dots):
                         np.maximum(np.minimum(net, _MAX_POW), -_MAX_POW))
     else:  # the net power of ten is -frac
         ok &= frac <= _MAX_POW
-        result = value.astype(np.longdouble) / _POW10[np.minimum(frac, _MAX_POW)]
+        result = value.astype(np.longdouble)
+        del value
+        result /= _POW10[np.minimum(frac, _MAX_POW)]
     # rounding to a double is a second rounding, which may differ from
     # rounding the exact value once where the extended result lies halfway
     # between two doubles: its low 11 significand bits are 0x400
@@ -618,15 +644,42 @@ def transpose_csr(indptr, indices, values, nrows, ncols):
 # ---------------------------------------------------------------------------
 
 
+# Keyed sums take a dense array over the key range when it holds at most this
+# many slots per key, and sort the keys otherwise, so they cost O(keys) either
+# way.
+_DENSE_SLOTS_PER_KEY = 4
+
+
+def key_slots(keys, size):
+    """(unique, slot) as np.unique(keys, return_inverse=True) gives them, for
+    int64 keys in [0, size): a presence mask and its running count when the
+    range is dense enough, a sort otherwise."""
+    if size > _DENSE_SLOTS_PER_KEY * keys.shape[0]:
+        return np.unique(keys, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    slot_of = np.cumsum(present)
+    slot_of -= 1
+    return np.flatnonzero(present), slot_of[keys]
+
+
 def coalesce(keys, values, nrows, ncols):
     """CSR triple of the entries at keys = row * ncols + column: the values at
     one key are summed in input order, exact zeros dropped."""
-    keys, slot = np.unique(keys, return_inverse=True)
-    sums = np.bincount(slot, weights=values, minlength=keys.shape[0])
-    keep = sums != 0.0
-    keys = keys[keep]
+    size = nrows * ncols
+    if size > _DENSE_SLOTS_PER_KEY * keys.shape[0]:
+        keys, slot = np.unique(keys, return_inverse=True)
+        sums = np.bincount(slot, weights=values, minlength=keys.shape[0])
+        keep = sums != 0.0
+        keys, sums = keys[keep], sums[keep]
+    else:
+        # one bin per key in the range: a key that never occurs sums to 0.0,
+        # and goes with the exact zeros
+        sums = np.bincount(keys, weights=values, minlength=size)
+        keys = np.flatnonzero(sums)
+        sums = sums[keys]
     counts = np.bincount(keys // ncols, minlength=nrows)
-    return np.concatenate(([0], np.cumsum(counts))), keys % ncols, sums[keep]
+    return np.concatenate(([0], np.cumsum(counts))), keys % ncols, sums
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +792,8 @@ def cooc_accumulate(
 # of SGD steps. The learning rate decays per epoch, lr_e = lr / (1 + decay * e),
 # with epoch_len samples per epoch. Returns (weights (B, dim), bias (B,)).
 # Every label follows the reference loop's arithmetic exactly, so results are
-# bit-identical to it.
+# bit-identical to it (but for the sign bit of a NaN, which numpy's array and
+# scalar operations set differently).
 # ---------------------------------------------------------------------------
 
 
@@ -747,42 +801,78 @@ def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
             epoch_len):
     # One iteration per step p, updating all B labels at once: lr, l2 and
     # decay do not depend on the label, so the L2 scale is one shared scalar.
+    # The entries of consecutive steps are gathered a chunk at a time (a step
+    # costs its entries plus B, and a chunk is at most _PRODUCT_CHUNK_PAIRS
+    # or one step), so a step itself runs only its arithmetic.
     n_labels = sign.shape[0]
     w = np.zeros((n_labels, dim), dtype=np.float64)
     bias = np.zeros(n_labels, dtype=np.float64)
     wflat = w.reshape(-1)
     rows_at = order.reshape(n_labels, -1)
     labels = np.arange(n_labels)
+    row_len = np.diff(indptr)
+    g = np.empty(n_labels)  # the margins, then the gradients
     scale = 1.0
-    for p in range(rows_at.shape[1]):
-        step_lr = lr / (1.0 + decay * (p // epoch_len))
-        rows = rows_at[:, p]
-        starts, ends = indptr[rows], indptr[rows + 1]
-        flat = concat_ranges(starts, ends)
-        lab = np.repeat(labels, ends - starts)
-        key = lab * dim + indices[flat]
-        val = values[flat]
-        # bincount adds each row's products in stored order, as the reference
-        # loop does
-        dots = np.bincount(lab, weights=wflat[key] * val, minlength=n_labels)
-        sgn = sign[labels, rows]
-        margin = sgn * (scale * dots + bias)
-        # clipping only changes margins above 35, whose gradient is taken as 0
-        g = np.where(margin > 35.0, 0.0,
-                     -sgn / (1.0 + np.exp(np.minimum(margin, 35.0))))
-        scale *= 1.0 - step_lr * l2
-        if scale < 1e-9:
-            w *= scale
-            scale = 1.0
-        # a label whose gradient is 0 makes no update, as in the reference loop
-        hit = g != 0.0
-        if not hit.all():
-            keep = hit[lab]
-            key, val, lab = key[keep], val[keep], lab[keep]
-        # (label, feature) keys within one step are unique (CSR rows hold
-        # each column once), so a fancy-indexed subtract applies every update
-        wflat[key] -= (step_lr * g / scale)[lab] * val
-        bias[hit] -= step_lr * g[hit]
+    # chunks are cut within windows of steps, each at least a budget's worth,
+    # so the scratch does not grow with the number of steps
+    window = max(_PRODUCT_CHUNK_PAIRS // n_labels, 1)
+    for w0 in range(0, rows_at.shape[1], window):
+        at = rows_at[:, w0:w0 + window].T  # (steps, B): step-major
+        lens = row_len[at]
+        step_nnz = lens.sum(axis=1)
+        ends = np.concatenate(([0], np.cumsum(step_nnz + n_labels)))
+        for lo, hi in chunk_ranges(ends, _PRODUCT_CHUNK_PAIRS):
+            rows = at[lo:hi].ravel()
+            flat = concat_ranges(indptr[rows], indptr[rows + 1])
+            lab = np.repeat(np.broadcast_to(labels, (hi - lo, n_labels)).ravel(),
+                            lens[lo:hi].ravel())
+            key = lab * dim + indices[flat]
+            val = values[flat]
+            sgn = sign[labels, at[lo:hi]]
+            neg = -sgn
+            off = np.concatenate(([0], np.cumsum(step_nnz[lo:hi]))).tolist()
+            for i in range(hi - lo):
+                p = w0 + lo + i
+                step_lr = lr / (1.0 + decay * (p // epoch_len))
+                a, b = off[i], off[i + 1]
+                k, v, lb = key[a:b], val[a:b], lab[a:b]
+                # one gather serves the dot and the update: (label, feature)
+                # keys within one step are unique (CSR rows hold each column
+                # once)
+                old = wflat[k]
+                # bincount adds each row's products in stored order, as the
+                # reference loop does
+                np.multiply(np.bincount(lb, old * v, n_labels), scale, out=g)
+                g += bias
+                g *= sgn[i]
+                # clipping only changes margins above 35, whose gradient is
+                # taken as 0 and which make no update; a NaN margin fails the
+                # test too, and is not clipped
+                clip = None
+                if not np.maximum.reduce(g) <= 35.0:
+                    clip = g > 35.0
+                    np.minimum(g, 35.0, out=g)
+                np.exp(g, out=g)
+                g += 1.0
+                np.divide(neg[i], g, out=g)
+                if clip is not None:
+                    g[clip] = 0.0
+                scale *= 1.0 - step_lr * l2
+                if scale < 1e-9:
+                    w *= scale
+                    old *= scale
+                    scale = 1.0
+                g *= step_lr
+                # a clipped label's g is +0.0, and b - 0.0 is b bit for bit
+                bias -= g
+                g /= scale
+                if clip is not None:
+                    keep = ~clip[lb]
+                    k, v, lb, old = k[keep], v[keep], lb[keep], old[keep]
+                step = g[lb]
+                step *= v
+                old -= step
+                wflat[k] = old
     return w * scale, bias
 
 

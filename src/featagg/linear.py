@@ -53,7 +53,8 @@ class OvaModel:
 
 # Sample-order entries (labels x epochs x samples) per block of labels that
 # one ova_sgd call trains, at least one label per block: the order and sign
-# scratch stays bounded however many labels there are.
+# scratch stays bounded however many labels there are. (ova_sgd gathers the
+# steps' entries a chunk at a time, so its own scratch is bounded too.)
 _SGD_BLOCK_STEPS = 1 << 20
 
 
@@ -81,9 +82,10 @@ def train_ova(
     """Train one binary model per label; bit-identical given the seed.
 
     Every label draws its sample orders from its own (seed, label) RNG. Labels
-    are trained in blocks, one batched ova_sgd call per block, and each label
-    follows the same arithmetic whatever block it lands in, so the result
-    depends on neither the worker count nor the block size. Blocks are
+    are trained in blocks, one batched ova_sgd call per block that updates
+    all its labels at every step, and each label follows the same arithmetic
+    whatever block it lands in and however ova_sgd chunks its steps, so the
+    result depends on neither the worker count nor the block size. Blocks are
     independent jobs; threads > 1 spreads them over a thread pool, where they
     overlap only inside numpy calls that release the interpreter lock.
     """

@@ -222,8 +222,8 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     rows = kernels.group_order(node_of, members)
     starts, ends = matrix.indptr[members[rows]], matrix.indptr[members[rows] + 1]
     entries = kernels.concat_ranges(starts, ends)
-    keys, slot = np.unique(np.repeat(node_of, ends - starts) * p
-                           + matrix.indices[entries], return_inverse=True)
+    keys, slot = kernels.key_slots(np.repeat(node_of, ends - starts) * p
+                                   + matrix.indices[entries], n_nodes * p)
     slots = Slots(keys // p, keys % p,
                   np.searchsorted(keys, np.arange(n_nodes + 1) * p))
     work = _Working(np.arange(n_nodes), np.arange(members.shape[0]), rows, node_of,

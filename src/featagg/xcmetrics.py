@@ -511,12 +511,12 @@ def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
     if ill.any():
         fail(int(token_row[np.argmax(ill)]))
     colon = at[first]
-    labels, bad = dataio.convert_tokens(scan, np.int64, kernels.parse_ints,
-                                        scan.start(first - 1), colon)
+    labels, bad = dataio.convert_tokens(scan.raw, scan.buf, np.int64,
+                                        kernels.parse_ints, scan.start(first - 1), colon)
     if bad >= 0:
         fail(int(token_row[bad]))
-    scores, bad = dataio.convert_tokens(scan, np.float64, kernels.parse_floats,
-                                        colon + 1, at[last],
+    scores, bad = dataio.convert_tokens(scan.raw, scan.buf, np.float64,
+                                        kernels.parse_floats, colon + 1, at[last],
                                         np.where(dotted, at[second], -1))
     if bad >= 0:
         fail(int(token_row[bad]))

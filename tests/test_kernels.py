@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -152,6 +153,74 @@ def test_coalesce(rng):
     assert got[0][1] == 0 and got[0][5] == got[0][4]
 
 
+@contextmanager
+def dense_slots(per_key):
+    saved = kernels._DENSE_SLOTS_PER_KEY
+    kernels._DENSE_SLOTS_PER_KEY = per_key
+    try:
+        yield
+    finally:
+        kernels._DENSE_SLOTS_PER_KEY = saved
+
+
+SUMMANDS = (st.floats(-4.0, 4.0, width=16)
+            | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]))
+
+
+@st.composite
+def keyed_values(draw):
+    """(keys, values, nrows, ncols) for coalesce: keys repeat, some keys' values
+    cancel to an exact zero, and wide keys (ncols of 2**35 and more) have a
+    range far too large for a dense array."""
+    wide = draw(st.booleans())
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(2**35, 2**40) if wide else st.integers(1, 6))
+    size = nrows * ncols
+    if size == 0:
+        return np.zeros(0, np.int64), np.zeros(0), nrows, ncols
+    pool = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), SUMMANDS), max_size=30))
+    # a value and its negation at one key: their sum is exactly zero
+    pairs += [(k, -v) for k, v in pairs if draw(st.booleans())]
+    order = draw(st.permutations(range(len(pairs))))
+    keys = np.array([pairs[i][0] for i in order], dtype=np.int64)
+    values = np.array([pairs[i][1] for i in order], dtype=np.float64)
+    return keys, values, nrows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_values())
+def test_coalesce_paths_agree(case):
+    keys, values, nrows, ncols = case
+    with np.errstate(all="ignore"):
+        with dense_slots(0):  # always the sort
+            got = kernels.coalesce(keys, values, nrows, ncols)
+        want = kernel_reference.coalesce(keys, values, nrows, ncols)
+        if nrows * ncols <= 1 << 12:
+            with dense_slots(1 << 12):  # always the dense bins
+                dense = kernels.coalesce(keys, values, nrows, ncols)
+            for x, y in zip(got, dense):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # the loop's NaNs may carry another sign bit; every other value is equal
+    # bit for bit
+    nan = np.isnan(want[2])
+    assert np.array_equal(np.isnan(got[2]), nan)
+    assert got[2][~nan].tobytes() == want[2][~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.lists(st.integers(0, 39), max_size=30))
+def test_key_slots_equal_unique(size, draws):
+    keys = np.array([k % size for k in draws], dtype=np.int64)
+    want = np.unique(keys, return_inverse=True)
+    for per_key in (0, 1, 4, 1 << 12):
+        with dense_slots(per_key):
+            got = kernels.key_slots(keys, size)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("budget", [1, 3, 7, 100])
 def test_chunk_ranges(rng, budget):
     ends = np.concatenate(([0], np.cumsum(rng.integers(0, 6, size=30))))
@@ -250,7 +319,7 @@ def test_block_apply(rng, monkeypatch, chunk_pairs, row_normalize):
     assert got[1].shape[0] and part.members[part.ptr[3] + 2] not in got[1]
 
 
-def test_ova_sgd(csr, rng):
+def test_ova_sgd(csr, rng, monkeypatch):
     indptr, indices, values = csr
     # empty row 3: drop its entries
     s, e = indptr[3], indptr[4]
@@ -269,17 +338,91 @@ def test_ova_sgd(csr, rng):
             [rng.permutation(20) for _ in range(n_labels * epochs)]
         ).astype(np.int64)
         args = (indptr, indices, values, sign, order, 12, lr, l2, decay, 20)
-        wa, ba = np_fn(*args)
         wb, bb = loop_fn(*args)
-        assert wa.shape == (n_labels, 12) and ba.shape == (n_labels,)
-        # the loop does the same float operations in the same order as the
-        # kernel, so the two agree bit for bit
-        assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+        # budgets of a few entries put every step in a chunk of its own
+        for chunk_pairs in (kernels._PRODUCT_CHUNK_PAIRS, 1, 2, 3, 7):
+            monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", chunk_pairs)
+            wa, ba = np_fn(*args)
+            assert wa.shape == (n_labels, 12) and ba.shape == (n_labels,)
+            # the loop does the same float operations in the same order as
+            # the kernel, so the two agree bit for bit
+            assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
         if l2 == 0.0:
             margins = sign * (np.array([
                 kernels.row_dots(indptr, indices, values, w) for w in wa
             ]) + ba[:, None])
             assert np.any(margins > 35.0)
+
+
+@st.composite
+def sgd_inputs(draw):
+    """ova_sgd arguments: CSR rows from a small pool (so rows repeat), empty
+    rows among them, signed values (±0.0, ±inf and NaN among them); 1 to 5
+    labels, 1 to 3 epochs, and settings that clip margins above 35 or drop
+    the scale below 1e-9."""
+    dim = draw(st.integers(1, 8))
+    value = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    pool = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), value),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    rows = [sorted(pool[i].items()) for i in picks]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    indices = np.array([j for r in rows for j, _ in r], dtype=np.int64)
+    values = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    n, n_labels, epochs = len(rows), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n_labels * n,
+                                  max_size=n_labels * n))).reshape(n_labels, n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    perm = np.random.default_rng(seed).permutation
+    order = np.concatenate([perm(n) for _ in range(n_labels * epochs)]).astype(np.int64)
+    lr, l2, decay = draw(st.sampled_from([
+        (0.3, 1e-3, 1.0),
+        (20.0, 0.0, 0.0),  # clipping: margins above 35
+        (5.0, 0.15, 1.0),  # rescaling: lr * l2 = 0.75 takes the scale below 1e-9
+        (8.0, 0.1, 0.5),
+    ]))
+    return indptr, indices, values, sign, order, dim, lr, l2, decay, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(sgd_inputs(), st.sampled_from([1, 2, 3, 7, 1 << 14]))
+def test_ova_sgd_equals_reference_loop(args, chunk_pairs):
+    # a NaN margin beside a clipped one, and a clipped label whose row holds
+    # an infinity (0 * inf is NaN), tell whether clipped labels are skipped
+    budget = kernels._PRODUCT_CHUNK_PAIRS
+    kernels._PRODUCT_CHUNK_PAIRS = chunk_pairs
+    try:
+        with np.errstate(all="ignore"):
+            want = kernel_reference.ova_sgd(*args)
+            got = kernels.ova_sgd(*args)
+    finally:
+        kernels._PRODUCT_CHUNK_PAIRS = budget
+    for x, y in zip(got, want):
+        # equal bits, but for the sign and payload of a NaN, which numpy's
+        # array operations and the loop's scalar ones set differently
+        nan = np.isnan(y)
+        assert np.array_equal(np.isnan(x), nan)
+        assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
+def test_ova_sgd_scratch_does_not_grow_with_steps(rng, monkeypatch):
+    # 200 rows of at most 6 entries, 2 labels; the chunk budget of 64 entries
+    # makes many chunks and windows at every epoch count
+    monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", 64)
+    indptr, indices, values = random_csr(rng, 200, 12, density=0.25)
+    sign = rng.choice([-1.0, 1.0], size=(2, 200))
+    peaks = []
+    for epochs in (1, 8):
+        order = np.concatenate(
+            [rng.permutation(200) for _ in range(2 * epochs)]).astype(np.int64)
+        tracemalloc.start()
+        try:
+            kernels.ova_sgd(indptr, indices, values, sign, order, 12, 0.3, 1e-3, 1.0, 200)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # eight times the steps: an array of one int64 per step would add 12.8 KB
+    assert peaks[1] <= peaks[0] + 2048, peaks
 
 
 def test_score_rows(csr, rng):
