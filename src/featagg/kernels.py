@@ -12,7 +12,8 @@ readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
 the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
 the ordering kernels (``rank_within``, ``group_order``, ``row_ids``) are
-compared with ``np.lexsort`` and ``np.array_equal`` instead.
+compared with ``np.lexsort`` and ``np.array_equal`` instead, and
+``pivot_draws``, the tree's per-node draws, with numpy's own generators.
 
 The sparse kernels take (indptr, indices, values) CSR triples with int64
 indices and float64 values; callers are responsible for dtype discipline.
@@ -73,23 +74,66 @@ def take_rows(
 
 def rank_within(group, values):
     """Positions by ascending group, then decreasing value, ties in position
-    order, as np.lexsort((-values, group)) gives them: one stable argsort of
-    complex keys, which order by real part, then imaginary part.
+    order, as np.lexsort((-values, group)) gives them; -0.0 ties 0.0 and a
+    NaN value ranks last in its group, tied with the group's other NaNs.
 
-    group is an integer array below 2**53 in magnitude (exact as a float), or
-    a scalar for one group. A NaN value ranks last in its group.
+    group is an int64 array, or a scalar for one group. Three steps, each on
+    numpy's fastest sort: a default-kind (SIMD quicksort) argsort of
+    -values + 0.0, a stable argsort of the groups in that order, narrowed to
+    the smallest unsigned type (a radix sort for spans below 2**16), and a
+    tie pass that sorts the (run, position) pairs of the entries in runs of
+    equal (group, value). When over an eighth of the values are exact zeros
+    (empty rows score 0), the quicksort takes only the others and the zeros
+    join in position order, which the stable group sort keeps, so their
+    runs need no tie pass.
     """
-    key = np.empty(values.shape[0], dtype=np.complex128)
-    nan = np.isnan(values)
-    if nan.any():
-        # complex order puts a NaN imaginary part after every other key, so
-        # rank NaN values on the real part: after their group's numbers
-        key.real = 2 * np.asarray(group) + nan
-        key.imag = np.where(nan, 0.0, -values)
+    key = -values + 0.0  # -0.0 becomes 0.0, and NaN sorts last
+    n = key.shape[0]
+    zero = key == 0.0
+    zeros_apart = 8 * np.count_nonzero(zero) > n
+    if zeros_apart:
+        rest = np.flatnonzero(~zero)
+        rest = rest[np.argsort(key[rest])]
+        cut = np.count_nonzero(key < 0.0)
+        order = np.concatenate((rest[:cut], np.flatnonzero(zero), rest[cut:]))
     else:
-        key.real = group
-        key.imag = -values
-    return np.argsort(key, kind="stable")
+        order = np.argsort(key)
+    if n < 2:
+        return order
+    nan = np.isnan(key[order[-1]])
+    group = np.asarray(group)
+    same = None
+    if group.ndim:
+        lo, hi = int(group.min()), int(group.max())
+        if hi > lo:
+            g = group[order]
+            if lo:
+                g = g - lo
+            g = g.astype(np.min_scalar_type(hi - lo))
+            by = np.argsort(g, kind="stable")
+            order, g = order[by], g[by]
+            same = g[1:] == g[:-1]
+    key = key[order]
+    tie = key[1:] == key[:-1]
+    if zeros_apart:
+        tie &= key[1:] != 0.0
+    if nan:
+        isnan = np.isnan(key)
+        tie |= isnan[1:] & isnan[:-1]
+    if same is not None:
+        tie &= same
+    if not tie.any():
+        return order
+    # runs are numbered in ranked order, so sorting run * n + position over
+    # the tied entries puts each run's positions in ascending order in place
+    run = np.concatenate(([0], np.cumsum(~tie)))
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    at = np.flatnonzero(tied)
+    base = run[at] * n
+    order[at] = np.sort(base + order[at]) - base
+    return order
 
 
 def group_order(group, key):
@@ -169,6 +213,156 @@ def row_ids(indptr, indices, values):
         # goes round again in row order
         pending = np.sort(rest[~equal])
     return ids
+
+
+# ---------------------------------------------------------------------------
+# pivot_draws: the tree's initial-centre draws for every node of a depth at
+# once, bit for bit those of numpy's default_rng(SeedSequence([seed, key]))
+# ---------------------------------------------------------------------------
+
+_U32 = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+def _hash_constants(init, mult, n):
+    """The (xor, multiplier) pairs of SeedSequence's first n hashes, in turn."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+# 4 hashes take the entropy into the pool and 12 mix it; 8 draw the state
+_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_PCG_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+_MUL_HI, _MUL_LO = np.uint64(_PCG_MUL >> 64), np.uint64(_PCG_MUL & 0xFFFFFFFFFFFFFFFF)
+_MUL_0, _MUL_1 = np.uint64(_PCG_MUL & 0xFFFFFFFF), np.uint64(_PCG_MUL >> 32 & 0xFFFFFFFF)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ value >> np.uint32(16)
+
+
+def _seed_state(seed, keys):
+    """SeedSequence([seed, key]).generate_state(4, np.uint64) per uint64 key,
+    for a seed in [0, 2**64): the entropy is the 32-bit words of seed (one
+    for 0) then of key, low word first, and a pool of 4 words pads it with
+    zeros."""
+    words = np.zeros((keys.shape[0], 4), dtype=np.uint32)
+    at = 2 if seed >> 32 else 1
+    words[:, :at] = [seed & 0xFFFFFFFF, seed >> 32][:at]
+    words[:, at] = keys & _LOW
+    words[:, at + 1] = keys >> _U32
+    pool = _hashmix(words, _MIX_XOR[:4], _MIX_MUL[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashes = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = (np.uint32(0xCA01F9DD) * pool[:, dst] - np.uint32(0x4973F715)
+                 * _hashmix(pool[:, src, None], _MIX_XOR[hashes], _MIX_MUL[hashes]))
+        pool[:, dst] = mixed ^ mixed >> np.uint32(16)
+    state = _hashmix(np.tile(pool, 2), _STATE_XOR, _STATE_MUL)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * MUL + inc mod 2**128, on (hi, lo) uint64
+    halves; the high half of lo * MUL's low half comes from 32-bit limbs."""
+    a0, a1 = lo & _LOW, lo >> _U32
+    p01, p10 = a0 * _MUL_1, a1 * _MUL_0
+    mid = (a0 * _MUL_0 >> _U32) + (p01 & _LOW) + (p10 & _LOW)
+    carry = a1 * _MUL_1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    low = lo * _MUL_LO
+    new_lo = low + inc_lo
+    return carry + hi * _MUL_LO + lo * _MUL_HI + inc_hi + (new_lo < low), new_lo
+
+
+class _Streams:
+    """One PCG64 per key, seeded as default_rng(SeedSequence([seed, key]))
+    seeds it: the LCG state and increment in (hi, lo) halves, and the spare
+    high half that next_uint32 keeps from each 64-bit output."""
+
+    def __init__(self, seed, keys):
+        words = _seed_state(seed, keys)
+        # state 0 and inc (w2:w3) << 1 | 1; step; add (w0:w1); step
+        self.inc_hi = words[:, 2] << np.uint64(1) | words[:, 3] >> np.uint64(63)
+        self.inc_lo = words[:, 3] << np.uint64(1) | np.uint64(1)
+        lo = self.inc_lo + words[:, 1]
+        hi = self.inc_hi + words[:, 0] + (lo < words[:, 1])
+        self.hi, self.lo = _pcg_step(hi, lo, self.inc_hi, self.inc_lo)
+        self.spare = np.zeros(keys.shape[0], dtype=np.uint64)
+        self.has_spare = np.zeros(keys.shape[0], dtype=bool)
+
+    def keep(self, at):
+        for name in ("hi", "lo", "inc_hi", "inc_lo", "spare", "has_spare"):
+            setattr(self, name, getattr(self, name)[at])
+
+    def next_uint32(self, take):
+        """The next 32-bit draw of the streams in take (a mask): the spare
+        half, or the low half of a fresh XSL-RR output."""
+        fresh = take & ~self.has_spare
+        value = self.spare
+        if fresh.any():
+            hi, lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+            self.hi, self.lo = np.where(fresh, hi, self.hi), np.where(fresh, lo, self.lo)
+            x, rot = hi ^ lo, hi >> np.uint64(58)
+            out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+            value = np.where(fresh, out & _LOW, value)
+            self.spare = np.where(fresh, out >> _U32, self.spare)
+        self.has_spare = self.has_spare ^ take
+        return value
+
+    def bounded(self, excl, take):
+        """Lemire's draw in [0, excl) for the streams in take, excl at most
+        2**32; a rejected draw is redrawn. Streams outside take give
+        (spare * excl) >> 32, which is 0 for excl 1."""
+        threshold = _TWO32 % excl
+        prod = self.next_uint32(take) * excl
+        redo = take & ((prod & _LOW) < threshold)
+        while redo.any():
+            prod = np.where(redo, self.next_uint32(redo) * excl, prod)
+            redo &= (prod & _LOW) < threshold
+        return prod >> _U32
+
+
+def pivot_draws(seed, keys, starts, sizes, ids, attempts):
+    """(a, b) per node k, as int64 rows: the pair that up to attempts calls of
+    rng.choice(sizes[k], 2, replace=False) give first with
+    ids[starts[k] + a] != ids[starts[k] + b], rng being
+    np.random.default_rng(np.random.SeedSequence([seed % 2**63, keys[k]])),
+    or (-1, -1) when every attempt draws equal ids.
+
+    Keys are below 2**64 and sizes between 2 and 2**32. An attempt is
+    Floyd's algorithm, a in [0, m - 2] (no draw when m is 2) and b in
+    [0, m - 1], with b = m - 1 when it equals a, then a two-element shuffle
+    that swaps them when one more draw is 0; every draw is Lemire's bounded
+    next_uint32, as numpy makes them.
+    """
+    picks = np.full((keys.shape[0], 2), -1, dtype=np.int64)
+    streams = _Streams(seed % 2**63, np.asarray(keys).astype(np.uint64))
+    node = np.arange(keys.shape[0])
+    m = np.asarray(sizes).astype(np.uint64)
+    starts = np.asarray(starts)
+    for _ in range(attempts):
+        every = np.ones(node.shape[0], dtype=bool)
+        a = streams.bounded(m - np.uint64(1), m > 2)
+        b = streams.bounded(m, every)
+        b = np.where(b == a, m - np.uint64(1), b)
+        # Lemire on 2 values never rejects, and (u * 2) >> 32 is u's top bit
+        swap = streams.next_uint32(every) >> np.uint64(31) == 0
+        a, b = np.where(swap, b, a).astype(np.int64), np.where(swap, a, b).astype(np.int64)
+        ok = ids[starts + a] != ids[starts + b]
+        picks[node[ok]] = np.column_stack((a, b))[ok]
+        if ok.all():
+            break
+        rest = np.flatnonzero(~ok)
+        streams.keep(rest)
+        node, m, starts = node[rest], m[rest], starts[rest]
+    return picks
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ One balanced 2-means loop with two scorings: spherical 2-means (unit row
 weights, mean centres) and a discounted-cumulative-gain variant for nonnegative
 sparse representatives (inverse-ideal-gain row weights, rank-discount centres).
 The loop, split_level, splits every node of one tree level in a single
-vectorized pass; kmeans_split and ndcg_split are one-node calls of it. Splits
+vectorized pass from each node's two drawn rows; kmeans_split and ndcg_split
+are one-node calls of it that draw the rows with _pick_two_distinct. Splits
 are pure given (members, representatives, rng) and always return exactly
 balanced halves of sizes ceil(m/2) / floor(m/2), regardless of convergence.
 """
@@ -21,7 +22,7 @@ from .reprs import ReprSet
 from .sparse import SparseMatrix, _value_eq
 
 MAX_ITERS = 20
-_INIT_ATTEMPTS = 6  # one initial draw plus up to five redraws
+INIT_ATTEMPTS = 6  # one initial draw plus up to five redraws
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def ndcg(r: Ranking, v: np.ndarray, base: float | None = None) -> float:
 
 def _pick_two_distinct(ids: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
     """Positions of two rows with distinct ids, or None after redraws."""
-    for _ in range(_INIT_ATTEMPTS):
+    for _ in range(INIT_ATTEMPTS):
         a, b = rng.choice(ids.shape[0], size=2, replace=False)
         if ids[a] != ids[b]:
             return int(a), int(b)
@@ -159,24 +160,27 @@ class _Working:
         )
 
     def row_sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per slot, the value of the one given row of its node (0 elsewhere)."""
-        sums = np.zeros(self.slots.node.shape[0])
-        ent = kernels.concat_ranges(self.ptr[rows], self.ptr[rows + 1])
-        sums[self.slot[ent]] = self.values[ent]
+        """Per slot and side, the value of the node's one given row of that
+        side (0 elsewhere); rows holds each node's plus row and minus row."""
+        sums = np.zeros((self.slots.node.shape[0], 2))
+        for side in (0, 1):
+            ent = kernels.concat_ranges(self.ptr[rows[:, side]], self.ptr[rows[:, side] + 1])
+            sums[self.slot[ent], side] = self.values[ent]
         return sums
 
-    def scores(self, c_plus: np.ndarray, c_minus: np.ndarray) -> np.ndarray:
-        """weights[i] * <row_i, c_plus - c_minus> per row; each row's products
-        are summed in stored order."""
-        prods = self.values * (c_plus - c_minus)[self.slot]
+    def scores(self, c: np.ndarray) -> np.ndarray:
+        """weights[i] * <row_i, c_plus - c_minus> per row, c holding the
+        centres' plus and minus columns; each row's products are summed in
+        stored order."""
+        prods = self.values * (c[:, 0] - c[:, 1])[self.slot]
         out = np.zeros(self.rows.shape[0])
         if self.nonempty.shape[0]:
             out[self.nonempty] = np.add.reduceat(prods, self.ptr[self.nonempty])
         return out if self.weights is None else self.weights * out
 
     def centres(self, ranked: np.ndarray, plus: np.ndarray, centre):
-        """Both sides' centres: rows summed in ranked order, one bincount
-        keyed by (slot, side)."""
+        """Both sides' centres, one column each: rows summed in ranked order,
+        one bincount keyed by (slot, side)."""
         lens = self.lens[ranked]
         ent = kernels.concat_ranges(self.ptr[ranked], self.ptr[ranked + 1])
         add = self.values[ent]
@@ -185,25 +189,24 @@ class _Working:
         n_slots = self.slots.node.shape[0]
         sums = np.bincount(self.slot[ent] * 2 + np.repeat(~plus, lens), weights=add,
                            minlength=2 * n_slots)
-        n_plus = (self.sizes[self.slots.node] + 1) // 2
-        return (centre(sums[0::2], n_plus, self.slots),
-                centre(sums[1::2], self.sizes[self.slots.node] - n_plus, self.slots))
+        n_plus = (self.sizes + 1) // 2
+        n = np.column_stack((n_plus, self.sizes - n_plus))[self.slots.node]
+        return centre(sums.reshape(n_slots, 2), n, self.slots)
 
 
 def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
-                rngs, max_iters: int, weights: np.ndarray | None, centre,
-                trace: list | None = None, ids: np.ndarray | None = None):
+                picks: np.ndarray, max_iters: int, weights: np.ndarray | None, centre,
+                trace: list | None = None):
     """The balanced 2-means loop of both split kinds, over every node of a level.
 
     Node k holds the rows members[node_ptr[k]:node_ptr[k + 1]] of matrix
     (at least two). Its row i scores weights[i] * <row_i, c_plus - c_minus>
-    (unit weights when weights is None); a side's centre is
-    centre(sum of weights[i] * row_i over its rows, side size, slots). The
-    centres start at centre(row, 1, slots) of two rows with distinct ids
-    drawn with rngs[k]; a node whose draws all repeat one id, or whose rngs[k]
-    is None, splits in index order. ids[i] is the kernels.row_ids id of the
-    row members[i] (computed from the members' rows when None).
-    Each iteration puts the top ceil(m/2) rows by score in the plus half,
+    (unit weights when weights is None); the sides' centres are
+    centre(sums, sizes, slots), a column per side of the sums of
+    weights[i] * row_i over the side's rows. The centres start at
+    centre(rows, 1, slots) of the node's rows picks[k, 0] and picks[k, 1]
+    (positions within the node); a node whose picks are -1 splits in index
+    order. Each iteration puts the top ceil(m/2) rows by score in the plus half,
     ties by ascending member id; a node converges when its halves repeat,
     and then leaves the working set. Centres live on the node's slots only,
     so a level takes O(nnz of its rows) memory, never nodes x p.
@@ -233,12 +236,7 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     order = np.arange(members.shape[0])
     iterations = np.zeros(n_nodes, dtype=np.int64)
     converged = np.ones(n_nodes, dtype=bool)
-    if ids is None:
-        ids = kernels.row_ids(*kernels.take_rows(matrix.indptr, matrix.indices,
-                                                 matrix.values, members))
-    picks = [None if rng is None else _pick_two_distinct(ids[lo:hi], rng)
-             for lo, hi, rng in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist(), rngs)]
-    drawn = np.array([pick is not None for pick in picks], dtype=bool)
+    drawn = picks[:, 0] >= 0
     if not drawn.all():
         fallback = ~drawn[node_of]
         order[fallback] = rows[fallback]
@@ -249,22 +247,18 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     # initial centres: each side's sums hold one drawn row
     row_of = np.empty(members.shape[0], dtype=np.int64)
     row_of[work.rows] = np.arange(work.rows.shape[0])
-    c_plus, c_minus = (
-        centre(work.row_sums(row_of[node_ptr[:-1][drawn]
-                                    + [pick[side] for pick in picks if pick is not None]]),
-               1, work.slots)
-        for side in (0, 1)
-    )
+    c = centre(work.row_sums(row_of[node_ptr[:-1][drawn, None] + picks[drawn]]), 1,
+               work.slots)
 
     prev = None
     for it in range(1, max_iters + 1):
-        ranked = kernels.rank_within(work.node, work.scores(c_plus, c_minus))
+        ranked = kernels.rank_within(work.node, work.scores(c))
         plus = np.arange(ranked.shape[0]) - work.first[work.node] \
             < ((work.sizes + 1) // 2)[work.node]
         if trace is not None:
             n_plus = (work.rows.shape[0] + 1) // 2
             dense = np.zeros((2, p))
-            dense[:, work.slots.coord] = work.centres(ranked, plus, centre)
+            dense[:, work.slots.coord] = work.centres(ranked, plus, centre).T
             trace.append(n_plus * float(np.dot(dense[0], dense[0]))
                          + (work.rows.shape[0] - n_plus) * float(np.dot(dense[1], dense[1])))
         assign = np.empty(ranked.shape[0], dtype=bool)
@@ -286,15 +280,19 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
             plus, assign = plus[keep], assign[keep]
             work = work.keep(~done)
         prev = assign
-        c_plus, c_minus = work.centres(ranked, plus, centre)
+        c = work.centres(ranked, plus, centre)
     return order, iterations, converged
 
 
 def _one_node(members, rs: ReprSet, rng, max_iters, weights, centre) -> SplitResult:
+    matrix = rs.matrix
+    ids = kernels.row_ids(*kernels.take_rows(matrix.indptr, matrix.indices, matrix.values,
+                                             members))
     trace: list[float] = []
     order, iterations, converged = split_level(
-        rs.matrix, members, np.array([0, members.shape[0]]), [rng], max_iters,
-        weights, centre, trace)
+        matrix, members, np.array([0, members.shape[0]]),
+        np.array([_pick_two_distinct(ids, rng) or (-1, -1)]), max_iters, weights, centre,
+        trace)
     halves = members[order]
     n_plus = (members.shape[0] + 1) // 2
     return SplitResult(halves[:n_plus], halves[n_plus:], int(iterations[0]),
@@ -352,26 +350,32 @@ def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
 
 
 def _rank_gains(ladder: np.ndarray):
-    """The ndcg centre: ladder[j] at the coordinate ranked j-th (0-based) by
-    decreasing sum, ties by ascending coordinate, on every slot.
+    """The ndcg centre: per node and side (a column of sums), ladder[j] at
+    the coordinate ranked j-th (0-based) by decreasing sum, ties by ascending
+    coordinate, on every slot.
 
-    Only the positive slots are sorted. Zero coordinates follow them in
-    index order, so a zero slot's rank is its node's positive count plus
-    its coordinate minus the positive coordinates below it.
+    Only the positive slots are sorted, both sides in one ranking grouped by
+    node * 2 + side. Zero coordinates follow them in index order, so a zero
+    slot's rank is its node's positive count plus its coordinate minus the
+    positive coordinates below it.
     """
 
     def centre(sums: np.ndarray, n, slots: Slots) -> np.ndarray:
         positive = sums > 0.0
-        n_nodes = slots.start.shape[0] - 1
-        n_pos = np.bincount(slots.node[positive], minlength=n_nodes)
-        below = np.cumsum(positive) - positive
-        below -= below[slots.start[:-1]][slots.node]
-        rank = n_pos[slots.node] + slots.coord - below
-        at = np.flatnonzero(positive)
-        at = at[kernels.rank_within(slots.node[at], sums[at])]
+        # positive slots before each slot and before each node, per side
+        before = np.zeros((positive.shape[0] + 1, 2), dtype=np.int64)
+        np.cumsum(positive, axis=0, out=before[1:])
+        first = before[slots.start]
+        n_pos = np.diff(first, axis=0)
+        rank = (n_pos[slots.node] + slots.coord[:, None]
+                - (before[:-1] - first[:-1][slots.node])).ravel()
+        at = np.flatnonzero(positive)  # slot * 2 + side
+        group = slots.node[at >> 1] * 2 + (at & 1)
+        ranked = kernels.rank_within(group, sums.ravel()[at])
+        n_pos = n_pos.ravel()
         first_pos = np.cumsum(n_pos) - n_pos
-        rank[at] = np.arange(at.shape[0]) - first_pos[slots.node[at]]
-        return ladder[rank]
+        rank[at[ranked]] = np.arange(at.shape[0]) - first_pos[group[ranked]]
+        return ladder[rank].reshape(sums.shape)
 
     return centre
 

@@ -2,13 +2,17 @@
 
 The tree grows one depth at a time: every node of a depth with more than d0
 features is split evenly in one vectorized pass (splits.split_level), and
-smaller nodes become leaves. Each node draws its RNG from (seed, root-to-node
-bit path), so the tree does not depend on build order. When d > d0 every
+smaller nodes become leaves. A node's two initial rows are those that
+np.random.default_rng(SeedSequence([seed % 2**63, key])) draws, key being its
+root-to-node bit path, so the tree does not depend on build order;
+kernels.pivot_draws computes them for every node of a depth at once, bit for
+bit, and a node whose rows are all equal draws nothing. When d > d0 every
 leaf ends up with between floor((d0+1)/2) and d0 features.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +25,8 @@ from .reprs import ReprSet
 from .sparse import _value_eq
 # kmeans_split and ndcg_split stay importable from here, where
 # perfbench/tracing.py looks them up; make_tree runs split_level instead
-from .splits import MAX_ITERS, kmeans_split, ndcg_split, scoring, split_level  # noqa: F401
+from .splits import (INIT_ATTEMPTS, MAX_ITERS, kmeans_split, ndcg_split,  # noqa: F401
+                     scoring, split_level)
 
 SPLIT_KINDS = ("kmeans", "ndcg")
 
@@ -202,8 +207,11 @@ def load_partition(path: str) -> FeaturePartition:
     return decode_partition(arrays, "partition", **config)
 
 
-def _node_rng(seed: int, node_key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed % 2**63, node_key]))
+def _int_seed(seed) -> int:
+    """seed as a Python int: any integer but a bool."""
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, not a bool, got {seed}")
+    return operator.index(seed)
 
 
 def make_tree(
@@ -215,7 +223,8 @@ def make_tree(
 ) -> ClusterTree:
     """Grow the balanced hierarchy over all of rs's features, one depth at a
     time: every node of a depth with more than d0 features is split by one
-    splits.split_level call, and the others become leaves."""
+    splits.split_level call, and the others become leaves. seed is any
+    integer, numpy's included, but not a bool."""
     d = rs.n_features
     if d < 1:
         raise ValueError("need at least one feature")
@@ -225,14 +234,15 @@ def make_tree(
         raise ValueError(f"split_kind must be one of {SPLIT_KINDS}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    seed = _int_seed(seed)
     root = TreeNode()
     # the depth's nodes, their bit paths (left child appends 0, right child
     # appends 1) and their members, node k's at members[ptr[k]:ptr[k + 1]]
-    nodes, keys = [root], [1]
+    nodes, keys = [root], np.array([1])
     members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
     # equal rows share an id; a node of one id splits in index order, with
-    # no generator and no draws
+    # no draws
     ids = kernels.row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
     levels = []
     while True:
@@ -246,21 +256,24 @@ def make_tree(
         sizes = sizes[at]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         split = at.tolist()
+        keys = keys[at]
         node_ids = ids[members]
-        one_id = (np.minimum.reduceat(node_ids, ptr[:-1])
-                  == np.maximum.reduceat(node_ids, ptr[:-1])).tolist()
-        rngs = [None if same else _node_rng(seed, keys[k])
-                for k, same in zip(split, one_id)]
+        draw = np.flatnonzero(np.minimum.reduceat(node_ids, ptr[:-1])
+                              != np.maximum.reduceat(node_ids, ptr[:-1]))
+        picks = np.full((at.shape[0], 2), -1, dtype=np.int64)
+        if draw.shape[0]:
+            picks[draw] = kernels.pivot_draws(seed, keys[draw], ptr[draw], sizes[draw],
+                                              node_ids, INIT_ATTEMPTS)
         order, iterations, converged = split_level(
-            rs.matrix, members, ptr, rngs, max_iters,
-            None if weights is None else weights[members], centre, ids=node_ids)
+            rs.matrix, members, ptr, picks, max_iters,
+            None if weights is None else weights[members], centre)
         levels.append(SplitCounts(len(split), int(iterations.sum()),
                                   int((~converged).sum()), int((iterations == 0).sum())))
         # each node's plus half becomes its left child, its minus half its right
         members = members[order]
         ptr = np.append(np.column_stack((ptr[:-1], ptr[:-1] + (sizes + 1) // 2)).ravel(),
                         ptr[-1])
-        keys = [2 * keys[k] + bit for k in split for bit in (0, 1)]
+        keys = (2 * keys[:, None] + [0, 1]).ravel()
         parents, nodes = [nodes[k] for k in split], []
         for node in parents:
             node.left, node.right = TreeNode(), TreeNode()
@@ -296,5 +309,6 @@ def ensemble_trees(
     """m independent trees from seeds base_seed .. base_seed + m - 1."""
     if m < 1:
         raise ValueError("ensemble size must be at least 1")
+    base_seed = _int_seed(base_seed)
     return [make_tree(rs, d0=d0, split_kind=split_kind, seed=base_seed + t,
                       max_iters=max_iters) for t in range(m)]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import featagg
-from featagg import kernels
+from featagg import kernels, splits
 from featagg.cooc import PseudoCooc
 from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
@@ -742,11 +742,59 @@ def test_rank_within_equals_lexsort(pairs):
 
 
 def test_rank_within_wide_groups():
-    # group ids up to 2**40 stay exact as the keys' real parts
     rng = np.random.default_rng(3)
     group = rng.choice(rng.integers(0, 2**40, 20), 500)
     values = rng.integers(0, 3, 500) * 0.5
     assert np.array_equal(kernels.rank_within(group, values), np.lexsort((-values, group)))
+
+
+# palettes of few values, so runs of equal values are long
+RANK_PALETTES = [
+    [0.0, -0.0],
+    [0.0, -0.0, np.nan, 1.0],
+    [np.inf, -np.inf, 0.0, np.nan],
+    [1.0, -1.0, 0.5, -0.0, 3.0, 1e-300, -1e300],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 100, 5000, 70_000]),
+       st.sampled_from(["scalar", "one", "few", "many", "wide"]), st.booleans(),
+       st.sampled_from([None, *range(len(RANK_PALETTES))]),
+       st.sampled_from([0.0, 0.1, 0.13, 0.5, 0.97]))
+def test_rank_within_large_inputs_equal_lexsort(seed, n, groups, sort_groups, palette,
+                                                 zeros):
+    """Sizes above 2**16, group spans below and above 2**16 (so the group
+    sort runs narrowed to 16 bits and wide), scalar, single and unsorted
+    groups, long runs of +-0.0, NaN and +-inf, and zero shares on both sides
+    of the one eighth at which zeros skip the quicksort."""
+    rng = np.random.default_rng(seed)
+    if palette is None:
+        values = rng.normal(size=n)
+    else:
+        values = rng.choice(RANK_PALETTES[palette], n)
+    zero = rng.random(n) < zeros
+    values[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    span = {"scalar": 1, "one": 1, "few": 7, "many": 3000, "wide": 2**17 + 5}[groups]
+    group = rng.integers(0, span, n) + rng.choice([0, -3, 2**40])
+    if sort_groups:
+        group.sort()
+    want = np.lexsort((-values, group))
+    got = kernels.rank_within(group[0] if groups == "scalar" else group, values)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_rank_within_nan_runs_one_per_group():
+    # every group's NaNs rank last in it, in position order, whatever the
+    # NaN's sign and payload
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001],
+                    dtype=np.uint64).view(np.float64)
+    values = np.tile(np.concatenate((nans, [0.0, -0.0, 2.0, np.inf, -np.inf])), 500)
+    group = np.tile(np.arange(5), values.shape[0] // 5)[::-1].copy()
+    for g in (group, 0):
+        want = np.lexsort((-values, np.broadcast_to(g, values.shape)))
+        assert np.array_equal(kernels.rank_within(g, values), want)
 
 
 # keys within 16 bits, above 16 bits, and spread over int64 so that the
@@ -791,6 +839,130 @@ def test_ordering_kernels_on_empty_input():
     for order in (kernels.rank_within(empty_i, empty_f), kernels.group_order(empty_i, empty_i),
                   kernels.row_ids(np.zeros(1, np.int64), empty_i, empty_f)):
         assert order.dtype == np.int64 and order.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# pivot_draws against numpy's own generators
+# ---------------------------------------------------------------------------
+
+
+class HashedIds:
+    """The ids of size rows from position start on, without storing them: a
+    hash of the position, one of 16 values, so about one draw in 16 repeats
+    an id. Slices and integer arrays index it as they index an array."""
+
+    def __init__(self, size, start=0):
+        self.shape, self.start = (size,), start
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            lo, hi, _ = at.indices(self.shape[0])
+            return HashedIds(hi - lo, self.start + lo)
+        flat = np.array(at, dtype=np.uint64, ndmin=1) + np.uint64(self.start)
+        return (kernels._mix(flat) >> np.uint64(60)).reshape(np.shape(at))
+
+
+class CountingRng:
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def numpy_picks(seed, keys, starts, sizes, ids):
+    """Per node, what splits._pick_two_distinct gives with the node's numpy
+    generator ((-1, -1) for None), and how many attempts it drew."""
+    picks, attempts = [], []
+    for key, lo, m in zip(keys.tolist(), starts.tolist(), sizes.tolist()):
+        rng = CountingRng(np.random.default_rng(np.random.SeedSequence([seed % 2**63, key])))
+        picks.append(splits._pick_two_distinct(ids[lo:lo + m], rng) or (-1, -1))
+        attempts.append(rng.calls)
+    return np.array(picks, dtype=np.int64).reshape(-1, 2), np.array(attempts)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, -1, -2**64 - 3])
+def test_pivot_draws_equal_numpy(seed):
+    # 17 000 nodes per seed: keys small, around 2**32 and up to 2**64 - 1;
+    # a quarter of size 2 (the first draw takes no output); ids all distinct,
+    # from three values, or all but one equal, so nodes take 1 to 6 attempts
+    # (the spare half of a 64-bit output carries over between them) or fail
+    rng = np.random.default_rng(seed % 2**63)
+    n = 17_000
+    keys = np.concatenate((np.arange(1, 4001), 2**32 - 2000 + np.arange(4000),
+                           rng.integers(0, 2**64, 9000, dtype=np.uint64))).astype(np.uint64)
+    sizes = np.where(rng.random(n) < 0.25, 2, rng.integers(3, 40, n))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    kind = np.repeat(rng.integers(0, 3, n), sizes)
+    at = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    ids = np.select([kind == 0, kind == 1], [at, rng.integers(0, 3, kind.shape[0])],
+                    (at == np.repeat(rng.integers(0, sizes), sizes)).astype(np.int64))
+    want, attempts = numpy_picks(seed, keys, starts, sizes, ids)
+    got = kernels.pivot_draws(seed, keys, starts, sizes, ids, splits.INIT_ATTEMPTS)
+    assert got.dtype == np.int64 and got.shape == (n, 2)
+    assert np.array_equal(got, want)
+    assert set(attempts[want[:, 0] >= 0].tolist()) == set(range(1, splits.INIT_ATTEMPTS + 1))
+    assert (want[:, 0] < 0).sum() > 100
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**63 - 1])
+def test_pivot_draws_near_two_to_the_32(seed):
+    # Lemire's draw rejects up to half of its outputs for sizes just above
+    # 2**31, and the size 2**32 takes b from next_uint32 whole
+    sizes = np.tile(np.array([2**32, 2**32 - 1, 2**32 - 2, 2**31 + 1, 2**31 + 2,
+                              3 * 2**30 + 7, 2**31, 5], dtype=np.int64), 125)
+    keys = np.arange(1, sizes.shape[0] + 1) * 7919
+    starts = np.arange(sizes.shape[0]) * 11
+    ids = HashedIds(2**40)
+    want, attempts = numpy_picks(seed, keys, starts, sizes, ids)
+    assert np.array_equal(kernels.pivot_draws(seed, keys, starts, sizes, ids,
+                                              splits.INIT_ATTEMPTS), want)
+    assert attempts.max() > 1
+    # a size-(2**31 + 2) node's first draw, on 2**31 + 1 values, rejects the
+    # low half of the generator's first output when its product's low word
+    # falls below 2**32 mod (2**31 + 1)
+    excl = 2**31 + 1
+    first = [np.random.PCG64(np.random.SeedSequence([seed % 2**63, k])).random_raw()
+             & 0xFFFFFFFF for k in keys[sizes == 2**31 + 2].tolist()]
+    assert sum(u * excl % 2**32 < 2**32 % excl for u in first) > 20
+
+
+class Positions:
+    """ids equal to their positions: every first draw is accepted."""
+
+    def __getitem__(self, at):
+        return at
+
+
+# (seed, key, m): the first pair numpy 2.4's
+# default_rng(SeedSequence([seed, key])).choice(m, 2, replace=False) draws,
+# pinned so that a change in numpy's streams cannot redefine the partitions
+PINNED_DRAWS = {
+    (0, 1, 2): (0, 1),
+    (0, 2, 2): (1, 0),
+    (0, 2, 3): (0, 1),
+    (0, 5, 1000): (695, 382),
+    (7, 12345, 10): (9, 3),
+    (2**32 - 1, 6, 64): (5, 33),
+    (2**32, 3, 17): (1, 15),
+    (2**63 - 1, 2**40 + 1, 2**31 + 1): (1460400998, 453657436),
+    (12, 2**64 - 1, 2**32): (1788123893, 2951216052),
+}
+
+
+def test_pivot_draws_pinned():
+    for (seed, key, m), pair in PINNED_DRAWS.items():
+        got = kernels.pivot_draws(seed, np.array([key], dtype=np.uint64), np.zeros(1, np.int64),
+                                  np.array([m]), Positions(), 1)
+        assert tuple(got[0].tolist()) == pair, (seed, key, m)
+    # seed 3, rows of ids 0 but the last: keys 1 to 11 take 6 (and fail), 6,
+    # 3, 1, 2, 6, 6, 3, 1, 3 and 4 attempts
+    ids = np.array([0] * 7 + [1])
+    got = kernels.pivot_draws(3, np.arange(1, 12), np.zeros(11, np.int64), np.full(11, 8), ids,
+                              splits.INIT_ATTEMPTS)
+    assert got.tolist() == [[-1, -1], [-1, -1], [7, 1], [0, 7], [6, 7], [-1, -1], [-1, -1],
+                            [7, 2], [7, 2], [2, 7], [7, 0]]
 
 
 @st.composite

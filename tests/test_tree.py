@@ -76,6 +76,24 @@ class TestMakeTree:
         p2 = leaves(make_tree(rs, d0=4, seed=1))
         assert not np.array_equal(p1.cluster_of, p2.cluster_of)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int32(3), np.uint64(3), np.int8(-1)])
+    def test_numpy_integer_seed_equals_python_int(self, rng, tmp_path, seed):
+        rs = random_reprs(rng, 40)
+        tree = make_tree(rs, d0=4, seed=seed)
+        assert type(tree.seed) is int and tree.seed == int(seed)
+        assert np.array_equal(leaves(tree).cluster_of,
+                              leaves(make_tree(rs, d0=4, seed=int(seed))).cluster_of)
+        path = str(tmp_path / "part.npz")
+        save_partition(leaves(tree), path)
+        assert load_partition(path).seed == int(seed)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, rng, seed):
+        with pytest.raises(ValueError, match="not a bool"):
+            make_tree(random_reprs(rng, 20), d0=4, seed=seed)
+        with pytest.raises(ValueError, match="not a bool"):
+            ensemble_trees(random_reprs(rng, 20), 2, base_seed=seed, d0=4)
+
     def test_ndcg_kind(self, rng):
         part = leaves(make_tree(random_reprs(rng, 20), d0=4,
                                 split_kind="ndcg", seed=2))
@@ -137,6 +155,14 @@ class TestEnsemble:
             assert np.array_equal(
                 np.sort(np.concatenate(part.clusters)), np.arange(16)
             )
+
+    def test_numpy_integer_base_seed(self, rng):
+        rs = random_reprs(rng, 30)
+        got = ensemble_trees(rs, 2, base_seed=np.int64(1), d0=4)
+        want = ensemble_trees(rs, 2, base_seed=1, d0=4)
+        assert [t.seed for t in got] == [1, 2]
+        for a, b in zip(got, want):
+            assert np.array_equal(leaves(a).cluster_of, leaves(b).cluster_of)
 
     def test_rejects_zero(self, rng):
         with pytest.raises(ValueError):

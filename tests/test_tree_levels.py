@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
-from featagg import splits, synth
-from featagg import tree as tree_module
+from featagg import kernels, splits, synth
 from featagg.reprs import ReprSet, build as build_reprs
 from featagg.sparse import SparseMatrix
 from featagg.tree import SplitCounts, ensemble_trees, leaves, make_tree
@@ -123,12 +122,12 @@ def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
     dense[rng.choice(400, 80, replace=False)] = rng.random((4, 6))[rng.integers(0, 4, 80)]
     rs = ReprSet(matrix=matrix_from_dense(dense), kind="x")
     keys = []
-    node_rng = tree_module._node_rng
-    monkeypatch.setattr(tree_module, "_node_rng",
-                        lambda seed, key: keys.append(key) or node_rng(seed, key))
+    pivot_draws = kernels.pivot_draws
+    monkeypatch.setattr(kernels, "pivot_draws", lambda seed, node_keys, *args:
+                        keys.extend(node_keys.tolist()) or pivot_draws(seed, node_keys, *args))
     tree = assert_matches_reference(rs, 8, split_kind, 2, splits.MAX_ITERS)
-    # a split node (bit path key) gets a generator exactly when its rows are
-    # not all equal
+    # a split node (bit path key) draws exactly when its rows are not all
+    # equal
     one_row, several = [], []
     stack = [(tree.root, 1)]
     while stack:
@@ -203,11 +202,11 @@ def test_level_memory_follows_nnz_not_nodes_times_p(split_kind):
     weights, centre = splits.scoring(split_kind, matrix)
     members = rng.permutation(d)
     node_ptr = np.arange(0, d + 1, size)
-    rngs = [np.random.default_rng(k) for k in range(d // size)]
+    picks = np.tile([0, 1], (d // size, 1))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        splits.split_level(matrix, members, node_ptr, rngs, splits.MAX_ITERS,
+        splits.split_level(matrix, members, node_ptr, picks, splits.MAX_ITERS,
                            None if weights is None else weights[members], centre)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
