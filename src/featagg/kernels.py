@@ -13,7 +13,7 @@ the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
 the ordering kernels (``rank_within``, ``group_order``, ``row_ids``) are
 compared with ``np.lexsort`` and ``np.array_equal`` instead, and
-``pivot_draws``, the tree's per-node draws, with numpy's own generators.
+``pivot_attempts``, the tree's per-node draws, with numpy's own generators.
 
 The sparse kernels take (indptr, indices, values) CSR triples with int64
 indices and float64 values; callers are responsible for dtype discipline.
@@ -77,9 +77,12 @@ def rank_within(group, values):
     order, as np.lexsort((-values, group)) gives them; -0.0 ties 0.0 and a
     NaN value ranks last in its group, tied with the group's other NaNs.
 
-    group is an int64 array, or a scalar for one group. Three steps, each on
-    numpy's fastest sort: a default-kind (SIMD quicksort) argsort of
-    -values + 0.0, a stable argsort of the groups in that order, narrowed to
+    group is an int64 array, or a scalar for one group. The key -values
+    only flips sign bits, and everything after it compares: no float
+    arithmetic touches the values, so a signalling NaN raises no warning.
+    The comparisons tie -0.0 with 0.0 and sort every NaN last. Three steps,
+    each on numpy's fastest sort: a default-kind (SIMD quicksort) argsort of
+    the key, a stable argsort of the groups in that order, narrowed to
     the smallest unsigned type (a radix sort for spans below 2**16), and a
     tie pass that sorts the (run, position) pairs of the entries in runs of
     equal (group, value). When over an eighth of the values are exact zeros
@@ -87,7 +90,7 @@ def rank_within(group, values):
     join in position order, which the stable group sort keeps, so their
     runs need no tie pass.
     """
-    key = -values + 0.0  # -0.0 becomes 0.0, and NaN sorts last
+    key = np.negative(values)
     n = key.shape[0]
     zero = key == 0.0
     zeros_apart = 8 * np.count_nonzero(zero) > n
@@ -216,7 +219,7 @@ def row_ids(indptr, indices, values):
 
 
 # ---------------------------------------------------------------------------
-# pivot_draws: the tree's initial-centre draws for every node of a depth at
+# pivot_attempts: the tree's initial-centre draws for every node of a tree at
 # once, bit for bit those of numpy's default_rng(SeedSequence([seed, key]))
 # ---------------------------------------------------------------------------
 
@@ -297,10 +300,6 @@ class _Streams:
         self.spare = np.zeros(keys.shape[0], dtype=np.uint64)
         self.has_spare = np.zeros(keys.shape[0], dtype=bool)
 
-    def keep(self, at):
-        for name in ("hi", "lo", "inc_hi", "inc_lo", "spare", "has_spare"):
-            setattr(self, name, getattr(self, name)[at])
-
     def next_uint32(self, take):
         """The next 32-bit draw of the streams in take (a mask): the spare
         half, or the low half of a fresh XSL-RR output."""
@@ -329,40 +328,32 @@ class _Streams:
         return prod >> _U32
 
 
-def pivot_draws(seed, keys, starts, sizes, ids, attempts):
-    """(a, b) per node k, as int64 rows: the pair that up to attempts calls of
-    rng.choice(sizes[k], 2, replace=False) give first with
-    ids[starts[k] + a] != ids[starts[k] + b], rng being
+def pivot_attempts(seed, keys, sizes, attempts):
+    """The pairs (a, b) of the first attempts calls of
+    rng.choice(sizes[k], 2, replace=False) per node k, rng being
     np.random.default_rng(np.random.SeedSequence([seed % 2**63, keys[k]])),
-    or (-1, -1) when every attempt draws equal ids.
+    as an int64 array of shape (len(keys), attempts, 2).
 
-    Keys are below 2**64 and sizes between 2 and 2**32. An attempt is
-    Floyd's algorithm, a in [0, m - 2] (no draw when m is 2) and b in
-    [0, m - 1], with b = m - 1 when it equals a, then a two-element shuffle
-    that swaps them when one more draw is 0; every draw is Lemire's bounded
-    next_uint32, as numpy makes them.
+    Keys are below 2**64 and sizes between 2 and 2**32. Every node's
+    stream takes each attempt's draws in lockstep: Floyd's algorithm, a in
+    [0, m - 2] (no draw when m is 2) and b in [0, m - 1], with b = m - 1
+    when it equals a, then a two-element shuffle that swaps them when one
+    more draw is 0; every draw is Lemire's bounded next_uint32, as numpy
+    makes them.
     """
-    picks = np.full((keys.shape[0], 2), -1, dtype=np.int64)
     streams = _Streams(seed % 2**63, np.asarray(keys).astype(np.uint64))
-    node = np.arange(keys.shape[0])
     m = np.asarray(sizes).astype(np.uint64)
-    starts = np.asarray(starts)
-    for _ in range(attempts):
-        every = np.ones(node.shape[0], dtype=bool)
+    every = np.ones(m.shape[0], dtype=bool)
+    pairs = np.empty((m.shape[0], attempts, 2), dtype=np.int64)
+    for t in range(attempts):
         a = streams.bounded(m - np.uint64(1), m > 2)
         b = streams.bounded(m, every)
         b = np.where(b == a, m - np.uint64(1), b)
         # Lemire on 2 values never rejects, and (u * 2) >> 32 is u's top bit
         swap = streams.next_uint32(every) >> np.uint64(31) == 0
-        a, b = np.where(swap, b, a).astype(np.int64), np.where(swap, a, b).astype(np.int64)
-        ok = ids[starts + a] != ids[starts + b]
-        picks[node[ok]] = np.column_stack((a, b))[ok]
-        if ok.all():
-            break
-        rest = np.flatnonzero(~ok)
-        streams.keep(rest)
-        node, m, starts = node[rest], m[rest], starts[rest]
-    return picks
+        pairs[:, t, 0] = np.where(swap, b, a)
+        pairs[:, t, 1] = np.where(swap, a, b)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -1092,18 +1083,51 @@ def score_rows(indptr, indices, values, weights, bias):
 # ---------------------------------------------------------------------------
 
 
-def mi_accumulate(
-    zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
-):
-    # Per chunk of features: its rows of the joint Z^T Y (Y as its 0/1
-    # pattern), then the terms of its positive entries whose feature has mass.
+def _mi_terms(p, rows, cols, row_sums, col_sums, total):
+    """The sum of p * (ln(p * total) - ln(row_sums[rows] * col_sums[cols]))
+    over the entries with p > 0 whose row has mass."""
+    nz = (p > 0.0) & (row_sums[rows] != 0.0)
+    p, rows, cols = p[nz], rows[nz], cols[nz]
+    return float(np.sum(p * (np.log(p * total) - np.log(row_sums[rows] * col_sums[cols]))))
+
+
+def mi_accumulate(zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums,
+                  total, groups=None):
+    """Mutual information of the joint J = Z^T Y (Y as its 0/1 pattern),
+    given J's row sums, column sums and total, from the product_chunks
+    chunks of J's rows.
+
+    With groups = (ptr, divisors, row sums, column sums, total) it returns
+    the pair (J's, G's) from the same pass, G's row k being the sum of J's
+    rows ptr[k]:ptr[k + 1] divided by divisors[k] (not divided when
+    divisors is empty), and the sums and total being G's. Each chunk is
+    summed per (group, column) with coalesce; a group cut by a chunk
+    boundary carries its partial sums into the next chunk as leading
+    entries, so every sum adds J's rows in order whatever the chunk budget.
+    """
     n_labels = col_sums.shape[0]
-    mi = 0.0
+    mi = g_mi = 0.0
+    if groups is not None:
+        ptr, divisors, *g_margins = groups
+        owner = np.repeat(np.arange(ptr.shape[0] - 1), np.diff(ptr))
+        carry_l, carry_p = np.zeros(0, dtype=np.int64), np.zeros(0)
     for lo, hi, indptr, l, p in product_chunks(
             zt_indptr, zt_indices, zt_values, y_indptr, y_indices,
             np.ones(y_indices.shape[0]), n_labels):
         j = np.repeat(np.arange(lo, hi), np.diff(indptr))
-        nz = (p > 0.0) & (row_sums[j] != 0.0)
-        p, j, l = p[nz], j[nz], l[nz]
-        mi += float(np.sum(p * (np.log(p * total) - np.log(row_sums[j] * col_sums[l]))))
-    return mi / total
+        mi += _mi_terms(p, j, l, row_sums, col_sums, total)
+        if groups is None:
+            continue
+        k0, k1 = owner[lo], owner[hi - 1] + 1
+        indptr, l, p = coalesce(np.concatenate((carry_l, (owner[j] - k0) * n_labels + l)),
+                                np.concatenate((carry_p, p)), k1 - k0, n_labels)
+        # the chunk's last group is closed unless it goes on past hi
+        closed = k1 - k0 - (ptr[k1] > hi)
+        end = indptr[closed]
+        carry_l, carry_p = l[end:], p[end:]
+        k = np.repeat(np.arange(k0, k0 + closed), np.diff(indptr[:closed + 1]))
+        p = p[:end] / divisors[k] if divisors.shape[0] else p[:end]
+        g_mi += _mi_terms(p, k, l[:end], *g_margins)
+    if groups is None:
+        return mi / total
+    return mi / total, g_mi / g_margins[2]

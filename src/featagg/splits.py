@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,12 @@ class Slots:
     coord: np.ndarray
     start: np.ndarray
 
+    @cached_property
+    def sides(self) -> np.ndarray:
+        """node * 2 + side per slot and side, for centres that group a
+        column per side by node."""
+        return 2 * self.node[:, None] + np.arange(2)
+
 
 def _mean(sums: np.ndarray, n, slots: Slots) -> np.ndarray:
     return sums / n
@@ -125,25 +132,35 @@ class _Working:
     """The nodes of a level still splitting, with their rows and centre slots.
 
     Rows are node-contiguous, in ascending member order within a node; the
-    i-th row of a node sits at the node's i-th level position. keep()
-    compacts every array when nodes leave, so an iteration costs O(nnz of
-    the working rows).
+    i-th row of a node sits at the node's i-th level position. What an
+    iteration needs that depends only on the rows and node sizes (the plus
+    side of each ranked position, the side sizes per slot, the row-weighted
+    values) is computed here once; keep() compacts every array when nodes
+    leave, so an iteration costs O(nnz of the working rows).
     """
 
-    def __init__(self, nodes, places, rows, node, lens, values, slot, slots, weights):
-        self.nodes = nodes      # level node ids
-        self.places = places    # level positions of the nodes, ascending
-        self.rows = rows        # level position of each row's member
-        self.node = node        # working node of each row
-        self.lens = lens        # stored entries per row
+    def __init__(self, nodes, places, rows, node, lens, values, weighted, slot, slots,
+                 weights):
+        self.nodes = nodes        # level node ids
+        self.places = places      # level positions of the nodes, ascending
+        self.rows = rows          # level position of each row's member
+        self.node = node          # working node of each row
+        self.lens = lens          # stored entries per row
         self.ptr = np.concatenate(([0], np.cumsum(lens)))
-        self.values = values    # the rows' stored values, row after row
-        self.slot = slot        # centre slot of each stored value
+        self.values = values      # the rows' stored values, row after row
+        self.weighted = weighted  # the same, each times its row's weight
+        self.slot = slot          # centre slot of each stored value
         self.slots = slots
-        self.weights = weights  # per row, or None for unit weights
+        self.weights = weights    # per row, or None for unit weights
         self.sizes = np.bincount(node, minlength=nodes.shape[0])
         self.first = np.concatenate(([0], np.cumsum(self.sizes)))[:-1]
-        self.nonempty = np.flatnonzero(lens)
+        n_plus = (self.sizes + 1) // 2
+        # ranked position i (node[i]'s rows are ranked in its own positions)
+        # is on the plus side when it is among its node's top ceil(m/2)
+        self.plus = np.arange(node.shape[0]) - self.first[node] < n_plus[node]
+        self.minus = ~self.plus
+        self.side_sizes = np.column_stack((n_plus, self.sizes - n_plus))[slots.node]
+        self.nonempty = None if lens.all() else np.flatnonzero(lens)
 
     def keep(self, keep_node: np.ndarray) -> "_Working":
         keep_row = keep_node[self.node]
@@ -152,9 +169,11 @@ class _Working:
         renumber = np.cumsum(keep_node) - 1
         slots = Slots(renumber[self.slots.node[keep_slot]], self.slots.coord[keep_slot],
                       np.concatenate(([0], np.cumsum(np.diff(self.slots.start)[keep_node]))))
+        values = self.values[keep_entry]
         return _Working(
             self.nodes[keep_node], self.places[keep_row], self.rows[keep_row],
-            renumber[self.node[keep_row]], self.lens[keep_row], self.values[keep_entry],
+            renumber[self.node[keep_row]], self.lens[keep_row], values,
+            values if self.weights is None else self.weighted[keep_entry],
             (np.cumsum(keep_slot) - 1)[self.slot[keep_entry]], slots,
             None if self.weights is None else self.weights[keep_row],
         )
@@ -173,25 +192,23 @@ class _Working:
         centres' plus and minus columns; each row's products are summed in
         stored order."""
         prods = self.values * (c[:, 0] - c[:, 1])[self.slot]
-        out = np.zeros(self.rows.shape[0])
-        if self.nonempty.shape[0]:
-            out[self.nonempty] = np.add.reduceat(prods, self.ptr[self.nonempty])
+        if self.nonempty is None:
+            out = np.add.reduceat(prods, self.ptr[:-1])
+        else:
+            out = np.zeros(self.rows.shape[0])
+            if self.nonempty.shape[0]:
+                out[self.nonempty] = np.add.reduceat(prods, self.ptr[self.nonempty])
         return out if self.weights is None else self.weights * out
 
-    def centres(self, ranked: np.ndarray, plus: np.ndarray, centre):
-        """Both sides' centres, one column each: rows summed in ranked order,
-        one bincount keyed by (slot, side)."""
+    def centres(self, ranked: np.ndarray, centre):
+        """Both sides' centres, one column each: the weighted rows summed in
+        ranked order, one bincount keyed by (slot, side)."""
         lens = self.lens[ranked]
         ent = kernels.concat_ranges(self.ptr[ranked], self.ptr[ranked + 1])
-        add = self.values[ent]
-        if self.weights is not None:
-            add = add * np.repeat(self.weights[ranked], lens)
         n_slots = self.slots.node.shape[0]
-        sums = np.bincount(self.slot[ent] * 2 + np.repeat(~plus, lens), weights=add,
-                           minlength=2 * n_slots)
-        n_plus = (self.sizes + 1) // 2
-        n = np.column_stack((n_plus, self.sizes - n_plus))[self.slots.node]
-        return centre(sums.reshape(n_slots, 2), n, self.slots)
+        sums = np.bincount(self.slot[ent] * 2 + np.repeat(self.minus, lens),
+                           weights=self.weighted[ent], minlength=2 * n_slots)
+        return centre(sums.reshape(n_slots, 2), self.side_sizes, self.slots)
 
 
 def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
@@ -229,9 +246,11 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
                                    + matrix.indices[entries], n_nodes * p)
     slots = Slots(keys // p, keys % p,
                   np.searchsorted(keys, np.arange(n_nodes + 1) * p))
-    work = _Working(np.arange(n_nodes), np.arange(members.shape[0]), rows, node_of,
-                    ends - starts, matrix.values[entries], slot, slots,
-                    None if weights is None else weights[rows])
+    values, lens = matrix.values[entries], ends - starts
+    weights = None if weights is None else weights[rows]
+    work = _Working(np.arange(n_nodes), np.arange(members.shape[0]), rows, node_of, lens,
+                    values, values if weights is None else values * np.repeat(weights, lens),
+                    slot, slots, weights)
 
     order = np.arange(members.shape[0])
     iterations = np.zeros(n_nodes, dtype=np.int64)
@@ -253,34 +272,32 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
     prev = None
     for it in range(1, max_iters + 1):
         ranked = kernels.rank_within(work.node, work.scores(c))
-        plus = np.arange(ranked.shape[0]) - work.first[work.node] \
-            < ((work.sizes + 1) // 2)[work.node]
         if trace is not None:
             n_plus = (work.rows.shape[0] + 1) // 2
             dense = np.zeros((2, p))
-            dense[:, work.slots.coord] = work.centres(ranked, plus, centre).T
+            dense[:, work.slots.coord] = work.centres(ranked, centre).T
             trace.append(n_plus * float(np.dot(dense[0], dense[0]))
                          + (work.rows.shape[0] - n_plus) * float(np.dot(dense[1], dense[1])))
         assign = np.empty(ranked.shape[0], dtype=bool)
-        assign[ranked] = plus
+        assign[ranked] = work.plus
         done = np.zeros(work.nodes.shape[0], dtype=bool)
         if prev is not None:
             done = np.bincount(work.node[assign != prev], minlength=done.shape[0]) == 0
         if it == max_iters:
             converged[work.nodes[~done]] = False
             done[:] = True
-        finished = done[work.node]
-        order[work.places[finished]] = work.rows[ranked[finished]]
-        iterations[work.nodes[done]] = it
-        if done.all():
-            break
         if done.any():
+            finished = done[work.node]
+            order[work.places[finished]] = work.rows[ranked[finished]]
+            iterations[work.nodes[done]] = it
+            if done.all():
+                break
             keep = ~finished
             ranked = (np.cumsum(keep) - 1)[ranked[keep]]
-            plus, assign = plus[keep], assign[keep]
+            assign = assign[keep]
             work = work.keep(~done)
         prev = assign
-        c = work.centres(ranked, plus, centre)
+        c = work.centres(ranked, centre)
     return order, iterations, converged
 
 
@@ -367,10 +384,11 @@ def _rank_gains(ladder: np.ndarray):
         np.cumsum(positive, axis=0, out=before[1:])
         first = before[slots.start]
         n_pos = np.diff(first, axis=0)
-        rank = (n_pos[slots.node] + slots.coord[:, None]
-                - (before[:-1] - first[:-1][slots.node])).ravel()
+        # a zero slot: after its node's positive slots, at its coordinate
+        # less the positive slots below it in the node
+        rank = (first[1:][slots.node] + slots.coord[:, None] - before[:-1]).ravel()
         at = np.flatnonzero(positive)  # slot * 2 + side
-        group = slots.node[at >> 1] * 2 + (at & 1)
+        group = slots.sides.ravel()[at]
         ranked = kernels.rank_within(group, sums.ravel()[at])
         n_pos = n_pos.ravel()
         first_pos = np.cumsum(n_pos) - n_pos

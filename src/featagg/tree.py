@@ -4,10 +4,11 @@ The tree grows one depth at a time: every node of a depth with more than d0
 features is split evenly in one vectorized pass (splits.split_level), and
 smaller nodes become leaves. A node's two initial rows are those that
 np.random.default_rng(SeedSequence([seed % 2**63, key])) draws, key being its
-root-to-node bit path, so the tree does not depend on build order;
-kernels.pivot_draws computes them for every node of a depth at once, bit for
-bit, and a node whose rows are all equal draws nothing. When d > d0 every
-leaf ends up with between floor((d0+1)/2) and d0 features.
+root-to-node bit path, so the tree does not depend on build order. The
+tree's shape depends on d and d0 alone, so kernels.pivot_attempts makes the
+draws of every node of the tree at once, bit for bit, before the first
+split, and each depth keeps per node the first pair of distinct rows. When
+d > d0 every leaf ends up with between floor((d0+1)/2) and d0 features.
 """
 
 from __future__ import annotations
@@ -214,6 +215,33 @@ def _int_seed(seed) -> int:
     return operator.index(seed)
 
 
+def _internal_nodes(d: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit paths and sizes of the nodes a tree over d features splits, depth
+    by depth and left to right within a depth: the shape depends on d and
+    d0 alone, each split giving sizes ceil(m/2) and floor(m/2)."""
+    keys, sizes = np.array([1]), np.array([d])
+    found = [(keys[:0], sizes[:0])]
+    while True:
+        inner = sizes > d0
+        if not inner.any():
+            return tuple(np.concatenate(x) for x in zip(*found))
+        keys, sizes = keys[inner], sizes[inner]
+        found.append((keys, sizes))
+        # the left child's bit path appends 0 and the right child's 1
+        keys = (2 * keys[:, None] + [0, 1]).ravel()
+        sizes = np.column_stack(((sizes + 1) // 2, sizes // 2)).ravel()
+
+
+def _first_distinct(pairs: np.ndarray, starts: np.ndarray, ids) -> np.ndarray:
+    """Per node k, the first of its drawn pairs pairs[k] (positions within
+    the node, whose rows start at starts[k]) whose ids differ, or (-1, -1)."""
+    at = ids[starts[:, None, None] + pairs]
+    ok = at[..., 0] != at[..., 1]
+    picks = pairs[np.arange(pairs.shape[0]), np.argmax(ok, axis=1)]
+    picks[~ok.any(axis=1)] = -1
+    return picks
+
+
 def make_tree(
     rs: ReprSet,
     d0: int = 8,
@@ -236,13 +264,13 @@ def make_tree(
         raise ValueError("max_iters must be at least 1")
     seed = _int_seed(seed)
     root = TreeNode()
-    # the depth's nodes, their bit paths (left child appends 0, right child
-    # appends 1) and their members, node k's at members[ptr[k]:ptr[k + 1]]
-    nodes, keys = [root], np.array([1])
+    # the depth's nodes and their members, node k's at members[ptr[k]:ptr[k + 1]]
+    nodes = [root]
     members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
-    # equal rows share an id; a node of one id splits in index order, with
-    # no draws
+    pairs = kernels.pivot_attempts(seed, *_internal_nodes(d, d0), INIT_ATTEMPTS)
+    # equal rows share an id; a node whose drawn rows are all equal splits in
+    # index order
     ids = kernels.row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
     levels = []
     while True:
@@ -256,14 +284,8 @@ def make_tree(
         sizes = sizes[at]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         split = at.tolist()
-        keys = keys[at]
-        node_ids = ids[members]
-        draw = np.flatnonzero(np.minimum.reduceat(node_ids, ptr[:-1])
-                              != np.maximum.reduceat(node_ids, ptr[:-1]))
-        picks = np.full((at.shape[0], 2), -1, dtype=np.int64)
-        if draw.shape[0]:
-            picks[draw] = kernels.pivot_draws(seed, keys[draw], ptr[draw], sizes[draw],
-                                              node_ids, INIT_ATTEMPTS)
+        picks = _first_distinct(pairs[:len(split)], ptr[:-1], ids[members])
+        pairs = pairs[len(split):]
         order, iterations, converged = split_level(
             rs.matrix, members, ptr, picks, max_iters,
             None if weights is None else weights[members], centre)
@@ -273,7 +295,6 @@ def make_tree(
         members = members[order]
         ptr = np.append(np.column_stack((ptr[:-1], ptr[:-1] + (sizes + 1) // 2)).ravel(),
                         ptr[-1])
-        keys = (2 * keys[:, None] + [0, 1]).ravel()
         parents, nodes = [nodes[k] for k in split], []
         for node in parents:
             node.left, node.right = TreeNode(), TreeNode()

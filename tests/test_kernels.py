@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import featagg
-from featagg import kernels, splits
+from featagg import kernels, splits, tree
 from featagg.cooc import PseudoCooc
 from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
@@ -797,6 +798,27 @@ def test_rank_within_nan_runs_one_per_group():
         assert np.array_equal(kernels.rank_within(g, values), want)
 
 
+def test_rank_within_signalling_nan_raises_no_warning():
+    # a signalling NaN (quiet bit clear) ranks as any NaN does, and nothing
+    # computed on it may raise numpy's invalid-value warning; with many
+    # zeros too, which take the zeros-apart path
+    values = np.array([1.0, 0.0, 2.0, 0.5])
+    values.view(np.uint64)[1] = 0x7FF0000000000001
+    many = np.tile(np.concatenate((values, np.zeros(4))), 300)
+    many.view(np.uint64)[5::16] = 0xFFF0000000000002
+    cases = [(np.array([0, 0, 1, 1]), values), (0, values), (np.arange(many.shape[0]) // 7, many),
+             (0, many)]
+    wants = [np.lexsort((-v, np.broadcast_to(g, v.shape))) for g, v in cases]
+    bits = [v.view(np.uint64).copy() for _, v in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [kernels.rank_within(g, v) for g, v in cases]
+    assert got[0].tolist() == [0, 1, 2, 3]
+    for order, want, (_, v), b in zip(got, wants, cases, bits):
+        assert np.array_equal(order, want)
+        assert np.array_equal(v.view(np.uint64), b)
+
+
 # keys within 16 bits, above 16 bits, and spread over int64 so that the
 # composite key overflows
 KEYS = (st.integers(0, 40) | st.integers(-2**20, 2**20)
@@ -842,7 +864,8 @@ def test_ordering_kernels_on_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# pivot_draws against numpy's own generators
+# pivot_attempts, and the tree's pick of each node's first distinct pair,
+# against numpy's own generators
 # ---------------------------------------------------------------------------
 
 
@@ -869,6 +892,13 @@ class CountingRng:
     def choice(self, *args, **kwargs):
         self.calls += 1
         return self.rng.choice(*args, **kwargs)
+
+
+def pivot_picks(seed, keys, starts, sizes, ids, attempts):
+    """Per node, the first of its pivot_attempts pairs whose ids differ."""
+    pairs = kernels.pivot_attempts(seed, keys, sizes, attempts)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(keys), attempts, 2)
+    return tree._first_distinct(pairs, np.asarray(starts), ids)
 
 
 def numpy_picks(seed, keys, starts, sizes, ids):
@@ -899,7 +929,7 @@ def test_pivot_draws_equal_numpy(seed):
     ids = np.select([kind == 0, kind == 1], [at, rng.integers(0, 3, kind.shape[0])],
                     (at == np.repeat(rng.integers(0, sizes), sizes)).astype(np.int64))
     want, attempts = numpy_picks(seed, keys, starts, sizes, ids)
-    got = kernels.pivot_draws(seed, keys, starts, sizes, ids, splits.INIT_ATTEMPTS)
+    got = pivot_picks(seed, keys, starts, sizes, ids, splits.INIT_ATTEMPTS)
     assert got.dtype == np.int64 and got.shape == (n, 2)
     assert np.array_equal(got, want)
     assert set(attempts[want[:, 0] >= 0].tolist()) == set(range(1, splits.INIT_ATTEMPTS + 1))
@@ -916,8 +946,8 @@ def test_pivot_draws_near_two_to_the_32(seed):
     starts = np.arange(sizes.shape[0]) * 11
     ids = HashedIds(2**40)
     want, attempts = numpy_picks(seed, keys, starts, sizes, ids)
-    assert np.array_equal(kernels.pivot_draws(seed, keys, starts, sizes, ids,
-                                              splits.INIT_ATTEMPTS), want)
+    assert np.array_equal(pivot_picks(seed, keys, starts, sizes, ids, splits.INIT_ATTEMPTS),
+                          want)
     assert attempts.max() > 1
     # a size-(2**31 + 2) node's first draw, on 2**31 + 1 values, rejects the
     # low half of the generator's first output when its product's low word
@@ -953,14 +983,14 @@ PINNED_DRAWS = {
 
 def test_pivot_draws_pinned():
     for (seed, key, m), pair in PINNED_DRAWS.items():
-        got = kernels.pivot_draws(seed, np.array([key], dtype=np.uint64), np.zeros(1, np.int64),
-                                  np.array([m]), Positions(), 1)
+        got = pivot_picks(seed, np.array([key], dtype=np.uint64), np.zeros(1, np.int64),
+                          np.array([m]), Positions(), 1)
         assert tuple(got[0].tolist()) == pair, (seed, key, m)
     # seed 3, rows of ids 0 but the last: keys 1 to 11 take 6 (and fail), 6,
     # 3, 1, 2, 6, 6, 3, 1, 3 and 4 attempts
     ids = np.array([0] * 7 + [1])
-    got = kernels.pivot_draws(3, np.arange(1, 12), np.zeros(11, np.int64), np.full(11, 8), ids,
-                              splits.INIT_ATTEMPTS)
+    got = pivot_picks(3, np.arange(1, 12), np.zeros(11, np.int64), np.full(11, 8), ids,
+                      splits.INIT_ATTEMPTS)
     assert got.tolist() == [[-1, -1], [-1, -1], [7, 1], [0, 7], [6, 7], [-1, -1], [-1, -1],
                             [7, 2], [7, 2], [2, 7], [7, 0]]
 

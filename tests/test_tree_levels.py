@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
-from featagg import kernels, splits, synth
+from featagg import splits, synth
+from featagg import tree as tree_module
 from featagg.reprs import ReprSet, build as build_reprs
 from featagg.sparse import SparseMatrix
 from featagg.tree import SplitCounts, ensemble_trees, leaves, make_tree
@@ -108,12 +109,6 @@ def test_identical_rows_fall_back_at_every_node(split_kind):
     assert counts.fallbacks == counts.nodes > 0 and counts.iterations == 0
 
 
-def subtree_features(node):
-    if node.is_leaf:
-        return node.features
-    return np.concatenate((subtree_features(node.left), subtree_features(node.right)))
-
-
 @pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
 def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
     # 400 representatives, 320 of them empty and the rest copies of 4 rows
@@ -121,24 +116,38 @@ def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
     dense = np.zeros((400, 6))
     dense[rng.choice(400, 80, replace=False)] = rng.random((4, 6))[rng.integers(0, 4, 80)]
     rs = ReprSet(matrix=matrix_from_dense(dense), kind="x")
-    keys = []
-    pivot_draws = kernels.pivot_draws
-    monkeypatch.setattr(kernels, "pivot_draws", lambda seed, node_keys, *args:
-                        keys.extend(node_keys.tolist()) or pivot_draws(seed, node_keys, *args))
+    calls = []
+    split_level = tree_module.split_level
+    monkeypatch.setattr(tree_module, "split_level", lambda matrix, members, ptr, picks, *args:
+                        calls.append((members, ptr, picks))
+                        or split_level(matrix, members, ptr, picks, *args))
     tree = assert_matches_reference(rs, 8, split_kind, 2, splits.MAX_ITERS)
-    # a split node (bit path key) draws exactly when its rows are not all
-    # equal
-    one_row, several = [], []
-    stack = [(tree.root, 1)]
-    while stack:
-        node, key = stack.pop()
-        if not node.is_leaf:
-            rows = dense[subtree_features(node)]
-            (one_row if np.all(rows == rows[0]) else several).append(key)
-            stack += [(node.left, 2 * key), (node.right, 2 * key + 1)]
-    assert len(one_row) > 10 and several
-    assert sorted(keys) == sorted(several)
-    assert tree.split_counts().fallbacks >= len(one_row)
+    # every split node draws, in the tree's node order; a node uses its
+    # draws (picks not -1) exactly when its rows differ and one of its
+    # attempts hits two different rows, as numpy's generator for its bit
+    # path draws them
+    split_keys, level = [], [(tree.root, 1)]  # depth by depth, left to right
+    while level:
+        split = [(node, key) for node, key in level if not node.is_leaf]
+        split_keys += [key for _, key in split]
+        level = [child for node, key in split
+                 for child in ((node.left, 2 * key), (node.right, 2 * key + 1))]
+    keys = iter(split_keys)
+    differ, used = [], []
+    for members, ptr, picks in calls:
+        for k, (lo, hi) in enumerate(zip(ptr[:-1].tolist(), ptr[1:].tolist())):
+            rows = dense[members[lo:hi]]
+            ids = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+            node_rng = np.random.default_rng(np.random.SeedSequence([2, next(keys)]))
+            want = splits._pick_two_distinct(ids, node_rng) or (-1, -1)
+            assert tuple(picks[k].tolist()) == want
+            differ.append(not np.all(rows == rows[0]))
+            used.append(picks[k, 0] >= 0)
+    assert next(keys, None) is None
+    differ, used = np.array(differ), np.array(used)
+    assert (~differ).sum() > 10 and used.sum() > differ.sum() // 2
+    assert not (used & ~differ).any()
+    assert tree.split_counts().fallbacks == (~used).sum()
 
 
 # The benchmark's seed-0 shapes: generator arguments and the rows kept as
