@@ -16,10 +16,12 @@ exact (kernels.EXACT_FLOATS). Every other token is decoded and converted by
 one numpy call per kind, so each value is int() or float() of its text. A
 malformed file still fails with a ParseError naming the first faulty line
 and its fault, as a line-by-line parser would report it. Writing formats a
-chunk of rows at a time as one byte matrix (token_rows, join_lines):
-integer digits by uint64 division, and floats by kernels.format_floats, or
-repr() where it cannot; the bytes are those of formatting value by value.
-xcmetrics reads and writes prediction files with the same helpers.
+chunk of rows at a time into one NUL-padded byte matrix (join_lines), each
+token written once into its row: integer digits eight per uint64 by SWAR
+(kernels._eight_digits), and floats by kernels.format_floats, through a
+view of the matrix, or repr() where it cannot; the bytes are those of
+formatting value by value. xcmetrics reads and writes prediction files with
+the same helpers.
 """
 
 from __future__ import annotations
@@ -389,71 +391,96 @@ def _format_rows(feats: SparseMatrix, labels: SparseMatrix, lo: int, hi: int) ->
     """Lines lo..hi-1 of the text format, each ending in a newline: the
     labels joined by commas, then a space and index:value per feature."""
     ls, le, fs, fe = labels.indptr[[lo, hi]].tolist() + feats.indptr[[lo, hi]].tolist()
-    label_counts = np.diff(labels.indptr[lo:hi + 1])
-    label_rows = token_rows(44, labels.indices[ls:le])
-    # no comma before a line's first label
-    label_rows[(np.cumsum(label_counts) - label_counts)[label_counts > 0], 0] = 0
-    return join_lines([(label_counts, label_rows),
-                       (np.diff(feats.indptr[lo:hi + 1]),
-                        token_rows(32, feats.indices[fs:fe], feats.values[fs:fe]))])
+    return join_lines([
+        (np.diff(labels.indptr[lo:hi + 1]), labels.indices[ls:le], None, 44, 0),
+        (np.diff(feats.indptr[lo:hi + 1]), feats.indices[fs:fe], feats.values[fs:fe], 32, 32),
+    ])
 
 
-def token_rows(lead: int, ints: np.ndarray, floats: np.ndarray | None = None
-               ) -> np.ndarray:
-    """One NUL-padded uint8 row per token of a text: the byte lead, str() of
-    ints[i] and, where floats is given, ':' and repr() of floats[i].
+def join_lines(parts: list[tuple]) -> str:
+    """The text of lines of tokens, each line ending in a newline. parts
+    holds (counts, ints, floats, lead, first) tuples: line i holds counts[i]
+    tokens of each part, part by part, and a token is the byte lead (first
+    for the line's first token of the part; 0 is none), str() of ints[j]
+    and, where floats is not None, ':' and repr() of floats[j].
 
-    Integer digits come from uint64 division by constants.
-    kernels.format_floats writes the floats it can, and repr() the rest.
+    Each token is written once, field by field, into its row of one
+    NUL-padded byte matrix, whose last column holds each line's newline (an
+    empty line has a row of its own); the NULs are dropped at once.
+    Integer digits come from kernels._eight_digits, and floats from
+    kernels.format_floats, or repr() where it cannot.
     """
-    k = ints.shape[0]
-    negative = ints < 0
-    size = ints.astype(np.uint64)
-    size[negative] = -size[negative]  # two's complement: |int64 min| too
-    n = len(str(int(size.max(initial=0))))
-    cols = [np.full((k, 1), lead, dtype=np.uint8)]
-    if negative.any():
-        cols.append(np.where(negative, 45, 0).astype(np.uint8)[:, None])
-    digits = np.empty((k, n), dtype=np.uint8)
-    rest = size.copy()
-    for j in range(n - 1, -1, -1):
-        q = rest // 10
-        digits[:, j] = rest - q * 10
-        rest = q
-    digits += 48
-    # no leading zeros: column j < n - 1 holds a digit where
-    # size >= 10**(n - 1 - j)
-    digits[:, :-1][size[:, None] < 10 ** np.arange(n - 1, 0, -1, dtype=np.uint64)] = 0
-    cols.append(digits)
-    if floats is not None:
-        chars, ok = kernels.format_floats(floats)
-        rest = np.flatnonzero(~ok)
-        if rest.shape[0]:
-            width = chars.shape[1]
-            text = np.array([repr(v) for v in floats[rest].tolist()], dtype=f"S{width}")
-            chars[rest] = text.view(np.uint8).reshape(-1, width)
-        cols.append(np.full((k, 1), 58, dtype=np.uint8))
-        cols.append(chars[:, :int(np.count_nonzero(chars.any(axis=0)))])
-    return np.concatenate(cols, axis=1)
-
-
-def join_lines(parts: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """The text of lines of tokens. parts holds (counts, rows) pairs, with
-    rows of token_rows line after line, counts[i] of them on line i; line i
-    holds its rows of every part, part by part, then a newline. The rows go
-    into one NUL-padded byte matrix, and the NULs are dropped at once."""
-    per_line = sum(counts for counts, _ in parts) + 1
-    ends = np.cumsum(per_line)
-    text = np.zeros((int(ends[-1]) if ends.shape[0] else 0,
-                     max(rows.shape[1] for _, rows in parts)), dtype=np.uint8)
-    free = ends - per_line  # each line's next row
-    for counts, rows in parts:
-        at = np.repeat(free - (np.cumsum(counts) - counts), counts)
-        at += np.arange(rows.shape[0])
-        text[at, :rows.shape[1]] = rows
-        free += counts
-    text[free, 0] = 10
+    counts = [part[0] for part in parts]
+    per_line = sum(counts)
+    rows = np.maximum(per_line, 1)
+    starts = np.cumsum(rows) - rows  # each line's first row
+    # a token row: lead, a minus sign if any int is negative, the digits,
+    # and ':' with the 24 columns of a float
+    widths = [1 + bool(ints.min(initial=0) < 0) + _digit_count(ints)
+              + (0 if floats is None else 1 + kernels._FLOAT_CHARS)
+              for _, ints, floats, *_ in parts]
+    text = np.zeros((int(rows.sum()), max(widths) + 1), dtype=np.uint8)
+    text[starts + rows - 1, -1] = 10
+    for (count, ints, floats, lead, first), width in zip(parts, widths):
+        # the rows of each line's tokens, after those of the parts before
+        if len(parts) == 1 and text.shape[0] == ints.shape[0]:
+            into = text  # every row holds one token, in order
+        else:
+            at = np.repeat(starts - (np.cumsum(count) - count), count)
+            at += np.arange(ints.shape[0])
+            into = np.zeros((ints.shape[0], width), dtype=np.uint8)
+        _write_tokens(into, ints, floats, lead)
+        into[(np.cumsum(count) - count)[count > 0], 0] = first
+        if into is not text:
+            text[at, :width] = into
+        starts += count
     return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digit_count(ints: np.ndarray) -> int:
+    """The digits of the largest magnitude in ints (1 for none)."""
+    return len(str(max(int(ints.max(initial=0)), -int(ints.min(initial=0)))))
+
+
+def _write_tokens(into: np.ndarray, ints: np.ndarray, floats: np.ndarray | None,
+                  lead: int) -> None:
+    """Write one token per row of the zeroed byte matrix into: the byte
+    lead, str() of ints[j] and, where floats is given, ':' and repr() of
+    floats[j]."""
+    k, n = ints.shape[0], _digit_count(ints)
+    into[:, 0] = lead
+    size = ints.astype(np.uint64)
+    column = 1
+    if ints.min(initial=0) < 0:
+        negative = ints < 0
+        size[negative] = -size[negative]  # two's complement: |int64 min| too
+        into[:, 1] = negative * np.uint8(45)
+        column = 2
+    # eight digits per uint64, by SWAR; the leading zeros of the 8 * words
+    # digits, those before the last count, stay NULs
+    words = -(-n // 8)
+    digits = np.empty((k, words), dtype=np.uint64)
+    rest = size
+    for j in range(words - 1, 0, -1):
+        high = rest // kernels._U64_POW10[8]
+        digits[:, j] = rest - high * kernels._U64_POW10[8]
+        rest = high
+    digits[:, 0] = rest
+    count = sum((size >= power for power in kernels._U64_POW10[1:n]), np.ones(k, np.int64))
+    skip = np.clip(8 * np.arange(words, 0, -1) - count[:, None], 0, 8).astype(np.uint64)
+    kernels._eight_digits(digits, np.uint64(kernels._ZEROS) << 8 * skip)
+    into[:, column:column + n] = digits.view(np.uint8)[:, 8 * words - n:]
+    if floats is None:
+        return
+    column += n
+    into[:, column] = 58
+    chars, ok = kernels.format_floats(
+        floats, into[:, column + 1:column + 1 + kernels._FLOAT_CHARS])
+    rest = np.flatnonzero(~ok)
+    if rest.shape[0]:
+        text = np.array([repr(v) for v in floats[rest].tolist()],
+                        dtype=f"S{kernels._FLOAT_CHARS}")
+        chars[rest] = text.view(np.uint8).reshape(-1, kernels._FLOAT_CHARS)
 
 
 def save_xc(ds: Dataset, path: str) -> None:

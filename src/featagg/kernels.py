@@ -363,7 +363,8 @@ def pivot_attempts(seed, keys, sizes, attempts):
 # ---------------------------------------------------------------------------
 
 # Zero bytes put before a buffer, so that the up to 24 bytes read before a
-# token's end stay in range
+# token's end stay in range (_padded also puts 8 after it, for the 8 read
+# from a token's start)
 _PAD = 24
 # _FIRST[c + 24]: the low bytes of a little-endian word, which hold its first
 # clip(c, 0, 8) characters
@@ -372,12 +373,19 @@ _FIRST = np.array([(1 << 8 * min(max(c, 0), 8)) - 1 for c in range(-24, 25)],
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
 
 
-def _digits(buf, ends, n, dot_at=None):
+def _padded(buf):
+    """The uint8 buffer buf after _PAD zero bytes and before eight."""
+    padded = np.zeros(_PAD + buf.shape[0] + 8, dtype=np.uint8)
+    padded[_PAD:-8] = buf
+    return padded
+
+
+def _digits(padded, ends, n, dot_at=None):
     """(value, ok) of the n characters (at most 19) before ends in a uint8
-    buffer, read as decimal digits into a uint64; ok is False where any of
-    them is not an ASCII digit. With dot_at (at most 24), the characters at
-    distance dot_at or more from the end are read one byte earlier, which
-    skips a dot.
+    buffer, given as _padded makes it, read as decimal digits into a
+    uint64; ok is False where any of them is not an ASCII digit. With dot_at
+    (at most 24), the characters at distance dot_at or more from the end are
+    read one byte earlier, which skips a dot.
 
     The 8 * width bytes before each end are gathered at once, through an
     unaligned, stride-1 view of the buffer, and read as width little-endian
@@ -390,8 +398,6 @@ def _digits(buf, ends, n, dot_at=None):
     # for a dot: the first word's first character is never a digit
     width = max(-(-(int(n.max(initial=0)) + (dot_at is not None)) // 8), 1)
     o = 8 * np.arange(width, 0, -1)[:, None]  # distance from the end to each word
-    padded = np.zeros(buf.shape[0] + _PAD, dtype=np.uint8)
-    padded[_PAD:] = buf
     spans = np.ndarray((padded.shape[0] + 1 - 8 * width,), f"V{8 * width}", padded,
                        strides=(1,))
     # width rows of words, so that each operation runs along the tokens
@@ -441,7 +447,7 @@ def parse_ints(buf, starts, ends):
     ok marks tokens of 1 to 18 ASCII digits, and values holds int() of each
     of them as int64 (0 elsewhere)."""
     n = ends - starts
-    value, ok = _digits(buf, ends, np.minimum(n, 18))
+    value, ok = _digits(_padded(buf), ends, np.minimum(n, 18))
     ok &= (n >= 1) & (n <= 18)
     return np.where(ok, value, 0).astype(np.int64), ok
 
@@ -474,14 +480,19 @@ def parse_floats(buf, starts, ends, dots):
     zeros, whose exponent has 1 to 3 digits, and whose net power of ten (the
     exponent less the digits after the dot) lies in [-27, 27]; values holds
     float() of each of them (0.0 elsewhere). dots[i] is the position of a
-    dot in token i, or -1 where it has none; the tokens are in ascending
-    order and do not overlap.
+    dot in token i, or -1 where it has none.
 
     The significant digits make an exact uint64 w. w and 10**|q| for a net
     power q are exact in x87 extended precision, whose product or quotient
     rounds once to 64 bits; rounding that to a double is correctly rounded
     unless the extended result is a midpoint of two doubles, and those
     tokens are left out of ok. Without EXACT_FLOATS, ok is all False.
+
+    Every pass reads a few bytes per token, never the whole buffer: an
+    exponent's e among the token's last five bytes and its digits among
+    the last three, a long mantissa's leading zeros from one 8-byte word
+    (more only for runs of eight or more), and the significant digits
+    through _digits.
     """
     m = starts.shape[0]
     if not EXACT_FLOATS:
@@ -497,16 +508,21 @@ def parse_floats(buf, starts, ends, dots):
         sign = buf[np.minimum(starts, buf.shape[0] - 1)]
         negative = sign == 45
         starts = starts + (negative | (sign == 43))
-    # the exponent follows a token's last e or E, after at least one byte,
-    # found in the whole buffer, then in the tokens
-    at = starts[:0]
+    # the exponent follows a token's last e or E, after at least one byte.
+    # An exponent that converts is at most a sign and 3 digits, so its e
+    # lies 2 to 5 bytes before the token's end: the nearest e there is
+    # taken, and a token whose last e lies elsewhere keeps that letter in
+    # its mantissa or exponent, and does not convert
+    at = token = starts[:0]
     if b"e" in text or b"E" in text:
-        at = np.flatnonzero((buf | 32) == 101)
-    token = np.searchsorted(starts, at, "right") - 1
-    inside = (token >= 0) & (at < ends[np.maximum(token, 0)])
-    at, token = at[inside], token[inside]
-    last = np.append(token[1:] != token[:-1], True) & (at > starts[token])
-    at, token = at[last], token[last]
+        back = ends - np.arange(2, 6)[:, None]  # nearest first
+        found = ((buf[back] | 32) == 101) & (back > starts)
+        at = np.where(found[3], back[3], -1)
+        for j in (2, 1, 0):
+            at = np.where(found[j], back[j], at)
+        del back, found
+        token = np.flatnonzero(at >= 0)
+        at = at[token]
     mend = ends  # where the mantissa ends
     has_dot = dots >= 0
     if token.shape[0]:
@@ -514,30 +530,41 @@ def parse_floats(buf, starts, ends, dots):
         mend[token] = at
         has_dot &= dots < mend
         sign = buf[at + 1]
-        signed = (sign == 43) | (sign == 45)
-        n = ends[token] - at - 1 - signed
-        power, exp_ok = _digits(buf, ends[token], np.clip(n, 0, 3))
-        exp_ok &= (n >= 1) & (n <= 3)
-        power = np.where(sign == 45, -power.astype(np.int64), power.astype(np.int64))
+        end = ends[token]
+        n = end - at - 1 - ((sign == 43) | (sign == 45))
+        # the exponent's digits are among the token's last three bytes
+        exp_ok = (n >= 1) & (n <= 3)
+        power = np.zeros(token.shape[0], dtype=np.int64)
+        for j in (3, 2, 1):
+            digit = buf[end - j] - np.uint8(48)
+            used = n >= j
+            exp_ok &= (digit <= 9) | ~used
+            power *= 10
+            power += digit * used
+        power[sign == 45] *= -1
     frac = np.where(has_dot, mend - 1 - dots, 0)
     n = mend - starts - has_dot
     # leading zeros do not count towards the 19 digits: a long mantissa's
     # significant digits start at its first byte other than '0' or its dot,
-    # found eight bytes at a time through an unaligned view of the buffer
+    # found eight bytes at a time through an unaligned view of the buffer:
+    # those bytes read as 0 after an exclusive or with eight '0', and the
+    # lowest set bit of the word, exact as a double, gives the first other
+    # byte (a run of eight or more reads on)
     significant = n
     long = np.flatnonzero(n > 19)
     if long.shape[0]:
         significant = n.copy()
-        padded = np.zeros(buf.shape[0] + 8, dtype=np.uint8)
-        padded[:-8] = buf
-        eights = np.ndarray((buf.shape[0] + 1,), "V8", padded, strides=(1,))
+        padded = _padded(buf)
+        eights = np.ndarray((buf.shape[0] + 1,), "V8", padded, _PAD, (1,))
         lead = starts[long]
         live = np.arange(long.shape[0])
         while live.shape[0]:
-            word = eights[lead[live]].view(np.uint8).reshape(-1, 8)
-            dot = (dots[long[live]] - lead[live])[:, None]
-            skip = (word == 48) | (np.arange(8) == dot)
-            count = np.where(skip.all(axis=1), 8, np.argmin(skip, axis=1))
+            word = eights[lead[live]].view(np.uint64) ^ np.uint64(_ZEROS)
+            dot = dots[long[live]] - lead[live]
+            word &= ~np.left_shift(np.uint64(0xFF), 8 * np.where(dot >= 0, dot, 8).astype(np.uint64))
+            word &= ~word + np.uint64(1)  # the lowest set bit
+            count = np.where(word == 0, 8,
+                             (word.astype(np.float64).view(np.int64) >> 52) - 1023 >> 3)
             lead[live] += count
             live = live[(count == 8) & (lead[live] < mend[long[live]])]
         del padded, eights
@@ -547,7 +574,8 @@ def parse_floats(buf, starts, ends, dots):
     # token-sized scratch is freed as soon as it is used
     fine = (n >= 1) & (significant <= 19)
     del has_dot, n, long
-    value, ok = _digits(buf, mend, np.minimum(significant, 19, out=significant), dot_at)
+    value, ok = _digits(_padded(buf), mend, np.minimum(significant, 19, out=significant),
+                        dot_at)
     del significant, dot_at
     ok &= fine
     del fine
@@ -581,20 +609,22 @@ _DECPT_MIN, _DECPT_MAX = -10, 45
 _U64_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 # 10.0**k for -27 <= k <= 27, at index k + 27
 _F64_POW10 = np.array([10.0**k for k in range(-_MAX_POW, _MAX_POW + 1)])
+# 2.0**-b for 0 <= b < 64
+_F64_HALVES = 0.5 ** np.arange(64)
+# format_floats works on this many values at a time, so that its scratch,
+# about 200 bytes per value, stays small beside the values' and in cache
+_FORMAT_ROWS = 1 << 12
 # how far apart the distances that _shortest compares must be for it to
 # decide, in units of the 17th digit: more than the 0.0055 by which its
 # extended product may miss
 _MARGIN = 2.0**-6
-# a formatted value's characters come from its 17 digits and these bytes
-_LITERALS = b"\0.-e+0123456789"
-# the layout gather indexes 8 bytes per character: it takes this many values
-# at a time, so that its scratch stays small beside the values'
-_GATHER_ROWS = 1 << 10
 
 
-def _eight_digits(v):
+def _eight_digits(v, zeros=_ZEROS):
     """Turn each uint64 of the contiguous array v below 10**8, in place, into
-    its eight ASCII digits, first digit in the lowest byte: SWAR splits it
+    its eight ASCII digits, first digit in the lowest byte, adding zeros,
+    ASCII '0' in each byte (or an array of it, with NULs for digits to
+    leave out as NULs) to the digits 0 to 9: SWAR splits it
     in 32-bit lanes into two numbers below 10**4, those in 16-bit lanes into
     numbers below 100, and those in bytes into digits, dividing by multiply
     and shift (x // 100 == x * 5243 >> 19 for x < 10**4, and x // 10 ==
@@ -611,114 +641,168 @@ def _eight_digits(v):
         v -= high * base
         v <<= lane
         v |= high
-    v += 0x3030303030303030
+    v += zeros
 
 
-def _repr_columns(negative, p, decpt):
-    """The source column of each character of repr() for p significant
-    digits with decimal point position decpt, in format_floats' source rows:
-    digit j is column (j - 1) % 17, a byte of _LITERALS column 17 + its
-    index there.
+def _repr_sources(negative, p, decpt):
+    """The source of each character of repr() for p significant digits with
+    decimal point position decpt: digit j as j, any other character as its
+    byte (every byte of repr() is above 16).
 
     repr() writes fixed notation for -4 < decpt <= 16, and d.ddde+XX
     otherwise, as Python's float_repr_style 'short' does.
     """
-    def text(chars):
-        return [17 + _LITERALS.index(c) for c in chars]
-
-    digits = [(j - 1) % 17 for j in range(p)]
+    digits = list(range(p))
     if -4 < decpt <= 0:
-        columns = text(b"0." + b"0" * -decpt) + digits
+        sources = list(b"0." + b"0" * -decpt) + digits
     elif 0 < decpt < p:
-        columns = digits[:decpt] + text(b".") + digits[decpt:]
+        sources = digits[:decpt] + list(b".") + digits[decpt:]
     elif p <= decpt <= 16:
-        columns = digits + text(b"0" * (decpt - p) + b".0")
+        sources = digits + list(b"0" * (decpt - p) + b".0")
     else:
-        columns = digits[:1] + (text(b".") + digits[1:] if p > 1 else [])
-        columns += text(b"e%+03d" % (decpt - 1))
-    return text(b"-") * negative + columns
+        sources = digits[:1] + (list(b".") + digits[1:] if p > 1 else [])
+        sources += list(b"e%+03d" % (decpt - 1))
+    return list(b"-") * negative + sources
 
 
 @functools.cache
 def _layout():
-    """(columns, widths): _repr_columns for every (sign, p, decpt) in row
-    (sign * 17 + p - 1) * n_decpt + decpt - _DECPT_MIN, padded with the
-    column of a NUL, and the number of characters of each; built on first
-    use, as it takes milliseconds."""
-    rows = [_repr_columns(negative, p, decpt)
-            for negative in (0, 1) for p in range(1, 18)
-            for decpt in range(_DECPT_MIN, _DECPT_MAX + 1)]
-    columns = np.full((len(rows), _FLOAT_CHARS), 17, dtype=np.intp)
-    for r, row in enumerate(rows):
-        columns[r, :len(row)] = row
-    return columns, np.array([len(row) for row in rows])
+    """Ten uint64 rows, one column per (sign, p, decpt), at column (sign *
+    17 + p - 1) * n_decpt + decpt - _DECPT_MIN: 10**(7 - t), for the
+    position t of the first digit in repr(); then three masks, each of three
+    words, for format_floats' 24 bytes: the digits that stay where they are,
+    the digits one byte further on, and the other characters. Built on
+    first use, as it takes milliseconds."""
+    columns = []
+    for negative in (0, 1):
+        for p in range(1, 18):
+            for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+                sources = _repr_sources(negative, p, decpt)
+                t = sources.index(0)
+                masks = np.zeros((3, _FLOAT_CHARS), dtype=np.uint8)
+                for at, source in enumerate(sources):
+                    if source > 16:
+                        masks[2, at] = source
+                    else:  # the digits come after t zeros, one byte later past a dot
+                        assert at - t - source in (0, 1)
+                        masks[at - t - source, at] = 0xFF
+                columns.append([10 ** (7 - t), *masks.view(np.uint64).ravel().tolist()])
+    return np.array(columns, dtype=np.uint64).T.copy()
+
+
+def _rounded(w, d, h, unit):
+    """(r, passed, unsure): the 17-digit integers w rounded to a multiple r
+    of unit, d breaking a tie, whether r reads back, with the distance t
+    from y = w + d to r below half the gap between doubles h by more than
+    _MARGIN, and whether that cannot be decided (t within _MARGIN of h, or
+    a tie that d cannot break)."""
+    cut = w // unit
+    rest = w - cut * unit
+    tie = rest == unit // 2
+    cut += (rest > unit // 2) | tie & (d > 0)
+    cut *= unit
+    t = np.abs(cut.view(np.int64) - w.view(np.int64) - d)
+    passed = t < h - _MARGIN
+    unsure = ~passed & (t <= h + _MARGIN) | tie & (d == 0)
+    passed &= ~unsure
+    return cut, passed, unsure
+
+
+def _fixed(y):
+    """(m, b): the 64-bit significands m of the positive extended-precision
+    y and the number b of their bits below the binary point, y = m / 2**b,
+    as unsigned; b lies in [4, 14] for y in [10**15, 10**18)."""
+    words = y.view(np.uint64).reshape(-1, 2)  # significand, then sign and exponent
+    return words[:, 0], np.uint64(16383 + 63) - (words[:, 1] & 0x7FFF)
 
 
 def _shortest(a):
-    """(i, w, p, e) for the positive doubles a whose significand is not a
-    power of two: a[i] reads back from the p-digit integer w times
-    10**(e - p + 1), with p as small as it can be and w the correctly
-    rounded digits; e is floor(log10(a[i])). The values left out are those
-    the arithmetic below cannot decide.
+    """(sure, w, p, e) for positive doubles a whose significand is not a
+    power of two: where sure, a reads back from its p significant digits,
+    the correctly rounded ones, with p as small as it can be; w holds them
+    followed by 17 - p zeros, a 17-digit integer, or 10**17 for a value
+    that rounds up to a power of ten, and e is floor(log10(a)). sure leaves
+    out the values the arithmetic below cannot decide; w, p and e mean
+    nothing there.
 
     One extended-precision product gives the 17 digits W17 = rint(y) of
     y = a * 10**(16 - e) and their error d = y - W17, exact but for the
     rounding of y to 64 bits (half an ulp of y < 10**17: below
-    10**17 / 2**64 < 0.0055). Rounding
+    10**17 / 2**64 < 0.0055); both come from y's significand bits, which
+    also tell whether y has 17 digits before its point. Rounding
     W17 to p < 17 digits, with d breaking a tie, gives the correctly rounded
     p-digit decimal; it reads back when its distance t to y is below half
     the gap to the next double, h, both in units of W17's last digit. A
     tie that d cannot break, and t within _MARGIN of h, are left out.
+    Since h < 12, a rounding to 10**2 that reads back lies within 12 of
+    W17: it is also the rounding to 10**k for every k up to its trailing
+    zeros, and the rounding to the next power of ten is 10**k - 12 or more
+    away from y, so it never reads back, and is left out only on a tie.
     """
     e = np.floor(np.log10(a)).astype(np.int64)
-    i = np.flatnonzero(np.abs(16 - e) <= _MAX_POW)
-    e = e[i]
+    sure = np.abs(16 - e) <= _MAX_POW
+    # the other values become 1.5, so that the arithmetic stays in range
+    a = np.where(sure, a, 1.5)
+    e[~sure] = 0
+    y = _scale(a.astype(np.longdouble), 16 - e)
+    m, b = _fixed(y)
     # e from log10 may be off by one: y must have 17 digits
-    y = _scale(a[i].astype(np.longdouble), 16 - e)
-    off = (y >= 1e17).astype(np.int64) - (y < 1e16)
+    whole = m >> b
+    off = (whole >= _U64_POW10[17]).astype(np.int64) - (whole < _U64_POW10[16])
     if off.any():
         e += off
-        inside = np.abs(16 - e) <= _MAX_POW
-        i, e, y, off = i[inside], e[inside], y[inside], off[inside]
-        redo = np.flatnonzero(off)
-        y[redo] = _scale(a[i[redo]].astype(np.longdouble), 16 - e[redo])
-    w = np.rint(y)
-    y -= w
-    d = y.astype(np.float64)
-    del y
+        sure &= np.abs(16 - e) <= _MAX_POW
+        redo = np.flatnonzero(off.astype(bool) & sure)
+        y[redo] = _scale(a[redo].astype(np.longdouble), 16 - e[redo])
+        e[~sure] = 0
+        m, b = _fixed(y)
+        whole = m >> b
+    # rint(y): the bits below the point, rounded half up (a tie is left out)
+    rest = m - (whole << b)
+    up = rest >= np.left_shift(1, b - 1)
+    w17 = whole + up
+    b = b.view(np.int64)
+    d = (rest.view(np.int64) - (up.astype(np.int64) << b)) * _F64_HALVES[b]
+    del y, m, b, whole, rest, up
+    # half the gap above a in units of W17's last digit: a normal double's
+    # gap is 2**(E - 1075) for its biased exponent E, and 2**(E - 1076) is
+    # the double of biased exponent E - 53
+    h = ((a.view(np.int64) >> 52) - 53 << 52).view(np.float64)
+    h *= _F64_POW10[16 - e + _MAX_POW]
     # 17 correctly rounded digits always read back, unless rint had a tie
     # to break
-    sure = np.abs(d) != 0.5
-    i, e, d, w17 = i[sure], e[sure], d[sure], w[sure].astype(np.uint64)
-    del w
-    h = np.spacing(a[i]) * 0.5 * _F64_POW10[16 - e + _MAX_POW]
-    w, p = w17.copy(), np.full(i.shape[0], 17, dtype=np.int64)
-    sure = np.ones(i.shape[0], dtype=bool)
-    live = np.arange(i.shape[0])
-    for k in range(1, 17):
-        unit = _U64_POW10[k]
-        whole = w17[live]
-        cut = whole // unit
-        rest = whole - cut * unit
-        dl, hl = d[live], h[live]
-        tie = rest == unit // 2
-        cut += (rest > unit // 2) | tie & (dl > 0)
-        t = np.abs((cut * unit).view(np.int64) - whole.view(np.int64) - dl)
-        passed = t < hl - _MARGIN
-        unsure = ~passed & (t <= hl + _MARGIN) | tie & (dl == 0)
-        sure[live[unsure]] = False
-        passed &= ~unsure
-        live = live[passed]
-        if not live.shape[0]:
-            break
-        w[live], p[live] = cut[passed], 17 - k
-    return i[sure], w[sure], p[sure], e[sure]
+    sure &= np.abs(d) != 0.5
+    w1, one, unsure = _rounded(w17, d, h, _U64_POW10[1])
+    sure &= ~unsure
+    w2, two, unsure = _rounded(w17, d, h, _U64_POW10[2])
+    sure &= ~(one & unsure)
+    two &= one
+    w = np.where(two, w2, np.where(one, w1, w17))
+    p = 17 - one.astype(np.int64) - two
+    # the trailing zeros of the roundings to 10**2 that read back
+    two = np.flatnonzero(two)
+    if two.shape[0]:
+        x = w2[two] // 100
+        k = np.full(two.shape[0], 2)
+        for s in (8, 4, 2, 1):
+            cut = x // _U64_POW10[s]
+            whole = cut * _U64_POW10[s] == x
+            x = np.where(whole, cut, x)
+            k += s * whole
+        np.minimum(k, 16, out=k)
+        p[two] = 17 - k
+        unit = _U64_POW10[np.minimum(k + 1, 16)]
+        tie = (k < 16) & (w17[two] % unit == unit // 2) & (d[two] == 0)
+        sure[two[tie]] = False
+    return sure, w, p, e
 
 
-def format_floats(values):
+def format_floats(values, out=None):
     """(chars, ok): chars[i] holds repr(float(values[i])) as ASCII bytes,
     NUL-padded to 24 columns, where ok[i]; the other rows are all NUL and
-    the caller's to format.
+    the caller's to format. out, if given, is a uint8 array of
+    (len(values), 24) with contiguous rows to write chars into, such as a
+    view of columns of a larger byte matrix.
 
     The shortest digits that read back come from _shortest; among the
     strings of that length, repr() prints the correctly rounded one, which
@@ -727,47 +811,65 @@ def format_floats(values):
     the gap between doubles), a significand that is a power of two (the
     values that read back lie unevenly about it), a power of ten beyond
     10**27, zero and non-finite values, and every value without
-    EXACT_FLOATS. The characters come from one layout table, indexed by
-    sign, digit count and decimal-point position, that gives each column its
-    source: one flat gather writes them all.
+    EXACT_FLOATS. Each value's characters are three uint64 words: SWAR
+    (_eight_digits) writes its 17 digits, shifted by a power of ten so
+    that the first lands where repr() puts it, and three masks from one
+    column of a layout table, indexed by sign, digit count and
+    decimal-point position, keep the digits before a dot, the digits after
+    it (read one byte earlier) and add the other characters. Every value
+    goes through the same passes; the rows left out are cleared at the end.
     """
     x = np.asarray(values, dtype=np.float64)
+    chars = np.empty((x.shape[0], _FLOAT_CHARS), dtype=np.uint8) if out is None else out
     ok = np.zeros(x.shape[0], dtype=bool)
     if not EXACT_FLOATS:
-        return np.zeros((x.shape[0], _FLOAT_CHARS), dtype=np.uint8), ok
-    # finite values whose significand is not a power of two (nor zero)
-    at = np.flatnonzero(np.isfinite(x) & (x.view(np.uint64) << 12 != 0))
-    done, w, p, e = _shortest(np.abs(x[at]))
-    done = at[done]
-    chars = np.zeros((x.shape[0], _FLOAT_CHARS), dtype=np.uint8)
-    # a carry to 10**p reads back at p = 1 only: it is one digit '1'
-    carry = w >= _U64_POW10[p]
-    w[carry] //= 10
-    e[carry] += 1
-    # the source rows: digits 1 to 16, digit 0, then _LITERALS
-    k = done.shape[0]
-    source = np.empty((k, 32), dtype=np.uint8)
-    w *= _U64_POW10[17 - p]
-    lead = w // _U64_POW10[16]
-    w -= lead * _U64_POW10[16]
-    halves = np.empty((k, 2), dtype=np.uint64)
-    halves[:, 0] = w // _U64_POW10[8]
-    halves[:, 1] = w - halves[:, 0] * _U64_POW10[8]
-    _eight_digits(halves)
-    source[:, :16] = halves.view(np.uint8).reshape(k, 16)
-    source[:, 16] = lead + 48
-    source[:, 17:] = np.frombuffer(_LITERALS, dtype=np.uint8)
-    columns, widths = _layout()
-    key = ((np.signbit(x[done]) * 17 + p - 1) * (_DECPT_MAX - _DECPT_MIN + 1)
-           + e + 1 - _DECPT_MIN)
-    width = int(widths[key].max(initial=0))
-    for lo in range(0, k, _GATHER_ROWS):
-        block = slice(lo, lo + _GATHER_ROWS)
-        flat = np.take(columns[:, :width], key[block], axis=0)
-        flat += 32 * np.arange(lo, min(lo + _GATHER_ROWS, k))[:, None]
-        chars[done[block], :width] = source.ravel()[flat]
-    ok[done] = True
+        chars[...] = 0
+        return chars, ok
+    for lo in range(0, x.shape[0], _FORMAT_ROWS):
+        ok[lo:lo + _FORMAT_ROWS] = _format_rows(x[lo:lo + _FORMAT_ROWS],
+                                                chars[lo:lo + _FORMAT_ROWS])
     return chars, ok
+
+
+def _format_rows(x, chars):
+    """format_floats' ok for the doubles x, writing their rows of chars."""
+    # finite values whose significand is not a power of two (nor zero);
+    # the others become 1.5, and are left out
+    nice = np.isfinite(x) & (x.view(np.uint64) << 12 != 0)
+    ok, w, p, e = _shortest(np.where(nice, np.abs(x), 1.5))
+    ok &= nice
+    # a carry to 10**17 is the digit '1' of the next power of ten
+    carry = w == _U64_POW10[17]
+    w[carry] = _U64_POW10[16]
+    e += carry
+    masks = np.take(_layout(), (np.signbit(x) * 17 + p - 1)
+                    * (_DECPT_MAX - _DECPT_MIN + 1) + e + 1 - _DECPT_MIN,
+                    axis=1, mode="clip")
+    # the 24 digits of w * 10**(7 - t), in three words of eight: t zeros,
+    # the 17 digits of w and 7 - t zeros. For w = high * 10**8 + low, low
+    # * 10**(7 - t) < 10**15 gives the last word and a carry, and high *
+    # 10**(7 - t) plus the carry, below 10**16, the first two
+    eight = _U64_POW10[8]
+    words = np.empty((3, x.shape[0]), dtype=np.uint64)
+    high = w // eight
+    low = (w - high * eight) * masks[0]
+    over = low // eight
+    words[2] = low - over * eight
+    high *= masks[0]
+    high += over
+    words[0] = high // eight
+    words[1] = high - words[0] * eight
+    del w, high, low, over
+    _eight_digits(words)
+    later = words << 8  # each character one byte later
+    later[1:] |= words[:-1] >> 56
+    later &= masks[4:7]
+    words &= masks[1:4]
+    words |= later
+    del later
+    np.bitwise_or(words, masks[7:], out=chars.view(np.uint64).T)
+    chars[np.flatnonzero(~ok)] = 0
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .sparse import SparseMatrix, _value_eq
 
 MAX_ITERS = 20
 INIT_ATTEMPTS = 6  # one initial draw plus up to five redraws
+# split_level compacts its working set once the rows of unconverged nodes
+# are at most this share of it
+_COMPACT_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,9 @@ class _Working:
     i-th row of a node sits at the node's i-th level position. What an
     iteration needs that depends only on the rows and node sizes (the plus
     side of each ranked position, the side sizes per slot, the row-weighted
-    values) is computed here once; keep() compacts every array when nodes
-    leave, so an iteration costs O(nnz of the working rows).
+    values) is computed here once; keep() compacts every array, which
+    split_level does once a share of the rows has converged, so an
+    iteration costs O(nnz of the working rows).
     """
 
     def __init__(self, nodes, places, rows, node, lens, values, weighted, slot, slots,
@@ -270,6 +274,10 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
                work.slots)
 
     prev = None
+    # working nodes that have not converged: a converged node's rows stay in
+    # the working set, where they repeat their halves, until a share of the
+    # rows has left and keep() compacts the set
+    active = np.ones(work.nodes.shape[0], dtype=bool)
     for it in range(1, max_iters + 1):
         ranked = kernels.rank_within(work.node, work.scores(c))
         if trace is not None:
@@ -283,19 +291,23 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
         done = np.zeros(work.nodes.shape[0], dtype=bool)
         if prev is not None:
             done = np.bincount(work.node[assign != prev], minlength=done.shape[0]) == 0
+            done &= active
         if it == max_iters:
-            converged[work.nodes[~done]] = False
-            done[:] = True
+            converged[work.nodes[active & ~done]] = False
+            done = active
         if done.any():
             finished = done[work.node]
             order[work.places[finished]] = work.rows[ranked[finished]]
             iterations[work.nodes[done]] = it
-            if done.all():
+            active = active & ~done
+            if not active.any():
                 break
-            keep = ~finished
-            ranked = (np.cumsum(keep) - 1)[ranked[keep]]
-            assign = assign[keep]
-            work = work.keep(~done)
+            keep = active[work.node]
+            if np.count_nonzero(keep) <= _COMPACT_SHARE * keep.shape[0]:
+                ranked = (np.cumsum(keep) - 1)[ranked[keep]]
+                assign = assign[keep]
+                work = work.keep(active)
+                active = np.ones(work.nodes.shape[0], dtype=bool)
         prev = assign
         c = work.centres(ranked, centre)
     return order, iterations, converged

@@ -444,10 +444,8 @@ def save_predictions(preds: Predictions | Sequence, stream: IO[str]) -> None:
 def _format_rows(preds: Predictions, lo: int, hi: int) -> str:
     """Lines lo..hi-1 of the prediction format, each ending in a newline."""
     s, e = preds.indptr[lo], preds.indptr[hi]
-    counts = np.diff(preds.indptr[lo:hi + 1])
-    rows = dataio.token_rows(32, preds.labels[s:e], preds.scores[s:e])
-    rows[(np.cumsum(counts) - counts)[counts > 0], 0] = 0  # no space first
-    return dataio.join_lines([(counts, rows)])
+    return dataio.join_lines([(np.diff(preds.indptr[lo:hi + 1]), preds.labels[s:e],
+                               preds.scores[s:e], 32, 0)])
 
 
 # the bytes besides space and newline that str.split() splits ASCII text at

@@ -338,3 +338,20 @@ def test_criterion_11_eurlex_spot_check():
     assert normalized_entropy(part) >= 0.99
     report(11, f"EURLex clustered in {elapsed:.1f}s, balance "
                f"{balance_factor(part):.2f}, entropy {normalized_entropy(part):.3f}")
+
+
+def test_criterion_12_paper_shape_clustering():
+    # criterion 11's clustering checks on a synthetic dataset of EURLex's
+    # statistics (15539 points, 5000 features, 237 stored per point, 3993
+    # labels, 5 per point), which needs no download
+    ds = random_dataset(np.random.default_rng(0), 15539, 5000, n_labels=3993,
+                        nnz_per_row=237, labels_per_row=5)
+    t0 = time.perf_counter()
+    rs = build_reprs(ds, mode="x", doc_fraction=0.25)
+    part = leaves(make_tree(rs, d0=8, split_kind="kmeans", seed=0))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0
+    assert balance_factor(part) <= 1.3
+    assert normalized_entropy(part) >= 0.99
+    report(12, f"paper-shape synthetic clustered in {elapsed:.1f}s, balance "
+               f"{balance_factor(part):.2f}, entropy {normalized_entropy(part):.3f}")

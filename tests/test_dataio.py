@@ -1,10 +1,11 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from featagg import dataio, kernels
+from featagg import dataio, kernels, synth
 from featagg.dataio import Dataset, parse_xc, stats, write_xc
 from featagg.errors import ParseError
 from featagg.sparse import SparseMatrix, SparseVec
@@ -310,3 +311,60 @@ def test_huge_label_is_out_of_range():
     # the per-line parser let numpy's OverflowError escape here
     with pytest.raises(ParseError, match=r"line 2: label index out of range"):
         parse_xc("1 2 1\n99999999999999999999 0:1\n")
+
+
+# sha256 of write_xc's bytes for synth.powerlaw_dataset at the shape of the
+# rerank benchmark, as str() and repr() value by value write them: a change
+# to the writer's passes must keep them
+POWERLAW_SHA256 = "131a64344c8c71c56d0d564106a28d93b9150fcf23b1b95e5ed8583d05e23b15"
+
+
+def test_write_xc_bytes_are_pinned_at_benchmark_scale():
+    ds = synth.powerlaw_dataset(np.random.default_rng(0), n=1000, d=2048, n_labels=250,
+                                bundle_size=3, zipf_exponent=1.3, noise_features=4)
+    text = write_xc(ds)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == POWERLAW_SHA256
+    back = parse_xc(text)
+    for got, want in ((back.features, ds.features), (back.labels, ds.labels)):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        for name in ("indptr", "indices", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def python_lines(parts):
+    """join_lines' text, written value by value with str() and repr()."""
+    lines = []
+    starts = [np.cumsum(counts) - counts for counts, *_ in parts]
+    for i in range(parts[0][0].shape[0]):
+        line = ""
+        for (counts, ints, floats, lead, first), start in zip(parts, starts):
+            for j in range(start[i], start[i] + counts[i]):
+                byte = first if j == start[i] else lead
+                line += (chr(byte) if byte else "") + str(int(ints[j]))
+                if floats is not None:
+                    line += ":" + repr(float(floats[j]))
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def test_join_lines_matches_python_formatting(rng):
+    # integers of every digit count up to 19 and both signs, int64's ends,
+    # empty lines, one or two parts, floats of every kind
+    edges = np.array([0, 1, 9, 10, 99999999, 100000000, 10**16, 10**18 - 1, -1, -10**8,
+                      np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    specials = np.array([0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, np.nan, 5e-324, 1e16,
+                         1e-5, -2.5e-7, 1 / 3])
+    for case in range(200):
+        n = int(rng.integers(0, 12))
+        parts = []
+        for _ in range(int(rng.integers(1, 3))):
+            counts = rng.integers(0, 5, n) * (rng.random(n) < 0.8)
+            k = int(counts.sum())
+            digits = rng.integers(0, 19, k)
+            ints = [rng.integers(0, 10**digits) * rng.choice([-1, 1], k), edges[rng.integers(0, 12, k)],
+                    rng.integers(0, 300, k)][case % 3]
+            floats = [None, specials[rng.integers(0, 12, k)],
+                      rng.normal(size=k) * 10.0 ** rng.integers(-20, 30, k)][case // 3 % 3]
+            parts.append((counts, ints, floats, int(rng.choice([32, 44])), int(rng.choice([0, 32]))))
+        assert dataio.join_lines(parts) == python_lines(parts)

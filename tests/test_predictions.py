@@ -7,6 +7,7 @@ the top-k boundary and shortlists shorter than k, with the chunk constants
 also patched small so that every chunk boundary is crossed.
 """
 
+import hashlib
 import io
 import tracemalloc
 
@@ -448,3 +449,31 @@ def test_text_writers_scratch_is_chunk_bounded(rng):
         planned = 8 * 3 * rows if write is dataio.write_xc else 0
         assert peaks[1] < 1.2 * peaks[0] + planned
         assert peaks[1] < sink.chars / 3
+
+
+# sha256 of save_predictions' bytes for benchmark_predictions(), as repr()
+# value by value writes them: a change to the writer's passes must keep them
+PREDICTIONS_SHA256 = "2a127ad12f04340035edef5907dc92809136c8c4914c8126296f714e7e48ed57"
+
+
+def benchmark_predictions():
+    """650 ranked rows of 100 of 250 labels, as the rerank benchmark
+    predicts them: sigmoid scores, about a quarter of them below 1e-4, so
+    that repr() writes them in exponent form."""
+    rng = np.random.default_rng(2026)
+    labels = np.argsort(rng.random((650, 250)), axis=1)[:, :100]
+    scores = -np.sort(-1.0 / (1.0 + np.exp(-rng.normal(-6.0, 5.0, (650, 100)))), axis=1)
+    return Predictions(np.arange(0, 650 * 100 + 1, 100), labels.ravel(), scores.ravel())
+
+
+def test_save_predictions_bytes_are_pinned_at_benchmark_scale():
+    preds = benchmark_predictions()
+    out = io.StringIO()
+    save_predictions(preds, out)
+    text = out.getvalue()
+    assert 0.2 < text.count("e-") / preds.scores.shape[0] < 0.35
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PREDICTIONS_SHA256
+    back = load_predictions(io.StringIO(text))
+    assert back.indptr.tobytes() == preds.indptr.tobytes()
+    assert back.labels.tobytes() == preds.labels.tobytes()
+    assert back.scores.tobytes() == preds.scores.tobytes()
