@@ -2,18 +2,23 @@
 
 Each kernel has one numpy implementation; only ``ova_sgd`` (over its
 sequential steps, whose entries it gathers a chunk of steps at a time) and
-``score_rows`` (one BLAS product per row) loop in Python.
-``sparse_product`` is the one product A B, and ``product_chunks`` yields it
-a chunk of rows at a time: they carry representatives, label sums, the
-co-occurrence product, label mutual information and rerank affinities.
-``_PRODUCT_CHUNK_PAIRS`` bounds the scratch of both chunk loops.
+``score_rows`` (one BLAS product per row, of the row's values with the
+contiguous rows of column-major weights at its indices) loop in Python.
+``product_pairs`` expands the products of A B a chunk of rows at a time;
+``product_chunks`` sums each chunk into its CSR triple, and
+``sparse_product`` joins them: they carry representatives, label sums, the
+co-occurrence product and label mutual information. Rerank affinities read
+their shortlisted dots from each chunk's key table (``key_sums``), or
+gather them from dense prototypes (``gather_dots``).
+``_PRODUCT_CHUNK_PAIRS`` bounds the scratch of every chunk loop.
 ``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
 readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
 the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
-the ordering kernels (``rank_within``, ``group_order``, ``row_ids``) are
-compared with ``np.lexsort`` and ``np.array_equal`` instead, and
-``pivot_attempts``, the tree's per-node draws, with numpy's own generators.
+the ordering kernels (``rank_within``, ``group_order``, ``group_repeats``,
+``row_ids``) are compared with ``np.lexsort``, ``np.array_equal`` and
+Python's sets instead, and ``pivot_attempts``, the tree's per-node draws,
+with numpy's own generators.
 
 The sparse kernels take (indptr, indices, values) CSR triples with int64
 indices and float64 values; callers are responsible for dtype discipline.
@@ -139,30 +144,58 @@ def rank_within(group, values):
     return order
 
 
-def group_order(group, key):
-    """Positions by ascending group, then ascending key, ties in position
-    order, as np.lexsort((key, group)) gives them, for int64 arrays (group
-    may be a scalar, for one group).
-
-    One stable argsort of (group - min) * span + (key - min), cast to the
-    narrowest unsigned type that holds it: composite keys below 2**16 take
-    numpy's radix sort. np.lexsort runs only when that key would overflow
-    int64.
-    """
-    key = np.asarray(key)
-    if key.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    group = np.asarray(group)
+def _composite(group, key):
+    """(composite, span, g_lo): the key (group - g_lo) * span + (key - min)
+    that orders positions by group, then key, cast to the narrowest unsigned
+    type that holds it; None when it would overflow int64. group may be a
+    scalar; key is a non-empty int64 array."""
     k_lo, k_hi = int(key.min()), int(key.max())
     g_lo, g_hi = (int(group.min()), int(group.max())) if group.ndim else (0, 0)
     span = k_hi - k_lo + 1
     top = (g_hi - g_lo) * span + span - 1
     if top > np.iinfo(np.int64).max:
-        return np.lexsort((key, np.broadcast_to(group, key.shape)))
+        return None
     composite = np.subtract(key, k_lo, dtype=np.int64)
     if g_hi > g_lo:
         composite += (group - g_lo) * span
-    return np.argsort(composite.astype(np.min_scalar_type(top)), kind="stable")
+    return composite.astype(np.min_scalar_type(top)), span, g_lo
+
+
+def group_order(group, key):
+    """Positions by ascending group, then ascending key, ties in position
+    order, as np.lexsort((key, group)) gives them, for int64 arrays (group
+    may be a scalar, for one group).
+
+    One stable argsort of the composite key (group - min) * span + (key -
+    min), cast to the narrowest unsigned type that holds it: composite keys
+    below 2**16 take numpy's radix sort. np.lexsort runs only when that key
+    would overflow int64.
+    """
+    key = np.asarray(key)
+    if key.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    group = np.asarray(group)
+    composite = _composite(group, key)
+    if composite is None:
+        return np.lexsort((key, np.broadcast_to(group, key.shape)))
+    return np.argsort(composite[0], kind="stable")
+
+
+def group_repeats(group, key):
+    """The group of every (group, key) pair that repeats an earlier one, in
+    ascending order, for int64 arrays: one sort of group_order's composite
+    key, or group_order itself when that key would overflow."""
+    if key.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    composite = _composite(group, key)
+    if composite is None:
+        order = group_order(group, key)
+        group, key = group[order], key[order]
+        return group[1:][(group[1:] == group[:-1]) & (key[1:] == key[:-1])]
+    composite, span, g_lo = composite
+    composite.sort()
+    repeat = composite[1:][composite[1:] == composite[:-1]]
+    return repeat.astype(np.int64) // span + g_lo
 
 
 def _mix(x):
@@ -950,27 +983,44 @@ def key_slots(keys, size):
     return np.flatnonzero(present), slot_of[keys]
 
 
+def key_table(keys, values, size):
+    """(present, sums): the values at each int64 key in [0, size) summed in
+    input order. When the range is dense enough present is None and sums has
+    one bin per key of the range (0.0 where no key falls); otherwise present
+    holds the distinct keys ascending and sums their sums."""
+    if size > _DENSE_SLOTS_PER_KEY * keys.shape[0]:
+        present, slot = np.unique(keys, return_inverse=True)
+        return present, np.bincount(slot, weights=values, minlength=present.shape[0])
+    return None, np.bincount(keys, weights=values, minlength=size)
+
+
+def key_sums(keys, values, size, at):
+    """The key_table sums at the keys at, 0.0 at a key no value falls on."""
+    present, sums = key_table(keys, values, size)
+    if present is None:
+        return sums[at]
+    if present.shape[0] == 0:
+        return np.zeros(at.shape[0])
+    pos = np.minimum(np.searchsorted(present, at), present.shape[0] - 1)
+    return np.where(present[pos] == at, sums[pos], 0.0)
+
+
 def coalesce(keys, values, nrows, ncols):
     """CSR triple of the entries at keys = row * ncols + column: the values at
     one key are summed in input order, exact zeros dropped."""
-    size = nrows * ncols
-    if size > _DENSE_SLOTS_PER_KEY * keys.shape[0]:
-        keys, slot = np.unique(keys, return_inverse=True)
-        sums = np.bincount(slot, weights=values, minlength=keys.shape[0])
-        keep = sums != 0.0
-        keys, sums = keys[keep], sums[keep]
-    else:
-        # one bin per key in the range: a key that never occurs sums to 0.0,
-        # and goes with the exact zeros
-        sums = np.bincount(keys, weights=values, minlength=size)
-        keys = np.flatnonzero(sums)
-        sums = sums[keys]
-    counts = np.bincount(keys // ncols, minlength=nrows)
-    return np.concatenate(([0], np.cumsum(counts))), keys % ncols, sums
+    keys_at, sums = key_table(keys, values, nrows * ncols)
+    keep = sums != 0.0
+    # in a dense table a key that never occurs sums to 0.0, and goes with the
+    # exact zeros
+    keys_at = np.flatnonzero(keep) if keys_at is None else keys_at[keep]
+    sums = sums[keep]
+    counts = np.bincount(keys_at // ncols, minlength=nrows)
+    return np.concatenate(([0], np.cumsum(counts))), keys_at % ncols, sums
 
 
 # ---------------------------------------------------------------------------
-# product_chunks / sparse_product: CSR of A B from the CSR triples of A and B
+# product_pairs / product_chunks / sparse_product: A B from the CSR triples
+# of A and B
 # ---------------------------------------------------------------------------
 
 
@@ -980,23 +1030,33 @@ def coalesce(keys, values, nrows, ncols):
 _PRODUCT_CHUNK_PAIRS = 1 << 14
 
 
-def product_chunks(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
-                   ncols):
-    """(lo, hi, indptr, indices, values) for consecutive ranges [lo, hi) of
-    the rows of A: the CSR triple of those rows of A B, B with ncols columns.
-    Entry (r, c) sums a[r, i] * b[i, c] over row r's stored entries in
-    stored order (see coalesce, which also drops exact zeros)."""
+def product_pairs(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
+                  ncols):
+    """(lo, hi, keys, values) for consecutive ranges [lo, hi) of the rows of
+    A: every product a[r, i] * b[i, c] of those rows, keyed (r - lo) * ncols
+    + c, in the stored order of row r's entries, then of B's row i; B has
+    ncols columns."""
     # expanded pairs before each row of A
     ends = np.concatenate(
         ([0], np.cumsum(b_indptr[a_indices + 1] - b_indptr[a_indices])))[a_indptr]
     for lo, hi in chunk_ranges(ends, _PRODUCT_CHUNK_PAIRS):
         s, e = a_indptr[lo], a_indptr[hi]
         starts, stops = b_indptr[a_indices[s:e]], b_indptr[a_indices[s:e] + 1]
-        r = stops - starts
         flat = concat_ranges(starts, stops)
         row = np.repeat(np.arange(hi - lo), np.diff(ends[lo : hi + 1]))
-        yield lo, hi, *coalesce(row * ncols + b_indices[flat],
-                                np.repeat(a_values[s:e], r) * b_values[flat], hi - lo, ncols)
+        yield (lo, hi, row * ncols + b_indices[flat],
+               np.repeat(a_values[s:e], stops - starts) * b_values[flat])
+
+
+def product_chunks(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
+                   ncols):
+    """(lo, hi, indptr, indices, values) for the product_pairs ranges [lo, hi)
+    of the rows of A: the CSR triple of those rows of A B. Entry (r, c) sums
+    a[r, i] * b[i, c] over row r's stored entries in stored order (see
+    coalesce, which also drops exact zeros)."""
+    for lo, hi, keys, values in product_pairs(
+            a_indptr, a_indices, a_values, b_indptr, b_indices, b_values, ncols):
+        yield lo, hi, *coalesce(keys, values, hi - lo, ncols)
 
 
 def sparse_product(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
@@ -1010,6 +1070,25 @@ def sparse_product(a_indptr, a_indices, a_values, b_indptr, b_indices, b_values,
         sums.append(values)
     return (np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
             np.concatenate(cols), np.concatenate(sums))
+
+
+def gather_dots(indptr, indices, values, rows, dense, labels):
+    """dense[labels[t]] dotted with CSR row rows[t], for every t: each dot
+    adds values * dense[labels[t], indices] to 0.0 in the row's stored order,
+    at most _PRODUCT_CHUNK_PAIRS gathered entries (or one dot) at a time."""
+    dots = np.zeros(rows.shape[0])
+    flat_dense = dense.reshape(-1)
+    starts, stops = indptr[rows], indptr[rows + 1]
+    lengths = stops - starts
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    for lo, hi in chunk_ranges(ends, _PRODUCT_CHUNK_PAIRS):
+        flat = concat_ranges(starts[lo:hi], stops[lo:hi])
+        dot = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+        gathered = flat_dense[np.repeat(labels[lo:hi] * dense.shape[1], lengths[lo:hi])
+                              + indices[flat]]
+        gathered *= values[flat]
+        dots[lo:hi] = np.bincount(dot, weights=gathered, minlength=hi - lo)
+    return dots
 
 
 # ---------------------------------------------------------------------------
@@ -1169,12 +1248,16 @@ def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
 
 
 def score_rows(indptr, indices, values, weights, bias):
+    """Rows of values @ weights.T + bias: each row's scores are one BLAS
+    product of its values with the rows of weights.T at its indices, rows
+    that are contiguous when weights is column-major."""
     nrows = indptr.shape[0] - 1
+    wt = weights.T
     out = np.empty((nrows, weights.shape[0]), dtype=np.float64)
     for r in range(nrows):
         s, e = indptr[r], indptr[r + 1]
         if e > s:
-            out[r] = weights[:, indices[s:e]] @ values[s:e] + bias
+            out[r] = values[s:e] @ wt[indices[s:e]] + bias
         else:
             out[r] = bias
     return out

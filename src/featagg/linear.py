@@ -37,7 +37,7 @@ class OvaConfig:
 
 @dataclass(frozen=True)
 class OvaModel:
-    weights: np.ndarray  # (n_labels, dim)
+    weights: np.ndarray  # (n_labels, dim), column-major (see kernels.score_rows)
     bias: np.ndarray  # (n_labels,)
     config: OvaConfig
     __eq__ = _value_eq
@@ -105,7 +105,7 @@ def train_ova(
             "override"
         )
     yt = ds.labels.transpose()
-    weights = np.zeros((n_labels, dim), dtype=np.float64)
+    weights = np.zeros((n_labels, dim), dtype=np.float64, order="F")
     bias = np.zeros(n_labels, dtype=np.float64)
     seed = config.seed % 2**63
     block = max(1, _SGD_BLOCK_STEPS // max(1, n * config.epochs))
@@ -184,7 +184,9 @@ def save_model(model: OvaModel, path: str) -> None:
 
 
 def load_model(path: str) -> OvaModel:
-    """Read a model saved by save_model; a malformed file is a ValueError."""
+    """Read a model saved by save_model; a malformed file is a ValueError.
+    Weights saved row-major, as files of earlier versions hold them, are
+    made column-major once here."""
     arrays = load_arrays(path, "model", _MODEL_ARRAYS)
     try:
         config = OvaConfig(**json_object(arrays["config"], "model config"))
@@ -200,4 +202,4 @@ def load_model(path: str) -> OvaModel:
         raise ValueError(
             f"model bias has shape {bias.shape}, expected ({weights.shape[0]},)"
         )
-    return OvaModel(weights=weights, bias=bias, config=config)
+    return OvaModel(weights=np.asfortranarray(weights), bias=bias, config=config)

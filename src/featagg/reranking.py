@@ -5,11 +5,19 @@ Each label gets a closed-form prototype: the co-occurrence matrix applied to
 the sum of that label's positive points. A test point's affinity to a label is
 a Gaussian kernel of its distance to the prototype, and the final ranking
 combines log base-classifier scores with log affinities over a shortlist. The
-label sums (rows of Y^T X) come from ``kernels.sparse_product``, and the dot
-products of test points with prototypes (entries of X P^T) from
-``kernels.product_chunks``, whose chunks of test points rerank_predictions
-ranks one at a time. The per-point functions (affinity, affinity_scores,
-rerank) are one-row calls of rerank_predictions' arithmetic and checks.
+label sums (rows of Y^T X) come from ``kernels.sparse_product``.
+
+rerank_predictions needs only the shortlisted entries of X P^T, and takes
+the cheaper of two exact paths to them. The product path expands a chunk of
+test points' products with the prototypes (``kernels.product_pairs``) and
+reads each shortlisted dot from that chunk's key table
+(``kernels.key_sums``), ranking the chunk before the next. The gather path,
+taken only when the prototypes are at least half dense and it costs fewer
+gathered entries, holds P dense and sums each shortlisted prototype at its
+query's features (``kernels.gather_dots``). Both add a dot's products in the
+query's stored order, so the choice changes no byte. The per-point
+functions (affinity, affinity_scores, rerank) are one-row calls of
+rerank_predictions' arithmetic and checks on the product path.
 """
 
 from __future__ import annotations
@@ -92,16 +100,15 @@ def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.nd
     takes for x as its one unnormalized query row, after the same checks."""
     labels = np.asarray(labels, dtype=np.int64)
     short = Predictions([0, labels.size], labels, np.zeros(labels.size), validate=False)
-    x, x_sq, pt, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
-    product = kernels.sparse_product(x.indptr, x.indices, x.values,
-                                     pt.indptr, pt.indices, pt.values, ps.n_labels)
-    return _affinities(ps, p_sq, product, x_sq, np.zeros(labels.size, np.int64), labels)
+    x, x_sq, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
+    (_, _, dots), = _product_dots(ps, x, short)
+    return _affinities(ps, p_sq, x_sq, np.zeros(labels.size, np.int64), labels, dots)
 
 
 def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: bool):
     """Check the shortlist and queries against the prototypes; return the
     queries (unit L2 if normalize), their squared norms, and the prototypes'
-    transpose and squared norms."""
+    squared norms."""
     if x.cols != ps.dim:
         raise ValueError(f"test dim {x.cols} != prototype dim {ps.dim}")
     short.check_labels(ps.n_labels)
@@ -110,31 +117,76 @@ def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: b
         values = x.values / np.repeat(np.where(x_norm > 0, x_norm, 1.0), x.row_nnz())
         x = SparseMatrix(x.rows, x.cols, x.indptr, x.indices, values, validate=False)
         x_norm = np.sqrt(x.row_sq_norms())
-    return x, x_norm ** 2, ps.matrix.transpose(), ps.sq_norms()
+    return x, x_norm ** 2, ps.sq_norms()
+
+
+def _product_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions):
+    """(lo, hi, dots) for the kernels.product_pairs ranges [lo, hi) of query
+    rows: the dot of each of their shortlisted prototypes with its query,
+    read from the key table of that chunk of x P^T.
+
+    Each dot adds the products of the query's stored entries with the
+    prototype's entries at the same feature, in the query's stored order; no
+    query is expanded to a dense vector.
+    """
+    n_labels = ps.n_labels
+    pt = ps.matrix.transpose()
+    lengths = short.lengths()
+    for lo, hi, keys, values in kernels.product_pairs(
+            x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, n_labels):
+        s, e = short.indptr[lo], short.indptr[hi]
+        at = np.repeat(np.arange(hi - lo) * n_labels, lengths[lo:hi])
+        at += short.labels[s:e]
+        yield lo, hi, kernels.key_sums(keys, values, (hi - lo) * n_labels, at)
+
+
+def _gather_pays(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> bool:
+    """Whether _gather_dots is the cheaper path: the prototypes are at least
+    half dense, so that P as a dense array takes no more memory than the CSR
+    transpose the product path builds, and the shortlist pairs times their
+    queries' nnz plus that array's fill are fewer than the pairs the product
+    path expands (each query entry's count of prototypes holding its
+    feature)."""
+    cells = ps.n_labels * ps.dim
+    if 2 * ps.matrix.nnz < cells:
+        return False
+    gathered = int(np.dot(short.lengths(), x.row_nnz())) + cells
+    expanded = int(np.bincount(ps.matrix.indices, minlength=ps.dim)[x.indices].sum())
+    return gathered < expanded
+
+
+def _gather_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> np.ndarray:
+    """The dots of _product_dots, all at once, read from a dense P at each
+    query's features (kernels.gather_dots) and summed in the same order.
+
+    The extra terms, the query's values times 0.0, leave a sum started at 0.0
+    unchanged unless a value is not finite: such queries take the product
+    path.
+    """
+    rows = short.row_ids()
+    finite = np.ones(x.rows, dtype=bool)
+    finite[np.repeat(np.arange(x.rows), x.row_nnz())[~np.isfinite(x.values)]] = False
+    gather = finite[rows]
+    dots = np.empty(rows.shape[0])
+    dots[gather] = kernels.gather_dots(x.indptr, x.indices, x.values, rows[gather],
+                                       ps.matrix.to_dense(), short.labels[gather])
+    if not gather.all():
+        rest = np.flatnonzero(~finite)
+        at = np.flatnonzero(~gather)
+        lengths = short.lengths()[rest]
+        rest_short = Predictions(np.concatenate(([0], np.cumsum(lengths))),
+                                 short.labels[at], short.scores[at], validate=False)
+        dots[at] = np.concatenate(
+            [d for *_, d in _product_dots(ps, x.take_rows(rest), rest_short)])
+    return dots
 
 
 def _affinities(
-    ps: PrototypeSet, p_sq: np.ndarray, product: tuple[np.ndarray, ...],
-    x_sq: np.ndarray, rows: np.ndarray, labels: np.ndarray,
+    ps: PrototypeSet, p_sq: np.ndarray, x_sq: np.ndarray, rows: np.ndarray,
+    labels: np.ndarray, dots: np.ndarray,
 ) -> np.ndarray:
     """Affinity of query row rows[i] (squared norms x_sq) to the prototype of
-    labels[i], for every i; product is the queries' CSR triple of x P^T and
-    p_sq the prototypes' squared norms.
-
-    Each dot product in x P^T adds the products of the query's stored
-    entries with the prototype's entries at the same feature, in the query's
-    stored order; no query is expanded to a dense vector.
-    """
-    n_labels = ps.n_labels
-    indptr, cols, prods = product
-    dots = np.zeros(rows.shape[0], dtype=np.float64)
-    if prods.shape[0]:
-        # the product's (row, label) keys ascend; an absent key is a 0 dot
-        keys = np.repeat(np.arange(x_sq.shape[0]), np.diff(indptr)) * n_labels + cols
-        key = rows * n_labels + labels
-        at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
-        hit = keys[at] == key
-        dots[hit] = prods[at[hit]]
+    labels[i] (squared norms p_sq), given their dot product dots[i]."""
     sq = x_sq[rows] + p_sq[labels] - 2.0 * dots
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
 
@@ -213,15 +265,16 @@ def rerank_predictions(
     if normalize_queries is None:
         normalize_queries = ps.normalized
     short = preds.head(shortlist)
-    x, x_sq, pt, p_sq = _prepare(short, ps, x_test, normalize_queries)
-
+    x, x_sq, p_sq = _prepare(short, ps, x_test, normalize_queries)
+    chunks = (_product_dots(ps, x, short) if not _gather_pays(ps, x, short)
+              else [(0, len(short), _gather_dots(ps, x, short))])
+    lengths = short.lengths()
     ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    for lo, hi, *product in kernels.product_chunks(
-            x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, ps.n_labels):
+    for lo, hi, dots in chunks:
         s, e = short.indptr[lo], short.indptr[hi]
-        rows = np.repeat(np.arange(hi - lo), short.lengths()[lo:hi])
-        aff = _affinities(ps, p_sq, product, x_sq[lo:hi], rows, short.labels[s:e])
-        ranked.append(_rank(rows + lo, short.labels[s:e], short.scores[s:e], aff, alpha))
+        rows = np.repeat(np.arange(lo, hi), lengths[lo:hi])
+        aff = _affinities(ps, p_sq, x_sq, rows, short.labels[s:e], dots)
+        ranked.append(_rank(rows, short.labels[s:e], short.scores[s:e], aff, alpha))
     rows, labels, scores = map(np.concatenate, zip(*ranked))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(short)))))
     return Predictions(indptr, labels, scores, validate=False)

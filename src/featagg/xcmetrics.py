@@ -45,12 +45,9 @@ def _row_faults(
     """Rows breaking each rule of ranked rows, with the rule's message."""
     row = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
     same = row[1:] == row[:-1]
-    order = kernels.group_order(row, labels)
-    lab, r = labels[order], row[order]
     return [
         (row[~np.isfinite(scores)], "scores must be finite"),
-        (r[1:][(r[1:] == r[:-1]) & (lab[1:] == lab[:-1])],
-         "label ids must be unique"),
+        (kernels.group_repeats(row, labels), "label ids must be unique"),
         (row[1:][same & (scores[1:] > scores[:-1])],
          "scores must be non-increasing"),
     ]

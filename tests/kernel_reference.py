@@ -201,6 +201,32 @@ def score_rows(indptr, indices, values, weights, bias):
     return out
 
 
+def score_rows_strided(indptr, indices, values, weights, bias):
+    """score_rows as it was computed before weights became column-major: a
+    gather of each row's columns of the (labels, dim) weights, times the
+    row's values, in one BLAS product. Its bytes are what kernels.score_rows
+    must keep for weights in either layout."""
+    nrows = indptr.shape[0] - 1
+    out = np.empty((nrows, weights.shape[0]), dtype=np.float64)
+    for r in range(nrows):
+        s, e = indptr[r], indptr[r + 1]
+        if e > s:
+            out[r] = weights[:, indices[s:e]] @ values[s:e] + bias
+        else:
+            out[r] = bias
+    return out
+
+
+def gather_dots(indptr, indices, values, rows, dense, labels):
+    dots = np.zeros(rows.shape[0], dtype=np.float64)
+    for t in range(rows.shape[0]):
+        acc = 0.0
+        for u in range(indptr[rows[t]], indptr[rows[t] + 1]):
+            acc += dense[labels[t], indices[u]] * values[u]
+        dots[t] = acc
+    return dots
+
+
 def mi_accumulate(
     zt_indptr, zt_indices, zt_values, y_indptr, y_indices, row_sums, col_sums, total
 ):

@@ -435,6 +435,92 @@ def test_score_rows(csr, rng):
     )
 
 
+@st.composite
+def scoring_inputs(draw):
+    """(indptr, indices, values, weights, bias) for score_rows: one label to
+    many, one column to many, empty rows, stored +-0.0 values and weights,
+    and magnitudes from 1e-3 to 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_labels = draw(st.sampled_from([1, 2, 7, 64, 333, 1500]))
+    dim = draw(st.sampled_from([1, 2, 9, 150, 1024]))
+    nrows = draw(st.integers(0, 6))
+    lengths = rng.integers(0, min(dim, 40) + 1, nrows) * (rng.random(nrows) > 0.25)
+    indices = np.concatenate([np.sort(rng.choice(dim, n, replace=False)) for n in lengths]
+                             + [np.zeros(0)]).astype(np.int64)
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+
+    def draws(size):
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size)
+        return np.where(rng.random(size) < 0.1, rng.choice([0.0, -0.0], size), x)
+
+    return (indptr, indices, draws(indices.shape[0]), draws((n_labels, dim)),
+            draws(n_labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_inputs())
+def test_score_rows_bytes_equal_in_both_layouts(case):
+    """Column-major weights (as models hold them) and row-major ones give the
+    bytes of the former strided gather. A BLAS that summed the layouts in
+    different orders would fail here: the bytes are the contract."""
+    indptr, indices, values, weights, bias = case
+    want = kernel_reference.score_rows_strided(indptr, indices, values, weights, bias)
+    for layout in (np.ascontiguousarray(weights), np.asfortranarray(weights)):
+        got = kernels.score_rows(indptr, indices, values, layout, bias)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def gather_inputs(draw):
+    """(indptr, indices, values, rows, dense, labels) for gather_dots: negative
+    values, empty rows and empty dense rows, repeated (row, label) pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_labels, dim, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    indptr, indices, values = random_csr(rng, nrows, dim, density=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    dense = rng.uniform(-2, 2, (n_labels, dim)) * (rng.random((n_labels, dim)) < 0.6)
+    dense[rng.random(n_labels) < 0.3] = 0.0
+    pairs = draw(st.integers(0, 12))
+    return (indptr, indices, values, rng.integers(0, nrows, pairs), dense,
+            rng.integers(0, n_labels, pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gather_inputs(), st.sampled_from([1, 2, 5, 1 << 14]))
+def test_gather_dots_equals_reference_loop(case, chunk_pairs):
+    saved = kernels._PRODUCT_CHUNK_PAIRS
+    kernels._PRODUCT_CHUNK_PAIRS = chunk_pairs
+    try:
+        got = kernels.gather_dots(*case)
+    finally:
+        kernels._PRODUCT_CHUNK_PAIRS = saved
+    assert got.tobytes() == kernel_reference.gather_dots(*case).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_values(), st.lists(st.integers(0, 2**45), max_size=10))
+def test_key_sums_are_the_summed_values(case, draws):
+    """Both tables give each key's values summed from 0.0 in input order, and
+    0.0 at a key no value falls on."""
+    keys, values, nrows, ncols = case
+    size = nrows * ncols
+    if size == 0:
+        return
+    at = np.array([k % size for k in draws] + keys[:3].tolist(), dtype=np.int64)
+    want = {}
+    for k, v in zip(keys.tolist(), values.tolist()):
+        want[k] = want.get(k, 0.0) + v
+    want = np.array([want.get(k, 0.0) for k in at.tolist()])
+    with np.errstate(all="ignore"):
+        for per_key in (0, 1 << 12):
+            if per_key and size > per_key * max(keys.shape[0], 1):
+                continue
+            with dense_slots(per_key):
+                got = kernels.key_sums(keys, values, size, at)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def mi_inputs(rng, n_points, n_features, n_labels, density=0.4):
     z_indptr, z_indices, z_values = random_csr(rng, n_points, n_features, density)
     z_values = np.abs(z_values) + 0.01
@@ -853,6 +939,36 @@ def test_group_order_takes_lexsort_only_on_overflow(monkeypatch, group, key, ove
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     assert np.array_equal(kernels.group_order(group, key), want)
+    assert bool(calls) == overflows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3) | st.sampled_from([2**40, -2**62]), KEYS),
+                max_size=60))
+def test_group_repeats_counts_each_repeated_pair(pairs):
+    group = np.array([g for g, _ in pairs], dtype=np.int64)
+    key = np.array([k for _, k in pairs], dtype=np.int64)
+    seen, want = set(), []
+    for pair in pairs:
+        if pair in seen:
+            want.append(pair[0])
+        seen.add(pair)
+    got = kernels.group_repeats(group, key)
+    assert got.dtype == np.int64
+    assert got.tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("group, key, overflows", [
+    ([0, 1, 1, 0, 1], [5, 3, 3, 2, 4], False),
+    ([0, 2**41, 2**41], [0, 2**22, 2**22], True),
+    ([0, 1, 0, 0], [-2**63, 2**63 - 1, 0, -2**63], True),
+])
+def test_group_repeats_sorts_pairs_only_on_overflow(monkeypatch, group, key, overflows):
+    group, key = np.array(group, dtype=np.int64), np.array(key, dtype=np.int64)
+    calls = []
+    group_order = kernels.group_order
+    monkeypatch.setattr(kernels, "group_order", lambda *a: calls.append(1) or group_order(*a))
+    assert kernels.group_repeats(group, key).tolist() == [group[-1]]
     assert bool(calls) == overflows
 
 

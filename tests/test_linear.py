@@ -199,6 +199,29 @@ def test_model_round_trip(tmp_path, separable):
     assert again.config == model.config
 
 
+def test_weights_are_column_major_and_c_ordered_files_load(tmp_path, rng):
+    """Models hold their weights column-major: train_ova allocates them so,
+    the archive keeps the order, and a file with row-major weights (as every
+    earlier version wrote) loads column-major with equal predictions."""
+    feats = rng.random((30, 9)) * (rng.random((30, 9)) > 0.4)
+    ds = dataset_from_dense(feats, [{i % 4, (i // 4) % 4} for i in range(30)], 4)
+    model = train_ova(ds, OvaConfig(epochs=2, seed=3))
+    assert model.weights.flags.f_contiguous and not model.weights.flags.c_contiguous
+    path, c_path = tmp_path / "model.npz", tmp_path / "model_c.npz"
+    save_model(model, str(path))
+    arrays = npz_arrays(path)
+    assert arrays["weights"].flags.f_contiguous
+    arrays["weights"] = np.ascontiguousarray(arrays["weights"])
+    write_npz(c_path, arrays)
+    assert npz_arrays(c_path)["weights"].flags.c_contiguous
+    again = load_model(str(c_path))
+    assert again.weights.flags.f_contiguous and again == model
+    want = predict(model, ds.features, k=3)
+    got = predict(again, ds.features, k=3)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

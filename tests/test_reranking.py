@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from featagg import reranking
 from featagg.cooc import build_cooc, impute
 from featagg.reranking import (
+    PrototypeSet,
     affinity,
     affinity_scores,
     build_prototypes,
@@ -15,6 +20,7 @@ from featagg.sparse import SparseMatrix, SparseVec, norm
 from featagg.tree import FeaturePartition
 from featagg.xcmetrics import Prediction, Predictions
 
+import rerank_reference
 from helpers import dataset_from_dense, dense_cooc_oracle, vec
 
 
@@ -242,3 +248,132 @@ def test_affinity_scores_are_the_matrix_affinities(rng, normalize):
     for i in range(x_test.rows):
         aff = affinity_scores(x_test.row(i), ps, out[i].labels)
         assert np.log(np.maximum(aff, 1e-300)).tobytes() == out[i].scores.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the product and gather paths against the former product_chunks code
+# ---------------------------------------------------------------------------
+
+
+def dense_csr_matrix(dense) -> SparseMatrix:
+    """CSR of a dense array's nonzeros, without SparseMatrix's checks (so
+    values may be infinite)."""
+    row, col = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dense.shape[0]))))
+    return SparseMatrix(dense.shape[0], dense.shape[1], indptr.astype(np.int64),
+                        col.astype(np.int64), dense[row, col], validate=False)
+
+
+@st.composite
+def rerank_inputs(draw):
+    """(preds, prototypes, queries, settings): negative values, empty query
+    rows, empty prototypes, some query values +-inf, rows of the shortlist
+    longer and shorter than the cut, and nonpositive base scores."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_labels, dim, n = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(0, 6))
+    protos = rng.uniform(-2, 2, (n_labels, dim)) * (
+        rng.random((n_labels, dim)) < draw(st.sampled_from([0.3, 0.8, 1.0])))
+    protos[rng.random(n_labels) < 0.25] = 0.0
+    queries = rng.uniform(-2, 2, (n, dim)) * (rng.random((n, dim)) < 0.6)
+    queries[rng.random(n) < 0.25] = 0.0
+    if n and draw(st.booleans()):
+        row, col = np.nonzero(queries)
+        hit = rng.random(row.shape[0]) < 0.3
+        queries[row[hit], col[hit]] = rng.choice([np.inf, -np.inf], np.count_nonzero(hit))
+    ps = PrototypeSet(dense_csr_matrix(protos), gamma=draw(st.sampled_from([0.5, 3.0])),
+                      normalized=draw(st.booleans()))
+    preds = shortlist_predictions(rng, n, n_labels) if n else Predictions([0], [], [])
+    return preds, ps, dense_csr_matrix(queries), dict(
+        alpha=draw(st.sampled_from([0.0, 0.8, 1.0])),
+        shortlist=draw(st.integers(1, n_labels + 2)),
+        normalize_queries=draw(st.sampled_from([None, False, True])))
+
+
+def assert_same_predictions(got: Predictions, want: Predictions) -> None:
+    for a, b in ((got.indptr, want.indptr), (got.labels, want.labels),
+                 (got.scores, want.scores)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rerank_inputs(), st.booleans())
+def test_both_paths_equal_the_former_code(case, gather):
+    preds, ps, x, kwargs = case
+    with mock.patch.object(reranking, "_gather_pays", lambda *a: gather), \
+            np.errstate(all="ignore"):
+        got = rerank_predictions(preds, ps, x, **kwargs)
+        want = rerank_reference.rerank_predictions(preds, ps, x, **kwargs)
+    assert_same_predictions(got, want)
+
+
+def test_gather_path_is_taken_when_forced(small_setup, monkeypatch):
+    ds, _, c = small_setup
+    ps = build_prototypes(c, ds)
+    preds = shortlist_predictions(np.random.default_rng(2), ds.n, 3)
+    calls = []
+    gather_dots = reranking._gather_dots
+    monkeypatch.setattr(reranking, "_gather_dots", lambda *a: calls.append(1) or gather_dots(*a))
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
+    got = rerank_predictions(preds, ps, ds.features, shortlist=3)
+    assert calls == [1]
+    assert_same_predictions(got, rerank_reference.rerank_predictions(preds, ps, ds.features,
+                                                                     shortlist=3))
+
+
+def test_affinity_scores_stay_on_the_product_path(rng, monkeypatch):
+    """A one-row call never fills a dense P, even where the gather would pay."""
+    protos = rng.uniform(-1, 1, (5, 8))
+    ps = PrototypeSet(dense_csr_matrix(protos), gamma=1.5, normalized=False)
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
+    monkeypatch.setattr(reranking, "_gather_dots", lambda *a: pytest.fail("gathered"))
+    x = SparseVec.from_dense(rng.normal(size=8) * (rng.random(8) > 0.3))
+    labels = np.array([4, 0, 2])
+    got = affinity_scores(x, ps, labels)
+    assert got.tobytes() == rerank_reference.affinity_scores(x, ps, labels).tobytes()
+
+
+def test_gather_pays_only_for_dense_cheaper_prototypes():
+    queries = dense_csr_matrix(np.ones((10, 6)))
+    one = Predictions(np.arange(11), np.zeros(10, np.int64), np.ones(10))
+    four = Predictions(np.arange(0, 41, 4), np.tile(np.arange(4), 10),
+                       np.tile([0.9, 0.8, 0.7, 0.6], 10))
+    dense = PrototypeSet(dense_csr_matrix(np.ones((4, 6))), gamma=1.0, normalized=False)
+    # one label per query: 60 gathered entries plus a 24-cell fill against
+    # 240 expanded pairs; four labels: 264 against 240
+    assert reranking._gather_pays(dense, queries, one)
+    assert not reranking._gather_pays(dense, queries, four)
+    # 11 of 24 cells stored: a dense P would outgrow its CSR transpose
+    sparse = np.zeros((4, 6))
+    sparse.flat[:11] = 1.0
+    ps = PrototypeSet(dense_csr_matrix(sparse), gamma=1.0, normalized=False)
+    assert not reranking._gather_pays(ps, queries, one)
+
+
+def test_product_path_scratch_does_not_grow_with_labels(rng):
+    """At fixed query and prototype nnz, a hundredfold label count adds at
+    most a few label-sized vectors (squared norms, the transpose's pointers),
+    never a table of query rows times labels."""
+    n, dim = 200, 50
+    queries = np.zeros((n, dim))
+    queries[np.arange(n), rng.integers(0, dim, n)] = rng.uniform(0.5, 1.0, n)
+    queries[np.arange(n), rng.integers(0, dim, n)] = rng.uniform(0.5, 1.0, n)
+    x = dense_csr_matrix(queries)
+    protos = rng.uniform(0.5, 1.0, (50, dim)) * (rng.random((50, dim)) < 0.1)
+    shortlists = np.stack([rng.permutation(50)[:5] for _ in range(n)])
+    preds = Predictions(np.arange(0, 5 * n + 1, 5), shortlists.reshape(-1),
+                        np.tile([0.9, 0.8, 0.7, 0.6, 0.5], n))
+    peaks = []
+    for n_labels in (200, 20_000):
+        p = np.zeros((n_labels, dim))
+        p[:50] = protos
+        ps = PrototypeSet(dense_csr_matrix(p), gamma=1.0, normalized=False)
+        assert not reranking._gather_pays(ps, x, preds)
+        tracemalloc.start()
+        try:
+            rerank_predictions(preds, ps, x, shortlist=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    print(peaks, peaks[1] - peaks[0], 8 * (20_000 - 200))
+    # one rows x labels table for this chunk of 200 rows would add 32 MB
+    assert peaks[1] <= peaks[0] + 4 * 8 * (20_000 - 200), peaks
