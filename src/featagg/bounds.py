@@ -48,11 +48,6 @@ class BoundReport:
     per_cluster: list[dict] = field(default_factory=list, compare=False)
     __eq__ = _value_eq
 
-    @property
-    def rel_excess(self) -> float:
-        """(lhs - rhs) / max(rhs, 1): positive values mean the bound failed."""
-        return (self.lhs - self.rhs) / max(self.rhs, 1.0)
-
 
 def _witness(V: np.ndarray, u: np.ndarray) -> float:
     """Minimizer of (u - c 1)^T V V^T (u - c 1); 0 when the denominator is 0."""

@@ -193,8 +193,7 @@ def _cmd_predict(args) -> int:
     k = min(args.k, n_labels)
     preds = top_k(consensus, ds.n, n_labels, k)
     elapsed = time.perf_counter() - t0
-    with open(args.output, "w", encoding="utf-8") as fh:
-        save_predictions(preds, fh)
+    save_predictions(preds, args.output)
     _emit({"points": ds.n, "k": k, "models": len(models),
            "mean_point_ms": 1000.0 * elapsed / max(ds.n, 1)})
     return EXIT_OK
@@ -215,8 +214,7 @@ def _cmd_eval(args) -> int:
     ks = _cutoffs(args.k)
     if args.propensity and not args.train:
         raise ValueError("--propensity requires --train")
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        preds = load_predictions(fh)
+    preds = load_predictions(args.predictions)
     ds = load_xc(args.data, one_based=args.one_based)
     report: dict = {"points": ds.n}
     for k in ks:
@@ -263,8 +261,7 @@ def _cmd_erase(args) -> int:
 def _cmd_rerank(args) -> int:
     check_rerank_settings(args.alpha, args.shortlist)
     _check_gamma(args.gamma)
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        preds = load_predictions(fh)
+    preds = load_predictions(args.predictions)
     test_ds = load_xc(args.test, one_based=args.one_based)
     train_ds = load_xc(args.train, one_based=args.one_based)
     part = load_partition(args.partition)
@@ -273,8 +270,7 @@ def _cmd_rerank(args) -> int:
                           gamma=args.gamma)
     out = rerank_predictions(preds, ps, test_ds.features, alpha=args.alpha,
                              shortlist=args.shortlist)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        save_predictions(out, fh)
+    save_predictions(out, args.output)
     return EXIT_OK
 
 

@@ -106,7 +106,7 @@ def save_cooc(c: PseudoCooc, path: str) -> None:
         **partition_arrays(c.partition),
         "blocks": c.flat,
         "row_normalized": np.array(c.row_normalized),
-    })
+    }, "co-occurrence")
 
 
 def load_cooc(path: str) -> PseudoCooc:

@@ -1,5 +1,6 @@
 """Read and write the sparse multi-label text format, dataset statistics,
-and the .npz archives that hold partitions, models and co-occurrence blocks.
+and the .npz archives that hold partitions, models, co-occurrence blocks and
+predictions.
 
 Format: a header line ``n d L``, then one line per point of the form
 ``l1,l2,... f1:v1 f2:v2 ...`` with zero-based indices. The label field may be
@@ -20,15 +21,16 @@ chunk of rows at a time into one NUL-padded byte matrix (join_lines), each
 token written once into its row: integer digits eight per uint64 by SWAR
 (kernels._eight_digits), and floats by kernels.format_floats, through a
 view of the matrix, or repr() where it cannot; the bytes are those of
-formatting value by value. xcmetrics reads and writes prediction files with
-the same helpers.
+formatting value by value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import os
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -81,18 +83,12 @@ class DatasetStats:
 
 
 # Text is parsed and written in chunks, so that per-token scratch stays
-# bounded whatever the number of rows: parse_xc and
-# xcmetrics.load_predictions read whole lines up to this many characters (at
-# least one line) ...
+# bounded whatever the number of rows: parse_xc reads whole lines up to this
+# many characters (at least one line) ...
 _PARSE_CHUNK_CHARS = 1 << 17
 # ... and write_xc formats rows up to this many stored features plus labels
 # (at least one row).
 _WRITE_CHUNK_NNZ = 1 << 14
-
-
-def next_lines(stream: IO[str]) -> list[str]:
-    """The next chunk of whole lines of a text stream, [] at its end."""
-    return stream.readlines(_PARSE_CHUNK_CHARS)
 
 
 def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
@@ -115,7 +111,7 @@ def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
     done = 0
     surplus: list[str] = []
     while done < n:
-        lines = next_lines(stream)
+        lines = stream.readlines(_PARSE_CHUNK_CHARS)
         if not lines:
             raise ParseError(f"expected {n} data lines, found {done}", line=done + 2)
         if len(lines) > n - done:
@@ -149,7 +145,7 @@ class Scan(NamedTuple):
     """A chunk of lines split at its separators, as scan_lines finds them."""
 
     raw: bytes  # the chunk's UTF-8 bytes, ending in a newline
-    buf: np.ndarray  # raw as uint8, blanks turned into spaces
+    buf: np.ndarray  # raw as uint8, trailing carriage returns turned into spaces
     at: np.ndarray  # where each newline, space and mark is, ascending
     kind: np.ndarray  # the byte at each of them
     cuts: np.ndarray  # the index into at of each piece's end
@@ -164,18 +160,16 @@ class Scan(NamedTuple):
         return np.where(split >= 0, self.at[split] + 1, 0)
 
 
-def scan_lines(lines: list[str], marks: bytes, blanks: bytes = b"") -> Scan:
+def scan_lines(lines: list[str], marks: bytes) -> Scan:
     """Split a chunk of lines, read as UTF-8 bytes, at its separators.
 
-    Newlines end lines, and spaces, the bytes of blanks and a line's trailing
-    carriage returns end pieces; inside a piece, the bytes of marks are
-    splits too. One byte compare per separator finds them all.
+    Newlines end lines, and spaces and a line's trailing carriage returns end
+    pieces; inside a piece, the bytes of marks are splits too. One byte
+    compare per separator finds them all.
     """
     raw = "".join(lines).encode("utf-8", "surrogatepass")
     if not raw.endswith(b"\n"):  # the last line of the file
         raw += b"\n"
-    if any(bytes((b,)) in raw for b in blanks):
-        raw = raw.translate(bytes.maketrans(blanks, b" " * len(blanks)))
     buf = np.frombuffer(raw, dtype=np.uint8)
     if b"\r" in raw:
         # a line's trailing carriage returns (rstrip("\r")) end tokens as
@@ -199,7 +193,7 @@ def scan_lines(lines: list[str], marks: bytes, blanks: bytes = b"") -> Scan:
         # a stream that splits lines at a lone carriage return: end each
         # line with a newline
         return scan_lines([line if line.endswith("\n") else line + "\n"
-                           for line in lines], marks, blanks)
+                           for line in lines], marks)
     return Scan(raw, buf, at, kind, cuts, before, row, opens, filled)
 
 
@@ -423,16 +417,12 @@ def join_lines(parts: list[tuple]) -> str:
     text[starts + rows - 1, -1] = 10
     for (count, ints, floats, lead, first), width in zip(parts, widths):
         # the rows of each line's tokens, after those of the parts before
-        if len(parts) == 1 and text.shape[0] == ints.shape[0]:
-            into = text  # every row holds one token, in order
-        else:
-            at = np.repeat(starts - (np.cumsum(count) - count), count)
-            at += np.arange(ints.shape[0])
-            into = np.zeros((ints.shape[0], width), dtype=np.uint8)
+        at = np.repeat(starts - (np.cumsum(count) - count), count)
+        at += np.arange(ints.shape[0])
+        into = np.zeros((ints.shape[0], width), dtype=np.uint8)
         _write_tokens(into, ints, floats, lead)
         into[(np.cumsum(count) - count)[count > 0], 0] = first
-        if into is not text:
-            text[at, :width] = into
+        text[at, :width] = into
         starts += count
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -501,20 +491,37 @@ _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")  # a zip with members, an empty zip
 _KIND_NAMES = {"f": "float", "iu": "integer", "b": "boolean", "U": "text"}
 
 
-def save_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
-    """Write arrays as an uncompressed .npz archive at exactly path.
+@contextlib.contextmanager
+def _binary(file, mode: str, what: str):
+    """file as a binary stream: a path opened in mode, an open text file's
+    binary buffer (flushed first), or an open binary file as it is. A text
+    stream without a buffer, such as io.StringIO, is a TypeError."""
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, mode) as fh:
+            yield fh
+        return
+    if isinstance(file, io.TextIOBase):
+        if not hasattr(file, "buffer"):
+            raise TypeError(f"{what} files are binary .npz archives: "
+                            f"{type(file).__name__} has no binary buffer")
+        file.flush()
+        file = file.buffer
+    yield file
 
-    np.savez given a file name would append ".npz" to it; an open handle
-    keeps the name the caller chose.
-    """
-    with open(path, "wb") as fh:
+
+def save_arrays(file, arrays: dict[str, np.ndarray], what: str) -> None:
+    """Write arrays as an uncompressed .npz archive to file: a path, written
+    at exactly that name (np.savez given a name would append ".npz" to it),
+    or an open file (see _binary)."""
+    with _binary(file, "wb", what) as fh:
         np.savez(fh, **arrays)
 
 
 def load_arrays(
-    path: str, what: str, spec: dict[str, tuple[str, int]], earlier: str = "JSON"
+    file, what: str, spec: dict[str, tuple[str, int]], earlier: str = "JSON"
 ) -> dict[str, np.ndarray]:
-    """The arrays named in spec from an .npz archive written by save_arrays.
+    """The arrays named in spec from an .npz archive written by save_arrays,
+    read from a path or an open file (see _binary).
 
     spec maps each name to its dtype kinds (numpy kind letters, e.g. "iu")
     and its number of dimensions. The format is told from the content, not
@@ -523,13 +530,14 @@ def load_arrays(
     objects), a missing array, or an array of another kind or dimension is a
     ValueError whose message begins with what.
     """
-    with open(path, "rb") as fh:
-        if fh.read(4) not in _ZIP_MAGIC:
+    with _binary(file, "rb", what) as fh:
+        head = fh.read(4)
+        if head not in _ZIP_MAGIC:
             raise ValueError(
                 f"{what} file is not an .npz archive ({earlier} {what} files of "
                 "earlier versions are no longer read)"
             )
-        fh.seek(0)
+        fh.seek(-len(head), os.SEEK_CUR)
         try:
             with np.load(fh, allow_pickle=False) as npz:
                 arrays = {name: npz[name] for name in spec if name in npz.files}

@@ -11,9 +11,9 @@ co-occurrence product and label mutual information. Rerank affinities read
 their shortlisted dots from each chunk's key table (``key_sums``), or
 gather them from dense prototypes (``gather_dots``).
 ``_PRODUCT_CHUNK_PAIRS`` bounds the scratch of every chunk loop.
-``parse_ints`` and ``parse_floats`` read numbers from the bytes of the text
-readers' chunks, and ``format_floats`` writes repr() of doubles as bytes for
-the text writers. ``tests/kernel_reference.py`` holds a plain-Python loop per
+``parse_ints`` and ``parse_floats`` read numbers from the bytes of the
+dataset reader's chunks, and ``format_floats`` writes repr() of doubles as
+bytes for the dataset writer. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
 the ordering kernels (``rank_within``, ``group_order``, ``group_repeats``,
 ``row_ids``) are compared with ``np.lexsort``, ``np.array_equal`` and
@@ -195,7 +195,8 @@ def group_repeats(group, key):
     composite, span, g_lo = composite
     composite.sort()
     repeat = composite[1:][composite[1:] == composite[:-1]]
-    return repeat.astype(np.int64) // span + g_lo
+    # one group's span may be 2**63, which int64 cannot hold
+    return (repeat.astype(np.uint64) // np.uint64(span)).astype(np.int64) + g_lo
 
 
 def _mix(x):
@@ -532,7 +533,7 @@ def parse_floats(buf, starts, ends, dots):
         return np.zeros(m), np.zeros(m, dtype=bool)
     # signs and exponents are rare: look for them only in a buffer that
     # holds their bytes
-    # (the bytes object a buffer views, as the text readers' buffers do,
+    # (the bytes object a buffer views, as the dataset reader's buffers do,
     # saves copying it)
     text = buf.base if isinstance(buf.base, bytes) else buf.tobytes()
     negative = None

@@ -180,7 +180,7 @@ def save_model(model: OvaModel, path: str) -> None:
         "dim": np.array(model.dim, dtype=np.int64),
         "weights": model.weights,
         "bias": model.bias,
-    })
+    }, "model")
 
 
 def load_model(path: str) -> OvaModel:

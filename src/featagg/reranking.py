@@ -22,7 +22,7 @@ rerank_predictions' arithmetic and checks on the product path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +43,8 @@ class PrototypeSet:
     matrix: SparseMatrix  # one row per label, dim = d
     gamma: float
     normalized: bool
+    _transpose: SparseMatrix | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def n_labels(self) -> int:
@@ -57,6 +59,12 @@ class PrototypeSet:
 
     def sq_norms(self) -> np.ndarray:
         return self.matrix.row_sq_norms()
+
+    def transposed(self) -> SparseMatrix:
+        """P^T, built on the first call, so matrix must be final by then."""
+        if self._transpose is None:
+            object.__setattr__(self, "_transpose", self.matrix.transpose())
+        return self._transpose
 
 
 def _check_gamma(gamma: float) -> None:
@@ -130,7 +138,7 @@ def _product_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions):
     query is expanded to a dense vector.
     """
     n_labels = ps.n_labels
-    pt = ps.matrix.transpose()
+    pt = ps.transposed()
     lengths = short.lengths()
     for lo, hi, keys, values in kernels.product_pairs(
             x.indptr, x.indices, x.values, pt.indptr, pt.indices, pt.values, n_labels):

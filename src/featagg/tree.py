@@ -193,7 +193,8 @@ def save_partition(part: FeaturePartition, path: str) -> None:
     """Write part as an .npz archive at path, whatever its extension; d0 and
     seed go to one JSON text field, config."""
     save_arrays(path, {**partition_arrays(part),
-                       "config": json_text({"d0": part.d0, "seed": part.seed})})
+                       "config": json_text({"d0": part.d0, "seed": part.seed})},
+                "partition")
 
 
 def load_partition(path: str) -> FeaturePartition:

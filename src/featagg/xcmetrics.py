@@ -6,14 +6,11 @@ percentile bucket. All metrics live in [0, 1] and average over test points
 (or labels, for the macro variants).
 
 Ranked predictions are one ``Predictions`` value: CSR-like rows of label ids
-and scores. Top-k, the metrics and the prediction file reader and writer work
-on its arrays segment by segment, with no Python loop over rows; a hit is a
-(row, label) key of the top k that is also a key of the truth matrix. The
-file reader and writer work on bytes with dataio's helpers: the reader
-splits lines with dataio.scan_lines and converts numbers with
-kernels.parse_ints and kernels.parse_floats (which reads the exponent form
-that repr() writes), the writer formats scores with kernels.format_floats,
-and both fall back to numpy's conversion and repr() for the rest.
+and scores. Top-k and the metrics work on its arrays segment by segment, with
+no Python loop over rows; a hit is a (row, label) key of the top k that is
+also a key of the truth matrix. A predictions file is an .npz archive of the
+three arrays, written and read by dataio.save_arrays and load_arrays as
+partitions, models and co-occurrence blocks are.
 """
 
 from __future__ import annotations
@@ -22,21 +19,16 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import IO, Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dataio, kernels
-from .errors import ParseError
 from .sparse import SparseMatrix, _value_eq
 
 # Per-entry scratch stays bounded whatever the number of rows: top_k ranks
-# rows of at most this many scores at a time (at least one row) ...
+# rows of at most this many scores at a time (at least one row).
 _TOPK_CHUNK_SCORES = 1 << 15
-# ... and save_predictions formats rows of at most this many entries at a
-# time (at least one row); load_predictions reads chunks of lines as
-# dataio.parse_xc does.
-_WRITE_CHUNK_ENTRIES = 1 << 12
 
 
 def _row_faults(
@@ -427,125 +419,25 @@ def percentile_macro_precision(
     return out
 
 
-def save_predictions(preds: Predictions | Sequence, stream: IO[str]) -> None:
-    """One line per point of space-separated label:score pairs, ranked.
+_PREDICTION_ARRAYS = {"indptr": ("iu", 1), "labels": ("iu", 1), "scores": ("f", 1)}
 
-    Labels print as integers and scores as repr() of a float, so a file read
-    back by load_predictions gives the same arrays bit for bit.
-    """
+
+def save_predictions(preds: Predictions | Sequence, file) -> None:
+    """Write preds as an uncompressed .npz archive of indptr, labels and
+    scores (dataio.save_arrays): file is a path, written at exactly that
+    name, or an open file, a text file through its binary buffer."""
     preds = Predictions.from_rows(preds)
-    for lo, hi in kernels.chunk_ranges(preds.indptr, _WRITE_CHUNK_ENTRIES):
-        stream.write(_format_rows(preds, lo, hi))
+    dataio.save_arrays(file, {"indptr": preds.indptr, "labels": preds.labels,
+                              "scores": preds.scores}, "predictions")
 
 
-def _format_rows(preds: Predictions, lo: int, hi: int) -> str:
-    """Lines lo..hi-1 of the prediction format, each ending in a newline."""
-    s, e = preds.indptr[lo], preds.indptr[hi]
-    return dataio.join_lines([(np.diff(preds.indptr[lo:hi + 1]), preds.labels[s:e],
-                               preds.scores[s:e], 32, 0)])
+def load_predictions(file) -> Predictions:
+    """Read an archive written by save_predictions from a path or an open
+    file; its arrays are checked once, as any Predictions is.
 
-
-# the bytes besides space and newline that str.split() splits ASCII text at
-_BLANKS = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
-
-
-def load_predictions(stream: IO[str]) -> Predictions:
-    """Read a file written by save_predictions: one row per line.
-
-    A malformed line is a ParseError naming its 1-based line number and its
-    first fault: a token other than 'label:score', a label that is not an
-    integer, a score that is not a finite number, a repeated label, or a
-    score above the one before it.
+    A text predictions file of an earlier version, an unreadable archive, a
+    missing array or one of another kind or dimension, and rows that break
+    the ranked-rows rules are each a ValueError.
     """
-    chunks: list[tuple[np.ndarray, ...]] = []
-    lineno = 1
-    while lines := dataio.next_lines(stream):
-        chunks.append(_parse_chunk(lines, lineno))
-        lineno += len(lines)
-    if not chunks:
-        return Predictions(np.zeros(1), np.empty(0), np.empty(0), validate=False)
-    counts, labels, scores = map(np.concatenate, zip(*chunks))
-    return Predictions(np.concatenate(([0], np.cumsum(counts))), labels, scores,
-                       validate=False)
-
-
-def _parse_chunk(lines: list[str], lineno: int) -> tuple[np.ndarray, ...]:
-    """Entries per line, labels and scores of lines; lineno is that of lines[0].
-
-    The chunk is read as UTF-8 bytes, split where str.split() splits it
-    (dataio.scan_lines); a chunk that holds other whitespace than ASCII is
-    split as text first. The kernels convert the numbers written in ASCII
-    digits, numpy the rest, and the rules are checked on arrays; only the
-    first faulty line is read again token by token, to name its fault.
-    """
-
-    def fail(row: int) -> NoReturn:
-        # an earlier line may hold a fault that the check which found row
-        # does not look for: parse those lines first
-        if row:
-            _parse_chunk(lines[:row], lineno)
-        raise ParseError(_line_fault(lines[row]), line=lineno + row)
-
-    text = lines
-    if not all(map(str.isascii, lines)) and any(
-            c.isspace() for c in set("".join(lines)) if not c.isascii()):
-        text = [" ".join(line.split()) + "\n" for line in lines]
-    # a token is label:score, with a dot in the score if any
-    scan = dataio.scan_lines(text, b":.", _BLANKS)
-    token = np.flatnonzero(scan.filled)
-    token_row = scan.row[token]
-    counts = np.bincount(token_row, minlength=len(lines))
-    kind, at = scan.kind, scan.at
-    first, last = scan.before[token] + 1, scan.cuts[token]
-    second = np.minimum(first + 1, last)
-    # a token splits at its colon and then, if at all, at a dot: a label
-    # holds no dot and a score no colon or second dot, so any other split
-    # makes its line faulty
-    dotted = last - first == 2
-    ill = (kind[first] != 58) | (last - first > 2) | dotted & (kind[second] != 46)
-    if ill.any():
-        fail(int(token_row[np.argmax(ill)]))
-    colon = at[first]
-    labels, bad = dataio.convert_tokens(scan.raw, scan.buf, np.int64,
-                                        kernels.parse_ints, scan.start(first - 1), colon)
-    if bad >= 0:
-        fail(int(token_row[bad]))
-    scores, bad = dataio.convert_tokens(scan.raw, scan.buf, np.float64,
-                                        kernels.parse_floats, colon + 1, at[last],
-                                        np.where(dotted, at[second], -1))
-    if bad >= 0:
-        fail(int(token_row[bad]))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    bad = np.zeros(len(lines), dtype=bool)
-    for rows, _ in _row_faults(indptr, labels, scores):
-        bad[rows] = True
-    if bad.any():
-        fail(int(np.argmax(bad)))
-    return counts, labels, scores
-
-
-def _line_fault(line: str) -> str:
-    """The first fault of a line that the array checks found faulty."""
-    seen: set[int] = set()
-    last = math.inf
-    for tok in line.split():
-        head, sep, tail = tok.partition(":")
-        if not sep or ":" in tail:
-            return f"expected 'label:score', got {tok!r}"
-        try:
-            label = int(np.array(head, dtype=np.int64))
-        except (ValueError, OverflowError):
-            return f"non-integer label in {tok!r}"
-        try:
-            score = float(np.array(tail, dtype=np.float64))
-        except (ValueError, OverflowError):
-            return f"non-numeric score in {tok!r}"
-        if not math.isfinite(score):
-            return f"non-finite score in {tok!r}"
-        if label in seen:
-            return f"label {label} repeated"
-        if score > last:
-            return f"score rises at {tok!r}; scores must be non-increasing"
-        seen.add(label)
-        last = score
-    raise AssertionError("the array checks found no fault in this line")
+    arrays = dataio.load_arrays(file, "predictions", _PREDICTION_ARRAYS, earlier="text")
+    return Predictions(arrays["indptr"], arrays["labels"], arrays["scores"])

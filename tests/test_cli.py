@@ -16,6 +16,7 @@ from featagg.tree import (
     make_tree,
     save_partition,
 )
+from featagg.xcmetrics import Predictions, load_predictions, save_predictions
 
 from helpers import SPOILED_KINDS, npz_arrays, spoil_npz, write_npz
 
@@ -151,9 +152,10 @@ def test_predict_ensemble_consensus(workdir, capsys):
     run(capsys, "predict", workdir / "test_agg.txt",
         "--model", workdir / "model.json",
         "--k", "3", "-o", workdir / "preds_single.txt")
-    dup = (workdir / "preds_dup.txt").read_text()
-    single = (workdir / "preds_single.txt").read_text()
-    assert dup == single
+    dup = load_predictions(str(workdir / "preds_dup.txt"))
+    single = load_predictions(str(workdir / "preds_single.txt"))
+    for name in ("indptr", "labels", "scores"):
+        assert getattr(dup, name).tobytes() == getattr(single, name).tobytes()
 
 
 def test_predict_rejects_inconsistent_model(workdir, capsys, tmp_path):
@@ -308,7 +310,7 @@ def tiny_files(tmp_path):
     two-cluster partition of the 4 features."""
     (tmp_path / "train.txt").write_text("3 4 2\n0 0:1 2:0.5\n1 1:2 3:1\n0,1 0:1 3:2\n")
     (tmp_path / "test.txt").write_text("0 4 2\n")
-    (tmp_path / "preds.txt").write_text("")
+    save_predictions(Predictions.from_rows([]), str(tmp_path / "preds.txt"))
     part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
     save_partition(part, str(tmp_path / "part.npz"))
     return tmp_path
@@ -516,33 +518,57 @@ def test_predict_clamps_k_to_the_labels(workdir, capsys, tmp_path):
                     "--model", workdir / "model.json", "--k", "50",
                     "-o", tmp_path / "preds.txt")
     assert code == 0 and out["k"] == 6
-    lines = (tmp_path / "preds.txt").read_text().splitlines()
-    assert len(lines) == 40 and all(len(line.split()) == 6 for line in lines)
+    preds = load_predictions(str(tmp_path / "preds.txt"))
+    assert len(preds) == 40 and np.all(preds.lengths() == 6)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("0:nan 1:0.5\n1:0.5\n", "line 1: non-finite score in '0:nan'"),
-    ("0:0.5\nfoo\n", "line 2: expected 'label:score', got 'foo'"),
-    ("0:0.5\n2:0.5:3\n", "line 2: expected 'label:score', got '2:0.5:3'"),
-    ("0:0.5\n9:0.5\n", "prediction 1 has a label outside [0, 4)"),
-    ("0:0.5\n-1:0.5\n", "prediction 1 has a label outside [0, 4)"),
-])
+def test_predict_writes_exactly_the_output_path(workdir, capsys, tmp_path):
+    code, _ = run(capsys, "predict", workdir / "test_agg.txt",
+                  "--model", workdir / "model.json", "-o", tmp_path / "preds")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds"]
+    assert len(load_predictions(str(tmp_path / "preds"))) == 40
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (None, "predictions file is not an .npz archive (text predictions files of "
+           "earlier versions are no longer read)"),
+    ({"indptr": [0, 1, 2], "labels": [0, 1]}, "predictions file lacks scores"),
+    ({"indptr": [0, 1, 2], "labels": [[0], [1]], "scores": [0.5, 0.5]},
+     "predictions labels must be a 1-D integer array"),
+    ({"indptr": [0, 1, 2], "labels": [0.0, 1.0], "scores": [0.5, 0.5]},
+     "predictions labels must be a 1-D integer array"),
+    ({"indptr": [0, 1, 3], "labels": [0, 2, 2], "scores": [0.5, 0.5, 0.25]},
+     "prediction 1: label ids must be unique"),
+    ({"indptr": [0, 1, 3], "labels": [0, 1, 2], "scores": [0.5, 0.25, 0.5]},
+     "prediction 1: scores must be non-increasing"),
+    ({"indptr": [0, 2, 1], "labels": [0], "scores": [0.5]}, "bad indptr"),
+    ({"indptr": [0, 1, 2], "labels": [0, 9], "scores": [0.5, 0.5]},
+     "prediction 1 has a label outside [0, 4)"),
+    ({"indptr": [0, 1, 2], "labels": [0, -1], "scores": [0.5, 0.5]},
+     "prediction 1 has a label outside [0, 4)"),
+], ids=["text", "missing", "2d-labels", "float-labels", "repeated-label",
+        "rising-score", "bad-indptr", "label-above", "negative-label"])
 @pytest.mark.parametrize("command", ["eval", "rerank"])
-def test_malformed_predictions_exit_2(tmp_path, capsys, text, message, command):
+def test_malformed_predictions_exit_2(tmp_path, capsys, arrays, message, command):
     data = tmp_path / "data.txt"
     data.write_text("2 3 4\n0 0:1\n1,3 1:1 2:2\n")
     part = tmp_path / "part.npz"
     save_partition(FeaturePartition.from_clusters(3, [np.array([0, 1]), np.array([2])]),
                    str(part))
     preds = tmp_path / "preds.txt"
-    preds.write_text(text)
+    if arrays is None:  # a predictions file of an earlier version
+        preds.write_text("0:0.5\n1:0.5\n")
+    else:
+        write_npz(preds, arrays)
     argv = ["eval", str(preds), str(data), "--k", "1"]
     if command == "rerank":
         argv = ["rerank", str(preds), "--test", str(data), "--train", str(data),
                 "--partition", str(part), "-o", str(tmp_path / "out.txt")]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("featagg: data error: ") and message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("featagg: data error: ") and message in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out.txt").exists()
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import featagg
 from featagg import kernels, splits, tree
@@ -945,6 +945,7 @@ def test_group_order_takes_lexsort_only_on_overflow(monkeypatch, group, key, ove
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3) | st.sampled_from([2**40, -2**62]), KEYS),
                 max_size=60))
+@example([(0, -2**63), (0, -1), (0, -1)])  # one group whose keys span 2**63
 def test_group_repeats_counts_each_repeated_pair(pairs):
     group = np.array([g for g, _ in pairs], dtype=np.int64)
     key = np.array([k for _, k in pairs], dtype=np.int64)

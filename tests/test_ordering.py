@@ -1,7 +1,5 @@
 """The ordering kernels change no output: top-k, reranking, parse checks and
-prediction loading against the np.lexsort code they replaced."""
-
-import io
+the ranked-rows check against the np.lexsort code they replaced."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from featagg import xcmetrics
 from featagg.dataio import parse_xc
 from featagg.errors import ParseError
 from featagg.reranking import _LOG_FLOOR, _rank, rerank
-from featagg.xcmetrics import load_predictions, top_k
+from featagg.xcmetrics import Predictions, top_k
 
 
 def lexsort_top_k(scores, k):
@@ -112,22 +110,22 @@ def test_parse_sorts_each_row_by_index():
     assert ds.labels.indices.tolist() == [1, 0, 1]
 
 
-@pytest.mark.parametrize("text, line, message", [
+@pytest.mark.parametrize("indptr, labels, row", [
     # labels above 2**53 differ by one: no float key may merge them
-    ("9007199254740993:1.0 9007199254740992:0.5\n", None, None),
-    ("9007199254740993:1.0 9007199254740993:0.5\n", 1, "label 9007199254740993 repeated"),
+    ([0, 2], [9007199254740993, 9007199254740992], None),
+    ([0, 2], [9007199254740993, 9007199254740993], 0),
     # labels spanning int64 overflow the composite key: the lexsort fallback
-    ("-9223372036854775808:1 9223372036854775807:0.5\n5:1 5:0.5\n", 2, "label 5 repeated"),
-    ("1:1 2:0.5\n3:1 3:1\n9223372036854775807:2 -9223372036854775808:1\n", 2,
-     "label 3 repeated"),
-    ("1:1 2:0.5\n-9223372036854775808:2 -9223372036854775808:1\n", 2,
-     "label -9223372036854775808 repeated"),
-])
-def test_load_predictions_labels_above_float_precision(text, line, message):
-    if line is None:
-        preds = load_predictions(io.StringIO(text))
-        assert preds.labels.tolist() == [9007199254740993, 9007199254740992]
+    ([0, 2, 4], [-2**63, 2**63 - 1, 5, 5], 1),
+    ([0, 2, 4, 6], [1, 2, 3, 3, 2**63 - 1, -2**63], 1),
+    ([0, 2, 4], [1, 2, -2**63, -2**63], 1),
+    # one row whose labels span 2**63: the composite key fits, its span not
+    ([0, 3], [-2**63, -1, -1], 0),
+], ids=["distinct-above-2to53", "repeat-above-2to53", "span-then-repeat",
+        "repeat-then-span", "repeat-at-int64-min", "repeat-spanning-2to63"])
+def test_repeated_labels_above_float_precision_name_their_row(indptr, labels, row):
+    scores = -np.arange(len(labels), dtype=np.float64)
+    if row is None:
+        assert Predictions(indptr, labels, scores).labels.tolist() == labels
         return
-    with pytest.raises(ParseError, match=f"^line {line}: {message}$") as err:
-        load_predictions(io.StringIO(text))
-    assert err.value.line == line
+    with pytest.raises(ValueError, match=f"^prediction {row}: label ids must be unique$"):
+        Predictions(indptr, labels, scores)

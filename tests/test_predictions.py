@@ -1,13 +1,14 @@
 """The ranked-rows ``Predictions`` type against the per-row reference code.
 
-``tests/xcmetrics_reference.py`` holds the per-row metrics, prediction IO,
-top-k, prototypes and reranking that the segment-wise versions replaced.
-Randomized cases cover ragged and empty rows, empty truth rows, score ties at
-the top-k boundary and shortlists shorter than k, with the chunk constants
-also patched small so that every chunk boundary is crossed.
+``tests/xcmetrics_reference.py`` holds the per-row metrics, top-k, prototypes
+and reranking that the segment-wise versions replaced. Randomized cases cover
+ragged and empty rows, empty truth rows, score ties at the top-k boundary and
+shortlists shorter than k, with the chunk constants also patched small so
+that every chunk boundary is crossed. Predictions files are .npz archives
+whose arrays come back bit for bit; ``tests/test_cli.py`` runs the malformed
+ones through eval and rerank.
 """
 
-import hashlib
 import io
 import tracemalloc
 
@@ -88,8 +89,6 @@ def chunks(request, monkeypatch):
     """Run with the chunk constants as shipped and patched small."""
     if request.param == "small":
         monkeypatch.setattr(xcmetrics, "_TOPK_CHUNK_SCORES", 7)
-        monkeypatch.setattr(xcmetrics, "_WRITE_CHUNK_ENTRIES", 3)
-        monkeypatch.setattr(dataio, "_PARSE_CHUNK_CHARS", 16)
         monkeypatch.setattr(kernels, "_COOC_CHUNK_NNZ", 5)
         monkeypatch.setattr(kernels, "_PRODUCT_CHUNK_PAIRS", 4)
     return request.param
@@ -249,69 +248,47 @@ class TestTopKMatchesReference:
             top_k(lambda lo, hi: scores[lo:hi], 1, 2, 1)
 
 
-class TestIOMatchesReference:
-    def test_bytes_and_arrays(self, rng, chunks):
-        specials = np.array([0.0, -0.0, 1e-300, -1e300, 5e-324, 0.1, 1 / 3, 2.0 ** 60])
-        for case in range(CASES):
-            rows = random_rows(rng, int(rng.integers(0, 12)), int(rng.integers(1, 9)),
-                               ties=case % 2 == 0)
-            if case % 3 == 0:
-                rows = [Prediction(r.labels, -np.sort(-rng.choice(specials, len(r.labels))))
-                        for r in rows]
-            new, old = io.StringIO(), io.StringIO()
-            save_predictions(Predictions.from_rows(rows), new)
-            ref.save_predictions(rows, old)
-            assert new.getvalue() == old.getvalue()
-            back = load_predictions(io.StringIO(new.getvalue()))
-            assert_same_rows(back, ref.load_predictions(io.StringIO(old.getvalue())))
-            assert np.array_equal(np.signbit(back.scores), np.signbit(as_arrays(rows)[1]))
+def edge_predictions() -> Predictions:
+    """Ranked rows with an empty row, a -0.0 score tied with 0.0, negative
+    scores as log-combined reranking gives them, a subnormal and labels next
+    to the int64 maximum."""
+    top = np.iinfo(np.int64).max
+    return Predictions([0, 3, 3, 5, 6], [top, 0, top - 1, 7, 2, top - 2],
+                       [0.0, -0.0, -1e-300, -2.5, -700.25, 5e-324])
 
-    def test_bytes_without_the_float_kernel(self, rng, chunks, monkeypatch):
-        # where x87 extended precision is missing, repr() formats every score
-        # and the parser's numpy fallback reads it: the same bytes and arrays
-        rows = random_rows(rng, 40, 9) + [Prediction(np.arange(6), np.array(
-            [1e300, 1e16, 0.5, 1e-05, -0.0, -1e-300]))]
-        preds = Predictions.from_rows(rows)
-        want = io.StringIO()
-        save_predictions(preds, want)
-        monkeypatch.setattr(kernels, "EXACT_FLOATS", False)
-        got = io.StringIO()
-        save_predictions(preds, got)
-        assert got.getvalue() == want.getvalue()
-        back = load_predictions(io.StringIO(got.getvalue()))
-        assert back.scores.tobytes() == preds.scores.tobytes()
 
-    def test_loose_whitespace_reads_as_the_reference_reads_it(self, chunks):
-        text = " 3:0.5  1:0.25 \n\n\t\n2:1e3\r\n"
-        assert_same_rows(load_predictions(io.StringIO(text)),
-                         ref.load_predictions(io.StringIO(text)))
+def round_trip(preds: Predictions, path, how: str) -> Predictions:
+    """preds saved to path and read back: through the path itself, a binary
+    handle, or a text handle opened as perfbench/workloads.py opens it."""
+    if how == "path":
+        save_predictions(preds, str(path))
+        return load_predictions(str(path))
+    kwargs = {"encoding": "utf-8"} if how == "text" else {}
+    suffix = "" if how == "text" else "b"
+    with open(path, "w" + suffix, **kwargs) as fh:
+        save_predictions(preds, fh)
+    with open(path, "r" + suffix, **kwargs) as fh:
+        return load_predictions(fh)
 
-    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1f", "\r",
-                                       "\x85", "\xa0", "\u2003", "\u3000"])
-    def test_every_whitespace_splits_as_str_split(self, space, chunks):
-        # the byte reader splits tokens where str.split() does, ASCII or not
-        text = f"3:0.5{space}1:0.25\n{space}2:1e3 0:-1.5e-07{space}\n\n"
-        assert_same_rows(load_predictions(io.StringIO(text)),
-                         ref.load_predictions(io.StringIO(text)))
 
-    @pytest.mark.parametrize("text, line, message", [
-        ("0:nan 1:0.5\n", 1, "non-finite score in '0:nan'"),
-        ("1:0.5\n0:inf\n", 2, "non-finite score in '0:inf'"),
-        ("1:0.5\nfoo\n", 2, "expected 'label:score', got 'foo'"),
-        ("3 0.5\n", 1, "expected 'label:score', got '3'"),
-        ("1:0.5\n\n2:0.5:3\n", 3, "expected 'label:score', got '2:0.5:3'"),
-        ("x:0.5\n", 1, "non-integer label in 'x:0.5'"),
-        ("1.5:0.5\n", 1, "non-integer label in '1.5:0.5'"),
-        ("1:abc\n", 1, "non-numeric score in '1:abc'"),
-        ("1:0.5 1:0.25\n", 1, "label 1 repeated"),
-        ("1:0.25 2:0.5\n", 1, "score rises at '2:0.5'"),
-        ("1:0.5\n2:0.25 2:0.1\n3:x\n", 2, "label 2 repeated"),
-    ])
-    def test_malformed_line_is_named(self, text, line, message, chunks):
-        with pytest.raises(ValueError, match="line") as exc:
-            load_predictions(io.StringIO(text))
-        assert exc.value.line == line
-        assert message in str(exc.value)
+def assert_bit_equal(got: Predictions, want: Predictions) -> None:
+    for name in ("indptr", "labels", "scores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestArchiveIO:
+    @pytest.mark.parametrize("how", ["path", "binary", "text"])
+    def test_round_trip_is_bit_equal(self, rng, tmp_path, how):
+        for preds in (edge_predictions(), Predictions.from_rows([]),
+                      Predictions.from_rows(random_rows(rng, 30, 9, ties=True))):
+            assert_bit_equal(round_trip(preds, tmp_path / "preds.txt", how), preds)
+
+    def test_text_stream_without_a_buffer_is_refused(self):
+        with pytest.raises(TypeError, match="predictions files are binary"):
+            save_predictions(edge_predictions(), io.StringIO())
+        with pytest.raises(TypeError, match="predictions files are binary"):
+            load_predictions(io.StringIO("3:0.5\n"))
 
 
 def rerank_setup(rng, n_train, n_test, d, n_labels):
@@ -424,13 +401,9 @@ class _Sink:
 
 
 def test_text_writers_scratch_is_chunk_bounded(rng):
-    """save_predictions and write_xc hold one chunk's bytes at a time: their
-    scratch does not grow with the number of rows, beyond write_xc's one
-    int64 per row that plans its chunks, and stays well below the text."""
-    def ranked(n, k=10):
-        scores = -np.sort(-rng.random((n, k)), axis=1).ravel()
-        return Predictions(np.arange(0, n * k + 1, k), np.tile(np.arange(k), n), scores)
-
+    """write_xc holds one chunk's bytes at a time: its scratch does not grow
+    with the number of rows, beyond one int64 per row that plans its chunks,
+    and stays well below the text."""
     def dataset(n, k=10):
         feats = SparseMatrix(n, 1000, np.arange(0, n * k + 1, k),
                              np.tile(np.arange(k) * 7, n), rng.random(n * k))
@@ -438,42 +411,11 @@ def test_text_writers_scratch_is_chunk_bounded(rng):
                               np.ones(2 * n))
         return Dataset(feats, labels)
 
-    # at least 20 chunks of rows of 10 entries (and 2 labels)
-    cases = [(save_predictions, ranked, 20 * xcmetrics._WRITE_CHUNK_ENTRIES // 10),
-             (dataio.write_xc, dataset, 20 * dataio._WRITE_CHUNK_NNZ // 12)]
-    for write, make, rows in cases:
-        peaks = []
-        for n in (rows, 4 * rows):
-            sink = _Sink()
-            peaks.append(peak_bytes(write, make(n), sink))
-        planned = 8 * 3 * rows if write is dataio.write_xc else 0
-        assert peaks[1] < 1.2 * peaks[0] + planned
-        assert peaks[1] < sink.chars / 3
-
-
-# sha256 of save_predictions' bytes for benchmark_predictions(), as repr()
-# value by value writes them: a change to the writer's passes must keep them
-PREDICTIONS_SHA256 = "2a127ad12f04340035edef5907dc92809136c8c4914c8126296f714e7e48ed57"
-
-
-def benchmark_predictions():
-    """650 ranked rows of 100 of 250 labels, as the rerank benchmark
-    predicts them: sigmoid scores, about a quarter of them below 1e-4, so
-    that repr() writes them in exponent form."""
-    rng = np.random.default_rng(2026)
-    labels = np.argsort(rng.random((650, 250)), axis=1)[:, :100]
-    scores = -np.sort(-1.0 / (1.0 + np.exp(-rng.normal(-6.0, 5.0, (650, 100)))), axis=1)
-    return Predictions(np.arange(0, 650 * 100 + 1, 100), labels.ravel(), scores.ravel())
-
-
-def test_save_predictions_bytes_are_pinned_at_benchmark_scale():
-    preds = benchmark_predictions()
-    out = io.StringIO()
-    save_predictions(preds, out)
-    text = out.getvalue()
-    assert 0.2 < text.count("e-") / preds.scores.shape[0] < 0.35
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == PREDICTIONS_SHA256
-    back = load_predictions(io.StringIO(text))
-    assert back.indptr.tobytes() == preds.indptr.tobytes()
-    assert back.labels.tobytes() == preds.labels.tobytes()
-    assert back.scores.tobytes() == preds.scores.tobytes()
+    # at least 20 chunks of rows of 10 entries and 2 labels
+    rows = 20 * dataio._WRITE_CHUNK_NNZ // 12
+    peaks = []
+    for n in (rows, 4 * rows):
+        sink = _Sink()
+        peaks.append(peak_bytes(dataio.write_xc, dataset(n), sink))
+    assert peaks[1] < 1.2 * peaks[0] + 8 * 3 * rows
+    assert peaks[1] < sink.chars / 3

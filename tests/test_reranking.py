@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from featagg import reranking
+from featagg import kernels, reranking
 from featagg.cooc import build_cooc, impute
 from featagg.reranking import (
     PrototypeSet,
@@ -316,6 +316,7 @@ def test_gather_path_is_taken_when_forced(small_setup, monkeypatch):
     monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
     got = rerank_predictions(preds, ps, ds.features, shortlist=3)
     assert calls == [1]
+    assert ps._transpose is None  # the gather path never builds P^T
     assert_same_predictions(got, rerank_reference.rerank_predictions(preds, ps, ds.features,
                                                                      shortlist=3))
 
@@ -330,6 +331,27 @@ def test_affinity_scores_stay_on_the_product_path(rng, monkeypatch):
     labels = np.array([4, 0, 2])
     got = affinity_scores(x, ps, labels)
     assert got.tobytes() == rerank_reference.affinity_scores(x, ps, labels).tobytes()
+
+
+def test_prototypes_are_transposed_once(rng, monkeypatch):
+    """Repeated one-row calls on one PrototypeSet transpose P once, give the
+    former code's affinities, and leave equality to the prototypes alone."""
+    protos = rng.uniform(-1, 1, (6, 9)) * (rng.random((6, 9)) < 0.5)
+    ps = PrototypeSet(dense_csr_matrix(protos), gamma=0.7, normalized=False)
+    xs = [SparseVec.from_dense(rng.normal(size=9) * (rng.random(9) > 0.4))
+          for _ in range(5)]
+    labels = np.array([5, 1, 3])
+    want = [rerank_reference.affinity_scores(x, ps, labels) for x in xs]
+    calls = []
+    transpose_csr = kernels.transpose_csr
+    monkeypatch.setattr(kernels, "transpose_csr",
+                        lambda *a: calls.append(1) or transpose_csr(*a))
+    got = [affinity_scores(x, ps, labels) for x in xs]
+    assert affinity(xs[0], ps, 1) == got[0][1]
+    assert len(calls) == 1
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    assert ps == PrototypeSet(dense_csr_matrix(protos), gamma=0.7, normalized=False)
 
 
 def test_gather_pays_only_for_dense_cheaper_prototypes():

@@ -282,7 +282,7 @@ class TestPredictionIO:
             Prediction(np.array([3, 1]), np.array([0.75, 0.25])),
             Prediction(np.array([], dtype=np.int64), np.array([])),
         ]
-        buf = io.StringIO()
+        buf = io.BytesIO()
         save_predictions(preds, buf)
         buf.seek(0)
         again = load_predictions(buf)

@@ -1,6 +1,6 @@
 """The per-row ranking code that ``featagg.xcmetrics.Predictions`` replaced.
 
-Metrics, prediction IO, top-k, prototypes and reranking as they were when
+Metrics, top-k, prototypes and reranking as they were when
 predictions were a list of per-row ``Prediction`` objects: each loops over
 rows (or labels) in Python. They are kept unchanged as the reference that
 ``tests/test_predictions.py`` compares the segment-wise versions with, as
@@ -10,7 +10,7 @@ rows (or labels) in Python. They are kept unchanged as the reference that
 from __future__ import annotations
 
 import math
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,26 +185,6 @@ def percentile_macro_precision(
             mask = (pct >= lo) & (pct < hi)
         out.append(float(label_prec[mask].mean()) if mask.any() else float("nan"))
     return out
-
-
-def save_predictions(preds: PredictionList, stream: IO[str]) -> None:
-    """One line per point of space-separated label:score pairs, ranked."""
-    for pr in preds:
-        stream.write(
-            " ".join(f"{l}:{float(s)!r}" for l, s in zip(pr.labels, pr.scores))
-        )
-        stream.write("\n")
-
-
-def load_predictions(stream: IO[str]) -> PredictionList:
-    preds: PredictionList = []
-    for line in stream:
-        line = line.strip()
-        pairs = [tok.partition(":") for tok in line.split()] if line else []
-        labels = np.array([int(h) for h, _, _ in pairs], dtype=np.int64)
-        scores = np.array([float(t) for _, _, t in pairs], dtype=np.float64)
-        preds.append(Prediction(labels, scores))
-    return preds
 
 
 def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
