@@ -11,10 +11,10 @@ Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk:
 scan_lines finds the separators, commas, colons and dots by byte compares,
 and every check runs on arrays. kernels.parse_ints converts the labels and
 indices of 1 to 18 ASCII digits, and kernels.parse_floats the values of the
-form [+|-]digits[.digits][e[+|-]digits] with at most 19 significant digits
-and a net power of ten within 27, where x87 extended precision makes that
-exact (kernels.EXACT_FLOATS). Every other token is decoded and converted by
-one numpy call per kind, so each value is int() or float() of its text. A
+form digits[.digits] with 1 to 19 digits, where x87 extended precision makes
+that exact (kernels.EXACT_FLOATS). Every other token (a sign, an exponent,
+more digits) is decoded and converted by one numpy call per kind, so each
+value is int() or float() of its text. A
 malformed file still fails with a ParseError naming the first faulty line
 and its fault, as a line-by-line parser would report it. Writing formats a
 chunk of rows at a time into one NUL-padded byte matrix (join_lines), each

@@ -392,13 +392,14 @@ def pivot_attempts(seed, keys, sizes, attempts):
 
 # ---------------------------------------------------------------------------
 # parse_ints / parse_floats: numbers written in ASCII digits, read straight
-# from the bytes of a text. Each returns (values, ok); ok marks the tokens it
-# converted, and every other token is the caller's to convert.
+# from the bytes of a text: integers, and decimals without a sign or an
+# exponent, the form of a dataset's values. Each returns (values, ok); ok
+# marks the tokens it converted, and every other token is the caller's to
+# convert.
 # ---------------------------------------------------------------------------
 
 # Zero bytes put before a buffer, so that the up to 24 bytes read before a
-# token's end stay in range (_padded also puts 8 after it, for the 8 read
-# from a token's start)
+# token's end stay in range
 _PAD = 24
 # _FIRST[c + 24]: the low bytes of a little-endian word, which hold its first
 # clip(c, 0, 8) characters
@@ -407,19 +408,12 @@ _FIRST = np.array([(1 << 8 * min(max(c, 0), 8)) - 1 for c in range(-24, 25)],
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
 
 
-def _padded(buf):
-    """The uint8 buffer buf after _PAD zero bytes and before eight."""
-    padded = np.zeros(_PAD + buf.shape[0] + 8, dtype=np.uint8)
-    padded[_PAD:-8] = buf
-    return padded
-
-
-def _digits(padded, ends, n, dot_at=None):
-    """(value, ok) of the n characters (at most 19) before ends in a uint8
-    buffer, given as _padded makes it, read as decimal digits into a
-    uint64; ok is False where any of them is not an ASCII digit. With dot_at
-    (at most 24), the characters at distance dot_at or more from the end are
-    read one byte earlier, which skips a dot.
+def _digits(buf, ends, n, dot_at=None):
+    """(value, ok) of the n characters (at most 19) before ends in the uint8
+    buffer buf, read as decimal digits into a uint64; ok is False where any
+    of them is not an ASCII digit. With dot_at (at most 24), the characters
+    at distance dot_at or more from the end are read one byte earlier, which
+    skips a dot.
 
     The 8 * width bytes before each end are gathered at once, through an
     unaligned, stride-1 view of the buffer, and read as width little-endian
@@ -432,6 +426,8 @@ def _digits(padded, ends, n, dot_at=None):
     # for a dot: the first word's first character is never a digit
     width = max(-(-(int(n.max(initial=0)) + (dot_at is not None)) // 8), 1)
     o = 8 * np.arange(width, 0, -1)[:, None]  # distance from the end to each word
+    padded = np.zeros(_PAD + buf.shape[0], dtype=np.uint8)
+    padded[_PAD:] = buf
     spans = np.ndarray((padded.shape[0] + 1 - 8 * width,), f"V{8 * width}", padded,
                        strides=(1,))
     # width rows of words, so that each operation runs along the tokens
@@ -481,7 +477,7 @@ def parse_ints(buf, starts, ends):
     ok marks tokens of 1 to 18 ASCII digits, and values holds int() of each
     of them as int64 (0 elsewhere)."""
     n = ends - starts
-    value, ok = _digits(_padded(buf), ends, np.minimum(n, 18))
+    value, ok = _digits(buf, ends, np.minimum(n, 18))
     ok &= (n >= 1) & (n <= 18)
     return np.where(ok, value, 0).astype(np.int64), ok
 
@@ -509,130 +505,40 @@ def _scale(x, k):
 
 def parse_floats(buf, starts, ends, dots):
     """(values, ok) for the tokens buf[starts[i]:ends[i]] of a uint8 buffer:
-    ok marks tokens of the form [+|-]digits[.digits][(e|E)[+|-]digits]
-    whose mantissa holds at least one digit and at most 19 after its leading
-    zeros, whose exponent has 1 to 3 digits, and whose net power of ten (the
-    exponent less the digits after the dot) lies in [-27, 27]; values holds
-    float() of each of them (0.0 elsewhere). dots[i] is the position of a
-    dot in token i, or -1 where it has none.
+    ok marks tokens of the form digits[.digits] (.5 and 5. included) with 1
+    to 19 ASCII digits, leading zeros counted, and values holds float() of
+    each of them (0.0 elsewhere). dots[i] is the position of a dot in token
+    i, or -1 where it has none. A sign, an exponent or a 20th digit leaves a
+    token out of ok.
 
-    The significant digits make an exact uint64 w. w and 10**|q| for a net
-    power q are exact in x87 extended precision, whose product or quotient
-    rounds once to 64 bits; rounding that to a double is correctly rounded
-    unless the extended result is a midpoint of two doubles, and those
-    tokens are left out of ok. Without EXACT_FLOATS, ok is all False.
-
-    Every pass reads a few bytes per token, never the whole buffer: an
-    exponent's e among the token's last five bytes and its digits among
-    the last three, a long mantissa's leading zeros from one 8-byte word
-    (more only for runs of eight or more), and the significant digits
-    through _digits.
+    The digits make an exact uint64 w, with k of them after the dot. w and
+    10**k are exact in x87 extended precision, whose division rounds once to
+    64 bits; rounding that to a double is correctly rounded unless the
+    extended quotient is a midpoint of two doubles, and those tokens are
+    left out of ok. Without EXACT_FLOATS, ok is all False.
     """
     m = starts.shape[0]
     if not EXACT_FLOATS:
         return np.zeros(m), np.zeros(m, dtype=bool)
-    # signs and exponents are rare: look for them only in a buffer that
-    # holds their bytes
-    # (the bytes object a buffer views, as the dataset reader's buffers do,
-    # saves copying it)
-    text = buf.base if isinstance(buf.base, bytes) else buf.tobytes()
-    negative = None
-    if b"-" in text or b"+" in text:
-        # a sign opens the token (read past an empty one, it leaves n < 1)
-        sign = buf[np.minimum(starts, buf.shape[0] - 1)]
-        negative = sign == 45
-        starts = starts + (negative | (sign == 43))
-    # the exponent follows a token's last e or E, after at least one byte.
-    # An exponent that converts is at most a sign and 3 digits, so its e
-    # lies 2 to 5 bytes before the token's end: the nearest e there is
-    # taken, and a token whose last e lies elsewhere keeps that letter in
-    # its mantissa or exponent, and does not convert
-    at = token = starts[:0]
-    if b"e" in text or b"E" in text:
-        back = ends - np.arange(2, 6)[:, None]  # nearest first
-        found = ((buf[back] | 32) == 101) & (back > starts)
-        at = np.where(found[3], back[3], -1)
-        for j in (2, 1, 0):
-            at = np.where(found[j], back[j], at)
-        del back, found
-        token = np.flatnonzero(at >= 0)
-        at = at[token]
-    mend = ends  # where the mantissa ends
     has_dot = dots >= 0
-    if token.shape[0]:
-        mend = ends.copy()
-        mend[token] = at
-        has_dot &= dots < mend
-        sign = buf[at + 1]
-        end = ends[token]
-        n = end - at - 1 - ((sign == 43) | (sign == 45))
-        # the exponent's digits are among the token's last three bytes
-        exp_ok = (n >= 1) & (n <= 3)
-        power = np.zeros(token.shape[0], dtype=np.int64)
-        for j in (3, 2, 1):
-            digit = buf[end - j] - np.uint8(48)
-            used = n >= j
-            exp_ok &= (digit <= 9) | ~used
-            power *= 10
-            power += digit * used
-        power[sign == 45] *= -1
-    frac = np.where(has_dot, mend - 1 - dots, 0)
-    n = mend - starts - has_dot
-    # leading zeros do not count towards the 19 digits: a long mantissa's
-    # significant digits start at its first byte other than '0' or its dot,
-    # found eight bytes at a time through an unaligned view of the buffer:
-    # those bytes read as 0 after an exclusive or with eight '0', and the
-    # lowest set bit of the word, exact as a double, gives the first other
-    # byte (a run of eight or more reads on)
-    significant = n
-    long = np.flatnonzero(n > 19)
-    if long.shape[0]:
-        significant = n.copy()
-        padded = _padded(buf)
-        eights = np.ndarray((buf.shape[0] + 1,), "V8", padded, _PAD, (1,))
-        lead = starts[long]
-        live = np.arange(long.shape[0])
-        while live.shape[0]:
-            word = eights[lead[live]].view(np.uint64) ^ np.uint64(_ZEROS)
-            dot = dots[long[live]] - lead[live]
-            word &= ~np.left_shift(np.uint64(0xFF), 8 * np.where(dot >= 0, dot, 8).astype(np.uint64))
-            word &= ~word + np.uint64(1)  # the lowest set bit
-            count = np.where(word == 0, 8,
-                             (word.astype(np.float64).view(np.int64) >> 52) - 1023 >> 3)
-            lead[live] += count
-            live = live[(count == 8) & (lead[live] < mend[long[live]])]
-        del padded, eights
-        lead = np.minimum(lead, mend[long])
-        significant[long] = mend[long] - lead - (has_dot[long] & (dots[long] > lead))
+    frac = np.where(has_dot, ends - 1 - dots, 0)
+    n = ends - starts - has_dot
     dot_at = np.where(has_dot, np.minimum(frac, 24), 24) if has_dot.any() else None
+    del has_dot
     # token-sized scratch is freed as soon as it is used
-    fine = (n >= 1) & (significant <= 19)
-    del has_dot, n, long
-    value, ok = _digits(_padded(buf), mend, np.minimum(significant, 19, out=significant),
-                        dot_at)
-    del significant, dot_at
-    ok &= fine
-    del fine
-    if token.shape[0]:
-        net = -frac  # the net power of ten
-        net[token] += power
-        ok[token] &= exp_ok
-        ok &= np.abs(net) <= _MAX_POW
-        result = _scale(value.astype(np.longdouble),
-                        np.maximum(np.minimum(net, _MAX_POW), -_MAX_POW))
-    else:  # the net power of ten is -frac
-        ok &= frac <= _MAX_POW
-        result = value.astype(np.longdouble)
-        del value
-        result /= _POW10[np.minimum(frac, _MAX_POW)]
+    value, ok = _digits(buf, ends, np.minimum(n, 19), dot_at)
+    del dot_at
+    ok &= (n >= 1) & (n <= 19)
+    del n
+    quotient = value.astype(np.longdouble)
+    del value
+    quotient /= _POW10[np.minimum(frac, 19)]
+    del frac
     # rounding to a double is a second rounding, which may differ from
-    # rounding the exact value once where the extended result lies halfway
+    # rounding the exact value once where the extended quotient lies halfway
     # between two doubles: its low 11 significand bits are 0x400
-    ok &= result.view(np.uint64)[0::2] & 0x7FF != 0x400
-    values = np.where(ok, result.astype(np.float64), 0.0)
-    if negative is not None:
-        np.negative(values, out=values, where=ok & negative)
-    return values, ok
+    ok &= quotient.view(np.uint64)[0::2] & 0x7FF != 0x400
+    return np.where(ok, quotient.astype(np.float64), 0.0), ok
 
 
 # the longest repr of a double, -1.2345678901234567e-308

@@ -338,9 +338,9 @@ def _extended_midpoint(x):
     return _extended(x)[1] & 0x7FF == 0x400  # a carry to 2**64 leaves 0 there
 
 
-# [+|-]digits[.digits][(e|E)[+|-]digits]: sign, whole digits, fraction
-# digits and an exponent of 1 to 3 digits (bytes patterns match ASCII \d only)
-_FLOAT_TOKEN = re.compile(rb"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d{1,3}))?")
+# digits[.digits]: whole and fraction digits (bytes patterns match ASCII \d
+# only)
+_FLOAT_TOKEN = re.compile(rb"(\d*)(?:\.(\d*))?")
 
 
 def parse_floats(buf, starts, ends, dots):
@@ -352,11 +352,10 @@ def parse_floats(buf, starts, ends, dots):
         match = _FLOAT_TOKEN.fullmatch(token)
         if not match:
             continue
-        _, whole, frac, exponent = match.groups(b"")
+        whole, frac = match.groups(b"")
         digits = whole + frac
-        power = int(exponent or b"0") - len(frac)
-        if (1 <= len(digits) and len(digits.lstrip(b"0")) <= 19 and abs(power) <= 27
-                and not _extended_midpoint(int(digits) * Fraction(10) ** power)):
+        if (1 <= len(digits) <= 19
+                and not _extended_midpoint(Fraction(int(digits), 10 ** len(frac)))):
             values[i] = float(token)
             ok[i] = True
     return values, ok

@@ -155,6 +155,8 @@ VALUE_TEXTS = st.one_of(
     st.sampled_from([
         "0", "0.0", "-0.0", "1e-3", "2.5E2", "7.", ".5", "5.", "007", "00.250",
         "0." + "3" * 100,
+        # signs, exponents and over 19 digits, which the fallback reads
+        "+7", "1.5E+3", "1e+16", "0.000123456789012345678", "0" * 30 + "12.5",
         # exact midpoints of two doubles, which round to the even one
         "9007199254740993", "4503599627370496.5",
         # what float() reads past the kernels: a full-width digit, blanks
