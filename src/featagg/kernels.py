@@ -2,8 +2,9 @@
 
 Each kernel has one numpy implementation; only ``ova_sgd`` (over its
 sequential steps, whose entries it gathers a chunk of steps at a time) and
-``score_rows`` (one BLAS product per row, of the row's values with the
-contiguous rows of column-major weights at its indices) loop in Python.
+``score_rows`` (over stacks of rows of one stored length, each stack one
+matmul of the rows' values with the contiguous rows of column-major weights
+at their indices) loop in Python.
 ``product_pairs`` expands the products of A B a chunk of rows at a time;
 ``product_chunks`` sums each chunk into its CSR triple, and
 ``sparse_product`` joins them: they carry representatives, label sums, the
@@ -18,7 +19,8 @@ kernel that spells out the same arithmetic, and the tests compare the two;
 the ordering kernels (``rank_within``, ``group_order``, ``group_repeats``,
 ``row_ids``) are compared with ``np.lexsort``, ``np.array_equal`` and
 Python's sets instead, and ``pivot_attempts``, the tree's per-node draws,
-with numpy's own generators.
+and ``sample_orders``, the per-label SGD orders, with numpy's own
+generators.
 
 The sparse kernels take (indptr, indices, values) CSR triples with int64
 indices and float64 values; callers are responsible for dtype discipline.
@@ -253,8 +255,9 @@ def row_ids(indptr, indices, values):
 
 
 # ---------------------------------------------------------------------------
-# pivot_attempts: the tree's initial-centre draws for every node of a tree at
-# once, bit for bit those of numpy's default_rng(SeedSequence([seed, key]))
+# pivot_attempts and sample_orders: the tree's initial-centre draws for every
+# node of a tree at once, and the one-vs-rest sample orders for every label of
+# a block, bit for bit those of numpy's default_rng(SeedSequence([seed, key]))
 # ---------------------------------------------------------------------------
 
 _U32 = np.uint64(32)
@@ -388,6 +391,31 @@ def pivot_attempts(seed, keys, sizes, attempts):
         pairs[:, t, 0] = np.where(swap, b, a)
         pairs[:, t, 1] = np.where(swap, a, b)
     return pairs
+
+
+def sample_orders(seed, keys, n, epochs):
+    """The first epochs calls of rng.permutation(n) per key k, rng being
+    np.random.default_rng(np.random.SeedSequence([seed % 2**63, k])), as an
+    int64 array of shape (len(keys), epochs, n); keys are below 2**64.
+
+    Every key's PCG64 state is seeded in one pass; one generator then takes
+    each key's state in turn and shuffles its copies of arange(n) in place,
+    as permutation does.
+    """
+    streams = _Streams(seed % 2**63, np.asarray(keys).astype(np.uint64))
+    bitgen = np.random.PCG64()
+    shuffle = np.random.Generator(bitgen).shuffle
+    orders = np.empty((streams.hi.shape[0], epochs, n), dtype=np.int64)
+    orders[...] = np.arange(n)
+    states = zip(streams.hi.tolist(), streams.lo.tolist(), streams.inc_hi.tolist(),
+                 streams.inc_lo.tolist())
+    for key_orders, (hi, lo, inc_hi, inc_lo) in zip(orders, states):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                        "has_uint32": 0, "uinteger": 0}
+        for order in key_orders:
+            shuffle(order)
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -1087,27 +1115,32 @@ def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
     g = np.empty(n_labels)  # the margins, then the gradients
     scale = 1.0
     # chunks are cut within windows of steps, each at least a budget's worth,
-    # so the scratch does not grow with the number of steps
+    # so the scratch does not grow with the number of steps; a window's signs,
+    # row starts and step offsets are gathered once
     window = max(_PRODUCT_CHUNK_PAIRS // n_labels, 1)
     for w0 in range(0, rows_at.shape[1], window):
         at = rows_at[:, w0:w0 + window].T  # (steps, B): step-major
         lens = row_len[at]
+        sgn = sign[labels, at]
+        neg = -sgn
         step_nnz = lens.sum(axis=1)
         ends = np.concatenate(([0], np.cumsum(step_nnz + n_labels)))
+        off = np.concatenate(([0], np.cumsum(step_nnz))).tolist()
+        # entry t of the window, in (step, label) range i, is t + shift[i]
+        lens = lens.ravel()
+        shift = indptr[at].ravel() - (np.cumsum(lens) - lens)
         for lo, hi in chunk_ranges(ends, _PRODUCT_CHUNK_PAIRS):
-            rows = at[lo:hi].ravel()
-            flat = concat_ranges(indptr[rows], indptr[rows + 1])
-            lab = np.repeat(np.broadcast_to(labels, (hi - lo, n_labels)).ravel(),
-                            lens[lo:hi].ravel())
-            key = lab * dim + indices[flat]
+            lens_c = lens[lo * n_labels:hi * n_labels]
+            flat = np.repeat(shift[lo * n_labels:hi * n_labels], lens_c)
+            flat += np.arange(off[lo], off[hi])
+            lab = np.repeat(np.broadcast_to(labels, (hi - lo, n_labels)).ravel(), lens_c)
+            key = lab * dim
+            key += indices[flat]
             val = values[flat]
-            sgn = sign[labels, at[lo:hi]]
-            neg = -sgn
-            off = np.concatenate(([0], np.cumsum(step_nnz[lo:hi]))).tolist()
-            for i in range(hi - lo):
-                p = w0 + lo + i
+            for i in range(lo, hi):
+                p = w0 + i
                 step_lr = lr / (1.0 + decay * (p // epoch_len))
-                a, b = off[i], off[i + 1]
+                a, b = off[i] - off[lo], off[i + 1] - off[lo]
                 k, v, lb = key[a:b], val[a:b], lab[a:b]
                 # one gather serves the dot and the update: (label, feature)
                 # keys within one step are unique (CSR rows hold each column
@@ -1153,20 +1186,39 @@ def ova_sgd(indptr, indices, values, sign, order, dim, lr, l2, decay,
 # score_rows: dense (n_labels x dim) weight matrix applied to every CSR row
 # ---------------------------------------------------------------------------
 
+# Gathered weights (rows x stored length x labels) per stack of rows that
+# score_rows multiplies at once, at least one row: 256 KB of float64.
+_SCORE_STACK_WEIGHTS = 1 << 15
+
 
 def score_rows(indptr, indices, values, weights, bias):
-    """Rows of values @ weights.T + bias: each row's scores are one BLAS
-    product of its values with the rows of weights.T at its indices, rows
-    that are contiguous when weights is column-major."""
+    """Rows of values @ weights.T + bias. Rows of equal stored length are
+    scored in stacks: each row's scores are one BLAS product (a gemv) of its
+    values with the rows of weights.T at its indices, rows that are
+    contiguous when weights is column-major, and each stack is one matmul of
+    those products, which numpy makes item by item."""
     nrows = indptr.shape[0] - 1
+    n_labels = weights.shape[0]
     wt = weights.T
-    out = np.empty((nrows, weights.shape[0]), dtype=np.float64)
-    for r in range(nrows):
-        s, e = indptr[r], indptr[r + 1]
-        if e > s:
-            out[r] = values[s:e] @ wt[indices[s:e]] + bias
-        else:
-            out[r] = bias
+    out = np.empty((nrows, n_labels), dtype=np.float64)
+    if nrows == 0 or n_labels == 0:
+        return out
+    lens = np.diff(indptr)
+    order = group_order(lens, np.zeros(nrows, dtype=np.int64))
+    lens = lens[order]
+    cuts = np.flatnonzero(lens[1:] != lens[:-1]) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), nrows]):
+        length = int(lens[lo])
+        if length == 0:
+            out[order[lo:hi]] = bias
+            continue
+        step = max(1, _SCORE_STACK_WEIGHTS // (length * n_labels))
+        for s in range(lo, hi, step):
+            rows = order[s:s + step]
+            at = indptr[rows, None] + np.arange(length)
+            prod = np.matmul(values[at][:, None, :], wt[indices[at]])
+            prod += bias
+            out[rows] = prod[:, 0]
     return out
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import kernels
 from .dataio import Dataset, json_object, json_text, load_arrays, save_arrays
 from .sparse import SparseMatrix, SparseVec, _value_eq
+from .tree import _int_seed
 from .xcmetrics import Predictions, top_k
 
 LABEL_GUARD = 10_000
@@ -31,8 +32,11 @@ class OvaConfig:
     lr: float = 0.5
     lr_decay: float = 1.0  # per-epoch inverse decay; 0 keeps lr constant
     l2: float = 1e-4
-    seed: int = 0
+    seed: int = 0  # any integer but a bool, kept as a Python int
     allow_large: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _int_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,16 @@ def train_ova(
 ) -> OvaModel:
     """Train one binary model per label; bit-identical given the seed.
 
-    Every label draws its sample orders from its own (seed, label) RNG. Labels
-    are trained in blocks, one batched ova_sgd call per block that updates
-    all its labels at every step, and each label follows the same arithmetic
-    whatever block it lands in and however ova_sgd chunks its steps, so the
-    result depends on neither the worker count nor the block size. Blocks are
-    independent jobs; threads > 1 spreads them over a thread pool, where they
-    overlap only inside numpy calls that release the interpreter lock.
+    Label l's sample order in each epoch is the next permutation(n) of
+    default_rng(SeedSequence([seed % 2**63, l])); kernels.sample_orders seeds
+    a block's streams in one pass and draws them bit for bit as numpy does.
+    Labels are trained in blocks, one batched ova_sgd call per block that
+    updates all its labels at every step, and each label follows the same
+    arithmetic whatever block it lands in and however ova_sgd chunks its
+    steps, so the result depends on neither the worker count nor the block
+    size. Blocks are independent jobs; threads > 1 spreads them over a thread
+    pool, where they overlap only inside numpy calls that release the
+    interpreter lock. The seed is any integer but a bool (see OvaConfig).
     """
     _check_config(config)
     n_labels = ds.n_labels
@@ -107,22 +114,18 @@ def train_ova(
     yt = ds.labels.transpose()
     weights = np.zeros((n_labels, dim), dtype=np.float64, order="F")
     bias = np.zeros(n_labels, dtype=np.float64)
-    seed = config.seed % 2**63
     block = max(1, _SGD_BLOCK_STEPS // max(1, n * config.epochs))
 
     def fit_block(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
         hi = min(lo + block, n_labels)
         sign = np.full((hi - lo, n), -1.0, dtype=np.float64)
-        orders = []
-        for l in range(lo, hi):
-            s, e = yt.indptr[l], yt.indptr[l + 1]
-            sign[l - lo, yt.indices[s:e]] = 1.0
-            rng = np.random.default_rng(np.random.SeedSequence([seed, l]))
-            orders.extend(rng.permutation(n) for _ in range(config.epochs))
-        order = np.concatenate(orders).astype(np.int64)
+        s, e = yt.indptr[lo], yt.indptr[hi]
+        sign[np.repeat(np.arange(hi - lo), np.diff(yt.indptr[lo:hi + 1])),
+             yt.indices[s:e]] = 1.0
+        order = kernels.sample_orders(config.seed, np.arange(lo, hi), n, config.epochs)
         w, b = kernels.ova_sgd(
             feats.indptr, feats.indices, feats.values,
-            sign, order, dim, config.lr, config.l2, config.lr_decay, n,
+            sign, order.reshape(-1), dim, config.lr, config.l2, config.lr_decay, n,
         )
         return lo, w, b
 
@@ -151,8 +154,12 @@ def decision_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
 
 def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
     """Sigmoid of the margins: positive scores usable under a log transform."""
-    margins = np.clip(decision_scores(model, x), -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(-margins))
+    scores = decision_scores(model, x)
+    np.clip(scores, -500.0, 500.0, out=scores)
+    np.negative(scores, out=scores)
+    np.exp(scores, out=scores)
+    scores += 1.0
+    return np.divide(1.0, scores, out=scores)
 
 
 def predict(model: OvaModel, x: SparseMatrix | SparseVec, k: int) -> Predictions:
@@ -190,7 +197,7 @@ def load_model(path: str) -> OvaModel:
     arrays = load_arrays(path, "model", _MODEL_ARRAYS)
     try:
         config = OvaConfig(**json_object(arrays["config"], "model config"))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model config: {exc}") from None
     dim = int(arrays["dim"])
     weights, bias = arrays["weights"], arrays["bias"]

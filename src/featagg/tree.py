@@ -210,10 +210,14 @@ def load_partition(path: str) -> FeaturePartition:
 
 
 def _int_seed(seed) -> int:
-    """seed as a Python int: any integer but a bool."""
+    """seed as a Python int: any integer but a bool, numpy integers included;
+    anything else is a ValueError."""
     if isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, not a bool, got {seed}")
-    return operator.index(seed)
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
 
 
 def _internal_nodes(d: int, d0: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Every kernel must agree with its reference loop on random CSR inputs."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -437,14 +438,16 @@ def test_score_rows(csr, rng):
 
 @st.composite
 def scoring_inputs(draw):
-    """(indptr, indices, values, weights, bias) for score_rows: one label to
-    many, one column to many, empty rows, stored +-0.0 values and weights,
+    """(indptr, indices, values, weights, bias) for score_rows: no label to
+    many, one column to many, up to 200 rows of a few stored lengths (so
+    stacks hold many rows), all-empty rows, stored +-0.0 values and weights,
     and magnitudes from 1e-3 to 1e3."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_labels = draw(st.sampled_from([1, 2, 7, 64, 333, 1500]))
+    n_labels = draw(st.sampled_from([0, 1, 2, 7, 64, 333, 1500]))
     dim = draw(st.sampled_from([1, 2, 9, 150, 1024]))
-    nrows = draw(st.integers(0, 6))
-    lengths = rng.integers(0, min(dim, 40) + 1, nrows) * (rng.random(nrows) > 0.25)
+    nrows = draw(st.integers(0, 200))
+    pool = rng.integers(0, min(dim, 40) + 1, draw(st.integers(1, 4)))
+    lengths = rng.choice(pool * (rng.random(pool.shape[0]) > 0.25), nrows)
     indices = np.concatenate([np.sort(rng.choice(dim, n, replace=False)) for n in lengths]
                              + [np.zeros(0)]).astype(np.int64)
     indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
@@ -458,16 +461,41 @@ def scoring_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scoring_inputs())
-def test_score_rows_bytes_equal_in_both_layouts(case):
+@given(scoring_inputs(), st.sampled_from([1, 40, 1000, kernels._SCORE_STACK_WEIGHTS]))
+def test_score_rows_bytes_equal_in_both_layouts(case, stack_weights):
     """Column-major weights (as models hold them) and row-major ones give the
-    bytes of the former strided gather. A BLAS that summed the layouts in
-    different orders would fail here: the bytes are the contract."""
+    bytes of the former strided gather, whatever rows a stack holds. A BLAS
+    that summed the layouts or the stacked products in different orders
+    would fail here: the bytes are the contract."""
     indptr, indices, values, weights, bias = case
     want = kernel_reference.score_rows_strided(indptr, indices, values, weights, bias)
-    for layout in (np.ascontiguousarray(weights), np.asfortranarray(weights)):
-        got = kernels.score_rows(indptr, indices, values, layout, bias)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    bound = kernels._SCORE_STACK_WEIGHTS
+    kernels._SCORE_STACK_WEIGHTS = stack_weights
+    try:
+        for layout in (np.ascontiguousarray(weights), np.asfortranarray(weights)):
+            got = kernels.score_rows(indptr, indices, values, layout, bias)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    finally:
+        kernels._SCORE_STACK_WEIGHTS = bound
+
+
+def test_score_rows_scratch_is_stack_bounded(rng):
+    # 400 rows of 16 entries and 256 labels: gathered at once, their weights
+    # would take 13 MB
+    n, length, n_labels, dim = 400, 16, 256, 64
+    indices = np.concatenate([np.sort(rng.choice(dim, length, replace=False))
+                              for _ in range(n)]).astype(np.int64)
+    indptr = np.arange(n + 1, dtype=np.int64) * length
+    weights = np.asfortranarray(rng.normal(size=(n_labels, dim)))
+    values, bias = rng.normal(size=n * length), rng.normal(size=n_labels)
+    tracemalloc.start()
+    try:
+        kernels.score_rows(indptr, indices, values, weights, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = n * n_labels * 8
+    assert peak < out_bytes + 2 * kernels._SCORE_STACK_WEIGHTS * 8 + 65536, peak
 
 
 @st.composite
@@ -1107,6 +1135,20 @@ def test_pivot_draws_pinned():
                       splits.INIT_ATTEMPTS)
     assert got.tolist() == [[-1, -1], [-1, -1], [7, 1], [0, 7], [6, 7], [-1, -1], [-1, -1],
                             [7, 2], [7, 2], [2, 7], [7, 0]]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, -1])
+@pytest.mark.parametrize("first", [0, 2**32 - 2, 2**40 + 3])
+def test_sample_orders_equal_numpy(seed, first):
+    # one-word and two-word seeds and keys, and label ranges across 2**32
+    keys = np.arange(first, first + 5)
+    for n, epochs in itertools.product([0, 1, 2, 350], [1, 3]):
+        got = kernels.sample_orders(seed, keys, n, epochs)
+        assert got.dtype == np.int64 and got.shape == (5, epochs, n)
+        for key, orders in zip(keys.tolist(), got):
+            rng = np.random.default_rng(np.random.SeedSequence([seed % 2**63, key]))
+            for order in orders:
+                assert np.array_equal(order, rng.permutation(n))
 
 
 @st.composite

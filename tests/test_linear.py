@@ -12,6 +12,7 @@ from featagg.linear import (
     decision_scores,
     load_model,
     predict,
+    probability_scores,
     save_model,
     train_ova,
 )
@@ -150,6 +151,21 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="lr \\* l2"):
             train_ova(separable, OvaConfig(lr=lr, l2=l2))
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int8(3)])
+    def test_numpy_integer_seed_equals_python_int(self, separable, tmp_path, seed):
+        config = OvaConfig(epochs=3, seed=seed)
+        assert type(config.seed) is int and config == OvaConfig(epochs=3, seed=3)
+        model = train_ova(separable, config)
+        assert digest(model) == digest(train_ova(separable, OvaConfig(epochs=3, seed=3)))
+        path = str(tmp_path / "model.npz")
+        save_model(model, path)
+        assert load_model(path) == model
+
+    @pytest.mark.parametrize("seed", [True, False, 3.0, 2.5, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer.*{seed}"):
+            OvaConfig(seed=seed)
+
     def test_train_cli_exits_2(self, separable, tmp_path, capsys):
         from featagg.cli import main
         from featagg.dataio import save_xc
@@ -179,6 +195,20 @@ class TestPredict:
         assert precision_at_k(preds, agg.labels, 1) == 1.0
         with pytest.raises(ValueError):
             predict(model, SparseVec(5), k=1)
+
+    def test_probability_scores_are_the_clipped_sigmoid(self, rng):
+        # empty rows score the bias: margins of exactly +-500, +-0.0, past
+        # the clip and inside it, then rows of random entries
+        bias = np.array([500.0, -500.0, 0.0, -0.0, 1e3, -1e3, 500.5, -36.0, 35.5, 1e-300])
+        model = OvaModel(np.asfortranarray(rng.normal(size=(10, 6)) * 100.0), bias,
+                         OvaConfig())
+        x = dataset_from_dense(np.vstack((np.zeros((2, 6)), rng.random((5, 6)) * 3.0)),
+                               [set()] * 7, 10).features
+        margins = decision_scores(model, x)
+        want = 1.0 / (1.0 + np.exp(-np.clip(margins, -500.0, 500.0)))
+        assert probability_scores(model, x).tobytes() == want.tobytes()
+        one = probability_scores(model, SparseVec(6))
+        assert one.shape == (10,) and one.tobytes() == want[0].tobytes()
 
     def test_k_exceeding_labels_errors(self, separable):
         model = train_ova(separable, OvaConfig(epochs=2))
@@ -231,6 +261,7 @@ def test_weights_are_column_major_and_c_ordered_files_load(tmp_path, rng):
         ("weights", [1.0, 2.0]),  # not 2-D
         ("dim", 3),
         ("config", {"epochs": 1, "momentum": 0.9}),
+        ("config", {"seed": True}),
         ("config", [1]),
     ],
 )
