@@ -154,17 +154,13 @@ def impute(c: PseudoCooc, x: SparseVec) -> SparseVec:
     return c.apply(SparseMatrix.from_rows([x])).row(0)
 
 
-def impute_blend(c: PseudoCooc, x: SparseVec, lam: float = 0.0) -> SparseVec:
-    """lam * x + (1 - lam) * rescaled imputation.
-
-    The imputed vector is rescaled to x's L2 norm so the blend mixes vectors
-    of comparable magnitude; with lam = 0 this is pure (rescaled) imputation.
-    """
-    return impute_matrix(c, SparseMatrix.from_rows([x]), lam).row(0)
-
-
 def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMatrix:
-    """impute_blend of every row of sm."""
+    """lam * x + (1 - lam) * rescaled imputation, for every row x of sm.
+
+    The imputation of x is rescaled to x's L2 norm so the blend mixes
+    vectors of comparable magnitude; with lam = 0 this is pure (rescaled)
+    imputation.
+    """
     _in_unit("lam", lam)
     imputed = c.apply(sm)
     ni, nx = np.sqrt(imputed.row_sq_norms()), np.sqrt(sm.row_sq_norms())

@@ -12,12 +12,13 @@ the cheaper of two exact paths to them. The product path expands a chunk of
 test points' products with the prototypes (``kernels.product_pairs``) and
 reads each shortlisted dot from that chunk's key table
 (``kernels.key_sums``), ranking the chunk before the next. The gather path,
-taken only when the prototypes are at least half dense and it costs fewer
-gathered entries, holds P dense and sums each shortlisted prototype at its
-query's features (``kernels.gather_dots``). Both add a dot's products in the
-query's stored order, so the choice changes no byte. The per-point
-functions (affinity, affinity_scores, rerank) are one-row calls of
-rerank_predictions' arithmetic and checks on the product path.
+taken only when the prototypes are at least half dense, it costs fewer
+gathered entries and every query value is finite, holds P dense and sums each
+shortlisted prototype at its query's features (``kernels.gather_dots``). Both
+add a dot's products in the query's stored order, so the choice, made once
+per call, changes no byte. The per-point functions (affinity,
+affinity_scores, rerank) are one-row calls of rerank_predictions' arithmetic
+and checks on the product path.
 """
 
 from __future__ import annotations
@@ -165,28 +166,11 @@ def _gather_pays(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> bool:
 
 def _gather_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> np.ndarray:
     """The dots of _product_dots, all at once, read from a dense P at each
-    query's features (kernels.gather_dots) and summed in the same order.
-
-    The extra terms, the query's values times 0.0, leave a sum started at 0.0
-    unchanged unless a value is not finite: such queries take the product
-    path.
-    """
-    rows = short.row_ids()
-    finite = np.ones(x.rows, dtype=bool)
-    finite[np.repeat(np.arange(x.rows), x.row_nnz())[~np.isfinite(x.values)]] = False
-    gather = finite[rows]
-    dots = np.empty(rows.shape[0])
-    dots[gather] = kernels.gather_dots(x.indptr, x.indices, x.values, rows[gather],
-                                       ps.matrix.to_dense(), short.labels[gather])
-    if not gather.all():
-        rest = np.flatnonzero(~finite)
-        at = np.flatnonzero(~gather)
-        lengths = short.lengths()[rest]
-        rest_short = Predictions(np.concatenate(([0], np.cumsum(lengths))),
-                                 short.labels[at], short.scores[at], validate=False)
-        dots[at] = np.concatenate(
-            [d for *_, d in _product_dots(ps, x.take_rows(rest), rest_short)])
-    return dots
+    query's features (kernels.gather_dots) and summed in the same order: the
+    extra terms, finite query values times 0.0, leave a sum started at 0.0
+    unchanged."""
+    return kernels.gather_dots(x.indptr, x.indices, x.values, short.row_ids(),
+                               ps.matrix.to_dense(), short.labels)
 
 
 def _affinities(
@@ -274,8 +258,9 @@ def rerank_predictions(
         normalize_queries = ps.normalized
     short = preds.head(shortlist)
     x, x_sq, p_sq = _prepare(short, ps, x_test, normalize_queries)
-    chunks = (_product_dots(ps, x, short) if not _gather_pays(ps, x, short)
-              else [(0, len(short), _gather_dots(ps, x, short))])
+    gather = _gather_pays(ps, x, short) and np.isfinite(x.values).all()
+    chunks = ([(0, len(short), _gather_dots(ps, x, short))] if gather
+              else _product_dots(ps, x, short))
     lengths = short.lengths()
     ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for lo, hi, dots in chunks:

@@ -393,9 +393,15 @@ def percentile_macro_precision(
     """Equal-weight mean of label-wise precision@k per popularity bucket.
 
     Labels are ranked by train frequency (percentile 0 = most popular); a
-    label that is never predicted counts as precision 0. Buckets must
-    partition [0, 100]; an empty bucket yields NaN.
+    label that is never predicted counts as precision 0. Buckets (lo, hi),
+    lo < hi, must partition [0, 100] in the order given, each ending where
+    the next begins, or ValueError is raised; an empty bucket yields NaN.
     """
+    buckets = [(float(lo), float(hi)) for lo, hi in buckets]
+    starts = [0.0] + [hi for _, hi in buckets]  # each bucket's lo; then 100
+    if starts[-1] != 100.0 or any(lo != start or not lo < hi
+                                  for (lo, hi), start in zip(buckets, starts)):
+        raise ValueError(f"buckets must partition [0, 100] in order, got {buckets}")
     t = _top_entries(preds, truth, k)
     n_labels = y_train.cols
     t.top.check_labels(n_labels)
@@ -411,10 +417,7 @@ def percentile_macro_precision(
 
     out: list[float] = []
     for lo, hi in buckets:
-        if hi >= 100.0:
-            mask = (pct >= lo) & (pct <= hi)
-        else:
-            mask = (pct >= lo) & (pct < hi)
+        mask = (pct >= lo) & (pct < hi)  # every pct is below 100
         out.append(float(label_prec[mask].mean()) if mask.any() else float("nan"))
     return out
 

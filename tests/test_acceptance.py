@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from featagg import reranking
 from featagg.agglomerate import AVERAGE, SUM, agglomerate_dataset, agglomerate_vec
 from featagg.bounds import lemma1_trials, thm1_check, thm1_trials, thm2_check, thm2_trials
 from featagg.cluster_quality import (
@@ -22,7 +23,7 @@ from featagg.cluster_quality import (
 )
 from featagg.cooc import build_cooc, erase_matrix, impute, impute_matrix
 from featagg.dataio import load_xc
-from featagg.linear import OvaConfig, predict, train_ova
+from featagg.linear import OvaConfig, OvaModel, predict, train_ova
 from featagg.reprs import ReprSet, build as build_reprs
 from featagg.reranking import build_prototypes, rerank_predictions
 from featagg.splits import Ranking, ndcg, ndcg_split
@@ -340,12 +341,18 @@ def test_criterion_11_eurlex_spot_check():
                f"{balance_factor(part):.2f}, entropy {normalized_entropy(part):.3f}")
 
 
-def test_criterion_12_paper_shape_clustering():
-    # criterion 11's clustering checks on a synthetic dataset of EURLex's
-    # statistics (15539 points, 5000 features, 237 stored per point, 3993
-    # labels, 5 per point), which needs no download
-    ds = random_dataset(np.random.default_rng(0), 15539, 5000, n_labels=3993,
-                        nnz_per_row=237, labels_per_row=5)
+@pytest.fixture(scope="module")
+def paper_shape():
+    """A synthetic dataset of EURLex's statistics (15539 points, 5000
+    features, 237 stored per point, 3993 labels, 5 per point), which needs no
+    download."""
+    return random_dataset(np.random.default_rng(0), 15539, 5000, n_labels=3993,
+                          nnz_per_row=237, labels_per_row=5)
+
+
+def test_criterion_12_paper_shape_clustering(paper_shape):
+    # criterion 11's clustering checks on the paper-shape synthetic dataset
+    ds = paper_shape
     t0 = time.perf_counter()
     rs = build_reprs(ds, mode="x", doc_fraction=0.25)
     part = leaves(make_tree(rs, d0=8, split_kind="kmeans", seed=0))
@@ -355,3 +362,49 @@ def test_criterion_12_paper_shape_clustering():
     assert normalized_entropy(part) >= 0.99
     report(12, f"paper-shape synthetic clustered in {elapsed:.1f}s, balance "
                f"{balance_factor(part):.2f}, entropy {normalized_entropy(part):.3f}")
+
+
+# Wall-time bounds in seconds, about 3x each stage's time on a 2-core x86-64
+# host (numpy backend): agglomerate 0.18, cooc 0.14, erase 0.04, impute 0.15,
+# predict 2.49, prototypes 1.49, rerank 1.10.
+PAPER_STAGE_BOUNDS = {"agglomerate": 0.55, "cooc": 0.45, "erase": 0.12, "impute": 0.45,
+                      "predict": 7.5, "prototypes": 4.5, "rerank": 3.3}
+
+
+def test_criterion_13_paper_shape_prediction(paper_shape):
+    # the prediction half of criterion 11 on the paper-shape synthetic
+    # dataset, each stage under its own wall-time bound; a seeded random
+    # model stands in for training
+    train, test = split_points(paper_shape, 12000)
+    part = leaves(make_tree(build_reprs(train, mode="x", doc_fraction=0.25), d0=8,
+                            split_kind="kmeans", seed=0))
+    seconds = {}
+
+    def timed(stage, fn):
+        t0 = time.perf_counter()
+        out = fn()
+        seconds[stage] = time.perf_counter() - t0
+        return out
+
+    timed("agglomerate", lambda: (agglomerate_dataset(train, part),
+                                  agglomerate_dataset(test, part)))
+    c = timed("cooc", lambda: build_cooc(train, part))
+    erased = timed("erase", lambda: erase_matrix(test.features, 0.5,
+                                                 np.random.default_rng(1)))
+    timed("impute", lambda: impute_matrix(c, erased))
+    rng = np.random.default_rng(2)
+    model = OvaModel(np.asfortranarray(rng.normal(size=(3993, 5000))),
+                     rng.normal(size=3993), OvaConfig(seed=0))
+    base = timed("predict", lambda: predict(model, test.features, k=100))
+    del model
+    ps = timed("prototypes", lambda: build_prototypes(c, train, normalize=True,
+                                                      gamma=10.0))
+    # the rerank bound times the gather path
+    assert reranking._gather_pays(ps, test.features, base.head(100))
+    reranked = timed("rerank", lambda: rerank_predictions(base, ps, test.features,
+                                                          shortlist=100))
+    assert len(reranked) == test.n
+    slow = {k: round(v, 2) for k, v in seconds.items() if v >= PAPER_STAGE_BOUNDS[k]}
+    assert not slow, f"stages over their bounds {PAPER_STAGE_BOUNDS}: {slow}"
+    report(13, "paper-shape stages (s): " + ", ".join(
+        f"{k} {v:.2f}" for k, v in seconds.items()))

@@ -12,7 +12,6 @@ from featagg.cooc import (
     erase,
     erase_matrix,
     impute,
-    impute_blend,
     impute_matrix,
     load_cooc,
     save_cooc,
@@ -195,7 +194,7 @@ class TestImpute:
     def test_blend_recovers_input_at_lambda_one(self, toy_blocks):
         _, _, c = toy_blocks
         x = vec(3, {0: 1.0, 2: 2.0})
-        assert impute_blend(c, x, lam=1.0) == x
+        assert blend_row(c, x, lam=1.0) == x
 
 
 def sequential_norm(x: SparseVec) -> float:
@@ -206,8 +205,13 @@ def sequential_norm(x: SparseVec) -> float:
     return math.sqrt(total)
 
 
+def blend_row(c, x, lam):
+    """impute_matrix of the one-row matrix holding x."""
+    return impute_matrix(c, SparseMatrix.from_rows([x]), lam).row(0)
+
+
 def dense_blend(c, x, lam):
-    """impute_blend through a dense length-d vector."""
+    """The blend of x through a dense length-d vector."""
     imputed = impute(c, x)
     ni, nx = sequential_norm(imputed), sequential_norm(x)
     scale = nx / ni if ni > 0 and nx > 0 else 1.0
@@ -231,7 +235,7 @@ class TestImputeBlend:
             for _ in range(10)
         ]
         for x in xs:
-            got, want = impute_blend(c, x, lam), dense_blend(c, x, lam)
+            got, want = blend_row(c, x, lam), dense_blend(c, x, lam)
             assert got.dim == want.dim == 8
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
@@ -250,9 +254,9 @@ class TestImputeBlend:
         got = impute_matrix(c, sm, lam)
         assert got.rows == 30 and got.cols == 8
         for i in range(30):
-            want = impute_blend(c, sm.row(i), lam)
-            assert got.row(i).indices.tobytes() == want.indices.tobytes()
-            assert got.row(i).values.tobytes() == want.values.tobytes()
+            for want in blend_row(c, sm.row(i), lam), dense_blend(c, sm.row(i), lam):
+                assert got.row(i).indices.tobytes() == want.indices.tobytes()
+                assert got.row(i).values.tobytes() == want.values.tobytes()
 
     def test_cancelling_entries_dropped(self):
         # the imputation of x is (-1, 1) with x's norm, so at lam = 0.5
@@ -260,7 +264,7 @@ class TestImputeBlend:
         part = FeaturePartition.from_clusters(3, [np.array([0]), np.array([1, 2])])
         c = PseudoCooc(part, np.array([-1.0, 1.0, 0.0, 0.0, 1.0]))
         x = vec(3, {0: 1.0, 1: 1.0})
-        got = impute_blend(c, x, 0.5)
+        got = blend_row(c, x, 0.5)
         assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
 
 

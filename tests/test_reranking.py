@@ -321,6 +321,28 @@ def test_gather_path_is_taken_when_forced(small_setup, monkeypatch):
                                                                      shortlist=3))
 
 
+@pytest.mark.parametrize("normalize_queries", [False, True])
+def test_a_non_finite_query_keeps_the_call_on_the_product_path(rng, monkeypatch,
+                                                                normalize_queries):
+    """One query holding +-inf sends the whole call down the product path,
+    even where the gather would pay, with the former code's bytes."""
+    ps = PrototypeSet(dense_csr_matrix(rng.uniform(-1, 1, (5, 8))), gamma=1.5,
+                      normalized=False)
+    queries = rng.normal(size=(6, 8)) * (rng.random((6, 8)) > 0.3)
+    queries[2, :3] = [np.inf, 1.0, -np.inf]
+    x = dense_csr_matrix(queries)
+    preds = Predictions(np.arange(0, 31, 5), np.tile(np.arange(5), 6),
+                        np.tile([0.9, 0.7, 0.5, 0.3, 0.1], 6))
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
+    monkeypatch.setattr(kernels, "gather_dots", lambda *a: pytest.fail("gathered"))
+    with np.errstate(all="ignore"):
+        got = rerank_predictions(preds, ps, x, shortlist=4,
+                                 normalize_queries=normalize_queries)
+        want = rerank_reference.rerank_predictions(preds, ps, x, shortlist=4,
+                                                   normalize_queries=normalize_queries)
+    assert_same_predictions(got, want)
+
+
 def test_affinity_scores_stay_on_the_product_path(rng, monkeypatch):
     """A one-row call never fills a dense P, even where the gather would pay."""
     protos = rng.uniform(-1, 1, (5, 8))

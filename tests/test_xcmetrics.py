@@ -239,6 +239,30 @@ class TestPercentileMacroPrecision:
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("buckets, valid", [
+        ([(0, 100)], True),
+        ([(0, 50), (50, 100)], True),
+        ([(0, 30), (30, 70), (70, 100)], True),
+        ([(0, 50)], False),  # stops short of 100
+        ([(0, 60), (40, 100)], False),  # labels in 40-60 counted twice
+        ([(50, 0)], False),  # lo > hi
+        ([(0, 50), (50, 50), (50, 100)], False),  # empty range
+        ([(50, 100), (0, 50)], False),  # out of order
+        ([], False),
+    ])
+    def test_buckets_must_partition_in_order(self, rng, buckets, valid):
+        n_labels = 10
+        preds = [ranked(rng.permutation(n_labels)[:3]) for _ in range(20)]
+        truth = label_matrix([set(rng.choice(n_labels, 2, replace=False).tolist())
+                              for _ in range(20)], n_labels)
+        y_train = label_matrix([{i % n_labels} for i in range(25)], n_labels)
+        if valid:
+            out = percentile_macro_precision(preds, truth, y_train, 1, buckets)
+            assert len(out) == len(buckets)
+        else:
+            with pytest.raises(ValueError, match="partition"):
+                percentile_macro_precision(preds, truth, y_train, 1, buckets)
+
 
 class TestInputChecks:
     """Mismatched inputs fail loudly instead of truncating or wrapping."""
