@@ -180,14 +180,17 @@ def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMa
 
 
 def erase(x: SparseVec, fraction: float, rng: np.random.Generator) -> SparseVec:
-    """Uniformly remove round(fraction * nnz) stored entries."""
+    """Uniformly remove floor(fraction * nnz + 0.5) stored entries: halves
+    round up, where Python's round would round them to even."""
     return erase_matrix(SparseMatrix.from_rows([x]), fraction, rng).row(0)
 
 
 def erase_matrix(sm: SparseMatrix, fraction: float,
                  rng: np.random.Generator) -> SparseMatrix:
-    """erase of every row from one shared RNG stream: in row order, each row
-    that keeps some entries and loses some draws which ones it loses."""
+    """erase of every row from one shared RNG stream: each row loses
+    floor(fraction * nnz + 0.5) of its nnz stored entries, and in row order
+    each row that keeps some entries and loses some draws which ones it
+    loses."""
     _in_unit("fraction", fraction)
     nnz = sm.row_nnz()
     remove = np.floor(fraction * nnz + 0.5).astype(np.int64)

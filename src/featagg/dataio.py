@@ -146,7 +146,7 @@ class Scan(NamedTuple):
 
     raw: bytes  # the chunk's UTF-8 bytes, ending in a newline
     buf: np.ndarray  # raw as uint8, trailing carriage returns turned into spaces
-    at: np.ndarray  # where each newline, space and mark is, ascending
+    at: np.ndarray  # where each newline, space, comma, dot and colon is, ascending
     kind: np.ndarray  # the byte at each of them
     cuts: np.ndarray  # the index into at of each piece's end
     before: np.ndarray  # the index into at of the split before each piece, or -1
@@ -160,12 +160,13 @@ class Scan(NamedTuple):
         return np.where(split >= 0, self.at[split] + 1, 0)
 
 
-def scan_lines(lines: list[str], marks: bytes) -> Scan:
+def scan_lines(lines: list[str]) -> Scan:
     """Split a chunk of lines, read as UTF-8 bytes, at its separators.
 
     Newlines end lines, and spaces and a line's trailing carriage returns end
-    pieces; inside a piece, the bytes of marks are splits too. One byte
-    compare per separator finds them all.
+    pieces; inside a piece, commas split labels, a colon splits an index from
+    its value and a dot splits a value's digits. One byte compare per
+    separator finds them all.
     """
     raw = "".join(lines).encode("utf-8", "surrogatepass")
     if not raw.endswith(b"\n"):  # the last line of the file
@@ -180,7 +181,7 @@ def scan_lines(lines: list[str], marks: bytes) -> Scan:
             buf[back] = 32
             back -= 1
     split = (buf == 10) | (buf == 32)
-    for mark in marks:
+    for mark in b",.:":
         split |= buf == mark
     at = np.flatnonzero(split)
     kind = buf[at]
@@ -193,7 +194,7 @@ def scan_lines(lines: list[str], marks: bytes) -> Scan:
         # a stream that splits lines at a lone carriage return: end each
         # line with a newline
         return scan_lines([line if line.endswith("\n") else line + "\n"
-                           for line in lines], marks)
+                           for line in lines])
     return Scan(raw, buf, at, kind, cuts, before, row, opens, filled)
 
 
@@ -247,9 +248,7 @@ def _parse_chunk(
                          line=lineno + row)
 
     m = len(lines)
-    # newlines and spaces end pieces; within a piece, commas split labels, a
-    # colon splits index from value and a dot splits a value's digits
-    scan = scan_lines(lines, b",.:")
+    scan = scan_lines(lines)
     raw, buf, at, kind = scan.raw, scan.buf, scan.at, scan.kind
     # the label field is a line's first piece; the other pieces, with empty
     # ones skipped, are its feature tokens

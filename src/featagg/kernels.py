@@ -16,11 +16,10 @@ gather them from dense prototypes (``gather_dots``).
 dataset reader's chunks, and ``format_floats`` writes repr() of doubles as
 bytes for the dataset writer. ``tests/kernel_reference.py`` holds a plain-Python loop per
 kernel that spells out the same arithmetic, and the tests compare the two;
-the ordering kernels (``rank_within``, ``group_order``, ``group_repeats``,
-``row_ids``) are compared with ``np.lexsort``, ``np.array_equal`` and
-Python's sets instead, and ``pivot_attempts``, the tree's per-node draws,
-and ``sample_orders``, the per-label SGD orders, with numpy's own
-generators.
+the ordering kernels (``rank_within``, ``group_order``, ``group_repeats``)
+are compared with ``np.lexsort`` and Python's sets instead, and
+``pivot_attempts``, the tree's per-node draws, and ``sample_orders``, the
+per-label SGD orders, with numpy's own generators.
 
 The sparse kernels take (indptr, indices, values) CSR triples with int64
 indices and float64 values; callers are responsible for dtype discipline.
@@ -74,8 +73,8 @@ def take_rows(
 
 
 # ---------------------------------------------------------------------------
-# rank_within / group_order / row_ids: the ordering kernels, exact
-# replacements for np.lexsort on two keys and for pairwise row compares
+# rank_within / group_order / group_repeats: the ordering kernels, exact
+# replacements for np.lexsort on two keys
 # ---------------------------------------------------------------------------
 
 
@@ -199,59 +198,6 @@ def group_repeats(group, key):
     repeat = composite[1:][composite[1:] == composite[:-1]]
     # one group's span may be 2**63, which int64 cannot hold
     return (repeat.astype(np.uint64) // np.uint64(span)).astype(np.int64) + g_lo
-
-
-def _mix(x):
-    """splitmix64's finalizer on uint64 arrays (wrapping arithmetic)."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def row_ids(indptr, indices, values):
-    """One id per CSR row: the first row whose indices and values equal its
-    own under np.array_equal, so -0.0 equals 0.0 and a row holding a NaN
-    equals no other row.
-
-    O(nnz): rows are hashed, each row is compared entry by entry with the
-    first row of its hash, and only rows that differ from it (a hash
-    collision) go round again.
-    """
-    nrows = indptr.shape[0] - 1
-    lens = np.diff(indptr)
-    # a row's hash: its length and the wrapping sum of its entries' hashes
-    bits = (values + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
-    entry = _mix(bits ^ _mix(indices.astype(np.uint64)))
-    sums = np.concatenate((np.zeros(1, np.uint64), np.cumsum(entry, dtype=np.uint64)))
-    row_hash = _mix(sums[indptr[1:]] - sums[indptr[:-1]] + lens.astype(np.uint64))
-    ids = np.arange(nrows, dtype=np.int64)
-    pending = np.ones(nrows, dtype=bool)
-    pending[np.repeat(ids, lens)[np.isnan(values)]] = False
-    pending = np.flatnonzero(pending)
-    while pending.shape[0]:
-        at = pending[np.argsort(row_hash[pending], kind="stable")]
-        h = row_hash[at]
-        first = np.concatenate(([True], h[1:] != h[:-1]))
-        head = at[np.flatnonzero(first)[np.cumsum(first) - 1]][~first]
-        rest = at[~first]
-        # each row's entries against its hash's first row's; rows of unequal
-        # length differ
-        cand = np.flatnonzero(lens[rest] == lens[head])
-        r, hr = rest[cand], head[cand]
-        a = concat_ranges(indptr[r], indptr[r + 1])
-        b = concat_ranges(indptr[hr], indptr[hr + 1])
-        differ = (indices[a] != indices[b]) | (values[a] != values[b])
-        n_differ = np.bincount(np.repeat(np.arange(cand.shape[0]), lens[r]),
-                               weights=differ, minlength=cand.shape[0])
-        equal = np.zeros(rest.shape[0], dtype=bool)
-        equal[cand[n_differ == 0]] = True
-        ids[rest[equal]] = head[equal]
-        # the first row of a hash is the first of its own rows: what is left
-        # goes round again in row order
-        pending = np.sort(rest[~equal])
-    return ids
 
 
 # ---------------------------------------------------------------------------

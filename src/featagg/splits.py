@@ -5,7 +5,9 @@ weights, mean centres) and a discounted-cumulative-gain variant for nonnegative
 sparse representatives (inverse-ideal-gain row weights, rank-discount centres).
 The loop, split_level, splits every node of one tree level in a single
 vectorized pass from each node's two drawn rows; kmeans_split and ndcg_split
-are one-node calls of it that draw the rows with _pick_two_distinct. Splits
+are one-node calls of it that draw the rows with _pick_two_distinct. Two
+drawn rows are distinct when _rows_differ finds their lengths, an index or
+a value unequal. Splits
 are pure given (members, representatives, rng) and always return exactly
 balanced halves of sizes ceil(m/2) / floor(m/2), regardless of convergence.
 """
@@ -101,11 +103,36 @@ def ndcg(r: Ranking, v: np.ndarray, base: float | None = None) -> float:
     return dcg(r, v, base) / ideal
 
 
-def _pick_two_distinct(ids: np.ndarray, rng: np.random.Generator) -> tuple[int, int] | None:
-    """Positions of two rows with distinct ids, or None after redraws."""
+def _rows_differ(matrix: SparseMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair, whether rows a[i] and b[i] of matrix differ, for arrays a
+    and b of row numbers of one shape: they do unless np.array_equal holds
+    for their indices and for their values, so -0.0 equals 0.0 and a row
+    holding a NaN differs from every row, itself included.
+
+    Pairs of unequal length differ; the others compare entry by entry.
+    """
+    shape = np.shape(a)
+    a, b = np.ravel(a), np.ravel(b)
+    ptr = matrix.indptr
+    sa, sb = ptr[a], ptr[b]
+    lens = ptr[a + 1] - sa
+    differ = lens != ptr[b + 1] - sb
+    same = np.flatnonzero(~differ)
+    pair = np.repeat(same, lens[same])  # the pair of each compared entry
+    ea = kernels.concat_ranges(sa[same], sa[same] + lens[same])
+    eb = ea + (sb - sa)[pair]
+    mismatch = ((matrix.indices[ea] != matrix.indices[eb])
+                | (matrix.values[ea] != matrix.values[eb]))
+    differ[pair[mismatch]] = True
+    return differ.reshape(shape)
+
+
+def _pick_two_distinct(size: int, differ, rng: np.random.Generator) -> tuple[int, int] | None:
+    """Positions of two of size rows that differ(a, b) says differ, drawn by
+    rng, or None after redraws."""
     for _ in range(INIT_ATTEMPTS):
-        a, b = rng.choice(ids.shape[0], size=2, replace=False)
-        if ids[a] != ids[b]:
+        a, b = rng.choice(size, size=2, replace=False)
+        if differ(a, b):
             return int(a), int(b)
     return None
 
@@ -315,13 +342,12 @@ def split_level(matrix: SparseMatrix, members: np.ndarray, node_ptr: np.ndarray,
 
 def _one_node(members, rs: ReprSet, rng, max_iters, weights, centre) -> SplitResult:
     matrix = rs.matrix
-    ids = kernels.row_ids(*kernels.take_rows(matrix.indptr, matrix.indices, matrix.values,
-                                             members))
+    pick = _pick_two_distinct(
+        members.shape[0], lambda a, b: _rows_differ(matrix, members[a], members[b]), rng)
     trace: list[float] = []
     order, iterations, converged = split_level(
-        matrix, members, np.array([0, members.shape[0]]),
-        np.array([_pick_two_distinct(ids, rng) or (-1, -1)]), max_iters, weights, centre,
-        trace)
+        matrix, members, np.array([0, members.shape[0]]), np.array([pick or (-1, -1)]),
+        max_iters, weights, centre, trace)
     halves = members[order]
     n_plus = (members.shape[0] + 1) // 2
     return SplitResult(halves[:n_plus], halves[n_plus:], int(iterations[0]),

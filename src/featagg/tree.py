@@ -7,8 +7,9 @@ np.random.default_rng(SeedSequence([seed % 2**63, key])) draws, key being its
 root-to-node bit path, so the tree does not depend on build order. The
 tree's shape depends on d and d0 alone, so kernels.pivot_attempts makes the
 draws of every node of the tree at once, bit for bit, before the first
-split, and each depth keeps per node the first pair of distinct rows. When
-d > d0 every leaf ends up with between floor((d0+1)/2) and d0 features.
+split. Each depth compares all of its drawn pairs in one splits._rows_differ
+call and keeps per node the first pair of distinct rows. When d > d0 every
+leaf ends up with between floor((d0+1)/2) and d0 features.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .reprs import ReprSet
 from .sparse import _value_eq
 # kmeans_split and ndcg_split stay importable from here, where
 # perfbench/tracing.py looks them up; make_tree runs split_level instead
-from .splits import (INIT_ATTEMPTS, MAX_ITERS, kmeans_split, ndcg_split,  # noqa: F401
-                     scoring, split_level)
+from .splits import (INIT_ATTEMPTS, MAX_ITERS, _rows_differ, kmeans_split,  # noqa: F401
+                     ndcg_split, scoring, split_level)
 
 SPLIT_KINDS = ("kmeans", "ndcg")
 
@@ -237,13 +238,11 @@ def _internal_nodes(d: int, d0: int) -> tuple[np.ndarray, np.ndarray]:
         sizes = np.column_stack(((sizes + 1) // 2, sizes // 2)).ravel()
 
 
-def _first_distinct(pairs: np.ndarray, starts: np.ndarray, ids) -> np.ndarray:
-    """Per node k, the first of its drawn pairs pairs[k] (positions within
-    the node, whose rows start at starts[k]) whose ids differ, or (-1, -1)."""
-    at = ids[starts[:, None, None] + pairs]
-    ok = at[..., 0] != at[..., 1]
-    picks = pairs[np.arange(pairs.shape[0]), np.argmax(ok, axis=1)]
-    picks[~ok.any(axis=1)] = -1
+def _first_distinct(pairs: np.ndarray, differ: np.ndarray) -> np.ndarray:
+    """Per node k, the first of its drawn pairs pairs[k] whose rows differ
+    (differ[k], one flag per pair), or (-1, -1)."""
+    picks = pairs[np.arange(pairs.shape[0]), np.argmax(differ, axis=1)]
+    picks[~differ.any(axis=1)] = -1
     return picks
 
 
@@ -274,9 +273,6 @@ def make_tree(
     members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
     pairs = kernels.pivot_attempts(seed, *_internal_nodes(d, d0), INIT_ATTEMPTS)
-    # equal rows share an id; a node whose drawn rows are all equal splits in
-    # index order
-    ids = kernels.row_ids(rs.matrix.indptr, rs.matrix.indices, rs.matrix.values)
     levels = []
     while True:
         sizes = np.diff(ptr)
@@ -289,8 +285,10 @@ def make_tree(
         sizes = sizes[at]
         ptr = np.concatenate(([0], np.cumsum(sizes)))
         split = at.tolist()
-        picks = _first_distinct(pairs[:len(split)], ptr[:-1], ids[members])
-        pairs = pairs[len(split):]
+        # a node whose drawn rows are all equal splits in index order
+        drawn, pairs = pairs[:len(split)], pairs[len(split):]
+        rows = members[ptr[:-1, None, None] + drawn]
+        picks = _first_distinct(drawn, _rows_differ(rs.matrix, rows[..., 0], rows[..., 1]))
         order, iterations, converged = split_level(
             rs.matrix, members, ptr, picks, max_iters,
             None if weights is None else weights[members], centre)

@@ -335,6 +335,15 @@ class TestErase:
         assert out.nnz == 2
         assert set(out.indices.tolist()) <= {0, 2, 4, 6}
 
+    @pytest.mark.parametrize("nnz, kept", [(1, 0), (3, 1), (5, 2)])
+    def test_half_rounds_up(self, rng, nnz, kept):
+        # floor(0.5 * nnz + 0.5) entries go; Python's round, which rounds
+        # halves to even, would keep 1, 1 and 3
+        x = vec(8, {j: 1.0 for j in range(nnz)})
+        assert erase(x, 0.5, rng).nnz == kept
+        sm = SparseMatrix.from_rows([x, x])
+        assert erase_matrix(sm, 0.5, rng).row_nnz().tolist() == [kept, kept]
+
     def test_deterministic_given_seed(self):
         x = vec(20, {j: float(j + 1) for j in range(0, 20, 2)})
         a = erase(x, 0.4, np.random.default_rng(3))

@@ -22,6 +22,7 @@ from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
 
 import kernel_reference
+import tree_reference
 
 
 def random_csr(rng, nrows, ncols, density=0.4):
@@ -1000,8 +1001,7 @@ def test_group_repeats_sorts_pairs_only_on_overflow(monkeypatch, group, key, ove
 
 def test_ordering_kernels_on_empty_input():
     empty_i, empty_f = np.empty(0, np.int64), np.empty(0, np.float64)
-    for order in (kernels.rank_within(empty_i, empty_f), kernels.group_order(empty_i, empty_i),
-                  kernels.row_ids(np.zeros(1, np.int64), empty_i, empty_f)):
+    for order in (kernels.rank_within(empty_i, empty_f), kernels.group_order(empty_i, empty_i)):
         assert order.dtype == np.int64 and order.shape == (0,)
 
 
@@ -1013,8 +1013,9 @@ def test_ordering_kernels_on_empty_input():
 
 class HashedIds:
     """The ids of size rows from position start on, without storing them: a
-    hash of the position, one of 16 values, so about one draw in 16 repeats
-    an id. Slices and integer arrays index it as they index an array."""
+    hash of the position (the top 4 bits of its product with 2**64 over the
+    golden ratio), one of 16 values, so about one draw in 16 repeats an id.
+    Slices and integer arrays index it as they index an array."""
 
     def __init__(self, size, start=0):
         self.shape, self.start = (size,), start
@@ -1024,7 +1025,7 @@ class HashedIds:
             lo, hi, _ = at.indices(self.shape[0])
             return HashedIds(hi - lo, self.start + lo)
         flat = np.array(at, dtype=np.uint64, ndmin=1) + np.uint64(self.start)
-        return (kernels._mix(flat) >> np.uint64(60)).reshape(np.shape(at))
+        return ((flat * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(60)).reshape(np.shape(at))
 
 
 class CountingRng:
@@ -1040,7 +1041,8 @@ def pivot_picks(seed, keys, starts, sizes, ids, attempts):
     """Per node, the first of its pivot_attempts pairs whose ids differ."""
     pairs = kernels.pivot_attempts(seed, keys, sizes, attempts)
     assert pairs.dtype == np.int64 and pairs.shape == (len(keys), attempts, 2)
-    return tree._first_distinct(pairs, np.asarray(starts), ids)
+    at = ids[np.asarray(starts)[:, None, None] + pairs]
+    return tree._first_distinct(pairs, at[..., 0] != at[..., 1])
 
 
 def numpy_picks(seed, keys, starts, sizes, ids):
@@ -1049,7 +1051,9 @@ def numpy_picks(seed, keys, starts, sizes, ids):
     picks, attempts = [], []
     for key, lo, m in zip(keys.tolist(), starts.tolist(), sizes.tolist()):
         rng = CountingRng(np.random.default_rng(np.random.SeedSequence([seed % 2**63, key])))
-        picks.append(splits._pick_two_distinct(ids[lo:lo + m], rng) or (-1, -1))
+        node = ids[lo:lo + m]
+        picks.append(splits._pick_two_distinct(m, lambda a, b: node[a] != node[b], rng)
+                     or (-1, -1))
         attempts.append(rng.calls)
     return np.array(picks, dtype=np.int64).reshape(-1, 2), np.array(attempts)
 
@@ -1169,39 +1173,14 @@ def csr_with_repeats(draw):
     return indptr, indices, values
 
 
-def assert_row_ids_exact(indptr, indices, values):
-    ids = kernels.row_ids(indptr, indices, values)
-    assert ids.dtype == np.int64 and ids.shape == (indptr.shape[0] - 1,)
-    rows = [(indices[s:e], values[s:e]) for s, e in zip(indptr[:-1], indptr[1:])]
-    for i, (ia, va) in enumerate(rows):
-        # another row shares the id exactly when it is equal; the id is the
-        # first such row, or i itself (a row holding NaN equals no row)
-        equal = [j != i and np.array_equal(ia, ib) and np.array_equal(va, vb)
-                 for j, (ib, vb) in enumerate(rows)]
-        assert ids[i] == min(equal.index(True) if True in equal else i, i)
-        assert all((ids[i] == ids[j]) == equal[j] for j in range(len(rows)) if j != i)
-
-
 @settings(max_examples=200, deadline=None)
 @given(csr_with_repeats())
-def test_row_ids_equal_pairwise_array_equal(csr):
-    assert_row_ids_exact(*csr)
-
-
-@contextmanager
-def row_hash(fn):
-    mix = kernels._mix
-    kernels._mix = fn
-    try:
-        yield
-    finally:
-        kernels._mix = mix
-
-
-@settings(max_examples=100, deadline=None)
-@given(csr_with_repeats(), st.sampled_from([0, 1, 3]))
-def test_row_ids_resolve_hash_collisions(csr, mask):
-    # a hash of 0 to 2 bits makes most rows collide: the entry compares
-    # alone must tell the rows apart
-    with row_hash(lambda x: x & np.uint64(mask)):
-        assert_row_ids_exact(*csr)
+def test_rows_differ_equals_pairwise_compare(csr):
+    # every ordered pair of rows, itself included: a row holding a NaN
+    # differs even from itself
+    m = SparseMatrix(csr[0].shape[0] - 1, 5, *csr, validate=False)
+    a, b = np.divmod(np.arange(m.rows ** 2), m.rows)
+    got = splits._rows_differ(m, a.reshape(m.rows, m.rows), b.reshape(m.rows, m.rows))
+    assert got.dtype == bool and got.shape == (m.rows, m.rows)
+    want = [not tree_reference.rows_equal(m, i, j) for i, j in zip(a.tolist(), b.tolist())]
+    assert got.ravel().tolist() == want

@@ -139,7 +139,8 @@ def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
             rows = dense[members[lo:hi]]
             ids = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
             node_rng = np.random.default_rng(np.random.SeedSequence([2, next(keys)]))
-            want = splits._pick_two_distinct(ids, node_rng) or (-1, -1)
+            want = splits._pick_two_distinct(hi - lo, lambda a, b: ids[a] != ids[b],
+                                             node_rng) or (-1, -1)
             assert tuple(picks[k].tolist()) == want
             differ.append(not np.all(rows == rows[0]))
             used.append(picks[k, 0] >= 0)
@@ -148,6 +149,32 @@ def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
     assert (~differ).sum() > 10 and used.sum() > differ.sum() // 2
     assert not (used & ~differ).any()
     assert tree.split_counts().fallbacks == (~used).sum()
+
+
+@pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signed_zero_and_nan_rows_equal_reference(split_kind, seed):
+    # 90 representatives copied from 5 rows, two of which store zeros, with
+    # about half of those zeros flipped to -0.0 (equal to 0.0), and for
+    # kmeans 4 rows holding a NaN (equal to no row, not even a copy of
+    # itself); ndcg takes nonnegative representatives, and the dense
+    # reference's ndcg centres rank a NaN coordinate apart from the sparse
+    # ones, so its rows hold none
+    rng = np.random.default_rng(seed)
+    pool = [([0, 2], [0.0, 1.0]), ([1, 3], [2.0, 0.0]), ([0, 1, 2], [1.0, 0.5, 0.25]),
+            ([3], [0.75]), ([], [])]
+    rows = [pool[i] for i in rng.integers(0, len(pool), 90)]
+    indptr = np.concatenate(([0], np.cumsum([len(i) for i, _ in rows])))
+    indices = np.concatenate([i for i, _ in rows]).astype(np.int64)
+    values = np.concatenate([v for _, v in rows]).astype(np.float64)
+    values[(values == 0.0) & (rng.random(values.shape[0]) < 0.5)] = -0.0
+    nan = 4 if split_kind == "kmeans" else 0
+    values[rng.choice(np.flatnonzero(values > 0.0), nan, replace=False)] = np.nan
+    rs = ReprSet(matrix=SparseMatrix(90, 4, indptr, indices, values, validate=False),
+                 kind="x")
+    tree = assert_matches_reference(rs, 4, split_kind, seed, splits.MAX_ITERS)
+    counts = tree.split_counts()
+    assert counts.fallbacks > 0 and counts.iterations > 0
 
 
 # The benchmark's seed-0 shapes: generator arguments and the rows kept as
