@@ -157,12 +157,11 @@ def _cmd_train(args) -> int:
     config = OvaConfig(epochs=args.epochs, lr=args.lr, lr_decay=args.lr_decay,
                        l2=args.l2, seed=args.seed, allow_large=args.allow_large)
     t0 = time.perf_counter()
-    model = train_ova(ds, config, threads=args.threads)
+    model = train_ova(ds, config)
     elapsed = time.perf_counter() - t0
     save_model(model, args.output)
     _emit({"labels": model.n_labels, "dim": model.dim,
-           "backend": kernels.backend_name(), "threads": args.threads,
-           "train_seconds": elapsed})
+           "backend": kernels.backend_name(), "train_seconds": elapsed})
     return EXIT_OK
 
 
@@ -331,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay", type=float, default=1.0)
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="workers over label blocks (results identical; more "
-                        "than 1 measured slower on 2 cores)")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(fn=_cmd_train)
 

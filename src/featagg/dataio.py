@@ -4,8 +4,9 @@ predictions.
 
 Format: a header line ``n d L``, then one line per point of the form
 ``l1,l2,... f1:v1 f2:v2 ...`` with zero-based indices. The label field may be
-empty (line starts with a space). Feature values must be nonnegative;
-duplicate indices within a line are rejected rather than summed.
+empty (line starts with a space). Feature values must be nonnegative and at
+most MAX_VALUE = 2**64; duplicate indices within a line are rejected rather
+than summed.
 
 Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk:
 scan_lines finds the separators, commas, colons and dots by byte compares,
@@ -81,6 +82,10 @@ class DatasetStats:
     avg_nnz_features: float
     avg_labels: float
 
+
+# The largest feature value a file may hold. A value the kernels convert has
+# at most 19 digits and no exponent, so only the fallback's values exceed it.
+MAX_VALUE = 2.0 ** 64
 
 # Text is parsed and written in chunks, so that per-token scratch stays
 # bounded whatever the number of rows: parse_xc reads whole lines up to this
@@ -301,7 +306,8 @@ def _parse_chunk(
 
     bad = np.zeros(m, dtype=bool)
     bad[label_row[(labels < 0) | (labels >= n_labels)]] = True
-    bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~np.isfinite(val)]] = True
+    bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~np.isfinite(val)
+                  | (val > MAX_VALUE)]] = True
     label_row, labels, repeated = _by_row(label_row, labels)
     bad[repeated] = True
     token_row, idx, val, repeated = _by_row(token_row, idx, val)
@@ -358,6 +364,8 @@ def _line_fault(line: str, d: int, n_labels: int, shift: int) -> str:
             return f"negative feature value {v}"
         if not math.isfinite(v):
             return f"non-finite feature value {tail!r}"
+        if v > MAX_VALUE:
+            return f"feature value {tail!r} above 2**64"
     # every label and token passed: the array checks found a repeated index
     return "duplicate feature index"
 

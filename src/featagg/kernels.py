@@ -1,17 +1,31 @@
 """Hot numeric kernels over raw CSR arrays.
 
-Each kernel has one numpy implementation; only ``ova_sgd`` (over its
-sequential steps, whose entries it gathers a chunk of steps at a time) and
-``score_rows`` (over stacks of rows of one stored length, each stack one
-matmul of the rows' values with the contiguous rows of column-major weights
-at their indices) loop in Python.
+Each kernel has one numpy implementation, and its Python loops run per item
+or per bounded chunk:
+- per item: ``ova_sgd`` takes its sequential SGD steps one at a time (it
+  gathers their entries a chunk of steps at a time), ``sample_orders``
+  sets its generator to each label's stream in turn and shuffles each
+  epoch's order, and ``score_rows`` makes one matmul per stack of rows of one stored
+  length (the rows' values with the contiguous rows of column-major weights
+  at their indices);
+- per bounded chunk: ``product_pairs`` (and so ``product_chunks``,
+  ``sparse_product`` and ``mi_accumulate``), ``gather_dots``,
+  ``cooc_accumulate`` and ``format_floats`` do array work on chunks whose
+  scratch a fixed budget bounds, so their loop count is the input's size
+  divided by that budget;
+- the rest loop a number of times that does not grow with the input: the
+  attempts of ``pivot_attempts``, the digit words of the number parsers, the
+  rounds of seeding, and the redraws of a rejected bounded draw.
+
 ``product_pairs`` expands the products of A B a chunk of rows at a time;
 ``product_chunks`` sums each chunk into its CSR triple, and
 ``sparse_product`` joins them: they carry representatives, label sums, the
 co-occurrence product and label mutual information. Rerank affinities read
 their shortlisted dots from each chunk's key table (``key_sums``), or
 gather them from dense prototypes (``gather_dots``).
-``_PRODUCT_CHUNK_PAIRS`` bounds the scratch of every chunk loop.
+``_PRODUCT_CHUNK_PAIRS`` is the budget of the product, gather and SGD
+chunks, ``_COOC_CHUNK_NNZ`` that of ``cooc_accumulate`` and ``_FORMAT_ROWS``
+that of ``format_floats``.
 ``parse_ints`` and ``parse_floats`` read numbers from the bytes of the
 dataset reader's chunks, and ``format_floats`` writes repr() of doubles as
 bytes for the dataset writer. ``tests/kernel_reference.py`` holds a plain-Python loop per

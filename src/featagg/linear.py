@@ -91,11 +91,15 @@ def train_ova(
     Labels are trained in blocks, one batched ova_sgd call per block that
     updates all its labels at every step, and each label follows the same
     arithmetic whatever block it lands in and however ova_sgd chunks its
-    steps, so the result depends on neither the worker count nor the block
-    size. Blocks are independent jobs; threads > 1 spreads them over a thread
-    pool, where they overlap only inside numpy calls that release the
-    interpreter lock. The seed is any integer but a bool (see OvaConfig).
+    steps, so the result depends on neither the block size nor the step
+    chunks. The seed is any integer but a bool (see OvaConfig).
+
+    threads accepts only 1 and raises ValueError otherwise; it is kept for
+    the benchmark's train_ova(..., threads=1) call, and ROADMAP item 1b
+    deletes it together with the threads=1 in perfbench/workloads.py.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     _check_config(config)
     n_labels = ds.n_labels
     feats = ds.features
@@ -115,31 +119,22 @@ def train_ova(
     weights = np.zeros((n_labels, dim), dtype=np.float64, order="F")
     bias = np.zeros(n_labels, dtype=np.float64)
     block = max(1, _SGD_BLOCK_STEPS // max(1, n * config.epochs))
-
-    def fit_block(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
+    for lo in range(0, n_labels, block):
         hi = min(lo + block, n_labels)
         sign = np.full((hi - lo, n), -1.0, dtype=np.float64)
         s, e = yt.indptr[lo], yt.indptr[hi]
         sign[np.repeat(np.arange(hi - lo), np.diff(yt.indptr[lo:hi + 1])),
              yt.indices[s:e]] = 1.0
         order = kernels.sample_orders(config.seed, np.arange(lo, hi), n, config.epochs)
+        # w and b stay bound until the next block or the return: unpacking
+        # the call straight into the slices frees w at once, and that made
+        # the later stages of the rerank benchmark about 5% slower
         w, b = kernels.ova_sgd(
             feats.indptr, feats.indices, feats.values,
             sign, order.reshape(-1), dim, config.lr, config.l2, config.lr_decay, n,
         )
-        return lo, w, b
-
-    starts = range(0, n_labels, block)
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(fit_block, starts)
-    else:
-        results = map(fit_block, starts)
-    for lo, w, b in results:
-        weights[lo:lo + w.shape[0]] = w
-        bias[lo:lo + w.shape[0]] = b
+        weights[lo:hi] = w
+        bias[lo:hi] = b
     return OvaModel(weights=weights, bias=bias, config=config)
 
 

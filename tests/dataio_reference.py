@@ -86,6 +86,8 @@ def parse_xc(stream: IO[str] | str, one_based: bool = False) -> Dataset:
                 raise ParseError(f"negative feature value {v}", line=lineno)
             if not np.isfinite(v):
                 raise ParseError(f"non-finite feature value {tail!r}", line=lineno)
+            if v > 2.0 ** 64:
+                raise ParseError(f"feature value {tail!r} above 2**64", line=lineno)
             idx_list.append(j)
             val_list.append(v)
         idx = np.array(idx_list, dtype=np.int64)

@@ -46,12 +46,32 @@ def report(criterion: int, message: str) -> None:
 
 
 def random_repr_set(rng, d: int, p: int = 6) -> ReprSet:
+    """Row i holds k_i ~ Binomial(p, 1/2) distinct uniform columns of p.
+
+    The columns come from the draws that a rng.choice(p, k_i, replace=False)
+    per row would make, and the generator ends in the same state: numpy runs
+    Floyd's algorithm for populations of up to 10 000, whose k draws have
+    exclusive bounds p - k + 1 ... p, then shuffles the sample with k - 1
+    draws of bounds k ... 2. One rng.integers call makes every row's draws in
+    that order, and Floyd's steps rebuild the sets a step for all rows at a
+    time: a drawn column the row already holds becomes p - k + s at step s.
+    The shuffle only reorders, and the columns are stored sorted.
+    """
     nnz = rng.binomial(p, 0.5, size=d)
+    k = nnz[nnz > 0]
+    seg = 2 * k - 1  # Floyd's draws, then the shuffle's
+    start = np.cumsum(seg) - seg
+    t = np.arange(int(seg.sum())) - np.repeat(start, seg)
+    kk = np.repeat(k, seg)
+    draws = rng.integers(0, np.where(t < kk, p - kk + 1 + t, 2 * kk - t))
+    held = np.zeros((k.size, p), dtype=bool)
+    for s in range(p):
+        rows = np.flatnonzero(k > s)
+        col = draws[start[rows] + s]
+        taken = held[rows, col]
+        held[rows, np.where(taken, p - k[rows] + s, col)] = True
     indptr = np.concatenate(([0], np.cumsum(nnz))).astype(np.int64)
-    indices = np.concatenate(
-        [np.sort(rng.choice(p, size=k, replace=False)) for k in nnz if k]
-        or [np.empty(0, np.int64)]
-    ).astype(np.int64)
+    indices = np.nonzero(held)[1].astype(np.int64)
     values = rng.uniform(0.1, 1.0, size=int(nnz.sum()))
     m = SparseMatrix(d, p, indptr, indices, values, validate=False)
     return ReprSet(matrix=m, kind="x")

@@ -120,9 +120,10 @@ def test_cluster_metrics_report(workdir, capsys):
 def test_full_pipeline_train_predict_eval(workdir, capsys):
     run(capsys, "agglomerate", workdir / "test.txt",
         "--partition", workdir / "part.npz", "-o", workdir / "test_agg.txt")
-    code, _ = run(capsys, "train", workdir / "train_agg.txt",
-                  "-o", workdir / "model.json", "--epochs", "10", "--seed", "0")
+    code, out = run(capsys, "train", workdir / "train_agg.txt",
+                    "-o", workdir / "model.json", "--epochs", "10", "--seed", "0")
     assert code == 0
+    assert set(out) == {"backend", "dim", "labels", "train_seconds"}
     code, out = run(capsys, "predict", workdir / "test_agg.txt",
                     "--model", workdir / "model.json", "--k", "6",
                     "-o", workdir / "preds.txt")
@@ -494,6 +495,35 @@ def test_exit_codes(workdir, capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["cluster"])  # missing required args
     assert exc.value.code == 1  # usage error
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e200"])
+@pytest.mark.parametrize("command", [
+    ["stats"],
+    ["cluster", "--leaf-size", "1", "--doc-fraction", "1", "--split", "ndcg",
+     "-o", "{out}"],
+    ["train", "-o", "{out}"],
+])
+def test_values_above_2_64_exit_2(tmp_path, capsys, command, value):
+    # values this large overflow their squares and sums downstream
+    data = tmp_path / "huge.txt"
+    data.write_text(f"4 2 1\n0 0:1 1:2\n0 0:{value} 1:{value}\n"
+                    f"0 0:{value}\n0 1:{value}\n")
+    out = tmp_path / "out.npz"
+    argv = [command[0], str(data)] + [a.format(out=out) for a in command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"featagg: data error: line 3: feature value '{value}' above 2**64\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_value_2_64_parses(tmp_path, capsys):
+    data = tmp_path / "bound.txt"
+    data.write_text("2 2 1\n0 0:18446744073709551616\n0 1:1\n")
+    code, out = run(capsys, "stats", data)
+    assert code == 0 and out["n"] == 2
+    assert load_xc(str(data)).features.values.tolist() == [2.0 ** 64, 1.0]
 
 
 def test_one_based_flag(tmp_path, capsys):

@@ -46,6 +46,12 @@ class TestParse:
         with pytest.raises(ParseError, match="negative"):
             parse_xc("1 2 1\n0 1:-2\n")
 
+    @pytest.mark.parametrize("value", ["18446744073709555712", "1e20"])
+    def test_value_above_2_64(self, value):
+        with pytest.raises(ParseError,
+                           match=rf"line 3: feature value '{value}' above 2\*\*64"):
+            parse_xc(f"2 2 1\n0 1:1\n0 0:1 1:{value}\n")
+
     def test_duplicate_feature_index(self):
         with pytest.raises(ParseError, match="duplicate feature"):
             parse_xc("1 3 1\n0 1:1 1:2\n")
@@ -150,8 +156,9 @@ VALUE_TEXTS = st.one_of(
     st.floats(0, 1e6, allow_nan=False).map(repr),
     st.integers(0, 99).map(str),
     # around the number kernels' limits of 8 digits a word, 18 digits an
-    # integer and 19 a decimal
-    st.sampled_from([8, 9, 16, 17, 19, 20]).flatmap(digit_texts),
+    # integer and 19 a decimal; 20 digits above 2**64 are a fault
+    st.sampled_from([8, 9, 16, 17, 19, 20]).flatmap(digit_texts).filter(
+        lambda t: float(t) <= 2.0 ** 64),
     st.sampled_from([
         "0", "0.0", "-0.0", "1e-3", "2.5E2", "7.", ".5", "5.", "007", "00.250",
         "0." + "3" * 100,
@@ -159,6 +166,8 @@ VALUE_TEXTS = st.one_of(
         "+7", "1.5E+3", "1e+16", "0.000123456789012345678", "0" * 30 + "12.5",
         # exact midpoints of two doubles, which round to the even one
         "9007199254740993", "4503599627370496.5",
+        # the largest value a file may hold: 2**64, and a text rounding to it
+        "18446744073709551616", "18446744073709551617.5",
         # what float() reads past the kernels: a full-width digit, blanks
         "１", "\t1", "2\t",
     ]),
@@ -181,6 +190,11 @@ FAULTS = {
     "negative value": lambda lab, toks, d, L: (lab, toks + ["0:-2"]),
     "infinite value": lambda lab, toks, d, L: (lab, ["0:inf"] + toks),
     "nan value": lambda lab, toks, d, L: (lab, toks + ["0:nan"]),
+    # index 1 is in range in zero- and one-based files of d >= 2
+    "value above 2**64": lambda lab, toks, d, L: (lab, ["1:1e308"] + toks),
+    # the double after 2**64, written in 20 digits
+    "value just above 2**64": lambda lab, toks, d, L: (
+        lab, ["1:18446744073709555712"] + toks),
     "tab inside value": lambda lab, toks, d, L: (lab, toks + ["0:1\t5"]),
     "NUL in value": lambda lab, toks, d, L: (lab, toks + ["0:1\0"]),
     "NUL in label": lambda lab, toks, d, L: ("0\0", toks),

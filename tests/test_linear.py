@@ -51,11 +51,14 @@ class TestTrain:
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
 
-    def test_worker_count_does_not_change_result(self, separable):
-        m1 = train_ova(separable, OvaConfig(epochs=5, seed=11), threads=1)
-        m4 = train_ova(separable, OvaConfig(epochs=5, seed=11), threads=4)
-        assert np.array_equal(m1.weights, m4.weights)
-        assert np.array_equal(m1.bias, m4.bias)
+    def test_threads_accepts_only_one(self, separable):
+        config = OvaConfig(epochs=5, seed=11)
+        with pytest.raises(ValueError, match="threads must be 1, got 2"):
+            train_ova(separable, config, threads=2)
+        default = train_ova(separable, config)
+        one = train_ova(separable, config, threads=1)
+        assert one.weights.tobytes() == default.weights.tobytes()
+        assert one.bias.tobytes() == default.bias.tobytes()
 
     def test_label_guard(self, rng):
         from featagg.sparse import SparseMatrix
@@ -110,8 +113,7 @@ class TestLabelBlocks:
     def test_pinned_digest(self):
         assert digest(train_ova(seeded_dataset(), SEEDED_CONFIG)) == SEEDED_SHA256
 
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_block_size_does_not_change_result(self, monkeypatch, threads):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         ds = seeded_dataset()
         whole = train_ova(ds, SEEDED_CONFIG)
         calls = []
@@ -125,8 +127,8 @@ class TestLabelBlocks:
         block_steps = 2 * ds.n * SEEDED_CONFIG.epochs
         monkeypatch.setattr(linear, "_SGD_BLOCK_STEPS", block_steps)
         monkeypatch.setattr(kernels, "ova_sgd", counted)
-        blocked = train_ova(ds, SEEDED_CONFIG, threads=threads)
-        assert sorted(calls) == [1, 2, 2, 2]
+        blocked = train_ova(ds, SEEDED_CONFIG)
+        assert calls == [2, 2, 2, 1]
         assert blocked.weights.tobytes() == whole.weights.tobytes()
         assert blocked.bias.tobytes() == whole.bias.tobytes()
 
