@@ -4,9 +4,10 @@ predictions.
 
 Format: a header line ``n d L``, then one line per point of the form
 ``l1,l2,... f1:v1 f2:v2 ...`` with zero-based indices. The label field may be
-empty (line starts with a space). Feature values must be nonnegative and at
-most MAX_VALUE = 2**64; duplicate indices within a line are rejected rather
-than summed.
+empty (line starts with a space). Feature values lie in [0, 2**64]
+(sparse.MAX_VALUE); duplicate indices within a line are rejected rather than
+summed. The writer refuses a dataset holding a value the parser would reject,
+so every file written here reads back.
 
 Text is parsed in chunks of lines, on the UTF-8 bytes of each chunk:
 scan_lines finds the separators, commas, colons and dots by byte compares,
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ParseError
-from .sparse import SparseMatrix
+from .sparse import MAX_VALUE, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,6 @@ class DatasetStats:
     avg_nnz_features: float
     avg_labels: float
 
-
-# The largest feature value a file may hold. A value the kernels convert has
-# at most 19 digits and no exponent, so only the fallback's values exceed it.
-MAX_VALUE = 2.0 ** 64
 
 # Text is parsed and written in chunks, so that per-token scratch stays
 # bounded whatever the number of rows: parse_xc reads whole lines up to this
@@ -306,8 +303,9 @@ def _parse_chunk(
 
     bad = np.zeros(m, dtype=bool)
     bad[label_row[(labels < 0) | (labels >= n_labels)]] = True
-    bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~np.isfinite(val)
-                  | (val > MAX_VALUE)]] = True
+    # a value the kernels convert has at most 19 digits and no exponent, so
+    # only the fallback's values (NaN too) fail the compare with MAX_VALUE
+    bad[token_row[(idx < 0) | (idx >= d) | (val < 0) | ~(val <= MAX_VALUE)]] = True
     label_row, labels, repeated = _by_row(label_row, labels)
     bad[repeated] = True
     token_row, idx, val, repeated = _by_row(token_row, idx, val)
@@ -376,7 +374,24 @@ def load_xc(path: str, one_based: bool = False) -> Dataset:
 
 
 def write_xc(ds: Dataset, stream: IO[str] | None = None) -> str | None:
-    """Inverse of parse_xc; values printed at full round-trip precision."""
+    """Inverse of parse_xc; values printed at full round-trip precision. A
+    value parse_xc would reject is a ValueError, raised before any write."""
+    _check_writable(ds)
+    return _write(ds, stream)
+
+
+def _check_writable(ds: Dataset) -> None:
+    """ValueError naming the first row of ds that holds NaN or a value
+    above MAX_VALUE: one compare, as a Dataset holds no negative value."""
+    ok = ds.features.values <= MAX_VALUE
+    if not ok.all():
+        at = int(np.argmin(ok))
+        row = int(np.searchsorted(ds.features.indptr, at, side="right")) - 1
+        raise ValueError(f"row {row}: feature value {float(ds.features.values[at])!r} "
+                         "lies outside [0, 2**64], the range of a dataset file")
+
+
+def _write(ds: Dataset, stream: IO[str] | None) -> str | None:
     out = stream if stream is not None else io.StringIO()
     out.write(f"{ds.n} {ds.d} {ds.n_labels}\n")
     feats, labels = ds.features, ds.labels
@@ -481,8 +496,10 @@ def _write_tokens(into: np.ndarray, ints: np.ndarray, floats: np.ndarray | None,
 
 
 def save_xc(ds: Dataset, path: str) -> None:
+    """write_xc to path, which is opened only once ds passes the check."""
+    _check_writable(ds)
     with open(path, "w", encoding="utf-8") as fh:
-        write_xc(ds, fh)
+        _write(ds, fh)
 
 
 def stats(ds: Dataset) -> DatasetStats:

@@ -94,18 +94,16 @@ def take_rows(
 
 def rank_within(group, values):
     """Positions by ascending group, then decreasing value, ties in position
-    order, as np.lexsort((-values, group)) gives them; -0.0 ties 0.0 and a
-    NaN value ranks last in its group, tied with the group's other NaNs.
+    order, as np.lexsort((-values, group)) gives them; -0.0 ties 0.0.
 
-    group is an int64 array, or a scalar for one group. The key -values
-    only flips sign bits, and everything after it compares: no float
-    arithmetic touches the values, so a signalling NaN raises no warning.
-    The comparisons tie -0.0 with 0.0 and sort every NaN last. Three steps,
-    each on numpy's fastest sort: a default-kind (SIMD quicksort) argsort of
-    the key, a stable argsort of the groups in that order, narrowed to
-    the smallest unsigned type (a radix sort for spans below 2**16), and a
-    tie pass that sorts the (run, position) pairs of the entries in runs of
-    equal (group, value). When over an eighth of the values are exact zeros
+    group is an int64 array, or a scalar for one group. values hold no NaN
+    (no validated value is one); +-inf are fine. The key -values only flips
+    sign bits, and everything after it compares. Three steps, each on
+    numpy's fastest sort: a default-kind (SIMD quicksort) argsort of the key,
+    a stable argsort of the groups in that order, narrowed to the smallest
+    unsigned type (a radix sort for spans below 2**16), and a tie pass that
+    sorts the (run, position) pairs of the entries in runs of equal (group,
+    value). When over an eighth of the values are exact zeros
     (empty rows score 0), the quicksort takes only the others and the zeros
     join in position order, which the stable group sort keeps, so their
     runs need no tie pass.
@@ -123,7 +121,6 @@ def rank_within(group, values):
         order = np.argsort(key)
     if n < 2:
         return order
-    nan = np.isnan(key[order[-1]])
     group = np.asarray(group)
     same = None
     if group.ndim:
@@ -140,9 +137,6 @@ def rank_within(group, values):
     tie = key[1:] == key[:-1]
     if zeros_apart:
         tie &= key[1:] != 0.0
-    if nan:
-        isnan = np.isnan(key)
-        tie |= isnan[1:] & isnan[:-1]
     if same is not None:
         tie &= same
     if not tie.any():

@@ -12,13 +12,12 @@ the cheaper of two exact paths to them. The product path expands a chunk of
 test points' products with the prototypes (``kernels.product_pairs``) and
 reads each shortlisted dot from that chunk's key table
 (``kernels.key_sums``), ranking the chunk before the next. The gather path,
-taken only when the prototypes are at least half dense, it costs fewer
-gathered entries and every query value is finite, holds P dense and sums each
-shortlisted prototype at its query's features (``kernels.gather_dots``). Both
-add a dot's products in the query's stored order, so the choice, made once
-per call, changes no byte. The per-point functions (affinity,
-affinity_scores, rerank) are one-row calls of rerank_predictions' arithmetic
-and checks on the product path.
+taken only when the prototypes are at least half dense and it costs fewer
+gathered entries, holds P dense and sums each shortlisted prototype at its
+query's features (``kernels.gather_dots``). Both add a dot's products in the
+query's stored order, so the choice, made once per call, changes no byte.
+The per-point functions (affinity, affinity_scores, rerank) are one-row
+calls of rerank_predictions' arithmetic and checks on the product path.
 """
 
 from __future__ import annotations
@@ -166,9 +165,8 @@ def _gather_pays(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> bool:
 
 def _gather_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions) -> np.ndarray:
     """The dots of _product_dots, all at once, read from a dense P at each
-    query's features (kernels.gather_dots) and summed in the same order: the
-    extra terms, finite query values times 0.0, leave a sum started at 0.0
-    unchanged."""
+    query's features (kernels.gather_dots) in the same order: the extra
+    terms, query values times 0.0, leave a sum started at 0.0 unchanged."""
     return kernels.gather_dots(x.indptr, x.indices, x.values, short.row_ids(),
                                ps.matrix.to_dense(), short.labels)
 
@@ -187,19 +185,18 @@ def _rank(rows: np.ndarray, labels: np.ndarray, base_scores: np.ndarray,
           affinities: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
     """Rows, labels and combined scores of the entries with a positive base
     score, by row, then descending combined score, then ascending label."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     keep = base_scores > 0.0
     rows, labels = rows[keep], labels[keep]
     combined = alpha * np.log(base_scores[keep]) + (1.0 - alpha) * np.log(
         np.maximum(affinities[keep], _LOG_FLOOR)
     )
+    if not np.isfinite(combined).all():
+        raise ValueError("combined scores must be finite")
     order = kernels.rank_within(rows, combined)
     rows, labels, combined = rows[order], labels[order], combined[order]
     # entries tied on (row, combined score) sit together in position order:
     # order each run by label
-    tied = (rows[1:] == rows[:-1]) & ((combined[1:] == combined[:-1])
-                                      | (np.isnan(combined[1:]) & np.isnan(combined[:-1])))
+    tied = (rows[1:] == rows[:-1]) & (combined[1:] == combined[:-1])
     if tied.any():
         order = kernels.group_order(np.cumsum(np.concatenate(([True], ~tied))), labels)
         rows, labels, combined = rows[order], labels[order], combined[order]
@@ -217,8 +214,11 @@ def rerank(
     Labels with nonpositive base score are excluded (their log is undefined).
     Ties break by ascending label id. Rescaling every base score by a common
     positive factor shifts all combined scores equally, leaving the ranking
-    unchanged. This is rerank_predictions' ranking of one row.
+    unchanged. A combined score that is not finite (from an infinite base
+    score or a NaN affinity) is a ValueError. This is rerank_predictions'
+    ranking of one row.
     """
+    check_rerank_settings(alpha)
     base_labels = np.asarray(base_labels, dtype=np.int64)
     base_scores = np.asarray(base_scores, dtype=np.float64)
     affinities = np.asarray(affinities, dtype=np.float64)
@@ -228,7 +228,7 @@ def rerank(
                  affinities, alpha)[1:]
 
 
-def check_rerank_settings(alpha: float, shortlist: int) -> None:
+def check_rerank_settings(alpha: float, shortlist: int = 1) -> None:
     """ValueError unless alpha lies in [0, 1] and shortlist is at least 1."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -258,8 +258,7 @@ def rerank_predictions(
         normalize_queries = ps.normalized
     short = preds.head(shortlist)
     x, x_sq, p_sq = _prepare(short, ps, x_test, normalize_queries)
-    gather = _gather_pays(ps, x, short) and np.isfinite(x.values).all()
-    chunks = ([(0, len(short), _gather_dots(ps, x, short))] if gather
+    chunks = ([(0, len(short), _gather_dots(ps, x, short))] if _gather_pays(ps, x, short)
               else _product_dots(ps, x, short))
     lengths = short.lengths()
     ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]

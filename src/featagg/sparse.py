@@ -4,6 +4,8 @@ Vectors are sorted (index, value) pairs over an explicit ambient dimension;
 matrices are row-oriented CSR triples. Values are float64 throughout and
 stored zeros are stripped at construction, so nnz counts are exact. Instances
 are immutable by convention and safe to share across workers.
+Validated values lie within +-MAX_VALUE; validate=False means the caller
+vouches for what validate=True checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import kernels
+
+# B = 2**64, the largest magnitude of a value anywhere in the pipeline: within
+# it every intermediate stays finite (see the README).
+MAX_VALUE = 2.0 ** 64
 
 
 def _value_eq(self, other) -> bool:
@@ -31,7 +37,7 @@ def _value_eq(self, other) -> bool:
 
 def _check_entries(cols, indptr, indices, values) -> None:
     """ValueError unless every row's column indices lie in [0, cols) and
-    strictly increase, and every value is finite."""
+    strictly increase, and every value lies in [-MAX_VALUE, MAX_VALUE]."""
     if np.any(indices < 0) or np.any(indices >= cols):
         raise ValueError("column index out of range")
     if indices.size > 1:
@@ -40,8 +46,8 @@ def _check_entries(cols, indptr, indices, values) -> None:
         row_start[starts[starts < indices.shape[0]]] = True
         if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
             raise ValueError("row indices must be strictly increasing")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
+    if not np.all(np.abs(values) <= MAX_VALUE):  # NaN fails the compare too
+        raise ValueError("values must be finite and within 2**64 in magnitude")
 
 
 class SparseVec:

@@ -47,8 +47,12 @@ class Ranking:
 
     @classmethod
     def rank_of(cls, v: np.ndarray) -> "Ranking":
-        """Coordinates in decreasing value order, ties by ascending index."""
-        return cls(kernels.rank_within(0, np.asarray(v, dtype=np.float64)))
+        """Coordinates in decreasing value order, ties by ascending index; a
+        value that is not finite is a ValueError."""
+        v = np.asarray(v, dtype=np.float64)
+        if not np.isfinite(v).all():
+            raise ValueError("values to rank must be finite")
+        return cls(kernels.rank_within(0, v))
 
     def positions(self) -> np.ndarray:
         """1-based rank position of each coordinate."""
@@ -380,7 +384,9 @@ def kmeans_split(
 
 
 def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
-    """1 / best-achievable gain per row; 0 for all-zero rows.
+    """1 / best-achievable gain per row; 0 for all-zero rows. A gain below
+    the smallest normal double, 2**-1022 (a row of subnormal values), counts
+    as 2**-1022, so that every inverse is finite.
 
     Rows are grouped by nonzero count, and each group is sorted, discounted
     and summed as one 2-D block. np.sum along a row of a block sums exactly
@@ -400,7 +406,7 @@ def _ideal_inverses(sub: SparseMatrix, base: float | None) -> np.ndarray:
         rows = by_len[lo:hi]
         vals = sub.values[sub.indptr[rows][:, None] + np.arange(n)]
         vals = np.sort(vals, axis=1)[:, ::-1]
-        out[rows] = 1.0 / np.sum(vals / discounts[:n], axis=1)
+        out[rows] = 1.0 / np.maximum(np.sum(vals / discounts[:n], axis=1), 2.0 ** -1022)
     return out
 
 

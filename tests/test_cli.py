@@ -526,6 +526,44 @@ def test_value_2_64_parses(tmp_path, capsys):
     assert load_xc(str(data)).features.values.tolist() == [2.0 ** 64, 1.0]
 
 
+B_TEXT = "18446744073709551616"  # 2**64
+
+
+def test_agglomerate_refuses_a_sum_above_2_64(tmp_path, capsys):
+    # one cluster of two features at 2**64: their sum is a value no dataset
+    # file holds, their mean is 2**64
+    data = tmp_path / "bound.txt"
+    data.write_text(f"2 2 1\n0 0:{B_TEXT} 1:{B_TEXT}\n0 0:1 1:2\n")
+    code, _ = run(capsys, "cluster", data, "-o", tmp_path / "p.npz", "--doc-fraction", 1)
+    assert code == 0
+    out = tmp_path / "agg.txt"
+    assert main(["agglomerate", str(data), "--partition", str(tmp_path / "p.npz"),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "featagg: data error: row 0: feature value 3.6893488147419103e+19 lies outside "
+        "[0, 2**64], the range of a dataset file\n")
+    assert not out.exists()
+    code, _ = run(capsys, "agglomerate", data, "--partition", tmp_path / "p.npz",
+                  "--mode", "avg", "-o", out)
+    assert code == 0
+    assert load_xc(str(out)).features.values.tolist() == [2.0 ** 64, 1.5]
+
+
+def test_impute_refuses_values_above_2_64(tmp_path, capsys):
+    data = tmp_path / "bound.txt"
+    rows = [" ".join(f"{j}:{B_TEXT}" for j in range(16)),
+            " ".join(f"{j}:{B_TEXT}" for j in range(8)), "0:1 1:2"]
+    data.write_text("3 16 1\n" + "".join(f"0 {r}\n" for r in rows))
+    for argv in (["cluster", data, "-o", tmp_path / "p.npz", "--doc-fraction", 1],
+                 ["cooc", data, "--partition", tmp_path / "p.npz", "-o", tmp_path / "c.npz"]):
+        assert run(capsys, *argv)[0] == 0
+    out = tmp_path / "imputed.txt"
+    assert main(["impute", str(data), "--cooc", str(tmp_path / "c.npz"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "featagg: data error: row 0: feature value 2.3333490674854064e+19 lies outside")
+    assert not out.exists()
+
+
 def test_one_based_flag(tmp_path, capsys):
     p = tmp_path / "one.txt"
     p.write_text("1 2 2\n1,2 1:3 2:4\n")

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from featagg import dataio, kernels, synth
-from featagg.dataio import Dataset, parse_xc, stats, write_xc
+from featagg.dataio import Dataset, parse_xc, save_xc, stats, write_xc
 from featagg.errors import ParseError
 from featagg.sparse import SparseMatrix, SparseVec
 
@@ -87,6 +89,28 @@ class TestWrite:
         part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
         agg = agglomerate_dataset(toy_dataset, part)
         assert write_xc(agg).splitlines()[0] == "2 2 3"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, np.nextafter(2.0 ** 64, np.inf)])
+    def test_refuses_values_no_file_holds(self, tmp_path, value):
+        # the parser would reject the value, so nothing is written: not the
+        # header to a stream, and no file at the path
+        ds = Dataset(SparseMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1], [1.0, 2.0, value],
+                                  validate=False), SparseMatrix(3, 1, [0, 0, 0, 0], [], []))
+        message = "^" + re.escape(f"row 2: feature value {float(value)!r} lies outside "
+                                  "[0, 2**64], the range of a dataset file") + "$"
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_xc(ds, stream)
+        assert stream.getvalue() == ""
+        with pytest.raises(ValueError, match=message):
+            save_xc(ds, str(tmp_path / "out.txt"))
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_writes_2_64(self):
+        ds = Dataset(SparseMatrix(1, 2, [0, 2], [0, 1], [2.0 ** 64, 1.0]),
+                     SparseMatrix(1, 1, [0, 0], [], []))
+        assert write_xc(ds) == "1 2 1\n 0:1.8446744073709552e+19 1:1.0\n"
+        assert parse_xc(write_xc(ds)).features == ds.features
 
     def test_full_precision_round_trip(self):
         ds = parse_xc("1 2 1\n0 0:0.1 1:0.30000000000000004\n")
@@ -187,14 +211,6 @@ FAULTS = {
     "index out of range": lambda lab, toks, d, L: (lab, toks + [f"{d + 1}:1"]),
     "huge index": lambda lab, toks, d, L: (lab, toks + ["99999999999999999999:1"]),
     "negative index": lambda lab, toks, d, L: (lab, toks + ["-4:1"]),
-    "negative value": lambda lab, toks, d, L: (lab, toks + ["0:-2"]),
-    "infinite value": lambda lab, toks, d, L: (lab, ["0:inf"] + toks),
-    "nan value": lambda lab, toks, d, L: (lab, toks + ["0:nan"]),
-    # index 1 is in range in zero- and one-based files of d >= 2
-    "value above 2**64": lambda lab, toks, d, L: (lab, ["1:1e308"] + toks),
-    # the double after 2**64, written in 20 digits
-    "value just above 2**64": lambda lab, toks, d, L: (
-        lab, ["1:18446744073709555712"] + toks),
     "tab inside value": lambda lab, toks, d, L: (lab, toks + ["0:1\t5"]),
     "NUL in value": lambda lab, toks, d, L: (lab, toks + ["0:1\0"]),
     "NUL in label": lambda lab, toks, d, L: ("0\0", toks),
@@ -206,6 +222,19 @@ FAULTS = {
     "dot in label": lambda lab, toks, d, L: ("0,1.0", toks),
     "duplicate index": lambda lab, toks, d, L: (lab, toks + toks[:1] if toks
                                                 else ["1:1", "1:0"]),
+}
+
+# value faults, each with the message that names it; xc_texts plants them at
+# the file's first index, in range in either base
+VALUE_FAULTS = {
+    "-2": "negative feature value -2.0",
+    "-inf": "negative feature value -inf",
+    "inf": "non-finite feature value 'inf'",
+    "nan": "non-finite feature value 'nan'",
+    "-nan": "non-finite feature value '-nan'",
+    "1e308": "feature value '1e308' above 2**64",
+    # the double after 2**64, written in 20 digits
+    "18446744073709555712": "feature value '18446744073709555712' above 2**64",
 }
 
 
@@ -234,10 +263,14 @@ def xc_texts(draw, fault=False):
     kind = draw(st.sampled_from(["rows", "missing line", "trailing line"])
                 if fault else st.none())
     if kind == "rows":
-        for name in draw(st.lists(st.sampled_from(sorted(FAULTS)), min_size=1,
-                                  max_size=3)):
+        for name in draw(st.lists(st.sampled_from(sorted(FAULTS) + sorted(VALUE_FAULTS)),
+                                  min_size=1, max_size=3)):
             r = draw(st.integers(0, n - 1))
-            rows[r] = FAULTS[name](*rows[r], d, L)
+            if name in VALUE_FAULTS:
+                lab, toks = rows[r]
+                rows[r] = (lab, [f"{shift}:{name}"] + toks)
+            else:
+                rows[r] = FAULTS[name](*rows[r], d, L)
     lines = []
     for lab, toks in rows:
         seps = draw(st.lists(st.sampled_from([" ", " ", "  "]),
@@ -312,6 +345,17 @@ def test_write_without_the_float_kernel(case):
     want = write_xc(ds)
     with mock.patch.object(kernels, "EXACT_FLOATS", False):
         assert write_xc(ds) == want
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
+@pytest.mark.parametrize("one_based", [False, True])
+@pytest.mark.parametrize("value", sorted(VALUE_FAULTS))
+def test_value_faults_match_reference(value, one_based, chunk_chars):
+    at, message = int(one_based), VALUE_FAULTS[value]
+    text = (f"3 4 2\n{at} {at}:1 {at + 1}:2\n{at + 1} {at + 2}:0.5 {at + 3}:{value}\n"
+            f"{at} {at}:1\n")
+    expected, got = parse_both(text, one_based, chunk_chars)
+    assert got == expected == (f"line 3: {message}", 3)
 
 
 def test_one_index_value_pair_per_token():

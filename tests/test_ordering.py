@@ -48,36 +48,18 @@ def shortlist(rng, n_rows, per_row, n_labels):
     return rows, labels
 
 
-@pytest.mark.parametrize("alpha, base, aff", [
-    # alpha 1: equal base scores tie every row whatever the affinities
-    (1.0, lambda r, n: np.full(n, 0.25), lambda r, n: r.random(n)),
-    # alpha 0: affinities below the floor all tie at log(_LOG_FLOOR)
-    (0.0, lambda r, n: r.random(n) + 0.1,
-     lambda r, n: r.choice([0.0, 1e-320, _LOG_FLOOR, 0.5], size=n)),
-    # some tied combined scores, some nonpositive base scores dropped
-    (0.5, lambda r, n: r.choice([-1.0, 0.0, 0.5, 1.0], size=n),
-     lambda r, n: r.choice([0.0, 0.5, 1.0], size=n)),
-])
-def test_rank_ties_equal_lexsort(alpha, base, aff):
-    rng = np.random.default_rng(7)
-    rows, labels = shortlist(rng, 30, 9, 50)
-    base_scores, affinities = base(rng, rows.shape[0]), aff(rng, rows.shape[0])
-    got = _rank(rows, labels, base_scores, affinities, alpha)
-    want = lexsort_rank(rows, labels, base_scores, affinities, alpha)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-
-
-def test_rerank_nan_scores_rank_last_by_label():
-    # alpha 0 with infinite base scores gives 0 * inf = NaN combined scores
-    labels = np.array([9, 4, 7, 2, 5])
-    base = np.array([np.inf, 1.0, np.inf, 1.0, np.inf])
-    aff = np.array([0.5, 0.5, 0.5, 0.9, 0.5])
-    with np.errstate(invalid="ignore"):
-        got = rerank(labels, base, aff, alpha=0.0)
-        want = lexsort_rank(np.zeros(5, np.int64), labels, base, aff, 0.0)[1:]
-    assert got[0].tolist() == want[0].tolist() == [2, 4, 5, 7, 9]
-    assert got[1].tobytes() == want[1].tobytes()
+def test_rerank_rejects_non_finite_combined_scores():
+    for alpha, base, aff in [
+        # an infinite base score: an infinite combined score
+        (0.8, [np.inf, 1.0, 0.5], [0.5, 0.5, 0.9]),
+        # alpha 0 with an infinite base score: 0 * inf, a NaN combined score
+        (0.0, [np.inf, 1.0, 0.5], [0.5, 0.5, 0.9]),
+        # a NaN affinity
+        (0.5, [0.9, 1.0, 0.5], [0.5, np.nan, 0.9]),
+    ]:
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^combined scores must be finite$"):
+            rerank(np.array([9, 4, 7]), np.array(base), np.array(aff), alpha=alpha)
 
 
 @pytest.mark.parametrize("later", ["9", "9000000000000000000", "-9000000000000000000"])

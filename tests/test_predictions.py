@@ -366,7 +366,9 @@ def test_top_k_scratch_is_chunk_bounded(rng, tmp_path):
     save_model(model, str(tmp_path / "model.npz"))
     argv = ["predict", str(tmp_path / "data.txt"), "--model", str(tmp_path / "model.npz"),
             "--k", "3", "-o", str(tmp_path / "preds.txt")]
-    assert peak_bytes(main, argv) < dense_bytes / 4
+    codes = []
+    assert peak_bytes(lambda: codes.append(main(argv))) < dense_bytes / 4
+    assert codes == [0]  # an early exit would pass the bound without the work
 
 
 def test_rerank_scratch_is_chunk_bounded(rng, monkeypatch):

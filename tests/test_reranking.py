@@ -256,19 +256,18 @@ def test_affinity_scores_are_the_matrix_affinities(rng, normalize):
 
 
 def dense_csr_matrix(dense) -> SparseMatrix:
-    """CSR of a dense array's nonzeros, without SparseMatrix's checks (so
-    values may be infinite)."""
+    """CSR of a dense array's nonzeros."""
     row, col = np.nonzero(dense)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dense.shape[0]))))
     return SparseMatrix(dense.shape[0], dense.shape[1], indptr.astype(np.int64),
-                        col.astype(np.int64), dense[row, col], validate=False)
+                        col.astype(np.int64), dense[row, col])
 
 
 @st.composite
 def rerank_inputs(draw):
     """(preds, prototypes, queries, settings): negative values, empty query
-    rows, empty prototypes, some query values +-inf, rows of the shortlist
-    longer and shorter than the cut, and nonpositive base scores."""
+    rows, empty prototypes, rows of the shortlist longer and shorter than the
+    cut, and nonpositive base scores."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_labels, dim, n = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(0, 6))
     protos = rng.uniform(-2, 2, (n_labels, dim)) * (
@@ -276,10 +275,6 @@ def rerank_inputs(draw):
     protos[rng.random(n_labels) < 0.25] = 0.0
     queries = rng.uniform(-2, 2, (n, dim)) * (rng.random((n, dim)) < 0.6)
     queries[rng.random(n) < 0.25] = 0.0
-    if n and draw(st.booleans()):
-        row, col = np.nonzero(queries)
-        hit = rng.random(row.shape[0]) < 0.3
-        queries[row[hit], col[hit]] = rng.choice([np.inf, -np.inf], np.count_nonzero(hit))
     ps = PrototypeSet(dense_csr_matrix(protos), gamma=draw(st.sampled_from([0.5, 3.0])),
                       normalized=draw(st.booleans()))
     preds = shortlist_predictions(rng, n, n_labels) if n else Predictions([0], [], [])
@@ -299,8 +294,7 @@ def assert_same_predictions(got: Predictions, want: Predictions) -> None:
 @given(rerank_inputs(), st.booleans())
 def test_both_paths_equal_the_former_code(case, gather):
     preds, ps, x, kwargs = case
-    with mock.patch.object(reranking, "_gather_pays", lambda *a: gather), \
-            np.errstate(all="ignore"):
+    with mock.patch.object(reranking, "_gather_pays", lambda *a: gather):
         got = rerank_predictions(preds, ps, x, **kwargs)
         want = rerank_reference.rerank_predictions(preds, ps, x, **kwargs)
     assert_same_predictions(got, want)
@@ -321,26 +315,20 @@ def test_gather_path_is_taken_when_forced(small_setup, monkeypatch):
                                                                      shortlist=3))
 
 
-@pytest.mark.parametrize("normalize_queries", [False, True])
-def test_a_non_finite_query_keeps_the_call_on_the_product_path(rng, monkeypatch,
-                                                                normalize_queries):
-    """One query holding +-inf sends the whole call down the product path,
-    even where the gather would pay, with the former code's bytes."""
-    ps = PrototypeSet(dense_csr_matrix(rng.uniform(-1, 1, (5, 8))), gamma=1.5,
+@pytest.mark.parametrize("gather", [False, True])
+def test_a_nan_affinity_is_a_value_error(rng, monkeypatch, gather):
+    """A query value outside the validated range (+inf, through
+    validate=False) makes an affinity NaN, on either path, and the ranking
+    refuses it rather than rank it."""
+    ps = PrototypeSet(dense_csr_matrix(rng.uniform(0.5, 1, (3, 4))), gamma=1.0,
                       normalized=False)
-    queries = rng.normal(size=(6, 8)) * (rng.random((6, 8)) > 0.3)
-    queries[2, :3] = [np.inf, 1.0, -np.inf]
-    x = dense_csr_matrix(queries)
-    preds = Predictions(np.arange(0, 31, 5), np.tile(np.arange(5), 6),
-                        np.tile([0.9, 0.7, 0.5, 0.3, 0.1], 6))
-    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
-    monkeypatch.setattr(kernels, "gather_dots", lambda *a: pytest.fail("gathered"))
-    with np.errstate(all="ignore"):
-        got = rerank_predictions(preds, ps, x, shortlist=4,
-                                 normalize_queries=normalize_queries)
-        want = rerank_reference.rerank_predictions(preds, ps, x, shortlist=4,
-                                                   normalize_queries=normalize_queries)
-    assert_same_predictions(got, want)
+    queries = dense_csr_matrix(rng.uniform(0.5, 1, (2, 4)))
+    queries.values[5] = np.inf
+    preds = Predictions([0, 3, 6], np.tile(np.arange(3), 2), np.tile([0.9, 0.5, 0.1], 2))
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: gather)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="^combined scores must be finite$"):
+        rerank_predictions(preds, ps, queries, shortlist=3)
 
 
 def test_affinity_scores_stay_on_the_product_path(rng, monkeypatch):

@@ -131,6 +131,16 @@ class TestSparseMatrix:
             SparseVec(3, [0, 2], [bad, 1.0])
         assert SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, bad], validate=False).nnz == 2
 
+    def test_values_range_over_plus_minus_2_64(self):
+        bound = 2.0 ** 64
+        assert SparseMatrix(1, 2, [0, 2], [0, 1], [-bound, bound]).nnz == 2
+        assert SparseVec(2, [0, 1], [bound, -bound]).nnz == 2
+        for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf)):
+            with pytest.raises(ValueError, match="values must be finite and within 2"):
+                SparseMatrix(1, 2, [0, 1], [1], [bad])
+            with pytest.raises(ValueError, match="values must be finite and within 2"):
+                SparseVec(2, [1], [bad])
+
     @pytest.mark.parametrize("indices, message", [
         ([3], "column index out of range"),
         ([-1], "column index out of range"),

@@ -151,6 +151,11 @@ class TestDcg:
         with pytest.raises(ValueError):
             dcg(Ranking(np.array([0, 1])), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rank_of_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="^values to rank must be finite$"):
+            Ranking.rank_of(np.array([1.0, bad, 0.5]))
+
 
 class TestNdcg:
     def test_identity_ranking_scores_one(self, rng):

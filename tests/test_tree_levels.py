@@ -153,13 +153,9 @@ def test_mostly_empty_rows_draw_only_where_rows_differ(monkeypatch, split_kind):
 
 @pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_signed_zero_and_nan_rows_equal_reference(split_kind, seed):
+def test_signed_zero_rows_equal_reference(split_kind, seed):
     # 90 representatives copied from 5 rows, two of which store zeros, with
-    # about half of those zeros flipped to -0.0 (equal to 0.0), and for
-    # kmeans 4 rows holding a NaN (equal to no row, not even a copy of
-    # itself); ndcg takes nonnegative representatives, and the dense
-    # reference's ndcg centres rank a NaN coordinate apart from the sparse
-    # ones, so its rows hold none
+    # about half of those zeros flipped to -0.0 (equal to 0.0)
     rng = np.random.default_rng(seed)
     pool = [([0, 2], [0.0, 1.0]), ([1, 3], [2.0, 0.0]), ([0, 1, 2], [1.0, 0.5, 0.25]),
             ([3], [0.75]), ([], [])]
@@ -168,8 +164,6 @@ def test_signed_zero_and_nan_rows_equal_reference(split_kind, seed):
     indices = np.concatenate([i for i, _ in rows]).astype(np.int64)
     values = np.concatenate([v for _, v in rows]).astype(np.float64)
     values[(values == 0.0) & (rng.random(values.shape[0]) < 0.5)] = -0.0
-    nan = 4 if split_kind == "kmeans" else 0
-    values[rng.choice(np.flatnonzero(values > 0.0), nan, replace=False)] = np.nan
     rs = ReprSet(matrix=SparseMatrix(90, 4, indptr, indices, values, validate=False),
                  kind="x")
     tree = assert_matches_reference(rs, 4, split_kind, seed, splits.MAX_ITERS)
