@@ -328,8 +328,9 @@ def _cluster_seconds(n: int, seed: int) -> float:
 def test_criterion_10_scaling():
     t0 = time.perf_counter()
     _cluster_seconds(2000, seed=1)  # warm-up: first-call costs stay out of the ratio
-    t_small = _cluster_seconds(20000, seed=0)
-    t_large = _cluster_seconds(40000, seed=0)
+    # best of three per size: one ~0.1 s timing on a shared host is noisy
+    t_small = min(_cluster_seconds(20000, seed=0) for _ in range(3))
+    t_large = min(_cluster_seconds(40000, seed=0) for _ in range(3))
     ratio = t_large / t_small
     elapsed = time.perf_counter() - t0
     assert ratio <= 2.5

@@ -48,6 +48,26 @@ def shortlist(rng, n_rows, per_row, n_labels):
     return rows, labels
 
 
+@pytest.mark.parametrize("alpha, base, aff", [
+    # alpha 1: equal base scores tie every row whatever the affinities
+    (1.0, lambda r, n: np.full(n, 0.25), lambda r, n: r.random(n)),
+    # alpha 0: affinities below the floor all tie at log(_LOG_FLOOR)
+    (0.0, lambda r, n: r.random(n) + 0.1,
+     lambda r, n: r.choice([0.0, 1e-320, _LOG_FLOOR, 0.5], size=n)),
+    # some tied combined scores, some nonpositive base scores dropped
+    (0.5, lambda r, n: r.choice([-1.0, 0.0, 0.5, 1.0], size=n),
+     lambda r, n: r.choice([0.0, 0.5, 1.0], size=n)),
+])
+def test_rank_ties_equal_lexsort(alpha, base, aff):
+    rng = np.random.default_rng(7)
+    rows, labels = shortlist(rng, 30, 9, 50)
+    base_scores, affinities = base(rng, rows.shape[0]), aff(rng, rows.shape[0])
+    got = _rank(rows, labels, base_scores, affinities, alpha)
+    want = lexsort_rank(rows, labels, base_scores, affinities, alpha)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_rerank_rejects_non_finite_combined_scores():
     for alpha, base, aff in [
         # an infinite base score: an infinite combined score
