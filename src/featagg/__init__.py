@@ -8,8 +8,8 @@ quality metric suites plus numerical verifiers for the distortion bounds.
 
 __version__ = "0.1.0"
 
-from .agglomerate import AVERAGE, SUM, agglomerate_dataset, agglomerate_vec
-from .cooc import PseudoCooc, build_cooc, erase, impute
+from .agglomerate import AVERAGE, SUM, agglomerate_dataset
+from .cooc import PseudoCooc, build_cooc, erase_matrix, impute_matrix
 from .cluster_quality import (
     ClusterQualityReport,
     balance_factor,
@@ -21,9 +21,9 @@ from .dataio import Dataset, DatasetStats, load_xc, parse_xc, save_xc, stats, wr
 from .errors import InvariantError, ParseError
 from .kernels import backend_name
 from .linear import OvaConfig, OvaModel, predict, train_ova
-from .reranking import PrototypeSet, affinity, build_prototypes, rerank, rerank_predictions
+from .reranking import PrototypeSet, build_prototypes, rerank, rerank_predictions
 from .reprs import ReprSet, build_repr_x, build_repr_xy, normalize
-from .sparse import SparseMatrix, SparseVec, dot, norm
+from .sparse import SparseMatrix
 from .splits import Ranking, SplitResult, dcg, kmeans_split, ndcg, ndcg_split
 from .tree import (
     ClusterTree,

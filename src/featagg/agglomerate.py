@@ -1,4 +1,4 @@
-"""Apply a feature partition to vectors and datasets.
+"""Apply a feature partition to feature matrices and datasets.
 
 Each cluster becomes one super-feature holding the sum (default) or mean of
 its members. The map never densifies: an output row cannot have more stored
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix
 from .tree import FeaturePartition
 
 SUM = "sum"
@@ -25,11 +25,6 @@ def _divisors(part: FeaturePartition, mode: str) -> np.ndarray:
     if mode == AVERAGE:
         return part.sizes().astype(np.float64)
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def agglomerate_vec(x: SparseVec, part: FeaturePartition, mode: str = SUM) -> SparseVec:
-    """Collapse x onto the partition's clusters, as one row of agglomerate_matrix."""
-    return agglomerate_matrix(SparseMatrix.from_rows([x]), part, mode).row(0)
 
 
 def agglomerate_matrix(

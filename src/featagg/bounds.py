@@ -15,7 +15,7 @@ import numpy as np
 
 from .agglomerate import SUM, agglomerate_matrix
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec, _value_eq
+from .sparse import SparseMatrix, _value_eq
 from .tree import FeaturePartition
 
 REL_SLACK = 1e-9
@@ -188,20 +188,15 @@ def random_partition(rng: np.random.Generator, d: int) -> FeaturePartition:
 def _random_sparse_dataset(
     rng: np.random.Generator, n: int, d: int, n_labels: int, density: float
 ) -> Dataset:
-    feat_rows = []
-    label_rows = []
+    idx, vals, labs = [], [], []
     for _ in range(n):
         nnz = max(1, rng.binomial(d, density))
-        idx = np.sort(rng.choice(d, size=nnz, replace=False))
-        vals = rng.uniform(0.1, 2.0, size=nnz)
-        feat_rows.append(SparseVec(d, idx, vals, validate=False))
+        idx.append(np.sort(rng.choice(d, size=nnz, replace=False)))
+        vals.append(rng.uniform(0.1, 2.0, size=nnz))
         n_pos = int(rng.integers(0, min(4, n_labels) + 1))
-        lab = np.sort(rng.choice(n_labels, size=n_pos, replace=False))
-        label_rows.append(SparseVec(n_labels, lab, np.ones(n_pos), validate=False))
-    return Dataset(
-        SparseMatrix.from_rows(feat_rows, d),
-        SparseMatrix.from_rows(label_rows, n_labels),
-    )
+        labs.append(np.sort(rng.choice(n_labels, size=n_pos, replace=False)))
+    return Dataset(SparseMatrix.from_rows(d, idx, vals),
+                   SparseMatrix.from_rows(n_labels, labs, [np.ones(len(l)) for l in labs]))
 
 
 def _run_trials(theorem: str, trials: int, seed: int, draw) -> dict:

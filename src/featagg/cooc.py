@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset, load_arrays, save_arrays
-from .sparse import SparseMatrix, SparseVec, _value_eq
+from .sparse import SparseMatrix, _value_eq
 from .tree import PARTITION_ARRAYS, FeaturePartition, decode_partition, partition_arrays
 
 
@@ -149,11 +149,6 @@ def _in_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def impute(c: PseudoCooc, x: SparseVec) -> SparseVec:
-    """Block-wise matrix-vector product; only touched clusters produce output."""
-    return c.apply(SparseMatrix.from_rows([x])).row(0)
-
-
 def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMatrix:
     """lam * x + (1 - lam) * rescaled imputation, for every row x of sm.
 
@@ -179,18 +174,13 @@ def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMa
     ), validate=False)
 
 
-def erase(x: SparseVec, fraction: float, rng: np.random.Generator) -> SparseVec:
-    """Uniformly remove floor(fraction * nnz + 0.5) stored entries: halves
-    round up, where Python's round would round them to even."""
-    return erase_matrix(SparseMatrix.from_rows([x]), fraction, rng).row(0)
-
-
 def erase_matrix(sm: SparseMatrix, fraction: float,
                  rng: np.random.Generator) -> SparseMatrix:
-    """erase of every row from one shared RNG stream: each row loses
-    floor(fraction * nnz + 0.5) of its nnz stored entries, and in row order
-    each row that keeps some entries and loses some draws which ones it
-    loses."""
+    """Uniformly erase stored entries of every row from one shared RNG
+    stream: each row loses floor(fraction * nnz + 0.5) of its nnz entries
+    (halves round up, where Python's round would round them to even), and in
+    row order each row that keeps some entries and loses some draws which
+    ones it loses."""
     _in_unit("fraction", fraction)
     nnz = sm.row_nnz()
     remove = np.floor(fraction * nnz + 0.5).astype(np.int64)

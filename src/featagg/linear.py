@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset, json_object, json_text, load_arrays, save_arrays
-from .sparse import SparseMatrix, SparseVec, _value_eq
+from .sparse import SparseMatrix, _value_eq
 from .tree import _int_seed
 from .xcmetrics import Predictions, top_k
 
@@ -92,7 +92,9 @@ def train_ova(
     updates all its labels at every step, and each label follows the same
     arithmetic whatever block it lands in and however ova_sgd chunks its
     steps, so the result depends on neither the block size nor the step
-    chunks. The seed is any integer but a bool (see OvaConfig).
+    chunks. The seed is any integer but a bool (see OvaConfig). A block whose
+    trained weights or biases are not finite (a step size too large for the
+    data) is a ValueError, so no model of NaN or infinite weights is returned.
 
     threads accepts only 1 and raises ValueError otherwise; it is kept for
     the benchmark's train_ova(..., threads=1) call, and ROADMAP item 1b
@@ -133,21 +135,22 @@ def train_ova(
             feats.indptr, feats.indices, feats.values,
             sign, order.reshape(-1), dim, config.lr, config.l2, config.lr_decay, n,
         )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"training diverged: labels {lo} to {hi - 1} have "
+                             "non-finite weights; lower lr or raise l2")
         weights[lo:hi] = w
         bias[lo:hi] = b
     return OvaModel(weights=weights, bias=bias, config=config)
 
 
-def decision_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
-    """Raw margins w.x + b, shape (n, n_labels) or (n_labels,) for one vector."""
-    m = SparseMatrix.from_rows([x]) if isinstance(x, SparseVec) else x
-    if m.cols != model.dim:
-        raise ValueError(f"matrix cols {m.cols} != model dim {model.dim}")
-    scores = kernels.score_rows(m.indptr, m.indices, m.values, model.weights, model.bias)
-    return scores[0] if isinstance(x, SparseVec) else scores
+def decision_scores(model: OvaModel, x: SparseMatrix) -> np.ndarray:
+    """Raw margins w.x + b, shape (n, n_labels)."""
+    if x.cols != model.dim:
+        raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
+    return kernels.score_rows(x.indptr, x.indices, x.values, model.weights, model.bias)
 
 
-def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarray:
+def probability_scores(model: OvaModel, x: SparseMatrix) -> np.ndarray:
     """Sigmoid of the margins: positive scores usable under a log transform."""
     scores = decision_scores(model, x)
     np.clip(scores, -500.0, 500.0, out=scores)
@@ -157,14 +160,12 @@ def probability_scores(model: OvaModel, x: SparseMatrix | SparseVec) -> np.ndarr
     return np.divide(1.0, scores, out=scores)
 
 
-def predict(model: OvaModel, x: SparseMatrix | SparseVec, k: int) -> Predictions:
+def predict(model: OvaModel, x: SparseMatrix, k: int) -> Predictions:
     """Top-k labels per point by probability_scores, ties by ascending label id.
 
     Scores are computed and ranked a chunk of rows at a time, so the dense
     points x labels score matrix is never held whole.
     """
-    if isinstance(x, SparseVec):
-        x = SparseMatrix.from_rows([x])
     if x.cols != model.dim:
         raise ValueError(f"matrix cols {x.cols} != model dim {model.dim}")
     return top_k(lambda lo, hi: probability_scores(model, x.slice_rows(lo, hi)),

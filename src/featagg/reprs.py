@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class ReprSet:
     @property
     def n_features(self) -> int:
         return self.matrix.rows
-
-    def repr_vec(self, j: int) -> SparseVec:
-        return self.matrix.row(j)
 
 
 def _ceil_fraction(fraction: float, total: int) -> int:
@@ -105,11 +102,26 @@ def build_repr_xy(
 
 
 def normalize(rs: ReprSet) -> ReprSet:
-    """Scale every nonzero representative to unit L2 norm."""
+    """Scale every nonzero representative to unit L2 norm.
+
+    A row whose squared norm is below 2**-1022, where it loses precision or
+    underflows to 0, is first divided by its largest magnitude; every other
+    row is divided by its norm alone.
+    """
     m = rs.matrix
-    norms = np.sqrt(m.row_sq_norms())
+    sq = m.row_sq_norms()
+    norms = np.sqrt(sq)
     scale = np.divide(1.0, norms, out=np.ones(m.rows), where=norms > 0)
     values = m.values * np.repeat(scale, m.row_nnz())
+    tiny = np.flatnonzero((sq < 2.0 ** -1022) & (m.row_nnz() > 0))
+    if tiny.size:
+        sub = m.take_rows(tiny)
+        lens = sub.row_nnz()
+        peak = np.maximum.reduceat(np.abs(sub.values), sub.indptr[:-1])
+        sub = SparseMatrix(sub.rows, sub.cols, sub.indptr, sub.indices,
+                           sub.values / np.repeat(peak, lens), validate=False)
+        values[kernels.concat_ranges(m.indptr[tiny], m.indptr[tiny + 1])] = (
+            sub.values / np.repeat(np.sqrt(sub.row_sq_norms()), lens))
     matrix = SparseMatrix(m.rows, m.cols, m.indptr, m.indices, values, validate=False)
     return ReprSet(matrix=matrix, kind=rs.kind, normalized=True)
 

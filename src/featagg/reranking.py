@@ -16,8 +16,6 @@ taken only when the prototypes are at least half dense and it costs fewer
 gathered entries, holds P dense and sums each shortlisted prototype at its
 query's features (``kernels.gather_dots``). Both add a dot's products in the
 query's stored order, so the choice, made once per call, changes no byte.
-The per-point functions (affinity, affinity_scores, rerank) are one-row
-calls of rerank_predictions' arithmetic and checks on the product path.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from . import kernels
 from .cooc import PseudoCooc
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix
 from .xcmetrics import Prediction, Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
@@ -53,9 +51,6 @@ class PrototypeSet:
     @property
     def dim(self) -> int:
         return self.matrix.cols
-
-    def prototype(self, l: int) -> SparseVec:
-        return self.matrix.row(l)
 
     def sq_norms(self) -> np.ndarray:
         return self.matrix.row_sq_norms()
@@ -98,30 +93,15 @@ def build_prototypes(
     return ps
 
 
-def affinity(x: SparseVec, ps: PrototypeSet, l: int) -> float:
-    """exp(-gamma/2 * ||x - prototype_l||^2), in (0, 1]."""
-    return float(affinity_scores(x, ps, np.array([l]))[0])
-
-
-def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
-    """Affinities of x to a shortlist of labels: those rerank_predictions
-    takes for x as its one unnormalized query row, after the same checks."""
-    labels = np.asarray(labels, dtype=np.int64)
-    short = Predictions([0, labels.size], labels, np.zeros(labels.size), validate=False)
-    x, x_sq, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
-    (_, _, dots), = _product_dots(ps, x, short)
-    return _affinities(ps, p_sq, x_sq, np.zeros(labels.size, np.int64), labels, dots)
-
-
-def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: bool):
+def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix):
     """Check the shortlist and queries against the prototypes; return the
-    queries (unit L2 if normalize), their squared norms, and the prototypes'
-    squared norms."""
+    queries (unit L2 if the prototypes are), their squared norms, and the
+    prototypes' squared norms."""
     if x.cols != ps.dim:
         raise ValueError(f"test dim {x.cols} != prototype dim {ps.dim}")
     short.check_labels(ps.n_labels)
     x_norm = np.sqrt(x.row_sq_norms())
-    if normalize:
+    if ps.normalized:
         values = x.values / np.repeat(np.where(x_norm > 0, x_norm, 1.0), x.row_nnz())
         x = SparseMatrix(x.rows, x.cols, x.indptr, x.indices, values, validate=False)
         x_norm = np.sqrt(x.row_sq_norms())
@@ -242,22 +222,19 @@ def rerank_predictions(
     x_test: SparseMatrix,
     alpha: float = 0.8,
     shortlist: int = 100,
-    normalize_queries: bool | None = None,
 ) -> Predictions:
     """Rerank each point's top shortlist by combined score, as rerank does
     for one point, all points at once.
 
-    Test vectors are unit-normalized by default when the prototypes are, so
+    Test vectors are unit-normalized exactly when the prototypes are, so
     distances stay in [0, 2] and the kernel width has a stable meaning.
     """
     check_rerank_settings(alpha, shortlist)
     preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
-    if normalize_queries is None:
-        normalize_queries = ps.normalized
     short = preds.head(shortlist)
-    x, x_sq, p_sq = _prepare(short, ps, x_test, normalize_queries)
+    x, x_sq, p_sq = _prepare(short, ps, x_test)
     chunks = ([(0, len(short), _gather_dots(ps, x, short))] if _gather_pays(ps, x, short)
               else _product_dots(ps, x, short))
     lengths = short.lengths()

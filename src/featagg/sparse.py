@@ -1,9 +1,8 @@
-"""Sparse vector/matrix primitives shared by every other module.
+"""The one sparse type shared by every other module: a row-oriented CSR
+matrix of float64 values, whose one-row case is a sparse vector.
 
-Vectors are sorted (index, value) pairs over an explicit ambient dimension;
-matrices are row-oriented CSR triples. Values are float64 throughout and
-stored zeros are stripped at construction, so nnz counts are exact. Instances
-are immutable by convention and safe to share across workers.
+Each row's column indices strictly increase and no zero is stored, so nnz
+counts are exact. Instances are immutable by convention and safe to share.
 Validated values lie within +-MAX_VALUE; validate=False means the caller
 vouches for what validate=True checks.
 """
@@ -11,7 +10,7 @@ vouches for what validate=True checks.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
-from typing import Iterable, Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -50,87 +49,6 @@ def _check_entries(cols, indptr, indices, values) -> None:
         raise ValueError("values must be finite and within 2**64 in magnitude")
 
 
-class SparseVec:
-    """Sorted sparse vector with an explicit dimension."""
-
-    __slots__ = ("dim", "indices", "values")
-
-    def __init__(
-        self,
-        dim: int,
-        indices: Iterable[int] = (),
-        values: Iterable[float] = (),
-        *,
-        validate: bool = True,
-    ):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.float64)
-        if validate:
-            if dim < 0:
-                raise ValueError("dim must be nonnegative")
-            if idx.shape != val.shape or idx.ndim != 1:
-                raise ValueError("indices and values must be matching 1-d sequences")
-            # the checks of a one-row SparseMatrix; stored zeros are dropped
-            _check_entries(dim, np.array([0, idx.shape[0]]), idx, val)
-            keep = val != 0.0
-            if not keep.all():
-                idx, val = idx[keep], val[keep]
-        self.dim = int(dim)
-        self.indices = idx
-        self.values = val
-
-    @classmethod
-    def from_pairs(cls, dim: int, pairs: Mapping[int, float]) -> "SparseVec":
-        items = sorted(pairs.items())
-        return cls(dim, [i for i, _ in items], [v for _, v in items])
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseVec":
-        dense = np.asarray(dense, dtype=np.float64)
-        idx = np.flatnonzero(dense)
-        return cls(dense.shape[0], idx, dense[idx], validate=False)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
-    __eq__ = _value_eq
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{i}:{v:g}" for i, v in zip(self.indices[:6], self.values[:6])
-        )
-        tail = ", ..." if self.nnz > 6 else ""
-        return f"SparseVec(dim={self.dim}, {{{pairs}{tail}}})"
-
-
-def dot(a: SparseVec, b: SparseVec) -> float:
-    """Dot product by merge over sorted indices."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    common, ia, ib = np.intersect1d(
-        a.indices, b.indices, assume_unique=True, return_indices=True
-    )
-    if common.size == 0:
-        return 0.0
-    return float(np.dot(a.values[ia], b.values[ib]))
-
-
-def norm(v: SparseVec, p: int = 2) -> float:
-    """L1 or L2 norm over stored entries; the L2 norm is the square root of
-    the one-row SparseMatrix.row_sq_norms."""
-    if p == 1:
-        return float(np.sum(np.abs(v.values)))
-    if p == 2:
-        return float(np.sqrt(SparseMatrix.from_rows([v]).row_sq_norms()[0]))
-    raise ValueError("p must be 1 or 2")
-
-
 class SparseMatrix:
     """Row-oriented sparse matrix (CSR) of float64 values."""
 
@@ -166,31 +84,18 @@ class SparseMatrix:
         self.values = values
 
     @classmethod
-    def from_rows(cls, row_data: list[SparseVec], cols: int | None = None) -> "SparseMatrix":
-        if cols is None:
-            if not row_data:
-                raise ValueError("cols required for an empty matrix")
-            cols = row_data[0].dim
-        for r in row_data:
-            if r.dim != cols:
-                raise ValueError(f"row dim {r.dim} != cols {cols}")
-        lens = np.array([r.nnz for r in row_data], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum(lens)))
-        if row_data:
-            indices = np.concatenate([r.indices for r in row_data])
-            values = np.concatenate([r.values for r in row_data])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=np.float64)
-        return cls(len(row_data), cols, indptr, indices, values, validate=False)
+    def from_rows(cls, cols: int, indices: Sequence, values: Sequence) -> "SparseMatrix":
+        """Matrix whose row i holds indices[i] and values[i], validated."""
+        lens = [len(idx) for idx in indices]
+        if [len(val) for val in values] != lens:
+            raise ValueError("one value per index in every row required")
+        return cls(len(lens), cols, np.concatenate(([0], np.cumsum(lens, dtype=np.int64))),
+                   np.concatenate([np.empty(0, np.int64), *indices]),
+                   np.concatenate([np.empty(0), *values]))
 
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])
-
-    def row(self, i: int) -> SparseVec:
-        s, e = self.indptr[i], self.indptr[i + 1]
-        return SparseVec(self.cols, self.indices[s:e], self.values[s:e], validate=False)
 
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.indptr)

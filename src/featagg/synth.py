@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import Dataset
-from .sparse import SparseMatrix, SparseVec
+from .sparse import SparseMatrix
 
 
 def split_points(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
@@ -31,20 +31,13 @@ def random_dataset(
     """Uniform sparse dataset with a fixed per-row nonzero count."""
     nnz_per_row = min(nnz_per_row, d)
     labels_per_row = min(labels_per_row, n_labels)
-    feat_rows = []
-    label_rows = []
+    idx, vals, labs = [], [], []
     for _ in range(n):
-        idx = np.sort(rng.choice(d, size=nnz_per_row, replace=False))
-        vals = rng.uniform(0.1, 2.0, size=nnz_per_row)
-        feat_rows.append(SparseVec(d, idx, vals, validate=False))
-        lab = np.sort(rng.choice(n_labels, size=labels_per_row, replace=False))
-        label_rows.append(
-            SparseVec(n_labels, lab, np.ones(labels_per_row), validate=False)
-        )
-    return Dataset(
-        SparseMatrix.from_rows(feat_rows, d),
-        SparseMatrix.from_rows(label_rows, n_labels),
-    )
+        idx.append(np.sort(rng.choice(d, size=nnz_per_row, replace=False)))
+        vals.append(rng.uniform(0.1, 2.0, size=nnz_per_row))
+        labs.append(np.sort(rng.choice(n_labels, size=labels_per_row, replace=False)))
+    return Dataset(SparseMatrix.from_rows(d, idx, vals),
+                   SparseMatrix.from_rows(n_labels, labs, [np.ones(len(l)) for l in labs]))
 
 
 def duplicated_group_dataset(
@@ -66,26 +59,18 @@ def duplicated_group_dataset(
     """
     d = groups * copies
     teacher = rng.normal(size=(n_labels, groups))
-    feat_rows = []
-    label_rows = []
+    idx, vals, labs = [], [], []
     for _ in range(n):
         act = np.sort(rng.choice(groups, size=active_groups, replace=False))
-        vals = rng.uniform(0.5, 2.0, size=active_groups)
-        idx = (act[:, None] * copies + np.arange(copies)[None, :]).ravel()
-        feat_rows.append(
-            SparseVec(d, idx, np.repeat(vals, copies), validate=False)
-        )
+        val = rng.uniform(0.5, 2.0, size=active_groups)
+        idx.append((act[:, None] * copies + np.arange(copies)[None, :]).ravel())
+        vals.append(np.repeat(val, copies))
         latent = np.zeros(groups)
-        latent[act] = vals
+        latent[act] = val
         scores = teacher @ latent
-        top = np.sort(np.argsort(-scores)[:labels_per_point])
-        label_rows.append(
-            SparseVec(n_labels, top, np.ones(labels_per_point), validate=False)
-        )
-    ds = Dataset(
-        SparseMatrix.from_rows(feat_rows, d),
-        SparseMatrix.from_rows(label_rows, n_labels),
-    )
+        labs.append(np.sort(np.argsort(-scores)[:labels_per_point]))
+    ds = Dataset(SparseMatrix.from_rows(d, idx, vals),
+                 SparseMatrix.from_rows(n_labels, labs, [np.ones(len(l)) for l in labs]))
     truth = np.repeat(np.arange(groups), copies)
     return ds, truth
 
@@ -112,24 +97,19 @@ def powerlaw_dataset(
         np.sort(rng.choice(d, size=bundle_size, replace=False))
         for _ in range(n_labels)
     ]
-    feat_rows = []
-    label_rows = []
+    idx, vals, labs = [], [], []
     for _ in range(n):
         n_lab = int(rng.integers(1, 4))
-        labs = np.sort(rng.choice(n_labels, size=n_lab, replace=False, p=probs))
+        lab = np.sort(rng.choice(n_labels, size=n_lab, replace=False, p=probs))
         active: dict[int, float] = {}
-        for l in labs:
+        for l in lab:
             for j in bundles[l]:
                 active[int(j)] = active.get(int(j), 0.0) + float(rng.uniform(1.0, 2.0))
         for j in rng.choice(d, size=noise_features, replace=False):
             active[int(j)] = active.get(int(j), 0.0) + float(rng.uniform(0.1, 0.5))
-        idx = np.array(sorted(active), dtype=np.int64)
-        vals = np.array([active[int(j)] for j in idx], dtype=np.float64)
-        feat_rows.append(SparseVec(d, idx, vals, validate=False))
-        label_rows.append(
-            SparseVec(n_labels, labs, np.ones(labs.shape[0]), validate=False)
-        )
-    return Dataset(
-        SparseMatrix.from_rows(feat_rows, d),
-        SparseMatrix.from_rows(label_rows, n_labels),
-    )
+        row = sorted(active)
+        idx.append(np.array(row, dtype=np.int64))
+        vals.append(np.array([active[j] for j in row]))
+        labs.append(lab)
+    return Dataset(SparseMatrix.from_rows(d, idx, vals),
+                   SparseMatrix.from_rows(n_labels, labs, [np.ones(len(l)) for l in labs]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from featagg.dataio import Dataset
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 
 
 def dense_mi_oracle(Z: np.ndarray, Y: np.ndarray) -> float:
@@ -68,24 +68,27 @@ def balanced_partitions(members: list[int]):
         yield set(plus), set(minus)
 
 
-def vec(dim: int, pairs: dict[int, float]) -> SparseVec:
-    return SparseVec.from_pairs(dim, pairs)
+def vec(dim: int, pairs: dict[int, float]) -> SparseMatrix:
+    """The sparse vector of pairs {index: value}: a one-row matrix."""
+    items = sorted(pairs.items())
+    return SparseMatrix.from_rows(dim, [[i for i, _ in items]], [[v for _, v in items]])
 
 
 def matrix_from_dense(arr) -> SparseMatrix:
-    arr = np.asarray(arr, dtype=np.float64)
-    return SparseMatrix.from_rows(
-        [SparseVec.from_dense(row) for row in arr], arr.shape[1]
-    )
+    """The nonzero entries of a 2-d array, or of a 1-d array as one row."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    return SparseMatrix.from_rows(arr.shape[1], [np.flatnonzero(r) for r in arr],
+                                  [r[r != 0.0] for r in arr])
+
+
+def label_matrix(label_sets, n_labels: int) -> SparseMatrix:
+    """0/1 matrix with a row per label set."""
+    rows = [sorted(labels) for labels in label_sets]
+    return SparseMatrix.from_rows(n_labels, rows, [np.ones(len(r)) for r in rows])
 
 
 def dataset_from_dense(features, label_sets, n_labels: int) -> Dataset:
-    feats = matrix_from_dense(features)
-    rows = []
-    for labels in label_sets:
-        labels = sorted(labels)
-        rows.append(SparseVec(n_labels, labels, np.ones(len(labels))))
-    return Dataset(feats, SparseMatrix.from_rows(rows, n_labels))
+    return Dataset(matrix_from_dense(features), label_matrix(label_sets, n_labels))
 
 
 def npz_arrays(path) -> dict[str, np.ndarray]:

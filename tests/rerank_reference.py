@@ -11,16 +11,16 @@ import numpy as np
 
 from featagg import kernels
 from featagg.reranking import PrototypeSet, _rank, check_rerank_settings
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 from featagg.xcmetrics import Predictions
 
 
-def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix, normalize: bool):
+def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix):
     if x.cols != ps.dim:
         raise ValueError(f"test dim {x.cols} != prototype dim {ps.dim}")
     short.check_labels(ps.n_labels)
     x_norm = np.sqrt(x.row_sq_norms())
-    if normalize:
+    if ps.normalized:
         values = x.values / np.repeat(np.where(x_norm > 0, x_norm, 1.0), x.row_nnz())
         x = SparseMatrix(x.rows, x.cols, x.indptr, x.indices, values, validate=False)
         x_norm = np.sqrt(x.row_sq_norms())
@@ -42,24 +42,23 @@ def _affinities(ps, p_sq, product, x_sq, rows, labels):
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
 
 
-def affinity_scores(x: SparseVec, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
+def affinity_scores(x: SparseMatrix, ps: PrototypeSet, labels: np.ndarray) -> np.ndarray:
+    """Affinities of the one-row query x to labels, in their order."""
     labels = np.asarray(labels, dtype=np.int64)
     short = Predictions([0, labels.size], labels, np.zeros(labels.size), validate=False)
-    x, x_sq, pt, p_sq = _prepare(short, ps, SparseMatrix.from_rows([x]), False)
+    x, x_sq, pt, p_sq = _prepare(short, ps, x)
     product = kernels.sparse_product(x.indptr, x.indices, x.values,
                                      pt.indptr, pt.indices, pt.values, ps.n_labels)
     return _affinities(ps, p_sq, product, x_sq, np.zeros(labels.size, np.int64), labels)
 
 
-def rerank_predictions(preds, ps, x_test, alpha=0.8, shortlist=100, normalize_queries=None):
+def rerank_predictions(preds, ps, x_test, alpha=0.8, shortlist=100):
     check_rerank_settings(alpha, shortlist)
     preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
-    if normalize_queries is None:
-        normalize_queries = ps.normalized
     short = preds.head(shortlist)
-    x, x_sq, pt, p_sq = _prepare(short, ps, x_test, normalize_queries)
+    x, x_sq, pt, p_sq = _prepare(short, ps, x_test)
 
     ranked = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     for lo, hi, *product in kernels.product_chunks(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from featagg import reranking
-from featagg.agglomerate import AVERAGE, SUM, agglomerate_dataset, agglomerate_vec
+from featagg.agglomerate import AVERAGE, SUM, agglomerate_dataset, agglomerate_matrix
 from featagg.bounds import lemma1_trials, thm1_check, thm1_trials, thm2_check, thm2_trials
 from featagg.cluster_quality import (
     balance_factor,
@@ -21,13 +21,13 @@ from featagg.cluster_quality import (
     mutual_information,
     normalized_entropy,
 )
-from featagg.cooc import build_cooc, erase_matrix, impute, impute_matrix
+from featagg.cooc import build_cooc, erase_matrix, impute_matrix
 from featagg.dataio import load_xc
 from featagg.linear import OvaConfig, OvaModel, predict, train_ova
 from featagg.reprs import ReprSet, build as build_reprs
 from featagg.reranking import build_prototypes, rerank_predictions
 from featagg.splits import Ranking, ndcg, ndcg_split
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 from featagg.synth import duplicated_group_dataset, powerlaw_dataset, random_dataset, split_points
 from featagg.tree import FeaturePartition, leaves, make_tree
 from featagg.xcmetrics import (
@@ -38,7 +38,7 @@ from featagg.xcmetrics import (
     psp_at_k,
 )
 
-from helpers import adjusted_rand_index, dense_cooc_oracle, dataset_from_dense
+from helpers import adjusted_rand_index, dense_cooc_oracle, dataset_from_dense, matrix_from_dense
 
 
 def report(criterion: int, message: str) -> None:
@@ -151,11 +151,12 @@ def test_criterion_04_agglomeration_contracts():
         nnz = int(rng.integers(0, d + 1))
         idx = np.sort(rng.choice(d, size=nnz, replace=False))
         vals = rng.integers(-9, 10, size=nnz).astype(np.float64)
-        x = SparseVec(d, idx, vals)  # strips any sampled zeros
-        out = agglomerate_vec(x, part, SUM)
+        keep = vals != 0.0  # a vector stores no sampled zero
+        x = SparseMatrix.from_rows(d, [idx[keep]], [vals[keep]])
+        out = agglomerate_matrix(x, part, SUM)
         assert out.nnz <= x.nnz
         assert out.values.sum() == x.values.sum()  # integers sum exactly
-        assert agglomerate_vec(x, identity, SUM) == x
+        assert agglomerate_matrix(x, identity, SUM) == x
     report(4, "10^4 random vectors: nnz never grows, integer sums exact, "
               "identity partition is the identity")
 
@@ -200,8 +201,7 @@ def test_criterion_05_metric_identities():
 
     # changing the log base changes no gain ratio and no split
     rows = rng.random((12, 6)) * (rng.random((12, 6)) > 0.4)
-    rs = ReprSet(matrix=SparseMatrix.from_rows(
-        [SparseVec.from_dense(r) for r in rows], 6), kind="x")
+    rs = ReprSet(matrix=matrix_from_dense(rows), kind="x")
     v = rng.random(9)
     perm = Ranking(rng.permutation(9))
     assert ndcg(perm, v) == pytest.approx(ndcg(perm, v, base=2.0), rel=1e-12)
@@ -305,13 +305,10 @@ def test_criterion_09_dense_oracles():
         assert np.allclose(c.blocks[k], C[np.ix_(cluster, cluster)], atol=1e-9)
     for _ in range(10):
         x = rng.random(d) * (rng.random(d) > 0.5)
-        assert np.allclose(
-            impute(c, SparseVec.from_dense(x)).to_dense(), C @ x, atol=1e-9
-        )
+        assert np.allclose(c.apply(matrix_from_dense(x)).to_dense()[0], C @ x, atol=1e-9)
     ps = build_prototypes(c, ds, normalize=False)
     oracle = C @ feats.T @ ds.labels.to_dense()
-    for l in range(8):
-        assert np.allclose(ps.prototype(l).to_dense(), oracle[:, l], atol=1e-9)
+    assert np.allclose(ps.matrix.to_dense(), oracle.T, atol=1e-9)
     report(9, "co-occurrence blocks, imputation and prototypes match dense "
               "oracles entrywise within 1e-9")
 

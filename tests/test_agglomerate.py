@@ -7,9 +7,7 @@ from featagg.agglomerate import (
     SUM,
     agglomerate_dataset,
     agglomerate_matrix,
-    agglomerate_vec,
 )
-from featagg.sparse import SparseVec
 from featagg.tree import FeaturePartition
 
 from helpers import dataset_from_dense, matrix_from_dense, vec
@@ -21,27 +19,29 @@ def two_cluster_part():
 
 
 class TestAgglomerateVec:
+    """A vector is a one-row matrix."""
+
     def test_sum(self, two_cluster_part):
-        x = SparseVec.from_dense(np.array([1.0, 0.0, 2.0, 3.0]))
-        assert agglomerate_vec(x, two_cluster_part, SUM) == vec(2, {0: 1.0, 1: 5.0})
+        x = matrix_from_dense([1.0, 0.0, 2.0, 3.0])
+        assert agglomerate_matrix(x, two_cluster_part, SUM) == vec(2, {0: 1.0, 1: 5.0})
 
     def test_average(self, two_cluster_part):
-        x = SparseVec.from_dense(np.array([1.0, 0.0, 2.0, 3.0]))
-        out = agglomerate_vec(x, two_cluster_part, AVERAGE)
+        x = matrix_from_dense([1.0, 0.0, 2.0, 3.0])
+        out = agglomerate_matrix(x, two_cluster_part, AVERAGE)
         assert out == vec(2, {0: 0.5, 1: 2.5})
 
     def test_identity_partition_is_identity(self):
         part = FeaturePartition.from_clusters(3, [np.array([j]) for j in range(3)])
         x = vec(3, {0: 1.5, 2: -2.0})
-        assert agglomerate_vec(x, part, SUM) == x
+        assert agglomerate_matrix(x, part, SUM) == x
 
     def test_dimension_mismatch(self, two_cluster_part):
         with pytest.raises(ValueError):
-            agglomerate_vec(vec(3, {0: 1.0}), two_cluster_part)
+            agglomerate_matrix(vec(3, {0: 1.0}), two_cluster_part)
 
     def test_exact_cancellation_stripped(self, two_cluster_part):
-        x = SparseVec(4, [0, 1], [2.0, -2.0])
-        assert agglomerate_vec(x, two_cluster_part, SUM).nnz == 0
+        x = vec(4, {0: 2.0, 1: -2.0})
+        assert agglomerate_matrix(x, two_cluster_part, SUM).nnz == 0
 
     @pytest.mark.parametrize("mode", [SUM, AVERAGE])
     def test_bitwise_equal_to_matrix_rows(self, rng, mode):
@@ -59,17 +59,17 @@ class TestAgglomerateVec:
                  np.array([10]), np.array([11])]
         )
         rows = agglomerate_matrix(sm, part, mode)
-        assert rows.row(0).nnz == 0 and rows.row(1).nnz == 1
+        assert rows.row_nnz()[:2].tolist() == [0, 1]
         for i in range(sm.rows):
-            out = agglomerate_vec(sm.row(i), part, mode)
-            want = rows.row(i)
-            assert out.dim == want.dim == part.n_clusters
+            out = agglomerate_matrix(sm.slice_rows(i, i + 1), part, mode)
+            want = rows.slice_rows(i, i + 1)
+            assert out.cols == want.cols == part.n_clusters
             assert out.indices.tobytes() == want.indices.tobytes()
             assert out.values.tobytes() == want.values.tobytes()
 
     def test_bad_mode(self, two_cluster_part):
         with pytest.raises(ValueError):
-            agglomerate_vec(vec(4, {0: 1.0}), two_cluster_part, "median")
+            agglomerate_matrix(vec(4, {0: 1.0}), two_cluster_part, "median")
 
 
 class TestAgglomerateDataset:
@@ -116,13 +116,13 @@ def vec_and_partition(draw):
         np.array([j for j, g in enumerate(assignment) if remap[g] == k])
         for k in range(len(ids))
     ]
-    return SparseVec.from_pairs(d, pairs), FeaturePartition.from_clusters(d, clusters)
+    return vec(d, pairs), FeaturePartition.from_clusters(d, clusters)
 
 
 @settings(max_examples=100)
 @given(vec_and_partition())
 def test_nnz_contract_and_sum_preservation(case):
     x, part = case
-    out = agglomerate_vec(x, part, SUM)
+    out = agglomerate_matrix(x, part, SUM)
     assert out.nnz <= x.nnz
     assert np.isclose(out.values.sum(), x.values.sum(), atol=1e-9)

@@ -9,21 +9,20 @@ import pytest
 from featagg.cooc import (
     PseudoCooc,
     build_cooc,
-    erase,
     erase_matrix,
-    impute,
     impute_matrix,
     load_cooc,
     save_cooc,
 )
 from featagg.errors import InvariantError
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 from featagg.tree import PARTITION_ARRAYS, FeaturePartition, load_partition, save_partition
 
 from helpers import (
     SPOILED_KINDS,
     dataset_from_dense,
     dense_cooc_oracle,
+    matrix_from_dense,
     npz_arrays,
     spoil_npz,
     vec,
@@ -116,18 +115,20 @@ class TestBuildCooc:
 
 
 class TestImpute:
+    """The imputation of a vector: the blocks applied to a one-row matrix."""
+
     def test_hand_computed(self, toy_blocks):
         _, _, c = toy_blocks
-        out = impute(c, SparseVec.from_dense(np.array([0.0, 1.0, 0.0])))
-        assert np.allclose(out.to_dense(), [2.0, 5.0, 0.0])
+        out = c.apply(matrix_from_dense([0.0, 1.0, 0.0]))
+        assert np.allclose(out.to_dense(), [[2.0, 5.0, 0.0]])
 
     def test_zero_vector(self, toy_blocks):
         _, _, c = toy_blocks
-        assert impute(c, SparseVec(3)).nnz == 0
+        assert c.apply(vec(3, {})).nnz == 0
 
     def test_block_locality(self, toy_blocks):
         _, _, c = toy_blocks
-        out = impute(c, vec(3, {2: 2.0}))
+        out = c.apply(vec(3, {2: 2.0}))
         assert set(out.indices.tolist()) <= {2}
 
     @pytest.mark.parametrize("row_normalize", [False, True])
@@ -145,23 +146,23 @@ class TestImpute:
             assert not np.allclose(C, C.T)
         for _ in range(5):
             x = rng.random(8) * (rng.random(8) > 0.5)
-            got = impute(c, SparseVec.from_dense(x)).to_dense()
+            got = c.apply(matrix_from_dense(x)).to_dense()[0]
             assert np.allclose(got, C @ x, atol=1e-9)
 
     def test_linearity(self, rng, toy_blocks):
         _, _, c = toy_blocks
-        x = SparseVec.from_dense(rng.random(3))
-        y = SparseVec.from_dense(rng.random(3))
+        x = matrix_from_dense(rng.random(3))
+        y = matrix_from_dense(rng.random(3))
         a, b = 2.5, -1.5
-        combo = SparseVec.from_dense(a * x.to_dense() + b * y.to_dense())
-        lhs = impute(c, combo).to_dense()
-        rhs = a * impute(c, x).to_dense() + b * impute(c, y).to_dense()
+        combo = matrix_from_dense(a * x.to_dense() + b * y.to_dense())
+        lhs = c.apply(combo).to_dense()
+        rhs = a * c.apply(x).to_dense() + b * c.apply(y).to_dense()
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_dim_mismatch(self, toy_blocks):
         _, _, c = toy_blocks
         with pytest.raises(ValueError):
-            impute(c, SparseVec(5))
+            c.apply(vec(5, {}))
 
     def test_one_vector_costs_no_o_d_work(self):
         # 4096 clusters of 8: the blocks take 2 MiB, the product of 3 entries
@@ -170,10 +171,10 @@ class TestImpute:
         part = FeaturePartition.from_clusters(d, np.split(np.arange(d), d // d0))
         c = PseudoCooc(part, np.ones(d * d0))
         x = vec(d, {3: 1.0, 100: 2.0, 20000: -1.0})
-        impute(c, x)
+        c.apply(x)
         tracemalloc.start()
         try:
-            out = impute(c, x)
+            out = c.apply(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,39 +186,35 @@ class TestImpute:
         ds, part, c = toy_blocks
         again = build_cooc(ds, part)
         x = vec(3, {0: 1.0, 2: 2.0})
-        impute(c, x)  # c alone holds its transpose
+        c.apply(x)  # c alone holds its transpose
         assert c == again and again == c
-        assert impute(again, x) == impute(c, x)  # now both do
+        assert again.apply(x) == c.apply(x)  # now both do
         assert c == again
         assert c != build_cooc(ds, part, row_normalize=True)
 
     def test_blend_recovers_input_at_lambda_one(self, toy_blocks):
         _, _, c = toy_blocks
         x = vec(3, {0: 1.0, 2: 2.0})
-        assert blend_row(c, x, lam=1.0) == x
+        assert impute_matrix(c, x, lam=1.0) == x
 
 
-def sequential_norm(x: SparseVec) -> float:
-    """L2 norm with the squares added one at a time in stored order."""
+def sequential_norm(x: SparseMatrix) -> float:
+    """L2 norm of a one-row matrix with the squares added one at a time in
+    stored order."""
     total = 0.0
     for square in x.values * x.values:
         total += square
     return math.sqrt(total)
 
 
-def blend_row(c, x, lam):
-    """impute_matrix of the one-row matrix holding x."""
-    return impute_matrix(c, SparseMatrix.from_rows([x]), lam).row(0)
-
-
 def dense_blend(c, x, lam):
-    """The blend of x through a dense length-d vector."""
-    imputed = impute(c, x)
+    """The blend of the one-row matrix x through a dense length-d vector."""
+    imputed = c.apply(x)
     ni, nx = sequential_norm(imputed), sequential_norm(x)
     scale = nx / ni if ni > 0 and nx > 0 else 1.0
-    dense = imputed.to_dense() * ((1.0 - lam) * scale)
+    dense = imputed.to_dense()[0] * ((1.0 - lam) * scale)
     dense[x.indices] += lam * x.values
-    return SparseVec.from_dense(dense)
+    return matrix_from_dense(dense)
 
 
 class TestImputeBlend:
@@ -230,13 +227,13 @@ class TestImputeBlend:
         )
         c = build_cooc(ds, part)
         # the empty vector, then random ones
-        xs = [SparseVec(8)] + [
-            SparseVec.from_dense(rng.normal(size=8) * (rng.random(8) > 0.5))
+        xs = [vec(8, {})] + [
+            matrix_from_dense(rng.normal(size=8) * (rng.random(8) > 0.5))
             for _ in range(10)
         ]
         for x in xs:
-            got, want = blend_row(c, x, lam), dense_blend(c, x, lam)
-            assert got.dim == want.dim == 8
+            got, want = impute_matrix(c, x, lam), dense_blend(c, x, lam)
+            assert got.cols == want.cols == 8
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
 
@@ -250,13 +247,14 @@ class TestImputeBlend:
         c = build_cooc(ds, part, row_normalize=lam == 0.3)
         dense = rng.normal(size=(30, 8)) * (rng.random((30, 8)) > 0.6)
         dense[::7] = 0.0  # empty rows
-        sm = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 8)
+        sm = matrix_from_dense(dense)
         got = impute_matrix(c, sm, lam)
         assert got.rows == 30 and got.cols == 8
         for i in range(30):
-            for want in blend_row(c, sm.row(i), lam), dense_blend(c, sm.row(i), lam):
-                assert got.row(i).indices.tobytes() == want.indices.tobytes()
-                assert got.row(i).values.tobytes() == want.values.tobytes()
+            x, row = sm.slice_rows(i, i + 1), got.slice_rows(i, i + 1)
+            for want in impute_matrix(c, x, lam), dense_blend(c, x, lam):
+                assert row.indices.tobytes() == want.indices.tobytes()
+                assert row.values.tobytes() == want.values.tobytes()
 
     def test_cancelling_entries_dropped(self):
         # the imputation of x is (-1, 1) with x's norm, so at lam = 0.5
@@ -264,25 +262,25 @@ class TestImputeBlend:
         part = FeaturePartition.from_clusters(3, [np.array([0]), np.array([1, 2])])
         c = PseudoCooc(part, np.array([-1.0, 1.0, 0.0, 0.0, 1.0]))
         x = vec(3, {0: 1.0, 1: 1.0})
-        got = blend_row(c, x, 0.5)
+        got = impute_matrix(c, x, 0.5)
         assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
 
 
 def reference_erase_matrix(sm, fraction, rng):
-    """erase_matrix as one SparseVec and at most one rng.choice call per row."""
-    rows = []
+    """erase_matrix as a loop over rows, with at most one rng.choice call
+    per row."""
+    indices, values = [], []
     for i in range(sm.rows):
-        x = sm.row(i)
+        x = sm.slice_rows(i, i + 1)
+        keep = np.ones(x.nnz, dtype=bool)
         remove = int(np.floor(fraction * x.nnz + 0.5))
         if remove >= x.nnz:
-            x = SparseVec(x.dim, validate=False)
+            keep[:] = False
         elif remove > 0:
-            drop = rng.choice(x.nnz, size=remove, replace=False)
-            keep = np.ones(x.nnz, dtype=bool)
-            keep[drop] = False
-            x = SparseVec(x.dim, x.indices[keep], x.values[keep], validate=False)
-        rows.append(x)
-    return SparseMatrix.from_rows(rows, sm.cols)
+            keep[rng.choice(x.nnz, size=remove, replace=False)] = False
+        indices.append(x.indices[keep])
+        values.append(x.values[keep])
+    return SparseMatrix.from_rows(sm.cols, indices, values)
 
 
 ERASE_FRACTIONS = [0.0, 0.01, 0.25, 0.3, 0.5, 0.75, 1.0]
@@ -300,7 +298,7 @@ class TestErase:
     def test_matrix_equals_row_loop_bitwise(self, rng, fraction):
         dense = rng.random((40, 30)) * (rng.random((40, 30)) > 0.6)
         dense[rng.random(40) < 0.2] = 0.0  # empty rows
-        sm = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 30)
+        sm = matrix_from_dense(dense)
         for seed in (0, 11):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert_same_matrix(erase_matrix(sm, fraction, got_rng),
@@ -311,11 +309,10 @@ class TestErase:
     @pytest.mark.parametrize("fraction", ERASE_FRACTIONS)
     def test_vector_is_one_row_matrix(self, rng, fraction):
         for seed in range(10):
-            x = SparseVec.from_dense(rng.random(12) * (rng.random(12) > 0.3))
-            got = erase(x, fraction, np.random.default_rng(seed))
-            want = erase_matrix(SparseMatrix.from_rows([x]), fraction,
-                                np.random.default_rng(seed))
-            assert_same_matrix(SparseMatrix.from_rows([got]), want)
+            x = matrix_from_dense(rng.random(12) * (rng.random(12) > 0.3))
+            got = erase_matrix(x, fraction, np.random.default_rng(seed))
+            want = reference_erase_matrix(x, fraction, np.random.default_rng(seed))
+            assert_same_matrix(got, want)
 
     def test_matrix_bad_fraction(self, rng):
         with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\]"):
@@ -323,15 +320,15 @@ class TestErase:
 
     def test_zero_fraction_unchanged(self, rng):
         x = vec(6, {0: 1.0, 3: 2.0})
-        assert erase(x, 0.0, rng) == x
+        assert erase_matrix(x, 0.0, rng) == x
 
     def test_full_fraction_empties(self, rng):
         x = vec(6, {0: 1.0, 3: 2.0})
-        assert erase(x, 1.0, rng).nnz == 0
+        assert erase_matrix(x, 1.0, rng).nnz == 0
 
     def test_half_of_four_keeps_two(self, rng):
         x = vec(8, {0: 1.0, 2: 1.0, 4: 1.0, 6: 1.0})
-        out = erase(x, 0.5, rng)
+        out = erase_matrix(x, 0.5, rng)
         assert out.nnz == 2
         assert set(out.indices.tolist()) <= {0, 2, 4, 6}
 
@@ -340,19 +337,19 @@ class TestErase:
         # floor(0.5 * nnz + 0.5) entries go; Python's round, which rounds
         # halves to even, would keep 1, 1 and 3
         x = vec(8, {j: 1.0 for j in range(nnz)})
-        assert erase(x, 0.5, rng).nnz == kept
-        sm = SparseMatrix.from_rows([x, x])
+        assert erase_matrix(x, 0.5, rng).nnz == kept
+        sm = SparseMatrix.from_rows(8, [x.indices] * 2, [x.values] * 2)
         assert erase_matrix(sm, 0.5, rng).row_nnz().tolist() == [kept, kept]
 
     def test_deterministic_given_seed(self):
         x = vec(20, {j: float(j + 1) for j in range(0, 20, 2)})
-        a = erase(x, 0.4, np.random.default_rng(3))
-        b = erase(x, 0.4, np.random.default_rng(3))
+        a = erase_matrix(x, 0.4, np.random.default_rng(3))
+        b = erase_matrix(x, 0.4, np.random.default_rng(3))
         assert a == b
 
     def test_bad_fraction(self, rng):
         with pytest.raises(ValueError):
-            erase(SparseVec(3), 1.5, rng)
+            erase_matrix(vec(3, {}), 1.5, rng)
 
 
 class TestPersistence:
@@ -367,7 +364,7 @@ class TestPersistence:
         for a, b in zip(again.blocks, c.blocks):
             assert np.array_equal(a, b)
         x = vec(3, {1: 1.0})
-        assert impute(again, x) == impute(c, x)
+        assert again.apply(x) == c.apply(x)
 
     def test_row_normalized_round_trip(self, rng, tmp_path):
         feats = rng.random((12, 9)) * (rng.random((12, 9)) > 0.5)

@@ -10,23 +10,23 @@ from hypothesis import given, settings, strategies as st
 from featagg import dataio, kernels, synth
 from featagg.dataio import Dataset, parse_xc, save_xc, stats, write_xc
 from featagg.errors import ParseError
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 
 import dataio_reference
+from helpers import label_matrix, vec
 
 class TestParse:
     def test_toy(self, toy_dataset):
         ds = toy_dataset
         assert (ds.n, ds.d, ds.n_labels) == (2, 4, 3)
-        assert list(ds.labels.row(0).indices) == [0, 2]
-        assert ds.features.row(0) == SparseVec.from_pairs(4, {1: 0.5, 3: 1.0})
-        assert list(ds.labels.row(1).indices) == [1]
-        assert ds.features.row(1) == SparseVec.from_pairs(4, {0: 2.0})
+        assert ds.labels == label_matrix([{0, 2}, {1}], 3)
+        assert ds.features.slice_rows(0, 1) == vec(4, {1: 0.5, 3: 1.0})
+        assert ds.features.slice_rows(1, 2) == vec(4, {0: 2.0})
 
     def test_empty_label_field(self):
         ds = parse_xc("1 2 1\n 0:1\n")
-        assert ds.labels.row(0).nnz == 0
-        assert ds.features.row(0).nnz == 1
+        assert ds.labels.nnz == 0
+        assert ds.features.nnz == 1
 
     def test_feature_index_out_of_bounds(self):
         with pytest.raises(ParseError, match="feature index 5"):
@@ -68,8 +68,8 @@ class TestParse:
 
     def test_one_based(self):
         ds = parse_xc("1 2 2\n1,2 1:3 2:4\n", one_based=True)
-        assert list(ds.labels.row(0).indices) == [0, 1]
-        assert list(ds.features.row(0).indices) == [0, 1]
+        assert list(ds.labels.indices) == [0, 1]
+        assert list(ds.features.indices) == [0, 1]
 
 
 class TestWrite:
@@ -123,7 +123,7 @@ def datasets(draw):
     n = draw(st.integers(0, 6))
     d = draw(st.integers(1, 8))
     n_labels = draw(st.integers(1, 5))
-    feat_rows, label_rows = [], []
+    indices, values, label_sets = [], [], []
     for _ in range(n):
         pairs = draw(
             st.dictionaries(
@@ -132,14 +132,11 @@ def datasets(draw):
                 max_size=d,
             )
         )
-        feat_rows.append(SparseVec.from_pairs(d, pairs))
-        labs = draw(st.sets(st.integers(0, n_labels - 1), max_size=n_labels))
-        labs = sorted(labs)
-        label_rows.append(SparseVec(n_labels, labs, np.ones(len(labs))))
-    return Dataset(
-        SparseMatrix.from_rows(feat_rows, d),
-        SparseMatrix.from_rows(label_rows, n_labels),
-    )
+        indices.append(sorted(pairs))
+        values.append([pairs[j] for j in indices[-1]])
+        label_sets.append(draw(st.sets(st.integers(0, n_labels - 1), max_size=n_labels)))
+    return Dataset(SparseMatrix.from_rows(d, indices, values),
+                   label_matrix(label_sets, n_labels))
 
 
 @settings(max_examples=60)
@@ -390,6 +387,34 @@ def test_write_xc_bytes_are_pinned_at_benchmark_scale():
         for name in ("indptr", "indices", "values"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# sha256 over the CSR arrays (features, then labels; indptr, indices and
+# values of each) of the generators at the shapes of the cluster and impute
+# benchmarks, seed 0: a change to a generator's passes must keep its draws
+GENERATOR_SHA256 = {
+    "random_dataset": "2a352f0084bcd77626cf59a05c10088635877f60ad6461c8b61bf2ec8b038e81",
+    "duplicated_group_dataset":
+        "ae9bbb305d0fdb975cf5a7d899d8e54dbf38cc58773194211f0a57312d6f65df",
+}
+GENERATOR_SHAPES = {
+    "random_dataset": dict(n=3000, d=2048, nnz_per_row=16, n_labels=64, labels_per_row=2),
+    "duplicated_group_dataset": dict(n=2500, groups=512, copies=8, active_groups=6,
+                                     n_labels=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SHA256))
+def test_generators_are_pinned_at_benchmark_scale(name):
+    ds = getattr(synth, name)(np.random.default_rng(0), **GENERATOR_SHAPES[name])
+    if isinstance(ds, tuple):  # duplicated_group_dataset also returns groups
+        ds = ds[0]
+    digest = hashlib.sha256()
+    for m in (ds.features, ds.labels):
+        for a, dtype in ((m.indptr, np.int64), (m.indices, np.int64), (m.values, np.float64)):
+            assert a.dtype == dtype
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == GENERATOR_SHA256[name]
 
 
 def python_lines(parts):

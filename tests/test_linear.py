@@ -16,11 +16,11 @@ from featagg.linear import (
     save_model,
     train_ova,
 )
-from featagg.sparse import SparseVec
+from featagg.dataio import load_xc
 from featagg.tree import FeaturePartition
 from featagg.xcmetrics import precision_at_k
 
-from helpers import SPOILED_KINDS, dataset_from_dense, npz_arrays, spoil_npz, write_npz
+from helpers import SPOILED_KINDS, dataset_from_dense, npz_arrays, spoil_npz, vec, write_npz
 
 
 @pytest.fixture
@@ -180,11 +180,33 @@ class TestConfigChecks:
         assert main(["train", str(data), "-o", out, "--lr", "2", "--l2", "0.5"]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the SGD overflows
+    def test_non_finite_weights_are_refused(self, tmp_path, capsys, monkeypatch):
+        from featagg.cli import main
+
+        big = "18446744073709551616"  # 2**64
+        data = tmp_path / "big.txt"
+        data.write_text(f"4 2 2\n0 0:{big} 1:{big}\n1 0:{big}\n0 1:{big}\n"
+                        f"1 0:{big} 1:{big}\n")
+        ds = load_xc(str(data))
+        config = OvaConfig(lr=1e299, l2=0.0)
+        with pytest.raises(ValueError, match="^training diverged: labels 0 to 1 have"):
+            train_ova(ds, config)
+        monkeypatch.setattr(linear, "_SGD_BLOCK_STEPS", 1)  # a block per label
+        with pytest.raises(ValueError, match="^training diverged: labels 0 to 0 have"):
+            train_ova(ds, config)
+        out = tmp_path / "model.npz"
+        assert main(["train", str(data), "-o", str(out), "--lr", "1e299", "--l2", "0"]) == 2
+        assert not out.exists()
+        assert "training diverged" in capsys.readouterr().err
+        # a small enough step size trains finite weights on the same data
+        assert np.isfinite(train_ova(ds, OvaConfig(lr=1e-30, l2=0.0)).weights).all()
+
 
 class TestPredict:
     def test_zero_vector_ranks_by_bias(self, separable):
         model = train_ova(separable, OvaConfig(epochs=5))
-        preds = predict(model, SparseVec(2), k=2)
+        preds = predict(model, vec(2, {}), k=2)
         order = np.lexsort((np.arange(2), -model.bias))
         assert list(preds[0].labels) == list(order)
 
@@ -196,7 +218,7 @@ class TestPredict:
         preds = predict(model, agg.features, k=1)
         assert precision_at_k(preds, agg.labels, 1) == 1.0
         with pytest.raises(ValueError):
-            predict(model, SparseVec(5), k=1)
+            predict(model, vec(5, {}), k=1)
 
     def test_probability_scores_are_the_clipped_sigmoid(self, rng):
         # empty rows score the bias: margins of exactly +-500, +-0.0, past
@@ -209,8 +231,8 @@ class TestPredict:
         margins = decision_scores(model, x)
         want = 1.0 / (1.0 + np.exp(-np.clip(margins, -500.0, 500.0)))
         assert probability_scores(model, x).tobytes() == want.tobytes()
-        one = probability_scores(model, SparseVec(6))
-        assert one.shape == (10,) and one.tobytes() == want[0].tobytes()
+        one = probability_scores(model, vec(6, {}))
+        assert one.shape == (1, 10) and one.tobytes() == want[0].tobytes()
 
     def test_k_exceeding_labels_errors(self, separable):
         model = train_ova(separable, OvaConfig(epochs=2))

@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from featagg import kernels, reranking
-from featagg.cooc import build_cooc, impute
+from featagg.cooc import build_cooc
 from featagg.reranking import (
     PrototypeSet,
-    affinity,
-    affinity_scores,
     build_prototypes,
     rerank,
     rerank_predictions,
 )
-from featagg.sparse import SparseMatrix, SparseVec, norm
+from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
 from featagg.xcmetrics import Prediction, Predictions
 
 import rerank_reference
-from helpers import dataset_from_dense, dense_cooc_oracle, vec
+from helpers import dataset_from_dense, dense_cooc_oracle, matrix_from_dense, vec
 
 
 @pytest.fixture
@@ -42,14 +40,13 @@ class TestBuildPrototypes:
         part = FeaturePartition.from_clusters(3, [np.array([0, 1]), np.array([2])])
         c = build_cooc(ds, part)
         ps = build_prototypes(c, ds, normalize=False)
-        expected = impute(c, ds.features.row(0))
-        assert ps.prototype(0) == expected
+        assert prototype(ps, 0) == c.apply(ds.features)
 
     def test_label_without_positives_is_zero(self):
         ds = dataset_from_dense([[1.0, 0.0]], [{0}], 2)
         part = FeaturePartition.from_clusters(2, [np.array([0]), np.array([1])])
         ps = build_prototypes(build_cooc(ds, part), ds, normalize=False)
-        assert ps.prototype(1).nnz == 0
+        assert prototype(ps, 1).nnz == 0
 
     def test_matches_dense_triple_product(self, small_setup):
         ds, part, c = small_setup
@@ -59,15 +56,13 @@ class TestBuildPrototypes:
         C = dense_cooc_oracle(X, part.clusters)
         oracle = C @ X.T @ Y  # columns are the prototypes
         for l in range(3):
-            assert np.allclose(ps.prototype(l).to_dense(), oracle[:, l], atol=1e-9)
+            assert np.allclose(prototype(ps, l).to_dense()[0], oracle[:, l], atol=1e-9)
 
     def test_normalized_prototypes_are_unit(self, small_setup):
         ds, part, c = small_setup
         ps = build_prototypes(c, ds, normalize=True)
-        for l in range(3):
-            p = ps.prototype(l)
-            if p.nnz:
-                assert norm(p, 2) == pytest.approx(1.0, rel=1e-12)
+        sq = ps.sq_norms()
+        assert sq[ps.matrix.row_nnz() > 0] == pytest.approx(1.0, rel=1e-12)
 
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
@@ -77,31 +72,56 @@ class TestBuildPrototypes:
             build_prototypes(c, ds, gamma=gamma)
 
 
+def prototype(ps, l):
+    """Label l's prototype, as a one-row matrix."""
+    return ps.matrix.slice_rows(l, l + 1)
+
+
+def raw_queries(ps):
+    """ps with normalized=False, so that rerank_predictions takes queries as
+    they are."""
+    return PrototypeSet(ps.matrix, gamma=ps.gamma, normalized=False)
+
+
+def affinities(x, ps, labels):
+    """Affinities of the one-row query x to labels, in their order, as
+    rerank_predictions computes them: at alpha = 0 its scores are their logs."""
+    labels = np.asarray(labels, dtype=np.int64)
+    preds = Predictions([0, labels.size], labels, np.ones(labels.size), validate=False)
+    out = rerank_predictions(preds, ps, x, alpha=0.0, shortlist=max(labels.size, 1))
+    score_of = dict(zip(out.labels.tolist(), out.scores.tolist()))
+    return np.exp([score_of[l] for l in labels.tolist()])
+
+
 class TestAffinity:
+    """A query's affinities to its shortlisted prototypes, read from
+    rerank_predictions with one query row."""
+
     def test_zero_distance_scores_one(self, small_setup):
         ds, part, c = small_setup
         ps = build_prototypes(c, ds, normalize=False)
-        x = ps.prototype(0)
-        assert affinity(x, ps, 0) == pytest.approx(1.0)
+        x = prototype(ps, 0)
+        assert affinities(x, ps, [0])[0] == pytest.approx(1.0)
 
     def test_direct_substitution(self):
         # gamma = 2, squared distance 1 -> e^{-1}
         ds = dataset_from_dense([[1.0]], [{0}], 1)
         part = FeaturePartition.from_clusters(1, [np.array([0])])
         ps = build_prototypes(build_cooc(ds, part), ds, normalize=True, gamma=2.0)
-        x = SparseVec.from_dense(ps.prototype(0).to_dense() + 0.0)
         # prototype is ( 1 ); move the query 1 unit away in the same axis
-        x = vec(1, {0: float(ps.prototype(0).values[0] + 1.0)})
-        assert affinity(x, ps, 0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        x = vec(1, {0: float(prototype(ps, 0).values[0] + 1.0)})
+        assert affinities(x, raw_queries(ps), [0])[0] == pytest.approx(math.exp(-1.0),
+                                                                       rel=1e-12)
+        # a normalized query is the prototype itself
+        assert affinities(x, ps, [0])[0] == 1.0
 
     def test_strictly_decreasing_in_distance(self, small_setup):
         ds, part, c = small_setup
-        ps = build_prototypes(c, ds, normalize=True)
-        base = ps.prototype(0).to_dense()
+        ps = raw_queries(build_prototypes(c, ds, normalize=True))
+        base = prototype(ps, 0).to_dense()
         last = None
         for step in (0.0, 0.5, 1.0, 2.0):
-            x = SparseVec.from_dense(base + step)
-            val = affinity(x, ps, 0)
+            val = affinities(matrix_from_dense(base + step), ps, [0])[0]
             if last is not None:
                 assert val < last
             last = val
@@ -109,19 +129,18 @@ class TestAffinity:
     def test_batch_matches_scalar(self, small_setup, rng):
         ds, part, c = small_setup
         ps = build_prototypes(c, ds, normalize=True)
-        x = SparseVec.from_dense(rng.random(6))
-        batch = affinity_scores(x, ps, np.array([0, 1, 2]))
+        x = matrix_from_dense(rng.random(6))
+        batch = affinities(x, ps, [0, 1, 2])
         for l in range(3):
-            assert batch[l] == pytest.approx(affinity(x, ps, l), rel=1e-12)
-
+            assert batch[l] == pytest.approx(affinities(x, ps, [l])[0], rel=1e-12)
 
     def test_rejects_wrong_query_dimension(self, small_setup):
         ds, _, c = small_setup
         ps = build_prototypes(c, ds)
         with pytest.raises(ValueError, match="test dim 5 != prototype dim 6"):
-            affinity_scores(vec(5, {0: 1.0}), ps, np.array([0]))
+            affinities(vec(5, {0: 1.0}), ps, [0])
         with pytest.raises(ValueError, match="test dim 7 != prototype dim 6"):
-            affinity(vec(7, {0: 1.0}), ps, 0)
+            affinities(vec(7, {0: 1.0}), ps, [0, 1])
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_rejects_label_outside_range(self, small_setup, label):
@@ -129,9 +148,9 @@ class TestAffinity:
         ps = build_prototypes(c, ds)
         x = vec(6, {0: 1.0})
         with pytest.raises(ValueError, match=r"has a label outside \[0, 3\)"):
-            affinity_scores(x, ps, np.array([0, label]))
+            affinities(x, ps, [0, label])
         with pytest.raises(ValueError, match=r"has a label outside \[0, 3\)"):
-            affinity(x, ps, label)
+            affinities(x, ps, [label])
 
 
 class TestRerank:
@@ -217,11 +236,11 @@ def test_per_point_rerank_is_a_matrix_row(small_setup, rng, normalize):
     preds = shortlist_predictions(rng, ds.n, 3)
     x_test = ds.features
     for alpha in (0.0, 0.8, 1.0):
-        out = rerank_predictions(preds, ps, x_test, alpha=alpha, shortlist=3,
-                                 normalize_queries=False)
+        out = rerank_predictions(preds, ps, x_test, alpha=alpha, shortlist=3)
         for i in range(ds.n):
             pr = preds[i]
-            aff = affinity_scores(x_test.row(i), ps, pr.labels)
+            aff = rerank_reference.affinity_scores(x_test.slice_rows(i, i + 1), ps,
+                                                   pr.labels)
             labels, scores = rerank(pr.labels, pr.scores, aff, alpha=alpha)
             assert labels.tobytes() == out[i].labels.tobytes()
             assert scores.tobytes() == out[i].scores.tobytes()
@@ -229,24 +248,22 @@ def test_per_point_rerank_is_a_matrix_row(small_setup, rng, normalize):
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_affinity_scores_are_the_matrix_affinities(rng, normalize):
-    """With alpha = 0 and unnormalized queries, the reranked scores are the
-    logs of affinity_scores, bit for bit. Rows are long enough for their
-    squared norms to depend on the order of the sum, and unit prototypes keep
-    the query's squared norm from being absorbed by the prototype's."""
+    """With alpha = 0 the reranked scores are the logs of the reference's
+    one-row affinity_scores, bit for bit, with queries normalized as the
+    prototypes are. Rows are long enough for their squared norms to depend
+    on the order of the sum."""
     d, n_labels = 48, 4
     feats = rng.random((30, d)) * (rng.random((30, d)) > 0.3)
     ds = dataset_from_dense(feats, [{i % n_labels} for i in range(30)], n_labels)
     part = FeaturePartition.from_clusters(d, np.split(rng.permutation(d), 6))
     ps = build_prototypes(build_cooc(ds, part), ds, normalize=normalize, gamma=0.5)
-    x_test = SparseMatrix.from_rows(
-        [SparseVec.from_dense(rng.normal(size=d) * (rng.random(d) > 0.2))
-         for _ in range(20)], d)
+    x_test = matrix_from_dense(rng.normal(size=(20, d)) * (rng.random((20, d)) > 0.2))
     preds = Predictions(np.arange(0, 61, 3), np.tile([2, 0, 1], 20),
                         np.tile([0.9, 0.5, 0.2], 20))
-    out = rerank_predictions(preds, ps, x_test, alpha=0.0, shortlist=3,
-                             normalize_queries=False)
+    out = rerank_predictions(preds, ps, x_test, alpha=0.0, shortlist=3)
     for i in range(x_test.rows):
-        aff = affinity_scores(x_test.row(i), ps, out[i].labels)
+        aff = rerank_reference.affinity_scores(x_test.slice_rows(i, i + 1), ps,
+                                               out[i].labels)
         assert np.log(np.maximum(aff, 1e-300)).tobytes() == out[i].scores.tobytes()
 
 
@@ -280,8 +297,7 @@ def rerank_inputs(draw):
     preds = shortlist_predictions(rng, n, n_labels) if n else Predictions([0], [], [])
     return preds, ps, dense_csr_matrix(queries), dict(
         alpha=draw(st.sampled_from([0.0, 0.8, 1.0])),
-        shortlist=draw(st.integers(1, n_labels + 2)),
-        normalize_queries=draw(st.sampled_from([None, False, True])))
+        shortlist=draw(st.integers(1, n_labels + 2)))
 
 
 def assert_same_predictions(got: Predictions, want: Predictions) -> None:
@@ -331,36 +347,24 @@ def test_a_nan_affinity_is_a_value_error(rng, monkeypatch, gather):
         rerank_predictions(preds, ps, queries, shortlist=3)
 
 
-def test_affinity_scores_stay_on_the_product_path(rng, monkeypatch):
-    """A one-row call never fills a dense P, even where the gather would pay."""
-    protos = rng.uniform(-1, 1, (5, 8))
-    ps = PrototypeSet(dense_csr_matrix(protos), gamma=1.5, normalized=False)
-    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: True)
-    monkeypatch.setattr(reranking, "_gather_dots", lambda *a: pytest.fail("gathered"))
-    x = SparseVec.from_dense(rng.normal(size=8) * (rng.random(8) > 0.3))
-    labels = np.array([4, 0, 2])
-    got = affinity_scores(x, ps, labels)
-    assert got.tobytes() == rerank_reference.affinity_scores(x, ps, labels).tobytes()
-
-
 def test_prototypes_are_transposed_once(rng, monkeypatch):
     """Repeated one-row calls on one PrototypeSet transpose P once, give the
-    former code's affinities, and leave equality to the prototypes alone."""
+    former code's rankings, and leave equality to the prototypes alone."""
     protos = rng.uniform(-1, 1, (6, 9)) * (rng.random((6, 9)) < 0.5)
     ps = PrototypeSet(dense_csr_matrix(protos), gamma=0.7, normalized=False)
-    xs = [SparseVec.from_dense(rng.normal(size=9) * (rng.random(9) > 0.4))
+    xs = [matrix_from_dense(rng.normal(size=9) * (rng.random(9) > 0.4))
           for _ in range(5)]
-    labels = np.array([5, 1, 3])
-    want = [rerank_reference.affinity_scores(x, ps, labels) for x in xs]
+    preds = Predictions([0, 3], [5, 1, 3], [0.9, 0.5, 0.2])
+    want = [rerank_reference.rerank_predictions(preds, ps, x, shortlist=3) for x in xs]
     calls = []
     transpose_csr = kernels.transpose_csr
     monkeypatch.setattr(kernels, "transpose_csr",
                         lambda *a: calls.append(1) or transpose_csr(*a))
-    got = [affinity_scores(x, ps, labels) for x in xs]
-    assert affinity(xs[0], ps, 1) == got[0][1]
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: False)
+    got = [rerank_predictions(preds, ps, x, shortlist=3) for x in xs]
     assert len(calls) == 1
     for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+        assert_same_predictions(g, w)
     assert ps == PrototypeSet(dense_csr_matrix(protos), gamma=0.7, normalized=False)
 
 

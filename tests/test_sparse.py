@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 from featagg import bounds, reprs, synth, tree
 from featagg.cooc import PseudoCooc, build_cooc
 from featagg.linear import OvaConfig, OvaModel
-from featagg.sparse import SparseMatrix, SparseVec, dot, norm
+from featagg.sparse import SparseMatrix
 from featagg.splits import Ranking, SplitResult
 from featagg.xcmetrics import Prediction, Predictions, propensities
 
-from helpers import vec
+from helpers import matrix_from_dense, vec
 
 
 sparse_vecs = st.integers(1, 30).flatmap(
@@ -19,105 +19,80 @@ sparse_vecs = st.integers(1, 30).flatmap(
         st.integers(0, dim - 1),
         st.floats(-100, 100, allow_nan=False).filter(lambda v: v != 0.0),
         max_size=dim,
-    ).map(lambda pairs: SparseVec.from_pairs(dim, pairs))
+    ).map(lambda pairs: vec(dim, pairs))
 )
 
 
 class TestSparseVec:
-    def test_strips_explicit_zeros(self):
-        v = SparseVec(5, [0, 2, 4], [1.0, 0.0, 3.0])
-        assert v.nnz == 2
-        assert list(v.indices) == [0, 4]
+    """A sparse vector is a one-row SparseMatrix."""
 
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
-            SparseVec(5, [2, 0], [1.0, 1.0])
+            SparseMatrix.from_rows(5, [[2, 0]], [[1.0, 1.0]])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            SparseVec(5, [2, 2], [1.0, 1.0])
+            SparseMatrix.from_rows(5, [[2, 2]], [[1.0, 1.0]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SparseVec(3, [3], [1.0])
+            SparseMatrix.from_rows(3, [[3]], [[1.0]])
 
     @given(sparse_vecs)
     def test_dense_round_trip(self, v):
-        again = SparseVec.from_dense(v.to_dense())
+        again = matrix_from_dense(v.to_dense())
         assert again == v
 
     @given(sparse_vecs)
     def test_nnz_never_counts_zeros(self, v):
         assert np.all(v.values != 0.0)
-        assert v.nnz == len(v.values) <= v.dim
-
-
-class TestDot:
-    def test_single_overlap(self):
-        assert dot(vec(6, {0: 1, 2: 2}), vec(6, {2: 3, 5: 1})) == 6
-
-    def test_empty_operand(self):
-        assert dot(SparseVec(4), vec(4, {1: 4})) == 0
-
-    def test_symmetry_example(self):
-        a = vec(2, {0: 1, 1: 1})
-        assert dot(a, a) == 2
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(SparseVec(3), SparseVec(4))
-
-    @given(st.tuples(sparse_vecs, sparse_vecs))
-    def test_commutative(self, pair):
-        a, b = pair
-        if a.dim != b.dim:
-            b = SparseVec(a.dim, b.indices[b.indices < a.dim],
-                          b.values[b.indices < a.dim])
-        assert dot(a, b) == pytest.approx(dot(b, a), rel=1e-15)
+        assert v.nnz == len(v.values) <= v.cols
 
 
 class TestNorm:
-    def test_l1(self):
-        assert norm(vec(5, {0: 3, 4: -4}), 1) == 7
+    """The L2 norm of a row is the square root of its row_sq_norms entry."""
 
     def test_l2_triangle(self):
-        assert norm(vec(5, {0: 3, 4: 4}), 2) == 5
+        assert np.sqrt(vec(5, {0: 3, 4: 4}).row_sq_norms()).tolist() == [5.0]
 
     def test_empty(self):
-        assert norm(SparseVec(5), 1) == 0
-
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            norm(SparseVec(5), 3)
+        assert vec(5, {}).row_sq_norms().tolist() == [0.0]
 
     @given(st.lists(sparse_vecs, min_size=1, max_size=5))
     def test_l2_is_the_row_norm_bit_for_bit(self, vs):
-        # norm(v, 2) squares and sums in stored order, as the matrix row
-        # norms do, whatever rows sit beside v
-        vs = [SparseVec(vs[0].dim, v.indices[v.indices < vs[0].dim],
-                        v.values[v.indices < vs[0].dim]) for v in vs]
-        rows = np.sqrt(SparseMatrix.from_rows(vs).row_sq_norms())
-        assert np.array([norm(v, 2) for v in vs]).tobytes() == rows.tobytes()
+        # a row's squares are summed in stored order, whatever rows sit beside it
+        dim = vs[0].cols
+        keep = [v.indices < dim for v in vs]
+        m = SparseMatrix.from_rows(dim, [v.indices[k] for v, k in zip(vs, keep)],
+                                   [v.values[k] for v, k in zip(vs, keep)])
+        alone = [m.slice_rows(i, i + 1).row_sq_norms() for i in range(m.rows)]
+        assert np.concatenate(alone).tobytes() == m.row_sq_norms().tobytes()
 
     def test_l2_long_vector_bit_for_bit(self, rng):
-        v = SparseVec(300, np.arange(300), rng.normal(size=300) * 1e3)
-        assert norm(v, 2) == float(np.sqrt(SparseMatrix.from_rows([v]).row_sq_norms()[0]))
-        assert norm(v, 2) == float(np.sqrt(np.cumsum(v.values * v.values)[-1]))
+        v = SparseMatrix.from_rows(300, [np.arange(300)], [rng.normal(size=300) * 1e3])
+        assert v.row_sq_norms()[0] == np.cumsum(v.values * v.values)[-1]
 
 
 class TestSparseMatrix:
     def test_from_rows_shape(self):
-        m = SparseMatrix.from_rows([vec(3, {0: 1}), vec(3, {2: 5})])
+        m = SparseMatrix.from_rows(3, [[0], [2]], [[1.0], [5.0]])
         assert (m.rows, m.cols, m.nnz) == (2, 3, 2)
-        assert m.row(1) == vec(3, {2: 5})
+        assert m.slice_rows(1, 2) == vec(3, {2: 5})
+        empty = SparseMatrix.from_rows(4, [], [])
+        assert (empty.rows, empty.cols, empty.nnz) == (0, 4, 0)
+        assert empty.indptr.tolist() == [0]
 
     def test_row_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_rows([vec(3, {0: 1}), vec(4, {0: 1})])
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseMatrix.from_rows(3, [[0], [3]], [[1.0], [1.0]])
+        with pytest.raises(ValueError, match="one value per index in every row"):
+            SparseMatrix.from_rows(3, [[0, 1], [2]], [[1.0], [1.0, 2.0]])
 
     def test_rejects_stored_zero(self):
         with pytest.raises(ValueError):
             SparseMatrix(1, 2, [0, 1], [0], [0.0])
+        with pytest.raises(ValueError, match="stored zeros"):
+            SparseMatrix.from_rows(3, [[0, 2]], [[1.0, 0.0]])
 
     def test_rejects_unsorted_row(self):
         with pytest.raises(ValueError):
@@ -128,18 +103,18 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="values must be finite"):
             SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, bad])
         with pytest.raises(ValueError, match="values must be finite"):
-            SparseVec(3, [0, 2], [bad, 1.0])
+            SparseMatrix.from_rows(3, [[0, 2]], [[bad, 1.0]])
         assert SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, bad], validate=False).nnz == 2
 
     def test_values_range_over_plus_minus_2_64(self):
         bound = 2.0 ** 64
         assert SparseMatrix(1, 2, [0, 2], [0, 1], [-bound, bound]).nnz == 2
-        assert SparseVec(2, [0, 1], [bound, -bound]).nnz == 2
+        assert SparseMatrix.from_rows(2, [[0, 1]], [[bound, -bound]]).nnz == 2
         for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf)):
             with pytest.raises(ValueError, match="values must be finite and within 2"):
                 SparseMatrix(1, 2, [0, 1], [1], [bad])
             with pytest.raises(ValueError, match="values must be finite and within 2"):
-                SparseVec(2, [1], [bad])
+                SparseMatrix.from_rows(2, [[1]], [[bad]])
 
     @pytest.mark.parametrize("indices, message", [
         ([3], "column index out of range"),
@@ -150,14 +125,14 @@ class TestSparseMatrix:
     def test_vector_checks_are_one_row_matrix_checks(self, indices, message):
         values = [1.0] * len(indices)
         with pytest.raises(ValueError, match=message):
-            SparseVec(3, indices, values)
+            SparseMatrix.from_rows(3, [indices], [values])
         with pytest.raises(ValueError, match=message):
             SparseMatrix(1, 3, [0, len(indices)], indices, values)
 
     def test_row_sq_norms(self, rng):
         dense = rng.normal(size=(9, 6)) * (rng.random((9, 6)) > 0.5)
         dense[[0, 4]] = 0.0
-        m = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 6)
+        m = matrix_from_dense(dense)
         sq = m.row_sq_norms()
         assert sq.shape == (9,) and sq.dtype == np.float64 and sq[0] == sq[4] == 0.0
         assert SparseMatrix(2, 3, [0, 0, 0], [], []).row_sq_norms().dtype == np.float64
@@ -165,16 +140,16 @@ class TestSparseMatrix:
 
     def test_transpose_round_trip(self, rng):
         dense = rng.random((7, 5)) * (rng.random((7, 5)) > 0.5)
-        m = SparseMatrix.from_rows([SparseVec.from_dense(r) for r in dense], 5)
+        m = matrix_from_dense(dense)
         t = m.transpose()
         assert np.allclose(t.to_dense(), dense.T)
         assert t.transpose() == m
 
     def test_take_rows(self):
-        m = SparseMatrix.from_rows([vec(2, {0: 1}), vec(2, {1: 2}), vec(2, {0: 3})])
+        m = matrix_from_dense([[1, 0], [0, 2], [3, 0]])
         sub = m.take_rows(np.array([2, 0]))
-        assert sub.row(0) == vec(2, {0: 3})
-        assert sub.row(1) == vec(2, {0: 1})
+        assert sub.slice_rows(0, 1) == vec(2, {0: 3})
+        assert sub.slice_rows(1, 2) == vec(2, {0: 1})
 
 
 def grown_tree(seed=0):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from featagg.sparse import SparseMatrix, SparseVec
+from featagg.sparse import SparseMatrix
 from featagg.xcmetrics import (
     Prediction,
     coverage_at_k,
@@ -18,13 +18,7 @@ from featagg.xcmetrics import (
     save_predictions,
 )
 
-
-def label_matrix(label_sets, n_labels):
-    rows = []
-    for labels in label_sets:
-        labels = sorted(labels)
-        rows.append(SparseVec(n_labels, labels, np.ones(len(labels))))
-    return SparseMatrix.from_rows(rows, n_labels)
+from helpers import label_matrix
 
 
 def ranked(labels):

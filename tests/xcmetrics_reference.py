@@ -19,7 +19,7 @@ from featagg.cooc import PseudoCooc
 from featagg.dataio import Dataset
 from featagg.linear import OvaModel, probability_scores
 from featagg.reranking import PrototypeSet
-from featagg.sparse import SparseMatrix, SparseVec, norm
+from featagg.sparse import SparseMatrix
 from featagg.xcmetrics import Prediction, PropensityModel
 
 PredictionList = list[Prediction]
@@ -192,15 +192,13 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, scores[order]
 
 
-def predict(model: OvaModel, x: SparseMatrix | SparseVec, k: int) -> PredictionList:
+def predict(model: OvaModel, x: SparseMatrix, k: int) -> PredictionList:
     """Top-k labels per point by score, ties by ascending label id."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > model.n_labels:
         raise ValueError(f"k={k} exceeds the {model.n_labels}-label universe")
     scores = probability_scores(model, x)
-    if scores.ndim == 1:
-        scores = scores[None, :]
     out: PredictionList = []
     for row in scores:
         labels, vals = _top_k(row, k)
@@ -231,11 +229,12 @@ def build_prototypes(
         raise ValueError("gamma must be positive")
     yt = ds.labels.transpose()
     part = c.partition
-    rows: list[SparseVec] = []
+    indices, values = [], []
     for l in range(ds.n_labels):
         s, e = yt.indptr[l], yt.indptr[l + 1]
         if e == s:
-            rows.append(SparseVec(c.d, validate=False))
+            indices.append([])
+            values.append([])
             continue
         accum = kernels.sum_rows(
             feats.indptr, feats.indices, feats.values, yt.indices[s:e], c.d
@@ -247,27 +246,29 @@ def build_prototypes(
             nrm = math.sqrt(float(np.dot(proto, proto)))
             if nrm > 0:
                 proto /= nrm
-        rows.append(SparseVec.from_dense(proto))
+        indices.append(np.flatnonzero(proto))
+        values.append(proto[indices[-1]])
     return PrototypeSet(
-        matrix=SparseMatrix.from_rows(rows, c.d), gamma=gamma, normalized=normalize
+        matrix=SparseMatrix.from_rows(c.d, indices, values), gamma=gamma,
+        normalized=normalize,
     )
 
 
 def affinity_scores(
-    x: SparseVec, ps: PrototypeSet, labels: np.ndarray,
+    x: SparseMatrix, ps: PrototypeSet, labels: np.ndarray,
     proto_sq_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Affinities of x to a shortlist of labels in one pass."""
+    """Affinities of the one-row query x to a shortlist of labels in one pass."""
     labels = np.asarray(labels, dtype=np.int64)
     sub = ps.matrix.take_rows(labels)
-    dense = x.to_dense()
+    dense = x.to_dense()[0]
     dots = kernels.row_dots(sub.indptr, sub.indices, sub.values, dense)
     if proto_sq_norms is None:
         row_of = np.repeat(np.arange(sub.rows), sub.row_nnz())
         sq_p = np.bincount(row_of, weights=sub.values**2, minlength=sub.rows)
     else:
         sq_p = proto_sq_norms[labels]
-    sq = norm(x, 2) ** 2 + sq_p - 2.0 * dots
+    sq = x.row_sq_norms()[0] + sq_p - 2.0 * dots
     return np.exp(-0.5 * ps.gamma * np.maximum(sq, 0.0))
 
 
@@ -304,27 +305,25 @@ def rerank_predictions(
     x_test: SparseMatrix,
     alpha: float = 0.8,
     shortlist: int = 100,
-    normalize_queries: bool | None = None,
 ) -> PredictionList:
     """Rerank each point's top shortlist by combined score.
 
-    Test vectors are unit-normalized by default when the prototypes are, so
-    distances stay in [0, 2] and the kernel width has a stable meaning.
+    Test vectors are unit-normalized when the prototypes are, so distances
+    stay in [0, 2] and the kernel width has a stable meaning.
     """
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
-    if normalize_queries is None:
-        normalize_queries = ps.normalized
     sq_norms = ps.sq_norms()
     out: PredictionList = []
     for i, pr in enumerate(preds):
         labels = pr.labels[:shortlist]
         scores = pr.scores[:shortlist]
-        x = x_test.row(i)
-        if normalize_queries:
-            nrm = norm(x, 2)
+        x = x_test.slice_rows(i, i + 1)
+        if ps.normalized:
+            nrm = math.sqrt(x.row_sq_norms()[0])
             if nrm > 0:
-                x = SparseVec(x.dim, x.indices, x.values / nrm, validate=False)
+                x = SparseMatrix(1, x.cols, x.indptr, x.indices, x.values / nrm,
+                                 validate=False)
         aff = affinity_scores(x, ps, labels, proto_sq_norms=sq_norms)
         new_labels, combined = rerank(labels, scores, aff, alpha)
         out.append(Prediction(new_labels, combined))
