@@ -21,7 +21,7 @@ from .dataio import Dataset, DatasetStats, load_xc, parse_xc, save_xc, stats, wr
 from .errors import InvariantError, ParseError
 from .kernels import backend_name
 from .linear import OvaConfig, OvaModel, predict, train_ova
-from .reranking import PrototypeSet, build_prototypes, rerank, rerank_predictions
+from .reranking import PrototypeSet, build_prototypes, rerank_predictions
 from .reprs import ReprSet, build_repr_x, build_repr_xy, normalize
 from .sparse import SparseMatrix
 from .splits import Ranking, SplitResult, dcg, kmeans_split, ndcg, ndcg_split
@@ -34,7 +34,6 @@ from .tree import (
     make_tree,
 )
 from .xcmetrics import (
-    Prediction,
     Predictions,
     PropensityModel,
     coverage_at_k,

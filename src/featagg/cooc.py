@@ -157,9 +157,11 @@ def impute_matrix(c: PseudoCooc, sm: SparseMatrix, lam: float = 0.0) -> SparseMa
     imputation.
     """
     _in_unit("lam", lam)
-    imputed = c.apply(sm)
-    ni, nx = np.sqrt(imputed.row_sq_norms()), np.sqrt(sm.row_sq_norms())
-    scale = np.where((ni > 0) & (nx > 0), nx / np.where(ni > 0, ni, 1.0), 1.0)
+    # the imputed rows of tiny norm divided by their largest magnitudes, and
+    # x's norms as peak * norm (SparseMatrix.row_norms), so neither underflows
+    imputed, _, ni = c.apply(sm).row_norms()
+    _, px, nx = sm.row_norms()
+    scale = np.where((ni > 0) & (nx > 0), px * nx / np.where(ni > 0, ni, 1.0), 1.0)
     # sum over the union of both supports; each entry gets the arithmetic of
     # the dense formula (imputed * c) + lam * x, with 0 for a missing side
     # (zero terms of lam * x, all of them at lam = 0, change no sum)

@@ -4,8 +4,11 @@ reranking.
 Each label gets a closed-form prototype: the co-occurrence matrix applied to
 the sum of that label's positive points. A test point's affinity to a label is
 a Gaussian kernel of its distance to the prototype, and the final ranking
-combines log base-classifier scores with log affinities over a shortlist. The
-label sums (rows of Y^T X) come from ``kernels.sparse_product``.
+combines log base-classifier scores with log affinities over a shortlist, for
+every row of a ``Predictions`` at once. The label sums (rows of Y^T X) come
+from ``kernels.sparse_product``. Prototypes and queries are unit-normalized
+as representatives are: a row whose squared norm underflows is divided by
+its largest magnitude first (``SparseMatrix.row_norms``).
 
 rerank_predictions needs only the shortlisted entries of X P^T, and takes
 the cheaper of two exact paths to them. The product path expands a chunk of
@@ -21,7 +24,6 @@ query's stored order, so the choice, made once per call, changes no byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from . import kernels
 from .cooc import PseudoCooc
 from .dataio import Dataset
 from .sparse import SparseMatrix
-from .xcmetrics import Prediction, Predictions
+from .xcmetrics import Predictions
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
 
@@ -72,7 +74,9 @@ def build_prototypes(
     c: PseudoCooc, ds: Dataset, normalize: bool = True, gamma: float = 1.0
 ) -> PrototypeSet:
     """Prototype of label l = co-occurrence matrix times the sum of its
-    positive points; optional per-prototype unit L2 normalization.
+    positive points; optional per-prototype unit L2 normalization, dividing
+    by the norm once a row of tiny norm is divided by its largest magnitude
+    (SparseMatrix.row_norms).
 
     The label sums are the rows of Y^T X (each label's points summed in
     order); the co-occurrence matrix is then applied to all of them at once.
@@ -86,26 +90,27 @@ def build_prototypes(
         yt.indptr, yt.indices, yt.values, feats.indptr, feats.indices, feats.values,
         c.d,
     ), validate=False)
-    ps = PrototypeSet(matrix=c.apply(sums), gamma=gamma, normalized=normalize)
+    protos = c.apply(sums)
     if normalize:
-        nrm = np.sqrt(ps.sq_norms())
-        ps.matrix.values /= np.repeat(np.where(nrm > 0, nrm, 1.0), ps.matrix.row_nnz())
-    return ps
+        protos, _, nrm = protos.row_norms()
+        protos.values /= np.repeat(np.where(nrm > 0, nrm, 1.0), protos.row_nnz())
+    return PrototypeSet(matrix=protos, gamma=gamma, normalized=normalize)
 
 
 def _prepare(short: Predictions, ps: PrototypeSet, x: SparseMatrix):
     """Check the shortlist and queries against the prototypes; return the
-    queries (unit L2 if the prototypes are), their squared norms, and the
-    prototypes' squared norms."""
+    queries (unit L2 if the prototypes are, normalized as they are), their
+    squared norms, and the prototypes' squared norms."""
     if x.cols != ps.dim:
         raise ValueError(f"test dim {x.cols} != prototype dim {ps.dim}")
     short.check_labels(ps.n_labels)
-    x_norm = np.sqrt(x.row_sq_norms())
     if ps.normalized:
+        x, _, x_norm = x.row_norms()
         values = x.values / np.repeat(np.where(x_norm > 0, x_norm, 1.0), x.row_nnz())
         x = SparseMatrix(x.rows, x.cols, x.indptr, x.indices, values, validate=False)
-        x_norm = np.sqrt(x.row_sq_norms())
-    return x, x_norm ** 2, ps.sq_norms()
+    # the square of the rounded norm, not the sum of squares it came from:
+    # the two can differ in the last bit, and every reranked score with them
+    return x, np.sqrt(x.row_sq_norms()) ** 2, ps.sq_norms()
 
 
 def _product_dots(ps: PrototypeSet, x: SparseMatrix, short: Predictions):
@@ -183,32 +188,7 @@ def _rank(rows: np.ndarray, labels: np.ndarray, base_scores: np.ndarray,
     return rows, labels, combined
 
 
-def rerank(
-    base_labels: np.ndarray,
-    base_scores: np.ndarray,
-    affinities: np.ndarray,
-    alpha: float = 0.8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Combine log base scores with log affinities; rank descending.
-
-    Labels with nonpositive base score are excluded (their log is undefined).
-    Ties break by ascending label id. Rescaling every base score by a common
-    positive factor shifts all combined scores equally, leaving the ranking
-    unchanged. A combined score that is not finite (from an infinite base
-    score or a NaN affinity) is a ValueError. This is rerank_predictions'
-    ranking of one row.
-    """
-    check_rerank_settings(alpha)
-    base_labels = np.asarray(base_labels, dtype=np.int64)
-    base_scores = np.asarray(base_scores, dtype=np.float64)
-    affinities = np.asarray(affinities, dtype=np.float64)
-    if base_labels.ndim != 1 or not base_labels.shape == base_scores.shape == affinities.shape:
-        raise ValueError("base labels, base scores and affinities must have equal length")
-    return _rank(np.zeros(base_labels.size, np.int64), base_labels, base_scores,
-                 affinities, alpha)[1:]
-
-
-def check_rerank_settings(alpha: float, shortlist: int = 1) -> None:
+def check_rerank_settings(alpha: float, shortlist: int) -> None:
     """ValueError unless alpha lies in [0, 1] and shortlist is at least 1."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -217,20 +197,21 @@ def check_rerank_settings(alpha: float, shortlist: int = 1) -> None:
 
 
 def rerank_predictions(
-    preds: Predictions | Sequence[Prediction],
+    preds: Predictions,
     ps: PrototypeSet,
     x_test: SparseMatrix,
     alpha: float = 0.8,
     shortlist: int = 100,
 ) -> Predictions:
-    """Rerank each point's top shortlist by combined score, as rerank does
-    for one point, all points at once.
+    """Rerank each point's top shortlist by combined score, alpha * log(base
+    score) + (1 - alpha) * log(affinity), descending, ties by ascending label
+    id. Labels with a nonpositive base score are dropped; a combined score
+    that is not finite is a ValueError.
 
     Test vectors are unit-normalized exactly when the prototypes are, so
     distances stay in [0, 2] and the kernel width has a stable meaning.
     """
     check_rerank_settings(alpha, shortlist)
-    preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
     short = preds.head(shortlist)

@@ -106,6 +106,25 @@ class SparseMatrix:
         return np.bincount(row_of, weights=self.values * self.values,
                            minlength=self.rows).astype(np.float64, copy=False)
 
+    def row_norms(self) -> tuple["SparseMatrix", np.ndarray, np.ndarray]:
+        """(scaled, peak, norm): this matrix with every row whose squared norm
+        is below 2**-1022, where it loses precision or underflows to 0,
+        divided by its largest magnitude, its peak; the peaks (1 for every
+        other row, which scaled holds as stored); and the L2 norm of every
+        row of scaled. Row i's L2 norm is peak[i] * norm[i]."""
+        sq = self.row_sq_norms()
+        nnz = self.row_nnz()
+        peak = np.ones(self.rows)
+        tiny = (sq < 2.0 ** -1022) & (nnz > 0)
+        if not tiny.any():
+            return self, peak, np.sqrt(sq)
+        # each nonempty row's segment runs to the next nonempty row's start
+        top = np.maximum.reduceat(np.abs(self.values), self.indptr[:-1][nnz > 0])
+        peak[tiny] = top[tiny[nnz > 0]]
+        scaled = SparseMatrix(self.rows, self.cols, self.indptr, self.indices,
+                              self.values / np.repeat(peak, nnz), validate=False)
+        return scaled, peak, np.sqrt(scaled.row_sq_norms())
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.float64)
         row_of = np.repeat(np.arange(self.rows), self.row_nnz())

@@ -6,11 +6,12 @@ percentile bucket. All metrics live in [0, 1] and average over test points
 (or labels, for the macro variants).
 
 Ranked predictions are one ``Predictions`` value: CSR-like rows of label ids
-and scores. Top-k and the metrics work on its arrays segment by segment, with
-no Python loop over rows; a hit is a (row, label) key of the top k that is
-also a key of the truth matrix. A predictions file is an .npz archive of the
-three arrays, written and read by dataio.save_arrays and load_arrays as
-partitions, models and co-occurrence blocks are.
+and scores; one point's ranking is a one-row ``Predictions``. Top-k and the
+metrics work on its arrays segment by segment, with no Python loop over rows;
+a hit is a (row, label) key of the top k that is also a key of the truth
+matrix. A predictions file is an .npz archive of the three arrays, written and
+read by dataio.save_arrays and load_arrays as partitions, models and
+co-occurrence blocks are.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,86 +45,42 @@ def _row_faults(
     ]
 
 
-def _check_ranked(indptr: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> None:
-    if labels.ndim != 1 or labels.shape != scores.shape:
-        raise ValueError("labels and scores must have equal length")
-    if (indptr.ndim != 1 or indptr.shape[0] < 1 or indptr[0] != 0
-            or indptr[-1] != labels.shape[0] or np.any(np.diff(indptr) < 0)):
-        raise ValueError("bad indptr")
-    faults = [(int(rows[0]), what) for rows, what in
-              _row_faults(indptr, labels, scores) if rows.size]
-    if faults:
-        row, what = min(faults)
-        raise ValueError(f"prediction {row}: {what}")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Ranked labels for one test point: unique ids, finite non-increasing
-    scores."""
-
-    labels: np.ndarray
-    scores: np.ndarray
-    __eq__ = _value_eq
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scores", scores)
-        _check_ranked(np.array([0, labels.shape[0]]), labels, scores)
-
-    @classmethod
-    def _view(cls, labels: np.ndarray, scores: np.ndarray) -> "Prediction":
-        """A row of a checked Predictions, without checking it again."""
-        pr = object.__new__(cls)
-        object.__setattr__(pr, "labels", labels)
-        object.__setattr__(pr, "scores", scores)
-        return pr
-
-
 class Predictions:
     """Ranked labels of n points in CSR layout.
 
     Row i holds labels[indptr[i]:indptr[i+1]] with their scores, best first:
     unique label ids with finite, non-increasing scores. Rows are ragged (a
-    row may be empty). len(), indexing and iteration give one ``Prediction``
-    view per row.
+    row may be empty). len(), indexing and iteration give each row as a
+    one-row Predictions that shares this one's label and score arrays.
     """
 
     __slots__ = ("indptr", "labels", "scores")
     __eq__ = _value_eq
 
     def __init__(self, indptr, labels, scores, *, validate: bool = True):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.scores = np.asarray(scores, dtype=np.float64)
-        if validate:
-            _check_ranked(self.indptr, self.labels, self.scores)
-
-    @classmethod
-    def from_rows(cls, rows: Predictions | Iterable[Prediction]) -> Predictions:
-        """rows itself if it is a Predictions, else its rows concatenated."""
-        if isinstance(rows, Predictions):
-            return rows
-        rows = list(rows)
-        if not rows:
-            return cls(np.zeros(1), np.empty(0), np.empty(0), validate=False)
-        labels = list(map(partial(np.asarray, dtype=np.int64),
-                          map(operator.attrgetter("labels"), rows)))
-        scores = list(map(partial(np.asarray, dtype=np.float64),
-                          map(operator.attrgetter("scores"), rows)))
-        lengths = np.fromiter(map(len, labels), np.int64, len(rows))
-        return cls(np.concatenate(([0], np.cumsum(lengths))),
-                   np.concatenate(labels), np.concatenate(scores))
+        self.indptr = indptr = np.asarray(indptr, dtype=np.int64)
+        self.labels = labels = np.asarray(labels, dtype=np.int64)
+        self.scores = scores = np.asarray(scores, dtype=np.float64)
+        if not validate:
+            return
+        if labels.ndim != 1 or labels.shape != scores.shape:
+            raise ValueError("labels and scores must have equal length")
+        if (indptr.ndim != 1 or indptr.shape[0] < 1 or indptr[0] != 0
+                or indptr[-1] != labels.shape[0] or np.any(np.diff(indptr) < 0)):
+            raise ValueError("bad indptr")
+        faults = [(int(rows[0]), what) for rows, what in
+                  _row_faults(indptr, labels, scores) if rows.size]
+        if faults:
+            row, what = min(faults)
+            raise ValueError(f"prediction {row}: {what}")
 
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
 
-    def __getitem__(self, i) -> Prediction:
+    def __getitem__(self, i) -> "Predictions":
         i = range(len(self))[operator.index(i)]
         s, e = self.indptr[i], self.indptr[i + 1]
-        return Prediction._view(self.labels[s:e], self.scores[s:e])
+        return Predictions([0, e - s], self.labels[s:e], self.scores[s:e], validate=False)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -235,14 +191,13 @@ class _TopK:
 
 
 def _top_entries(
-    preds: Predictions | Sequence, truth: SparseMatrix, k: int, full: bool = True
+    preds: Predictions, truth: SparseMatrix, k: int, full: bool = True
 ) -> _TopK:
     """Checks shared by the metrics, then the top-k entries and their hits.
 
     full requires at least k entries in every row. A label outside
     [0, truth.cols) in some top k is a ValueError.
     """
-    preds = Predictions.from_rows(preds)
     if k < 1:
         raise ValueError("k must be at least 1")
     lengths = preds.lengths()
@@ -425,11 +380,10 @@ def percentile_macro_precision(
 _PREDICTION_ARRAYS = {"indptr": ("iu", 1), "labels": ("iu", 1), "scores": ("f", 1)}
 
 
-def save_predictions(preds: Predictions | Sequence, file) -> None:
+def save_predictions(preds: Predictions, file) -> None:
     """Write preds as an uncompressed .npz archive of indptr, labels and
     scores (dataio.save_arrays): file is a path, written at exactly that
     name, or an open file, a text file through its binary buffer."""
-    preds = Predictions.from_rows(preds)
     dataio.save_arrays(file, {"indptr": preds.indptr, "labels": preds.labels,
                               "scores": preds.scores}, "predictions")
 

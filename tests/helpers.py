@@ -11,6 +11,7 @@ import numpy as np
 
 from featagg.dataio import Dataset
 from featagg.sparse import SparseMatrix
+from featagg.xcmetrics import Predictions
 
 
 def dense_mi_oracle(Z: np.ndarray, Y: np.ndarray) -> float:
@@ -85,6 +86,18 @@ def label_matrix(label_sets, n_labels: int) -> SparseMatrix:
     """0/1 matrix with a row per label set."""
     rows = [sorted(labels) for labels in label_sets]
     return SparseMatrix.from_rows(n_labels, rows, [np.ones(len(r)) for r in rows])
+
+
+def ranked_rows(rows) -> Predictions:
+    """The checked Predictions whose row i holds rows[i], a (labels, scores)
+    pair."""
+    rows = list(rows)
+    lengths = [len(labels) for labels, _ in rows]
+    return Predictions(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+                       np.concatenate([np.empty(0, np.int64)] + [
+                           np.asarray(labels, np.int64) for labels, _ in rows]),
+                       np.concatenate([np.empty(0)] + [
+                           np.asarray(scores, np.float64) for _, scores in rows]))
 
 
 def dataset_from_dense(features, label_sets, n_labels: int) -> Dataset:

@@ -54,7 +54,6 @@ def affinity_scores(x: SparseMatrix, ps: PrototypeSet, labels: np.ndarray) -> np
 
 def rerank_predictions(preds, ps, x_test, alpha=0.8, shortlist=100):
     check_rerank_settings(alpha, shortlist)
-    preds = Predictions.from_rows(preds)
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
     short = preds.head(shortlist)

@@ -311,7 +311,7 @@ def tiny_files(tmp_path):
     two-cluster partition of the 4 features."""
     (tmp_path / "train.txt").write_text("3 4 2\n0 0:1 2:0.5\n1 1:2 3:1\n0,1 0:1 3:2\n")
     (tmp_path / "test.txt").write_text("0 4 2\n")
-    save_predictions(Predictions.from_rows([]), str(tmp_path / "preds.txt"))
+    save_predictions(Predictions([0], [], []), str(tmp_path / "preds.txt"))
     part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
     save_partition(part, str(tmp_path / "part.npz"))
     return tmp_path

@@ -265,6 +265,26 @@ class TestImputeBlend:
         got = impute_matrix(c, x, 0.5)
         assert got == vec(3, {1: 1.0}) == dense_blend(c, x, 0.5)
 
+    @pytest.mark.parametrize("train_scale, x_scale", [
+        (1e-110, 1.0),  # the imputed row's squared norm underflows to 0
+        (1e-50, 1e-160),  # both squared norms underflow
+        (1e19, 1e-160),  # only x's squared norm is subnormal
+    ])
+    def test_rescale_survives_underflowing_norms(self, train_scale, x_scale):
+        part = FeaturePartition.from_clusters(2, [np.array([0, 1])])
+        train = np.array([[1.0, 0.6], [0.5, 0.0]])
+        c = build_cooc(dataset_from_dense(train * train_scale, [set()] * 2, 1), part)
+        x = matrix_from_dense(np.array([[1.0, 0.0], [0.3, -0.7], [3.0, 4.0]]) * x_scale)
+        assert min(c.apply(x).row_sq_norms()[0], x.row_sq_norms()[0]) < 2.0 ** -1022
+        got = impute_matrix(c, x)
+        for i in range(x.rows):
+            norm = math.hypot(*got.to_dense()[i])
+            assert norm == pytest.approx(math.hypot(*x.to_dense()[i]), rel=1e-15, abs=0.0)
+        # rows whose squared norms are at least 2**-1022 keep their bytes
+        c = build_cooc(dataset_from_dense(train, [set()] * 2, 1), part)
+        x = matrix_from_dense([[3.0, 4.0]])
+        assert impute_matrix(c, x).values.tobytes() == dense_blend(c, x, 0.0).values.tobytes()
+
 
 def reference_erase_matrix(sm, fraction, rng):
     """erase_matrix as a loop over rows, with at most one rng.choice call

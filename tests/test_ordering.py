@@ -7,7 +7,7 @@ import pytest
 from featagg import xcmetrics
 from featagg.dataio import parse_xc
 from featagg.errors import ParseError
-from featagg.reranking import _LOG_FLOOR, _rank, rerank
+from featagg.reranking import _LOG_FLOOR, _rank
 from featagg.xcmetrics import Predictions, top_k
 
 
@@ -79,7 +79,8 @@ def test_rerank_rejects_non_finite_combined_scores():
     ]:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="^combined scores must be finite$"):
-            rerank(np.array([9, 4, 7]), np.array(base), np.array(aff), alpha=alpha)
+            _rank(np.zeros(3, np.int64), np.array([9, 4, 7]), np.array(base),
+                  np.array(aff), alpha)
 
 
 @pytest.mark.parametrize("later", ["9", "9000000000000000000", "-9000000000000000000"])

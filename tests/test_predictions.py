@@ -25,7 +25,6 @@ from featagg.reranking import build_prototypes, rerank_predictions
 from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
 from featagg.xcmetrics import (
-    Prediction,
     Predictions,
     load_predictions,
     propensities,
@@ -33,12 +32,14 @@ from featagg.xcmetrics import (
     top_k,
 )
 
+from helpers import ranked_rows
+
 CASES = 60
 
 
 def random_rows(rng, n, n_labels, k_min=0, ties=False):
-    """n ranked rows of k_min..n_labels unique labels; ties draws scores
-    from a few values so that equal scores are common."""
+    """Predictions of n rows of k_min..n_labels unique labels; ties draws
+    scores from a few values so that equal scores are common."""
     rows = []
     for _ in range(n):
         m = int(rng.integers(k_min, n_labels + 1))
@@ -47,8 +48,8 @@ def random_rows(rng, n, n_labels, k_min=0, ties=False):
             scores = rng.integers(0, 3, size=m).astype(np.float64) / 2.0
         else:
             scores = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4, size=m)
-        rows.append(Prediction(labels, -np.sort(-scores)))
-    return rows
+        rows.append((labels, -np.sort(-scores)))
+    return ranked_rows(rows)
 
 
 def random_matrix(rng, n, cols, density, empty_rows=True):
@@ -66,22 +67,13 @@ def truth_matrix(rng, n, n_labels):
     return SparseMatrix(n, n_labels, y.indptr, y.indices, np.ones(y.nnz))
 
 
-def as_arrays(rows):
-    labels = [np.asarray(r.labels) for r in rows]
-    scores = [np.asarray(r.scores) for r in rows]
-    return (np.concatenate(labels) if labels else np.empty(0, np.int64),
-            np.concatenate(scores) if scores else np.empty(0))
-
-
 def assert_same_rows(new, old, exact_scores=True):
-    assert len(new) == len(old)
-    assert np.array_equal(new.lengths(), [len(r.labels) for r in old])
-    labels, scores = as_arrays(old)
-    assert np.array_equal(new.labels, labels)
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.labels, old.labels)
     if exact_scores:
-        assert np.array_equal(new.scores, scores)
+        assert np.array_equal(new.scores, old.scores)
     else:
-        assert np.allclose(new.scores, scores, rtol=0.0, atol=1e-12)
+        assert np.allclose(new.scores, old.scores, rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture(params=["default", "small"])
@@ -96,20 +88,20 @@ def chunks(request, monkeypatch):
 
 class TestPredictionsType:
     def test_rows_round_trip(self, rng):
-        rows = random_rows(rng, 9, 6)
-        preds = Predictions.from_rows(rows)
+        preds = random_rows(rng, 9, 6, k_min=1)
         assert len(preds) == 9
-        assert Predictions.from_rows(preds) is preds
-        for i, (got, want) in enumerate(zip(preds, rows)):
-            assert isinstance(got, Prediction)
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(preds[i].scores, want.scores)
-        assert np.array_equal(preds[-1].labels, rows[-1].labels)
+        for i, row in enumerate(preds):
+            s, e = preds.indptr[i], preds.indptr[i + 1]
+            assert isinstance(row, Predictions) and len(row) == 1
+            assert row == Predictions([0, e - s], preds.labels[s:e], preds.scores[s:e])
+            assert np.shares_memory(row.labels, preds.labels)
+            assert np.shares_memory(row.scores, preds.scores)
+        assert preds[-1] == preds[8]
         with pytest.raises(IndexError):
             preds[9]
 
     def test_empty(self):
-        preds = Predictions.from_rows([])
+        preds = Predictions([0], [], [])
         assert len(preds) == 0 and list(preds) == []
 
     @pytest.mark.parametrize("labels, scores, message", [
@@ -119,8 +111,8 @@ class TestPredictionsType:
         ([0, 1], [np.inf, 1.0], "finite"),
     ])
     def test_rejects_malformed_rows(self, labels, scores, message):
-        with pytest.raises(ValueError, match=message):
-            Prediction(labels, scores)
+        with pytest.raises(ValueError, match=f"prediction 0: .*{message}"):
+            Predictions([0, 2], labels, scores)
         indptr = [0, 1, 1, 3]
         with pytest.raises(ValueError, match=f"prediction 2: .*{message}"):
             Predictions(indptr, [5] + labels, [9.0] + scores)
@@ -143,8 +135,8 @@ class TestPredictionsType:
 
     def test_head(self, rng):
         rows = random_rows(rng, 12, 7)
-        preds = Predictions.from_rows(rows).head(3)
-        assert_same_rows(preds, [Prediction(r.labels[:3], r.scores[:3]) for r in rows])
+        assert_same_rows(rows.head(3), ranked_rows((r.labels[:3], r.scores[:3])
+                                                   for r in rows))
 
 
 class TestMetricsMatchReference:
@@ -152,24 +144,21 @@ class TestMetricsMatchReference:
         for case in range(CASES):
             n, n_labels = int(rng.integers(0, 12)), int(rng.integers(1, 9))
             k = int(rng.integers(1, n_labels + 1))
-            rows = random_rows(rng, n, n_labels, k_min=k, ties=case % 2 == 0)
+            preds = random_rows(rng, n, n_labels, k_min=k, ties=case % 2 == 0)
             truth = truth_matrix(rng, n, n_labels)
             y_train = truth_matrix(rng, 5 + n, n_labels)
             prop = propensities(y_train)
-            preds = Predictions.from_rows(rows)
             for metric in ("precision_at_k", "ndcg_at_k", "coverage_at_k"):
-                want = getattr(ref, metric)(rows, truth, k)
+                want = getattr(ref, metric)(preds, truth, k)
                 assert getattr(xcmetrics, metric)(preds, truth, k) == \
                     pytest.approx(want, abs=1e-12)
-                assert getattr(xcmetrics, metric)(rows, truth, k) == \
-                    pytest.approx(want, abs=1e-12)
             for metric in ("psp_at_k", "psndcg_at_k"):
-                want = getattr(ref, metric)(rows, truth, prop, k)
+                want = getattr(ref, metric)(preds, truth, prop, k)
                 assert getattr(xcmetrics, metric)(preds, truth, prop, k) == \
                     pytest.approx(want, abs=1e-12)
             if n:
                 buckets = [(0.0, 30.0), (30.0, 70.0), (70.0, 100.0)]
-                want = ref.percentile_macro_precision(rows, truth, y_train, k, buckets)
+                want = ref.percentile_macro_precision(preds, truth, y_train, k, buckets)
                 got = xcmetrics.percentile_macro_precision(preds, truth, y_train, k,
                                                            buckets)
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12, equal_nan=True)
@@ -184,10 +173,10 @@ class TestMetricsMatchReference:
                     ref.coverage_at_k(rows, truth, k), abs=1e-12)
 
     def test_short_row_message(self):
-        rows = [Prediction([0, 1], [2.0, 1.0]), Prediction([0], [1.0])]
+        preds = ranked_rows([([0, 1], [2.0, 1.0]), ([0], [1.0])])
         truth = SparseMatrix(2, 3, [0, 1, 1], [0], [1.0])
         with pytest.raises(ValueError, match="prediction 1 has only 1 entries, need 2"):
-            xcmetrics.precision_at_k(rows, truth, 2)
+            xcmetrics.precision_at_k(preds, truth, 2)
 
     @pytest.mark.parametrize("label", [4, 9, -1])
     @pytest.mark.parametrize("metric", ["precision_at_k", "ndcg_at_k", "psp_at_k",
@@ -279,8 +268,8 @@ def assert_bit_equal(got: Predictions, want: Predictions) -> None:
 class TestArchiveIO:
     @pytest.mark.parametrize("how", ["path", "binary", "text"])
     def test_round_trip_is_bit_equal(self, rng, tmp_path, how):
-        for preds in (edge_predictions(), Predictions.from_rows([]),
-                      Predictions.from_rows(random_rows(rng, 30, 9, ties=True))):
+        for preds in (edge_predictions(), Predictions([0], [], []),
+                      random_rows(rng, 30, 9, ties=True)):
             assert_bit_equal(round_trip(preds, tmp_path / "preds.txt", how), preds)
 
     def test_text_stream_without_a_buffer_is_refused(self):
@@ -321,17 +310,13 @@ class TestRerankMatchesReference:
                                   normalize=case % 2 == 0, gamma=rng.uniform(0.5, 5.0))
             rows = random_rows(rng, x_test.rows, n_labels, ties=case % 3 == 0)
             if case % 4 == 0:  # non-positive base scores are dropped
-                rows = [Prediction(r.labels, r.scores - 0.5) for r in rows]
+                rows = Predictions(rows.indptr, rows.labels, rows.scores - 0.5)
             shortlist = int(rng.integers(1, n_labels + 2))
             alpha = float(rng.choice([0.0, 0.8, 1.0]))
-            got = rerank_predictions(Predictions.from_rows(rows), ps, x_test,
-                                     alpha=alpha, shortlist=shortlist)
+            got = rerank_predictions(rows, ps, x_test, alpha=alpha, shortlist=shortlist)
             want = ref.rerank_predictions(rows, ps, x_test, alpha=alpha,
                                           shortlist=shortlist)
             assert_same_rows(got, want, exact_scores=False)
-            assert_same_rows(rerank_predictions(rows, ps, x_test, alpha=alpha,
-                                                shortlist=shortlist), want,
-                             exact_scores=False)
 
     def test_rejects_out_of_range_label(self, rng):
         train, x_test, part = rerank_setup(rng, 10, 2, 6, 3)

@@ -10,16 +10,18 @@ from featagg import kernels, reranking
 from featagg.cooc import build_cooc
 from featagg.reranking import (
     PrototypeSet,
+    _rank,
     build_prototypes,
-    rerank,
+    check_rerank_settings,
     rerank_predictions,
 )
 from featagg.sparse import SparseMatrix
 from featagg.tree import FeaturePartition
-from featagg.xcmetrics import Prediction, Predictions
+from featagg.xcmetrics import Predictions
 
 import rerank_reference
-from helpers import dataset_from_dense, dense_cooc_oracle, matrix_from_dense, vec
+from helpers import (dataset_from_dense, dense_cooc_oracle, matrix_from_dense,
+                     ranked_rows, vec)
 
 
 @pytest.fixture
@@ -64,6 +66,20 @@ class TestBuildPrototypes:
         sq = ps.sq_norms()
         assert sq[ps.matrix.row_nnz() > 0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_prototypes_whose_squares_underflow_reach_unit_norm(self):
+        # label 1's prototype, |x|^2 x for x = (3e-100, 1e-100), has entries
+        # near 1e-299 whose squares underflow to 0; label 0's is (5, 10)
+        ds = dataset_from_dense([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3e-100, 1e-100]],
+                                [{0}, {1}], 2)
+        part = FeaturePartition.from_clusters(4, [np.array([0, 1]), np.array([2, 3])])
+        c = build_cooc(ds, part)
+        raw = build_prototypes(c, ds, normalize=False).matrix
+        assert raw.row_sq_norms()[1] == 0.0
+        ps = build_prototypes(c, ds)
+        assert np.all(np.abs(ps.sq_norms() - 1.0) <= 1e-15), ps.sq_norms()
+        # a prototype whose squared norm is at least 2**-1022 keeps its bytes
+        assert ps.matrix.values[:2].tobytes() == \
+            (raw.values[:2] / math.sqrt(125.0)).tobytes()
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_gamma(self, small_setup, gamma):
@@ -153,27 +169,34 @@ class TestAffinity:
             affinities(x, ps, [label])
 
 
+def rank_row(labels, base_scores, affinities, alpha=0.8):
+    """The labels and combined scores of _rank on one row."""
+    return _rank(np.zeros(len(labels), np.int64), np.asarray(labels, np.int64),
+                 np.asarray(base_scores, np.float64), np.asarray(affinities, np.float64),
+                 alpha)[1:]
+
+
 class TestRerank:
     def test_alpha_one_keeps_base_ranking(self):
         labels = np.array([4, 1, 7])
         base = np.array([0.9, 0.5, 0.1])
-        out_labels, _ = rerank(labels, base, np.array([0.01, 0.5, 0.99]), alpha=1.0)
+        out_labels, _ = rank_row(labels, base, np.array([0.01, 0.5, 0.99]), alpha=1.0)
         assert list(out_labels) == [4, 1, 7]
 
     def test_alpha_zero_keeps_affinity_ranking(self):
         labels = np.array([4, 1, 7])
         base = np.array([0.9, 0.5, 0.1])
-        out_labels, _ = rerank(labels, base, np.array([0.01, 0.5, 0.99]), alpha=0.0)
+        out_labels, _ = rank_row(labels, base, np.array([0.01, 0.5, 0.99]), alpha=0.0)
         assert list(out_labels) == [7, 1, 4]
 
     def test_affinity_breaks_base_tie(self):
-        out_labels, _ = rerank(
+        out_labels, _ = rank_row(
             np.array([0, 1]), np.array([0.5, 0.5]), np.array([0.9, 0.1]), alpha=0.8
         )
         assert list(out_labels) == [0, 1]
 
     def test_nonpositive_base_scores_excluded(self):
-        out_labels, _ = rerank(
+        out_labels, _ = rank_row(
             np.array([0, 1, 2]), np.array([0.5, 0.0, -1.0]),
             np.array([0.1, 0.9, 0.9]),
         )
@@ -183,21 +206,17 @@ class TestRerank:
         labels = np.arange(6)
         base = rng.uniform(0.1, 1.0, size=6)
         aff = rng.uniform(0.1, 1.0, size=6)
-        l1, _ = rerank(labels, base, aff)
-        l2, _ = rerank(labels, base * 37.5, aff)
+        l1, _ = rank_row(labels, base, aff)
+        l2, _ = rank_row(labels, base * 37.5, aff)
         assert np.array_equal(l1, l2)
 
-    @pytest.mark.parametrize("sizes", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])
-    def test_rejects_unequal_lengths(self, sizes):
-        with pytest.raises(ValueError, match="must have equal length"):
-            rerank(np.arange(sizes[0]), np.full(sizes[1], 0.5), np.full(sizes[2], 0.5))
-
     def test_rejects_alpha_outside_unit(self):
-        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
-            rerank(np.array([0]), np.array([0.5]), np.array([0.5]), alpha=1.5)
+        for alpha in (1.5, -0.25):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                check_rerank_settings(alpha, 1)
 
     def test_tie_break_by_label_id(self):
-        out_labels, _ = rerank(
+        out_labels, _ = rank_row(
             np.array([5, 2]), np.array([0.5, 0.5]), np.array([0.5, 0.5])
         )
         assert list(out_labels) == [2, 5]
@@ -206,15 +225,32 @@ class TestRerank:
 def test_rerank_predictions_pipeline(small_setup):
     ds, part, c = small_setup
     ps = build_prototypes(c, ds, normalize=True)
-    preds = [
-        Prediction(np.array([0, 1, 2]), np.array([0.8, 0.7, 0.1]))
-        for _ in range(ds.n)
-    ]
+    preds = ranked_rows([([0, 1, 2], [0.8, 0.7, 0.1])] * ds.n)
     out = rerank_predictions(preds, ps, ds.features, alpha=0.8, shortlist=3)
     assert len(out) == ds.n
     for pr in out:
         assert set(pr.labels.tolist()) <= {0, 1, 2}
         assert np.all(np.diff(pr.scores) <= 0)
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_queries_whose_squares_underflow_rerank_as_unit_queries(monkeypatch, gather):
+    """The squares of 1e-200 underflow to 0: normalized first by its largest
+    magnitude, the query reranks bit for bit as (1, 1) does, and (1, 1)
+    reranks as the per-row reference does."""
+    ps = PrototypeSet(SparseMatrix(2, 2, [0, 2, 3], [0, 1, 0],
+                                   [1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 1.0]),
+                      gamma=1.0, normalized=True)
+    x = SparseMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], [1e-200, 1e-200, 1.0, 1.0])
+    preds = Predictions([0, 2, 4], [1, 0, 1, 0], [0.6, 0.5, 0.6, 0.5])
+    monkeypatch.setattr(reranking, "_gather_pays", lambda *a: gather)
+    for alpha in (0.0, 0.8):
+        out = rerank_predictions(preds, ps, x, alpha=alpha, shortlist=2)
+        # the affinity ranks label 0 first, the base score label 1
+        assert out[0].labels.tolist() == ([0, 1] if alpha == 0.0 else [1, 0])
+        assert_same_predictions(out[0], out[1])
+        assert_same_predictions(out[1], rerank_reference.rerank_predictions(
+            preds[1], ps, x.slice_rows(1, 2), alpha=alpha, shortlist=2))
 
 
 def shortlist_predictions(rng, n, n_labels):
@@ -223,13 +259,13 @@ def shortlist_predictions(rng, n, n_labels):
     for _ in range(n):
         labels = rng.permutation(n_labels)[:int(rng.integers(0, n_labels + 1))]
         scores = np.sort(rng.uniform(-0.2, 1.0, size=labels.shape[0]))[::-1]
-        rows.append(Prediction(labels, scores))
-    return Predictions.from_rows(rows)
+        rows.append((labels, scores))
+    return ranked_rows(rows)
 
 
 @pytest.mark.parametrize("normalize", [True, False])
 def test_per_point_rerank_is_a_matrix_row(small_setup, rng, normalize):
-    """rerank of one point's shortlist and its affinities gives, bit for bit,
+    """_rank of one point's shortlist and its affinities gives, bit for bit,
     that point's row of rerank_predictions."""
     ds, _, c = small_setup
     ps = build_prototypes(c, ds, normalize=normalize, gamma=2.5)
@@ -241,7 +277,7 @@ def test_per_point_rerank_is_a_matrix_row(small_setup, rng, normalize):
             pr = preds[i]
             aff = rerank_reference.affinity_scores(x_test.slice_rows(i, i + 1), ps,
                                                    pr.labels)
-            labels, scores = rerank(pr.labels, pr.scores, aff, alpha=alpha)
+            labels, scores = rank_row(pr.labels, pr.scores, aff, alpha=alpha)
             assert labels.tobytes() == out[i].labels.tobytes()
             assert scores.tobytes() == out[i].scores.tobytes()
 

@@ -9,7 +9,7 @@ from featagg.cooc import PseudoCooc, build_cooc
 from featagg.linear import OvaConfig, OvaModel
 from featagg.sparse import SparseMatrix
 from featagg.splits import Ranking, SplitResult
-from featagg.xcmetrics import Prediction, Predictions, propensities
+from featagg.xcmetrics import Predictions, propensities
 
 from helpers import matrix_from_dense, vec
 
@@ -192,8 +192,6 @@ VALUE_EQ_CASES = {
         lambda: propensities(SparseMatrix(2, 3, [0, 2, 3], [0, 2, 2], [1.0] * 3)),
         lambda m: replace(m, p=m.p * 0.5),
     ),
-    "Prediction": (lambda: Prediction([3, 1], [0.5, 0.25]),
-                   lambda p: Prediction([3, 1], [0.5, 0.125])),
     "BoundReport": (bound_report, lambda r: replace(r, witnesses=r.witnesses + 1.0)),
     "SparseMatrix": (lambda: SparseMatrix(2, 3, [0, 1, 2], [2, 0], [1.0, 4.0]),
                      lambda m: SparseMatrix(2, 3, [0, 1, 2], [1, 0], [1.0, 4.0])),

@@ -6,7 +6,7 @@ import pytest
 
 from featagg.sparse import SparseMatrix
 from featagg.xcmetrics import (
-    Prediction,
+    Predictions,
     coverage_at_k,
     load_predictions,
     ndcg_at_k,
@@ -18,42 +18,45 @@ from featagg.xcmetrics import (
     save_predictions,
 )
 
-from helpers import label_matrix
+from helpers import label_matrix, ranked_rows
 
 
-def ranked(labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    return Prediction(labels, np.arange(len(labels), 0, -1, dtype=np.float64))
+def ranked(*label_lists):
+    """One row per list of labels, scored len(labels), ..., 2, 1."""
+    return ranked_rows((labels, np.arange(len(labels), 0, -1, dtype=np.float64))
+                       for labels in label_lists)
 
 
 class TestPrediction:
+    """One point's ranking: a one-row Predictions."""
+
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            Prediction(np.array([1, 1]), np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="unique"):
+            Predictions([0, 2], np.array([1, 1]), np.array([2.0, 1.0]))
 
     def test_rejects_increasing_scores(self):
-        with pytest.raises(ValueError):
-            Prediction(np.array([0, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-increasing"):
+            Predictions([0, 2], np.array([0, 1]), np.array([1.0, 2.0]))
 
 
 class TestPrecisionAtK:
     def test_two_of_three(self):
-        preds = [ranked([1, 2, 3])]
+        preds = ranked([1, 2, 3])
         truth = label_matrix([{1, 3}], 5)
         assert precision_at_k(preds, truth, 3) == pytest.approx(2 / 3)
 
     def test_perfect_ranking(self):
-        preds = [ranked([0, 1, 2])]
+        preds = ranked([0, 1, 2])
         truth = label_matrix([{0, 1, 2, 3}], 5)
         assert precision_at_k(preds, truth, 3) == 1.0
 
     def test_empty_truth_contributes_zero(self):
-        preds = [ranked([0]), ranked([1])]
+        preds = ranked([0], [1])
         truth = label_matrix([set(), {1}], 3)
         assert precision_at_k(preds, truth, 1) == 0.5
 
     def test_short_list_errors(self):
-        preds = [ranked([0])]
+        preds = ranked([0])
         truth = label_matrix([{0}], 2)
         with pytest.raises(ValueError):
             precision_at_k(preds, truth, 2)
@@ -61,19 +64,19 @@ class TestPrecisionAtK:
 
 class TestNdcgAtK:
     def test_perfect_top_k(self):
-        preds = [ranked([4, 2, 0])]
+        preds = ranked([4, 2, 0])
         truth = label_matrix([{0, 2, 4}], 5)
         assert ndcg_at_k(preds, truth, 3) == pytest.approx(1.0)
 
     def test_single_truth_at_rank_two(self):
-        preds = [ranked([5, 0, 3])]
+        preds = ranked([5, 0, 3])
         truth = label_matrix([{0}], 6)
         expected = (1 / math.log(3)) / (1 / math.log(2))
         assert ndcg_at_k(preds, truth, 3) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(math.log(2) / math.log(3), rel=1e-12)
 
     def test_empty_truth_contributes_zero(self):
-        preds = [ranked([0, 1]), ranked([0, 1])]
+        preds = ranked([0, 1], [0, 1])
         truth = label_matrix([set(), {0}], 3)
         assert ndcg_at_k(preds, truth, 2) == pytest.approx(0.5)
 
@@ -139,13 +142,12 @@ class TestPropensities:
 class TestPropensityScored:
     def test_reduces_to_plain_metrics_at_unit_propensity(self, rng):
         n_labels = 12
-        preds, sets = [], []
+        orders, sets = [], []
         for _ in range(30):
-            order = rng.permutation(n_labels)[:6]
-            preds.append(ranked(order))
+            orders.append(rng.permutation(n_labels)[:6])
             sets.append(set(rng.choice(n_labels, size=int(rng.integers(0, 4)),
                                        replace=False).tolist()))
-        truth = label_matrix(sets, n_labels)
+        preds, truth = ranked(*orders), label_matrix(sets, n_labels)
         from featagg.xcmetrics import PropensityModel
         unit = PropensityModel(p=np.ones(n_labels), A=0.55, B=1.5)
         for k in (1, 3, 5):
@@ -160,7 +162,7 @@ class TestPropensityScored:
         sets = [{0} for _ in range(50)] + [{1}]
         y_train = label_matrix(sets, 2)
         model = propensities(y_train)
-        preds = [ranked([1])]
+        preds = ranked([1])
         truth = label_matrix([{1}], 2)
         assert psp_at_k(preds, truth, model, 1) == pytest.approx(1.0)
 
@@ -171,7 +173,7 @@ class TestPropensityScored:
                          n_labels)
         )
         for _ in range(20):
-            preds = [ranked(rng.permutation(n_labels)[:5])]
+            preds = ranked(rng.permutation(n_labels)[:5])
             truth = label_matrix(
                 [set(rng.choice(n_labels, size=3, replace=False).tolist())],
                 n_labels,
@@ -182,19 +184,19 @@ class TestPropensityScored:
 
 class TestCoverage:
     def test_all_truth_at_rank_one(self):
-        preds = [ranked([0]), ranked([1])]
+        preds = ranked([0], [1])
         truth = label_matrix([{0}, {1}], 3)
         assert coverage_at_k(preds, truth, 1) == 1.0
 
     def test_constant_predictor(self):
-        preds = [ranked([0]) for _ in range(4)]
+        preds = ranked(*[[0]] * 4)
         truth = label_matrix([{0}, {1}, {2}, {0, 3}], 4)
         # four distinct truth labels; only label 0 ever covered
         assert coverage_at_k(preds, truth, 1) == pytest.approx(1 / 4)
 
     def test_monotone_in_k(self, rng):
         n_labels = 8
-        preds = [ranked(rng.permutation(n_labels)) for _ in range(10)]
+        preds = ranked(*(rng.permutation(n_labels) for _ in range(10)))
         truth = label_matrix(
             [set(rng.choice(n_labels, 2, replace=False).tolist())
              for _ in range(10)],
@@ -206,7 +208,7 @@ class TestCoverage:
 
 class TestPercentileMacroPrecision:
     def test_single_bucket_is_macro_average(self):
-        preds = [ranked([0]), ranked([0]), ranked([1])]
+        preds = ranked([0], [0], [1])
         truth = label_matrix([{0}, {1}, {1}], 2)
         # label 0: predicted twice, correct once -> 0.5; label 1: 1/1 -> 1.0
         y_train = label_matrix([{0}, {0}, {1}], 2)
@@ -214,7 +216,7 @@ class TestPercentileMacroPrecision:
         assert out == [pytest.approx((0.5 + 1.0) / 2)]
 
     def test_never_predicted_label_counts_zero(self):
-        preds = [ranked([0])]
+        preds = ranked([0])
         truth = label_matrix([{1}], 2)
         y_train = label_matrix([{0}, {1}], 2)
         out = percentile_macro_precision(preds, truth, y_train, 1, [(0, 100)])
@@ -223,7 +225,7 @@ class TestPercentileMacroPrecision:
     def test_two_label_buckets_match_brute_force(self):
         # popular label 0 (3 train hits), rare label 1 (1 train hit)
         y_train = label_matrix([{0}, {0}, {0}, {1}], 2)
-        preds = [ranked([0]), ranked([1]), ranked([1])]
+        preds = ranked([0], [1], [1])
         truth = label_matrix([{0}, {0}, {1}], 2)
         out = percentile_macro_precision(
             preds, truth, y_train, 1, [(0, 50), (50, 100)]
@@ -246,7 +248,7 @@ class TestPercentileMacroPrecision:
     ])
     def test_buckets_must_partition_in_order(self, rng, buckets, valid):
         n_labels = 10
-        preds = [ranked(rng.permutation(n_labels)[:3]) for _ in range(20)]
+        preds = ranked(*(rng.permutation(n_labels)[:3] for _ in range(20)))
         truth = label_matrix([set(rng.choice(n_labels, 2, replace=False).tolist())
                               for _ in range(20)], n_labels)
         y_train = label_matrix([{i % n_labels} for i in range(25)], n_labels)
@@ -263,7 +265,7 @@ class TestInputChecks:
 
     def test_every_metric_rejects_length_mismatch(self):
         # one prediction for three points: zip would silently score only it
-        preds = [ranked([0])]
+        preds = ranked([0])
         truth = label_matrix([{0}, {1}, {2}], 3)
         y_train = label_matrix([{0}, {1}], 3)
         model = propensities(y_train)
@@ -280,14 +282,14 @@ class TestInputChecks:
                 call()
 
     def test_too_many_predictions_rejected(self):
-        preds = [ranked([0]), ranked([1])]
+        preds = ranked([0], [1])
         truth = label_matrix([{0}], 2)
         with pytest.raises(ValueError):
             coverage_at_k(preds, truth, 1)
 
     @pytest.mark.parametrize("label", [2, 7, -1])
     def test_percentile_rejects_out_of_range_label(self, label):
-        preds = [ranked([0]), ranked([label])]
+        preds = ranked([0], [label])
         truth = label_matrix([{0}, {1}], 2)
         y_train = label_matrix([{0}, {1}], 2)
         with pytest.raises(ValueError, match="outside"):
@@ -296,10 +298,7 @@ class TestInputChecks:
 
 class TestPredictionIO:
     def test_round_trip(self):
-        preds = [
-            Prediction(np.array([3, 1]), np.array([0.75, 0.25])),
-            Prediction(np.array([], dtype=np.int64), np.array([])),
-        ]
+        preds = ranked_rows([([3, 1], [0.75, 0.25]), ([], [])])
         buf = io.BytesIO()
         save_predictions(preds, buf)
         buf.seek(0)

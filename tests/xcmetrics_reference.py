@@ -1,10 +1,10 @@
 """The per-row ranking code that ``featagg.xcmetrics.Predictions`` replaced.
 
-Metrics, top-k, prototypes and reranking as they were when
-predictions were a list of per-row ``Prediction`` objects: each loops over
-rows (or labels) in Python. They are kept unchanged as the reference that
-``tests/test_predictions.py`` compares the segment-wise versions with, as
-``tests/kernel_reference.py`` does for the kernels.
+Metrics, top-k, prototypes and reranking as they were when predictions
+were a list of per-row objects: each loops over rows (or labels) in Python,
+reading the rows of a ``Predictions`` by iterating it. They are kept as the
+reference that ``tests/test_predictions.py`` compares the segment-wise
+versions with, as ``tests/kernel_reference.py`` does for the kernels.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from featagg.dataio import Dataset
 from featagg.linear import OvaModel, probability_scores
 from featagg.reranking import PrototypeSet
 from featagg.sparse import SparseMatrix
-from featagg.xcmetrics import Prediction, PropensityModel
+from featagg.xcmetrics import Predictions, PropensityModel
 
-PredictionList = list[Prediction]
+from helpers import ranked_rows
 
 _LOG_FLOOR = 1e-300  # keeps log(affinity) finite when the kernel underflows
 
@@ -32,7 +32,7 @@ def truth_rows(truth: SparseMatrix) -> list[np.ndarray]:
             for i in range(truth.rows)]
 
 
-def _check_k(preds: PredictionList, k: int) -> None:
+def _check_k(preds: Predictions, k: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
     for t, pr in enumerate(preds):
@@ -42,7 +42,7 @@ def _check_k(preds: PredictionList, k: int) -> None:
             )
 
 
-def _check_rows(preds: PredictionList, truth: SparseMatrix) -> None:
+def _check_rows(preds: Predictions, truth: SparseMatrix) -> None:
     if len(preds) != truth.rows:
         raise ValueError(
             f"one prediction per test point required: {len(preds)} predictions, "
@@ -50,7 +50,7 @@ def _check_rows(preds: PredictionList, truth: SparseMatrix) -> None:
         )
 
 
-def precision_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
+def precision_at_k(preds: Predictions, truth: SparseMatrix, k: int) -> float:
     """Mean fraction of the top k that is correct."""
     _check_k(preds, k)
     _check_rows(preds, truth)
@@ -61,7 +61,7 @@ def precision_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
     return total / len(preds) if preds else 0.0
 
 
-def ndcg_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
+def ndcg_at_k(preds: Predictions, truth: SparseMatrix, k: int) -> float:
     """Binary-relevance gain at k against the best achievable placement."""
     _check_k(preds, k)
     _check_rows(preds, truth)
@@ -78,7 +78,7 @@ def ndcg_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
 
 
 def psp_at_k(
-    preds: PredictionList, truth: SparseMatrix, prop: PropensityModel, k: int
+    preds: Predictions, truth: SparseMatrix, prop: PropensityModel, k: int
 ) -> float:
     """Propensity-scored precision@k, normalized per point.
 
@@ -102,7 +102,7 @@ def psp_at_k(
 
 
 def psndcg_at_k(
-    preds: PredictionList, truth: SparseMatrix, prop: PropensityModel, k: int
+    preds: Predictions, truth: SparseMatrix, prop: PropensityModel, k: int
 ) -> float:
     """Propensity-scored gain@k, normalized by the per-point weighted ideal."""
     _check_k(preds, k)
@@ -123,7 +123,7 @@ def psndcg_at_k(
     return total / len(preds) if preds else 0.0
 
 
-def coverage_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
+def coverage_at_k(preds: Predictions, truth: SparseMatrix, k: int) -> float:
     """Fraction of ground-truth labels correctly placed in some top-k list."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -141,7 +141,7 @@ def coverage_at_k(preds: PredictionList, truth: SparseMatrix, k: int) -> float:
 
 
 def percentile_macro_precision(
-    preds: PredictionList,
+    preds: Predictions,
     truth: SparseMatrix,
     y_train: SparseMatrix,
     k: int,
@@ -192,29 +192,19 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, scores[order]
 
 
-def predict(model: OvaModel, x: SparseMatrix, k: int) -> PredictionList:
+def predict(model: OvaModel, x: SparseMatrix, k: int) -> Predictions:
     """Top-k labels per point by score, ties by ascending label id."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > model.n_labels:
         raise ValueError(f"k={k} exceeds the {model.n_labels}-label universe")
-    scores = probability_scores(model, x)
-    out: PredictionList = []
-    for row in scores:
-        labels, vals = _top_k(row, k)
-        out.append(Prediction(labels, vals))
-    return out
+    return ranked_rows(_top_k(row, k) for row in probability_scores(model, x))
 
 
-def cli_top_k(scores: np.ndarray, k: int) -> PredictionList:
+def cli_top_k(scores: np.ndarray, k: int) -> Predictions:
     """The top-k of ``featagg predict``, as the command ran it on its dense
     score matrix (k already clamped to the number of labels)."""
-    preds = []
-    n_labels = scores.shape[1]
-    for row in scores:
-        order = np.lexsort((np.arange(n_labels), -row))[:k]
-        preds.append(Prediction(order, row[order]))
-    return preds
+    return ranked_rows(_top_k(row, k) for row in scores)
 
 
 def build_prototypes(
@@ -300,12 +290,12 @@ def rerank(
 
 
 def rerank_predictions(
-    preds: PredictionList,
+    preds: Predictions,
     ps: PrototypeSet,
     x_test: SparseMatrix,
     alpha: float = 0.8,
     shortlist: int = 100,
-) -> PredictionList:
+) -> Predictions:
     """Rerank each point's top shortlist by combined score.
 
     Test vectors are unit-normalized when the prototypes are, so distances
@@ -314,7 +304,7 @@ def rerank_predictions(
     if len(preds) != x_test.rows:
         raise ValueError("one base prediction per test row required")
     sq_norms = ps.sq_norms()
-    out: PredictionList = []
+    out = []
     for i, pr in enumerate(preds):
         labels = pr.labels[:shortlist]
         scores = pr.scores[:shortlist]
@@ -325,6 +315,5 @@ def rerank_predictions(
                 x = SparseMatrix(1, x.cols, x.indptr, x.indices, x.values / nrm,
                                  validate=False)
         aff = affinity_scores(x, ps, labels, proto_sq_norms=sq_norms)
-        new_labels, combined = rerank(labels, scores, aff, alpha)
-        out.append(Prediction(new_labels, combined))
-    return out
+        out.append(rerank(labels, scores, aff, alpha))
+    return ranked_rows(out)
