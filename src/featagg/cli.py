@@ -414,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"featagg: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"featagg: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

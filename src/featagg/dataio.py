@@ -417,8 +417,9 @@ def join_lines(parts: list[tuple]) -> str:
     """The text of lines of tokens, each line ending in a newline. parts
     holds (counts, ints, floats, lead, first) tuples: line i holds counts[i]
     tokens of each part, part by part, and a token is the byte lead (first
-    for the line's first token of the part; 0 is none), str() of ints[j]
-    and, where floats is not None, ':' and repr() of floats[j].
+    for the line's first token of the part; 0 is none), str() of ints[j],
+    which is non-negative (a label id or a feature index), and, where floats
+    is not None, ':' and repr() of floats[j].
 
     Each token is written once, field by field, into its row of one
     NUL-padded byte matrix, whose last column holds each line's newline (an
@@ -430,9 +431,8 @@ def join_lines(parts: list[tuple]) -> str:
     per_line = sum(counts)
     rows = np.maximum(per_line, 1)
     starts = np.cumsum(rows) - rows  # each line's first row
-    # a token row: lead, a minus sign if any int is negative, the digits,
-    # and ':' with the 24 columns of a float
-    widths = [1 + bool(ints.min(initial=0) < 0) + _digit_count(ints)
+    # a token row: lead, the digits, and ':' with the 24 columns of a float
+    widths = [1 + _digit_count(ints)
               + (0 if floats is None else 1 + kernels._FLOAT_CHARS)
               for _, ints, floats, *_ in parts]
     text = np.zeros((int(rows.sum()), max(widths) + 1), dtype=np.uint8)
@@ -450,24 +450,18 @@ def join_lines(parts: list[tuple]) -> str:
 
 
 def _digit_count(ints: np.ndarray) -> int:
-    """The digits of the largest magnitude in ints (1 for none)."""
-    return len(str(max(int(ints.max(initial=0)), -int(ints.min(initial=0)))))
+    """The digits of the largest of the non-negative ints (1 for none)."""
+    return len(str(int(ints.max(initial=0))))
 
 
 def _write_tokens(into: np.ndarray, ints: np.ndarray, floats: np.ndarray | None,
                   lead: int) -> None:
     """Write one token per row of the zeroed byte matrix into: the byte
-    lead, str() of ints[j] and, where floats is given, ':' and repr() of
-    floats[j]."""
+    lead, str() of the non-negative ints[j] and, where floats is given, ':'
+    and repr() of floats[j]."""
     k, n = ints.shape[0], _digit_count(ints)
     into[:, 0] = lead
     size = ints.astype(np.uint64)
-    column = 1
-    if ints.min(initial=0) < 0:
-        negative = ints < 0
-        size[negative] = -size[negative]  # two's complement: |int64 min| too
-        into[:, 1] = negative * np.uint8(45)
-        column = 2
     # eight digits per uint64, by SWAR; the leading zeros of the 8 * words
     # digits, those before the last count, stay NULs
     words = -(-n // 8)
@@ -481,13 +475,11 @@ def _write_tokens(into: np.ndarray, ints: np.ndarray, floats: np.ndarray | None,
     count = sum((size >= power for power in kernels._U64_POW10[1:n]), np.ones(k, np.int64))
     skip = np.clip(8 * np.arange(words, 0, -1) - count[:, None], 0, 8).astype(np.uint64)
     kernels._eight_digits(digits, np.uint64(kernels._ZEROS) << 8 * skip)
-    into[:, column:column + n] = digits.view(np.uint8)[:, 8 * words - n:]
+    into[:, 1:1 + n] = digits.view(np.uint8)[:, 8 * words - n:]
     if floats is None:
         return
-    column += n
-    into[:, column] = 58
-    chars, ok = kernels.format_floats(
-        floats, into[:, column + 1:column + 1 + kernels._FLOAT_CHARS])
+    into[:, 1 + n] = 58
+    chars, ok = kernels.format_floats(floats, into[:, 2 + n:2 + n + kernels._FLOAT_CHARS])
     rest = np.flatnonzero(~ok)
     if rest.shape[0]:
         text = np.array([repr(v) for v in floats[rest].tolist()],

@@ -73,19 +73,6 @@ def chunk_ranges(ends, budget):
         lo = hi
 
 
-def take_rows(
-    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract a row subset as a compact CSR triple (row order preserved)."""
-    starts = indptr[rows]
-    ends = indptr[rows + 1]
-    flat = concat_ranges(starts, ends)
-    sub_indptr = np.concatenate(
-        ([0], np.cumsum(ends - starts, dtype=np.int64))
-    )
-    return sub_indptr, indices[flat], values[flat]
-
-
 # ---------------------------------------------------------------------------
 # rank_within / group_order / group_repeats: the ordering kernels, exact
 # replacements for np.lexsort on two keys

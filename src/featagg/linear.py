@@ -27,7 +27,6 @@ WEIGHT_GUARD = 1 << 27
 
 @dataclass(frozen=True)
 class OvaConfig:
-    loss: str = "logistic"
     epochs: int = 10
     lr: float = 0.5
     lr_decay: float = 1.0  # per-epoch inverse decay; 0 keeps lr constant
@@ -63,8 +62,6 @@ _SGD_BLOCK_STEPS = 1 << 20
 
 
 def _check_config(config: OvaConfig) -> None:
-    if config.loss != "logistic":
-        raise ValueError(f"unsupported loss {config.loss!r}")
     if config.epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {config.epochs}")
     if not config.lr > 0.0:
@@ -189,10 +186,14 @@ def save_model(model: OvaModel, path: str) -> None:
 def load_model(path: str) -> OvaModel:
     """Read a model saved by save_model; a malformed file is a ValueError.
     Weights saved row-major, as files of earlier versions hold them, are
-    made column-major once here."""
+    made column-major once here. Their configs name the loss, "logistic",
+    the only one there is: it is dropped, and any other is a ValueError."""
     arrays = load_arrays(path, "model", _MODEL_ARRAYS)
+    config = json_object(arrays["config"], "model config")
+    if (loss := config.pop("loss", "logistic")) != "logistic":
+        raise ValueError(f"model config: unsupported loss {loss!r}")
     try:
-        config = OvaConfig(**json_object(arrays["config"], "model config"))
+        config = OvaConfig(**config)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model config: {exc}") from None
     dim = int(arrays["dim"])

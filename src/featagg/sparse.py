@@ -148,12 +148,13 @@ class SparseMatrix:
         )
 
     def take_rows(self, rows: np.ndarray) -> "SparseMatrix":
+        """The given rows, in the given order, as a compact matrix."""
         rows = np.asarray(rows, dtype=np.int64)
-        sub_indptr, sub_indices, sub_values = kernels.take_rows(
-            self.indptr, self.indices, self.values, rows
-        )
+        starts, ends = self.indptr[rows], self.indptr[rows + 1]
+        flat = kernels.concat_ranges(starts, ends)
         return SparseMatrix(
-            rows.shape[0], self.cols, sub_indptr, sub_indices, sub_values, validate=False
+            rows.shape[0], self.cols, np.concatenate(([0], np.cumsum(ends - starts))),
+            self.indices[flat], self.values[flat], validate=False,
         )
 
     __eq__ = _value_eq

@@ -1,15 +1,19 @@
 """Balanced hierarchy over features, partition extraction and partition files.
 
-The tree grows one depth at a time: every node of a depth with more than d0
-features is split evenly in one vectorized pass (splits.split_level), and
-smaller nodes become leaves. A node's two initial rows are those that
+A node of s features splits into (s + 1) // 2 and s // 2, so the tree's
+shape depends on d and d0 alone, and a grown tree is its member order
+(ClusterTree). The tree grows one depth at a time in that one permutation:
+every node of a depth with more than d0 features is split evenly in one
+vectorized pass (splits.split_level), its plus half then its minus half
+written back into its own range, and smaller nodes stay in place as leaves.
+A node's two initial rows are those that
 np.random.default_rng(SeedSequence([seed % 2**63, key])) draws, key being its
-root-to-node bit path, so the tree does not depend on build order. The
-tree's shape depends on d and d0 alone, so kernels.pivot_attempts makes the
-draws of every node of the tree at once, bit for bit, before the first
-split. Each depth compares all of its drawn pairs in one splits._rows_differ
-call and keeps per node the first pair of distinct rows. When d > d0 every
-leaf ends up with between floor((d0+1)/2) and d0 features.
+root-to-node bit path, so the tree does not depend on build order, and
+kernels.pivot_attempts makes the draws of every node of the tree at once,
+bit for bit, before the first split. Each depth compares all of its drawn
+pairs in one splits._rows_differ call and keeps per node the first pair of
+distinct rows. When d > d0 every leaf ends up with between floor((d0+1)/2)
+and d0 features.
 """
 
 from __future__ import annotations
@@ -64,19 +68,39 @@ class SplitCounts:
 
 @dataclass(frozen=True)
 class ClusterTree:
-    """A grown tree; levels holds the split counts of each depth that split
-    (equality ignores them)."""
+    """A grown tree as its member order: leaf k, counted left to right, holds
+    the features members[ptr[k]:ptr[k + 1]], in split order. levels holds
+    the split counts of each depth that split (equality ignores them)."""
 
-    root: TreeNode
-    d: int
+    members: np.ndarray
+    ptr: np.ndarray
     d0: int
     split_kind: str
     seed: int
     levels: tuple[SplitCounts, ...] = field(default=(), compare=False)
     __eq__ = _value_eq
 
+    @property
+    def d(self) -> int:
+        return int(self.members.shape[0])
+
     def split_counts(self) -> SplitCounts:
         return sum(self.levels, SplitCounts())
+
+    @cached_property
+    def root(self) -> TreeNode:
+        """The tree as linked TreeNodes, built on first use. It is kept only
+        because perfbench/workloads.count_nodes walks it (ROADMAP item 1a);
+        once the benchmark counts 2 * split_counts().nodes + 1 nodes, root
+        and TreeNode go."""
+        runs = iter(np.split(self.members, self.ptr[1:-1]))
+
+        def grow(size: int) -> TreeNode:
+            if size <= self.d0:
+                return TreeNode(np.sort(next(runs)))
+            return TreeNode(left=grow((size + 1) // 2), right=grow(size // 2))
+
+        return grow(self.d)
 
 
 @dataclass(frozen=True)
@@ -267,59 +291,38 @@ def make_tree(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     seed = _int_seed(seed)
-    root = TreeNode()
-    # the depth's nodes and their members, node k's at members[ptr[k]:ptr[k + 1]]
-    nodes = [root]
+    # every node of the depth, leaves included, node k's features at
+    # members[ptr[k]:ptr[k + 1]]
     members, ptr = np.arange(d, dtype=np.int64), np.array([0, d])
     weights, centre = scoring(split_kind, rs.matrix) if d > d0 else (None, None)
     pairs = kernels.pivot_attempts(seed, *_internal_nodes(d, d0), INIT_ATTEMPTS)
     levels = []
-    while True:
-        sizes = np.diff(ptr)
-        for k in np.flatnonzero(sizes <= d0).tolist():
-            nodes[k].features = np.sort(members[ptr[k]:ptr[k + 1]])
-        at = np.flatnonzero(sizes > d0)
-        if not at.shape[0]:
-            break
-        members = members[kernels.concat_ranges(ptr[at], ptr[at + 1])]
-        sizes = sizes[at]
-        ptr = np.concatenate(([0], np.cumsum(sizes)))
-        split = at.tolist()
+    while (at := np.flatnonzero(np.diff(ptr) > d0)).shape[0]:
+        # the nodes to split, gathered: node i's features at
+        # sub[sub_ptr[i]:sub_ptr[i + 1]]
+        span = kernels.concat_ranges(ptr[at], ptr[at + 1])
+        sub, sizes = members[span], ptr[at + 1] - ptr[at]
+        sub_ptr = np.concatenate(([0], np.cumsum(sizes)))
         # a node whose drawn rows are all equal splits in index order
-        drawn, pairs = pairs[:len(split)], pairs[len(split):]
-        rows = members[ptr[:-1, None, None] + drawn]
+        drawn, pairs = pairs[:at.shape[0]], pairs[at.shape[0]:]
+        rows = sub[sub_ptr[:-1, None, None] + drawn]
         picks = _first_distinct(drawn, _rows_differ(rs.matrix, rows[..., 0], rows[..., 1]))
         order, iterations, converged = split_level(
-            rs.matrix, members, ptr, picks, max_iters,
-            None if weights is None else weights[members], centre)
-        levels.append(SplitCounts(len(split), int(iterations.sum()),
+            rs.matrix, sub, sub_ptr, picks, max_iters,
+            None if weights is None else weights[sub], centre)
+        levels.append(SplitCounts(at.shape[0], int(iterations.sum()),
                                   int((~converged).sum()), int((iterations == 0).sum())))
         # each node's plus half becomes its left child, its minus half its right
-        members = members[order]
-        ptr = np.append(np.column_stack((ptr[:-1], ptr[:-1] + (sizes + 1) // 2)).ravel(),
-                        ptr[-1])
-        parents, nodes = [nodes[k] for k in split], []
-        for node in parents:
-            node.left, node.right = TreeNode(), TreeNode()
-            nodes += [node.left, node.right]
-    return ClusterTree(root=root, d=d, d0=d0, split_kind=split_kind, seed=seed,
+        members[span] = sub[order]
+        ptr = np.insert(ptr, at + 1, ptr[at] + (sizes + 1) // 2)
+    return ClusterTree(members, ptr, d0=d0, split_kind=split_kind, seed=seed,
                        levels=tuple(levels))
 
 
 def leaves(tree: ClusterTree) -> FeaturePartition:
     """Partition from the tree's leaves, ids assigned left to right."""
-    clusters: list[np.ndarray] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            clusters.append(node.features)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return FeaturePartition.from_clusters(
-        tree.d, clusters, d0=tree.d0, seed=tree.seed
-    )
+    return FeaturePartition.from_sizes(tree.d, tree.members, np.diff(tree.ptr),
+                                       d0=tree.d0, seed=tree.seed)
 
 
 def ensemble_trees(

@@ -172,6 +172,27 @@ def test_predict_rejects_inconsistent_model(workdir, capsys, tmp_path):
     assert "model bias" in capsys.readouterr().err
 
 
+def test_predict_reads_a_model_that_names_its_loss(workdir, capsys, tmp_path):
+    """A model file of an earlier version names the loss "logistic" and
+    predicts as before; another loss is a data error, exit 2."""
+    run(capsys, "train", workdir / "train_agg.txt", "-o", tmp_path / "model.npz",
+        "--epochs", "1", "--seed", "0")
+    arrays = npz_arrays(tmp_path / "model.npz")
+    config = json.loads(str(arrays["config"]))
+    for loss in ("logistic", "hinge"):
+        arrays["config"] = np.array(json.dumps({"loss": loss, **config}))
+        write_npz(tmp_path / f"{loss}.npz", arrays)
+    for model in ("model", "logistic"):
+        code, _ = run(capsys, "predict", workdir / "test_agg.txt", "--model",
+                      tmp_path / f"{model}.npz", "--k", "3", "-o", tmp_path / f"{model}.txt")
+        assert code == 0
+    assert (tmp_path / "logistic.txt").read_bytes() == (tmp_path / "model.txt").read_bytes()
+    code = main(["predict", str(workdir / "test_agg.txt"), "--model",
+                 str(tmp_path / "hinge.npz"), "--k", "3", "-o", str(tmp_path / "hinge.txt")])
+    assert code == 2
+    assert "unsupported loss 'hinge'" in capsys.readouterr().err
+
+
 def test_cooc_impute_erase(workdir, capsys):
     code, out = run(capsys, "cooc", workdir / "train.txt",
                     "--partition", workdir / "part.npz",

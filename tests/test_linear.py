@@ -84,10 +84,6 @@ class TestTrain:
         monkeypatch.setattr(linear, "WEIGHT_GUARD", 4)
         assert train_ova(separable).weights.shape == (2, 2)
 
-    def test_unsupported_loss(self, separable):
-        with pytest.raises(ValueError):
-            train_ova(separable, OvaConfig(loss="hinge"))
-
 
 def seeded_dataset():
     """40 points, 12 features, 7 labels; row 0 is empty, label 6 never occurs."""
@@ -314,6 +310,24 @@ def test_load_model_rejects_unreadable_file(tmp_path, separable, kind):
     spoil_npz(path, kind)
     with pytest.raises(ValueError, match="^model file is not"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("loss", ["hinge", None, ["logistic"]])
+def test_load_model_reads_configs_that_name_the_loss(tmp_path, separable, loss):
+    """Model files of earlier versions name the one loss, "logistic", in
+    their config: it is dropped, and any other loss is a ValueError."""
+    model = train_ova(separable, OvaConfig(epochs=1, seed=2))
+    path = tmp_path / "model.npz"
+    save_model(model, str(path))
+    arrays = npz_arrays(path)
+    config = json.loads(str(arrays["config"]))
+    assert "loss" not in config
+    for value, name in (("logistic", "old.npz"), (loss, "bad.npz")):
+        arrays["config"] = np.array(json.dumps({"loss": value, **config}))
+        write_npz(tmp_path / name, arrays)
+    assert load_model(str(tmp_path / "old.npz")) == model
+    with pytest.raises(ValueError, match="^model config: unsupported loss "):
+        load_model(str(tmp_path / "bad.npz"))
 
 
 def test_load_model_rejects_a_model_file_of_earlier_versions(tmp_path):

@@ -177,7 +177,8 @@ VALUE_EQ_CASES = {
     ),
     "ClusterTree": (grown_tree, lambda t: replace(t, seed=1)),
     "TreeNode": (lambda: grown_tree().root, lambda n: replace(n, left=n.right)),
-    "ClusterTree.root": (grown_tree, lambda t: replace(t, root=grown_tree(seed=5).root)),
+    "ClusterTree.members": (grown_tree,
+                            lambda t: replace(t, members=grown_tree(seed=5).members)),
     "SplitResult": (
         lambda: SplitResult(np.array([0, 3]), np.array([1, 2]), 2, True, (2.0, 1.0)),
         lambda r: replace(r, s_minus=np.array([2, 1])),

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import featagg.tree as tree_module
 from featagg.cluster_quality import balance_factor
 from featagg.errors import InvariantError
 from featagg.reprs import ReprSet
@@ -127,8 +128,40 @@ class TestLeaves:
                 visit(node.left)
                 visit(node.right)
         visit(tree.root)
-        for k, feats in enumerate(walk):
-            assert np.array_equal(part.clusters[k], feats)
+        assert len(walk) == part.n_clusters
+        assert np.concatenate(walk).tobytes() == part.members.tobytes()
+
+
+class TestFlatTree:
+    """A tree is its member order: leaf k holds members[ptr[k]:ptr[k + 1]]."""
+
+    @pytest.mark.parametrize("split_kind", ["kmeans", "ndcg"])
+    def test_leaves_at_two_depths_in_left_to_right_order(self, rng, split_kind):
+        # 17 -> 9 + 8 and 9 -> 5 + 4: leaves of depths 2, 2 and 1
+        tree = make_tree(random_reprs(rng, 17), d0=8, split_kind=split_kind, seed=2)
+        assert np.diff(tree.ptr).tolist() == [5, 4, 8]
+        assert leaves(tree).sizes().tolist() == [5, 4, 8]
+        assert tree.d == 17 and tree.members.dtype == np.int64
+        assert np.array_equal(np.sort(tree.members), np.arange(17))
+
+    @pytest.mark.parametrize("d", [2048, 4096])  # the benchmark shapes' features
+    def test_root_view_holds_twice_the_splits_plus_one_nodes(self, rng, d):
+        tree = make_tree(random_reprs(rng, d, p=4, density=0.4), d0=8, seed=0)
+        count, stack = 0, [tree.root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if not node.is_leaf:
+                stack += [node.left, node.right]
+        assert count == 2 * tree.split_counts().nodes + 1 == d // 4 - 1
+
+    def test_build_makes_no_nodes(self, rng, monkeypatch):
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("a TreeNode was built")
+
+        monkeypatch.setattr(tree_module, "TreeNode", no_nodes)
+        for split_kind in ("kmeans", "ndcg"):
+            leaves(make_tree(random_reprs(rng, 200), d0=4, split_kind=split_kind, seed=3))
 
 
 class TestEnsemble:
